@@ -16,7 +16,7 @@ the pieces are importable for programmatic runs:
     scn = load_scenario("system.yaml")
     kernel = build_kernel(scn)
     sink = ListSink()
-    kernel.attach_sinks(trace_sink=sink, report_sink=None)
+    kernel.attach_sinks(trace_sink=sink)
     kernel.boot()
     kernel.run(scn.run_ticks)
     kernel.finish()

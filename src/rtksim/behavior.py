@@ -403,6 +403,35 @@ def program_to_raw(statements):
     return [statement_to_raw(s) for s in statements]
 
 
+# Behavior service -> (kernel method, argument keys passed positionally
+# after the api, argument keys passed by keyword).  The method is looked up
+# on the kernel instance at call time, so wrappers set on it see every call.
+_CALLS = {
+    "sleep": ("sleep", ("timeout",), ()),
+    "wakeup": ("wakeup", ("task",), ()),
+    "delay": ("delay", ("ticks",), ()),
+    "exit": ("exit_task", (), ()),
+    "start": ("start_task", ("task",), ()),
+    "sem_wait": ("sem_wait", ("sem", "count", "timeout"), ()),
+    "sem_signal": ("sem_signal", ("sem", "count"), ()),
+    "flg_wait": ("flag_wait", ("flag", "pattern", "mode"), ("clear", "timeout")),
+    "flg_set": ("flag_set", ("flag", "pattern"), ()),
+    "flg_clear": ("flag_clear", ("flag", "mask"), ()),
+    "mbx_send": ("mbx_send", ("mailbox", "payload", "priority"), ()),
+    "mbx_recv": ("mbx_recv", ("mailbox", "timeout"), ()),
+    "mbf_send": ("mbf_send", ("buffer", "payload", "timeout"), ()),
+    "mbf_recv": ("mbf_recv", ("buffer", "timeout"), ()),
+    "mtx_lock": ("mtx_lock", ("mutex", "timeout"), ()),
+    "mtx_unlock": ("mtx_unlock", ("mutex",), ()),
+    "pool_get": ("pool_get", ("pool", "timeout"), ()),
+    "pool_rel": ("pool_release", ("pool", "ref"), ()),
+    "vpool_get": ("vpool_get", ("pool", "size", "timeout"), ()),
+    "vpool_rel": ("vpool_release", ("pool", "ref"), ()),
+}
+
+_REF_WHAT = {"pool_rel": "pool block", "vpool_rel": "pool region"}
+
+
 class _Exec:
     """Statement interpreter bound to one activation."""
 
@@ -421,7 +450,7 @@ class _Exec:
         if isinstance(st, Compute):
             yield from self.ctx.api.wait(self.table[st.label])
         elif isinstance(st, Call):
-            yield from getattr(self, "_svc_" + st.service)(_argdict(st))
+            yield from self.call(st.service, _argdict(st))
         elif isinstance(st, Bfm):
             yield from self.ctx.kernel.bfm_call(
                 self.ctx.api, st.device, st.access, _argdict(st))
@@ -435,93 +464,25 @@ class _Exec:
         else:
             raise AssertionError(st)
 
-    def _take_ref(self, a, what):
-        name = a["ref"]
-        if name not in self.vars:
-            raise UsageError(
-                f"{what} reference '{name}' was never obtained")
-        return self.vars.pop(name)
-
-    # Service runners.  Results are discarded except where a variable
-    # binding captures a pool grant for a later release.
-
-    def _svc_sleep(self, a):
-        yield from self.ctx.kernel.sleep(self.ctx.api, a["timeout"])
-
-    def _svc_wakeup(self, a):
-        yield from self.ctx.kernel.wakeup(self.ctx.api, a["task"])
-
-    def _svc_delay(self, a):
-        yield from self.ctx.kernel.delay(self.ctx.api, a["ticks"])
-
-    def _svc_exit(self, a):
-        yield from self.ctx.kernel.exit_task(self.ctx.api)
-
-    def _svc_start(self, a):
-        yield from self.ctx.kernel.start_task(self.ctx.api, a["task"])
-
-    def _svc_sem_wait(self, a):
-        yield from self.ctx.kernel.sem_wait(
-            self.ctx.api, a["sem"], n=a["count"], timeout=a["timeout"])
-
-    def _svc_sem_signal(self, a):
-        yield from self.ctx.kernel.sem_signal(self.ctx.api, a["sem"], n=a["count"])
-
-    def _svc_flg_wait(self, a):
-        mode = FLAG_MODE_AND if a["mode"] == "and" else FLAG_MODE_OR
-        yield from self.ctx.kernel.flag_wait(
-            self.ctx.api, a["flag"], a["pattern"], mode,
-            clear=a["clear"], timeout=a["timeout"])
-
-    def _svc_flg_set(self, a):
-        yield from self.ctx.kernel.flag_set(self.ctx.api, a["flag"], a["pattern"])
-
-    def _svc_flg_clear(self, a):
-        yield from self.ctx.kernel.flag_clear(self.ctx.api, a["flag"], a["mask"])
-
-    def _svc_mbx_send(self, a):
-        yield from self.ctx.kernel.mbx_send(
-            self.ctx.api, a["mailbox"], a["payload"], priority=a["priority"])
-
-    def _svc_mbx_recv(self, a):
-        yield from self.ctx.kernel.mbx_recv(
-            self.ctx.api, a["mailbox"], timeout=a["timeout"])
-
-    def _svc_mbf_send(self, a):
-        yield from self.ctx.kernel.mbf_send(
-            self.ctx.api, a["buffer"], a["payload"].encode("utf-8"),
-            timeout=a["timeout"])
-
-    def _svc_mbf_recv(self, a):
-        yield from self.ctx.kernel.mbf_recv(
-            self.ctx.api, a["buffer"], timeout=a["timeout"])
-
-    def _svc_mtx_lock(self, a):
-        yield from self.ctx.kernel.mtx_lock(
-            self.ctx.api, a["mutex"], timeout=a["timeout"])
-
-    def _svc_mtx_unlock(self, a):
-        yield from self.ctx.kernel.mtx_unlock(self.ctx.api, a["mutex"])
-
-    def _svc_pool_get(self, a):
-        res = yield from self.ctx.kernel.pool_get(
-            self.ctx.api, a["pool"], timeout=a["timeout"])
-        if res.ok:
+    def call(self, service, a):
+        """Run one service.  Results are discarded except where an ``as``
+        binding captures a pool grant for a later release."""
+        if service == "flg_wait":
+            a["mode"] = FLAG_MODE_AND if a["mode"] == "and" else FLAG_MODE_OR
+        elif service == "mbf_send":
+            a["payload"] = a["payload"].encode("utf-8")
+        elif service in _REF_WHAT:
+            name = a["ref"]
+            if name not in self.vars:
+                raise UsageError(
+                    f"{_REF_WHAT[service]} reference '{name}' was never obtained")
+            a["ref"] = self.vars.pop(name)
+        method, positional, keyword = _CALLS[service]
+        res = yield from getattr(self.ctx.kernel, method)(
+            self.ctx.api, *[a[k] for k in positional],
+            **{k: a[k] for k in keyword})
+        if "as" in a and res.ok:
             self.vars[a["as"]] = res.value
-
-    def _svc_pool_rel(self, a):
-        index = self._take_ref(a, "pool block")
-        yield from self.ctx.kernel.pool_release(self.ctx.api, a["pool"], index)
-
-    def _svc_vpool_get(self, a):
-        res = yield from self.ctx.kernel.vpool_get(
-            self.ctx.api, a["pool"], a["size"], timeout=a["timeout"])
-        if res.ok:
-            self.vars[a["as"]] = res.value
-
-    def _svc_vpool_rel(self, a):
-        offset = self._take_ref(a, "pool region")
-        yield from self.ctx.kernel.vpool_release(self.ctx.api, a["pool"], offset)
 
 
 def build_factory(statements, annotations, *, handler=False):

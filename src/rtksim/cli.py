@@ -127,7 +127,7 @@ def _cmd_run(args) -> int:
         return _fail(str(exc))
 
     sink = ListSink()
-    kernel.attach_sinks(trace_sink=sink, report_sink=None)
+    kernel.attach_sinks(trace_sink=sink)
     kernel.boot()
 
     deadlock = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import ContextKind, ThreadState
+from .engine import ThreadState
 from .errors import NotFoundError, ValidationError
 
 __all__ = [
@@ -92,7 +92,7 @@ def _hex_label(label: str) -> bool:
 
 def _task_record(kernel, th) -> DsTask:
     tcb = kernel.tcb[th.id]
-    sys_run = th.ctx_ticks.get(ContextKind.SVC, 0)
+    sys_run = th.svc_ticks
     return DsTask(
         task_id=th.id,
         extended_info=tcb.extended_info,

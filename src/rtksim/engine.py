@@ -29,7 +29,7 @@ tick, so split segments sum exactly to the annotated amount.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     ConflictError,
@@ -106,26 +106,17 @@ class ThreadState(enum.Enum):
     WAITING_SUSPENDED = "WAITING_SUSPENDED"
 
 
-# legal state transitions; SUSPENDED states are part of the model even
-# though no shipped service drives a thread into them
+# the transitions the scheduler makes; register, unregister and
+# arm_handler set the state directly.  No service drives a thread into
+# the SUSPENDED states, which exist only as listing codes.
 _LEGAL_TRANSITIONS = {
-    (ThreadState.NON_EXISTENT, ThreadState.DORMANT),
     (ThreadState.DORMANT, ThreadState.READY),
+    (ThreadState.WAITING, ThreadState.READY),
     (ThreadState.READY, ThreadState.RUNNING),
     (ThreadState.RUNNING, ThreadState.READY),
     (ThreadState.RUNNING, ThreadState.WAITING),
-    (ThreadState.WAITING, ThreadState.READY),
     (ThreadState.WAITING, ThreadState.RUNNING),  # handler activation
-
     (ThreadState.RUNNING, ThreadState.DORMANT),
-    (ThreadState.READY, ThreadState.DORMANT),
-    (ThreadState.WAITING, ThreadState.DORMANT),
-    (ThreadState.WAITING, ThreadState.WAITING_SUSPENDED),
-    (ThreadState.READY, ThreadState.SUSPENDED),
-    (ThreadState.SUSPENDED, ThreadState.READY),
-    (ThreadState.WAITING_SUSPENDED, ThreadState.WAITING),
-    (ThreadState.WAITING_SUSPENDED, ThreadState.SUSPENDED),
-    (ThreadState.DORMANT, ThreadState.NON_EXISTENT),
 }
 
 
@@ -148,8 +139,6 @@ class Annotation:
 class Token:
     """Per-thread accumulator: the single token of the activity's net."""
 
-    marking: str = "PRE_DISPATCH"
-    firing_counts: dict = field(default_factory=dict)
     cet: int = 0        # cumulative execution time, ticks
     cee_uj: int = 0     # cumulative energy, micro-joules
     cycles: int = 0     # completed body cycles
@@ -198,10 +187,6 @@ class _RetIntRequest(_Request):
     __slots__ = ()
 
 
-class _YieldRequest(_Request):
-    __slots__ = ()
-
-
 class _ExitRequest(_Request):
     __slots__ = ()
 
@@ -214,7 +199,7 @@ class _Segment:
 
     __slots__ = (
         "label", "etm", "eem_uj", "context_kind", "remaining",
-        "per_tick_uj", "rem_uj", "consumed_total",
+        "per_tick_uj", "rem_uj",
         "record_start", "record_consumed", "record_uj", "record_event",
     )
 
@@ -228,7 +213,6 @@ class _Segment:
             self.per_tick_uj, self.rem_uj = divmod(eem_uj, etm)
         else:
             self.per_tick_uj, self.rem_uj = 0, 0
-        self.consumed_total = 0
         self.record_start = start_tick
         self.record_consumed = 0
         self.record_uj = 0
@@ -276,13 +260,11 @@ class SimThread:
         self.last_event = EventKind.CONTINUE_RUN
         self.seg: _Segment | None = None
         self.preempt_requested = False
-        self.interrupt_requested = False
         self.awaiting_activation = False
         self.activation_queued = False
         self.waiting_reason: str | None = None
         self.ready_tick = 0
-        self.last_change_tick = 0
-        self.ctx_ticks: dict = {}
+        self.svc_ticks = 0  # consumed in SVC context
         self.run_streak = 0
         self.max_streak = 0
 
@@ -340,12 +322,6 @@ class ThreadApi:
         value = yield _BlockRequest(reason)
         return value.event
 
-    def context_switch(self):
-        """Voluntarily hand the CPU over; resumes with RETURN_FROM_PREEMPTION."""
-        self._check_running()
-        value = yield _YieldRequest()
-        return value.event
-
     def exit(self):
         yield _ExitRequest()
 
@@ -368,9 +344,6 @@ class ThreadApi:
         self._check_running()
         self._engine._crit_exit(self.thread_id)
 
-    def check_critical(self) -> int:
-        return self._engine.critical_depth()
-
     def mark_cycle(self):
         tok = self._engine._table[self.thread_id].token
         tok.cycles += 1
@@ -378,8 +351,6 @@ class ThreadApi:
 
 class Engine:
     """Owns the thread table, clock, interrupt stack and trampoline."""
-
-    IDLE_PRIORITY = 141  # below the whole 1..140 application range
 
     def __init__(self, expected_count: int, tick_us: int = 1000):
         if not isinstance(expected_count, int) or expected_count < 1:
@@ -398,20 +369,12 @@ class Engine:
         self._crit_depth = 0
         self._crit_owner: int | None = None
         self._all_created = False
-        self._init_done = True
         self._trace = NullSink()
-        self._report_sink = None
         self._sinks_attached = False
         self._finished = False
 
     # ------------------------------------------------------------------
     # setup phase
-
-    def sim_init(self, expected_count):
-        # the constructor already initialized; present so double
-        # initialization is a detectable misuse
-        if self._init_done:
-            raise UsageError("engine already initialized")
 
     def register(self, thread: SimThread) -> int:
         if self._all_created:
@@ -424,7 +387,6 @@ class Engine:
             )
         thread.api = ThreadApi(self, thread.id)
         thread.state = ThreadState.DORMANT
-        thread.last_change_tick = self.now
         self._table[thread.id] = thread
         return thread.id
 
@@ -443,16 +405,16 @@ class Engine:
             )
         self._all_created = True
 
-    def chk_all_created(self) -> bool:
-        return self._all_created
-
     def attach_sinks(self, trace_sink=None, report_sink=None):
+        """Attach the trace sink; only a trace sink is supported, so
+        ``report_sink`` must be None."""
+        if report_sink is not None:
+            raise UsageError("report sinks are not supported")
         if self._sinks_attached:
             raise UsageError("sinks already attached")
         self._sinks_attached = True
         if trace_sink is not None:
             self._trace = trace_sink
-        self._report_sink = report_sink
 
     def threads(self):
         return list(self._table.values())
@@ -474,7 +436,6 @@ class Engine:
         th.startup_delivered = False
         th.pending_resume = None
         th.seg = None
-        th.token.marking = "PRE_DISPATCH"
         self._make_ready(th)
 
     def arm_handler(self, thread_id: int):
@@ -492,42 +453,8 @@ class Engine:
         if not isinstance(req, _AwaitActivationRequest):
             raise ProtocolError("handler body must park for activation first")
         th.state = ThreadState.WAITING  # priming is not a scheduled transition
-        th.last_change_tick = self.now
         th.awaiting_activation = True
         th.waiting_reason = "activation wait"
-
-    def stop_thread(self, thread_id: int):
-        """Force a thread Dormant; accumulators survive, notifications die."""
-        th = self._get(thread_id)
-        if th.state in (ThreadState.DORMANT, ThreadState.NON_EXISTENT):
-            raise StateError(f"{th.name} is already {th.state.value}")
-        if any(f.handler_id == thread_id for f in self._stack):
-            raise ProtocolError("cannot stop a handler that is active")
-        if thread_id == self.current_id and th.seg is not None:
-            self._close_record_partial(th)
-        th.seg = None
-        th.pending_resume = None
-        th.preempt_requested = False
-        th.interrupt_requested = False
-        th.awaiting_activation = False
-        th.activation_queued = False
-        th.waiting_reason = None
-        self._ready.discard(thread_id)
-        if th.gen is not None:
-            th.gen.close()
-            th.gen = None
-        th.state = ThreadState.DORMANT
-        th.last_change_tick = self.now
-        th.token.marking = "PRE_DISPATCH"
-        if thread_id == self.current_id:
-            self.current_id = None
-
-    def request_preempt(self, thread_id: int):
-        """Mark a thread for suspension at its next preemption point."""
-        th = self._get(thread_id)
-        if th.state not in (ThreadState.RUNNING, ThreadState.READY):
-            raise StateError(f"cannot preempt {th.name}: state {th.state.value}")
-        th.preempt_requested = True
 
     def raise_interrupt(self, handler_id: int):
         """Queue a handler activation.
@@ -558,24 +485,13 @@ class Engine:
         th.waiting_reason = None
         self._make_ready(th)
 
-    def schedule_next(self) -> int | None:
-        """Pure query: who would be dispatched now.  No side effects."""
-        return self._pick_ready()
-
     def recheck_preemption(self):
         """Re-evaluate whether a ready thread outranks the current one.
         Needed after priority changes that bypass the ready-up path."""
         self._flag_preempt_if_outranked()
 
-    def set_thread_state(self, thread_id: int, state: ThreadState):
-        th = self._get(thread_id)
-        self._set_state(th, state)
-
     def critical_depth(self) -> int:
         return self._crit_depth
-
-    def critical_owner(self) -> int | None:
-        return self._crit_owner
 
     def waiting_threads(self):
         return [
@@ -589,9 +505,6 @@ class Engine:
 
     def pending_activation_count(self) -> int:
         return len(self._pending_activations)
-
-    def interrupt_depth(self) -> int:
-        return len(self._stack)
 
     # ------------------------------------------------------------------
     # run control
@@ -628,7 +541,7 @@ class Engine:
                 raise ConsistencyError("zero-time livelock during boot")
 
     def finish(self):
-        """Flush the open record (if any) and push the report summary."""
+        """Flush the open record (if any) and close the trace sink."""
         if self._finished:
             return
         self._finished = True
@@ -636,19 +549,6 @@ class Engine:
             th = self._table[self.current_id]
             if th.seg is not None:
                 self._close_record_partial(th)
-        if self._report_sink is not None:
-            summary = [
-                {
-                    "thread_id": th.id,
-                    "name": th.name,
-                    "kind": th.kind.value,
-                    "cet": th.token.cet,
-                    "cee_uj": th.token.cee_uj,
-                    "cycles": th.token.cycles,
-                }
-                for th in sorted(self._table.values(), key=lambda t: t.id)
-            ]
-            self._report_sink.accept(self.now, summary)
         self._trace.close()
 
     # ------------------------------------------------------------------
@@ -666,7 +566,6 @@ class Engine:
                 f"illegal transition {th.state.value} -> {state.value} for {th.name}"
             )
         th.state = state
-        th.last_change_tick = self.now
 
     def _make_ready(self, th: SimThread):
         self._set_state(th, ThreadState.READY)
@@ -768,7 +667,6 @@ class Engine:
         self._ready.discard(thread_id)
         self._set_state(th, ThreadState.RUNNING)
         th.preempt_requested = False
-        th.interrupt_requested = False
         if th.pending_resume is None and not th.startup_delivered:
             th.pending_resume = Resume(EventKind.STARTUP)
         event = th.pending_resume.event if th.pending_resume else EventKind.CONTINUE_RUN
@@ -791,7 +689,6 @@ class Engine:
         th.preempt_requested = False
         self._set_state(th, ThreadState.READY)
         self._ready.add(th.id)  # keeps its original ready_tick
-        th.token.marking = "READY"
         if emit_preempt:
             self._emit_control(th, CTL_PREEMPT, event)
         self.current_id = None
@@ -801,7 +698,6 @@ class Engine:
         interrupted = self.current_id
         if interrupted is not None:
             it = self._table[interrupted]
-            it.interrupt_requested = True
             self._suspend_current(EventKind.RETURN_FROM_INTERRUPT, emit_preempt=False)
             if it.kind.is_handler:
                 # handlers are not scheduled; pull it back out of ready
@@ -841,7 +737,6 @@ class Engine:
         if it.kind.is_handler:
             # inner return always resumes the interrupted handler
             self._set_state(it, ThreadState.RUNNING)
-            it.interrupt_requested = False
             if it.seg is not None:
                 seg = it.seg
                 seg.record_start = self.now
@@ -904,15 +799,12 @@ class Engine:
             self._set_state(th, ThreadState.WAITING)
             th.waiting_reason = req.reason
             th.run_streak = 0
-            th.token.marking = "BLOCKED"
             self._emit_control(th, CTL_BLOCK)
             self.current_id = None
         elif isinstance(req, _RetIntRequest):
             if not th.kind.is_handler:
                 raise ProtocolError(f"{th.name} is not a handler")
             self._return_from_handler(th)
-        elif isinstance(req, _YieldRequest):
-            self._suspend_current(EventKind.RETURN_FROM_PREEMPTION)
         elif isinstance(req, _WaitRunRequest):
             raise ProtocolError(f"{th.name}: entry gate after startup")
         elif isinstance(req, _AwaitActivationRequest):
@@ -930,7 +822,6 @@ class Engine:
         if self._crit_depth > 0 and self._crit_owner == th.id:
             raise ProtocolError(f"{th.name} exited inside a critical section")
         self._set_state(th, ThreadState.DORMANT)
-        th.token.marking = "DONE"
         th.run_streak = 0
         th.pending_resume = None
         if th.gen is not None:
@@ -945,11 +836,9 @@ class Engine:
             annotation.label, annotation.etm, annotation.eem_uj,
             context_kind, self.now, th.last_event,
         )
-        th.token.marking = f"RUNNING/{context_kind.value}"
 
     def _consume_tick(self, th: SimThread, seg: _Segment):
         seg.remaining -= 1
-        seg.consumed_total += 1
         seg.record_consumed += 1
         share = seg.per_tick_uj
         if seg.remaining == 0:
@@ -958,8 +847,8 @@ class Engine:
         tok = th.token
         tok.cet += 1
         tok.cee_uj += share
-        key = seg.context_kind
-        th.ctx_ticks[key] = th.ctx_ticks.get(key, 0) + 1
+        if seg.context_kind is ContextKind.SVC:
+            th.svc_ticks += 1
         th.run_streak += 1
         if th.run_streak > th.max_streak:
             th.max_streak = th.run_streak
@@ -987,8 +876,6 @@ class Engine:
                 seg.record_start, seg.record_start + seg.record_consumed,
                 etm=seg.record_consumed, uj=uj,
             )
-        tok = th.token
-        tok.firing_counts[seg.label] = tok.firing_counts.get(seg.label, 0) + 1
         th.seg = None
 
     # --- critical sections ----------------------------------------------

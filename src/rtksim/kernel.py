@@ -108,8 +108,9 @@ class CallContext:
 class TaskControl:
     """Kernel-side task bookkeeping beyond the engine's thread record.
 
-    suspend_nesting stays 0: suspend/resume services are not offered,
-    the field exists so the introspection listing can report it.
+    suspend_nesting stays 0: suspend/resume services are not offered, so
+    no thread ever enters a SUSPENDED state, which exists only as a
+    listing code.  The field exists so the listing can report it.
     """
 
     extended_info: int = 0
@@ -208,7 +209,6 @@ class Kernel:
         self._booting = False
         self._booted = False
         self._trace_sink = None
-        self._report_sink = None
 
         self.semaphores: dict[int, Semaphore] = {}
         self.flags: dict[int, EventFlag] = {}
@@ -362,9 +362,12 @@ class Kernel:
         self._stimuli.append(Stimulus(tick, kind, device, line, value))
 
     def attach_sinks(self, trace_sink=None, report_sink=None):
+        """Set the trace sink the engine gets after boot.  Only a trace
+        sink is supported: ``report_sink`` must be None."""
         self._pre_boot()
+        if report_sink is not None:
+            raise UsageError("report sinks are not supported")
         self._trace_sink = trace_sink
-        self._report_sink = report_sink
 
     # ------------------------------------------------------------------
     # boot
@@ -409,8 +412,7 @@ class Kernel:
         self._stimuli = [s for _i, s in self._stimuli]
         self._stim_idx = 0
 
-        eng.attach_sinks(trace_sink=self._trace_sink,
-                         report_sink=self._report_sink)
+        eng.attach_sinks(trace_sink=self._trace_sink)
         self._booted = True
 
     def _validate_stimuli(self):
@@ -619,12 +621,22 @@ class Kernel:
     # ------------------------------------------------------------------
     # service plumbing
 
-    def _prologue(self, api):
-        # every service runs inside an implicit critical section and,
-        # outside boot, charges one SVC-context segment
+    def _svc(self, api, op):
+        """Run ``op()`` as the atomic part of one service call.
+
+        Every service runs inside an implicit critical section and,
+        outside boot, charges one SVC-context segment first.  Only the
+        operation is inside the ``try``: a generator closed while parked
+        in the SVC wait must not exit the section from a thread that is
+        not running.
+        """
         api.begin_critical()
         if not self._booting:
             yield from api.wait(self._svc_ann, ContextKind.SVC)
+        try:
+            return op()
+        finally:
+            api.end_critical()
 
     def _tcb(self, thread_id) -> TaskControl:
         tcb = self.tcb.get(thread_id)
@@ -669,6 +681,13 @@ class Kernel:
             tcb.wait_kind = None
         self.engine.release(thread_id, EventKind.SLEEP_ARRIVAL, (code, value))
 
+    @staticmethod
+    def _object(registry, obj_id, what):
+        obj = registry.get(obj_id)
+        if obj is None:
+            raise NotFoundError(f"no {what} with id {obj_id}")
+        return obj
+
     # ------------------------------------------------------------------
     # task services
 
@@ -676,140 +695,106 @@ class Kernel:
         """Sleep until wakeup or timeout.  A queued wakeup is consumed
         immediately without blocking."""
         timeout = self._validate_timeout(timeout)
-        yield from self._prologue(api)
-        tcb = self._tcb(api.thread_id)
-        if tcb.wakeup_count > 0:
-            tcb.wakeup_count -= 1
-            api.end_critical()
+
+        def take_wakeup():
+            tcb = self._tcb(api.thread_id)
+            if tcb.wakeup_count > 0:
+                tcb.wakeup_count -= 1
+                return True
+            return False
+
+        if (yield from self._svc(api, take_wakeup)):
             return SvcResult(RESULT_OK)
-        api.end_critical()
         result = yield from self._block_with_timeout(
             api, "sleep", "sleep", timeout, None)
         return result
 
     def wakeup(self, api, task_id):
-        yield from self._prologue(api)
-        th = self._task_thread(task_id)
-        tcb = self._tcb(task_id)
-        if th.state in (ThreadState.DORMANT, ThreadState.NON_EXISTENT):
-            api.end_critical()
-            raise ObjectStateError(f"cannot wake dormant task {th.name}")
-        if th.state is ThreadState.WAITING and tcb.wait_kind == "sleep":
-            self._release(task_id)
-        else:
-            tcb.wakeup_count += 1
-        api.end_critical()
+        def op():
+            th = self._task_thread(task_id)
+            tcb = self._tcb(task_id)
+            if th.state in (ThreadState.DORMANT, ThreadState.NON_EXISTENT):
+                raise ObjectStateError(f"cannot wake dormant task {th.name}")
+            if th.state is ThreadState.WAITING and tcb.wait_kind == "sleep":
+                self._release(task_id)
+            else:
+                tcb.wakeup_count += 1
+
+        yield from self._svc(api, op)
         return SvcResult(RESULT_OK)
 
     def delay(self, api, ticks):
         """Unconditional delay: only expiry releases it; wakeups queue up."""
         if not isinstance(ticks, int) or ticks < 1:
             raise ValidationError("delay must be >= 1 ticks")
-        yield from self._prologue(api)
-        api.end_critical()
+        yield from self._svc(api, lambda: None)
         result = yield from self._block_with_timeout(
             api, "delay", "delay", ticks, None)
         return result
 
     def start_task(self, api, task_id):
-        yield from self._prologue(api)
-        self._task_thread(task_id)
-        try:
+        def op():
+            self._task_thread(task_id)
             self.engine.start_thread(task_id)
-        finally:
-            api.end_critical()
+
+        yield from self._svc(api, op)
         return SvcResult(RESULT_OK)
 
     def exit_task(self, api):
-        yield from self._prologue(api)
-        api.end_critical()
+        yield from self._svc(api, lambda: None)
         yield from api.exit()
 
     # ------------------------------------------------------------------
     # synchronization services
 
-    def _object(self, api, registry, obj_id, what):
-        """Resolve an object id; the critical section never leaks on error."""
-        obj = registry.get(obj_id)
-        if obj is None:
-            api.end_critical()
-            raise NotFoundError(f"no {what} with id {obj_id}")
-        return obj
-
     def sem_wait(self, api, sem_id, n=1, timeout=None):
         timeout = self._validate_timeout(timeout)
-        yield from self._prologue(api)
-        sem = self._object(api, self.semaphores, sem_id, "semaphore")
         tid = api.thread_id
-        try:
-            granted = sem.acquire(tid, n)
-        except Exception:
-            api.end_critical()
-            raise
-        api.end_critical()
+        granted = yield from self._svc(api, lambda: self._object(
+            self.semaphores, sem_id, "semaphore").acquire(tid, n))
         if granted:
             return SvcResult(RESULT_OK)
+        sem = self.semaphores[sem_id]
         result = yield from self._block_with_timeout(
             api, f"semaphore {sem_id}", "semaphore", timeout,
             lambda: sem.cancel_wait(tid))
         return result
 
     def sem_signal(self, api, sem_id, n=1):
-        yield from self._prologue(api)
-        sem = self._object(api, self.semaphores, sem_id, "semaphore")
-        try:
-            released = sem.signal(n)
-        finally:
-            api.end_critical()
+        released = yield from self._svc(api, lambda: self._object(
+            self.semaphores, sem_id, "semaphore").signal(n))
         for tid in released:
             self._release(tid)
         return SvcResult(RESULT_OK)
 
     def flag_wait(self, api, flg_id, pattern, mode, *, clear=False, timeout=None):
         timeout = self._validate_timeout(timeout)
-        yield from self._prologue(api)
-        flg = self._object(api, self.flags, flg_id, "event flag")
         tid = api.thread_id
-        try:
-            granted, snapshot = flg.wait(tid, pattern, mode, clear)
-        except Exception:
-            api.end_critical()
-            raise
-        api.end_critical()
+        granted, snapshot = yield from self._svc(api, lambda: self._object(
+            self.flags, flg_id, "event flag").wait(tid, pattern, mode, clear))
         if granted:
             return SvcResult(RESULT_OK, snapshot)
+        flg = self.flags[flg_id]
         result = yield from self._block_with_timeout(
             api, f"event flag {flg_id}", "flag", timeout,
             lambda: flg.cancel_wait(tid))
         return result
 
     def flag_set(self, api, flg_id, bits):
-        yield from self._prologue(api)
-        flg = self._object(api, self.flags, flg_id, "event flag")
-        try:
-            released = flg.set_bits(bits)
-        finally:
-            api.end_critical()
+        released = yield from self._svc(api, lambda: self._object(
+            self.flags, flg_id, "event flag").set_bits(bits))
         for tid, snapshot in released:
             self._release(tid, RESULT_OK, snapshot)
         return SvcResult(RESULT_OK)
 
     def flag_clear(self, api, flg_id, mask):
-        yield from self._prologue(api)
-        flg = self._object(api, self.flags, flg_id, "event flag")
-        try:
-            flg.clear_bits(mask)
-        finally:
-            api.end_critical()
+        yield from self._svc(api, lambda: self._object(
+            self.flags, flg_id, "event flag").clear_bits(mask))
         return SvcResult(RESULT_OK)
 
     def mbx_send(self, api, mbx_id, payload, priority=0):
-        yield from self._prologue(api)
-        mbx = self._object(api, self.mailboxes, mbx_id, "mailbox")
-        try:
-            delivery = mbx.send(priority, payload)
-        finally:
-            api.end_critical()
+        delivery = yield from self._svc(api, lambda: self._object(
+            self.mailboxes, mbx_id, "mailbox").send(priority, payload))
         if delivery is not None:
             tid, msg = delivery
             self._release(tid, RESULT_OK, msg)
@@ -817,13 +802,12 @@ class Kernel:
 
     def mbx_recv(self, api, mbx_id, timeout=None):
         timeout = self._validate_timeout(timeout)
-        yield from self._prologue(api)
-        mbx = self._object(api, self.mailboxes, mbx_id, "mailbox")
         tid = api.thread_id
-        granted, msg = mbx.recv(tid)
-        api.end_critical()
+        granted, msg = yield from self._svc(api, lambda: self._object(
+            self.mailboxes, mbx_id, "mailbox").recv(tid))
         if granted:
             return SvcResult(RESULT_OK, msg)
+        mbx = self.mailboxes[mbx_id]
         result = yield from self._block_with_timeout(
             api, f"mailbox {mbx_id}", "mailbox", timeout,
             lambda: mbx.cancel_wait(tid))
@@ -831,19 +815,14 @@ class Kernel:
 
     def mbf_send(self, api, mbf_id, data, timeout=None):
         timeout = self._validate_timeout(timeout)
-        yield from self._prologue(api)
-        buf = self._object(api, self.buffers, mbf_id, "message buffer")
         tid = api.thread_id
-        try:
-            granted, deliveries = buf.send(tid, data)
-        except Exception:
-            api.end_critical()
-            raise
-        api.end_critical()
+        granted, deliveries = yield from self._svc(api, lambda: self._object(
+            self.buffers, mbf_id, "message buffer").send(tid, data))
         for rtid, msg in deliveries:
             self._release(rtid, RESULT_OK, msg)
         if granted:
             return SvcResult(RESULT_OK)
+        buf = self.buffers[mbf_id]
         result = yield from self._block_with_timeout(
             api, f"message buffer {mbf_id}", "buffer", timeout,
             lambda: buf.cancel_wait(tid))
@@ -851,15 +830,14 @@ class Kernel:
 
     def mbf_recv(self, api, mbf_id, timeout=None):
         timeout = self._validate_timeout(timeout)
-        yield from self._prologue(api)
-        buf = self._object(api, self.buffers, mbf_id, "message buffer")
         tid = api.thread_id
-        granted, msg, unblocked = buf.recv(tid)
-        api.end_critical()
+        granted, msg, unblocked = yield from self._svc(api, lambda: self._object(
+            self.buffers, mbf_id, "message buffer").recv(tid))
         for stid in unblocked:
             self._release(stid)
         if granted:
             return SvcResult(RESULT_OK, msg)
+        buf = self.buffers[mbf_id]
         result = yield from self._block_with_timeout(
             api, f"message buffer {mbf_id}", "buffer", timeout,
             lambda: buf.cancel_wait(tid))
@@ -867,19 +845,17 @@ class Kernel:
 
     def mtx_lock(self, api, mtx_id, timeout=None):
         timeout = self._validate_timeout(timeout)
-        yield from self._prologue(api)
-        mtx = self._object(api, self.mutexes, mtx_id, "mutex")
         tid = api.thread_id
-        try:
-            granted = mtx.lock(tid)
-        except Exception:
-            api.end_critical()
-            raise
-        if granted:
-            api.end_critical()
+
+        def op():
+            granted = self._object(self.mutexes, mtx_id, "mutex").lock(tid)
+            if not granted:
+                self._recompute_inheritance()
+            return granted
+
+        if (yield from self._svc(api, op)):
             return SvcResult(RESULT_OK)
-        self._recompute_inheritance()
-        api.end_critical()
+        mtx = self.mutexes[mtx_id]
 
         def cancel():
             mtx.cancel_wait(tid)
@@ -890,12 +866,8 @@ class Kernel:
         return result
 
     def mtx_unlock(self, api, mtx_id):
-        yield from self._prologue(api)
-        mtx = self._object(api, self.mutexes, mtx_id, "mutex")
-        try:
-            next_owner = mtx.unlock(api.thread_id)
-        finally:
-            api.end_critical()
+        next_owner = yield from self._svc(api, lambda: self._object(
+            self.mutexes, mtx_id, "mutex").unlock(api.thread_id))
         if next_owner is not None:
             self._release(next_owner)
         self._recompute_inheritance()
@@ -903,25 +875,20 @@ class Kernel:
 
     def pool_get(self, api, pool_id, timeout=None):
         timeout = self._validate_timeout(timeout)
-        yield from self._prologue(api)
-        pool = self._object(api, self.fixed_pools, pool_id, "fixed pool")
         tid = api.thread_id
-        granted, index = pool.get(tid)
-        api.end_critical()
+        granted, index = yield from self._svc(api, lambda: self._object(
+            self.fixed_pools, pool_id, "fixed pool").get(tid))
         if granted:
             return SvcResult(RESULT_OK, index)
+        pool = self.fixed_pools[pool_id]
         result = yield from self._block_with_timeout(
             api, f"fixed pool {pool_id}", "pool", timeout,
             lambda: pool.cancel_wait(tid))
         return result
 
     def pool_release(self, api, pool_id, index):
-        yield from self._prologue(api)
-        pool = self._object(api, self.fixed_pools, pool_id, "fixed pool")
-        try:
-            handoff = pool.release(index)
-        finally:
-            api.end_critical()
+        handoff = yield from self._svc(api, lambda: self._object(
+            self.fixed_pools, pool_id, "fixed pool").release(index))
         if handoff is not None:
             tid, idx = handoff
             self._release(tid, RESULT_OK, idx)
@@ -929,29 +896,20 @@ class Kernel:
 
     def vpool_get(self, api, pool_id, size, timeout=None):
         timeout = self._validate_timeout(timeout)
-        yield from self._prologue(api)
-        pool = self._object(api, self.variable_pools, pool_id, "variable pool")
         tid = api.thread_id
-        try:
-            granted, offset = pool.get(tid, size)
-        except Exception:
-            api.end_critical()
-            raise
-        api.end_critical()
+        granted, offset = yield from self._svc(api, lambda: self._object(
+            self.variable_pools, pool_id, "variable pool").get(tid, size))
         if granted:
             return SvcResult(RESULT_OK, offset)
+        pool = self.variable_pools[pool_id]
         result = yield from self._block_with_timeout(
             api, f"variable pool {pool_id}", "pool", timeout,
             lambda: pool.cancel_wait(tid))
         return result
 
     def vpool_release(self, api, pool_id, offset):
-        yield from self._prologue(api)
-        pool = self._object(api, self.variable_pools, pool_id, "variable pool")
-        try:
-            grants = pool.release(offset)
-        finally:
-            api.end_critical()
+        grants = yield from self._svc(api, lambda: self._object(
+            self.variable_pools, pool_id, "variable pool").release(offset))
         for tid, off, _n in grants:
             self._release(tid, RESULT_OK, off)
         return SvcResult(RESULT_OK)

@@ -137,9 +137,7 @@ class Scenario:
 # ----------------------------------------------------------------------
 # YAML loading with line positions
 
-def _index_node(node, path, lines, problems, seen=None):
-    if seen is None:
-        seen = set()
+def _index_node(node, path, lines, problems, seen):
     if id(node) in seen:
         # aliases would let one node validate at two paths; refuse up front
         problems.append((path, "YAML aliases are not supported"))
@@ -167,17 +165,20 @@ class _Source:
         self.filename = filename
         self.problems: list = []
         self.lines: dict = {}
+        loader = yaml.SafeLoader(text)  # one pass: compose, index, construct
         try:
-            node = yaml.compose(text, Loader=yaml.SafeLoader)
-            self.data = yaml.safe_load(text)
+            node = loader.get_single_node()
+            if node is not None:  # index first: construction rewrites merge keys
+                _index_node(node, (), self.lines, self.problems, set())
+            self.data = None if node is None else loader.construct_document(node)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             line = (mark.line + 1) if mark else 1
             raise ScenarioError(
                 [(f"{filename}:{line}", f"not valid YAML: {exc}")]
             ) from None
-        if node is not None:
-            _index_node(node, (), self.lines, self.problems)
+        finally:
+            loader.dispose()
 
     def locate(self, path) -> str:
         while path and path not in self.lines:

@@ -102,6 +102,10 @@ def test_listing_matches_golden_byte_for_byte():
 def test_golden_listing_parses_back_to_the_snapshot():
     snap = take_snapshot(golden_kernel())
     assert parse_listing(GOLDEN) == snap
+    # no service suspends a thread, but the listing codes still parse
+    for code in ("SUS", "WAS"):
+        parsed = parse_listing(GOLDEN.replace("= DMT", f"= {code}"))
+        assert parsed.tasks[0].state == code
 
 
 def busy_kernel() -> Kernel:

@@ -16,6 +16,7 @@ from rtksim.errors import (
     DeadlockError,
     NotFoundError,
     ObjectStateError,
+    SimError,
     StateError,
     UsageError,
     ValidationError,
@@ -664,6 +665,34 @@ def test_start_task_on_live_task_is_an_error():
         k.run(5)
 
 
+@pytest.mark.parametrize("service, target, error", [
+    ("wakeup", 9, NotFoundError),        # unknown id
+    ("wakeup", 2, ObjectStateError),     # names a handler
+    ("start_task", 9, NotFoundError),
+    ("start_task", 2, ObjectStateError),
+])
+def test_failed_task_service_closes_its_critical_section(service, target, error):
+    k, _ = mk()
+    out = {}
+
+    def body(ctx):
+        try:
+            yield from getattr(ctx.kernel, service)(ctx.api, target)
+        except SimError as exc:
+            out["error"] = type(exc)
+        out["depth"] = ctx.kernel.engine.critical_depth()
+        yield from compute(ctx, "after", 2)
+
+    k.declare_task(1, "T", 5, body)
+    k.declare_alarm(2, "ALM", 100, handler_burner(1))
+    k.boot()
+    k.run(10)
+    assert out == {"error": error, "depth": 0}
+    assert k.engine.critical_depth() == 0
+    th = k.engine.thread(1)
+    assert th.state is ThreadState.DORMANT and th.token.cet == 3
+
+
 def test_exit_task_service():
     k, sink = mk()
 
@@ -811,6 +840,8 @@ def test_boot_protocol_guards():
     k, _ = mk()
     with pytest.raises(UsageError):
         k.run(1)                              # not booted
+    with pytest.raises(UsageError, match="report sinks"):
+        k.attach_sinks(trace_sink=ListSink(), report_sink=ListSink())
     k.declare_task(1, "T", 5, lambda ctx: iter(()))
     k.boot()
     with pytest.raises(UsageError):
