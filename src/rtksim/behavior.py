@@ -262,6 +262,9 @@ def _parse_bfm(raw, path, problems):
         elif not _is_int(value) or value < 0:
             problems.append((path, f"bfm argument '{key}' must be an integer >= 0"))
             ok = False
+        elif key == "value" and value > 0xFF:
+            problems.append((path, "bfm argument 'value' must be a byte (0..255)"))
+            ok = False
         else:
             args[key] = value
     if not ok:

@@ -24,6 +24,16 @@ Scheduling model:
 Energy is tracked as integer micro-joules.  A multi-tick annotation
 charges eem // etm per tick, with the remainder applied on its final
 tick, so split segments sum exactly to the annotated amount.
+
+The idle thread (``is_idle=True``) must run this module's ``idle_body``:
+one "idle" tick after another in IDLE context.  Because that body is
+fixed, the trampoline renews a completed idle tick in place, emitting
+the same CONTINUE_RUN row a resume of the body would, without the
+generator round trip.  Its first dispatch and every return from a
+preemption or an interrupt still resume the body.
+
+Trace rows are plain TraceRecord dataclasses, built positionally with
+the enum strings read through ``_value_``.
 """
 
 from __future__ import annotations
@@ -228,6 +238,16 @@ class _Frame:
     saved_critical_depth: int
 
 
+_IDLE_ANNOTATION = Annotation("idle", 1, 0)
+
+
+def idle_body(api):
+    """Body of the idle thread: one-tick idle segments forever."""
+    yield from api.wait_run()
+    while True:
+        yield from api.wait(_IDLE_ANNOTATION, ContextKind.IDLE)
+
+
 class SimThread:
     """A registered activity: task, idle task, or time/interrupt handler.
 
@@ -242,6 +262,8 @@ class SimThread:
             raise ValidationError("thread id must be a positive integer")
         if not isinstance(priority, int):
             raise ValidationError("priority must be an integer")
+        if is_idle and body is not idle_body:
+            raise ValidationError("the idle thread must run engine.idle_body")
         self.id = thread_id
         self.name = name
         self.kind = kind
@@ -599,15 +621,8 @@ class Engine:
               event: EventKind | None, start: int, end: int,
               etm: int = 0, uj: int = 0):
         self._trace.record(TraceRecord(
-            tick_start=start,
-            tick_end=end,
-            thread_id=th.id,
-            thread_name=th.name,
-            context_kind=context.value,
-            label=label,
-            etm_ticks=etm,
-            eem_uj=uj,
-            event_kind=event.value if event is not None else "",
+            start, end, th.id, th.name, context._value_, label, etm, uj,
+            event._value_ if event is not None else "",
         ))
 
     def _emit_control(self, th: SimThread, label: str,
@@ -624,9 +639,13 @@ class Engine:
             self._gate()
             th = self._table[self.current_id]
             seg = th.seg
-            if seg is not None and seg.remaining > 0:
-                self._consume_tick(th, seg)
-                return
+            if seg is not None:
+                if seg.remaining > 0:
+                    self._consume_tick(th, seg)
+                    return
+                if th.is_idle and th.pending_resume is None:
+                    self._renew_idle(th, seg)
+                    return
             self._step(th)
             guard += 1
             if guard > _ZERO_TIME_STEP_LIMIT:
@@ -836,6 +855,20 @@ class Engine:
             annotation.label, annotation.etm, annotation.eem_uj,
             context_kind, self.now, th.last_event,
         )
+
+    def _renew_idle(self, th: SimThread, seg: _Segment):
+        """Close the idle thread's completed tick and charge the next one
+        on the same segment: the state a CONTINUE_RUN resume of
+        idle_body reaches, since that body only re-opens its one-tick
+        wait."""
+        self._close_record_completed(th)
+        seg.remaining = seg.etm
+        seg.record_start = self.now
+        seg.record_consumed = 0
+        seg.record_uj = 0
+        seg.record_event = th.last_event = EventKind.CONTINUE_RUN
+        th.seg = seg
+        self._consume_tick(th, seg)
 
     def _consume_tick(self, th: SimThread, seg: _Segment):
         seg.remaining -= 1

@@ -40,6 +40,7 @@ from .engine import (
     ThreadKind,
     ThreadState,
     _BlockRequest,
+    idle_body,
 )
 from .errors import (
     ConflictError,
@@ -391,7 +392,7 @@ class Kernel:
         self.engine = eng
 
         idle = SimThread(idle_id, self._idle_name, ThreadKind.TASK,
-                         IDLE_PRIORITY, self._idle_body, is_idle=True)
+                         IDLE_PRIORITY, idle_body, is_idle=True)
         eng.register(idle)
         self.tcb[idle_id] = TaskControl()
 
@@ -437,12 +438,6 @@ class Kernel:
                 raise ValidationError(
                     f"stimulus at tick {st.tick}: {st.device} has no input FIFO"
                 )
-
-    def _idle_body(self, api):
-        yield from api.wait_run()
-        idle_ann = Annotation("idle", 1, 0)
-        while True:
-            yield from api.wait(idle_ann, ContextKind.IDLE)
 
     def _init_body(self, api):
         yield from api.wait_run()

@@ -34,6 +34,7 @@ from .kernel import (
     USER_PRIORITY_MAX,
     USER_PRIORITY_MIN,
 )
+from .objects import DEFAULT_SEMAPHORE_MAX
 
 __all__ = [
     "Scenario",
@@ -147,6 +148,8 @@ def _index_node(node, path, lines, problems, seen):
     if isinstance(node, yaml.MappingNode):
         keys = set()
         for k_node, v_node in node.value:
+            if not isinstance(k_node, yaml.ScalarNode):
+                continue  # construction rejects the unhashable key
             key = k_node.value
             if key in keys:
                 problems.append((path + (key,), f"duplicate key '{key}'"))
@@ -366,7 +369,7 @@ def _parse_handlers(src, raw):
         if entry is None:
             continue
         kind = entry.get("kind")
-        if kind not in _HANDLER_KEYS:
+        if not isinstance(kind, str) or kind not in _HANDLER_KEYS:
             src.problem(path, "handler kind must be cyclic, alarm, or isr")
             continue
         _reject_extras(src, entry, path, _HANDLER_KEYS[kind])
@@ -471,6 +474,7 @@ def _parse_objects(src, raw):
                         params.append((pkey, val))
             if not ok:
                 continue
+            _check_object_ranges(src, kind, dict(params), path)
             if oid in seen:
                 src.problem(path + ("id",), f"{kind} id {oid} declared twice")
                 continue
@@ -478,6 +482,19 @@ def _parse_objects(src, raw):
             out.append(ObjectSpec(kind, oid, tuple(sorted(params)),
                                   extended_info=ext))
     return tuple(out)
+
+
+def _check_object_ranges(src, kind, params, path):
+    """Bounds that involve more than one parameter or the object's width.
+    The object still counts as declared, so references to it stay quiet."""
+    initial = params.get("initial", 0)
+    if kind == "flag" and initial > 0xFFFFFFFF:
+        src.problem(path + ("initial",), "'initial' must fit 32 bits")
+    elif kind == "semaphore":
+        limit = params.get("max", DEFAULT_SEMAPHORE_MAX)
+        if initial > limit:
+            src.problem(path + ("initial",),
+                        f"'initial' must not exceed 'max' ({limit})")
 
 
 _DEVICE_OPTIONS = {

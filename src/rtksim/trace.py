@@ -60,8 +60,12 @@ def parse_mj(text) -> int:
     return int(scaled)
 
 
-@dataclass(frozen=True)
+@dataclass
 class TraceRecord:
+    """One trace row.  A plain dataclass: the engine builds one per
+    segment and control row, and a frozen one cost ~4x as much to build.
+    Nothing mutates a record after it is emitted."""
+
     tick_start: int
     tick_end: int
     thread_id: int

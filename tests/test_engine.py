@@ -15,12 +15,14 @@ from rtksim.engine import (
     SimThread,
     ThreadKind,
     ThreadState,
+    idle_body,
 )
 from rtksim.errors import (
     ConsistencyError,
     ProtocolError,
     SchedulerEmptyError,
     StateError,
+    ValidationError,
 )
 from rtksim.trace import ListSink
 
@@ -43,11 +45,7 @@ def isr(tid, name, body):
     return SimThread(tid, name, ThreadKind.ISR, 0, body)
 
 
-def forever_idle(api):
-    yield from api.wait_run()
-    ann = Annotation("idle", 1, 0)
-    while True:
-        yield from api.wait(ann, ContextKind.IDLE)
+forever_idle = idle_body
 
 
 def work_rows(sink):
@@ -441,3 +439,14 @@ def test_restart_preserves_accumulators():
     eng.run_ticks(3)
     assert t.token.cet == 4
     assert t.token.cee_uj == 12
+
+
+def test_idle_thread_must_run_the_engine_idle_body():
+    def other_idle(api):
+        yield from api.wait_run()
+        while True:
+            yield from api.wait(Annotation("idle", 1, 0), ContextKind.IDLE)
+
+    with pytest.raises(ValidationError, match="idle_body"):
+        task(2, "IDLE", 99, other_idle, is_idle=True)
+    assert task(2, "IDLE", 99, idle_body, is_idle=True).is_idle

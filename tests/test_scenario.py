@@ -390,3 +390,67 @@ def test_build_kernel_overrides():
     k = build_kernel(scn, tick_us=77, abort_on_deadlock=True)
     assert k.tick_us == 77
     assert k.abort_on_deadlock is True
+
+
+# ----------------------------------------------------------------------
+# values that must be caught at parse time, not at boot or mid-run
+
+@pytest.mark.parametrize("kind", ["{a: 1}", "[cyclic]"])
+def test_handler_kind_that_is_not_a_name_is_a_parse_error(kind):
+    text = MINIMAL + (
+        "handlers:\n"
+        f"  - {{id: 2, name: H, kind: {kind}, behavior: [{{compute: work}}]}}\n"
+    )
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(text, filename="scn.yaml")
+    assert problems_of(ei) == [
+        ("scn.yaml:11", "handler kind must be cyclic, alarm, or isr")]
+
+
+def objects_text(entry: str, section: str) -> str:
+    return MINIMAL + f"objects:\n  {section}:\n    - {entry}\n"
+
+
+def test_flag_initial_must_fit_32_bits():
+    parse_scenario_text(objects_text("{id: 1, initial: 0xFFFFFFFF}", "flags"))
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(
+            objects_text("{id: 1, initial: 0x100000000}", "flags"),
+            filename="scn.yaml")
+    assert problems_of(ei) == [("scn.yaml:12", "'initial' must fit 32 bits")]
+
+
+@pytest.mark.parametrize("entry,limit", [
+    ("{id: 1, initial: 3, max: 2}", 2),
+    ("{id: 1, initial: 65536}", 65535),     # the default maximum
+])
+def test_semaphore_initial_must_not_exceed_max(entry, limit):
+    parse_scenario_text(objects_text("{id: 1, initial: 2, max: 2}", "semaphores"))
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(objects_text(entry, "semaphores"),
+                            filename="scn.yaml")
+    assert problems_of(ei) == [
+        ("scn.yaml:12", f"'initial' must not exceed 'max' ({limit})")]
+
+
+def test_bfm_value_must_be_a_byte():
+    extra = (
+        "devices:\n"
+        "  - name: port\n"
+        "    kind: parallel_io\n"
+        "    accesses:\n"
+        "      put: {op: out, cycles: 0, eem: 0}\n"
+    )
+    parse_scenario_text(refs_text("{bfm: port.put, value: 255}", extra))
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(refs_text("{bfm: port.put, value: 256}", extra),
+                            filename="scn.yaml")
+    assert problems_of(ei) == [
+        ("scn.yaml:14", "bfm argument 'value' must be a byte (0..255)")]
+
+
+def test_collection_as_mapping_key_is_a_parse_error():
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text("run_ticks: 5\n? [a]\n: 1\n", filename="scn.yaml")
+    [(loc, msg)] = problems_of(ei)
+    assert loc == "scn.yaml:2" and "found unhashable key" in msg

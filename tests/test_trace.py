@@ -3,6 +3,7 @@
 import pytest
 
 from rtksim.errors import ConsistencyError
+from rtksim.scenario import build_kernel, parse_scenario_text
 from rtksim.trace import (
     CSV_HEADER,
     CsvFileSink,
@@ -96,3 +97,80 @@ def test_csv_file_sink(tmp_path):
     sink.close()
     data = path.read_text()
     assert data == CSV_HEADER + "\n" + "0,1,1,T1,TASK,crunch,1,0.001,CONTINUE_RUN\n"
+
+
+# ----------------------------------------------------------------------
+# idle rows around a preemption and an interrupt return, byte for byte
+
+IDLE_ROWS_SCENARIO = """\
+name: idle_rows
+run_ticks: 14
+annotations:
+  work: {etm: 2, eem: 0}
+  isr: {etm: 1, eem: 0}
+tasks:
+  - id: 1
+    name: T
+    priority: 5
+    behavior:
+      - {call: delay, ticks: 3}
+      - {compute: work}
+handlers:
+  - id: 2
+    name: ISR
+    kind: isr
+    device: pic
+    line: 0
+    behavior:
+      - {compute: isr}
+devices:
+  - {name: pic, kind: intc, lines: 1}
+stimuli:
+  - {tick: 10, kind: irq, device: pic, line: 0}
+"""
+
+# T's delay wakes it at tick 4, where it preempts idle; the irq at tick
+# 10 interrupts idle.  Each return hands idle back the event it missed.
+IDLE_ROWS_TRACE = """\
+tick_start,tick_end,thread_id,thread_name,context_kind,label,etm_ticks,eem_mJ,event_kind
+0,0,1,T,STARTUP,DISPATCH,0,0,STARTUP
+0,0,1,T,TASK,CRIT_ENTER,0,0,
+0,1,1,T,SVC,svc,1,0,STARTUP
+1,1,1,T,TASK,CRIT_EXIT,0,0,
+1,1,1,T,TASK,BLOCK,0,0,
+1,1,3,IDLE,STARTUP,DISPATCH,0,0,STARTUP
+1,2,3,IDLE,IDLE,idle,1,0,STARTUP
+2,3,3,IDLE,IDLE,idle,1,0,CONTINUE_RUN
+3,4,3,IDLE,IDLE,idle,1,0,CONTINUE_RUN
+4,4,3,IDLE,IDLE,PREEMPT,0,0,RETURN_FROM_PREEMPTION
+4,4,1,T,TASK,DISPATCH,0,0,SLEEP_ARRIVAL
+4,6,1,T,TASK,work,2,0,SLEEP_ARRIVAL
+6,6,1,T,TASK,EXIT,0,0,
+6,6,3,IDLE,IDLE,DISPATCH,0,0,RETURN_FROM_PREEMPTION
+6,7,3,IDLE,IDLE,idle,1,0,RETURN_FROM_PREEMPTION
+7,8,3,IDLE,IDLE,idle,1,0,CONTINUE_RUN
+8,9,3,IDLE,IDLE,idle,1,0,CONTINUE_RUN
+9,10,3,IDLE,IDLE,idle,1,0,CONTINUE_RUN
+10,10,2,ISR,ISR,INT_ENTER,0,0,STARTUP
+10,11,2,ISR,ISR,isr,1,0,STARTUP
+11,11,2,ISR,ISR,INT_RETURN,0,0,RETURN_FROM_INTERRUPT
+11,11,3,IDLE,IDLE,DISPATCH,0,0,RETURN_FROM_INTERRUPT
+11,12,3,IDLE,IDLE,idle,1,0,RETURN_FROM_INTERRUPT
+12,13,3,IDLE,IDLE,idle,1,0,CONTINUE_RUN
+13,14,3,IDLE,IDLE,idle,1,0,CONTINUE_RUN
+"""
+
+
+def test_idle_rows_around_preemption_and_interrupt_return():
+    scn = parse_scenario_text(IDLE_ROWS_SCENARIO, "idle_rows.yaml")
+    kernel = build_kernel(scn)
+    sink = ListSink()
+    kernel.attach_sinks(trace_sink=sink)
+    kernel.boot()
+    kernel.run(scn.run_ticks)
+    kernel.finish()
+    assert records_to_csv(sink.records) == IDLE_ROWS_TRACE
+    idle_events = {r.event_kind for r in sink.records
+                   if r.thread_name == "IDLE" and not r.is_control}
+    assert idle_events == {"STARTUP", "CONTINUE_RUN",
+                           "RETURN_FROM_PREEMPTION", "RETURN_FROM_INTERRUPT"}
