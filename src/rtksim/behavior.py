@@ -15,6 +15,7 @@ attach source locations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .engine import Annotation
@@ -62,10 +63,6 @@ class Loop:
     @property
     def forever(self) -> bool:
         return self.count is None
-
-
-def _argdict(stmt) -> dict:
-    return dict(stmt.args)
 
 
 # Per-service argument rosters: name -> (kind, required, default).
@@ -435,57 +432,40 @@ _CALLS = {
 _REF_WHAT = {"pool_rel": "pool block", "vpool_rel": "pool region"}
 
 
-class _Exec:
-    """Statement interpreter bound to one activation."""
-
-    __slots__ = ("ctx", "table", "vars")
-
-    def __init__(self, ctx, table):
-        self.ctx = ctx
-        self.table = table
-        self.vars = {}
-
-    def block(self, stmts):
-        for st in stmts:
-            yield from self.stmt(st)
-
-    def stmt(self, st):
+def _run(ctx, table, stmts, refs):
+    """Execute a statement block in this one generator frame; only a loop
+    body runs in a nested one.  Service results are discarded except where
+    an ``as`` binding captures a pool grant into ``refs`` for a later
+    release."""
+    api, kernel = ctx.api, ctx.kernel
+    for st in stmts:
         if isinstance(st, Compute):
-            yield from self.ctx.api.wait(self.table[st.label])
+            yield from api.wait(table[st.label])
         elif isinstance(st, Call):
-            yield from self.call(st.service, _argdict(st))
+            service = st.service
+            a = dict(st.args)
+            if service == "flg_wait":
+                a["mode"] = FLAG_MODE_AND if a["mode"] == "and" else FLAG_MODE_OR
+            elif service == "mbf_send":
+                a["payload"] = a["payload"].encode("utf-8")
+            elif service in _REF_WHAT:
+                name = a["ref"]
+                if name not in refs:
+                    raise UsageError(
+                        f"{_REF_WHAT[service]} reference '{name}' was never obtained")
+                a["ref"] = refs.pop(name)
+            method, positional, keyword = _CALLS[service]
+            res = yield from getattr(kernel, method)(
+                api, *[a[k] for k in positional], **{k: a[k] for k in keyword})
+            if "as" in a and res.ok:
+                refs[a["as"]] = res.value
         elif isinstance(st, Bfm):
-            yield from self.ctx.kernel.bfm_call(
-                self.ctx.api, st.device, st.access, _argdict(st))
+            yield from kernel.bfm_call(api, st.device, st.access, dict(st.args))
         elif isinstance(st, Loop):
-            if st.forever:
-                while True:
-                    yield from self.block(st.body)
-            else:
-                for _ in range(st.count):
-                    yield from self.block(st.body)
+            for _ in itertools.count() if st.forever else range(st.count):
+                yield from _run(ctx, table, st.body, refs)
         else:
             raise AssertionError(st)
-
-    def call(self, service, a):
-        """Run one service.  Results are discarded except where an ``as``
-        binding captures a pool grant for a later release."""
-        if service == "flg_wait":
-            a["mode"] = FLAG_MODE_AND if a["mode"] == "and" else FLAG_MODE_OR
-        elif service == "mbf_send":
-            a["payload"] = a["payload"].encode("utf-8")
-        elif service in _REF_WHAT:
-            name = a["ref"]
-            if name not in self.vars:
-                raise UsageError(
-                    f"{_REF_WHAT[service]} reference '{name}' was never obtained")
-            a["ref"] = self.vars.pop(name)
-        method, positional, keyword = _CALLS[service]
-        res = yield from getattr(self.ctx.kernel, method)(
-            self.ctx.api, *[a[k] for k in positional],
-            **{k: a[k] for k in keyword})
-        if "as" in a and res.ok:
-            self.vars[a["as"]] = res.value
 
 
 def build_factory(statements, annotations, *, handler=False):
@@ -501,34 +481,23 @@ def build_factory(statements, annotations, *, handler=False):
 
     if handler:
         def factory(ctx):
-            ex = _Exec(ctx, table)
-            return ex.block(statements)
+            return _run(ctx, table, statements, {})
         return factory
 
-    # A final top-level loop is the task's cycle; anything before it is
-    # one-time setup.
+    # A final top-level loop is the task's cycle and anything before it is
+    # one-time setup; a program without one runs once, as one cycle.
     if statements and isinstance(statements[-1], Loop):
         setup, last = statements[:-1], statements[-1]
-
-        def factory(ctx):
-            def body():
-                ex = _Exec(ctx, table)
-                yield from ex.block(setup)
-                if last.forever:
-                    while True:
-                        yield from ex.block(last.body)
-                        ctx.api.mark_cycle()
-                else:
-                    for _ in range(last.count):
-                        yield from ex.block(last.body)
-                        ctx.api.mark_cycle()
-            return body()
-        return factory
+        cycle, count = last.body, last.count
+    else:
+        setup, cycle, count = (), statements, 1
 
     def factory(ctx):
         def body():
-            ex = _Exec(ctx, table)
-            yield from ex.block(statements)
-            ctx.api.mark_cycle()
+            refs = {}
+            yield from _run(ctx, table, setup, refs)
+            for _ in itertools.count() if count is None else range(count):
+                yield from _run(ctx, table, cycle, refs)
+                ctx.api.mark_cycle()
         return body()
     return factory

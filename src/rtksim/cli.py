@@ -5,8 +5,9 @@ artifacts were requested: trace CSV, usage/battery report, Gantt chart,
 kernel-state dump, device output log.  `rtk-sim demo-path` prints where
 the bundled demo scenario lives.
 
-Exit codes: 0 clean completion, 2 validation or usage error, 3 deadlock
-(artifacts are still flushed first).
+Exit codes: 0 clean completion, 2 validation or usage error (boot
+included), 3 deadlock, 4 any other error during the run.  On 3 and 4 the
+artifacts are still flushed first, up to the tick the run stopped at.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from pathlib import Path
 
 from .debugds import dump_listing, take_snapshot
-from .errors import DeadlockError, ScenarioError, UsageError, ValidationError
+from .errors import DeadlockError, ScenarioError, SimError
 from .gantt import render_svg_gantt, render_text_gantt
 from .report import build_report, render_json, render_text, usage_from_records
 from .scenario import build_kernel, demo_scenario_path, load_scenario
@@ -26,6 +27,7 @@ from .trace import ListSink, records_to_csv
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DEADLOCK = 3
+EXIT_RUN_ERROR = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,6 +103,14 @@ def _step_loop(kernel, window: int, steps) -> None:
                   file=sys.stderr)
 
 
+def _run_error(engine, exc) -> str:
+    """Describe an error raised mid-run by the tick and the running thread."""
+    cur = engine.current_id
+    who = (f"while thread {engine.thread(cur).name} was running"
+           if cur is not None else "with no thread running")
+    return f"error at tick {engine.now} {who}: {exc}"
+
+
 def _cmd_run(args) -> int:
     try:
         scn = load_scenario(args.scenario)
@@ -121,16 +131,16 @@ def _cmd_run(args) -> int:
     if args.tick_us is not None and args.tick_us < 1:
         return _fail("--tick-us must be >= 1")
 
+    sink = ListSink()
     try:
         kernel = build_kernel(scn, tick_us=args.tick_us)
-    except (ValidationError, UsageError) as exc:
+        kernel.attach_sinks(trace_sink=sink)
+        kernel.boot()
+    except SimError as exc:
         return _fail(str(exc))
 
-    sink = ListSink()
-    kernel.attach_sinks(trace_sink=sink)
-    kernel.boot()
-
     deadlock = None
+    failure = None
     wall0 = time.perf_counter()
     try:
         if args.mode == "run":
@@ -139,6 +149,8 @@ def _cmd_run(args) -> int:
             _step_loop(kernel, window, args.steps)
     except DeadlockError as exc:
         deadlock = (exc.tick, exc.blocked)
+    except SimError as exc:
+        failure = _run_error(kernel.engine, exc)
     wall = time.perf_counter() - wall0
     kernel.finish()
     if deadlock is None:
@@ -181,6 +193,9 @@ def _cmd_run(args) -> int:
     print(f"simulated {elapsed} ticks in {wall:.3f} s wall "
           f"({rate} ticks/s)")
 
+    if failure is not None:
+        print(f"rtk-sim: {failure}", file=sys.stderr)
+        return EXIT_RUN_ERROR
     if deadlock is not None:
         tick, blocked = deadlock
         names = ", ".join(f"{tid}:{name} ({why})" for tid, name, why in blocked)

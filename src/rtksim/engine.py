@@ -116,9 +116,9 @@ class ThreadState(enum.Enum):
     WAITING_SUSPENDED = "WAITING_SUSPENDED"
 
 
-# the transitions the scheduler makes; register, unregister and
-# arm_handler set the state directly.  No service drives a thread into
-# the SUSPENDED states, which exist only as listing codes.
+# the transitions the scheduler makes; register and arm_handler set the
+# state directly.  No service drives a thread into the SUSPENDED states,
+# which exist only as listing codes.
 _LEGAL_TRANSITIONS = {
     (ThreadState.DORMANT, ThreadState.READY),
     (ThreadState.WAITING, ThreadState.READY),
@@ -223,6 +223,10 @@ class _Segment:
             self.per_tick_uj, self.rem_uj = divmod(eem_uj, etm)
         else:
             self.per_tick_uj, self.rem_uj = 0, 0
+        self.restart(start_tick, event)
+
+    def restart(self, start_tick, event):
+        """Open a new trace record of this segment at ``start_tick``."""
         self.record_start = start_tick
         self.record_consumed = 0
         self.record_uj = 0
@@ -235,7 +239,6 @@ class _Frame:
 
     handler_id: int
     interrupted_id: int | None
-    saved_critical_depth: int
 
 
 _IDLE_ANNOTATION = Annotation("idle", 1, 0)
@@ -412,14 +415,6 @@ class Engine:
         self._table[thread.id] = thread
         return thread.id
 
-    def unregister(self, thread_id: int):
-        th = self._get(thread_id)
-        if th.state is not ThreadState.DORMANT:
-            raise StateError(f"thread {thread_id} is {th.state.value}, not DORMANT")
-        th.state = ThreadState.NON_EXISTENT
-        th.pending_resume = None
-        del self._table[thread_id]
-
     def all_created(self):
         if len(self._table) != self.expected_count:
             raise ConsistencyError(
@@ -541,26 +536,6 @@ class Engine:
         self.now += 1
         if self.on_tick is not None:
             self.on_tick(self.now)
-
-    def run_boot_steps(self, boot_thread_id: int):
-        """Drive the boot thread to completion in zero simulated time.
-
-        The boot thread must outrank everything it starts, so it keeps
-        the CPU until it exits; a wait with etm > 0 inside it is a
-        protocol violation.  Attach sinks afterwards if boot activity
-        must stay out of the trace.
-        """
-        th = self._get(boot_thread_id)
-        guard = 0
-        while th.state is not ThreadState.DORMANT:
-            self._gate()
-            cur = self._table[self.current_id]
-            if cur.seg is not None and cur.seg.remaining > 0:
-                raise ProtocolError("boot actions must not consume simulated time")
-            self._step(cur)
-            guard += 1
-            if guard > _ZERO_TIME_STEP_LIMIT:
-                raise ConsistencyError("zero-time livelock during boot")
 
     def finish(self):
         """Flush the open record (if any) and close the trace sink."""
@@ -690,11 +665,7 @@ class Engine:
             th.pending_resume = Resume(EventKind.STARTUP)
         event = th.pending_resume.event if th.pending_resume else EventKind.CONTINUE_RUN
         if th.seg is not None:
-            seg = th.seg
-            seg.record_start = self.now
-            seg.record_consumed = 0
-            seg.record_uj = 0
-            seg.record_event = event
+            th.seg.restart(self.now, event)
         ctx = ContextKind.STARTUP if event is EventKind.STARTUP else th.default_context
         self._emit_control(th, CTL_DISPATCH, event, ctx)
         self.current_id = thread_id
@@ -721,7 +692,7 @@ class Engine:
             if it.kind.is_handler:
                 # handlers are not scheduled; pull it back out of ready
                 self._ready.discard(interrupted)
-        self._stack.append(_Frame(handler_id, interrupted, self._crit_depth))
+        self._stack.append(_Frame(handler_id, interrupted))
         h.awaiting_activation = False
         h.activation_queued = False
         self._set_state(h, ThreadState.RUNNING)
@@ -757,14 +728,10 @@ class Engine:
             # inner return always resumes the interrupted handler
             self._set_state(it, ThreadState.RUNNING)
             if it.seg is not None:
-                seg = it.seg
-                seg.record_start = self.now
-                seg.record_consumed = 0
-                seg.record_uj = 0
-                seg.record_event = (
+                it.seg.restart(self.now, (
                     it.pending_resume.event if it.pending_resume
                     else EventKind.CONTINUE_RUN
-                )
+                ))
             self.current_id = tid
             return
         # outermost return: delayed dispatching decision
@@ -863,10 +830,8 @@ class Engine:
         wait."""
         self._close_record_completed(th)
         seg.remaining = seg.etm
-        seg.record_start = self.now
-        seg.record_consumed = 0
-        seg.record_uj = 0
-        seg.record_event = th.last_event = EventKind.CONTINUE_RUN
+        th.last_event = EventKind.CONTINUE_RUN
+        seg.restart(self.now, EventKind.CONTINUE_RUN)
         th.seg = seg
         self._consume_tick(th, seg)
 

@@ -1,17 +1,17 @@
 """The kernel: services, timers, handlers, boot protocol, deadlock watch.
 
-Everything a scenario declares is instantiated during boot by a
-priority-0 init task that runs before tick 0 in zero simulated time:
-it creates every thread and object, seals the thread registry, starts
-the tasks plus the idle task, and exits.  Boot-time service calls are
-free and invisible; trace sinks attach only after boot, so the first
+Everything a scenario declares is instantiated by ``boot`` before tick 0,
+in zero simulated time and by direct calls, with no init task: it
+registers every thread, seals the thread registry, creates the objects,
+arms the handlers and starts the tasks plus the idle task.  No service
+can run during boot; trace sinks attach only after it, so the first
 recorded event is the first user dispatch.
 
-Every service call after boot runs inside an implicit critical section
-and charges the caller one SVC-context segment (cost is configurable,
-default one tick / zero energy).  A service that must block does so
-only as its final step, after the critical section closed.  Blocking
-services return result codes; a timeout is a result, not an exception.
+Every service call runs inside an implicit critical section and charges
+the caller one SVC-context segment (cost is configurable, default one
+tick / zero energy).  A service that must block does so only as its
+final step, after the critical section closed.  Blocking services return
+result codes; a timeout is a result, not an exception.
 
 Timer boundaries are processed at instants 1..T for a T-tick run: due
 timer events first (insertion order within one instant), then the
@@ -65,7 +65,7 @@ RESULT_TIMEOUT = "TIMEOUT"
 
 USER_PRIORITY_MIN = 1
 USER_PRIORITY_MAX = 140
-INIT_PRIORITY = 0
+HANDLER_PRIORITY = 0  # handlers are not scheduled; the dump prints this
 IDLE_PRIORITY = 141
 
 DEFAULT_CYCLES_PER_TICK = 12000
@@ -162,6 +162,19 @@ _EV_CYCLIC = "cyclic"
 _EV_ALARM = "alarm"
 
 
+# object kind -> (registry attribute, class); ``declare_<kind>`` stores
+# the class's constructor keywords
+_OBJECT_KINDS = {
+    "semaphore": ("semaphores", Semaphore),
+    "flag": ("flags", EventFlag),
+    "mutex": ("mutexes", Mutex),
+    "mailbox": ("mailboxes", Mailbox),
+    "buffer": ("buffers", MessageBuffer),
+    "fixed_pool": ("fixed_pools", FixedPool),
+    "variable_pool": ("variable_pools", VariablePool),
+}
+
+
 def _check_name(name):
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ValidationError(f"bad name {name!r}: use letters, digits, _ . -")
@@ -207,7 +220,6 @@ class Kernel:
 
         self._timer: list[tuple] = []   # (due, seq, kind, data)
         self._timer_seq = 0
-        self._booting = False
         self._booted = False
         self._trace_sink = None
 
@@ -225,7 +237,7 @@ class Kernel:
     # declaration phase (pre-boot)
 
     def _pre_boot(self):
-        if self._booted or self._booting:
+        if self.engine is not None:  # boot started, even if it raised
             raise UsageError("declarations are closed once boot starts")
 
     def _all_thread_ids(self):
@@ -292,7 +304,7 @@ class Kernel:
             thread_id, name, ThreadKind.ISR, body, extended_info,
         ))
 
-    def _declare_object(self, kind: str, registry_name: str, obj_id: int, kwargs):
+    def _declare_object(self, kind: str, obj_id: int, kwargs):
         self._pre_boot()
         _check_id(obj_id, kind)
         for k, existing_id, _kw in self._object_decls:
@@ -304,32 +316,30 @@ class Kernel:
         kw = {"initial": initial, "extended_info": extended_info}
         if max_count is not None:
             kw["max_count"] = max_count
-        self._declare_object("semaphore", "semaphores", obj_id, kw)
+        self._declare_object("semaphore", obj_id, kw)
 
     def declare_flag(self, obj_id, initial=0, *, extended_info=0):
-        self._declare_object("flag", "flags", obj_id,
+        self._declare_object("flag", obj_id,
                              {"initial": initial, "extended_info": extended_info})
 
     def declare_mutex(self, obj_id, *, extended_info=0):
-        self._declare_object("mutex", "mutexes", obj_id,
-                             {"extended_info": extended_info})
+        self._declare_object("mutex", obj_id, {"extended_info": extended_info})
 
     def declare_mailbox(self, obj_id, *, extended_info=0):
-        self._declare_object("mailbox", "mailboxes", obj_id,
-                             {"extended_info": extended_info})
+        self._declare_object("mailbox", obj_id, {"extended_info": extended_info})
 
     def declare_buffer(self, obj_id, capacity, *, extended_info=0):
-        self._declare_object("buffer", "buffers", obj_id,
+        self._declare_object("buffer", obj_id,
                              {"capacity": capacity, "extended_info": extended_info})
 
     def declare_fixed_pool(self, obj_id, block_count, block_size, *, extended_info=0):
-        self._declare_object("fixed_pool", "fixed_pools", obj_id, {
+        self._declare_object("fixed_pool", obj_id, {
             "block_count": block_count, "block_size": block_size,
             "extended_info": extended_info,
         })
 
     def declare_variable_pool(self, obj_id, size, *, extended_info=0):
-        self._declare_object("variable_pool", "variable_pools", obj_id,
+        self._declare_object("variable_pool", obj_id,
                              {"size": size, "extended_info": extended_info})
 
     def add_device(self, kind: str, name: str, accesses, **options):
@@ -377,14 +387,13 @@ class Kernel:
         if self._booted:
             raise UsageError("already booted")
         self._validate_stimuli()
-        expected = len(self._task_decls) + len(self._handler_decls) + 2
+        expected = len(self._task_decls) + len(self._handler_decls) + 1
         declared = self._all_thread_ids()
         idle_id = self._idle_id_cfg
         if idle_id is None:
             idle_id = (max(declared) + 1) if declared else 1
         elif idle_id in declared:
             raise ConflictError(f"idle id {idle_id} collides with a declared thread")
-        init_id = max(declared | {idle_id}) + 1
         self.idle_id = idle_id
 
         eng = Engine(expected, tick_us=self.tick_us)
@@ -395,16 +404,30 @@ class Kernel:
                          IDLE_PRIORITY, idle_body, is_idle=True)
         eng.register(idle)
         self.tcb[idle_id] = TaskControl()
-
-        init = SimThread(init_id, "boot-init", ThreadKind.TASK,
-                         INIT_PRIORITY, self._init_body)
-        eng.register(init)
-
-        self._booting = True
-        eng.start_thread(init_id)
-        eng.run_boot_steps(init_id)
-        self._booting = False
-        eng.unregister(init_id)
+        for d in self._task_decls:
+            th = SimThread(d.task_id, d.name, ThreadKind.TASK, d.priority,
+                           self._wrap_task(d.body))
+            eng.register(th)
+            self.tcb[d.task_id] = TaskControl(extended_info=d.extended_info)
+        for d in self._handler_decls:
+            th = SimThread(d.thread_id, d.name, d.kind, HANDLER_PRIORITY,
+                           self._wrap_handler(d.body))
+            eng.register(th)
+            self.tcb[d.thread_id] = TaskControl(extended_info=d.extended_info)
+        eng.all_created()
+        self._create_objects()
+        for d in self._handler_decls:
+            eng.arm_handler(d.thread_id)
+            if d.kind is ThreadKind.CYCLIC:
+                phase = d.phase if d.phase >= 1 else d.period
+                self._push_timer(phase, _EV_CYCLIC,
+                                 (d.thread_id, d.period))
+            elif d.kind is ThreadKind.ALARM:
+                self._push_timer(eng.now + d.offset, _EV_ALARM,
+                                 (d.thread_id,))
+        for d in self._task_decls:
+            eng.start_thread(d.task_id)
+        eng.start_thread(idle_id)
 
         # stimuli fire in declaration order within one tick
         self._stimuli = sorted(
@@ -439,59 +462,11 @@ class Kernel:
                     f"stimulus at tick {st.tick}: {st.device} has no input FIFO"
                 )
 
-    def _init_body(self, api):
-        yield from api.wait_run()
-        for d in self._task_decls:
-            th = SimThread(d.task_id, d.name, ThreadKind.TASK, d.priority,
-                           self._wrap_task(d.body))
-            self.engine.register(th)
-            self.tcb[d.task_id] = TaskControl(extended_info=d.extended_info)
-        for d in self._handler_decls:
-            th = SimThread(d.thread_id, d.name, d.kind, INIT_PRIORITY,
-                           self._wrap_handler(d.body))
-            self.engine.register(th)
-            self.tcb[d.thread_id] = TaskControl(extended_info=d.extended_info)
-        self.engine.all_created()
-        self._create_objects()
-        for d in self._handler_decls:
-            self.engine.arm_handler(d.thread_id)
-            if d.kind is ThreadKind.CYCLIC:
-                phase = d.phase if d.phase >= 1 else d.period
-                self._push_timer(phase, _EV_CYCLIC,
-                                 (d.thread_id, d.period))
-            elif d.kind is ThreadKind.ALARM:
-                self._push_timer(self.engine.now + d.offset, _EV_ALARM,
-                                 (d.thread_id,))
-        for d in self._task_decls:
-            self.engine.start_thread(d.task_id)
-        self.engine.start_thread(self.idle_id)
-        # falls off the end: implicit exit, zero time consumed
-
     def _create_objects(self):
-        prio_of = self._waiter_priority
-        makers = {
-            "semaphore": (self.semaphores, Semaphore),
-            "flag": (self.flags, EventFlag),
-            "mutex": (self.mutexes, Mutex),
-            "mailbox": (self.mailboxes, Mailbox),
-            "buffer": (self.buffers, MessageBuffer),
-            "fixed_pool": (self.fixed_pools, FixedPool),
-            "variable_pool": (self.variable_pools, VariablePool),
-        }
-        ctor_args = {
-            "semaphore": ("initial",),
-            "flag": ("initial",),
-            "mutex": (),
-            "mailbox": (),
-            "buffer": ("capacity",),
-            "fixed_pool": ("block_count", "block_size"),
-            "variable_pool": ("size",),
-        }
         for kind, obj_id, kwargs in self._object_decls:
-            registry, cls = makers[kind]
-            kw = dict(kwargs)
-            pos = [kw.pop(a) for a in ctor_args[kind]]
-            registry[obj_id] = cls(obj_id, *pos, priority_of=prio_of, **kw)
+            registry, cls = _OBJECT_KINDS[kind]
+            getattr(self, registry)[obj_id] = cls(
+                obj_id, priority_of=self._waiter_priority, **kwargs)
 
     def _waiter_priority(self, tid):
         return self.engine.thread(tid).current_priority
@@ -619,15 +594,13 @@ class Kernel:
     def _svc(self, api, op):
         """Run ``op()`` as the atomic part of one service call.
 
-        Every service runs inside an implicit critical section and,
-        outside boot, charges one SVC-context segment first.  Only the
-        operation is inside the ``try``: a generator closed while parked
-        in the SVC wait must not exit the section from a thread that is
-        not running.
+        Every service runs inside an implicit critical section and
+        charges one SVC-context segment first.  Only the operation is
+        inside the ``try``: a generator closed while parked in the SVC
+        wait must not exit the section from a thread that is not running.
         """
         api.begin_critical()
-        if not self._booting:
-            yield from api.wait(self._svc_ann, ContextKind.SVC)
+        yield from api.wait(self._svc_ann, ContextKind.SVC)
         try:
             return op()
         finally:

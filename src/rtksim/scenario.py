@@ -433,6 +433,10 @@ _OBJECT_SECTIONS = {
 }
 
 
+# object YAML keys whose declare_<kind> keyword differs
+_DECLARE_KEYWORDS = {"max": "max_count", "blocks": "block_count"}
+
+
 def _parse_objects(src, raw):
     sections = _get_map(src, raw, ("objects",))
     if sections is None:
@@ -971,30 +975,10 @@ def build_kernel(scn: Scenario, *, tick_us=None, abort_on_deadlock=None) -> Kern
         if h.kind == "isr":
             kernel.attach_isr(h.device, h.line, h.thread_id)
 
-    param_args = {
-        "semaphore": lambda p: ((p["initial"],),
-                                {"max_count": p["max"]} if "max" in p else {}),
-        "flag": lambda p: ((), {"initial": p.get("initial", 0)}),
-        "mutex": lambda p: ((), {}),
-        "mailbox": lambda p: ((), {}),
-        "buffer": lambda p: ((p["capacity"],), {}),
-        "fixed_pool": lambda p: ((p["blocks"], p["block_size"]), {}),
-        "variable_pool": lambda p: ((p["size"],), {}),
-    }
-    declare = {
-        "semaphore": kernel.declare_semaphore,
-        "flag": kernel.declare_flag,
-        "mutex": kernel.declare_mutex,
-        "mailbox": kernel.declare_mailbox,
-        "buffer": kernel.declare_buffer,
-        "fixed_pool": kernel.declare_fixed_pool,
-        "variable_pool": kernel.declare_variable_pool,
-    }
     for o in scn.objects:
-        params = dict(o.params)
-        args, kwargs = param_args[o.kind](params)
-        declare[o.kind](o.obj_id, *args, extended_info=o.extended_info,
-                        **kwargs)
+        params = {_DECLARE_KEYWORDS.get(k, k): v for k, v in o.params}
+        getattr(kernel, "declare_" + o.kind)(
+            o.obj_id, extended_info=o.extended_info, **params)
 
     for st in scn.stimuli:
         kernel.add_stimulus(st.tick, st.kind, st.device,

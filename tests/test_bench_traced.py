@@ -1,0 +1,47 @@
+"""The benchmark's traced run still sees every layer it instruments.
+
+`perfbench/tracer.py` wraps the kernel's services, the engine's tick
+hook and per-tick step, every thread generator and every body made by
+`behavior.build_factory`.  A refactor that moves one of those hook points
+changes the per-layer counts without changing any artifact, so this runs
+one traced `steady` simulation at seed 1 and pins its counts.  The
+modules are imported from `perfbench/` as its scripts import them; the
+artifacts go to `tmp_path` and nothing under `perfbench/` is written.
+"""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 1
+
+
+def _import_perfbench():
+    # layers.py imports its siblings by plain module name
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True
+    try:
+        import layers
+        import pipeline
+        import tracer
+        import workloads
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+    return layers, pipeline, tracer, workloads
+
+
+layers, pipeline, tracer, workloads = _import_perfbench()
+
+
+def test_traced_steady_run_counts(tmp_path):
+    name = "steady"
+    probe = tracer.Probe()
+    with probe.factories():
+        run = pipeline.simulate(workloads.generate(name, SEED), f"{name}.yaml",
+                                workloads.ARTIFACTS[name], tmp_path, probe=probe)
+    assert run.elapsed == workloads.window(name)
+    _times, spans = layers.layer_times(probe)   # raises unless they add up
+    assert probe.counts["svc_calls"] == 6477
+    assert spans == {"behavior": 10882, "resume": 11789}
+    assert probe.counts["records"] == 25655

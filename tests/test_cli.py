@@ -7,7 +7,9 @@ from xml.dom import minidom
 import pytest
 
 from rtksim.bfm import DEVICE_LOG_HEADER
-from rtksim.cli import EXIT_DEADLOCK, EXIT_INVALID, EXIT_OK, main
+from rtksim.cli import EXIT_DEADLOCK, EXIT_INVALID, EXIT_OK, EXIT_RUN_ERROR, main
+from rtksim.errors import ValidationError
+from rtksim.kernel import Kernel
 from rtksim.scenario import demo_scenario_path
 from rtksim.trace import CSV_HEADER
 
@@ -125,6 +127,27 @@ def test_deadlock_exits_three_but_flushes_artifacts(tmp_path, capsys):
     assert "deadlock at tick 3" in err
     assert "1:A (sleep)" in err and "2:B (sleep)" in err
     assert (tmp_path / "trace.csv").read_text().startswith(CSV_HEADER)
+
+
+def test_run_time_error_exits_four_but_flushes_artifacts(tmp_path, capsys):
+    # the demo's lcd output FIFO holds 128 bytes and is never drained
+    trace = tmp_path / "trace.csv"
+    rc = main(["run", DEMO, "--until", "2000", "--trace", str(trace)])
+    assert rc == EXIT_RUN_ERROR
+    err = capsys.readouterr().err
+    assert ("error at tick 1291 while thread LCD was running: "
+            "device lcd: out FIFO overflow at 128") in err
+    clean = tmp_path / "clean.csv"
+    assert main(["run", DEMO, "--until", "1291", "--trace", str(clean)]) == EXIT_OK
+    assert trace.read_bytes() == clean.read_bytes()
+
+
+def test_boot_error_exits_two(monkeypatch, capsys):
+    def failing_boot(self):
+        raise ValidationError("boot refused")
+    monkeypatch.setattr(Kernel, "boot", failing_boot)
+    assert main(["run", DEMO]) == EXIT_INVALID
+    assert "rtk-sim: boot refused" in capsys.readouterr().err
 
 
 def test_report_mode_deadlock_still_exits_three(tmp_path, capsys):

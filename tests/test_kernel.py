@@ -852,6 +852,37 @@ def test_boot_protocol_guards():
         k.add_stimulus(5, "irq", "x")
 
 
+def test_boot_registers_the_declared_threads_plus_idle():
+    k, _ = mk()
+    k.declare_task(1, "A", 5, lambda ctx: compute(ctx, "w", 1))
+    k.declare_task(2, "B", 6, lambda ctx: compute(ctx, "w", 1))
+    k.declare_cyclic(3, "CYC", 5, handler_burner(1))
+    k.declare_alarm(4, "ALM", 3, handler_burner(1))
+    k.boot()
+    assert k.engine.now == 0
+    states = {th.id: th.state for th in k.engine.threads()}
+    assert states == {
+        1: ThreadState.READY, 2: ThreadState.READY,
+        3: ThreadState.WAITING, 4: ThreadState.WAITING,
+        5: ThreadState.READY,                 # idle
+    }
+    assert k.idle_id == 5
+
+
+def test_failed_boot_keeps_declarations_closed():
+    k, _ = mk()
+    k.declare_task(1, "T", 5, lambda ctx: compute(ctx, "w", 1))
+    k.declare_semaphore(1, 5, max_count=3)    # initial above its max
+    with pytest.raises(ValidationError):
+        k.boot()
+    with pytest.raises(UsageError):
+        k.declare_task(2, "LATE", 5, lambda ctx: compute(ctx, "w", 1))
+    with pytest.raises(UsageError):
+        k.declare_mutex(1)
+    with pytest.raises(UsageError):
+        k.run(1)
+
+
 def test_boot_leaves_no_trace_records():
     k, sink = mk()
     k.declare_semaphore(1, 1)
