@@ -6,8 +6,10 @@ kernel-state dump, device output log.  `rtk-sim demo-path` prints where
 the bundled demo scenario lives.
 
 Exit codes: 0 clean completion, 2 validation or usage error (boot
-included), 3 deadlock, 4 any other error during the run.  On 3 and 4 the
-artifacts are still flushed first, up to the tick the run stopped at.
+included, and a scenario that cannot be read or is not UTF-8, or an
+artifact path that cannot be written), 3 deadlock, 4 any other error
+during the run.  On 3 and 4 the artifacts are still flushed first, up to
+the tick the run stopped at.
 """
 
 from __future__ import annotations
@@ -73,8 +75,15 @@ def _fail(message: str) -> int:
     return EXIT_INVALID
 
 
+class _WriteError(Exception):
+    """An artifact path that cannot be written."""
+
+
 def _write_artifact(path: str, text: str):
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _step_loop(kernel, window: int, steps) -> None:
@@ -109,6 +118,38 @@ def _run_error(engine, exc) -> str:
     who = (f"while thread {engine.thread(cur).name} was running"
            if cur is not None else "with no thread running")
     return f"error at tick {engine.now} {who}: {exc}"
+
+
+def _write_artifacts(args, scn, kernel, records, elapsed: int) -> None:
+    """Write or print every artifact the arguments ask for."""
+    if args.trace:
+        _write_artifact(args.trace, records_to_csv(records))
+    if args.device_log:
+        _write_artifact(args.device_log, kernel.devices.log_csv())
+    if args.ds_dump:
+        _write_artifact(args.ds_dump, dump_listing(take_snapshot(kernel)))
+
+    if args.report or args.report_out:
+        if elapsed < 1:
+            print("rtk-sim: no ticks elapsed, skipping report",
+                  file=sys.stderr)
+        else:
+            rep = build_report(usage_from_records(records),
+                               run_ticks=elapsed, tick_us=kernel.tick_us,
+                               battery_uj=scn.battery_uj)
+            text = render_json(rep) if args.report == "json" else render_text(rep)
+            if args.report_out:
+                _write_artifact(args.report_out, text)
+            else:
+                sys.stdout.write(text)
+
+    if args.gantt or args.gantt_out:
+        render = render_svg_gantt if args.gantt == "svg" else render_text_gantt
+        chart = render(records, elapsed)
+        if args.gantt_out:
+            _write_artifact(args.gantt_out, chart)
+        else:
+            sys.stdout.write(chart)
 
 
 def _cmd_run(args) -> int:
@@ -158,36 +199,10 @@ def _cmd_run(args) -> int:
 
     # artifacts cover exactly the ticks that actually elapsed
     elapsed = kernel.engine.now
-    records = sink.records
-
-    if args.trace:
-        _write_artifact(args.trace, records_to_csv(records))
-    if args.device_log:
-        _write_artifact(args.device_log, kernel.devices.log_csv())
-    if args.ds_dump:
-        _write_artifact(args.ds_dump, dump_listing(take_snapshot(kernel)))
-
-    if args.report or args.report_out:
-        if elapsed < 1:
-            print("rtk-sim: no ticks elapsed, skipping report",
-                  file=sys.stderr)
-        else:
-            rep = build_report(usage_from_records(records),
-                               run_ticks=elapsed, tick_us=kernel.tick_us,
-                               battery_uj=scn.battery_uj)
-            text = render_json(rep) if args.report == "json" else render_text(rep)
-            if args.report_out:
-                _write_artifact(args.report_out, text)
-            else:
-                sys.stdout.write(text)
-
-    if args.gantt or args.gantt_out:
-        render = render_svg_gantt if args.gantt == "svg" else render_text_gantt
-        chart = render(records, elapsed)
-        if args.gantt_out:
-            _write_artifact(args.gantt_out, chart)
-        else:
-            sys.stdout.write(chart)
+    try:
+        _write_artifacts(args, scn, kernel, sink.records, elapsed)
+    except _WriteError as exc:
+        return _fail(str(exc))
 
     rate = int(elapsed / wall) if wall > 0 else elapsed
     print(f"simulated {elapsed} ticks in {wall:.3f} s wall "

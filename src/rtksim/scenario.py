@@ -161,6 +161,54 @@ def _index_node(node, path, lines, problems, seen):
             _index_node(item, path + (i,), lines, problems, seen)
 
 
+# PyYAML's libyaml binding when it was built with one; both loaders build
+# the same node tree with the same line marks.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# libyaml composes nested collections by C recursion, which overflows an
+# 8 MiB stack at about 24k levels and kills the process.  A block level
+# starts one column further in, a flow mapping needs a '{' and a flow
+# sequence a '[' (two levels with an implicit pair in it), so a text
+# whose bound stays under this limit is safe there; the rest goes to the
+# pure-Python loader, whose recursion stops with a RecursionError.
+_C_DEPTH_LIMIT = 5000
+
+
+def _depth_bound(text: str) -> int:
+    widest = max(map(len, text.splitlines()), default=0)
+    return widest + 2 * text.count("[") + text.count("{")
+
+
+def _yaml_problem(text: str, exc) -> tuple:
+    """(line, message) for a loader error, without the loader's location."""
+    if isinstance(exc, RecursionError):
+        return 1, "nested too deeply"
+    if isinstance(exc, yaml.MarkedYAMLError):
+        mark = exc.problem_mark or exc.context_mark
+        message = ", ".join(p for p in (exc.context, exc.problem) if p)
+        return (mark.line + 1 if mark else 1), message
+    # a character YAML does not allow: the reader names it (libyaml gives
+    # its offset in bytes), and libyaml cannot encode a lone surrogate
+    if isinstance(exc, UnicodeEncodeError):
+        bad = exc.object[exc.start]
+    else:
+        bad = chr(exc.character)
+    line = text.count("\n", 0, text.index(bad)) + 1
+    return line, f"unacceptable character #x{ord(bad):04x}"
+
+
+def _construct(loader, node):
+    try:
+        return loader.construct_document(node)
+    except (ValueError, LookupError, AttributeError) as exc:
+        # a scalar its tag's constructor rejects (`2001-13-45`, `!!int x`);
+        # the constructor leaves the node it failed on last in this dict
+        failed = next(reversed(loader.recursive_objects), node)
+        raise yaml.constructor.ConstructorError(
+            None, None, f"cannot construct {failed.tag}: {exc}",
+            failed.start_mark) from None
+
+
 class _Source:
     """Parsed YAML data plus a path -> line map for error locations."""
 
@@ -168,20 +216,23 @@ class _Source:
         self.filename = filename
         self.problems: list = []
         self.lines: dict = {}
-        loader = yaml.SafeLoader(text)  # one pass: compose, index, construct
+        loader_cls = (_Loader if _depth_bound(text) < _C_DEPTH_LIMIT
+                      else yaml.SafeLoader)
         try:
-            node = loader.get_single_node()
-            if node is not None:  # index first: construction rewrites merge keys
-                _index_node(node, (), self.lines, self.problems, set())
-            self.data = None if node is None else loader.construct_document(node)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            line = (mark.line + 1) if mark else 1
+            loader = loader_cls(text)  # one pass: compose, index, construct
+            try:
+                node = loader.get_single_node()
+                if node is not None:  # index first: construction rewrites merge keys
+                    _index_node(node, (), self.lines, self.problems, set())
+                self.data = None if node is None else _construct(loader, node)
+            finally:
+                loader.dispose()
+        except (yaml.MarkedYAMLError, yaml.reader.ReaderError,
+                UnicodeEncodeError, RecursionError) as exc:
+            line, message = _yaml_problem(text, exc)
             raise ScenarioError(
-                [(f"{filename}:{line}", f"not valid YAML: {exc}")]
+                [(f"{filename}:{line}", f"not valid YAML: {message}")]
             ) from None
-        finally:
-            loader.dispose()
 
     def locate(self, path) -> str:
         while path and path not in self.lines:
@@ -806,8 +857,13 @@ def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call: the offset is absolute
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ScenarioError([(f"{path}:{line}", "not UTF-8 text")]) from None
     return parse_scenario_text(text, filename=str(path))
 
 

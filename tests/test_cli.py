@@ -97,6 +97,13 @@ def test_unreadable_scenario_is_a_usage_error(tmp_path, capsys):
     assert "cannot read scenario" in capsys.readouterr().err
 
 
+def test_non_utf8_scenario_is_a_located_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"run_ticks: 5\nname: caf\xe9\n")
+    assert main(["run", str(path)]) == EXIT_INVALID
+    assert f"{path}:2: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_invalid_scenario_lists_problems(tmp_path, capsys):
     path = write(tmp_path, "bad.yaml", "run_ticks: 0\ntasks: []\n")
     rc = main(["run", path])
@@ -127,6 +134,17 @@ def test_deadlock_exits_three_but_flushes_artifacts(tmp_path, capsys):
     assert "deadlock at tick 3" in err
     assert "1:A (sleep)" in err and "2:B (sleep)" in err
     assert (tmp_path / "trace.csv").read_text().startswith(CSV_HEADER)
+
+
+@pytest.mark.parametrize("flag,name,reason", [
+    ("--trace", "missing/t.csv", "No such file or directory"),
+    ("--ds-dump", ".", "Is a directory"),
+])
+def test_unwritable_artifact_path_exits_two(tmp_path, capsys, flag, name,
+                                            reason):
+    path = tmp_path / name
+    assert main(["run", DEMO, "--until", "50", flag, str(path)]) == EXIT_INVALID
+    assert f"rtk-sim: cannot write {path}: {reason}" in capsys.readouterr().err
 
 
 def test_run_time_error_exits_four_but_flushes_artifacts(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Scenario parsing: validation messages, locations, round-trips, wiring."""
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
+from oracle import generate_spec
+from rtksim import scenario
 from rtksim.errors import ScenarioError
 from rtksim.scenario import (
     build_kernel,
@@ -13,6 +17,8 @@ from rtksim.scenario import (
     scenario_to_yaml,
 )
 from rtksim.trace import ListSink
+from test_acceptance import spec_to_yaml
+from test_bench_digests import workloads
 
 
 MINIMAL = """\
@@ -62,6 +68,26 @@ def test_top_level_must_be_a_mapping():
 def test_broken_yaml_reports_the_parser_error():
     with pytest.raises(ScenarioError, match="not valid YAML"):
         parse_scenario_text("tasks: [\n")
+
+
+@pytest.mark.parametrize("text,line,fragment", [
+    ("tasks: [\n", 2, "while parsing a flow node"),
+    ("run_ticks: 5\nname: a\x07\n", 2, "unacceptable character #x0007"),
+    ("run_ticks: 5\n\nname: \x00\n", 3, "unacceptable character #x0000"),
+    ("run_ticks: 5\nname: x\ud800\n", 2, "unacceptable character #xd800"),
+    ("run_ticks: 5\nname: 2001-13-45\n", 2, "month must be in 1..12"),
+    ("run_ticks: !!int five\n", 1, "cannot construct tag:yaml.org,2002:int"),
+    ("- " * 1500 + "1\n", 1, "nested too deeply"),
+    ("- " * 30000 + "1\n", 1, "nested too deeply"),  # libyaml's stack: 24k
+], ids=["flow", "bel", "nul", "surrogate", "date", "int", "deep", "deeper"])
+def test_yaml_errors_name_the_file_once_at_their_line(text, line, fragment):
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(text, filename="scn.yaml")
+    [(loc, msg)] = problems_of(ei)
+    assert loc == f"scn.yaml:{line}"
+    assert msg.startswith("not valid YAML: ") and fragment in msg
+    # the location is ours alone: no "in <unicode string>, line L" tail
+    assert str(ei.value).count("scn.yaml") == 1 and "line" not in msg
 
 
 def test_unknown_keys_are_rejected():
@@ -454,3 +480,90 @@ def test_collection_as_mapping_key_is_a_parse_error():
         parse_scenario_text("run_ticks: 5\n? [a]\n: 1\n", filename="scn.yaml")
     [(loc, msg)] = problems_of(ei)
     assert loc == "scn.yaml:2" and "found unhashable key" in msg
+
+
+# ----------------------------------------------------------------------
+# the libyaml loader against the pure-Python one
+
+LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__,
+                             reason="PyYAML was built without libyaml")
+LOADERS = [
+    pytest.param(yaml.SafeLoader, id="pure"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
+                 marks=LIBYAML),
+]
+
+EDGE_TEXTS = [
+    "base: &b {etm: 1}\nwork:\n  <<: *b\n  eem: 0\n",   # merge key
+    "a: &x 1\nb: *x\n",                                 # alias
+    "a: 1\na: 2\n",                                     # duplicate key
+    "\ufeffrun_ticks: 5\n",                             # byte order mark
+    "%YAML 1.1\n%TAG ! tag:x,2000:\n---\nrun_ticks: 5\n",  # directives
+    "a: 1\n---\nb: 2\n",                                # two documents
+    "tasks: [\n",                                       # flow error
+    "a:\n\tb: 1\n",                                     # tab indent
+    "run_ticks: 5\n? [a]\n: 1\n",                       # unhashable key
+    "run_ticks: 5\nname: a\x07\n",                      # control characters
+    "run_ticks: 5\n\nname: \x00\n",
+    "name: \ud800\n",                                   # lone surrogates
+    "é: ü\nname: x\udfff\n",
+    "run_ticks: 5\nname: 2001-13-45\n",                 # rejected scalars
+    "run_ticks: !!bool maybe\n",
+    "- " * 1500 + "1\n",                                # nested too deeply
+    "- " * 30000 + "1\n",
+    "",
+    "# comment only\n",
+]
+
+
+def _outcome(text, loader):
+    """What `_Source` makes of ``text`` under ``loader``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_Loader", loader)
+        try:
+            src = scenario._Source(text, "scn.yaml")
+        except ScenarioError as exc:
+            return [loc for loc, _ in exc.problems]
+    return src.data, src.lines, src.problems
+
+
+@LIBYAML
+def test_libyaml_builds_what_the_pure_python_loader_builds():
+    texts = [spec_to_yaml(generate_spec(seed)) for seed in range(200)]
+    texts += [workloads.generate(name, 1, 1.0) for name in workloads.WORKLOADS]
+    texts.append(demo_scenario_path().read_text(encoding="utf-8"))
+    for text in texts + EDGE_TEXTS:
+        assert (_outcome(text, yaml.CSafeLoader)
+                == _outcome(text, yaml.SafeLoader)), text[:80]
+
+
+_KEYS = ["run_ticks", "name", "tick_us", "tasks", "id", "priority",
+         "behavior", "compute", "call", "loop", "body", "count",
+         "annotations", "etm", "eem", "objects", "semaphores", "initial",
+         "handlers", "kind", "period", "devices", "accesses", "stimuli",
+         "battery_wh", "svc_cost", "on_deadlock", "<<", "? [a]", "w"]
+_VALUES = ["", "1", "5", "-1", "0x1f", "1e3", "0.0005", "2001-13-45",
+           "!!int x", "!!bool maybe", "&a 1", "*a", "[1, 2]", "{}",
+           "{etm: 1, eem: 0.002}", "[{compute: w}]", "forever", "true",
+           "sem_wait", "'q'", '"\\x07"', "~", "\x07", "\ud800", "[", "{",
+           "report", "cyclic"]
+_LINE = st.builds(
+    lambda indent, dash, key, value: f"{' ' * indent}{dash}{key}: {value}",
+    st.integers(0, 8), st.sampled_from(["", "- "]), st.sampled_from(_KEYS),
+    st.sampled_from(_VALUES) | st.text(max_size=4))
+_SCENARIO_SHAPED = st.lists(
+    _LINE | st.sampled_from(["---", "%YAML 1.1", "- 1", "  - id: 2"]),
+    max_size=12).map("\n".join)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=st.text() | _SCENARIO_SHAPED
+       | _SCENARIO_SHAPED.map(lambda tail: MINIMAL + tail))
+def test_any_text_parses_or_raises_scenario_error(loader, text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_Loader", loader)
+        try:
+            parse_scenario_text(text, filename="scn.yaml")
+        except ScenarioError:
+            pass
