@@ -7,7 +7,10 @@ grinds out the same scheduling rules in the dumbest way that could work.
 
 `generate_spec(seed)` draws a random system description (a plain dict,
 no package types), `RefSim(spec).run()` simulates it and returns the
-per-tick running-thread vector plus final per-thread totals.
+per-tick running-thread vector plus final per-thread totals.  Seeds from
+`MUTEX_SEED_BASE` on draw systems built around priority-inheritance
+mutexes; a run that hits a service error (say, an unlock after a lock
+that timed out) stops there and keeps the tick in `RefSim.error_tick`.
 """
 
 import heapq
@@ -15,6 +18,39 @@ import random
 
 IDLE_PRIO = 999          # must only be worse than every user priority
 _IDLE_LABEL = "__idle__"
+MUTEX_SEED_BASE = 1_000_000
+
+
+class ServiceFault(Exception):
+    """A service call the kernel rejects; it ends the run."""
+
+
+def inherit_fixpoint(base, current, holdings):
+    """Priority inheritance recomputed from scratch over every mutex.
+
+    ``base`` and ``current`` map thread id to priority, ``holdings`` is
+    a list of (owner, waiter ids) per owned mutex.  Each round sets every
+    thread to min(base, best waiter on the mutexes it owns), reading the
+    previous round's priorities, until a round changes nothing or
+    threads+1 rounds have run.  Returns the new current priorities.
+    """
+    current = dict(current)
+    for _round in range(len(current) + 1):
+        targets = {}
+        for owner, waiters in holdings:
+            for tid in waiters:
+                prio = current[tid]
+                if owner not in targets or prio < targets[owner]:
+                    targets[owner] = prio
+        changed = False
+        for tid, prio in base.items():
+            want = min(prio, targets.get(tid, prio))
+            if current[tid] != want:
+                current[tid] = want
+                changed = True
+        if not changed:
+            break
+    return current
 
 
 # ----------------------------------------------------------------------
@@ -46,7 +82,8 @@ class _Thread:
     def __init__(self, tid, name, prio, program, is_handler=False):
         self.id = tid
         self.name = name
-        self.prio = prio
+        self.base = prio
+        self.prio = prio         # current priority, inheritance included
         self.program = program
         self.is_handler = is_handler
         self.state = "parked" if is_handler else "ready"
@@ -56,6 +93,7 @@ class _Thread:
         self.effect = None       # service awaiting its post-charge effect
         self.wait_kind = None
         self.wait_gen = 0
+        self.blocked_on = None   # mutex id while queued on one
         self.wakeup_count = 0
         self.queued = False      # activation already queued (handlers)
         self.cet = 0
@@ -66,6 +104,13 @@ class _Sem:
     def __init__(self, initial):
         self.count = initial
         self.queue = []          # (tid, arrival_seq, need)
+        self.arrivals = 0
+
+
+class _Mtx:
+    def __init__(self):
+        self.owner = None
+        self.queue = []          # (tid, arrival_seq)
         self.arrivals = 0
 
 
@@ -104,6 +149,7 @@ class RefSim:
 
         self.sems = {s["id"]: _Sem(s["initial"])
                      for s in spec.get("semaphores", [])}
+        self.mutexes = {m["id"]: _Mtx() for m in spec.get("mutexes", [])}
 
         # timer heap mirrors the kernel's (due, insertion_seq) discipline;
         # stale timeout entries are discarded at pop, never removed early
@@ -130,6 +176,9 @@ class RefSim:
         self.pending = []        # queued handler activations, FIFO
         self.stack = []          # (handler_id, interrupted_id)
         self.vector = [None] * self.T
+        self.error_tick = None
+        # what the mutex traffic reached, for the corpus to count
+        self.coverage = {"chain3": False, "cycle": False, "withdrawn": False}
 
     # -- infrastructure ------------------------------------------------
 
@@ -146,6 +195,39 @@ class RefSim:
             if best_key is None or key < best_key:
                 best, best_key = tid, key
         return best
+
+    def _head(self, queue):
+        """The queue entry served next: best current priority, then arrival."""
+        return min(queue, key=lambda e: (self.threads[e[0]].prio, e[1]))
+
+    def _inherit(self):
+        """Recompute every current priority; True if one changed."""
+        prios = inherit_fixpoint(
+            {tid: th.base for tid, th in self.threads.items()},
+            {tid: th.prio for tid, th in self.threads.items()},
+            [(m.owner, [tid for tid, _seq in m.queue])
+             for m in self.mutexes.values() if m.owner is not None])
+        changed = False
+        for tid, prio in prios.items():
+            th = self.threads[tid]
+            changed |= th.prio != prio
+            th.prio = prio
+        return changed
+
+    def _note_chain(self, tid):
+        """Walk waiter -> owner from a newly queued thread; a chain counts
+        as transitive when it links three threads, the waiters queued on
+        this thread's own mutexes included."""
+        upstream = any(m.owner == tid and m.queue for m in self.mutexes.values())
+        seen = []
+        while tid is not None and tid not in seen:
+            seen.append(tid)
+            mtx_id = self.threads[tid].blocked_on
+            tid = None if mtx_id is None else self.mutexes[mtx_id].owner
+        if tid is not None:
+            self.coverage["cycle"] = True
+        elif len(seen) + upstream >= 3:
+            self.coverage["chain3"] = True
 
     def _release(self, th, stamp):
         th.state = "ready"
@@ -164,7 +246,11 @@ class RefSim:
 
     def run(self):
         for t in range(self.T):
-            self._interval(t)
+            try:
+                self._interval(t)
+            except ServiceFault:
+                self.error_tick = t
+                break
             self._boundary(t + 1)
         totals = {tid: (th.cet, th.cee) for tid, th in self.threads.items()}
         return self.vector, totals
@@ -317,20 +403,51 @@ class RefSim:
             th.wait_gen += 1
             if timeout is not None:
                 self._push(t + timeout, "timeout",
-                           (th.id, th.wait_gen, sem_id))
+                           (th.id, th.wait_gen, ("sem", sem_id)))
             return True
         if kind == "sem_signal":
             _k, sem_id, n = op
             sem = self.sems[sem_id]
             sem.count += n
             while sem.queue:
-                head = min(sem.queue,
-                           key=lambda e: (self.threads[e[0]].prio, e[1]))
+                head = self._head(sem.queue)
                 if head[2] > sem.count:
                     break
                 sem.queue.remove(head)
                 sem.count -= head[2]
                 self._release(self.threads[head[0]], t)
+            return False
+        if kind == "mtx_lock":
+            _k, mtx_id, timeout = op
+            mtx = self.mutexes[mtx_id]
+            if mtx.owner is None:
+                mtx.owner = th.id
+                return False
+            if mtx.owner == th.id:
+                raise ServiceFault(f"mutex {mtx_id}: already held")
+            mtx.queue.append((th.id, mtx.arrivals))
+            mtx.arrivals += 1
+            th.blocked_on = mtx_id
+            self._note_chain(th.id)
+            self._inherit()
+            th.wait_kind = "mutex"
+            th.wait_gen += 1
+            if timeout is not None:
+                self._push(t + timeout, "timeout",
+                           (th.id, th.wait_gen, ("mutex", mtx_id)))
+            return True
+        if kind == "mtx_unlock":
+            mtx = self.mutexes[op[1]]
+            if mtx.owner != th.id:
+                raise ServiceFault(f"mutex {op[1]}: unlock by non-owner")
+            mtx.owner = None
+            if mtx.queue:
+                head = self._head(mtx.queue)
+                mtx.queue.remove(head)
+                mtx.owner = head[0]
+                self.threads[head[0]].blocked_on = None
+                self._release(self.threads[head[0]], t)
+            self._inherit()
             return False
         raise AssertionError(f"unknown op {op!r}")
 
@@ -347,13 +464,18 @@ class RefSim:
             elif kind == "alarm":
                 self._activate_if_free(data)
             else:
-                tid, gen, sem_id = data
+                tid, gen, wait_obj = data
                 th = self.threads[tid]
                 if th.wait_gen != gen or th.state != "waiting":
                     continue  # stale: released some other way already
-                if sem_id is not None:
-                    sem = self.sems[sem_id]
-                    sem.queue = [e for e in sem.queue if e[0] != tid]
+                if wait_obj is not None:
+                    kind, obj_id = wait_obj
+                    obj = (self.sems if kind == "sem" else self.mutexes)[obj_id]
+                    obj.queue = [e for e in obj.queue if e[0] != tid]
+                    if kind == "mutex":
+                        th.blocked_on = None
+                        if self._inherit():   # the waiter's boost is withdrawn
+                            self.coverage["withdrawn"] = True
                 self._release(th, b)
         stimuli = self.stimuli
         while self.stim_i < len(stimuli) and stimuli[self.stim_i][0] == b:
@@ -371,8 +493,11 @@ def generate_spec(seed):
     Bounds follow the equivalence suite's charter: at most 5 threads
     over at most 3 priority levels, runs of at most 200 ticks, bodies
     drawn from sleeps, wakeups, semaphore traffic, computes, and
-    scripted interrupt stimuli.
+    scripted interrupt stimuli.  Seeds from MUTEX_SEED_BASE on draw
+    `generate_mutex_spec` systems instead.
     """
+    if seed >= MUTEX_SEED_BASE:
+        return generate_mutex_spec(seed)
     rng = random.Random(seed)
     run_ticks = rng.randint(20, 200)
     svc_etm = rng.choice((1, 1, 1, 2))
@@ -475,5 +600,113 @@ def generate_spec(seed):
         "tasks": tasks,
         "handlers": handlers,
         "semaphores": semaphores,
+        "stimuli": stimuli,
+    }
+
+
+def generate_mutex_spec(seed):
+    """One random system built around priority-inheritance mutexes.
+
+    Up to 5 tasks over 6 priority levels share up to 3 mutexes.  Task
+    bodies draw lock/unlock pairs around computes, sleeps, delays and
+    semaphore traffic, nested up to two deep, so owner chains run
+    transitively through three threads and opposite lock orders close
+    deadlock cycles.  Some locks carry a timeout: a waiter that gives up
+    withdraws its boost, and its later unlock of a mutex it does not own
+    ends the run with a service error.  Handlers stay off the mutexes.
+    """
+    rng = random.Random(seed)
+    run_ticks = rng.randint(30, 200)
+    svc_etm = rng.choice((1, 1, 1, 2))
+    svc_eem = rng.choice((0, 1, 2, 3, 7))
+
+    labels = {}
+    for i in range(rng.randint(2, 4)):
+        labels[f"w{i}"] = (rng.randint(1, 6), rng.randint(0, 50))
+
+    mutexes = [{"id": i + 1} for i in range(rng.choice((1, 2, 2, 3, 3)))]
+    n_sems = rng.randint(0, 1)
+    semaphores = [{"id": 1, "initial": rng.randint(0, 1)}] if n_sems else []
+
+    n_tasks = rng.randint(3, 5)
+    n_handlers = rng.randint(0, min(1, 5 - n_tasks))
+    task_ids = list(range(1, n_tasks + 1))
+
+    def draw(out, held, in_handler=False):
+        choices = ["compute", "wakeup"]
+        if not in_handler:
+            choices += ["lock", "lock", "lock", "sleep", "delay"]
+            if held:
+                choices += ["lock", "lock", "delay"]  # nest, or hold long
+        if n_sems:
+            choices.append("sem_signal")
+            if not in_handler:
+                choices.append("sem_wait")
+        kind = rng.choice(choices)
+        free = [m["id"] for m in mutexes if m["id"] not in held]
+        if kind == "lock" and len(held) < 2 and free:
+            mtx_id = rng.choice(free)
+            timeout = None if rng.random() < 0.7 else rng.randint(2, 40)
+            out.append(("mtx_lock", mtx_id, timeout))
+            for _ in range(rng.randint(1, 2)):
+                draw(out, held | {mtx_id})
+            out.append(("mtx_unlock", mtx_id))
+        elif kind in ("compute", "lock"):
+            out.append(("compute", rng.choice(sorted(labels))))
+        elif kind == "sleep":
+            out.append(("sleep", rng.randint(1, 25)))
+        elif kind == "delay":
+            out.append(("delay", rng.randint(1, 12)))
+        elif kind == "wakeup":
+            out.append(("wakeup", rng.choice(task_ids)))
+        elif kind == "sem_wait":
+            timeout = None if rng.random() < 0.5 else rng.randint(1, 20)
+            out.append(("sem_wait", 1, 1, timeout))
+        else:
+            out.append(("sem_signal", 1, 1))
+
+    tasks = []
+    for tid in task_ids:
+        body = []
+        for _ in range(rng.randint(0, 2)):
+            draw(body, frozenset())
+        tail = []
+        for _ in range(rng.randint(1, 3)):
+            draw(tail, frozenset())
+        body.append(("loop", None, tail))
+        tasks.append({
+            "id": tid,
+            "name": f"T{tid}",
+            "priority": rng.randint(1, 6),
+            "program": body,
+        })
+
+    handlers = []
+    stimuli = []
+    for hid in range(n_tasks + 1, n_tasks + 1 + n_handlers):
+        program = []
+        for _ in range(rng.randint(1, 2)):
+            draw(program, frozenset(), in_handler=True)
+        h = {"id": hid, "name": f"H{hid}", "kind": rng.choice(("isr", "cyclic")),
+             "period": 0, "phase": 0, "offset": 0, "line": 0,
+             "program": program}
+        if h["kind"] == "cyclic":
+            h["period"] = rng.randint(5, 40)
+            h["phase"] = rng.randint(0, h["period"])
+        else:
+            stimuli = [(rng.randint(1, run_ticks), 0)
+                       for _ in range(rng.randint(1, 6))]
+        handlers.append(h)
+
+    return {
+        "seed": seed,
+        "run_ticks": run_ticks,
+        "svc_etm": svc_etm,
+        "svc_eem": svc_eem,
+        "annotations": labels,
+        "tasks": tasks,
+        "handlers": handlers,
+        "semaphores": semaphores,
+        "mutexes": mutexes,
         "stimuli": stimuli,
     }

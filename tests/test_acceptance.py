@@ -18,9 +18,10 @@ from fractions import Fraction
 import pytest
 import yaml
 
-from oracle import RefSim, generate_spec
+from oracle import MUTEX_SEED_BASE, RefSim, generate_spec
 from rtksim.debugds import dump_listing, parse_listing, take_snapshot
 from rtksim.engine import Annotation
+from rtksim.errors import SimError
 from rtksim.kernel import Kernel
 from rtksim.report import BatteryModel, build_report, render_text, usage_from_records
 from rtksim.scenario import (
@@ -44,6 +45,7 @@ from rtksim.trace import (
 import test_objects as obj
 
 N_SEEDS = 1000                  # size of the randomized equivalence corpus
+N_MUTEX_SEEDS = 600             # mutex systems, seeds from MUTEX_SEED_BASE
 MIN_CRIT_EVENTS = 100_000       # service-call windows the atomicity scan must cover
 CORPUS_BUDGET_S = 60.0
 
@@ -71,6 +73,13 @@ def stmt_to_yaml(op):
         return raw
     if k == "sem_signal":
         return {"call": "sem_signal", "sem": op[1], "count": op[2]}
+    if k == "mtx_lock":
+        raw = {"call": "mtx_lock", "mutex": op[1]}
+        if op[2] is not None:
+            raw["timeout"] = op[2]
+        return raw
+    if k == "mtx_unlock":
+        return {"call": "mtx_unlock", "mutex": op[1]}
     if k == "loop":
         raw = {"loop": "forever" if op[1] is None else True}
         if op[1] is not None:
@@ -80,7 +89,7 @@ def stmt_to_yaml(op):
     raise AssertionError(op)
 
 
-def spec_to_yaml(spec):
+def spec_to_raw(spec):
     raw = {
         "name": f"rnd{spec['seed']}",
         "run_ticks": spec["run_ticks"],
@@ -115,26 +124,45 @@ def spec_to_yaml(spec):
         raw["handlers"] = handlers
     if lines:
         raw["devices"] = [{"name": "ctl", "kind": "intc", "lines": max(lines) + 1}]
+    objects = {}
     if spec["semaphores"]:
-        raw["objects"] = {"semaphores": [dict(s) for s in spec["semaphores"]]}
+        objects["semaphores"] = [dict(s) for s in spec["semaphores"]]
+    if spec.get("mutexes"):
+        objects["mutexes"] = [dict(m) for m in spec["mutexes"]]
+    if objects:
+        raw["objects"] = objects
     if spec["stimuli"]:
         raw["stimuli"] = [{"tick": t, "kind": "irq", "device": "ctl", "line": line}
                           for t, line in spec["stimuli"]]
-    return yaml.safe_dump(raw, sort_keys=False)
+    return raw
+
+
+# libyaml's emitter writes the same text as yaml.safe_dump, ~4x faster
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def spec_to_yaml(spec):
+    return yaml.dump(spec_to_raw(spec), Dumper=_DUMPER, sort_keys=False)
 
 
 def run_engine(spec):
+    """(running vector, per-thread totals, records, tick of the SimError
+    that ended the run or None)."""
     scn = parse_scenario_text(spec_to_yaml(spec), filename=f"rnd{spec['seed']}")
     k = build_kernel(scn)
     sink = ListSink()
     k.attach_sinks(trace_sink=sink, report_sink=None)
     k.boot()
-    k.run(spec["run_ticks"])
+    error_tick = None
+    try:
+        k.run(spec["run_ticks"])
+    except SimError:
+        error_tick = k.engine.now
     k.finish()
     vec = running_vector(sink.records, spec["run_ticks"])
     totals = {th.id: (th.token.cet, th.token.cee_uj)
               for th in k.engine.threads()}
-    return vec, totals, sink.records
+    return vec, totals, sink.records, error_tick
 
 
 def scan_atomicity(records):
@@ -158,16 +186,25 @@ def corpus():
     t0 = time.perf_counter()
     mismatched = []
     unconserved = []
+    errored = 0
+    coverage = dict.fromkeys(("chain3", "cycle", "withdrawn"), 0)
     crit_windows = 0
     crit_violations = 0
-    for seed in range(N_SEEDS):
+    seeds = [*range(N_SEEDS),
+             *range(MUTEX_SEED_BASE, MUTEX_SEED_BASE + N_MUTEX_SEEDS)]
+    for seed in seeds:
         spec = generate_spec(seed)
-        evec, etot, records = run_engine(spec)
-        rvec, rtot = RefSim(spec).run()
-        if evec != rvec or etot != rtot:
+        evec, etot, records, eerr = run_engine(spec)
+        ref = RefSim(spec)
+        rvec, rtot = ref.run()
+        if evec != rvec or etot != rtot or eerr != ref.error_tick:
             mismatched.append(seed)
-        if sum(cet for cet, _ in etot.values()) != spec["run_ticks"]:
+        ticks = spec["run_ticks"] if eerr is None else eerr
+        if sum(cet for cet, _ in etot.values()) != ticks:
             unconserved.append(seed)
+        errored += eerr is not None
+        for key, reached in ref.coverage.items():
+            coverage[key] += reached
         w, v = scan_atomicity(records)
         crit_windows += w
         crit_violations += v
@@ -175,7 +212,7 @@ def corpus():
     # covered enough service-call windows
     extra = N_SEEDS
     while crit_windows < MIN_CRIT_EVENTS and extra < 6 * N_SEEDS:
-        _, _, records = run_engine(generate_spec(extra))
+        _, _, records, _ = run_engine(generate_spec(extra))
         w, v = scan_atomicity(records)
         crit_windows += w
         crit_violations += v
@@ -183,6 +220,8 @@ def corpus():
     return {
         "mismatched": mismatched,
         "unconserved": unconserved,
+        "errored": errored,
+        "coverage": coverage,
         "crit_windows": crit_windows,
         "crit_violations": crit_violations,
         "wall_s": time.perf_counter() - t0,
@@ -194,6 +233,11 @@ def test_01_scheduler_matches_reference_simulator(corpus):
     # agree exactly with the brute-force simulator on every seed
     assert corpus["mismatched"] == []
     assert corpus["wall_s"] < CORPUS_BUDGET_S
+    # the mutex seeds reach transitive owner chains, deadlock cycles,
+    # boosts withdrawn by a lock timeout, and runs cut short by an
+    # unlock the kernel rejects
+    assert min(corpus["coverage"].values()) >= 20, corpus["coverage"]
+    assert corpus["errored"] >= 20
 
 
 # --------------------------------------------------------------------------

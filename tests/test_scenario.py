@@ -4,7 +4,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from oracle import generate_spec
+from oracle import MUTEX_SEED_BASE, generate_spec
 from rtksim import scenario
 from rtksim.errors import ScenarioError
 from rtksim.scenario import (
@@ -17,7 +17,7 @@ from rtksim.scenario import (
     scenario_to_yaml,
 )
 from rtksim.trace import ListSink
-from test_acceptance import spec_to_yaml
+from test_acceptance import spec_to_raw, spec_to_yaml
 from test_bench_digests import workloads
 
 
@@ -525,6 +525,16 @@ def _outcome(text, loader):
         except ScenarioError as exc:
             return [loc for loc, _ in exc.problems]
     return src.data, src.lines, src.problems
+
+
+@LIBYAML
+def test_corpus_yaml_is_the_safe_dump_text():
+    # the corpus dumps through libyaml's emitter for speed
+    seeds = [*range(0, 1000, 10), *range(MUTEX_SEED_BASE, MUTEX_SEED_BASE + 50)]
+    for seed in seeds:
+        spec = generate_spec(seed)
+        assert spec_to_yaml(spec) == yaml.safe_dump(spec_to_raw(spec),
+                                                    sort_keys=False)
 
 
 @LIBYAML
