@@ -10,7 +10,11 @@ Scheduling model:
   * priorities: smaller integer wins; equal priority is FIFO by the
     tick a thread last became ready, ties on the same tick by id.
     A preempted thread keeps its original ready stamp, so it stays at
-    the head of its priority class.
+    the head of its priority class.  The ready threads sit in one
+    (ready tick, id)-sorted list per current priority, with a bitmap of
+    the non-empty classes, so the best one is read off without a scan.
+    After boot only ``set_priority`` writes a current priority, and it
+    moves a ready thread to its new place at once.
   * preemption and interrupt delivery are checked at wait boundaries
     and between ticks of a multi-tick wait; a partial segment is
     accounted tick-exactly.
@@ -39,6 +43,7 @@ the enum strings read through ``_value_``.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import (
@@ -263,8 +268,8 @@ class SimThread:
                  priority: int, body, *, is_idle: bool = False):
         if not isinstance(thread_id, int) or thread_id <= 0:
             raise ValidationError("thread id must be a positive integer")
-        if not isinstance(priority, int):
-            raise ValidationError("priority must be an integer")
+        if not isinstance(priority, int) or priority < 0:
+            raise ValidationError("priority must be an integer >= 0")
         if is_idle and body is not idle_body:
             raise ValidationError("the idle thread must run engine.idle_body")
         self.id = thread_id
@@ -289,6 +294,7 @@ class SimThread:
         self.activation_queued = False
         self.waiting_reason: str | None = None
         self.ready_tick = 0
+        self.ready_key = None  # (ready_tick, id) while in a ready class
         self.svc_ticks = 0  # consumed in SVC context
         self.run_streak = 0
         self.max_streak = 0
@@ -388,7 +394,10 @@ class Engine:
         self.current_id: int | None = None
         self.on_tick = None  # callable(now) run after each consumed tick
         self._table: dict[int, SimThread] = {}
-        self._ready: set[int] = set()
+        # current priority -> sorted (ready_tick, id); bit p set while
+        # class p is non-empty
+        self._classes: dict[int, list[tuple[int, int]]] = {}
+        self._ready_bits = 0
         self._stack: list[_Frame] = []
         self._pending_activations: list[int] = []
         self._crit_depth = 0
@@ -502,6 +511,18 @@ class Engine:
         th.waiting_reason = None
         self._make_ready(th)
 
+    def set_priority(self, thread_id: int, priority: int):
+        """Set a thread's current priority; a ready thread moves to its
+        place in the new class at once, keeping its ready stamp.  Call
+        ``recheck_preemption`` once the changes are done."""
+        th = self._get(thread_id)
+        if th.ready_key is None:
+            th.current_priority = priority
+        else:
+            self._dequeue(th)
+            th.current_priority = priority
+            self._enqueue(th)
+
     def recheck_preemption(self):
         """Re-evaluate whether a ready thread outranks the current one.
         Needed after priority changes that bypass the ready-up path."""
@@ -518,7 +539,7 @@ class Engine:
         ]
 
     def ready_ids(self):
-        return sorted(self._ready)
+        return sorted(tid for q in self._classes.values() for _tick, tid in q)
 
     def pending_activation_count(self) -> int:
         return len(self._pending_activations)
@@ -567,8 +588,37 @@ class Engine:
     def _make_ready(self, th: SimThread):
         self._set_state(th, ThreadState.READY)
         th.ready_tick = self.now
-        self._ready.add(th.id)
+        self._enqueue(th)
         self._flag_preempt_if_outranked()
+
+    def _enqueue(self, th: SimThread):
+        key = th.ready_key = (th.ready_tick, th.id)
+        prio = th.current_priority
+        q = self._classes.get(prio)
+        if not q:
+            self._classes[prio] = [key]
+            self._ready_bits |= 1 << prio
+        elif key > q[-1]:
+            q.append(key)
+        else:
+            insort(q, key)
+
+    def _dequeue(self, th: SimThread):
+        prio = th.current_priority
+        q = self._classes[prio]
+        key = th.ready_key
+        th.ready_key = None
+        if q[0] == key:
+            del q[0]
+        else:
+            del q[bisect_left(q, key)]
+        if not q:
+            self._ready_bits ^= 1 << prio
+
+    def _outranked(self, th: SimThread) -> bool:
+        """Whether a ready thread has a better current priority than ``th``."""
+        bits = self._ready_bits
+        return bits != 0 and (bits & -bits).bit_length() - 1 < th.current_priority
 
     def _flag_preempt_if_outranked(self):
         cur = self.current_id
@@ -577,20 +627,15 @@ class Engine:
         th = self._table[cur]
         if th.kind.is_handler:
             return  # delayed dispatching: decided at outermost return
-        best = self._pick_ready()
-        if best is not None and self._table[best].current_priority < th.current_priority:
+        if self._outranked(th):
             th.preempt_requested = True
 
     def _pick_ready(self) -> int | None:
-        best = None
-        best_key = None
-        for tid in self._ready:
-            t = self._table[tid]
-            key = (t.current_priority, t.ready_tick, tid)
-            if best_key is None or key < best_key:
-                best = tid
-                best_key = key
-        return best
+        """The head of the best non-empty class (its lowest set bit)."""
+        bits = self._ready_bits
+        if not bits:
+            return None
+        return self._classes[(bits & -bits).bit_length() - 1][0][1]
 
     def _emit(self, th: SimThread, label: str, context: ContextKind,
               event: EventKind | None, start: int, end: int,
@@ -646,10 +691,7 @@ class Engine:
             th = self._table[self.current_id]
             if th.preempt_requested and not th.kind.is_handler:
                 if self._crit_depth == 0:
-                    best = self._pick_ready()
-                    if best is not None and (
-                        self._table[best].current_priority < th.current_priority
-                    ):
+                    if self._outranked(th):
                         self._suspend_current(EventKind.RETURN_FROM_PREEMPTION)
                         continue
                     th.preempt_requested = False
@@ -658,7 +700,7 @@ class Engine:
 
     def _dispatch(self, thread_id: int):
         th = self._table[thread_id]
-        self._ready.discard(thread_id)
+        self._dequeue(th)
         self._set_state(th, ThreadState.RUNNING)
         th.preempt_requested = False
         if th.pending_resume is None and not th.startup_delivered:
@@ -678,7 +720,10 @@ class Engine:
         th.pending_resume = Resume(event)
         th.preempt_requested = False
         self._set_state(th, ThreadState.READY)
-        self._ready.add(th.id)  # keeps its original ready_tick
+        if not th.kind.is_handler:
+            # handlers are not scheduled: an interrupted one resumes
+            # from the interrupt stack
+            self._enqueue(th)  # keeps its original ready_tick
         if emit_preempt:
             self._emit_control(th, CTL_PREEMPT, event)
         self.current_id = None
@@ -687,11 +732,7 @@ class Engine:
         h = self._table[handler_id]
         interrupted = self.current_id
         if interrupted is not None:
-            it = self._table[interrupted]
             self._suspend_current(EventKind.RETURN_FROM_INTERRUPT, emit_preempt=False)
-            if it.kind.is_handler:
-                # handlers are not scheduled; pull it back out of ready
-                self._ready.discard(interrupted)
         self._stack.append(_Frame(handler_id, interrupted))
         h.awaiting_activation = False
         h.activation_queued = False
@@ -734,11 +775,9 @@ class Engine:
                 ))
             self.current_id = tid
             return
-        # outermost return: delayed dispatching decision
-        best = self._pick_ready()
-        if best is not None and best != tid and (
-            self._table[best].current_priority < it.current_priority
-        ):
+        # outermost return: delayed dispatching decision.  ``it`` is
+        # ready itself, so a better class holds some other thread.
+        if self._outranked(it):
             return  # the gate will dispatch the higher-priority thread
         self._dispatch(tid)
 

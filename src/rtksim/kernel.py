@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bfm import (
     DeviceRegistry,
@@ -112,6 +112,8 @@ class TaskControl:
     suspend_nesting stays 0: suspend/resume services are not offered, so
     no thread ever enters a SUSPENDED state, which exists only as a
     listing code.  The field exists so the listing can report it.
+    ``held`` and ``blocked_on`` are the thread's edges in the mutex
+    owner graph that priority inheritance walks.
     """
 
     extended_info: int = 0
@@ -120,6 +122,8 @@ class TaskControl:
     raised_event: int = 0
     wait_gen: int = 0
     wait_kind: str | None = None
+    held: list = field(default_factory=list)  # mutexes it owns
+    blocked_on: Mutex | None = None           # mutex it is queued on
 
 
 @dataclass(frozen=True)
@@ -814,12 +818,16 @@ class Kernel:
     def mtx_lock(self, api, mtx_id, timeout=None):
         timeout = self._validate_timeout(timeout)
         tid = api.thread_id
+        tcb = self.tcb[tid]
 
         def op():
-            granted = self._object(self.mutexes, mtx_id, "mutex").lock(tid)
-            if not granted:
-                self._recompute_inheritance()
-            return granted
+            mtx = self._object(self.mutexes, mtx_id, "mutex")
+            if mtx.lock(tid):
+                tcb.held.append(mtx)
+                return True
+            tcb.blocked_on = mtx
+            self._inherit(mtx.owner)
+            return False
 
         if (yield from self._svc(api, op)):
             return SvcResult(RESULT_OK)
@@ -827,18 +835,30 @@ class Kernel:
 
         def cancel():
             mtx.cancel_wait(tid)
-            self._recompute_inheritance()
+            tcb.blocked_on = None
+            self._inherit(mtx.owner)
 
         result = yield from self._block_with_timeout(
             api, f"mutex {mtx_id}", "mutex", timeout, cancel)
         return result
 
     def mtx_unlock(self, api, mtx_id):
-        next_owner = yield from self._svc(api, lambda: self._object(
-            self.mutexes, mtx_id, "mutex").unlock(api.thread_id))
-        if next_owner is not None:
+        tid = api.thread_id
+
+        def op():
+            mtx = self._object(self.mutexes, mtx_id, "mutex")
+            nxt = mtx.unlock(tid)
+            self.tcb[tid].held.remove(mtx)
+            if nxt is not None:
+                tcb = self.tcb[nxt]
+                tcb.blocked_on = None
+                tcb.held.append(mtx)
+            return nxt
+
+        next_owner = yield from self._svc(api, op)
+        if next_owner is not None:  # a free mutex had no waiters to lose
             self._release(next_owner)
-        self._recompute_inheritance()
+            self._inherit(tid, next_owner)
         return SvcResult(RESULT_OK)
 
     def pool_get(self, api, pool_id, timeout=None):
@@ -903,27 +923,34 @@ class Kernel:
     # ------------------------------------------------------------------
     # priority inheritance
 
-    def _recompute_inheritance(self):
-        """Owner priority = min(base, best waiter across owned mutexes),
-        iterated to a fixpoint so chains propagate transitively."""
+    def _inherit(self, *starts):
+        """Propagate priority inheritance from threads whose owned
+        mutexes gained or lost waiters.
+
+        A thread's current priority is min(base, the current priorities
+        of the waiters on the mutexes it owns).  From each start, set it;
+        while it changed, move on to the owner of the mutex the thread
+        is queued on.  The walk stops where a priority is unchanged, at
+        the end of the chain, or on coming back round a cycle.
+        """
         eng = self.engine
-        for _round in range(len(self.tcb) + 1):
-            changed = False
-            targets = {}
-            for mtx in self.mutexes.values():
-                if mtx.owner is None:
-                    continue
-                for waiter in mtx.queue.waiters():
-                    prio = eng.thread(waiter).current_priority
-                    cur = targets.get(mtx.owner)
-                    if cur is None or prio < cur:
-                        targets[mtx.owner] = prio
-            for th in eng.threads():
-                want = min(th.base_priority,
-                           targets.get(th.id, th.base_priority))
-                if th.current_priority != want:
-                    th.current_priority = want
-                    changed = True
-            if not changed:
-                break
+        priority_of = self._waiter_priority
+        for tid in starts:
+            seen = set()
+            while tid not in seen:
+                seen.add(tid)
+                th = eng.thread(tid)
+                tcb = self.tcb[tid]
+                want = th.base_priority
+                for mtx in tcb.held:
+                    for waiter in mtx.queue.waiters():
+                        prio = priority_of(waiter)
+                        if prio < want:
+                            want = prio
+                if want == th.current_priority:
+                    break
+                eng.set_priority(tid, want)
+                if tcb.blocked_on is None:
+                    break
+                tid = tcb.blocked_on.owner
         eng.recheck_preemption()
