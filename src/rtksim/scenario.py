@@ -138,7 +138,15 @@ class Scenario:
 # ----------------------------------------------------------------------
 # YAML loading with line positions
 
+# Deeper node trees are refused.  The pure-Python composer recurses about
+# twice per level and gives up near 490, libyaml composes far deeper;
+# this one limit, below both, makes the two loaders agree at any depth.
+_NODE_DEPTH_LIMIT = 256
+
+
 def _index_node(node, path, lines, problems, seen):
+    if len(path) > _NODE_DEPTH_LIMIT:
+        raise RecursionError  # reported like the loaders' own: nested too deeply
     if id(node) in seen:
         # aliases would let one node validate at two paths; refuse up front
         problems.append((path, "YAML aliases are not supported"))

@@ -4,7 +4,7 @@
 hook and per-tick step, every thread generator and every body made by
 `behavior.build_factory`.  A refactor that moves one of those hook points
 changes the per-layer counts without changing any artifact, so this runs
-one traced `steady` simulation at seed 1 and pins its counts.  The
+traced `steady` and `wide` simulations at seed 1 and pins their counts.  The
 modules are imported from `perfbench/` as its scripts import them; the
 artifacts go to `tmp_path` and nothing under `perfbench/` is written.
 """
@@ -45,3 +45,22 @@ def test_traced_steady_run_counts(tmp_path):
     assert probe.counts["svc_calls"] == 6477
     assert spans == {"behavior": 10882, "resume": 11789}
     assert probe.counts["records"] == 25655
+
+
+def test_traced_wide_run_counts(tmp_path):
+    # the hook points of the scheduling structures: preemptions, interrupt
+    # entries and the longest wait queue
+    name = "wide"
+    probe = tracer.Probe()
+    with probe.factories():
+        run = pipeline.simulate(workloads.generate(name, SEED), f"{name}.yaml",
+                                workloads.ARTIFACTS[name], tmp_path, probe=probe)
+    assert run.elapsed == workloads.window(name)
+    _times, spans = layers.layer_times(probe)
+    assert probe.counts["svc_calls"] == 5479
+    assert spans == {"behavior": 9415, "resume": 9604}
+    assert probe.counts["records"] == 25361
+    assert probe.counts["DISPATCH"] == 3218
+    assert probe.counts["PREEMPT"] == 793
+    assert probe.counts["INT_ENTER"] == 32
+    assert probe.waitqueue_len_max == 96

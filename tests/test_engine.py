@@ -5,6 +5,8 @@ ThreadApi, so each scheduling rule can be pinned in isolation.  Expected
 traces were worked out by hand on a tick grid before being frozen here.
 """
 
+import random
+
 import pytest
 
 from rtksim.engine import (
@@ -24,7 +26,7 @@ from rtksim.errors import (
     StateError,
     ValidationError,
 )
-from rtksim.trace import ListSink
+from rtksim.trace import ListSink, running_vector
 
 
 def make_engine(threads, expected=None):
@@ -181,6 +183,120 @@ def test_ready_tie_breaks_by_id_then_fifo_by_stamp():
     eng.start_thread(3)
     eng.run_ticks(2)
     assert order == ["A", "B"]
+
+
+def _schedule(changes):
+    """Who runs each of ticks 0..6: A, B, C (priority 5, all ready at
+    tick 0) and RUN (priority 1, 3 ticks).  ``changes`` maps a tick to
+    the (thread id, priority) changes made before it."""
+    def body(ticks):
+        def gen(api):
+            yield from api.wait_run()
+            yield from api.wait(Annotation("w", ticks, 0))
+            yield from api.exit()
+        return gen
+
+    threads = [task(1, "A", 5, body(1)), task(2, "B", 5, body(1)),
+               task(3, "C", 5, body(1)), task(4, "R", 1, body(3)),
+               task(5, "-", 99, forever_idle, is_idle=True)]
+    eng, sink = make_engine(threads)
+    for th in threads:
+        eng.start_thread(th.id)
+    for tick in range(7):
+        for tid, prio in changes.get(tick, ()):
+            eng.set_priority(tid, prio)
+        eng.recheck_preemption()
+        eng.run_one_tick()
+    eng.finish()
+    names = {th.id: th.name for th in threads}
+    return "".join(names[tid] for tid in running_vector(sink.records, 7))
+
+
+def test_boosted_ready_thread_jumps_its_peers_then_falls_back():
+    assert _schedule({}) == "RRRABC-"
+    # C moves to class 3 while ready: it goes first once R is done
+    assert _schedule({1: [(3, 3)]}) == "RRRCAB-"
+    # lowered back, C keeps its stamp 0 and its id-ordered place
+    assert _schedule({1: [(3, 3)], 2: [(3, 5)]}) == "RRRABC-"
+    # B drops to 7, C rises above R itself and preempts it at once
+    assert _schedule({1: [(2, 7), (3, 0)]}) == "RCRRAB-"
+
+
+def test_same_tick_ties_break_by_id_in_every_class():
+    order = []
+
+    def sleeper(name):
+        def gen(api):
+            yield from api.wait_run()
+            yield from api.wait_event()
+            order.append(name)
+            yield from api.wait(Annotation("w", 1, 0))
+            yield from api.exit()
+        return gen
+
+    names = ["A", "B", "C", "D"]
+    threads = [task(i + 1, n, 5, sleeper(n)) for i, n in enumerate(names)]
+    threads.append(task(5, "IDLE", 99, forever_idle, is_idle=True))
+    eng, _ = make_engine(threads)
+    for th in threads:
+        eng.start_thread(th.id)
+    eng.run_ticks(2)                       # A..D block; idle runs
+    for tid in (4, 3, 1):                  # same tick, reverse id order
+        eng.release(tid, EventKind.SLEEP_ARRIVAL)
+    eng.release(2, EventKind.SLEEP_ARRIVAL)
+    eng.set_priority(2, 6)                 # B leaves class 5 ...
+    eng.set_priority(2, 5)                 # ... and goes back between A and C
+    eng.run_ticks(6)
+    assert order == ["A", "B", "C", "D"]
+
+
+def test_ready_classes_hold_exactly_the_ready_tasks_over_a_long_run():
+    # Random releases, priority changes and interrupts for 3000 ticks.
+    # After every tick the classes hold each ready task once, in key
+    # order, and their head is what a scan of the ready tasks picks.
+    rng = random.Random(7)
+
+    def worker(api):
+        yield from api.wait_run()
+        while True:
+            yield from api.wait(Annotation("w", rng.randint(1, 4), 0))
+            if rng.random() < 0.5:
+                yield from api.wait_event()
+
+    def handler(api):
+        while True:
+            yield from api.await_activation()
+            yield from api.wait(Annotation("isr", 1, 0), ContextKind.ISR)
+            yield from api.return_from_handler()
+
+    workers = [task(i, f"T{i}", rng.randint(1, 6), worker) for i in range(1, 13)]
+    eng, _ = make_engine(workers + [
+        isr(13, "H", handler), task(14, "IDLE", 99, forever_idle, is_idle=True)])
+    for th in workers:
+        eng.start_thread(th.id)
+    eng.start_thread(14)
+    eng.arm_handler(13)
+    sizes = []
+    for _ in range(3000):
+        for th in workers:
+            if th.state is ThreadState.WAITING and rng.random() < 0.2:
+                eng.release(th.id, EventKind.SLEEP_ARRIVAL)
+        for th in rng.sample(workers, 2):
+            eng.set_priority(th.id, rng.randint(1, 6))
+        eng.recheck_preemption()
+        if rng.random() < 0.1:
+            eng.raise_interrupt(13)
+        eng.run_one_tick()
+        ready = sorted((th.current_priority, th.ready_tick, th.id)
+                       for th in eng.threads()
+                       if th.state is ThreadState.READY and not th.kind.is_handler)
+        queued = sorted((prio, tick, tid) for prio, q in eng._classes.items()
+                        for tick, tid in q)
+        assert queued == ready
+        assert all(q == sorted(q) for q in eng._classes.values())
+        assert eng._pick_ready() == (ready[0][2] if ready else None)
+        sizes.append(len(ready))
+    assert max(sizes) >= 8
 
 
 def test_interrupt_enters_at_gate_and_task_resumes_after():

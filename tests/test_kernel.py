@@ -9,6 +9,7 @@ and its effect lands on the caller's next resume.
 
 import pytest
 
+from oracle import inherit_fixpoint
 from rtksim.bfm import AccessSpec
 from rtksim.engine import Annotation, ContextKind, ThreadState
 from rtksim.errors import (
@@ -445,6 +446,166 @@ def test_unlock_by_nonowner_is_an_error():
     k.boot()
     with pytest.raises(ObjectStateError, match="non-owner"):
         k.run(10)
+
+
+def priorities(k):
+    return {th.id: th.current_priority for th in k.engine.threads()}
+
+
+def fixpoint(k):
+    """The reference: inheritance recomputed over every mutex."""
+    return inherit_fixpoint(
+        {th.id: th.base_priority for th in k.engine.threads()}, priorities(k),
+        [(m.owner, m.queue.waiters())
+         for m in k.mutexes.values() if m.owner is not None])
+
+
+def _chain(k, out, high_timeout=None):
+    """HIGH waits on B, held by MID, which waits on A, held by LOW."""
+    k.declare_mutex(1)   # A
+    k.declare_mutex(2)   # B
+
+    def high(ctx):
+        yield from ctx.kernel.sleep(ctx.api, 6)
+        res = yield from ctx.kernel.mtx_lock(ctx.api, 2, timeout=high_timeout)
+        out["high"] = (res.code, ctx.kernel.engine.now)
+        yield from ctx.kernel.sleep(ctx.api)
+
+    def mid(ctx):
+        yield from ctx.kernel.sleep(ctx.api, 2)
+        yield from ctx.kernel.mtx_lock(ctx.api, 2)
+        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from compute(ctx, "m", 40)
+
+    def low(ctx):
+        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from compute(ctx, "l", 20)
+        yield from ctx.kernel.mtx_unlock(ctx.api, 1)
+        yield from compute(ctx, "l", 40)
+
+    k.declare_task(1, "HIGH", 5, high)
+    k.declare_task(2, "MID", 10, mid)
+    k.declare_task(3, "LOW", 20, low)
+    k.boot()
+
+
+def test_inheritance_runs_through_a_three_deep_owner_chain():
+    k, _ = mk()
+    _chain(k, {})
+    k.run(7)
+    # MID (holding B) blocked on A at tick 6: LOW inherits 10
+    assert k.engine.thread(2).state is ThreadState.WAITING
+    assert priorities(k)[3] == 10
+    k.run(2)
+    # HIGH blocked on B at tick 8: MID and, through it, LOW inherit 5
+    assert k.engine.thread(1).state is ThreadState.WAITING
+    assert priorities(k) == {1: 5, 2: 5, 3: 5, 4: 141} == fixpoint(k)
+    k.run(20)
+    # LOW handed A to MID at its unlock and dropped back to its base
+    assert k.mutexes[1].owner == 2
+    assert priorities(k) == {1: 5, 2: 5, 3: 20, 4: 141} == fixpoint(k)
+
+
+def test_lock_timeout_withdraws_the_boost_along_the_chain():
+    out = {}
+    k, _ = mk()
+    _chain(k, out, high_timeout=5)
+    k.run(9)
+    assert priorities(k) == {1: 5, 2: 5, 3: 5, 4: 141}
+    k.run(5)
+    # HIGH's lock on B timed out at 13: MID and LOW fall back to 10
+    assert out["high"] == ("TIMEOUT", 13)
+    assert priorities(k) == {1: 5, 2: 10, 3: 10, 4: 141} == fixpoint(k)
+
+
+def test_unlock_hands_the_new_owner_the_remaining_waiters():
+    # W1 holds N, on which X waits with a timeout, and queues on M ahead
+    # of W2.  OWN's unlock hands M to W1, with W2 still queued.  When
+    # X gives up, W1 keeps W2's priority, not its own base.
+    out = {}
+    k, _ = mk()
+    k.declare_mutex(1)   # M
+    k.declare_mutex(2)   # N
+
+    def own(ctx):
+        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from compute(ctx, "o", 20)
+        yield from ctx.kernel.mtx_unlock(ctx.api, 1)
+        yield from compute(ctx, "o", 60)
+
+    def w1(ctx):
+        yield from ctx.kernel.sleep(ctx.api, 2)
+        yield from ctx.kernel.mtx_lock(ctx.api, 2)
+        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from compute(ctx, "w", 60)
+
+    def x(ctx):
+        yield from ctx.kernel.sleep(ctx.api, 8)
+        res = yield from ctx.kernel.mtx_lock(ctx.api, 2, timeout=40)
+        out["x"] = (res.code, ctx.kernel.engine.now)
+        yield from ctx.kernel.sleep(ctx.api)
+
+    def w2(ctx):
+        yield from ctx.kernel.sleep(ctx.api, 5)
+        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.sleep(ctx.api)
+
+    k.declare_task(1, "OWN", 20, own)
+    k.declare_task(2, "W1", 10, w1)
+    k.declare_task(3, "X", 5, x)
+    k.declare_task(4, "W2", 6, w2)
+    k.boot()
+    k.run(14)
+    assert k.mutexes[1].queue.waiters() == [2, 4]
+    assert priorities(k) == {1: 5, 2: 5, 3: 5, 4: 6, 5: 141} == fixpoint(k)
+    k.run(18)
+    assert k.mutexes[1].owner == 2
+    assert k.mutexes[1].queue.waiters() == [4]
+    assert priorities(k) == {1: 20, 2: 5, 3: 5, 4: 6, 5: 141} == fixpoint(k)
+    k.run(20)
+    assert out["x"] == ("TIMEOUT", 50)
+    assert priorities(k) == {1: 20, 2: 6, 3: 5, 4: 6, 5: 141} == fixpoint(k)
+
+
+def test_deadlock_cycle_priorities_equal_the_fixpoint():
+    # A holds M1 and waits on M2; B holds M2 and waits on M1.  C then
+    # queues on M1 with a timeout: its boost runs round the cycle, and
+    # stays there after C gives up, as each member still inherits from
+    # the other.
+    k, _ = mk(abort_on_deadlock=False)
+    k.declare_mutex(1)
+    k.declare_mutex(2)
+
+    def a(ctx):
+        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.sleep(ctx.api, 3)
+        yield from ctx.kernel.mtx_lock(ctx.api, 2)
+
+    def b(ctx):
+        yield from ctx.kernel.sleep(ctx.api, 1)
+        yield from ctx.kernel.mtx_lock(ctx.api, 2)
+        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+
+    def c(ctx):
+        yield from ctx.kernel.sleep(ctx.api, 12)
+        yield from ctx.kernel.mtx_lock(ctx.api, 1, timeout=5)
+        yield from ctx.kernel.sleep(ctx.api)
+
+    k.declare_task(1, "A", 10, a)
+    k.declare_task(2, "B", 5, b)
+    k.declare_task(3, "C", 3, c)
+    k.boot()
+    k.run(12)
+    assert {k.engine.thread(t).state for t in (1, 2)} == {ThreadState.WAITING}
+    assert priorities(k) == {1: 5, 2: 5, 3: 3, 4: 141} == fixpoint(k)
+    k.run(4)
+    assert k.mutexes[1].queue.waiters() == [2, 3]
+    assert priorities(k) == {1: 3, 2: 3, 3: 3, 4: 141} == fixpoint(k)
+    k.run(14)
+    assert k.mutexes[1].queue.waiters() == [2]
+    assert priorities(k) == {1: 3, 2: 3, 3: 3, 4: 141} == fixpoint(k)
+    tick, blocked = k.deadlock_report
+    assert [tid for tid, _name, _reason in blocked] == [1, 2, 3]
 
 
 # --------------------------------------------------------------------------

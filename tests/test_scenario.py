@@ -79,7 +79,9 @@ def test_broken_yaml_reports_the_parser_error():
     ("run_ticks: !!int five\n", 1, "cannot construct tag:yaml.org,2002:int"),
     ("- " * 1500 + "1\n", 1, "nested too deeply"),
     ("- " * 30000 + "1\n", 1, "nested too deeply"),  # libyaml's stack: 24k
-], ids=["flow", "bel", "nul", "surrogate", "date", "int", "deep", "deeper"])
+    ("a: " + "[" * 600 + "]" * 600 + "\n", 1, "nested too deeply"),
+], ids=["flow", "bel", "nul", "surrogate", "date", "int", "deep", "deeper",
+        "flow-deep"])
 def test_yaml_errors_name_the_file_once_at_their_line(text, line, fragment):
     with pytest.raises(ScenarioError) as ei:
         parse_scenario_text(text, filename="scn.yaml")
@@ -510,6 +512,7 @@ EDGE_TEXTS = [
     "run_ticks: 5\nname: 2001-13-45\n",                 # rejected scalars
     "run_ticks: !!bool maybe\n",
     "- " * 1500 + "1\n",                                # nested too deeply
+    *("a: " + "[" * n + "]" * n + "\n" for n in (256, 257, 300, 600, 900)),
     "- " * 30000 + "1\n",
     "",
     "# comment only\n",
