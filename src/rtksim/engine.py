@@ -595,23 +595,17 @@ class Engine:
         key = th.ready_key = (th.ready_tick, th.id)
         prio = th.current_priority
         q = self._classes.get(prio)
-        if not q:
+        if q:
+            insort(q, key)
+        else:
             self._classes[prio] = [key]
             self._ready_bits |= 1 << prio
-        elif key > q[-1]:
-            q.append(key)
-        else:
-            insort(q, key)
 
     def _dequeue(self, th: SimThread):
         prio = th.current_priority
         q = self._classes[prio]
-        key = th.ready_key
+        del q[bisect_left(q, th.ready_key)]
         th.ready_key = None
-        if q[0] == key:
-            del q[0]
-        else:
-            del q[bisect_left(q, key)]
         if not q:
             self._ready_bits ^= 1 << prio
 

@@ -122,8 +122,8 @@ class TaskControl:
     raised_event: int = 0
     wait_gen: int = 0
     wait_kind: str | None = None
-    held: list = field(default_factory=list)  # mutexes it owns
-    blocked_on: Mutex | None = None           # mutex it is queued on
+    held: list[Mutex] = field(default_factory=list)  # mutexes it owns
+    blocked_on: Mutex | None = None  # mutex it is queued on
 
 
 @dataclass(frozen=True)
