@@ -858,7 +858,10 @@ class Kernel:
         next_owner = yield from self._svc(api, op)
         if next_owner is not None:  # a free mutex had no waiters to lose
             self._release(next_owner)
-            self._inherit(tid, next_owner)
+            # the new owner was the best waiter: the waiters it takes
+            # over cannot better its priority, so only the old owner's
+            # can change
+            self._inherit(tid)
         return SvcResult(RESULT_OK)
 
     def pool_get(self, api, pool_id, timeout=None):
@@ -923,34 +926,33 @@ class Kernel:
     # ------------------------------------------------------------------
     # priority inheritance
 
-    def _inherit(self, *starts):
-        """Propagate priority inheritance from threads whose owned
+    def _inherit(self, tid):
+        """Propagate priority inheritance from a thread whose owned
         mutexes gained or lost waiters.
 
         A thread's current priority is min(base, the current priorities
-        of the waiters on the mutexes it owns).  From each start, set it;
-        while it changed, move on to the owner of the mutex the thread
-        is queued on.  The walk stops where a priority is unchanged, at
-        the end of the chain, or on coming back round a cycle.
+        of the waiters on the mutexes it owns).  Set it; while it
+        changed, move on to the owner of the mutex the thread is queued
+        on.  The walk stops where a priority is unchanged, at the end of
+        the chain, or on coming back round a cycle.
         """
         eng = self.engine
         priority_of = self._waiter_priority
-        for tid in starts:
-            seen = set()
-            while tid not in seen:
-                seen.add(tid)
-                th = eng.thread(tid)
-                tcb = self.tcb[tid]
-                want = th.base_priority
-                for mtx in tcb.held:
-                    for waiter in mtx.queue.waiters():
-                        prio = priority_of(waiter)
-                        if prio < want:
-                            want = prio
-                if want == th.current_priority:
-                    break
-                eng.set_priority(tid, want)
-                if tcb.blocked_on is None:
-                    break
-                tid = tcb.blocked_on.owner
+        seen = set()
+        while tid not in seen:
+            seen.add(tid)
+            th = eng.thread(tid)
+            tcb = self.tcb[tid]
+            want = th.base_priority
+            for mtx in tcb.held:
+                for waiter in mtx.queue.waiters():
+                    prio = priority_of(waiter)
+                    if prio < want:
+                        want = prio
+            if want == th.current_priority:
+                break
+            eng.set_priority(tid, want)
+            if tcb.blocked_on is None:
+                break
+            tid = tcb.blocked_on.owner
         eng.recheck_preemption()

@@ -7,10 +7,12 @@ grinds out the same scheduling rules in the dumbest way that could work.
 
 `generate_spec(seed)` draws a random system description (a plain dict,
 no package types), `RefSim(spec).run()` simulates it and returns the
-per-tick running-thread vector plus final per-thread totals.  Seeds from
-`MUTEX_SEED_BASE` on draw systems built around priority-inheritance
-mutexes; a run that hits a service error (say, an unlock after a lock
-that timed out) stops there and keeps the tick in `RefSim.error_tick`.
+per-tick running-thread vector plus final per-thread totals; it keeps
+the tasks' current priorities after every tick in `RefSim.priorities`.
+Seeds from `MUTEX_SEED_BASE` on draw systems built around
+priority-inheritance mutexes; a run that hits a service error (say, an
+unlock after a lock that timed out) stops there and keeps the tick in
+`RefSim.error_tick`.
 """
 
 import heapq
@@ -177,6 +179,8 @@ class RefSim:
         self.stack = []          # (handler_id, interrupted_id)
         self.vector = [None] * self.T
         self.error_tick = None
+        self.task_ids = sorted(t["id"] for t in spec["tasks"])
+        self.priorities = []     # per tick: task priorities, in id order
         # what the mutex traffic reached, for the corpus to count
         self.coverage = {"chain3": False, "cycle": False, "withdrawn": False}
 
@@ -252,6 +256,8 @@ class RefSim:
                 self.error_tick = t
                 break
             self._boundary(t + 1)
+            self.priorities.append(
+                tuple(self.threads[tid].prio for tid in self.task_ids))
         totals = {tid: (th.cet, th.cee) for tid, th in self.threads.items()}
         return self.vector, totals
 

@@ -147,12 +147,22 @@ def spec_to_yaml(spec):
 
 def run_engine(spec):
     """(running vector, per-thread totals, records, tick of the SimError
-    that ended the run or None)."""
+    that ended the run or None, the tasks' current priorities after every
+    tick)."""
     scn = parse_scenario_text(spec_to_yaml(spec), filename=f"rnd{spec['seed']}")
     k = build_kernel(scn)
     sink = ListSink()
     k.attach_sinks(trace_sink=sink, report_sink=None)
     k.boot()
+    tasks = [k.engine.thread(t["id"]) for t in sorted(spec["tasks"], key=lambda t: t["id"])]
+    priorities = []
+    timer_tick = k.engine.on_tick
+
+    def on_tick(now):
+        timer_tick(now)
+        priorities.append(tuple(th.current_priority for th in tasks))
+
+    k.engine.on_tick = on_tick
     error_tick = None
     try:
         k.run(spec["run_ticks"])
@@ -162,7 +172,7 @@ def run_engine(spec):
     vec = running_vector(sink.records, spec["run_ticks"])
     totals = {th.id: (th.token.cet, th.token.cee_uj)
               for th in k.engine.threads()}
-    return vec, totals, sink.records, error_tick
+    return vec, totals, sink.records, error_tick, priorities
 
 
 def scan_atomicity(records):
@@ -194,10 +204,11 @@ def corpus():
              *range(MUTEX_SEED_BASE, MUTEX_SEED_BASE + N_MUTEX_SEEDS)]
     for seed in seeds:
         spec = generate_spec(seed)
-        evec, etot, records, eerr = run_engine(spec)
+        evec, etot, records, eerr, eprio = run_engine(spec)
         ref = RefSim(spec)
         rvec, rtot = ref.run()
-        if evec != rvec or etot != rtot or eerr != ref.error_tick:
+        if (evec, etot, eerr, eprio) != (rvec, rtot, ref.error_tick,
+                                         ref.priorities):
             mismatched.append(seed)
         ticks = spec["run_ticks"] if eerr is None else eerr
         if sum(cet for cet, _ in etot.values()) != ticks:
@@ -212,7 +223,7 @@ def corpus():
     # covered enough service-call windows
     extra = N_SEEDS
     while crit_windows < MIN_CRIT_EVENTS and extra < 6 * N_SEEDS:
-        _, _, records, _ = run_engine(generate_spec(extra))
+        records = run_engine(generate_spec(extra))[2]
         w, v = scan_atomicity(records)
         crit_windows += w
         crit_violations += v
@@ -229,8 +240,9 @@ def corpus():
 
 
 def test_01_scheduler_matches_reference_simulator(corpus):
-    # per-tick running-thread vector and final per-thread CET/CEE must
-    # agree exactly with the brute-force simulator on every seed
+    # per-tick running-thread vector, per-tick task priorities and final
+    # per-thread CET/CEE must agree exactly with the brute-force
+    # simulator on every seed
     assert corpus["mismatched"] == []
     assert corpus["wall_s"] < CORPUS_BUDGET_S
     # the mutex seeds reach transitive owner chains, deadlock cycles,
