@@ -566,3 +566,11 @@ def test_idle_thread_must_run_the_engine_idle_body():
     with pytest.raises(ValidationError, match="idle_body"):
         task(2, "IDLE", 99, other_idle, is_idle=True)
     assert task(2, "IDLE", 99, idle_body, is_idle=True).is_idle
+
+
+def test_priority_must_be_a_non_negative_int():
+    # a priority is a bit index of the ready-class bitmap
+    for bad in (-1, 2.0, None):
+        with pytest.raises(ValidationError, match="priority"):
+            task(1, "T", bad, idle_body)
+    assert task(1, "T", 0, idle_body).current_priority == 0
