@@ -4,12 +4,14 @@
 hook and per-tick step, every thread generator and every body made by
 `behavior.build_factory`.  A refactor that moves one of those hook points
 changes the per-layer counts without changing any artifact, so this runs
-traced `steady` and `wide` simulations at seed 1 and pins their counts.  The
-modules are imported from `perfbench/` as its scripts import them; the
-artifacts go to `tmp_path` and nothing under `perfbench/` is written.
+traced `steady` and `wide` simulations at seed 1 and pins their counts,
+the resumes of each service among them.  The modules are imported from
+`perfbench/` as its scripts import them; the artifacts go to `tmp_path`
+and nothing under `perfbench/` is written.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,6 +36,14 @@ def _import_perfbench():
 layers, pipeline, tracer, workloads = _import_perfbench()
 
 
+def service_resumes(probe):
+    """Traced resumes of each kernel service, from its ``svc:<name>`` spans."""
+    spans = probe.spans
+    names = Counter(spans.names[nid] for nid in spans.name)
+    return {name[len("svc:"):]: n for name, n in names.items()
+            if name.startswith("svc:")}
+
+
 def test_traced_steady_run_counts(tmp_path):
     name = "steady"
     probe = tracer.Probe()
@@ -45,6 +55,13 @@ def test_traced_steady_run_counts(tmp_path):
     assert probe.counts["svc_calls"] == 6477
     assert spans == {"behavior": 10882, "resume": 11789}
     assert probe.counts["records"] == 25655
+    assert service_resumes(probe) == {
+        "bfm_call": 3152, "delay": 409, "flag_set": 774, "flag_wait": 1163,
+        "mbf_recv": 902, "mbf_send": 600, "mbx_recv": 902, "mbx_send": 600,
+        "mtx_lock": 873, "mtx_unlock": 872, "pool_get": 600,
+        "pool_release": 600, "sem_signal": 774, "sem_wait": 1165,
+        "sleep": 487, "vpool_get": 272, "vpool_release": 272, "wakeup": 174,
+    }
 
 
 def test_traced_wide_run_counts(tmp_path):
@@ -64,3 +81,8 @@ def test_traced_wide_run_counts(tmp_path):
     assert probe.counts["PREEMPT"] == 793
     assert probe.counts["INT_ENTER"] == 32
     assert probe.waitqueue_len_max == 96
+    assert service_resumes(probe) == {
+        "bfm_call": 64, "delay": 4532, "flag_clear": 64, "flag_set": 64,
+        "flag_wait": 2457, "mtx_lock": 1544, "mtx_unlock": 1510,
+        "sem_signal": 1510, "sem_wait": 1510,
+    }

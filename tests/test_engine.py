@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from rtksim import engine
 from rtksim.engine import (
     Annotation,
     ContextKind,
@@ -457,7 +458,10 @@ def test_empty_scheduler_is_an_error():
         eng.run_one_tick()
 
 
-def test_zero_time_livelock_guard():
+def test_zero_time_livelock_guard(monkeypatch):
+    # the engine reads the limit on every step; a low one trips the same guard
+    monkeypatch.setattr(engine, "_ZERO_TIME_STEP_LIMIT", 1000)
+
     def body(api):
         yield from api.wait_run()
         while True:

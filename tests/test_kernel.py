@@ -789,6 +789,97 @@ def test_variable_pool_grant_after_release():
 
 
 # --------------------------------------------------------------------------
+# the timeout of every blocking service
+
+# service -> (declare the object, a setup call that makes the timed call
+# block or None, the timed call (timeout 3), a later give that would serve
+# that call, the object's waiter counts, a check that the give handed
+# nothing to the waiter that left)
+_TIMEOUT_CASES = {
+    "flag_wait": (
+        lambda k: k.declare_flag(1, 0),
+        None,
+        lambda kn, api: kn.flag_wait(api, 1, 0b1, FLAG_MODE_AND,
+                                     clear=True, timeout=3),
+        lambda kn, api: kn.flag_set(api, 1, 0b1),
+        lambda k: [k.flags[1].waiting_count],
+        lambda k: k.flags[1].pattern == 0b1,        # no clear on release
+    ),
+    "mbx_recv": (
+        lambda k: k.declare_mailbox(1),
+        None,
+        lambda kn, api: kn.mbx_recv(api, 1, timeout=3),
+        lambda kn, api: kn.mbx_send(api, 1, "m"),
+        lambda k: [k.mailboxes[1].waiting_count],
+        lambda k: k.mailboxes[1].message_count == 1,
+    ),
+    "mbf_send": (                                   # buffer full
+        lambda k: k.declare_buffer(1, 4),
+        lambda kn, api: kn.mbf_send(api, 1, b"aaaa"),
+        lambda kn, api: kn.mbf_send(api, 1, b"bb", timeout=3),
+        lambda kn, api: kn.mbf_recv(api, 1),
+        lambda k: [len(k.buffers[1].send_queue), len(k.buffers[1].recv_queue)],
+        lambda k: (k.buffers[1].message_count, k.buffers[1].free_bytes) == (0, 4),
+    ),
+    "mbf_recv": (
+        lambda k: k.declare_buffer(1, 4),
+        None,
+        lambda kn, api: kn.mbf_recv(api, 1, timeout=3),
+        lambda kn, api: kn.mbf_send(api, 1, b"x"),
+        lambda k: [len(k.buffers[1].send_queue), len(k.buffers[1].recv_queue)],
+        lambda k: k.buffers[1].message_count == 1,
+    ),
+    "pool_get": (                                   # its one block held
+        lambda k: k.declare_fixed_pool(1, 1, 16),
+        lambda kn, api: kn.pool_get(api, 1),
+        lambda kn, api: kn.pool_get(api, 1, timeout=3),
+        lambda kn, api: kn.pool_release(api, 1, 0),
+        lambda k: [k.fixed_pools[1].waiting_count],
+        lambda k: k.fixed_pools[1].free_count == 1,
+    ),
+    "vpool_get": (                                  # pool full
+        lambda k: k.declare_variable_pool(1, 8),
+        lambda kn, api: kn.vpool_get(api, 1, 8),
+        lambda kn, api: kn.vpool_get(api, 1, 4, timeout=3),
+        lambda kn, api: kn.vpool_release(api, 1, 0),
+        lambda k: [k.variable_pools[1].waiting_count],
+        lambda k: k.variable_pools[1].used_bytes == 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("service", sorted(_TIMEOUT_CASES))
+def test_blocking_service_timeout(service):
+    declare, setup, timed, give, waiting, nothing_given = _TIMEOUT_CASES[service]
+    out = {}
+    k, _ = mk()
+    declare(k)
+
+    def waiter(ctx):
+        if setup is not None:
+            yield from setup(ctx.kernel, ctx.api)
+        start = ctx.kernel.engine.now
+        res = yield from timed(ctx.kernel, ctx.api)
+        out["timeout"] = (res.code, ctx.kernel.engine.now - start)
+        out["waiting"] = waiting(k)
+
+    def giver(ctx):
+        yield from compute(ctx, "gap", 10)
+        yield from give(ctx.kernel, ctx.api)
+
+    k.declare_task(1, "WAITER", 5, waiter)
+    k.declare_task(2, "GIVER", 10, giver)
+    k.boot()
+    k.run(20)
+    # service tick, blocked from the next tick, released 3 ticks later
+    assert out["timeout"] == (RESULT_TIMEOUT, 4)
+    assert not any(out["waiting"])
+    assert k.engine.thread(2).state is ThreadState.DORMANT   # the give ran
+    assert not any(waiting(k))
+    assert nothing_given(k)
+
+
+# --------------------------------------------------------------------------
 # start/exit services
 
 def test_start_task_restarts_a_dormant_task():
