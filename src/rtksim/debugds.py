@@ -46,6 +46,21 @@ _STAT_FIELD_WIDTH = 36   # fits "Message Buffer Extended Information"
 _WAIT_LINE = "  > Wait Disabled Released ..."
 _SEPARATOR = "  [*****]"
 
+# a task block's rows in listing order, (label, DsTask field); the wait
+# line follows the task state
+_TASK_ROWS = (
+    ("Task Extended Information", "extended_info"),
+    ("Current Priority", "current_priority"),
+    ("Base Priority", "base_priority"),
+    ("Task State", "state"),
+    ("Queued Wakeup Request Count", "wakeup_count"),
+    ("Suspend Request Nesting Count", "suspend_nesting"),
+    ("Max. Continuous Run Time (ms)", "max_run"),
+    ("Raised Task Event", "raised_event"),
+    ("Cumulative System Level Run Time (ms)", "sys_run"),
+    ("Cumulative User Level Run Time (ms)", "user_run"),
+)
+
 
 @dataclass(frozen=True)
 class DsTask:
@@ -100,73 +115,51 @@ def _task_record(kernel, th) -> DsTask:
         base_priority=th.base_priority,
         state=_STATE_CODES[th.state],
         wakeup_count=tcb.wakeup_count,
-        suspend_nesting=tcb.suspend_nesting,
+        suspend_nesting=0,   # no suspend/resume or task event services
         max_run=th.max_streak,
-        raised_event=tcb.raised_event,
+        raised_event=0,
         sys_run=sys_run,
         user_run=th.token.cet - sys_run,
     )
 
 
-def _object_stats(kind: str, obj) -> tuple:
-    if kind == "semaphore":
-        return (
-            ("Semaphore Extended Information", obj.extended_info),
-            ("Current Semaphore Count", obj.count),
-            ("No. of Waiting Tasks", obj.waiting_count),
-        )
-    if kind == "flag":
-        return (
-            ("Event Flag Extended Information", obj.extended_info),
-            ("Current Flag Pattern", obj.pattern),
-            ("No. of Waiting Tasks", obj.waiting_count),
-        )
-    if kind == "mutex":
-        return (
-            ("Mutex Extended Information", obj.extended_info),
-            ("Current Owner Task ID", obj.owner or 0),
-            ("No. of Waiting Tasks", obj.waiting_count),
-        )
-    if kind == "mailbox":
-        return (
-            ("Mailbox Extended Information", obj.extended_info),
-            ("No. of Queued Messages", obj.message_count),
-            ("No. of Waiting Tasks", obj.waiting_count),
-        )
-    if kind == "buffer":
-        return (
-            ("Message Buffer Extended Information", obj.extended_info),
-            ("Free Buffer Size (bytes)", obj.free_bytes),
-            ("No. of Queued Messages", obj.message_count),
-            ("No. of Waiting Tasks", obj.waiting_count),
-        )
-    if kind == "fixed_pool":
-        return (
-            ("Fixed Pool Extended Information", obj.extended_info),
-            ("No. of Free Blocks", obj.free_count),
-            ("Max. Used Block Count", obj.max_used),
-            ("No. of Waiting Tasks", obj.waiting_count),
-        )
-    if kind == "variable_pool":
-        return (
-            ("Variable Pool Extended Information", obj.extended_info),
-            ("Free Pool Size (bytes)", obj.size - obj.used_bytes),
-            ("Max. Used Pool Size (bytes)", obj.max_used),
-            ("No. of Waiting Tasks", obj.waiting_count),
-        )
-    raise NotFoundError(f"no object class named {kind!r}")
-
-
-# listing order is fixed; every class appears even when empty
+# listing order is fixed; every class appears even when empty.  A class's
+# rows sit between its "<title> Extended Information" row and the
+# "No. of Waiting Tasks" row.
 _SECTIONS = (
-    ("semaphore", "Semaphore", "Semaphores", "semaphores"),
-    ("flag", "Event Flag", "Event Flags", "flags"),
-    ("mutex", "Mutex", "Mutexes", "mutexes"),
-    ("mailbox", "Mailbox", "Mailboxes", "mailboxes"),
-    ("buffer", "Message Buffer", "Message Buffers", "buffers"),
-    ("fixed_pool", "Fixed Pool", "Fixed Pools", "fixed_pools"),
-    ("variable_pool", "Variable Pool", "Variable Pools", "variable_pools"),
+    ("semaphore", "Semaphore", "Semaphores", "semaphores", (
+        ("Current Semaphore Count", lambda o: o.count),
+    )),
+    ("flag", "Event Flag", "Event Flags", "flags", (
+        ("Current Flag Pattern", lambda o: o.pattern),
+    )),
+    ("mutex", "Mutex", "Mutexes", "mutexes", (
+        ("Current Owner Task ID", lambda o: o.owner or 0),
+    )),
+    ("mailbox", "Mailbox", "Mailboxes", "mailboxes", (
+        ("No. of Queued Messages", lambda o: o.message_count),
+    )),
+    ("buffer", "Message Buffer", "Message Buffers", "buffers", (
+        ("Free Buffer Size (bytes)", lambda o: o.free_bytes),
+        ("No. of Queued Messages", lambda o: o.message_count),
+    )),
+    ("fixed_pool", "Fixed Pool", "Fixed Pools", "fixed_pools", (
+        ("No. of Free Blocks", lambda o: o.free_count),
+        ("Max. Used Block Count", lambda o: o.max_used),
+    )),
+    ("variable_pool", "Variable Pool", "Variable Pools", "variable_pools", (
+        ("Free Pool Size (bytes)", lambda o: o.size - o.used_bytes),
+        ("Max. Used Pool Size (bytes)", lambda o: o.max_used),
+    )),
 )
+
+
+def _object_record(title, rows, obj) -> DsObject:
+    return DsObject(obj.id, (
+        (f"{title} Extended Information", obj.extended_info),
+        *((label, value(obj)) for label, value in rows),
+        ("No. of Waiting Tasks", obj.waiting_count),
+    ))
 
 
 def ref_task(kernel, task_id: int) -> DsTask:
@@ -177,15 +170,13 @@ def ref_task(kernel, task_id: int) -> DsTask:
 
 
 def ref_object(kernel, kind: str, obj_id: int) -> DsObject:
-    registry = None
-    for key, _title, _plural, attr in _SECTIONS:
+    for key, title, _plural, attr, rows in _SECTIONS:
         if key == kind:
             registry = getattr(kernel, attr)
-    if registry is None:
-        raise NotFoundError(f"no object class named {kind!r}")
-    if obj_id not in registry:
-        raise NotFoundError(f"no {kind} with id {obj_id}")
-    return DsObject(obj_id, _object_stats(kind, registry[obj_id]))
+            if obj_id not in registry:
+                raise NotFoundError(f"no {kind} with id {obj_id}")
+            return _object_record(title, rows, registry[obj_id])
+    raise NotFoundError(f"no object class named {kind!r}")
 
 
 def take_snapshot(kernel) -> DsSnapshot:
@@ -197,10 +188,10 @@ def take_snapshot(kernel) -> DsSnapshot:
         for tid in sorted(t.id for t in eng.threads())
     )
     sections = []
-    for kind, title, plural, attr in _SECTIONS:
+    for _kind, title, plural, attr, rows in _SECTIONS:
         registry = getattr(kernel, attr)
         entries = tuple(
-            DsObject(oid, _object_stats(kind, registry[oid]))
+            _object_record(title, rows, registry[oid])
             for oid in sorted(registry)
         )
         sections.append(DsSection(title, plural, entries))
@@ -227,17 +218,10 @@ def dump_listing(snap: DsSnapshot) -> str:
 
     for idx, t in enumerate(snap.tasks, start=1):
         out.append(f"{idx}. Task ID : {t.task_id}")
-        field("Task Extended Information", f"{t.extended_info:#010x}")
-        field("Current Priority", t.current_priority)
-        field("Base Priority", t.base_priority)
-        field("Task State", t.state)
-        out.append(_WAIT_LINE)
-        field("Queued Wakeup Request Count", t.wakeup_count)
-        field("Suspend Request Nesting Count", t.suspend_nesting)
-        field("Max. Continuous Run Time (ms)", t.max_run)
-        field("Raised Task Event", t.raised_event)
-        field("Cumulative System Level Run Time (ms)", t.sys_run)
-        field("Cumulative User Level Run Time (ms)", t.user_run)
+        for label, name in _TASK_ROWS:
+            field(label, _value_str(label, getattr(t, name)))
+            if name == "state":
+                out.append(_WAIT_LINE)
         out.append(_SEPARATOR)
 
     for section in snap.sections:
@@ -322,42 +306,15 @@ def _parse_task_block(lines, idx) -> DsTask:
     if not line.startswith(tag):
         lines.fail(f"expected {tag!r}..., got {line!r}")
     task_id = _parse_int(lines, line[len(tag):], "task id")
-
-    order = [
-        "Task Extended Information", "Current Priority", "Base Priority",
-        "Task State",
-    ]
     values = {}
-    for expected in order:
-        name, value = _parse_field(lines)
-        if name != expected:
-            lines.fail(f"expected field {expected!r}, got {name!r}")
-        values[name] = value
-    lines.expect(_WAIT_LINE)
-    for expected in [
-        "Queued Wakeup Request Count", "Suspend Request Nesting Count",
-        "Max. Continuous Run Time (ms)", "Raised Task Event",
-        "Cumulative System Level Run Time (ms)",
-        "Cumulative User Level Run Time (ms)",
-    ]:
-        name, value = _parse_field(lines)
-        if name != expected:
-            lines.fail(f"expected field {expected!r}, got {name!r}")
-        values[name] = value
+    for expected, name in _TASK_ROWS:
+        label, values[name] = _parse_field(lines)
+        if label != expected:
+            lines.fail(f"expected field {expected!r}, got {label!r}")
+        if name == "state":
+            lines.expect(_WAIT_LINE)
     lines.expect(_SEPARATOR)
-    return DsTask(
-        task_id=task_id,
-        extended_info=values["Task Extended Information"],
-        current_priority=values["Current Priority"],
-        base_priority=values["Base Priority"],
-        state=values["Task State"],
-        wakeup_count=values["Queued Wakeup Request Count"],
-        suspend_nesting=values["Suspend Request Nesting Count"],
-        max_run=values["Max. Continuous Run Time (ms)"],
-        raised_event=values["Raised Task Event"],
-        sys_run=values["Cumulative System Level Run Time (ms)"],
-        user_run=values["Cumulative User Level Run Time (ms)"],
-    )
+    return DsTask(task_id=task_id, **values)
 
 
 def parse_listing(text: str) -> DsSnapshot:
@@ -381,7 +338,7 @@ def parse_listing(text: str) -> DsSnapshot:
     tasks = tuple(_parse_task_block(lines, i + 1) for i in range(count))
 
     sections = []
-    for _kind, title, plural, _attr in _SECTIONS:
+    for _kind, title, plural, _attr, _rows in _SECTIONS:
         lines.expect(f"  ({title} Statistics)")
         n = _parse_int(
             lines,

@@ -13,9 +13,19 @@ tick / zero energy).  A service that must block does so only as its
 final step, after the critical section closed.  Blocking services return
 result codes; a timeout is a result, not an exception.
 
+Object services have two shapes.  A taking service runs ``_take``: it
+looks the object up and tries to take from it in the critical section,
+else waits forever or with a timeout (the μITRON ``wai_``/``twai_``
+forms), and a timeout leaves the object's queue through its
+``cancel_wait``.  A giving service runs ``_give``: it changes the object
+in the critical section.  Either one releases the waiters it served after
+the section closes, in the order the object reports them.
+
 Timer boundaries are processed at instants 1..T for a T-tick run: due
 timer events first (insertion order within one instant), then the
-stimuli declared for that instant, then a deadlock check.
+stimuli declared for that instant, then a deadlock check.  A timeout
+whose wait already ended some other way stays in the timer heap until
+it falls due, but it does not defer the deadlock.
 """
 
 from __future__ import annotations
@@ -109,19 +119,18 @@ class CallContext:
 class TaskControl:
     """Kernel-side task bookkeeping beyond the engine's thread record.
 
-    suspend_nesting stays 0: suspend/resume services are not offered, so
-    no thread ever enters a SUSPENDED state, which exists only as a
-    listing code.  The field exists so the listing can report it.
+    ``wait_gen`` numbers the thread's waits, so a timeout armed for an
+    earlier wait cannot release a later one; ``timeout_armed`` says that
+    the current wait has a timeout entry in the timer heap.
     ``held`` and ``blocked_on`` are the thread's edges in the mutex
     owner graph that priority inheritance walks.
     """
 
     extended_info: int = 0
     wakeup_count: int = 0
-    suspend_nesting: int = 0
-    raised_event: int = 0
     wait_gen: int = 0
-    wait_kind: str | None = None
+    timeout_armed: bool = False
+    sleeping: bool = False  # in a ``sleep`` that a wakeup ends
     held: list[Mutex] = field(default_factory=list)  # mutexes it owns
     blocked_on: Mutex | None = None  # mutex it is queued on
 
@@ -158,10 +167,8 @@ class Stimulus:
     value: int = 0
 
 
-# timer event kinds
-_EV_SLEEP = "sleep_timeout"
-_EV_DELAY = "delay_expiry"
-_EV_WAIT = "wait_timeout"
+# timer event kinds; a timeout carries the result code it releases with
+_EV_TIMEOUT = "timeout"
 _EV_CYCLIC = "cyclic"
 _EV_ALARM = "alarm"
 
@@ -183,6 +190,11 @@ def _check_name(name):
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ValidationError(f"bad name {name!r}: use letters, digits, _ . -")
     return name
+
+
+def _served(handoff):
+    """A give's single (waiter, value) handoff, or None, as a list."""
+    return [] if handoff is None else [handoff]
 
 
 def _check_id(value, what):
@@ -224,6 +236,7 @@ class Kernel:
 
         self._timer: list[tuple] = []   # (due, seq, kind, data)
         self._timer_seq = 0
+        self._stale_timeouts = 0   # heap entries whose wait already ended
         self._booted = False
         self._trace_sink = None
 
@@ -550,18 +563,15 @@ class Kernel:
             if th.awaiting_activation and not th.activation_queued:
                 eng.raise_interrupt(thread_id)
             return
-        # per-thread timeouts; stale ones (already released) are no-ops
-        thread_id, gen, cancel = data
-        tcb = self.tcb.get(thread_id)
-        if tcb is None or tcb.wait_gen != gen:
+        # a timeout whose wait ended some other way is a no-op
+        thread_id, gen, cancel, code = data
+        tcb = self.tcb[thread_id]
+        if not tcb.timeout_armed or tcb.wait_gen != gen:
+            self._stale_timeouts -= 1
             return
-        th = eng.thread(thread_id)
-        if th.state is not ThreadState.WAITING or th.awaiting_activation:
-            return
+        tcb.timeout_armed = False
         if cancel is not None:
-            cancel()
-        tcb.wait_kind = None
-        code = RESULT_OK if kind == _EV_DELAY else RESULT_TIMEOUT
+            cancel(thread_id)
         eng.release(thread_id, EventKind.SLEEP_ARRIVAL, (code, None))
 
     def _apply_stimulus(self, st: Stimulus):
@@ -574,7 +584,10 @@ class Kernel:
             dev.feed(st.value)
 
     def _check_deadlock(self, now: int):
-        if self._timer or self._stim_idx < len(self._stimuli):
+        timer, stale = self._timer, self._stale_timeouts
+        if timer and (not stale or len(timer) > stale):
+            return  # a timer entry can still fire
+        if self._stim_idx < len(self._stimuli):
             return
         eng = self.engine
         if eng.pending_activation_count() > 0:
@@ -595,8 +608,8 @@ class Kernel:
     # ------------------------------------------------------------------
     # service plumbing
 
-    def _svc(self, api, op):
-        """Run ``op()`` as the atomic part of one service call.
+    def _svc(self, api, op, *args):
+        """Run ``op(*args)`` as the atomic part of one service call.
 
         Every service runs inside an implicit critical section and
         charges one SVC-context segment first.  Only the operation is
@@ -606,9 +619,48 @@ class Kernel:
         api.begin_critical()
         yield from api.wait(self._svc_ann, ContextKind.SVC)
         try:
-            return op()
+            return op(*args)
         finally:
             api.end_critical()
+
+    @staticmethod
+    def _apply(registry, obj_id, what, op, *args):
+        """``op(obj, *args)`` on object ``obj_id`` of ``registry``."""
+        obj = registry.get(obj_id)
+        if obj is None:
+            raise NotFoundError(f"no {what} with id {obj_id}")
+        return op(obj, *args)
+
+    def _take(self, api, registry, obj_id, what, timeout, attempt):
+        """Take from an object, or else wait on it.
+
+        ``attempt(obj, tid)`` runs in the critical section and returns
+        (granted, the caller's value, the (thread id, value) pairs of the
+        waiters it served).
+        """
+        timeout = self._validate_timeout(timeout)
+        tid = api.thread_id
+        granted, value, released = yield from self._svc(
+            api, self._apply, registry, obj_id, what, attempt, tid)
+        for waiter, result in released:
+            self._release(waiter, RESULT_OK, result)
+        if granted:
+            return SvcResult(RESULT_OK, value)
+        result = yield from self._block(
+            api, f"{what} {obj_id}", timeout, registry[obj_id].cancel_wait)
+        return result
+
+    def _give(self, api, registry, obj_id, what, change, *args):
+        """Change an object, then release the waiters it served.
+
+        ``change(obj, *args)`` runs in the critical section and returns
+        the (thread id, value) pairs of the waiters it served, or None.
+        """
+        released = yield from self._svc(
+            api, self._apply, registry, obj_id, what, change, *args)
+        for waiter, result in released or ():
+            self._release(waiter, RESULT_OK, result)
+        return SvcResult(RESULT_OK)
 
     def _tcb(self, thread_id) -> TaskControl:
         tcb = self.tcb.get(thread_id)
@@ -630,35 +682,27 @@ class Kernel:
             raise ValidationError("timeout must be >= 1 ticks (or forever)")
         return timeout
 
-    def _block_with_timeout(self, api, reason, wait_kind, timeout, cancel):
-        """Arm an optional timeout, then block; returns SvcResult."""
+    def _block(self, api, reason, timeout, cancel=None, code=RESULT_TIMEOUT):
+        """Arm an optional timeout that calls ``cancel(tid)`` and releases
+        with ``code``, then block; returns SvcResult."""
         tid = api.thread_id
-        tcb = self._tcb(tid)
+        tcb = self.tcb[tid]
         tcb.wait_gen += 1
-        tcb.wait_kind = wait_kind
+        tcb.timeout_armed = timeout is not None
         if timeout is not None:
-            self._push_timer(
-                self.engine.now + timeout,
-                _EV_DELAY if wait_kind == "delay" else
-                (_EV_SLEEP if wait_kind == "sleep" else _EV_WAIT),
-                (tid, tcb.wait_gen, cancel),
-            )
+            self._push_timer(self.engine.now + timeout, _EV_TIMEOUT,
+                             (tid, tcb.wait_gen, cancel, code))
         value = yield _BlockRequest(reason)
         payload = value.payload if value.payload is not None else (RESULT_OK, None)
         return SvcResult(*payload)
 
     def _release(self, thread_id, code=RESULT_OK, value=None):
-        tcb = self.tcb.get(thread_id)
-        if tcb is not None:
-            tcb.wait_kind = None
+        """End a thread's wait other than by its timeout."""
+        tcb = self.tcb[thread_id]
+        if tcb.timeout_armed:
+            tcb.timeout_armed = False
+            self._stale_timeouts += 1
         self.engine.release(thread_id, EventKind.SLEEP_ARRIVAL, (code, value))
-
-    @staticmethod
-    def _object(registry, obj_id, what):
-        obj = registry.get(obj_id)
-        if obj is None:
-            raise NotFoundError(f"no {what} with id {obj_id}")
-        return obj
 
     # ------------------------------------------------------------------
     # task services
@@ -667,9 +711,9 @@ class Kernel:
         """Sleep until wakeup or timeout.  A queued wakeup is consumed
         immediately without blocking."""
         timeout = self._validate_timeout(timeout)
+        tcb = self._tcb(api.thread_id)
 
         def take_wakeup():
-            tcb = self._tcb(api.thread_id)
             if tcb.wakeup_count > 0:
                 tcb.wakeup_count -= 1
                 return True
@@ -677,8 +721,9 @@ class Kernel:
 
         if (yield from self._svc(api, take_wakeup)):
             return SvcResult(RESULT_OK)
-        result = yield from self._block_with_timeout(
-            api, "sleep", "sleep", timeout, None)
+        tcb.sleeping = True
+        result = yield from self._block(api, "sleep", timeout)
+        tcb.sleeping = False
         return result
 
     def wakeup(self, api, task_id):
@@ -687,7 +732,7 @@ class Kernel:
             tcb = self._tcb(task_id)
             if th.state in (ThreadState.DORMANT, ThreadState.NON_EXISTENT):
                 raise ObjectStateError(f"cannot wake dormant task {th.name}")
-            if th.state is ThreadState.WAITING and tcb.wait_kind == "sleep":
+            if th.state is ThreadState.WAITING and tcb.sleeping:
                 self._release(task_id)
             else:
                 tcb.wakeup_count += 1
@@ -700,8 +745,7 @@ class Kernel:
         if not isinstance(ticks, int) or ticks < 1:
             raise ValidationError("delay must be >= 1 ticks")
         yield from self._svc(api, lambda: None)
-        result = yield from self._block_with_timeout(
-            api, "delay", "delay", ticks, None)
+        result = yield from self._block(api, "delay", ticks, code=RESULT_OK)
         return result
 
     def start_task(self, api, task_id):
@@ -720,108 +764,55 @@ class Kernel:
     # synchronization services
 
     def sem_wait(self, api, sem_id, n=1, timeout=None):
-        timeout = self._validate_timeout(timeout)
-        tid = api.thread_id
-        granted = yield from self._svc(api, lambda: self._object(
-            self.semaphores, sem_id, "semaphore").acquire(tid, n))
-        if granted:
-            return SvcResult(RESULT_OK)
-        sem = self.semaphores[sem_id]
-        result = yield from self._block_with_timeout(
-            api, f"semaphore {sem_id}", "semaphore", timeout,
-            lambda: sem.cancel_wait(tid))
-        return result
+        return self._take(api, self.semaphores, sem_id, "semaphore", timeout,
+                          lambda sem, tid: (sem.acquire(tid, n), None, ()))
 
     def sem_signal(self, api, sem_id, n=1):
-        released = yield from self._svc(api, lambda: self._object(
-            self.semaphores, sem_id, "semaphore").signal(n))
-        for tid in released:
-            self._release(tid)
-        return SvcResult(RESULT_OK)
+        return self._give(api, self.semaphores, sem_id, "semaphore",
+                          lambda sem: [(tid, None) for tid in sem.signal(n)])
 
     def flag_wait(self, api, flg_id, pattern, mode, *, clear=False, timeout=None):
-        timeout = self._validate_timeout(timeout)
-        tid = api.thread_id
-        granted, snapshot = yield from self._svc(api, lambda: self._object(
-            self.flags, flg_id, "event flag").wait(tid, pattern, mode, clear))
-        if granted:
-            return SvcResult(RESULT_OK, snapshot)
-        flg = self.flags[flg_id]
-        result = yield from self._block_with_timeout(
-            api, f"event flag {flg_id}", "flag", timeout,
-            lambda: flg.cancel_wait(tid))
-        return result
+        return self._take(api, self.flags, flg_id, "event flag", timeout,
+                          lambda flg, tid: (*flg.wait(tid, pattern, mode, clear), ()))
 
     def flag_set(self, api, flg_id, bits):
-        released = yield from self._svc(api, lambda: self._object(
-            self.flags, flg_id, "event flag").set_bits(bits))
-        for tid, snapshot in released:
-            self._release(tid, RESULT_OK, snapshot)
-        return SvcResult(RESULT_OK)
+        return self._give(api, self.flags, flg_id, "event flag",
+                          EventFlag.set_bits, bits)
 
     def flag_clear(self, api, flg_id, mask):
-        yield from self._svc(api, lambda: self._object(
-            self.flags, flg_id, "event flag").clear_bits(mask))
-        return SvcResult(RESULT_OK)
+        return self._give(api, self.flags, flg_id, "event flag",
+                          EventFlag.clear_bits, mask)
 
     def mbx_send(self, api, mbx_id, payload, priority=0):
-        delivery = yield from self._svc(api, lambda: self._object(
-            self.mailboxes, mbx_id, "mailbox").send(priority, payload))
-        if delivery is not None:
-            tid, msg = delivery
-            self._release(tid, RESULT_OK, msg)
-        return SvcResult(RESULT_OK)
+        return self._give(api, self.mailboxes, mbx_id, "mailbox",
+                          lambda mbx: _served(mbx.send(priority, payload)))
 
     def mbx_recv(self, api, mbx_id, timeout=None):
-        timeout = self._validate_timeout(timeout)
-        tid = api.thread_id
-        granted, msg = yield from self._svc(api, lambda: self._object(
-            self.mailboxes, mbx_id, "mailbox").recv(tid))
-        if granted:
-            return SvcResult(RESULT_OK, msg)
-        mbx = self.mailboxes[mbx_id]
-        result = yield from self._block_with_timeout(
-            api, f"mailbox {mbx_id}", "mailbox", timeout,
-            lambda: mbx.cancel_wait(tid))
-        return result
+        return self._take(api, self.mailboxes, mbx_id, "mailbox", timeout,
+                          lambda mbx, tid: (*mbx.recv(tid), ()))
 
     def mbf_send(self, api, mbf_id, data, timeout=None):
-        timeout = self._validate_timeout(timeout)
-        tid = api.thread_id
-        granted, deliveries = yield from self._svc(api, lambda: self._object(
-            self.buffers, mbf_id, "message buffer").send(tid, data))
-        for rtid, msg in deliveries:
-            self._release(rtid, RESULT_OK, msg)
-        if granted:
-            return SvcResult(RESULT_OK)
-        buf = self.buffers[mbf_id]
-        result = yield from self._block_with_timeout(
-            api, f"message buffer {mbf_id}", "buffer", timeout,
-            lambda: buf.cancel_wait(tid))
-        return result
+        def attempt(buf, tid):
+            granted, delivered = buf.send(tid, data)
+            return granted, None, delivered
+
+        return self._take(api, self.buffers, mbf_id, "message buffer",
+                          timeout, attempt)
 
     def mbf_recv(self, api, mbf_id, timeout=None):
-        timeout = self._validate_timeout(timeout)
-        tid = api.thread_id
-        granted, msg, unblocked = yield from self._svc(api, lambda: self._object(
-            self.buffers, mbf_id, "message buffer").recv(tid))
-        for stid in unblocked:
-            self._release(stid)
-        if granted:
-            return SvcResult(RESULT_OK, msg)
-        buf = self.buffers[mbf_id]
-        result = yield from self._block_with_timeout(
-            api, f"message buffer {mbf_id}", "buffer", timeout,
-            lambda: buf.cancel_wait(tid))
-        return result
+        def attempt(buf, tid):
+            granted, msg, senders = buf.recv(tid)
+            return granted, msg, [(sender, None) for sender in senders]
+
+        return self._take(api, self.buffers, mbf_id, "message buffer",
+                          timeout, attempt)
 
     def mtx_lock(self, api, mtx_id, timeout=None):
         timeout = self._validate_timeout(timeout)
         tid = api.thread_id
         tcb = self.tcb[tid]
 
-        def op():
-            mtx = self._object(self.mutexes, mtx_id, "mutex")
+        def op(mtx):
             if mtx.lock(tid):
                 tcb.held.append(mtx)
                 return True
@@ -829,24 +820,23 @@ class Kernel:
             self._inherit(mtx.owner)
             return False
 
-        if (yield from self._svc(api, op)):
+        if (yield from self._svc(api, self._apply, self.mutexes, mtx_id,
+                                 "mutex", op)):
             return SvcResult(RESULT_OK)
         mtx = self.mutexes[mtx_id]
 
-        def cancel():
+        def cancel(tid):
             mtx.cancel_wait(tid)
             tcb.blocked_on = None
             self._inherit(mtx.owner)
 
-        result = yield from self._block_with_timeout(
-            api, f"mutex {mtx_id}", "mutex", timeout, cancel)
+        result = yield from self._block(api, f"mutex {mtx_id}", timeout, cancel)
         return result
 
     def mtx_unlock(self, api, mtx_id):
         tid = api.thread_id
 
-        def op():
-            mtx = self._object(self.mutexes, mtx_id, "mutex")
+        def op(mtx):
             nxt = mtx.unlock(tid)
             self.tcb[tid].held.remove(mtx)
             if nxt is not None:
@@ -855,7 +845,8 @@ class Kernel:
                 tcb.held.append(mtx)
             return nxt
 
-        next_owner = yield from self._svc(api, op)
+        next_owner = yield from self._svc(api, self._apply, self.mutexes,
+                                          mtx_id, "mutex", op)
         if next_owner is not None:  # a free mutex had no waiters to lose
             self._release(next_owner)
             # the new owner was the best waiter: the waiters it takes
@@ -865,45 +856,21 @@ class Kernel:
         return SvcResult(RESULT_OK)
 
     def pool_get(self, api, pool_id, timeout=None):
-        timeout = self._validate_timeout(timeout)
-        tid = api.thread_id
-        granted, index = yield from self._svc(api, lambda: self._object(
-            self.fixed_pools, pool_id, "fixed pool").get(tid))
-        if granted:
-            return SvcResult(RESULT_OK, index)
-        pool = self.fixed_pools[pool_id]
-        result = yield from self._block_with_timeout(
-            api, f"fixed pool {pool_id}", "pool", timeout,
-            lambda: pool.cancel_wait(tid))
-        return result
+        return self._take(api, self.fixed_pools, pool_id, "fixed pool", timeout,
+                          lambda pool, tid: (*pool.get(tid), ()))
 
     def pool_release(self, api, pool_id, index):
-        handoff = yield from self._svc(api, lambda: self._object(
-            self.fixed_pools, pool_id, "fixed pool").release(index))
-        if handoff is not None:
-            tid, idx = handoff
-            self._release(tid, RESULT_OK, idx)
-        return SvcResult(RESULT_OK)
+        return self._give(api, self.fixed_pools, pool_id, "fixed pool",
+                          lambda pool: _served(pool.release(index)))
 
     def vpool_get(self, api, pool_id, size, timeout=None):
-        timeout = self._validate_timeout(timeout)
-        tid = api.thread_id
-        granted, offset = yield from self._svc(api, lambda: self._object(
-            self.variable_pools, pool_id, "variable pool").get(tid, size))
-        if granted:
-            return SvcResult(RESULT_OK, offset)
-        pool = self.variable_pools[pool_id]
-        result = yield from self._block_with_timeout(
-            api, f"variable pool {pool_id}", "pool", timeout,
-            lambda: pool.cancel_wait(tid))
-        return result
+        return self._take(api, self.variable_pools, pool_id, "variable pool",
+                          timeout, lambda pool, tid: (*pool.get(tid, size), ()))
 
     def vpool_release(self, api, pool_id, offset):
-        grants = yield from self._svc(api, lambda: self._object(
-            self.variable_pools, pool_id, "variable pool").release(offset))
-        for tid, off, _n in grants:
-            self._release(tid, RESULT_OK, off)
-        return SvcResult(RESULT_OK)
+        return self._give(
+            api, self.variable_pools, pool_id, "variable pool",
+            lambda pool: [(tid, off) for tid, off, _n in pool.release(offset)])
 
     # ------------------------------------------------------------------
     # peripherals

@@ -86,7 +86,25 @@ class WaitQueue:
         return bool(self._entries)
 
 
-class Semaphore:
+class WaitObject:
+    """An object with one wait queue: its id, extended information and
+    queue, and the queue's cancel and count.  Every kind but the message
+    buffer, which has a queue each for senders and receivers."""
+
+    def __init__(self, obj_id: int, priority_of, extended_info: int):
+        self.id = obj_id
+        self.extended_info = extended_info
+        self.queue = WaitQueue(priority_of)
+
+    def cancel_wait(self, waiter) -> bool:
+        return self.queue.remove(waiter)
+
+    @property
+    def waiting_count(self) -> int:
+        return len(self.queue)
+
+
+class Semaphore(WaitObject):
     """Counting semaphore with multi-unit acquire.
 
     Releases follow the no-bypass head rule: on signal, the best queued
@@ -100,11 +118,9 @@ class Semaphore:
             raise ValidationError(f"semaphore {obj_id}: initial count must be >= 0")
         if not isinstance(max_count, int) or max_count < 1 or initial > max_count:
             raise ValidationError(f"semaphore {obj_id}: bad maximum count")
-        self.id = obj_id
+        super().__init__(obj_id, priority_of, extended_info)
         self.count = initial
         self.max_count = max_count
-        self.extended_info = extended_info
-        self.queue = WaitQueue(priority_of)
 
     def acquire(self, waiter, n: int = 1) -> bool:
         if not isinstance(n, int) or n < 1:
@@ -136,25 +152,16 @@ class Semaphore:
             released.append(waiter)
         return released
 
-    def cancel_wait(self, waiter) -> bool:
-        return self.queue.remove(waiter)
 
-    @property
-    def waiting_count(self) -> int:
-        return len(self.queue)
-
-
-class EventFlag:
+class EventFlag(WaitObject):
     """32-bit event flag; waiters carry (pattern, mode, clear)."""
 
     def __init__(self, obj_id: int, initial: int = 0, *, priority_of,
                  extended_info: int = 0):
         if not isinstance(initial, int) or not (0 <= initial <= _PATTERN_MASK):
             raise ValidationError(f"event flag {obj_id}: pattern must fit 32 bits")
-        self.id = obj_id
+        super().__init__(obj_id, priority_of, extended_info)
         self.pattern = initial
-        self.extended_info = extended_info
-        self.queue = WaitQueue(priority_of)
 
     @staticmethod
     def _satisfied(pattern, wanted, mode):
@@ -204,21 +211,12 @@ class EventFlag:
             raise ValidationError(f"event flag {self.id}: pattern must fit 32 bits")
         self.pattern &= mask
 
-    def cancel_wait(self, waiter) -> bool:
-        return self.queue.remove(waiter)
 
-    @property
-    def waiting_count(self) -> int:
-        return len(self.queue)
-
-
-class Mailbox:
+class Mailbox(WaitObject):
     """Unbounded message queue; delivery by message priority then FIFO."""
 
     def __init__(self, obj_id: int, *, priority_of, extended_info: int = 0):
-        self.id = obj_id
-        self.extended_info = extended_info
-        self.queue = WaitQueue(priority_of)
+        super().__init__(obj_id, priority_of, extended_info)
         self._messages = []  # heap of (priority, seq, payload)
         self._seq = 0
 
@@ -241,16 +239,9 @@ class Mailbox:
         self.queue.add(waiter)
         return False, None
 
-    def cancel_wait(self, waiter) -> bool:
-        return self.queue.remove(waiter)
-
     @property
     def message_count(self) -> int:
         return len(self._messages)
-
-    @property
-    def waiting_count(self) -> int:
-        return len(self.queue)
 
 
 class MessageBuffer:
@@ -338,15 +329,13 @@ class MessageBuffer:
         return len(self.send_queue) + len(self.recv_queue)
 
 
-class Mutex:
+class Mutex(WaitObject):
     """Non-recursive mutex.  Priority inheritance is computed by the
     kernel from owner/waiter visibility; the core only tracks them."""
 
     def __init__(self, obj_id: int, *, priority_of, extended_info: int = 0):
-        self.id = obj_id
-        self.extended_info = extended_info
+        super().__init__(obj_id, priority_of, extended_info)
         self.owner = None
-        self.queue = WaitQueue(priority_of)
 
     def lock(self, waiter) -> bool:
         if self.owner is None:
@@ -368,15 +357,8 @@ class Mutex:
         self.owner = None
         return None
 
-    def cancel_wait(self, waiter) -> bool:
-        return self.queue.remove(waiter)
 
-    @property
-    def waiting_count(self) -> int:
-        return len(self.queue)
-
-
-class FixedPool:
+class FixedPool(WaitObject):
     """Fixed-size block pool; grants the lowest free block index."""
 
     def __init__(self, obj_id: int, block_count: int, block_size: int, *,
@@ -385,11 +367,9 @@ class FixedPool:
             raise ValidationError(f"fixed pool {obj_id}: block count must be >= 1")
         if not isinstance(block_size, int) or block_size < 1:
             raise ValidationError(f"fixed pool {obj_id}: block size must be >= 1")
-        self.id = obj_id
+        super().__init__(obj_id, priority_of, extended_info)
         self.block_count = block_count
         self.block_size = block_size
-        self.extended_info = extended_info
-        self.queue = WaitQueue(priority_of)
         self._free = list(range(block_count))
         heapq.heapify(self._free)
         self._allocated = set()
@@ -421,29 +401,20 @@ class FixedPool:
             return waiter, self._grant()
         return None
 
-    def cancel_wait(self, waiter) -> bool:
-        return self.queue.remove(waiter)
-
     @property
     def free_count(self) -> int:
         return len(self._free)
 
-    @property
-    def waiting_count(self) -> int:
-        return len(self.queue)
 
-
-class VariablePool:
+class VariablePool(WaitObject):
     """Byte pool, first-fit at the lowest offset, free-list coalescing."""
 
     def __init__(self, obj_id: int, size: int, *, priority_of,
                  extended_info: int = 0):
         if not isinstance(size, int) or size < 1:
             raise ValidationError(f"variable pool {obj_id}: size must be >= 1")
-        self.id = obj_id
+        super().__init__(obj_id, priority_of, extended_info)
         self.size = size
-        self.extended_info = extended_info
-        self.queue = WaitQueue(priority_of)
         self._free = [(0, size)]  # (offset, length), offset-sorted, coalesced
         self._allocated = {}      # offset -> length
         self.max_used = 0
@@ -503,13 +474,6 @@ class VariablePool:
             granted.append((waiter, off, need))
         return granted
 
-    def cancel_wait(self, waiter) -> bool:
-        return self.queue.remove(waiter)
-
     @property
     def used_bytes(self) -> int:
         return self.size - sum(length for _off, length in self._free)
-
-    @property
-    def waiting_count(self) -> int:
-        return len(self.queue)

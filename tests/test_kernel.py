@@ -124,9 +124,9 @@ def test_stale_sleep_timer_cannot_release_a_later_wait():
     k.finish()
     assert out["first"] == RESULT_OK
     assert "second" not in out
-    # the second wait is genuinely stuck: reported as a deadlock when the
-    # stale timer drained at tick 11 left nothing else pending
-    assert k.deadlock_report == (11, [(1, "T1", "sleep")])
+    # the second wait is genuinely stuck: reported as a deadlock as soon
+    # as T2 has exited, though the stale timer stays in the heap until 11
+    assert k.deadlock_report == (6, [(1, "T1", "sleep")])
 
 
 def test_delay_ignores_wakeups_and_banks_them():
@@ -161,6 +161,30 @@ def test_delay_ignores_wakeups_and_banks_them():
     assert out["s2"] == RESULT_OK
     assert out["s3"] == RESULT_TIMEOUT
     assert k.tcb[1].wakeup_count == 0
+
+
+def test_wakeup_of_a_task_waiting_on_an_object_is_banked():
+    out = {}
+    k, _ = mk(abort_on_deadlock=False)
+    k.declare_semaphore(1, 0)
+
+    def t1(ctx):
+        yield from ctx.kernel.sleep(ctx.api)            # ended by T2's wakeup
+        res = yield from ctx.kernel.sem_wait(ctx.api, 1)
+        out["sem"] = res.code                           # must never run
+
+    def t2(ctx):
+        yield from ctx.kernel.wakeup(ctx.api, 1)
+        yield from compute(ctx, "gap", 3)                # T1 runs and blocks
+        yield from ctx.kernel.wakeup(ctx.api, 1)        # T1 waits on the semaphore
+
+    k.declare_task(1, "T1", 5, t1)
+    k.declare_task(2, "T2", 10, t2)
+    k.boot()
+    k.run(10)
+    assert "sem" not in out
+    assert k.tcb[1].wakeup_count == 1
+    assert k.semaphores[1].waiting_count == 1
 
 
 def test_wakeup_of_dormant_task_is_an_error():
@@ -292,6 +316,49 @@ def test_pending_timer_defers_deadlock():
         k.run(5)                   # D expires at 32 and exits; F remains
     assert ei.value.tick == 33
     assert ei.value.blocked == [(1, "F", "sleep")]
+
+
+def test_stale_timeout_does_not_defer_deadlock():
+    k, _ = mk()
+
+    def a(ctx):
+        yield from ctx.kernel.sleep(ctx.api, 100)   # B wakes it; timer stays
+        yield from ctx.kernel.sleep(ctx.api)
+
+    def b(ctx):
+        yield from ctx.kernel.wakeup(ctx.api, 1)
+        yield from ctx.kernel.sleep(ctx.api)
+
+    k.declare_task(1, "A", 5, a)
+    k.declare_task(2, "B", 6, b)
+    k.boot()
+    with pytest.raises(DeadlockError) as ei:
+        k.run(200)
+    assert ei.value.tick == 5
+    assert ei.value.blocked == [(1, "A", "sleep"), (2, "B", "sleep")]
+
+
+def test_live_timeout_defers_deadlock_after_a_stale_one_fell_due():
+    out = {}
+    k, _ = mk()
+
+    def a(ctx):
+        yield from ctx.kernel.sleep(ctx.api, 3)     # woken; stale, due at 4
+        res = yield from ctx.kernel.sleep(ctx.api, 10)
+        out["a"] = (res.code, ctx.kernel.engine.now)
+
+    def b(ctx):
+        yield from ctx.kernel.wakeup(ctx.api, 1)
+        yield from ctx.kernel.sleep(ctx.api)
+
+    k.declare_task(1, "A", 5, a)
+    k.declare_task(2, "B", 6, b)
+    k.boot()
+    with pytest.raises(DeadlockError) as ei:
+        k.run(200)
+    assert out["a"] == (RESULT_TIMEOUT, 14)
+    assert ei.value.tick == 15
+    assert ei.value.blocked == [(2, "B", "sleep")]
 
 
 # --------------------------------------------------------------------------
