@@ -119,17 +119,16 @@ class CallContext:
 class TaskControl:
     """Kernel-side task bookkeeping beyond the engine's thread record.
 
-    ``wait_gen`` numbers the thread's waits, so a timeout armed for an
-    earlier wait cannot release a later one; ``timeout_armed`` says that
-    the current wait has a timeout entry in the timer heap.
+    ``timeout_seq`` is the timer-heap sequence number of the current
+    wait's timeout, or None, so a timeout armed for an earlier wait
+    cannot release a later one.
     ``held`` and ``blocked_on`` are the thread's edges in the mutex
     owner graph that priority inheritance walks.
     """
 
     extended_info: int = 0
     wakeup_count: int = 0
-    wait_gen: int = 0
-    timeout_armed: bool = False
+    timeout_seq: int | None = None
     sleeping: bool = False  # in a ``sleep`` that a wakeup ends
     held: list[Mutex] = field(default_factory=list)  # mutexes it owns
     blocked_on: Mutex | None = None  # mutex it is queued on
@@ -564,12 +563,12 @@ class Kernel:
                 eng.raise_interrupt(thread_id)
             return
         # a timeout whose wait ended some other way is a no-op
-        thread_id, gen, cancel, code = data
+        thread_id, seq, cancel, code = data
         tcb = self.tcb[thread_id]
-        if not tcb.timeout_armed or tcb.wait_gen != gen:
+        if tcb.timeout_seq != seq:
             self._stale_timeouts -= 1
             return
-        tcb.timeout_armed = False
+        tcb.timeout_seq = None
         if cancel is not None:
             cancel(thread_id)
         eng.release(thread_id, EventKind.SLEEP_ARRIVAL, (code, None))
@@ -686,12 +685,10 @@ class Kernel:
         """Arm an optional timeout that calls ``cancel(tid)`` and releases
         with ``code``, then block; returns SvcResult."""
         tid = api.thread_id
-        tcb = self.tcb[tid]
-        tcb.wait_gen += 1
-        tcb.timeout_armed = timeout is not None
         if timeout is not None:
+            self.tcb[tid].timeout_seq = self._timer_seq
             self._push_timer(self.engine.now + timeout, _EV_TIMEOUT,
-                             (tid, tcb.wait_gen, cancel, code))
+                             (tid, self._timer_seq, cancel, code))
         value = yield _BlockRequest(reason)
         payload = value.payload if value.payload is not None else (RESULT_OK, None)
         return SvcResult(*payload)
@@ -699,8 +696,8 @@ class Kernel:
     def _release(self, thread_id, code=RESULT_OK, value=None):
         """End a thread's wait other than by its timeout."""
         tcb = self.tcb[thread_id]
-        if tcb.timeout_armed:
-            tcb.timeout_armed = False
+        if tcb.timeout_seq is not None:
+            tcb.timeout_seq = None
             self._stale_timeouts += 1
         self.engine.release(thread_id, EventKind.SLEEP_ARRIVAL, (code, value))
 

@@ -343,8 +343,8 @@ def test_live_timeout_defers_deadlock_after_a_stale_one_fell_due():
     k, _ = mk()
 
     def a(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 3)     # woken; stale, due at 4
-        res = yield from ctx.kernel.sleep(ctx.api, 10)
+        yield from ctx.kernel.sleep(ctx.api, 5)     # woken; stale, due at 6
+        res = yield from ctx.kernel.sleep(ctx.api, 10)   # live from 4 to 14
         out["a"] = (res.code, ctx.kernel.engine.now)
 
     def b(ctx):
@@ -358,6 +358,34 @@ def test_live_timeout_defers_deadlock_after_a_stale_one_fell_due():
         k.run(200)
     assert out["a"] == (RESULT_TIMEOUT, 14)
     assert ei.value.tick == 15
+    assert ei.value.blocked == [(2, "B", "sleep")]
+
+
+def test_timeout_that_fired_is_not_counted_stale():
+    out = {}
+    k, _ = mk()
+    k.declare_semaphore(1, 0)
+
+    def a(ctx):
+        yield from ctx.kernel.sem_wait(ctx.api, 1, timeout=2)   # fires
+        yield from ctx.kernel.sem_wait(ctx.api, 1)              # B signals
+        res = yield from ctx.kernel.sleep(ctx.api, 10)
+        out["a"] = (res.code, ctx.kernel.engine.now)
+
+    def b(ctx):
+        yield from compute(ctx, "gap", 6)
+        yield from ctx.kernel.sem_signal(ctx.api, 1)
+        yield from ctx.kernel.sleep(ctx.api)
+
+    k.declare_task(1, "A", 5, a)
+    k.declare_task(2, "B", 6, b)
+    k.boot()
+    with pytest.raises(DeadlockError) as ei:
+        k.run(200)
+    # a fired timeout counted stale would report both at 12, while A's
+    # sleep still had its timeout to come
+    assert out["a"] == (RESULT_TIMEOUT, 21)
+    assert ei.value.tick == 22
     assert ei.value.blocked == [(2, "B", "sleep")]
 
 
