@@ -7,15 +7,16 @@ A behavior program is a short list of statements drawn from a closed set:
 * ``bfm``     - perform a device access through the bus model,
 * ``loop``    - repeat a block a fixed number of times, or forever.
 
-Programs compile into generator factories for the engine trampoline, so a
-scenario file fully determines what every thread does.  Statements are plain
+A program compiles to a flat tuple of ops, where a loop is a head and a
+back jump, and runs in one generator frame with a program counter: the
+run-to-completion counterpart of a coroutine body.  A scenario file thus
+fully determines what every thread does.  Statements are plain
 data; parsing reports problems as ``(path, message)`` pairs so callers can
 attach source locations.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .engine import Annotation
@@ -431,73 +432,149 @@ _CALLS = {
 
 _REF_WHAT = {"pool_rel": "pool block", "vpool_rel": "pool region"}
 
+# Op codes of a compiled program.  An op is a tuple led by its code:
+#   (_COMPUTE, label)
+#   (_CALL, method, positional args, keyword args, ``as`` name or None)
+#   (_RELEASE, method, positional args before the ref, ref name, what)
+#   (_BFM, device, access, args)
+#   (_HEAD, counter, count)     arm a counted loop's counter
+#   (_BACK, counter, target)    one pass done: jump back while passes remain
+#   (_AGAIN, target)            a forever loop's jump back
+#   (_MARK,)                    one task cycle done
+_COMPUTE, _CALL, _RELEASE, _BFM, _HEAD, _BACK, _AGAIN, _MARK = range(8)
 
-def _run(ctx, table, stmts, refs):
-    """Execute a statement block in this one generator frame; only a loop
-    body runs in a nested one.  Service results are discarded except where
-    an ``as`` binding captures a pool grant into ``refs`` for a later
-    release."""
-    api, kernel = ctx.api, ctx.kernel
-    for st in stmts:
-        if isinstance(st, Compute):
-            yield from api.wait(table[st.label])
-        elif isinstance(st, Call):
-            service = st.service
-            a = dict(st.args)
-            if service == "flg_wait":
-                a["mode"] = FLAG_MODE_AND if a["mode"] == "and" else FLAG_MODE_OR
-            elif service == "mbf_send":
-                a["payload"] = a["payload"].encode("utf-8")
-            elif service in _REF_WHAT:
-                name = a["ref"]
-                if name not in refs:
-                    raise UsageError(
-                        f"{_REF_WHAT[service]} reference '{name}' was never obtained")
-                a["ref"] = refs.pop(name)
-            method, positional, keyword = _CALLS[service]
-            res = yield from getattr(kernel, method)(
-                api, *[a[k] for k in positional], **{k: a[k] for k in keyword})
-            if "as" in a and res.ok:
-                refs[a["as"]] = res.value
-        elif isinstance(st, Bfm):
-            yield from kernel.bfm_call(api, st.device, st.access, dict(st.args))
-        elif isinstance(st, Loop):
-            for _ in itertools.count() if st.forever else range(st.count):
-                yield from _run(ctx, table, st.body, refs)
-        else:
-            raise AssertionError(st)
+
+def _leaf_op(st):
+    if isinstance(st, Compute):
+        return (_COMPUTE, st.label)
+    if isinstance(st, Bfm):
+        return (_BFM, st.device, st.access, dict(st.args))
+    if not isinstance(st, Call):
+        raise AssertionError(st)
+    service = st.service
+    a = dict(st.args)
+    if service == "flg_wait":
+        a["mode"] = FLAG_MODE_AND if a["mode"] == "and" else FLAG_MODE_OR
+    elif service == "mbf_send":
+        a["payload"] = a["payload"].encode("utf-8")
+    method, positional, keyword = _CALLS[service]
+    if service in _REF_WHAT:  # the ref is the last positional argument
+        return (_RELEASE, method, tuple(a[k] for k in positional[:-1]),
+                a["ref"], _REF_WHAT[service])
+    return (_CALL, method, tuple(a[k] for k in positional),
+            {k: a[k] for k in keyword}, a.get("as"))
+
+
+def _compile(statements, *, handler):
+    """Flatten a statement tree into (ops, loop counter count, labels).
+
+    A loop compiles to a head, its body and a back jump, so its size does
+    not depend on its count.  A task's final top-level loop is its cycle,
+    and anything before it one-time setup: its body ends in a mark op.  A
+    task program without one runs once, as one cycle.  Handler cycles are
+    marked by the kernel's activation wrapper instead.
+    """
+    ops = []
+    counters = 0
+
+    def block(stmts):
+        for st in stmts:
+            if isinstance(st, Loop):
+                loop(st, mark=False)
+            else:
+                ops.append(_leaf_op(st))
+
+    def loop(st, *, mark):
+        nonlocal counters
+        if st.forever:
+            top = len(ops)
+            block(st.body)
+            if mark:
+                ops.append((_MARK,))
+            ops.append((_AGAIN, top))
+        elif st.count >= 1:  # a loop of no passes compiles to nothing
+            counter, counters = counters, counters + 1
+            ops.append((_HEAD, counter, st.count))
+            top = len(ops)
+            block(st.body)
+            if mark:
+                ops.append((_MARK,))
+            ops.append((_BACK, counter, top))
+
+    if not handler and statements and isinstance(statements[-1], Loop):
+        block(statements[:-1])
+        loop(statements[-1], mark=True)
+    else:
+        block(statements)
+        if not handler:
+            ops.append((_MARK,))
+    labels = tuple(dict.fromkeys(op[1] for op in ops if op[0] == _COMPUTE))
+    return tuple(ops), counters, labels
+
+
+def _exec(ops, counters, api, kernel, reqs):
+    """Run compiled ops in this one generator frame.
+
+    ``counters`` is the number of loop counters, which live in this frame.
+    ``reqs`` maps each compute label to the thread's ready-made segment
+    request.  Service results are discarded except where an ``as`` binding
+    captures a pool grant into ``refs`` for a later release.
+    """
+    count = [0] * counters
+    refs = {}
+    pc, end = 0, len(ops)
+    while pc < end:
+        op = ops[pc]
+        pc += 1
+        code = op[0]
+        if code == _COMPUTE:
+            api.check_running()
+            yield reqs[op[1]]
+        elif code == _CALL:
+            res = yield from getattr(kernel, op[1])(api, *op[2], **op[3])
+            if op[4] is not None and res.ok:
+                refs[op[4]] = res.value
+        elif code == _BACK:
+            left = count[op[1]] - 1
+            count[op[1]] = left
+            if left:
+                pc = op[2]
+        elif code == _HEAD:
+            count[op[1]] = op[2]
+        elif code == _BFM:
+            yield from kernel.bfm_call(api, op[1], op[2], op[3])
+        elif code == _MARK:
+            api.mark_cycle()
+        elif code == _AGAIN:
+            pc = op[1]
+        else:  # _RELEASE
+            name = op[3]
+            if name not in refs:
+                raise UsageError(f"{op[4]} reference '{name}' was never obtained")
+            yield from getattr(kernel, op[1])(api, *op[2], refs.pop(name))
 
 
 def build_factory(statements, annotations, *, handler=False):
-    """Compile a statement tuple into a body factory for the kernel.
+    """Make a body factory for the kernel from a statement tuple.
 
     ``annotations`` maps label -> Annotation; labels were cross-checked
-    during scenario validation.  Task factories mark one cycle per iteration
-    of a final top-level loop (or once at program completion); handler
-    cycles are marked by the kernel's activation wrapper instead.
+    during scenario validation.  The program compiles to ops on the
+    factory's first call, once for every thread that shares the factory.
+    Each call returns one generator frame that runs the ops with a program
+    counter, with its own loop counters, ``as`` bindings and segment
+    requests.  Task factories mark one cycle per iteration of a final
+    top-level loop (or once at program completion).
     """
     statements = tuple(statements)
     table = dict(annotations)
-
-    if handler:
-        def factory(ctx):
-            return _run(ctx, table, statements, {})
-        return factory
-
-    # A final top-level loop is the task's cycle and anything before it is
-    # one-time setup; a program without one runs once, as one cycle.
-    if statements and isinstance(statements[-1], Loop):
-        setup, last = statements[:-1], statements[-1]
-        cycle, count = last.body, last.count
-    else:
-        setup, cycle, count = (), statements, 1
+    program = None
 
     def factory(ctx):
-        def body():
-            refs = {}
-            yield from _run(ctx, table, setup, refs)
-            for _ in itertools.count() if count is None else range(count):
-                yield from _run(ctx, table, cycle, refs)
-                ctx.api.mark_cycle()
-        return body()
+        nonlocal program
+        if program is None:
+            program = _compile(statements, handler=handler)
+        ops, counters, labels = program
+        api = ctx.api
+        reqs = {label: api.segment(table[label]) for label in labels}
+        return _exec(ops, counters, api, ctx.kernel, reqs)
     return factory

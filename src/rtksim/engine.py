@@ -121,17 +121,19 @@ class ThreadState(enum.Enum):
     WAITING_SUSPENDED = "WAITING_SUSPENDED"
 
 
-# the transitions the scheduler makes; register and arm_handler set the
-# state directly.  No service drives a thread into the SUSPENDED states,
-# which exist only as listing codes.
-_LEGAL_TRANSITIONS = {
-    (ThreadState.DORMANT, ThreadState.READY),
-    (ThreadState.WAITING, ThreadState.READY),
-    (ThreadState.READY, ThreadState.RUNNING),
-    (ThreadState.RUNNING, ThreadState.READY),
-    (ThreadState.RUNNING, ThreadState.WAITING),
-    (ThreadState.WAITING, ThreadState.RUNNING),  # handler activation
-    (ThreadState.RUNNING, ThreadState.DORMANT),
+# the transitions the scheduler makes, as the legal next states of each
+# state, keyed by its value because Enum.__hash__ runs Python code;
+# register and arm_handler set the state directly.  No service drives a
+# thread into the SUSPENDED states, which exist only as listing codes.
+_NEXT_STATES = {
+    "NON_EXISTENT": (),
+    "DORMANT": (ThreadState.READY,),
+    "READY": (ThreadState.RUNNING,),
+    "RUNNING": (ThreadState.READY, ThreadState.WAITING, ThreadState.DORMANT),
+    # a waiting handler runs when it is activated
+    "WAITING": (ThreadState.READY, ThreadState.RUNNING),
+    "SUSPENDED": (),
+    "WAITING_SUSPENDED": (),
 }
 
 
@@ -278,6 +280,10 @@ class SimThread:
         self.base_priority = priority
         self.current_priority = priority
         self.is_idle = is_idle
+        if kind.is_handler:
+            self.default_context = _HANDLER_CONTEXT[kind]
+        else:
+            self.default_context = ContextKind.IDLE if is_idle else ContextKind.TASK
         self.body = body
         self.state = ThreadState.NON_EXISTENT
         self.token = Token()
@@ -299,12 +305,6 @@ class SimThread:
         self.run_streak = 0
         self.max_streak = 0
 
-    @property
-    def default_context(self) -> ContextKind:
-        if self.kind.is_handler:
-            return _HANDLER_CONTEXT[self.kind]
-        return ContextKind.IDLE if self.is_idle else ContextKind.TASK
-
     def __repr__(self):
         return f"<SimThread {self.id} {self.name} {self.state.value}>"
 
@@ -320,22 +320,32 @@ class ThreadApi:
         self._engine = engine
         self.thread_id = thread_id
 
-    def _check_running(self):
+    def check_running(self):
+        """Raise ProtocolError unless this thread is the running one."""
         if self._engine.current_id != self.thread_id:
             raise ProtocolError(
                 f"thread {self.thread_id} invoked an operation while not running"
             )
+
+    def segment(self, annotation: Annotation,
+                context_kind: ContextKind | None = None):
+        """Validate ``annotation`` once and return a reusable request that
+        charges it as one segment in ``context_kind`` (by default the
+        thread's own context).  A body yields the request itself, after
+        ``check_running``; the value sent back is the Resume that let the
+        segment finish."""
+        annotation.validate()
+        if context_kind is None:
+            context_kind = self._engine._table[self.thread_id].default_context
+        return _WaitRequest(annotation, context_kind)
 
     # -- yielding operations ------------------------------------------------
 
     def wait(self, annotation: Annotation, context_kind: ContextKind | None = None):
         """Charge one annotated segment; returns the EventKind that let
         the segment finish (CONTINUE_RUN when it was never suspended)."""
-        self._check_running()
-        annotation.validate()
-        th = self._engine._table[self.thread_id]
-        ctx = context_kind if context_kind is not None else th.default_context
-        value = yield _WaitRequest(annotation, ctx)
+        self.check_running()
+        value = yield self.segment(annotation, context_kind)
         return value.event
 
     def wait_run(self):
@@ -347,7 +357,7 @@ class ThreadApi:
     def wait_event(self, reason: str = "event wait"):
         """Block until another party releases this thread; returns the
         EventKind delivered by the release."""
-        self._check_running()
+        self.check_running()
         if self._engine.critical_depth() > 0:
             raise ProtocolError("cannot block while holding a critical section")
         value = yield _BlockRequest(reason)
@@ -368,11 +378,11 @@ class ThreadApi:
     # -- immediate operations -----------------------------------------------
 
     def begin_critical(self):
-        self._check_running()
+        self.check_running()
         self._engine._crit_enter(self.thread_id)
 
     def end_critical(self):
-        self._check_running()
+        self.check_running()
         self._engine._crit_exit(self.thread_id)
 
     def mark_cycle(self):
@@ -579,7 +589,7 @@ class Engine:
             raise NotFoundError(f"no thread with id {thread_id}") from None
 
     def _set_state(self, th: SimThread, state: ThreadState):
-        if (th.state, state) not in _LEGAL_TRANSITIONS:
+        if state not in _NEXT_STATES[th.state._value_]:
             raise StateError(
                 f"illegal transition {th.state.value} -> {state.value} for {th.name}"
             )
@@ -806,10 +816,10 @@ class Engine:
         self._handle_request(th, req)
 
     def _handle_request(self, th: SimThread, req):
-        if req is _EXITED or isinstance(req, _ExitRequest):
-            self._do_exit(th)
-        elif isinstance(req, _WaitRequest):
+        if type(req) is _WaitRequest:
             self._open_segment(th, req.annotation, req.context_kind)
+        elif req is _EXITED or isinstance(req, _ExitRequest):
+            self._do_exit(th)
         elif isinstance(req, _BlockRequest):
             if self._crit_depth > 0:
                 raise ProtocolError(

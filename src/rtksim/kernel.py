@@ -50,6 +50,7 @@ from .engine import (
     ThreadKind,
     ThreadState,
     _BlockRequest,
+    _WaitRequest,
     idle_body,
 )
 from .errors import (
@@ -166,10 +167,10 @@ class Stimulus:
     value: int = 0
 
 
-# timer event kinds; a timeout carries the result code it releases with
+# timer event kinds; a timeout carries the result code it releases with,
+# an activation its handler's period (None for an alarm, which fires once)
 _EV_TIMEOUT = "timeout"
-_EV_CYCLIC = "cyclic"
-_EV_ALARM = "alarm"
+_EV_ACTIVATE = "activate"
 
 
 # object kind -> (registry attribute, class); ``declare_<kind>`` stores
@@ -216,7 +217,10 @@ class Kernel:
             raise ValidationError("service cost eem must be >= 0")
         self.tick_us = tick_us
         self.cycles_per_tick = cycles_per_tick
-        self._svc_ann = Annotation("svc", svc_etm, svc_eem_uj)
+        # the SVC segment every service charges, one request for all threads
+        self._svc_req = _WaitRequest(Annotation("svc", svc_etm, svc_eem_uj),
+                                     ContextKind.SVC)
+        self._bfm_reqs = {}  # (device, access) -> its BFM segment request
         self._idle_id_cfg = idle_id
         self._idle_name = idle_name
         self.abort_on_deadlock = abort_on_deadlock
@@ -228,6 +232,7 @@ class Kernel:
 
         self._task_decls: list[TaskDecl] = []
         self._handler_decls: list[HandlerDecl] = []
+        self._thread_ids: set[int] = set()  # of both kinds of declaration
         self._object_decls: list[tuple] = []
         self._stimuli: list[Stimulus] = []
         self._stim_idx = 0
@@ -256,15 +261,14 @@ class Kernel:
         if self.engine is not None:  # boot started, even if it raised
             raise UsageError("declarations are closed once boot starts")
 
-    def _all_thread_ids(self):
-        ids = {d.task_id for d in self._task_decls}
-        ids.update(d.thread_id for d in self._handler_decls)
-        return ids
-
     def _check_thread_id(self, thread_id):
         _check_id(thread_id, "thread")
-        if thread_id in self._all_thread_ids():
+        if thread_id in self._thread_ids:
             raise ConflictError(f"thread id {thread_id} already declared")
+
+    def _add_handler(self, decl: HandlerDecl):
+        self._handler_decls.append(decl)
+        self._thread_ids.add(decl.thread_id)
 
     def declare_task(self, task_id: int, name: str, priority: int, body,
                      *, extended_info: int = 0):
@@ -281,6 +285,7 @@ class Kernel:
         self._task_decls.append(
             TaskDecl(task_id, name, priority, body, extended_info)
         )
+        self._thread_ids.add(task_id)
 
     def declare_cyclic(self, thread_id: int, name: str, period: int, body,
                        *, phase: int = 0, extended_info: int = 0):
@@ -294,7 +299,7 @@ class Kernel:
             raise ValidationError(f"cyclic {name}: period must be >= 1")
         if not isinstance(phase, int) or phase < 0:
             raise ValidationError(f"cyclic {name}: phase must be >= 0")
-        self._handler_decls.append(HandlerDecl(
+        self._add_handler(HandlerDecl(
             thread_id, name, ThreadKind.CYCLIC, body,
             extended_info, period=period, phase=phase,
         ))
@@ -306,7 +311,7 @@ class Kernel:
         _check_name(name)
         if not isinstance(offset, int) or offset < 1:
             raise ValidationError(f"alarm {name}: offset must be >= 1")
-        self._handler_decls.append(HandlerDecl(
+        self._add_handler(HandlerDecl(
             thread_id, name, ThreadKind.ALARM, body,
             extended_info, offset=offset,
         ))
@@ -316,7 +321,7 @@ class Kernel:
         self._pre_boot()
         self._check_thread_id(thread_id)
         _check_name(name)
-        self._handler_decls.append(HandlerDecl(
+        self._add_handler(HandlerDecl(
             thread_id, name, ThreadKind.ISR, body, extended_info,
         ))
 
@@ -404,7 +409,7 @@ class Kernel:
             raise UsageError("already booted")
         self._validate_stimuli()
         expected = len(self._task_decls) + len(self._handler_decls) + 1
-        declared = self._all_thread_ids()
+        declared = self._thread_ids
         idle_id = self._idle_id_cfg
         if idle_id is None:
             idle_id = (max(declared) + 1) if declared else 1
@@ -436,11 +441,10 @@ class Kernel:
             eng.arm_handler(d.thread_id)
             if d.kind is ThreadKind.CYCLIC:
                 phase = d.phase if d.phase >= 1 else d.period
-                self._push_timer(phase, _EV_CYCLIC,
-                                 (d.thread_id, d.period))
+                self._push_timer(phase, _EV_ACTIVATE, (d.thread_id, d.period))
             elif d.kind is ThreadKind.ALARM:
-                self._push_timer(eng.now + d.offset, _EV_ALARM,
-                                 (d.thread_id,))
+                self._push_timer(eng.now + d.offset, _EV_ACTIVATE,
+                                 (d.thread_id, None))
         for d in self._task_decls:
             eng.start_thread(d.task_id)
         eng.start_thread(idle_id)
@@ -548,19 +552,14 @@ class Kernel:
 
     def _timer_event(self, kind: str, data, now: int):
         eng = self.engine
-        if kind == _EV_CYCLIC:
+        if kind == _EV_ACTIVATE:
             thread_id, period = data
             th = eng.thread(thread_id)
             if th.awaiting_activation and not th.activation_queued:
                 eng.raise_interrupt(thread_id)
             # a busy handler simply misses this activation
-            self._push_timer(now + period, _EV_CYCLIC, data)
-            return
-        if kind == _EV_ALARM:
-            (thread_id,) = data
-            th = eng.thread(thread_id)
-            if th.awaiting_activation and not th.activation_queued:
-                eng.raise_interrupt(thread_id)
+            if period is not None:
+                self._push_timer(now + period, _EV_ACTIVATE, data)
             return
         # a timeout whose wait ended some other way is a no-op
         thread_id, seq, cancel, code = data
@@ -611,12 +610,13 @@ class Kernel:
         """Run ``op(*args)`` as the atomic part of one service call.
 
         Every service runs inside an implicit critical section and
-        charges one SVC-context segment first.  Only the operation is
-        inside the ``try``: a generator closed while parked in the SVC
-        wait must not exit the section from a thread that is not running.
+        charges one SVC-context segment first; ``begin_critical`` has
+        made the running check.  Only the operation is inside the
+        ``try``: a generator closed while parked in the SVC wait must not
+        exit the section from a thread that is not running.
         """
         api.begin_critical()
-        yield from api.wait(self._svc_ann, ContextKind.SVC)
+        yield self._svc_req
         try:
             return op(*args)
         finally:
@@ -882,9 +882,14 @@ class Kernel:
         """
         response, spec = self.devices.perform(
             self.engine.now, device, access, args)
-        etm = -(-spec.cycles // self.cycles_per_tick)  # ceil division
-        ann = Annotation(f"bfm:{device}.{access}", etm, spec.eem_uj)
-        yield from api.wait(ann, ContextKind.BFM)
+        req = self._bfm_reqs.get((device, access))
+        if req is None:
+            etm = -(-spec.cycles // self.cycles_per_tick)  # ceil division
+            req = self._bfm_reqs[device, access] = api.segment(
+                Annotation(f"bfm:{device}.{access}", etm, spec.eem_uj),
+                ContextKind.BFM)
+        api.check_running()
+        yield req
         return SvcResult(RESULT_OK, response)
 
     # ------------------------------------------------------------------

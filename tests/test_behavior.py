@@ -1,24 +1,30 @@
 """Behavior programs at run time: bindings, cycle marking, nested loops.
 
-Programs are parsed from raw statement lists and run as the only task
-of a small kernel, so each check sees the interpreter itself rather than
-a whole scenario.
+Programs are parsed from raw statement lists and compiled to ops, and
+run as the tasks or handlers of a small kernel, so each check sees the
+compiled program itself rather than a whole scenario.
 """
 
 import pytest
 
-from rtksim.behavior import build_factory, parse_program
+from rtksim.behavior import _compile, build_factory, parse_program
 from rtksim.engine import Annotation
 from rtksim.errors import UsageError
 from rtksim.kernel import Kernel
+from rtksim.trace import ListSink
 
-TABLE = {"w": Annotation("w", 1, 0)}
+TABLE = {"w": Annotation("w", 1, 0), "v": Annotation("v", 2, 0)}
+
+
+def parse(raw, *, handler=False):
+    problems = []
+    statements = parse_program(raw, (), problems, handler=handler)
+    assert problems == []
+    return statements
 
 
 def run_task(raw, ticks):
-    problems = []
-    statements = parse_program(raw, (), problems)
-    assert problems == []
+    statements = parse(raw)
     k = Kernel()
     k.declare_fixed_pool(1, 2, 8)
     k.declare_task(1, "T", 5, build_factory(statements, TABLE))
@@ -62,3 +68,69 @@ def test_counted_final_loop_marks_one_cycle_per_iteration():
     ], 20)
     token = k.engine.thread(1).token
     assert (token.cycles, token.cet) == (4, 5)
+
+
+def test_nested_counted_loop_rearms_on_every_outer_pass():
+    # each pass: w, w, v = 4 ticks; the fifth pass ends at tick 20 and is
+    # marked at the next resume.  A counter armed once would spin in the
+    # inner loop from the second pass on and mark one cycle only.
+    k = run_task([
+        {"loop": True, "count": "forever", "body": [
+            {"loop": True, "count": 2, "body": [{"compute": "w"}]},
+            {"compute": "v"},
+        ]},
+    ], 22)
+    token = k.engine.thread(1).token
+    assert (token.cycles, token.cet) == (5, 22)
+
+
+def test_a_huge_count_compiles_to_a_head_and_a_back_jump():
+    raw = [{"loop": True, "count": 10**9, "body": [{"compute": "w"}]}]
+    ops, counters, labels = _compile(parse(raw), handler=False)
+    assert (len(ops), counters, labels) == (4, 1, ("w",))  # head, w, mark, back
+    k = run_task(raw, 20)
+    token = k.engine.thread(1).token
+    assert (token.cycles, token.cet) == (19, 20)
+
+
+def test_tasks_sharing_a_factory_keep_their_own_counters_and_refs():
+    # the delays interleave the two frames: a shared ``as`` binding would
+    # release one block twice, shared counters would cut the loops short
+    factory = build_factory(parse([
+        {"call": "pool_get", "pool": 1, "as": "blk"},
+        {"loop": True, "count": 2, "body": [
+            {"compute": "w"},
+            {"call": "delay", "ticks": 1},
+        ]},
+        {"call": "pool_rel", "pool": 1, "ref": "blk"},
+    ]), TABLE)
+    k = Kernel()
+    k.declare_fixed_pool(1, 2, 8)
+    k.declare_task(1, "A", 5, factory)
+    k.declare_task(2, "B", 6, factory)
+    k.boot()
+    k.run(20)
+    pool = k.fixed_pools[1]
+    assert (pool.max_used, pool.free_count) == (2, 2)
+    for tid in (1, 2):
+        token = k.engine.thread(tid).token
+        # pool_get, 2 x (w, delay), pool_rel: one tick each
+        assert (token.cycles, token.cet) == (1, 6)
+
+
+def test_compute_in_a_cyclic_handler_is_charged_in_handler_context():
+    sink = ListSink()
+    k = Kernel()
+    k.declare_task(1, "T", 5, build_factory(parse([
+        {"loop": True, "count": "forever", "body": [{"compute": "w"}]},
+    ]), TABLE))
+    k.declare_cyclic(2, "C", 5, build_factory(
+        parse([{"compute": "v"}], handler=True), TABLE, handler=True))
+    k.attach_sinks(trace_sink=sink)
+    k.boot()
+    k.run(13)   # activations at 5 and 10; the second returns at tick 12
+    k.finish()
+    rows = [(r.tick_start, r.context_kind, r.etm_ticks)
+            for r in sink.records if r.thread_id == 2 and r.label == "v"]
+    assert rows == [(5, "CYC_HANDLER", 2), (10, "CYC_HANDLER", 2)]
+    assert k.engine.thread(2).token.cycles == 2
