@@ -471,8 +471,9 @@ def _compile(statements, *, handler):
     A loop compiles to a head, its body and a back jump, so its size does
     not depend on its count.  A task's final top-level loop is its cycle,
     and anything before it one-time setup: its body ends in a mark op.  A
-    task program without one runs once, as one cycle.  Handler cycles are
-    marked by the kernel's activation wrapper instead.
+    task program without one runs once, as one cycle.  A handler program
+    runs once per activation, and the engine counts its cycle when it
+    returns.
     """
     ops = []
     counters = 0

@@ -2,9 +2,20 @@
 
 Threads (tasks and handlers) are Python generators multiplexed by a
 single trampoline; a body gives up control only at annotated wait
-points, blocking waits, or handler return.  Simulated time advances in
-integer ticks and every tick interval [t, t+1) is attributed to exactly
-one activity, so time and energy conservation hold by construction.
+points and blocking waits.  Simulated time advances in integer ticks
+and every tick interval [t, t+1) is attributed to exactly one activity,
+so time and energy conservation hold by construction.
+
+The engine owns each thread's lifecycle, so a body is a plain generator
+that runs from its start to its end:
+  * a started task's body is built at its first dispatch and runs until
+    it returns or yields ``api.exit()``; either ends the task (DORMANT),
+    and a restart builds a fresh body.
+  * an armed handler waits for an activation.  Each activation builds a
+    fresh body and runs it to completion, like one call of a
+    run-to-completion method; its return is the handler's return from
+    interrupt (one more cycle on its token), and the handler then waits
+    for its next activation.  A handler cannot exit.
 
 Scheduling model:
   * priorities: smaller integer wins; equal priority is FIFO by the
@@ -171,6 +182,11 @@ class Resume:
         self.payload = payload
 
 
+# what a body gets back when nothing else resumed it; nothing changes a
+# Resume, so one instance serves every such step
+_CONTINUE = Resume(EventKind.CONTINUE_RUN)
+
+
 # --- requests yielded by bodies to the trampoline (internal protocol) ---
 
 class _Request:
@@ -178,11 +194,19 @@ class _Request:
 
 
 class _WaitRequest(_Request):
-    __slots__ = ("annotation", "context_kind")
+    """Charge ``annotation`` as one segment in ``context_kind``; the
+    per-tick energy split is worked out once, here."""
+
+    __slots__ = ("annotation", "context_kind", "per_tick_uj", "rem_uj")
 
     def __init__(self, annotation, context_kind):
         self.annotation = annotation
         self.context_kind = context_kind
+        etm = annotation.etm
+        if etm > 0:
+            self.per_tick_uj, self.rem_uj = divmod(annotation.eem_uj, etm)
+        else:
+            self.per_tick_uj, self.rem_uj = 0, 0
 
 
 class _BlockRequest(_Request):
@@ -192,23 +216,8 @@ class _BlockRequest(_Request):
         self.reason = reason
 
 
-class _WaitRunRequest(_Request):
-    __slots__ = ()
-
-
-class _AwaitActivationRequest(_Request):
-    __slots__ = ()
-
-
-class _RetIntRequest(_Request):
-    __slots__ = ()
-
-
 class _ExitRequest(_Request):
     __slots__ = ()
-
-
-_EXITED = object()
 
 
 class _Segment:
@@ -220,16 +229,14 @@ class _Segment:
         "record_start", "record_consumed", "record_uj", "record_event",
     )
 
-    def __init__(self, label, etm, eem_uj, context_kind, start_tick, event):
-        self.label = label
-        self.etm = etm
-        self.eem_uj = eem_uj
-        self.context_kind = context_kind
-        self.remaining = etm
-        if etm > 0:
-            self.per_tick_uj, self.rem_uj = divmod(eem_uj, etm)
-        else:
-            self.per_tick_uj, self.rem_uj = 0, 0
+    def __init__(self, req: _WaitRequest, start_tick, event):
+        ann = req.annotation
+        self.label = ann.label
+        self.etm = self.remaining = ann.etm
+        self.eem_uj = ann.eem_uj
+        self.context_kind = req.context_kind
+        self.per_tick_uj = req.per_tick_uj
+        self.rem_uj = req.rem_uj
         self.restart(start_tick, event)
 
     def restart(self, start_tick, event):
@@ -240,20 +247,11 @@ class _Segment:
         self.record_event = event
 
 
-@dataclass
-class _Frame:
-    """One level of the interrupt stack."""
-
-    handler_id: int
-    interrupted_id: int | None
-
-
 _IDLE_ANNOTATION = Annotation("idle", 1, 0)
 
 
 def idle_body(api):
     """Body of the idle thread: one-tick idle segments forever."""
-    yield from api.wait_run()
     while True:
         yield from api.wait(_IDLE_ANNOTATION, ContextKind.IDLE)
 
@@ -262,8 +260,11 @@ class SimThread:
     """A registered activity: task, idle task, or time/interrupt handler.
 
     ``body`` is a callable taking a ThreadApi and returning a generator.
-    A fresh generator is created every time the thread is started, so a
-    stopped thread can be restarted; the token keeps accumulating.
+    ``gen`` is None until the engine first steps a dispatched task or an
+    entered handler, which builds a fresh generator from ``body``; it goes
+    back to None when the task ends or the handler returns, so a task can
+    be restarted and each handler activation runs a fresh body.  The
+    token keeps accumulating across them all.
     """
 
     def __init__(self, thread_id: int, name: str, kind: ThreadKind,
@@ -290,8 +291,6 @@ class SimThread:
         self.api: ThreadApi | None = None
 
         self.gen = None
-        self.gen_started = False
-        self.startup_delivered = False
         self.pending_resume: Resume | None = None
         self.last_event = EventKind.CONTINUE_RUN
         self.seg: _Segment | None = None
@@ -313,7 +312,9 @@ class ThreadApi:
     """Operations a body may invoke.  Bound to one thread.
 
     Generator methods must be driven with ``yield from``; plain methods
-    are immediate bookkeeping and never transfer control.
+    are immediate bookkeeping and never transfer control.  Starting a
+    body, activating a handler and returning from it are the engine's
+    work, not operations: a body simply runs, and a handler returns.
     """
 
     def __init__(self, engine: "Engine", thread_id: int):
@@ -348,12 +349,6 @@ class ThreadApi:
         value = yield self.segment(annotation, context_kind)
         return value.event
 
-    def wait_run(self):
-        """Entry gate: parks a fresh task until its first dispatch and
-        returns STARTUP.  Must be the first operation of a task body."""
-        value = yield _WaitRunRequest()
-        return value.event
-
     def wait_event(self, reason: str = "event wait"):
         """Block until another party releases this thread; returns the
         EventKind delivered by the release."""
@@ -364,16 +359,8 @@ class ThreadApi:
         return value.event
 
     def exit(self):
+        """End the running task from any depth of nested generators."""
         yield _ExitRequest()
-
-    def await_activation(self):
-        """Handler wrapper internal: park until the next activation."""
-        value = yield _AwaitActivationRequest()
-        return value.event
-
-    def return_from_handler(self):
-        """Handler wrapper internal: pop the interrupt stack."""
-        yield _RetIntRequest()
 
     # -- immediate operations -----------------------------------------------
 
@@ -408,7 +395,9 @@ class Engine:
         # class p is non-empty
         self._classes: dict[int, list[tuple[int, int]]] = {}
         self._ready_bits = 0
-        self._stack: list[_Frame] = []
+        # the interrupt stack: the thread each entered handler interrupted
+        # (None for an idle CPU), innermost last
+        self._stack: list[int | None] = []
         self._pending_activations: list[int] = []
         self._crit_depth = 0
         self._crit_owner: int | None = None
@@ -441,11 +430,8 @@ class Engine:
             )
         self._all_created = True
 
-    def attach_sinks(self, trace_sink=None, report_sink=None):
-        """Attach the trace sink; only a trace sink is supported, so
-        ``report_sink`` must be None."""
-        if report_sink is not None:
-            raise UsageError("report sinks are not supported")
+    def attach_sinks(self, trace_sink=None):
+        """Attach the trace sink (the default is a NullSink)."""
         if self._sinks_attached:
             raise UsageError("sinks already attached")
         self._sinks_attached = True
@@ -467,28 +453,20 @@ class Engine:
             raise StateError(f"cannot start {th.name}: state {th.state.value}")
         if th.kind.is_handler:
             raise ProtocolError("handlers are armed, not started")
-        th.gen = th.body(th.api)
-        th.gen_started = False
-        th.startup_delivered = False
         th.pending_resume = None
         th.seg = None
         self._make_ready(th)
 
     def arm_handler(self, thread_id: int):
-        """Prime a handler body to its activation gate (state WAITING)."""
+        """Make a handler wait for its first activation (state WAITING).
+        No body exists until an activation is entered; each activation
+        builds a fresh one, and its return ends the activation."""
         th = self._get(thread_id)
         if not th.kind.is_handler:
             raise ProtocolError(f"{th.name} is not a handler")
         if th.state is not ThreadState.DORMANT:
             raise StateError(f"cannot arm {th.name}: state {th.state.value}")
-        th.gen = th.body(th.api)
-        th.gen_started = True
-        th.startup_delivered = False
-        th.pending_resume = None
-        req = self._advance(th, None)
-        if not isinstance(req, _AwaitActivationRequest):
-            raise ProtocolError("handler body must park for activation first")
-        th.state = ThreadState.WAITING  # priming is not a scheduled transition
+        th.state = ThreadState.WAITING  # arming is not a scheduled transition
         th.awaiting_activation = True
         th.waiting_reason = "activation wait"
 
@@ -707,7 +685,7 @@ class Engine:
         self._dequeue(th)
         self._set_state(th, ThreadState.RUNNING)
         th.preempt_requested = False
-        if th.pending_resume is None and not th.startup_delivered:
+        if th.gen is None:  # a fresh task: its body starts at this dispatch
             th.pending_resume = Resume(EventKind.STARTUP)
         event = th.pending_resume.event if th.pending_resume else EventKind.CONTINUE_RUN
         if th.seg is not None:
@@ -737,33 +715,30 @@ class Engine:
         interrupted = self.current_id
         if interrupted is not None:
             self._suspend_current(EventKind.RETURN_FROM_INTERRUPT, emit_preempt=False)
-        self._stack.append(_Frame(handler_id, interrupted))
+        self._stack.append(interrupted)
         h.awaiting_activation = False
         h.activation_queued = False
         self._set_state(h, ThreadState.RUNNING)
-        event = EventKind.STARTUP if not h.startup_delivered else EventKind.CONTINUE_RUN
+        # only the first activation starts; no activation has returned yet
+        event = EventKind.STARTUP if h.token.cycles == 0 else EventKind.CONTINUE_RUN
         h.pending_resume = Resume(event)
         self._emit_control(h, CTL_INT_ENTER, event)
         self.current_id = handler_id
 
     def _return_from_handler(self, th: SimThread):
-        if not self._stack or self._stack[-1].handler_id != th.id:
-            raise ProtocolError("handler return without matching entry")
+        """End the activation of ``th``, whose body returned: pop its
+        interrupt frame and make it wait for its next activation."""
         if self._crit_depth != 0:
             raise ProtocolError("handler returned inside a critical section")
-        frame = self._stack.pop()
+        tid = self._stack.pop()  # the running handler's is the top entry
         self._emit_control(th, CTL_INT_RETURN, EventKind.RETURN_FROM_INTERRUPT)
-        # park the handler for its next activation
-        req = self._advance(th, Resume(EventKind.CONTINUE_RUN))
-        if not isinstance(req, _AwaitActivationRequest):
-            raise ProtocolError("handler body must loop back to its activation gate")
+        th.gen = None
         self._set_state(th, ThreadState.WAITING)
         th.awaiting_activation = True
         th.waiting_reason = "activation wait"
         th.run_streak = 0
         self.current_id = None
 
-        tid = frame.interrupted_id
         if tid is None:
             return
         it = self._table.get(tid)
@@ -785,40 +760,33 @@ class Engine:
             return  # the gate will dispatch the higher-priority thread
         self._dispatch(tid)
 
-    def _advance(self, th: SimThread, value):
-        try:
-            if value is None:
-                return next(th.gen)
-            return th.gen.send(value)
-        except StopIteration:
-            return _EXITED
-
     def _step(self, th: SimThread):
+        """Resume the running thread's body, building it first if it has
+        none, and act on what it yields or on its end."""
         if th.seg is not None and th.seg.remaining == 0:
             self._close_record_completed(th)
-        if not th.gen_started:
-            th.gen_started = True
-            req = self._advance(th, None)
-            if isinstance(req, _WaitRunRequest):
-                return  # entry gate: the startup event is delivered next step
-            raise ProtocolError(
-                f"{th.name}: task bodies must begin at the entry gate"
-            )
-        else:
-            value = th.pending_resume
-            th.pending_resume = None
-            if value is None:
-                value = Resume(EventKind.CONTINUE_RUN)
-            if value.event is EventKind.STARTUP:
-                th.startup_delivered = True
-            th.last_event = value.event
-            req = self._advance(th, value)
+        value = th.pending_resume or _CONTINUE
+        th.pending_resume = None
+        th.last_event = value.event
+        try:
+            if th.gen is None:
+                th.gen = th.body(th.api)
+                req = next(th.gen)
+            else:
+                req = th.gen.send(value)
+        except StopIteration:
+            if th.kind.is_handler:
+                th.token.cycles += 1
+                self._return_from_handler(th)
+            else:
+                self._do_exit(th)
+            return
         self._handle_request(th, req)
 
     def _handle_request(self, th: SimThread, req):
         if type(req) is _WaitRequest:
-            self._open_segment(th, req.annotation, req.context_kind)
-        elif req is _EXITED or isinstance(req, _ExitRequest):
+            th.seg = _Segment(req, self.now, th.last_event)
+        elif isinstance(req, _ExitRequest):
             self._do_exit(th)
         elif isinstance(req, _BlockRequest):
             if self._crit_depth > 0:
@@ -830,41 +798,21 @@ class Engine:
             th.run_streak = 0
             self._emit_control(th, CTL_BLOCK)
             self.current_id = None
-        elif isinstance(req, _RetIntRequest):
-            if not th.kind.is_handler:
-                raise ProtocolError(f"{th.name} is not a handler")
-            self._return_from_handler(th)
-        elif isinstance(req, _WaitRunRequest):
-            raise ProtocolError(f"{th.name}: entry gate after startup")
-        elif isinstance(req, _AwaitActivationRequest):
-            raise ProtocolError(
-                f"{th.name}: activation wait inside an active handler"
-            )
         else:
             raise ProtocolError(f"unknown request from {th.name}: {req!r}")
 
     def _do_exit(self, th: SimThread):
         if th.kind.is_handler:
-            raise ProtocolError(
-                f"{th.name}: handler bodies must loop forever, not terminate"
-            )
+            raise ProtocolError(f"{th.name}: a handler returns, it cannot exit")
         if self._crit_depth > 0 and self._crit_owner == th.id:
             raise ProtocolError(f"{th.name} exited inside a critical section")
         self._set_state(th, ThreadState.DORMANT)
         th.run_streak = 0
         th.pending_resume = None
-        if th.gen is not None:
-            th.gen.close()
-            th.gen = None
+        th.gen.close()
+        th.gen = None
         self._emit_control(th, CTL_EXIT)
         self.current_id = None
-
-    def _open_segment(self, th: SimThread, annotation: Annotation,
-                      context_kind: ContextKind):
-        th.seg = _Segment(
-            annotation.label, annotation.etm, annotation.eem_uj,
-            context_kind, self.now, th.last_event,
-        )
 
     def _renew_idle(self, th: SimThread, seg: _Segment):
         """Close the idle thread's completed tick and charge the next one

@@ -103,17 +103,14 @@ class SvcResult:
 class CallContext:
     """Handed to a task or handler body factory.
 
-    ``api`` carries the yielding operations, ``kernel`` the services,
-    ``event`` the EventKind that started this body (for handlers, the
-    activation event).
+    ``api`` carries the yielding operations, ``kernel`` the services.
     """
 
-    __slots__ = ("api", "kernel", "event")
+    __slots__ = ("api", "kernel")
 
-    def __init__(self, api, kernel, event):
+    def __init__(self, api, kernel):
         self.api = api
         self.kernel = kernel
-        self.event = event
 
 
 @dataclass
@@ -427,12 +424,12 @@ class Kernel:
         self.tcb[idle_id] = TaskControl()
         for d in self._task_decls:
             th = SimThread(d.task_id, d.name, ThreadKind.TASK, d.priority,
-                           self._wrap_task(d.body))
+                           self._wrap(d.body))
             eng.register(th)
             self.tcb[d.task_id] = TaskControl(extended_info=d.extended_info)
         for d in self._handler_decls:
             th = SimThread(d.thread_id, d.name, d.kind, HANDLER_PRIORITY,
-                           self._wrap_handler(d.body))
+                           self._wrap(d.body))
             eng.register(th)
             self.tcb[d.thread_id] = TaskControl(extended_info=d.extended_info)
         eng.all_created()
@@ -491,26 +488,13 @@ class Kernel:
     def _waiter_priority(self, tid):
         return self.engine.thread(tid).current_priority
 
-    def _wrap_task(self, factory):
+    def _wrap(self, factory):
+        """The engine body of a declared factory: the engine calls it at a
+        task's start and at each handler activation."""
         kernel = self
 
         def body(api):
-            yield from api.wait_run()
-            gen = factory(CallContext(api, kernel, EventKind.STARTUP))
-            yield from gen
-
-        return body
-
-    def _wrap_handler(self, factory):
-        kernel = self
-
-        def body(api):
-            while True:
-                ev = yield from api.await_activation()
-                gen = factory(CallContext(api, kernel, ev))
-                yield from gen
-                api.mark_cycle()
-                yield from api.return_from_handler()
+            return factory(CallContext(api, kernel))
 
         return body
 

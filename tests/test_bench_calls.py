@@ -5,12 +5,22 @@ number of Python-level calls a run makes repeats exactly.  This runs the
 untraced `steady` and `wide` workloads of `perfbench/` at seed 1 under
 cProfile, from boot to finish, and bounds the calls per simulated tick.
 Compiled behavior programs and ready-made segment requests brought them
-from 58.4 to 43.7 on steady and from 81.1 to 61.1 on wide (Python 3.11);
-a change that puts a generator frame back on every resume trips it.
+from 58.4 to 43.7 on steady and from 81.1 to 61.1 on wide (Python 3.11,
+read through pstats).  Moving thread start, activation and return into
+the engine, which removed the kernel's wrapper frame, brought them from
+46.4 to 41.7 on steady and from 61.8 to 56.8 on wide, counted per code
+object as below.  The limits sit below the parent's figures, so a change
+that puts a generator frame back on every resume trips them.
+
+The calls are summed over the profiler's entries, one per code object.
+pstats keys its table by file, line and name, and every dataclass
+``__init__`` is ``<string>:2:__init__``, so it keeps one of them and drops
+the rest.  Which one it keeps depends on what ran earlier in the process:
+the same run read 40.5 calls per tick on steady alone and 42.6 after
+other tests.
 """
 
 import cProfile
-import pstats
 import sys
 from pathlib import Path
 
@@ -37,7 +47,7 @@ def _import_workloads():
 workloads = _import_workloads()
 
 
-@pytest.mark.parametrize("name, limit", [("steady", 46), ("wide", 64)])
+@pytest.mark.parametrize("name, limit", [("steady", 43), ("wide", 58)])
 def test_run_phase_calls_per_tick(name, limit):
     scn = parse_scenario_text(workloads.generate(name, SEED), f"{name}.yaml")
     kernel = build_kernel(scn)
@@ -49,5 +59,6 @@ def test_run_phase_calls_per_tick(name, limit):
     kernel.finish()
     profile.disable()
     assert kernel.engine.now == workloads.window(name)
-    per_tick = pstats.Stats(profile).total_calls / scn.run_ticks
+    calls = sum(entry.callcount for entry in profile.getstats())
+    per_tick = calls / scn.run_ticks
     assert per_tick <= limit, f"{name}: {per_tick:.1f} calls per tick"

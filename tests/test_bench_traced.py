@@ -53,7 +53,7 @@ def test_traced_steady_run_counts(tmp_path):
     assert run.elapsed == workloads.window(name)
     _times, spans = layers.layer_times(probe)   # raises unless they add up
     assert probe.counts["svc_calls"] == 6477
-    assert spans == {"behavior": 10882, "resume": 11789}
+    assert spans == {"behavior": 10882, "resume": 11150}
     assert probe.counts["records"] == 25655
     assert service_resumes(probe) == {
         "bfm_call": 3152, "delay": 409, "flag_set": 774, "flag_wait": 1163,
@@ -75,7 +75,7 @@ def test_traced_wide_run_counts(tmp_path):
     assert run.elapsed == workloads.window(name)
     _times, spans = layers.layer_times(probe)
     assert probe.counts["svc_calls"] == 5479
-    assert spans == {"behavior": 9415, "resume": 9604}
+    assert spans == {"behavior": 9415, "resume": 9475}
     assert probe.counts["records"] == 25361
     assert probe.counts["DISPATCH"] == 3218
     assert probe.counts["PREEMPT"] == 793

@@ -33,7 +33,7 @@ from rtksim.trace import ListSink, running_vector
 def make_engine(threads, expected=None):
     eng = Engine(expected if expected is not None else len(threads))
     sink = ListSink()
-    eng.attach_sinks(trace_sink=sink, report_sink=None)
+    eng.attach_sinks(trace_sink=sink)
     for th in threads:
         eng.register(th)
     eng.all_created()
@@ -63,7 +63,6 @@ def control_rows(sink, label):
 
 def test_single_task_consumes_annotation():
     def body(api):
-        yield from api.wait_run()
         yield from api.wait(Annotation("step", 3, 10))
         yield from api.exit()
 
@@ -89,7 +88,6 @@ def test_energy_split_per_tick_with_remainder_on_last():
     charges = []
 
     def body(api):
-        yield from api.wait_run()
         yield from api.wait(Annotation("step", 3, 10))
         yield from api.exit()
 
@@ -105,12 +103,10 @@ def test_energy_split_per_tick_with_remainder_on_last():
 
 def test_priority_preemption_and_resume():
     def low(api):
-        yield from api.wait_run()
         yield from api.wait(Annotation("lo", 6, 0))
         yield from api.exit()
 
     def high(api):
-        yield from api.wait_run()
         ev = yield from api.wait_event()
         assert ev is EventKind.SLEEP_ARRIVAL
         yield from api.wait(Annotation("hi", 2, 0))
@@ -138,13 +134,11 @@ def test_priority_preemption_and_resume():
 
 def test_equal_priority_never_preempts():
     def sleeper(api):
-        yield from api.wait_run()
         yield from api.wait_event()
         yield from api.wait(Annotation("b", 2, 0))
         yield from api.exit()
 
     def runner(api):
-        yield from api.wait_run()
         yield from api.wait(Annotation("a", 5, 0))
         yield from api.exit()
 
@@ -170,7 +164,6 @@ def test_ready_tie_breaks_by_id_then_fifo_by_stamp():
 
     def body(name):
         def gen(api):
-            yield from api.wait_run()
             order.append(name)
             yield from api.wait(Annotation("w", 1, 0))
             yield from api.exit()
@@ -192,7 +185,6 @@ def _schedule(changes):
     the (thread id, priority) changes made before it."""
     def body(ticks):
         def gen(api):
-            yield from api.wait_run()
             yield from api.wait(Annotation("w", ticks, 0))
             yield from api.exit()
         return gen
@@ -228,7 +220,6 @@ def test_same_tick_ties_break_by_id_in_every_class():
 
     def sleeper(name):
         def gen(api):
-            yield from api.wait_run()
             yield from api.wait_event()
             order.append(name)
             yield from api.wait(Annotation("w", 1, 0))
@@ -258,17 +249,13 @@ def test_ready_classes_hold_exactly_the_ready_tasks_over_a_long_run():
     rng = random.Random(7)
 
     def worker(api):
-        yield from api.wait_run()
         while True:
             yield from api.wait(Annotation("w", rng.randint(1, 4), 0))
             if rng.random() < 0.5:
                 yield from api.wait_event()
 
     def handler(api):
-        while True:
-            yield from api.await_activation()
-            yield from api.wait(Annotation("isr", 1, 0), ContextKind.ISR)
-            yield from api.return_from_handler()
+        yield from api.wait(Annotation("isr", 1, 0), ContextKind.ISR)
 
     workers = [task(i, f"T{i}", rng.randint(1, 6), worker) for i in range(1, 13)]
     eng, _ = make_engine(workers + [
@@ -302,16 +289,11 @@ def test_ready_classes_hold_exactly_the_ready_tasks_over_a_long_run():
 
 def test_interrupt_enters_at_gate_and_task_resumes_after():
     def body(api):
-        yield from api.wait_run()
         yield from api.wait(Annotation("main", 4, 0))
         yield from api.exit()
 
     def handler_factory(api):
-        while True:
-            yield from api.await_activation()
-            yield from api.wait(Annotation("isr", 2, 0), ContextKind.ISR)
-            api.mark_cycle()
-            yield from api.return_from_handler()
+        yield from api.wait(Annotation("isr", 2, 0), ContextKind.ISR)
 
     t = task(1, "T", 5, body)
     h = isr(2, "H", handler_factory)
@@ -337,11 +319,7 @@ def test_interrupt_enters_at_gate_and_task_resumes_after():
 
 def test_busy_handler_drops_activation():
     def handler_factory(api):
-        while True:
-            yield from api.await_activation()
-            yield from api.wait(Annotation("isr", 3, 0), ContextKind.ISR)
-            api.mark_cycle()
-            yield from api.return_from_handler()
+        yield from api.wait(Annotation("isr", 3, 0), ContextKind.ISR)
 
     h = isr(1, "H", handler_factory)
     eng, _ = make_engine([h, task(2, "IDLE", 99, forever_idle, is_idle=True)])
@@ -359,15 +337,10 @@ def test_busy_handler_drops_activation():
 def test_nested_interrupts_unwind_lifo():
     def handler(label, ticks):
         def factory(api):
-            while True:
-                yield from api.await_activation()
-                yield from api.wait(Annotation(label, ticks, 0), ContextKind.ISR)
-                api.mark_cycle()
-                yield from api.return_from_handler()
+            yield from api.wait(Annotation(label, ticks, 0), ContextKind.ISR)
         return factory
 
     def body(api):
-        yield from api.wait_run()
         yield from api.wait(Annotation("main", 8, 0))
         yield from api.exit()
 
@@ -403,14 +376,12 @@ def test_preempted_thread_keeps_ready_stamp():
     # next dispatch (1 < 2).  With the original stamp kept, C wins.
     def sleeper(label):
         def gen(api):
-            yield from api.wait_run()
             yield from api.wait_event()
             yield from api.wait(Annotation(label, 2, 0))
             yield from api.exit()
         return gen
 
     def spin(api):
-        yield from api.wait_run()
         yield from api.wait(Annotation("c", 4, 0))
         yield from api.exit()
 
@@ -437,19 +408,105 @@ def test_preempted_thread_keeps_ready_stamp():
     ]
 
 
-def test_task_must_open_with_entry_gate():
-    def body(api):
-        yield from api.wait(Annotation("x", 1, 0))
+def _recording(body, gens):
+    """A thread body that keeps every generator it builds in ``gens``."""
+    def build(api):
+        gen = body(api)
+        gens.append(gen)
+        return gen
+    return build
 
-    eng, _ = make_engine([task(1, "BAD", 5, body)])
+
+def test_task_body_is_built_at_first_dispatch_and_anew_at_restart():
+    def high(api):
+        yield from api.wait(Annotation("hi", 2, 0))
+
+    def low(api):
+        yield from api.wait(Annotation("lo", 1, 0))
+
+    gens = []
+    t = task(1, "LO", 5, _recording(low, gens))
+    eng, sink = make_engine(
+        [t, task(2, "HI", 1, high), task(3, "IDLE", 99, forever_idle, is_idle=True)])
+    for tid in (1, 2, 3):
+        eng.start_thread(tid)
+    eng.run_ticks(2)            # HI runs first: LO is ready, not dispatched
+    assert t.state is ThreadState.READY
+    assert gens == [] and t.gen is None
+    eng.run_ticks(2)            # LO runs [2,3) and ends
+    assert len(gens) == 1 and t.gen is None
+    assert t.state is ThreadState.DORMANT
     eng.start_thread(1)
-    with pytest.raises(ProtocolError, match="entry gate"):
-        eng.run_one_tick()
+    assert len(gens) == 1       # a restart builds nothing before its dispatch
+    eng.run_ticks(2)
+    assert len(gens) == 2 and gens[1] is not gens[0]
+    assert work_rows(sink)[:4] == [
+        (0, 2, "HI", "hi"), (2, 3, "LO", "lo"), (3, 4, "IDLE", "idle"),
+        (4, 5, "LO", "lo"),
+    ]
+    starts = [(r.tick_start, r.thread_name, r.context_kind)
+              for r in sink.records
+              if r.label == "DISPATCH" and r.event_kind == "STARTUP"]
+    assert starts == [(0, "HI", "STARTUP"), (2, "LO", "STARTUP"),
+                      (3, "IDLE", "STARTUP"), (4, "LO", "STARTUP")]
+
+
+def test_each_handler_activation_runs_a_fresh_body_and_counts_a_cycle():
+    depths = []
+
+    def handler(api):
+        local = []              # a reused body would still hold earlier entries
+        local.append(api)
+        depths.append(len(local))
+        yield from api.wait(Annotation("isr", 1, 0), ContextKind.ISR)
+
+    gens = []
+    h = isr(1, "H", _recording(handler, gens))
+    eng, sink = make_engine([h, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng.start_thread(2)
+    eng.arm_handler(1)
+    assert gens == [] and h.state is ThreadState.WAITING
+    for n in (1, 2, 3):
+        assert eng.raise_interrupt(1) is True
+        eng.run_ticks(2)
+        assert h.token.cycles == n
+        assert h.gen is None and h.state is ThreadState.WAITING
+    assert len(gens) == 3 and len({id(g) for g in gens}) == 3
+    assert depths == [1, 1, 1]
+    entries = [r.event_kind for r in sink.records if r.label == "INT_ENTER"]
+    assert entries == ["STARTUP", "CONTINUE_RUN", "CONTINUE_RUN"]
+    assert len(control_rows(sink, "INT_RETURN")) == 3
+
+
+def _run_one_activation(handler):
+    eng, _ = make_engine(
+        [isr(1, "H", handler), task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng.start_thread(2)
+    eng.arm_handler(1)
+    eng.raise_interrupt(1)
+    eng.run_ticks(3)
+
+
+def test_handler_cannot_exit():
+    def handler(api):
+        yield from api.wait(Annotation("isr", 1, 0), ContextKind.ISR)
+        yield from api.exit()
+
+    with pytest.raises(ProtocolError, match="cannot exit"):
+        _run_one_activation(handler)
+
+
+def test_handler_cannot_return_inside_a_critical_section():
+    def handler(api):
+        api.begin_critical()
+        yield from api.wait(Annotation("isr", 1, 0), ContextKind.ISR)
+
+    with pytest.raises(ProtocolError, match="critical section"):
+        _run_one_activation(handler)
 
 
 def test_empty_scheduler_is_an_error():
     def body(api):
-        yield from api.wait_run()
         yield from api.exit()
 
     eng, _ = make_engine([task(1, "A", 5, body)])
@@ -463,7 +520,6 @@ def test_zero_time_livelock_guard(monkeypatch):
     monkeypatch.setattr(engine, "_ZERO_TIME_STEP_LIMIT", 1000)
 
     def body(api):
-        yield from api.wait_run()
         while True:
             yield from api.wait(Annotation("nop", 0, 0))
 
@@ -478,7 +534,6 @@ def test_zero_time_livelock_guard(monkeypatch):
 
 def test_zero_etm_segment_charges_full_energy_at_close():
     def body(api):
-        yield from api.wait_run()
         yield from api.wait(Annotation("blip", 0, 77))
         yield from api.wait(Annotation("work", 1, 0))
         yield from api.exit()
@@ -499,7 +554,6 @@ def test_zero_etm_segment_charges_full_energy_at_close():
 
 def test_finish_flushes_partial_record():
     def body(api):
-        yield from api.wait_run()
         yield from api.wait(Annotation("long", 10, 40))
         yield from api.exit()
 
@@ -517,7 +571,6 @@ def test_finish_flushes_partial_record():
 
 def test_illegal_state_transition_rejected():
     def body(api):
-        yield from api.wait_run()
         yield from api.exit()
 
     eng, _ = make_engine([task(1, "A", 5, body)])
@@ -528,7 +581,6 @@ def test_illegal_state_transition_rejected():
 
 def test_finish_is_idempotent():
     def body(api):
-        yield from api.wait_run()
         yield from api.wait(Annotation("w", 1, 0))
         yield from api.exit()
 
@@ -545,7 +597,6 @@ def test_finish_is_idempotent():
 
 def test_restart_preserves_accumulators():
     def body(api):
-        yield from api.wait_run()
         yield from api.wait(Annotation("w", 2, 6))
         yield from api.exit()
 
@@ -563,7 +614,6 @@ def test_restart_preserves_accumulators():
 
 def test_idle_thread_must_run_the_engine_idle_body():
     def other_idle(api):
-        yield from api.wait_run()
         while True:
             yield from api.wait(Annotation("idle", 1, 0), ContextKind.IDLE)
 
