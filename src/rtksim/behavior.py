@@ -134,6 +134,13 @@ _SERVICE_ARGS = {
 
 SERVICE_NAMES = frozenset(_SERVICE_ARGS)
 
+# Services that can make their caller wait.  As in uITRON (E_CTX), only a
+# task may call them: a handler runs each activation to completion.
+_WAITING_SERVICES = frozenset({
+    "sleep", "delay", "sem_wait", "flg_wait", "mbx_recv", "mbf_send",
+    "mbf_recv", "mtx_lock", "pool_get", "vpool_get",
+})
+
 # Device access argument values are bytes or addresses; both sides are ints.
 _BFM_ARG_KEYS = frozenset({"addr", "value"})
 
@@ -315,7 +322,12 @@ def _parse_stmt(raw, path, problems, *, handler, top, last):
                 problems.append((path, "statement names two different services"))
                 return None
             merged["service"] = raw["call"]
-        return _parse_call(merged, path, problems)
+        stmt = _parse_call(merged, path, problems)
+        if handler and stmt is not None and stmt.service in _WAITING_SERVICES:
+            problems.append((path, f"a handler cannot call '{stmt.service}', "
+                                   "which can wait; only tasks may wait"))
+            return None
+        return stmt
     if "bfm" in raw:
         merged = dict(raw)
         head = raw["bfm"]

@@ -789,6 +789,11 @@ class Engine:
         elif isinstance(req, _ExitRequest):
             self._do_exit(th)
         elif isinstance(req, _BlockRequest):
+            if th.kind is not ThreadKind.TASK:
+                # uITRON's E_CTX: a handler runs each activation to
+                # completion, so only a task may wait
+                raise ProtocolError(
+                    f"{th.name}: a handler cannot wait ({req.reason})")
             if self._crit_depth > 0:
                 raise ProtocolError(
                     f"{th.name} blocked while critical depth is {self._crit_depth}"

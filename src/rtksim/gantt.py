@@ -16,7 +16,7 @@ from .trace import (
     CTL_INT_ENTER,
     CTL_INT_RETURN,
     CTL_PREEMPT,
-    running_vector,
+    check_claims,
 )
 
 __all__ = ["LEGEND", "render_text_gantt", "render_svg_gantt"]
@@ -45,13 +45,14 @@ _MARKS_BY_GLYPH = {g: rank for g, rank in _MARKS.values()}
 def _threads_in(records):
     names = {}
     for r in records:
-        names.setdefault(r.thread_id, r.thread_name)
+        if r.thread_id not in names:
+            names[r.thread_id] = r.thread_name
     return sorted(names.items())
 
 
 def render_text_gantt(records, ticks: int) -> str:
     """One character per tick per thread; markers on a companion line."""
-    running_vector(records, ticks)  # raises on overlapping claims
+    check_claims(records, ticks)
     threads = _threads_in(records)
     rows = {tid: ["."] * ticks for tid, _ in threads}
     marks = {tid: [" "] * ticks for tid, _ in threads}
@@ -156,7 +157,7 @@ def _svg_patterns():
 
 
 def render_svg_gantt(records, ticks: int) -> str:
-    running_vector(records, ticks)  # raises on overlapping claims
+    check_claims(records, ticks)
     threads = _threads_in(records)
     width = _LEFT + ticks * _CELL_W + 20
     height = _TOP + len(threads) * (_ROW_H + _ROW_GAP) + _BOTTOM
@@ -194,30 +195,41 @@ def render_svg_gantt(records, ticks: int) -> str:
                    f'x2="{x_of(ticks)}" y2="{y + _ROW_H}" '
                    f'stroke="#bbbbbb" stroke-width="1"/>')
 
+    # the text of a segment's <rect> around its x, width and ticks, per
+    # (thread, context, label): a trace repeats a few dozen of them
+    pieces = {}
     for r in records:
-        y = rows_y[r.thread_id]
-        if r.label in _MARKS:
+        label = r.label
+        if label in _MARKS:
             if r.tick_start > ticks:
                 continue
+            y = rows_y[r.thread_id]
             x = x_of(r.tick_start)
-            if r.label == CTL_INT_ENTER:
+            if label == CTL_INT_ENTER:
                 out.append(f'<path d="M{x - 4} {y + 8} L{x + 4} {y + 8} '
                            f'L{x} {y}" fill="#202020"/>')
-            elif r.label == CTL_INT_RETURN:
+            elif label == CTL_INT_RETURN:
                 out.append(f'<path d="M{x - 4} {y} L{x + 4} {y} '
                            f'L{x} {y + 8}" fill="#202020"/>')
             else:  # PREEMPT
                 out.append(f'<path d="M{x - 4} {y - 2} L{x + 4} {y + 3} '
                            f'L{x - 4} {y + 8}" fill="#a02020"/>')
-        elif r.tick_end > r.tick_start and r.tick_start < ticks:
-            x = x_of(r.tick_start)
-            w = (min(r.tick_end, ticks) - r.tick_start) * _CELL_W
-            fid = LEGEND[r.context_kind][1]
-            out.append(f'<rect x="{x}" y="{y + 4}" width="{w}" '
-                       f'height="{_ROW_H - 8}" fill="url(#{fid})" '
-                       f'stroke="#404040" stroke-width="0.5">'
-                       f'<title>{r.thread_name} {r.label} '
-                       f'[{r.tick_start},{r.tick_end})</title></rect>')
+            continue
+        start, end = r.tick_start, r.tick_end
+        if end > start and start < ticks:
+            key = (r.thread_id, r.thread_name, r.context_kind, label)
+            try:
+                head, tail = pieces[key]
+            except KeyError:
+                fid = LEGEND[r.context_kind][1]
+                head, tail = pieces[key] = (
+                    f'" y="{rows_y[r.thread_id] + 4}" width="',
+                    f'" height="{_ROW_H - 8}" fill="url(#{fid})" '
+                    f'stroke="#404040" stroke-width="0.5">'
+                    f'<title>{r.thread_name} {label} [')
+            out.append(f'<rect x="{_LEFT + start * _CELL_W}{head}'
+                       f'{((end if end < ticks else ticks) - start) * _CELL_W}'
+                       f'{tail}{start},{end})</title></rect>')
 
     # legend strip
     lx = _LEFT

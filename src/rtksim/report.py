@@ -43,16 +43,17 @@ def usage_from_records(records) -> tuple:
     Control rows are zero-width and carry no energy, so summing over
     everything is safe.
     """
-    cet: dict[int, int] = {}
-    cee: dict[int, int] = {}
-    names: dict[int, str] = {}
+    totals: dict[int, list] = {}   # thread id -> [name, cet, cee_uj]
     for r in records:
-        names.setdefault(r.thread_id, r.thread_name)
-        cet[r.thread_id] = cet.get(r.thread_id, 0) + (r.tick_end - r.tick_start)
-        cee[r.thread_id] = cee.get(r.thread_id, 0) + r.eem_uj
+        try:
+            acc = totals[r.thread_id]
+        except KeyError:
+            acc = totals[r.thread_id] = [r.thread_name, 0, 0]
+        acc[1] += r.tick_end - r.tick_start
+        acc[2] += r.eem_uj
     return tuple(
-        ThreadUsage(tid, names[tid], cet[tid], cee[tid])
-        for tid in sorted(names)
+        ThreadUsage(tid, *totals[tid])
+        for tid in sorted(totals)
     )
 
 

@@ -60,11 +60,12 @@ def parse_mj(text) -> int:
     return int(scaled)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
-    """One trace row.  A plain dataclass: the engine builds one per
-    segment and control row, and a frozen one cost ~4x as much to build.
-    Nothing mutates a record after it is emitted."""
+    """One trace row.  A plain slotted dataclass: the engine builds one
+    per segment and control row, a frozen one cost ~4x as much to build,
+    and slots make it smaller and cheaper still.  Nothing mutates a
+    record after it is emitted."""
 
     tick_start: int
     tick_end: int
@@ -123,16 +124,55 @@ class CsvFileSink:
 
 
 def records_to_csv(records) -> str:
-    out = [CSV_HEADER]
-    out.extend(r.csv_row() for r in records)
-    return "\n".join(out) + "\n"
+    """The whole trace as CSV text: the header, then ``csv_row()`` of
+    each record, each line ending in a newline.
+
+    A trace repeats a few dozen (thread, context, label, length, energy,
+    event) combinations over thousands of rows, so each combination's
+    text after the two ticks is formatted once.
+    """
+    tails = {}
+    rows = [CSV_HEADER]
+    append = rows.append
+    for r in records:
+        key = (r.thread_id, r.thread_name, r.context_kind, r.label,
+               r.etm_ticks, r.eem_uj, r.event_kind)
+        try:
+            tail = tails[key]
+        except KeyError:
+            tid, name, context, label, etm, uj, event = key
+            tail = tails[key] = (f"{tid},{name},{context},{label},{etm},"
+                                 f"{format_mj(uj)},{event}")
+        append(f"{r.tick_start},{r.tick_end},{tail}")
+    rows.append("")
+    return "\n".join(rows)
+
+
+def check_claims(records, length: int) -> None:
+    """Raise ConsistencyError exactly when ``running_vector(records,
+    length)`` would, in O(records) when no two segments overlap.
+
+    A trace lists its segments in time order, so each one starts at or
+    after tick 0 and the end of every segment before it.  Only a trace
+    where that fails is handed to ``running_vector``, which finds the
+    tick two threads claim, if there is one.
+    """
+    high = 0
+    for r in records:
+        start, end = r.tick_start, r.tick_end
+        if end > start:
+            if start < high:
+                running_vector(records, length)
+                return
+            high = end
 
 
 def running_vector(records, length: int) -> list[int | None]:
     """Per-tick thread assignment derived purely from segment records.
 
     Raises ConsistencyError if two segments claim the same tick; ticks
-    nobody claims stay None.
+    nobody claims stay None.  ``check_claims`` makes the same check
+    without building the vector.
     """
     from .errors import ConsistencyError
 

@@ -160,6 +160,26 @@ def test_run_time_error_exits_four_but_flushes_artifacts(tmp_path, capsys):
     assert trace.read_bytes() == clean.read_bytes()
 
 
+def test_a_handler_that_waits_exits_four(monkeypatch, tmp_path, capsys):
+    # a scenario cannot declare a handler that waits, so declare one in
+    # Python: its semaphore is empty
+    def waiting_kernel(scn, tick_us=None):
+        kernel = Kernel()
+        kernel.declare_semaphore(1, 0)
+
+        def handler(ctx):
+            yield from ctx.kernel.sem_wait(ctx.api, 1)
+        kernel.declare_cyclic(1, "H", 5, handler)
+        return kernel
+    monkeypatch.setattr("rtksim.cli.build_kernel", waiting_kernel)
+    scn = write(tmp_path, "scn.yaml", DEADLOCKED)
+    trace = tmp_path / "trace.csv"
+    assert main(["run", scn, "--trace", str(trace)]) == EXIT_RUN_ERROR
+    assert ("rtk-sim: error at tick 6 while thread H was running: "
+            "H: a handler cannot wait (semaphore 1)") in capsys.readouterr().err
+    assert trace.read_text().splitlines()[-1] == "6,6,1,H,CYC_HANDLER,CRIT_EXIT,0,0,"
+
+
 def test_boot_error_exits_two(monkeypatch, capsys):
     def failing_boot(self):
         raise ValidationError("boot refused")

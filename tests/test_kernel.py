@@ -17,6 +17,7 @@ from rtksim.errors import (
     DeadlockError,
     NotFoundError,
     ObjectStateError,
+    ProtocolError,
     SimError,
     StateError,
     UsageError,
@@ -255,6 +256,36 @@ def test_alarm_fires_once_at_offset():
     # the effect releases T on the next resume
     assert out["woke_at"] == 7
     assert out["code"] == RESULT_OK
+
+
+def waiting_handler(service):
+    """A handler factory whose body calls ``service`` so that it waits:
+    semaphore 1 must be empty."""
+    def factory(ctx):
+        kernel, api = ctx.kernel, ctx.api
+        if service == "sleep":
+            yield from kernel.sleep(api)
+        elif service == "delay":
+            yield from kernel.delay(api, 2)
+        else:
+            yield from kernel.sem_wait(api, 1, timeout=3)
+    return factory
+
+
+@pytest.mark.parametrize("service, reason", [
+    ("sleep", "sleep"), ("delay", "delay"), ("sem_wait", "semaphore 1")])
+def test_a_handler_that_waits_is_a_protocol_error(service, reason):
+    # uITRON rejects a wait outside task context (E_CTX)
+    k, sink = mk()
+    k.declare_semaphore(1, 0)
+    k.declare_cyclic(1, "H", 5, waiting_handler(service))
+    k.boot()
+    with pytest.raises(ProtocolError, match=rf"^H: a handler cannot wait \({reason}\)$"):
+        k.run(30)
+    # the activation entered at tick 5 and its service charged tick 5
+    assert (k.engine.now, k.engine.current_id) == (6, 1)
+    assert [r.label for r in sink.records if r.thread_id == 1] == [
+        "INT_ENTER", "CRIT_ENTER", "svc", "CRIT_EXIT"]
 
 
 def test_busy_cyclic_handler_misses_fires():

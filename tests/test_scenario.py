@@ -240,6 +240,50 @@ def test_handler_structure_rules():
         ))
 
 
+WAITING_CALLS = {
+    "sleep": "{call: sleep}",
+    "delay": "{call: delay, ticks: 2}",
+    "sem_wait": "{call: sem_wait, sem: 1}",
+    "flg_wait": "{call: flg_wait, flag: 1, pattern: 1}",
+    "mbx_recv": "{call: mbx_recv, mailbox: 1}",
+    "mbf_send": "{call: mbf_send, buffer: 1, payload: hi}",
+    "mbf_recv": "{call: mbf_recv, buffer: 1}",
+    "mtx_lock": "{call: mtx_lock, mutex: 1}",
+    "pool_get": "{call: pool_get, pool: 1, as: blk}",
+    "vpool_get": "{call: vpool_get, pool: 1, size: 4, as: blk}",
+}
+
+
+def handler_text(call: str) -> str:
+    return MINIMAL + (
+        "handlers:\n"
+        "  - id: 2\n    name: H\n    kind: cyclic\n    period: 5\n"
+        "    behavior:\n"
+        "      - compute: work\n"
+        "      - loop: true\n"
+        "        count: 2\n"
+        "        body:\n"
+        f"          - {call}\n"
+    )
+
+
+@pytest.mark.parametrize("service", sorted(WAITING_CALLS))
+def test_a_handler_program_may_not_wait(service):
+    # uITRON rejects a wait outside task context (E_CTX); the call on
+    # line 20 sits in a loop body
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(handler_text(WAITING_CALLS[service]),
+                            filename="scn.yaml")
+    assert problems_of(ei) == [
+        ("scn.yaml:20", f"a handler cannot call '{service}', which can wait; "
+                        "only tasks may wait")]
+
+
+def test_a_handler_program_may_call_services_that_do_not_wait():
+    scn = parse_scenario_text(handler_text("{call: wakeup, task: 1}"))
+    assert scn.handlers[0].behavior[1].body[0].service == "wakeup"
+
+
 def test_forever_loop_must_close_the_task_body():
     text = (
         "run_ticks: 5\n"

@@ -1,14 +1,17 @@
 """Trace record formatting and the running-thread reconstruction."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rtksim.errors import ConsistencyError
 from rtksim.scenario import build_kernel, parse_scenario_text
 from rtksim.trace import (
+    CONTROL_LABELS,
     CSV_HEADER,
     CsvFileSink,
     ListSink,
     TraceRecord,
+    check_claims,
     format_mj,
     parse_mj,
     records_to_csv,
@@ -79,6 +82,71 @@ def test_running_vector_rejects_overlap():
     rows = [work(0, 3, 1), work(2, 4, 2)]
     with pytest.raises(ConsistencyError):
         running_vector(rows, 4)
+
+
+def test_records_are_slotted():
+    r = work(0, 1, 1)
+    assert not hasattr(r, "__dict__")
+    with pytest.raises(AttributeError):
+        r.note = "x"
+
+
+# ----------------------------------------------------------------------
+# the claim check against running_vector, and records_to_csv against
+# csv_row, on generated record lists
+
+def _claim_error(check, records, length):
+    try:
+        check(records, length)
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+_segments = st.builds(
+    lambda start, width, tid: work(start, start + width, tid),
+    st.integers(0, 12), st.integers(-1, 4), st.integers(1, 3))
+_controls = st.builds(
+    lambda tick, tid, label: ctl(tick, tid, label),
+    st.integers(0, 14), st.integers(1, 3), st.sampled_from(sorted(CONTROL_LABELS)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(records=st.lists(_segments | _controls, max_size=8),
+       length=st.integers(0, 14))
+# out of order, no overlap: passes
+@example(records=[work(4, 6, 2), work(0, 4, 1)], length=6)
+# one thread claims tick 1 twice: passes
+@example(records=[work(0, 2, 1), work(1, 3, 1)], length=3)
+# two threads claim tick 5, which lies past the window: passes
+@example(records=[work(0, 6, 1), work(5, 7, 2)], length=5)
+# control rows between the segments claim nothing
+@example(records=[ctl(0, 1, "DISPATCH"), work(0, 2, 1), ctl(2, 1, "PREEMPT"),
+                  ctl(2, 2, "DISPATCH"), work(2, 3, 2)], length=3)
+# a real overlap inside the window
+@example(records=[work(0, 3, 1), work(2, 4, 2)], length=4)
+def test_check_claims_raises_exactly_when_running_vector_does(records, length):
+    assert (_claim_error(check_claims, records, length)
+            == _claim_error(running_vector, records, length))
+
+
+_NAMES = {1: "A", 2: "B", 3: "IDLE"}
+_rows = st.builds(
+    lambda start, width, tid, context, label, etm, uj, event: TraceRecord(
+        start, start + width, tid, _NAMES[tid], context, label, etm, uj, event),
+    st.integers(0, 50), st.integers(0, 3), st.sampled_from(sorted(_NAMES)),
+    st.sampled_from(["TASK", "SVC", "IDLE"]),
+    st.sampled_from(["work", "svc", "DISPATCH"]), st.integers(0, 3),
+    # negative, zero, whole and fractional milli-joules
+    st.sampled_from([-2500, -1, 0, 1, 50, 999, 1000, 1500, 12345]),
+    st.sampled_from(["", "STARTUP", "CONTINUE_RUN"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(records=st.lists(_rows, max_size=30))
+def test_records_to_csv_is_the_header_and_each_csv_row(records):
+    assert records_to_csv(records) == (
+        CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in records))
 
 
 def test_list_sink_collects_in_order():
