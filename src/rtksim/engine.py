@@ -47,6 +47,11 @@ the same CONTINUE_RUN row a resume of the body would, without the
 generator round trip.  Its first dispatch and every return from a
 preemption or an interrupt still resume the body.
 
+A caller that knows the tick hook has no work for a while may ``coast``
+instead of stepping: with nothing for the gate to commit, the rest of
+the running segment, or a stretch of renewed idle ticks, is consumed
+with one accounting step and the same trace rows.
+
 Trace rows are plain TraceRecord dataclasses, built positionally with
 the enum strings read through ``_value_``.
 """
@@ -389,7 +394,7 @@ class Engine:
         self.tick_us = tick_us
         self.now = 0
         self.current_id: int | None = None
-        self.on_tick = None  # callable(now) run after each consumed tick
+        self.on_tick = None  # callable(now) run after each stepped tick
         self._table: dict[int, SimThread] = {}
         # current priority -> sorted (ready_tick, id); bit p set while
         # class p is non-empty
@@ -546,6 +551,38 @@ class Engine:
         if self.on_tick is not None:
             self.on_tick(self.now)
 
+    def coast(self, limit: int) -> int:
+        """Consume up to ``limit`` ticks that need no scheduling decision
+        in one step, without the tick hook, and return how many.
+
+        The caller vouches that the hook has no work at the end of any of
+        them.  A coast needs a gate with nothing to commit, and then takes
+        what the next ``run_one_tick`` calls would do without a decision:
+        the rest of the running segment, up to ``limit`` ticks, or, for
+        the idle thread, ``limit`` renewed idle ticks.  Otherwise it
+        consumes nothing.
+        """
+        cur = self.current_id
+        if cur is None or limit <= 0:
+            return 0
+        th = self._table[cur]
+        if self._crit_depth == 0 and (self._pending_activations
+                                      or th.preempt_requested):
+            return 0
+        seg = th.seg
+        if seg is None:
+            return 0
+        if seg.remaining > 0:
+            n = min(limit, seg.remaining)
+            self._consume(th, seg, n)
+        elif th.is_idle and th.pending_resume is None:
+            n = limit
+            self._renew_idle(th, seg, n)
+        else:
+            return 0
+        self.now += n
+        return n
+
     def finish(self):
         """Flush the open record (if any) and close the trace sink."""
         if self._finished:
@@ -643,10 +680,10 @@ class Engine:
             seg = th.seg
             if seg is not None:
                 if seg.remaining > 0:
-                    self._consume_tick(th, seg)
+                    self._consume(th, seg, 1)
                     return
                 if th.is_idle and th.pending_resume is None:
-                    self._renew_idle(th, seg)
+                    self._renew_idle(th, seg, 1)
                     return
             self._step(th)
             guard += 1
@@ -819,33 +856,49 @@ class Engine:
         self._emit_control(th, CTL_EXIT)
         self.current_id = None
 
-    def _renew_idle(self, th: SimThread, seg: _Segment):
-        """Close the idle thread's completed tick and charge the next one
-        on the same segment: the state a CONTINUE_RUN resume of
-        idle_body reaches, since that body only re-opens its one-tick
-        wait."""
+    def _renew_idle(self, th: SimThread, seg: _Segment, n: int):
+        """Close the idle thread's completed tick and charge the next
+        ``n`` on the same segment: the state n CONTINUE_RUN resumes of
+        idle_body reach, since that body only re-opens its one-tick
+        wait.  The first n - 1 of those ticks are written as completed
+        rows here; the last one's record stays open."""
         self._close_record_completed(th)
+        now = self.now
+        last = now + n - 1
+        if n > 1:
+            record = self._trace.record
+            row = (th.id, th.name, seg.context_kind._value_, seg.label,
+                   seg.etm, seg.eem_uj, EventKind.CONTINUE_RUN._value_)
+            for t in range(now, last):
+                record(TraceRecord(t, t + 1, *row))
+            # a one-tick segment charges all of its energy on its tick,
+            # so those ticks charge as one stretch; the restart below
+            # drops what this adds to the record
+            seg.remaining = n - 1
+            self._consume(th, seg, n - 1)
         seg.remaining = seg.etm
         th.last_event = EventKind.CONTINUE_RUN
-        seg.restart(self.now, EventKind.CONTINUE_RUN)
+        seg.restart(last, EventKind.CONTINUE_RUN)
         th.seg = seg
-        self._consume_tick(th, seg)
+        self._consume(th, seg, 1)
 
-    def _consume_tick(self, th: SimThread, seg: _Segment):
-        seg.remaining -= 1
-        seg.record_consumed += 1
-        share = seg.per_tick_uj
-        if seg.remaining == 0:
+    def _consume(self, th: SimThread, seg: _Segment, n: int):
+        """Charge ``n`` ticks of the running segment, at most what it has
+        left; its remainder energy goes with its final tick."""
+        remaining = seg.remaining = seg.remaining - n
+        seg.record_consumed += n
+        share = seg.per_tick_uj * n
+        if remaining == 0:
             share += seg.rem_uj
         seg.record_uj += share
         tok = th.token
-        tok.cet += 1
+        tok.cet += n
         tok.cee_uj += share
         if seg.context_kind is ContextKind.SVC:
-            th.svc_ticks += 1
-        th.run_streak += 1
-        if th.run_streak > th.max_streak:
-            th.max_streak = th.run_streak
+            th.svc_ticks += n
+        streak = th.run_streak = th.run_streak + n
+        if streak > th.max_streak:
+            th.max_streak = streak
 
     def _close_record_partial(self, th: SimThread):
         seg = th.seg

@@ -25,7 +25,10 @@ Timer boundaries are processed at instants 1..T for a T-tick run: due
 timer events first (insertion order within one instant), then the
 stimuli declared for that instant, then a deadlock check.  A timeout
 whose wait already ended some other way stays in the timer heap until
-it falls due, but it does not defer the deadlock.
+it falls due, but it does not defer the deadlock.  ``run`` coasts the
+engine through the ticks before the next due timer entry or stimulus,
+whose boundaries have nothing to process, so the tick hook runs only
+after the ticks it steps.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .errors import (
     DeadlockError,
     NotFoundError,
     ObjectStateError,
+    ProtocolError,
     UsageError,
     ValidationError,
 )
@@ -230,6 +234,7 @@ class Kernel:
         self._task_decls: list[TaskDecl] = []
         self._handler_decls: list[HandlerDecl] = []
         self._thread_ids: set[int] = set()  # of both kinds of declaration
+        self._handler_ids: set[int] = set()
         self._object_decls: list[tuple] = []
         self._stimuli: list[Stimulus] = []
         self._stim_idx = 0
@@ -266,6 +271,7 @@ class Kernel:
     def _add_handler(self, decl: HandlerDecl):
         self._handler_decls.append(decl)
         self._thread_ids.add(decl.thread_id)
+        self._handler_ids.add(decl.thread_id)
 
     def declare_task(self, task_id: int, name: str, priority: int, body,
                      *, extended_info: int = 0):
@@ -502,12 +508,38 @@ class Kernel:
     # run control
 
     def run(self, ticks: int):
+        """Advance ``ticks`` ticks: step each tick that may need a
+        scheduling decision or a boundary's work, and coast the others."""
         if not self._booted:
             raise UsageError("boot before running")
         if not isinstance(ticks, int) or ticks < 0:
             raise ValidationError("tick count must be >= 0")
-        for _ in range(ticks):
-            self.engine.run_one_tick()
+        eng = self.engine
+        table = eng._table
+        timer, stimuli = self._timer, self._stimuli
+        n_stimuli = len(stimuli)
+        end = eng.now + ticks
+        while eng.now < end:
+            eng.run_one_tick()
+            # Only a running segment with ticks left, or idle, can coast.
+            # Tested first and inline, so a busy tick pays a few lookups
+            # and no call.
+            th = table[eng.current_id]
+            seg = th.seg
+            if seg is None or not (seg.remaining or th.is_idle):
+                continue
+            # The hook has work only at the next timer entry (a stale
+            # timeout counts) or stimulus, so the ticks before that one
+            # may coast: their hooks would find the state this tick's
+            # hook left, and its deadlock check has already seen it.
+            stop = end
+            if timer and timer[0][0] <= stop:
+                stop = timer[0][0] - 1
+            idx = self._stim_idx
+            if idx < n_stimuli and stimuli[idx].tick <= stop:
+                stop = stimuli[idx].tick - 1
+            if stop > eng.now:
+                eng.coast(stop - eng.now)
 
     def step(self):
         """Advance exactly one tick (step mode)."""
@@ -621,8 +653,10 @@ class Kernel:
         (granted, the caller's value, the (thread id, value) pairs of the
         waiters it served).
         """
-        timeout = self._validate_timeout(timeout)
         tid = api.thread_id
+        if tid in self._handler_ids:
+            raise self._handler_wait_error(tid, f"{what} {obj_id}")
+        timeout = self._validate_timeout(timeout)
         granted, value, released = yield from self._svc(
             api, self._apply, registry, obj_id, what, attempt, tid)
         for waiter, result in released:
@@ -644,6 +678,13 @@ class Kernel:
         for waiter, result in released or ():
             self._release(waiter, RESULT_OK, result)
         return SvcResult(RESULT_OK)
+
+    def _handler_wait_error(self, thread_id, reason):
+        """μITRON's E_CTX: a handler runs each activation to completion,
+        so a service that can wait refuses a handler caller at the call,
+        before its service segment."""
+        return ProtocolError(f"{self.engine.thread(thread_id).name}: "
+                             f"a handler cannot wait ({reason})")
 
     def _tcb(self, thread_id) -> TaskControl:
         tcb = self.tcb.get(thread_id)
@@ -691,6 +732,8 @@ class Kernel:
     def sleep(self, api, timeout=None):
         """Sleep until wakeup or timeout.  A queued wakeup is consumed
         immediately without blocking."""
+        if api.thread_id in self._handler_ids:
+            raise self._handler_wait_error(api.thread_id, "sleep")
         timeout = self._validate_timeout(timeout)
         tcb = self._tcb(api.thread_id)
 
@@ -723,6 +766,8 @@ class Kernel:
 
     def delay(self, api, ticks):
         """Unconditional delay: only expiry releases it; wakeups queue up."""
+        if api.thread_id in self._handler_ids:
+            raise self._handler_wait_error(api.thread_id, "delay")
         if not isinstance(ticks, int) or ticks < 1:
             raise ValidationError("delay must be >= 1 ticks")
         yield from self._svc(api, lambda: None)
@@ -789,8 +834,10 @@ class Kernel:
                           timeout, attempt)
 
     def mtx_lock(self, api, mtx_id, timeout=None):
-        timeout = self._validate_timeout(timeout)
         tid = api.thread_id
+        if tid in self._handler_ids:
+            raise self._handler_wait_error(tid, f"mutex {mtx_id}")
+        timeout = self._validate_timeout(timeout)
         tcb = self.tcb[tid]
 
         def op(mtx):

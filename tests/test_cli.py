@@ -175,9 +175,11 @@ def test_a_handler_that_waits_exits_four(monkeypatch, tmp_path, capsys):
     scn = write(tmp_path, "scn.yaml", DEADLOCKED)
     trace = tmp_path / "trace.csv"
     assert main(["run", scn, "--trace", str(trace)]) == EXIT_RUN_ERROR
-    assert ("rtk-sim: error at tick 6 while thread H was running: "
+    assert ("rtk-sim: error at tick 5 while thread H was running: "
             "H: a handler cannot wait (semaphore 1)") in capsys.readouterr().err
-    assert trace.read_text().splitlines()[-1] == "6,6,1,H,CYC_HANDLER,CRIT_EXIT,0,0,"
+    # refused at the call: no service segment was charged
+    assert trace.read_text().splitlines()[-1] == (
+        "5,5,1,H,CYC_HANDLER,INT_ENTER,0,0,STARTUP")
 
 
 def test_boot_error_exits_two(monkeypatch, capsys):

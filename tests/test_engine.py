@@ -628,3 +628,96 @@ def test_priority_must_be_a_non_negative_int():
         with pytest.raises(ValidationError, match="priority"):
             task(1, "T", bad, idle_body)
     assert task(1, "T", 0, idle_body).current_priority == 0
+
+
+# --------------------------------------------------------------------------
+# coasting: ticks that need no scheduling decision, consumed in one step
+
+def _coast_system():
+    """A task with a 10-tick, 23 uJ segment (2 uJ a tick, the remaining
+    3 on its last), a 3-tick one in a critical section, then idle."""
+    def body(api):
+        yield from api.wait(Annotation("long", 10, 23))
+        api.begin_critical()
+        yield from api.wait(Annotation("locked", 3, 5), ContextKind.SVC)
+        api.end_critical()
+        yield from api.exit()
+
+    t = task(1, "A", 5, body)
+    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng.start_thread(1)
+    eng.start_thread(2)
+    return eng, sink
+
+
+def _state(eng, sink):
+    eng.finish()
+    return eng.now, sink.records, [
+        (th.token, th.svc_ticks, th.run_streak, th.max_streak)
+        for th in eng.threads()]
+
+
+@pytest.mark.parametrize("limits", [
+    (1, 1, 1), (9, 3, 7), (4, 100, 2, 100, 5), (2, 8, 1, 1, 3, 20)])
+def test_coasting_between_ticks_equals_stepping(limits):
+    # each coast takes at most what is left of the running segment, and
+    # of idle as many ticks as it is allowed; a stepped tick follows each
+    eng, sink = _coast_system()
+    for limit in limits:
+        eng.run_one_tick()
+        eng.coast(limit)
+    ticks = eng.now
+    stepped, stepped_sink = _coast_system()
+    stepped.run_ticks(ticks)
+    assert _state(eng, sink) == _state(stepped, stepped_sink)
+
+
+def test_a_coast_ends_with_the_segment_and_charges_its_remainder():
+    eng, sink = _coast_system()
+    eng.run_one_tick()
+    assert eng.coast(100) == 9
+    t = eng.thread(1)
+    assert (eng.now, t.token.cet, t.token.cee_uj) == (10, 10, 23)
+    assert eng.coast(100) == 0         # the body must be resumed next
+    eng.run_one_tick()                 # enters the critical section
+    assert eng.critical_depth() == 1
+    assert eng.coast(100) == 2
+    assert (t.svc_ticks, t.max_streak) == (3, 13)
+
+
+def test_idle_coast_writes_one_row_per_tick_and_leaves_the_last_open():
+    eng, sink = _coast_system()
+    eng.run_ticks(14)                  # A is done, idle ran tick 13
+    assert eng.coast(4) == 4
+    assert work_rows(sink)[-4:] == [
+        (13, 14, "IDLE", "idle"), (14, 15, "IDLE", "idle"),
+        (15, 16, "IDLE", "idle"), (16, 17, "IDLE", "idle")]
+    eng.finish()
+    assert work_rows(sink)[-1] == (17, 18, "IDLE", "idle")
+    # the first idle row is its dispatch's STARTUP, the renewals continue
+    assert [r.event_kind for r in sink.records[-5:]] == [
+        "STARTUP", *["CONTINUE_RUN"] * 4]
+
+
+def test_no_coast_while_the_gate_has_work():
+    def handler(api):
+        yield from api.wait(Annotation("isr", 1, 0), ContextKind.ISR)
+
+    eng, _ = make_engine([
+        task(1, "A", 5, lambda api: api.wait(Annotation("long", 10, 0))),
+        isr(2, "H", handler),
+        task(3, "IDLE", 99, forever_idle, is_idle=True)])
+    assert eng.coast(5) == 0           # nothing is running yet
+    eng.start_thread(1)
+    eng.start_thread(3)
+    eng.arm_handler(2)
+    eng.run_one_tick()
+    eng.raise_interrupt(2)
+    assert eng.coast(5) == 0           # an activation waits to enter
+    eng.run_one_tick()                 # H runs its one tick
+    eng.run_one_tick()                 # A resumes
+    assert eng.coast(0) == 0
+    eng.thread(1).preempt_requested = True
+    assert eng.coast(5) == 0           # a preemption waits to be checked
+    eng.thread(1).preempt_requested = False
+    assert eng.coast(5) == 5

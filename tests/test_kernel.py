@@ -7,11 +7,15 @@ positions in comments were derived by hand: a service charges one tick
 and its effect lands on the caller's next resume.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from oracle import inherit_fixpoint
 from rtksim.bfm import AccessSpec
-from rtksim.engine import Annotation, ContextKind, ThreadState
+from rtksim.debugds import dump_listing, take_snapshot
+from rtksim.engine import Annotation, ContextKind, ThreadState, Token
 from rtksim.errors import (
     ConflictError,
     DeadlockError,
@@ -25,7 +29,8 @@ from rtksim.errors import (
 )
 from rtksim.kernel import RESULT_OK, RESULT_TIMEOUT, Kernel
 from rtksim.objects import FLAG_MODE_AND, FLAG_MODE_OR
-from rtksim.trace import ListSink, running_vector
+from rtksim.scenario import build_kernel, parse_scenario_text
+from rtksim.trace import ListSink, records_to_csv, running_vector
 
 
 def mk(**kw) -> tuple[Kernel, ListSink]:
@@ -259,33 +264,53 @@ def test_alarm_fires_once_at_offset():
 
 
 def waiting_handler(service):
-    """A handler factory whose body calls ``service`` so that it waits:
-    semaphore 1 must be empty."""
+    """A handler factory whose body calls ``service``, one that can wait."""
     def factory(ctx):
         kernel, api = ctx.kernel, ctx.api
         if service == "sleep":
             yield from kernel.sleep(api)
         elif service == "delay":
             yield from kernel.delay(api, 2)
+        elif service == "mtx_lock":
+            yield from kernel.mtx_lock(api, 1)
         else:
             yield from kernel.sem_wait(api, 1, timeout=3)
     return factory
 
 
-@pytest.mark.parametrize("service, reason", [
-    ("sleep", "sleep"), ("delay", "delay"), ("sem_wait", "semaphore 1")])
-def test_a_handler_that_waits_is_a_protocol_error(service, reason):
-    # uITRON rejects a wait outside task context (E_CTX)
-    k, sink = mk()
-    k.declare_semaphore(1, 0)
-    k.declare_cyclic(1, "H", 5, waiting_handler(service))
-    k.boot()
+def refused_at_first_activation(k, sink, reason):
+    """Run ``k`` into its handler H's refused wait: the first activation
+    entered at tick 5 and charged no service."""
     with pytest.raises(ProtocolError, match=rf"^H: a handler cannot wait \({reason}\)$"):
         k.run(30)
-    # the activation entered at tick 5 and its service charged tick 5
-    assert (k.engine.now, k.engine.current_id) == (6, 1)
-    assert [r.label for r in sink.records if r.thread_id == 1] == [
-        "INT_ENTER", "CRIT_ENTER", "svc", "CRIT_EXIT"]
+    assert (k.engine.now, k.engine.current_id) == (5, 1)
+    assert [r.label for r in sink.records if r.thread_id == 1] == ["INT_ENTER"]
+    assert k.engine.critical_depth() == 0
+
+
+@pytest.mark.parametrize("service, reason", [
+    ("sleep", "sleep"), ("delay", "delay"), ("sem_wait", "semaphore 1"),
+    ("mtx_lock", "mutex 1")])
+def test_a_handler_that_waits_is_a_protocol_error(service, reason):
+    # uITRON rejects a wait service outside task context (E_CTX) at the
+    # call; semaphore 1 is empty and mutex 1 free
+    k, sink = mk()
+    k.declare_semaphore(1, 0)
+    k.declare_mutex(1)
+    k.declare_cyclic(1, "H", 5, waiting_handler(service))
+    k.boot()
+    refused_at_first_activation(k, sink, reason)
+
+
+def test_a_handler_is_refused_a_wait_it_would_be_granted():
+    # the semaphore holds 3, so the wait would not block: it is refused
+    # all the same, at the first activation
+    k, sink = mk()
+    k.declare_semaphore(1, 3)
+    k.declare_cyclic(1, "H", 5, waiting_handler("sem_wait"))
+    k.boot()
+    refused_at_first_activation(k, sink, "semaphore 1")
+    assert k.semaphores[1].count == 3
 
 
 def test_busy_cyclic_handler_misses_fires():
@@ -1279,3 +1304,189 @@ def test_idle_id_defaults_to_max_declared_plus_one():
     k.boot()
     assert k.idle_id == 8
     assert k.engine.thread(8).is_idle
+
+
+# --------------------------------------------------------------------------
+# free run against step mode: a free run coasts through quiet stretches
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _import_workloads():
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True   # write nothing under perfbench/
+    try:
+        import workloads
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+    return workloads
+
+
+def counting_hooks(k):
+    """Count the tick hook's calls on a booted kernel: one per stepped tick."""
+    calls = []
+    hook = k.engine.on_tick
+
+    def on_tick(now):
+        calls.append(now)
+        hook(now)
+    k.engine.on_tick = on_tick
+    return calls
+
+
+def outcome(k, sink):
+    """What a run leaves: its trace, listing, tokens and deadlock report."""
+    k.finish()
+    eng = k.engine
+    return (eng.now, records_to_csv(sink.records),
+            dump_listing(take_snapshot(k)),
+            {th.id: (th.token, th.svc_ticks, th.max_streak)
+             for th in eng.threads()},
+            k.deadlock_report)
+
+
+def free_and_stepped(make, ticks):
+    """Run ``make()``'s booted kernel for ``ticks`` at once and another
+    one tick at a time; return both outcomes and the stepped ticks of the
+    free run.  A SimError ends either run at the tick it was raised."""
+    results = []
+    for stepping in (False, True):
+        k, sink = make()
+        stepped = counting_hooks(k)
+        error = None
+        try:
+            if stepping:
+                while k.engine.now < ticks:
+                    k.step()
+            else:
+                k.run(ticks)
+        except SimError as exc:
+            error = (type(exc), str(exc))
+        results.append((outcome(k, sink), error, len(stepped)))
+    (free, free_error, free_steps), (step, step_error, _) = results
+    assert free == step
+    assert free_error == step_error
+    return free, free_error, free_steps
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("steady", 1), ("sparse", 1), ("wide", 1), ("sparse", 2), ("sparse", 3)])
+def test_free_run_equals_step_mode_on_the_workloads(name, seed):
+    workloads = _import_workloads()
+    scn = parse_scenario_text(workloads.generate(name, seed), f"{name}.yaml")
+
+    def make():
+        k = build_kernel(scn)
+        sink = ListSink()
+        k.attach_sinks(trace_sink=sink)
+        k.boot()
+        return k, sink
+
+    (now, *_), error, steps = free_and_stepped(make, scn.run_ticks)
+    assert (now, error) == (scn.run_ticks, None)
+    assert steps < scn.run_ticks      # the free run coasted
+    if name == "sparse":
+        assert steps < scn.run_ticks // 100
+
+
+def _deadlock_in_a_quiet_stretch(abort_on_deadlock):
+    # B's 100-tick sleep ends early, so its timeout stays in the heap,
+    # stale, until tick 101; A then computes 40 quiet ticks and both sleep
+    k, sink = mk(abort_on_deadlock=abort_on_deadlock)
+
+    def a(ctx):
+        yield from ctx.kernel.wakeup(ctx.api, 2)
+        yield from compute(ctx, "quiet", 40)
+        yield from ctx.kernel.sleep(ctx.api)
+
+    def b(ctx):
+        yield from ctx.kernel.sleep(ctx.api, 100)
+        yield from ctx.kernel.sleep(ctx.api)
+
+    k.declare_task(1, "A", 6, a)
+    k.declare_task(2, "B", 5, b)
+    k.boot()
+    return k, sink
+
+
+def test_a_deadlock_after_a_coast_is_found_at_the_stepped_tick():
+    blocked = [(1, "A", "sleep"), (2, "B", "sleep")]
+    _, error, steps = free_and_stepped(
+        lambda: _deadlock_in_a_quiet_stretch(True), 200)
+    assert error == (DeadlockError, str(DeadlockError(45, blocked)))
+    assert steps < 45 - 30
+    outcome, error, steps = free_and_stepped(
+        lambda: _deadlock_in_a_quiet_stretch(False), 200)
+    assert error is None
+    assert outcome[-1] == (45, blocked)
+    assert steps < 10
+
+
+def _coast_log(k):
+    """Record (critical depth, coasted ticks) for each coast of ``k``."""
+    log = []
+    coast = k.engine.coast
+
+    def logged(limit):
+        depth = k.engine.critical_depth()
+        n = coast(limit)
+        log.append((depth, n))
+        return n
+    k.engine.coast = logged
+    return log
+
+
+def test_a_coast_crosses_a_multi_tick_service_in_its_critical_section():
+    logs = []
+
+    def make():
+        k, sink = mk(svc_etm=6, svc_eem_uj=20)   # 3 uJ a tick, 5 on the last
+        k.declare_semaphore(1, 0)
+
+        def worker(ctx):
+            for _ in range(3):
+                yield from ctx.kernel.sem_signal(ctx.api, 1)
+                yield from compute(ctx, "work", 9, 40)
+
+        def sink_task(ctx):
+            while True:
+                yield from ctx.kernel.sem_wait(ctx.api, 1, timeout=50)
+
+        k.declare_task(1, "W", 5, worker)
+        k.declare_task(2, "S", 3, sink_task)
+        k.declare_cyclic(3, "H", 13, handler_burner(2))
+        k.boot()
+        logs.append(_coast_log(k))
+        return k, sink
+
+    (_, _, _, tokens, _), _, steps = free_and_stepped(make, 120)
+    assert steps < 80
+    assert any(depth == 1 and n > 1 for depth, n in logs[0])
+    # W: three services of 6 ticks / 20 uJ and three 9-tick / 40 uJ
+    # segments; S's fifth service, after its timeout at 119, has charged
+    # one tick when the run ends
+    assert tokens[1] == (Token(cet=45, cee_uj=180), 18, 9)
+    assert tokens[2] == (Token(cet=25, cee_uj=83), 25, 6)
+
+
+def test_an_energy_remainder_on_the_last_coasted_tick():
+    logs = []
+
+    def make():
+        k, sink = mk()
+
+        def body(ctx):
+            yield from compute(ctx, "odd", 11, 29)    # 2 uJ a tick, 9 on the last
+
+        k.declare_task(1, "T", 5, body)
+        k.boot()
+        logs.append(_coast_log(k))
+        return k, sink
+
+    (_, csv, _, tokens, _), _, _ = free_and_stepped(make, 20)
+    # tick 0 is stepped and ticks 1..10 coast, the last of them with the
+    # remainder; then the task ends and idle coasts to the end
+    assert logs[0] == [(0, 10), (0, 8)]
+    assert "0,11,1,T,TASK,odd,11,0.029,STARTUP" in csv.splitlines()
+    assert tokens[1] == (Token(cet=11, cee_uj=29), 0, 11)
