@@ -541,7 +541,6 @@ def _exec(ops, counters, api, kernel, reqs):
         pc += 1
         code = op[0]
         if code == _COMPUTE:
-            api.check_running()
             yield reqs[op[1]]
         elif code == _CALL:
             res = yield from getattr(kernel, op[1])(api, *op[2], **op[3])

@@ -194,62 +194,34 @@ _CONTINUE = Resume(EventKind.CONTINUE_RUN)
 
 # --- requests yielded by bodies to the trampoline (internal protocol) ---
 
-class _Request:
-    __slots__ = ()
-
-
-class _WaitRequest(_Request):
+class _WaitRequest:
     """Charge ``annotation`` as one segment in ``context_kind``; the
-    per-tick energy split is worked out once, here."""
+    per-tick energy split is worked out once, here.  While a thread
+    charges the segment, the request is the thread's ``seg``."""
 
-    __slots__ = ("annotation", "context_kind", "per_tick_uj", "rem_uj")
+    __slots__ = ("label", "etm", "eem_uj", "context_kind",
+                 "per_tick_uj", "rem_uj")
 
     def __init__(self, annotation, context_kind):
-        self.annotation = annotation
+        self.label = annotation.label
+        self.etm = etm = annotation.etm
+        self.eem_uj = annotation.eem_uj
         self.context_kind = context_kind
-        etm = annotation.etm
         if etm > 0:
             self.per_tick_uj, self.rem_uj = divmod(annotation.eem_uj, etm)
         else:
             self.per_tick_uj, self.rem_uj = 0, 0
 
 
-class _BlockRequest(_Request):
+class _BlockRequest:
     __slots__ = ("reason",)
 
     def __init__(self, reason):
         self.reason = reason
 
 
-class _ExitRequest(_Request):
+class _ExitRequest:
     __slots__ = ()
-
-
-class _Segment:
-    """An annotation being charged, possibly split across suspensions."""
-
-    __slots__ = (
-        "label", "etm", "eem_uj", "context_kind", "remaining",
-        "per_tick_uj", "rem_uj",
-        "record_start", "record_consumed", "record_uj", "record_event",
-    )
-
-    def __init__(self, req: _WaitRequest, start_tick, event):
-        ann = req.annotation
-        self.label = ann.label
-        self.etm = self.remaining = ann.etm
-        self.eem_uj = ann.eem_uj
-        self.context_kind = req.context_kind
-        self.per_tick_uj = req.per_tick_uj
-        self.rem_uj = req.rem_uj
-        self.restart(start_tick, event)
-
-    def restart(self, start_tick, event):
-        """Open a new trace record of this segment at ``start_tick``."""
-        self.record_start = start_tick
-        self.record_consumed = 0
-        self.record_uj = 0
-        self.record_event = event
 
 
 _IDLE_ANNOTATION = Annotation("idle", 1, 0)
@@ -270,6 +242,12 @@ class SimThread:
     back to None when the task ends or the handler returns, so a task can
     be restarted and each handler activation runs a fresh body.  The
     token keeps accumulating across them all.
+
+    A segment's state lives on its thread: ``seg`` is the request being
+    charged and ``seg_left`` its ticks left.  The ``rec_`` fields are
+    the segment's open trace record, which a suspension closes and a
+    resume reopens: its start tick, the ticks and µJ charged into it,
+    and the event that opened it.
     """
 
     def __init__(self, thread_id: int, name: str, kind: ThreadKind,
@@ -297,8 +275,12 @@ class SimThread:
 
         self.gen = None
         self.pending_resume: Resume | None = None
-        self.last_event = EventKind.CONTINUE_RUN
-        self.seg: _Segment | None = None
+        self.seg: _WaitRequest | None = None
+        self.seg_left = 0
+        self.rec_start = 0
+        self.rec_ticks = 0
+        self.rec_uj = 0
+        self.rec_event = EventKind.CONTINUE_RUN
         self.preempt_requested = False
         self.awaiting_activation = False
         self.activation_queued = False
@@ -337,9 +319,9 @@ class ThreadApi:
                 context_kind: ContextKind | None = None):
         """Validate ``annotation`` once and return a reusable request that
         charges it as one segment in ``context_kind`` (by default the
-        thread's own context).  A body yields the request itself, after
-        ``check_running``; the value sent back is the Resume that let the
-        segment finish."""
+        thread's own context).  The thread's body yields the request
+        itself; the value sent back is the Resume that let the segment
+        finish."""
         annotation.validate()
         if context_kind is None:
             context_kind = self._engine._table[self.thread_id].default_context
@@ -572,8 +554,8 @@ class Engine:
         seg = th.seg
         if seg is None:
             return 0
-        if seg.remaining > 0:
-            n = min(limit, seg.remaining)
+        if th.seg_left > 0:
+            n = min(limit, th.seg_left)
             self._consume(th, seg, n)
         elif th.is_idle and th.pending_resume is None:
             n = limit
@@ -679,7 +661,7 @@ class Engine:
             th = self._table[self.current_id]
             seg = th.seg
             if seg is not None:
-                if seg.remaining > 0:
+                if th.seg_left > 0:
                     self._consume(th, seg, 1)
                     return
                 if th.is_idle and th.pending_resume is None:
@@ -725,8 +707,8 @@ class Engine:
         if th.gen is None:  # a fresh task: its body starts at this dispatch
             th.pending_resume = Resume(EventKind.STARTUP)
         event = th.pending_resume.event if th.pending_resume else EventKind.CONTINUE_RUN
-        if th.seg is not None:
-            th.seg.restart(self.now, event)
+        th.rec_start, th.rec_ticks, th.rec_uj, th.rec_event = (
+            self.now, 0, 0, event)
         ctx = ContextKind.STARTUP if event is EventKind.STARTUP else th.default_context
         self._emit_control(th, CTL_DISPATCH, event, ctx)
         self.current_id = thread_id
@@ -784,11 +766,9 @@ class Engine:
         if it.kind.is_handler:
             # inner return always resumes the interrupted handler
             self._set_state(it, ThreadState.RUNNING)
-            if it.seg is not None:
-                it.seg.restart(self.now, (
-                    it.pending_resume.event if it.pending_resume
-                    else EventKind.CONTINUE_RUN
-                ))
+            it.rec_start, it.rec_ticks, it.rec_uj, it.rec_event = (
+                self.now, 0, 0, it.pending_resume.event if it.pending_resume
+                else EventKind.CONTINUE_RUN)
             self.current_id = tid
             return
         # outermost return: delayed dispatching decision.  ``it`` is
@@ -800,11 +780,11 @@ class Engine:
     def _step(self, th: SimThread):
         """Resume the running thread's body, building it first if it has
         none, and act on what it yields or on its end."""
-        if th.seg is not None and th.seg.remaining == 0:
+        if th.seg is not None:  # it has no ticks left
             self._close_record_completed(th)
         value = th.pending_resume or _CONTINUE
         th.pending_resume = None
-        th.last_event = value.event
+        th.rec_event = value.event  # opens the record of a segment it yields
         try:
             if th.gen is None:
                 th.gen = th.body(th.api)
@@ -822,7 +802,9 @@ class Engine:
 
     def _handle_request(self, th: SimThread, req):
         if type(req) is _WaitRequest:
-            th.seg = _Segment(req, self.now, th.last_event)
+            th.seg = req
+            th.seg_left = req.etm
+            th.rec_start, th.rec_ticks, th.rec_uj = self.now, 0, 0
         elif isinstance(req, _ExitRequest):
             self._do_exit(th)
         elif isinstance(req, _BlockRequest):
@@ -856,7 +838,7 @@ class Engine:
         self._emit_control(th, CTL_EXIT)
         self.current_id = None
 
-    def _renew_idle(self, th: SimThread, seg: _Segment, n: int):
+    def _renew_idle(self, th: SimThread, seg: _WaitRequest, n: int):
         """Close the idle thread's completed tick and charge the next
         ``n`` on the same segment: the state n CONTINUE_RUN resumes of
         idle_body reach, since that body only re-opens its one-tick
@@ -872,25 +854,25 @@ class Engine:
             for t in range(now, last):
                 record(TraceRecord(t, t + 1, *row))
             # a one-tick segment charges all of its energy on its tick,
-            # so those ticks charge as one stretch; the restart below
-            # drops what this adds to the record
-            seg.remaining = n - 1
+            # so those ticks charge as one stretch; the record reopened
+            # below drops what this adds to it
+            th.seg_left = n - 1
             self._consume(th, seg, n - 1)
-        seg.remaining = seg.etm
-        th.last_event = EventKind.CONTINUE_RUN
-        seg.restart(last, EventKind.CONTINUE_RUN)
         th.seg = seg
+        th.seg_left = seg.etm
+        th.rec_start, th.rec_ticks, th.rec_uj = last, 0, 0
+        th.rec_event = EventKind.CONTINUE_RUN
         self._consume(th, seg, 1)
 
-    def _consume(self, th: SimThread, seg: _Segment, n: int):
+    def _consume(self, th: SimThread, seg: _WaitRequest, n: int):
         """Charge ``n`` ticks of the running segment, at most what it has
         left; its remainder energy goes with its final tick."""
-        remaining = seg.remaining = seg.remaining - n
-        seg.record_consumed += n
+        left = th.seg_left = th.seg_left - n
+        th.rec_ticks += n
         share = seg.per_tick_uj * n
-        if remaining == 0:
+        if left == 0:
             share += seg.rem_uj
-        seg.record_uj += share
+        th.rec_uj += share
         tok = th.token
         tok.cet += n
         tok.cee_uj += share
@@ -901,28 +883,25 @@ class Engine:
             th.max_streak = streak
 
     def _close_record_partial(self, th: SimThread):
-        seg = th.seg
-        if seg.record_consumed > 0:
-            self._emit(
-                th, seg.label, seg.context_kind, seg.record_event,
-                seg.record_start, seg.record_start + seg.record_consumed,
-                etm=seg.record_consumed, uj=seg.record_uj,
-            )
-            seg.record_consumed = 0
-            seg.record_uj = 0
+        """Write the suspended segment's open record; the dispatch or
+        handler return that resumes the thread opens the next one."""
+        ticks = th.rec_ticks
+        if ticks > 0:
+            seg = th.seg
+            self._emit(th, seg.label, seg.context_kind, th.rec_event,
+                       th.rec_start, th.rec_start + ticks,
+                       etm=ticks, uj=th.rec_uj)
 
     def _close_record_completed(self, th: SimThread):
         seg = th.seg
-        uj = seg.record_uj
+        ticks = th.rec_ticks
+        uj = th.rec_uj
         if seg.etm == 0:
             uj = seg.eem_uj
             th.token.cee_uj += uj
-        if seg.record_consumed > 0 or seg.etm == 0:
-            self._emit(
-                th, seg.label, seg.context_kind, seg.record_event,
-                seg.record_start, seg.record_start + seg.record_consumed,
-                etm=seg.record_consumed, uj=uj,
-            )
+        if ticks > 0 or seg.etm == 0:
+            self._emit(th, seg.label, seg.context_kind, th.rec_event,
+                       th.rec_start, th.rec_start + ticks, etm=ticks, uj=uj)
         th.seg = None
 
     # --- critical sections ----------------------------------------------

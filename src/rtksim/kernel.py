@@ -13,13 +13,21 @@ tick / zero energy).  A service that must block does so only as its
 final step, after the critical section closed.  Blocking services return
 result codes; a timeout is a result, not an exception.
 
-Object services have two shapes.  A taking service runs ``_take``: it
-looks the object up and tries to take from it in the critical section,
-else waits forever or with a timeout (the μITRON ``wai_``/``twai_``
-forms), and a timeout leaves the object's queue through its
-``cancel_wait``.  A giving service runs ``_give``: it changes the object
-in the critical section.  Either one releases the waiters it served after
-the section closes, in the order the object reports them.
+Each service is one generator frame (``exit_task`` then yields the
+engine's exit), in one of two shapes.  The gives run ``_give``:
+``sem_signal``, ``flag_set``, ``flag_clear``, ``mbx_send``,
+``pool_release``, ``vpool_release``, ``mtx_unlock``, ``wakeup``,
+``start_task`` and ``exit_task``.  The takes run ``_take``:
+``sem_wait``, ``flag_wait``, ``mbx_recv``, ``mbf_send``, ``mbf_recv``,
+``mtx_lock``, ``pool_get`` and ``vpool_get``; ``sleep`` and ``delay``
+are takes with frames of their own.  The effect runs after the SVC
+segment, inside the critical section: a give changes the object, a take
+tries to take from it.  Once the section closes, the service releases
+the waiters the effect served, in the order the object reports them.  A
+take that was not granted then waits forever or with a timeout (the
+μITRON ``wai_``/``twai_`` forms); a timeout leaves the object's queue
+through its ``cancel_wait``, or, on a mutex, also takes back the
+priority the waiter lent.
 
 Timer boundaries are processed at instants 1..T for a T-tick run: due
 timer events first (insertion order within one instant), then the
@@ -191,6 +199,11 @@ def _check_name(name):
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ValidationError(f"bad name {name!r}: use letters, digits, _ . -")
     return name
+
+
+def _result(resume):
+    """The SvcResult of a wait, from the Resume that ended it."""
+    return SvcResult(*(resume.payload or (RESULT_OK,)))
 
 
 def _served(handoff):
@@ -525,8 +538,7 @@ class Kernel:
             # Tested first and inline, so a busy tick pays a few lookups
             # and no call.
             th = table[eng.current_id]
-            seg = th.seg
-            if seg is None or not (seg.remaining or th.is_idle):
+            if th.seg is None or not (th.seg_left or th.is_idle):
                 continue
             # The hook has work only at the next timer entry (a stale
             # timeout counts) or stimulus, so the ticks before that one
@@ -621,63 +633,65 @@ class Kernel:
 
     # ------------------------------------------------------------------
     # service plumbing
+    #
+    # Every service is one generator frame: it checks its caller and
+    # arguments, opens the implicit critical section and yields the SVC
+    # segment.  Its effect then runs in the section under a try/finally,
+    # so an effect that raises still closes it; the yield is outside the
+    # try, so a generator closed in the SVC wait leaves the section alone.
+    # Then it releases the waiters the effect served and, if it must
+    # wait, arms its timeout and blocks.
 
-    def _svc(self, api, op, *args):
-        """Run ``op(*args)`` as the atomic part of one service call.
-
-        Every service runs inside an implicit critical section and
-        charges one SVC-context segment first; ``begin_critical`` has
-        made the running check.  Only the operation is inside the
-        ``try``: a generator closed while parked in the SVC wait must not
-        exit the section from a thread that is not running.
-        """
-        api.begin_critical()
-        yield self._svc_req
-        try:
-            return op(*args)
-        finally:
-            api.end_critical()
-
-    @staticmethod
-    def _apply(registry, obj_id, what, op, *args):
-        """``op(obj, *args)`` on object ``obj_id`` of ``registry``."""
-        obj = registry.get(obj_id)
-        if obj is None:
-            raise NotFoundError(f"no {what} with id {obj_id}")
-        return op(obj, *args)
-
-    def _take(self, api, registry, obj_id, what, timeout, attempt):
+    def _take(self, api, registry, obj_id, what, timeout, attempt,
+              cancel=None):
         """Take from an object, or else wait on it.
 
-        ``attempt(obj, tid)`` runs in the critical section and returns
-        (granted, the caller's value, the (thread id, value) pairs of the
-        waiters it served).
+        ``attempt(obj, tid)`` is the effect: it returns (granted, the
+        caller's value, the (thread id, value) pairs of the waiters it
+        served).  A timeout calls ``cancel``, by default ``cancel_wait``.
         """
         tid = api.thread_id
         if tid in self._handler_ids:
             raise self._handler_wait_error(tid, f"{what} {obj_id}")
         timeout = self._validate_timeout(timeout)
-        granted, value, released = yield from self._svc(
-            api, self._apply, registry, obj_id, what, attempt, tid)
+        self.engine._crit_enter(tid)
+        yield self._svc_req
+        try:
+            obj = self._lookup(registry, obj_id, what)
+            granted, value, released = attempt(obj, tid)
+        finally:
+            self.engine._crit_exit(tid)
         for waiter, result in released:
             self._release(waiter, RESULT_OK, result)
         if granted:
             return SvcResult(RESULT_OK, value)
-        result = yield from self._block(
-            api, f"{what} {obj_id}", timeout, registry[obj_id].cancel_wait)
-        return result
+        if timeout is not None:
+            self._arm_timeout(tid, timeout, cancel or obj.cancel_wait)
+        return _result((yield _BlockRequest(f"{what} {obj_id}")))
 
     def _give(self, api, registry, obj_id, what, change, *args):
         """Change an object, then release the waiters it served.
 
-        ``change(obj, *args)`` runs in the critical section and returns
-        the (thread id, value) pairs of the waiters it served, or None.
+        ``change(obj, *args)`` is the effect: it returns the (thread id,
+        value) pairs of the waiters it served, or None.
         """
-        released = yield from self._svc(
-            api, self._apply, registry, obj_id, what, change, *args)
+        tid = api.thread_id
+        self.engine._crit_enter(tid)
+        yield self._svc_req
+        try:
+            released = change(self._lookup(registry, obj_id, what), *args)
+        finally:
+            self.engine._crit_exit(tid)
         for waiter, result in released or ():
             self._release(waiter, RESULT_OK, result)
         return SvcResult(RESULT_OK)
+
+    @staticmethod
+    def _lookup(registry, obj_id, what):
+        obj = registry.get(obj_id)
+        if obj is None:
+            raise NotFoundError(f"no {what} with id {obj_id}")
+        return obj
 
     def _handler_wait_error(self, thread_id, reason):
         """μITRON's E_CTX: a handler runs each activation to completion,
@@ -685,12 +699,6 @@ class Kernel:
         before its service segment."""
         return ProtocolError(f"{self.engine.thread(thread_id).name}: "
                              f"a handler cannot wait ({reason})")
-
-    def _tcb(self, thread_id) -> TaskControl:
-        tcb = self.tcb.get(thread_id)
-        if tcb is None:
-            raise NotFoundError(f"no thread with id {thread_id}")
-        return tcb
 
     def _task_thread(self, task_id):
         th = self.engine.thread(task_id)
@@ -706,17 +714,12 @@ class Kernel:
             raise ValidationError("timeout must be >= 1 ticks (or forever)")
         return timeout
 
-    def _block(self, api, reason, timeout, cancel=None, code=RESULT_TIMEOUT):
-        """Arm an optional timeout that calls ``cancel(tid)`` and releases
-        with ``code``, then block; returns SvcResult."""
-        tid = api.thread_id
-        if timeout is not None:
-            self.tcb[tid].timeout_seq = self._timer_seq
-            self._push_timer(self.engine.now + timeout, _EV_TIMEOUT,
-                             (tid, self._timer_seq, cancel, code))
-        value = yield _BlockRequest(reason)
-        payload = value.payload if value.payload is not None else (RESULT_OK, None)
-        return SvcResult(*payload)
+    def _arm_timeout(self, tid, ticks, cancel=None, code=RESULT_TIMEOUT):
+        """End the wait ``tid`` begins next in ``ticks`` ticks, unless it
+        ends first: call ``cancel(tid)``, then release it with ``code``."""
+        seq = self.tcb[tid].timeout_seq = self._timer_seq
+        self._push_timer(self.engine.now + ticks, _EV_TIMEOUT,
+                         (tid, seq, cancel, code))
 
     def _release(self, thread_id, code=RESULT_OK, value=None):
         """End a thread's wait other than by its timeout."""
@@ -732,58 +735,60 @@ class Kernel:
     def sleep(self, api, timeout=None):
         """Sleep until wakeup or timeout.  A queued wakeup is consumed
         immediately without blocking."""
-        if api.thread_id in self._handler_ids:
-            raise self._handler_wait_error(api.thread_id, "sleep")
+        tid = api.thread_id
+        if tid in self._handler_ids:
+            raise self._handler_wait_error(tid, "sleep")
         timeout = self._validate_timeout(timeout)
-        tcb = self._tcb(api.thread_id)
-
-        def take_wakeup():
-            if tcb.wakeup_count > 0:
-                tcb.wakeup_count -= 1
-                return True
-            return False
-
-        if (yield from self._svc(api, take_wakeup)):
+        self.engine._crit_enter(tid)
+        yield self._svc_req
+        tcb = self.tcb[tid]
+        woken = tcb.wakeup_count > 0
+        if woken:
+            tcb.wakeup_count -= 1
+        self.engine._crit_exit(tid)
+        if woken:
             return SvcResult(RESULT_OK)
+        if timeout is not None:
+            self._arm_timeout(tid, timeout)
         tcb.sleeping = True
-        result = yield from self._block(api, "sleep", timeout)
+        result = _result((yield _BlockRequest("sleep")))
         tcb.sleeping = False
         return result
 
     def wakeup(self, api, task_id):
-        def op():
+        def wake(tcb):
             th = self._task_thread(task_id)
-            tcb = self._tcb(task_id)
             if th.state in (ThreadState.DORMANT, ThreadState.NON_EXISTENT):
                 raise ObjectStateError(f"cannot wake dormant task {th.name}")
             if th.state is ThreadState.WAITING and tcb.sleeping:
-                self._release(task_id)
-            else:
-                tcb.wakeup_count += 1
+                return [(task_id, None)]
+            tcb.wakeup_count += 1
 
-        yield from self._svc(api, op)
-        return SvcResult(RESULT_OK)
+        return self._give(api, self.tcb, task_id, "thread", wake)
 
     def delay(self, api, ticks):
         """Unconditional delay: only expiry releases it; wakeups queue up."""
-        if api.thread_id in self._handler_ids:
-            raise self._handler_wait_error(api.thread_id, "delay")
+        tid = api.thread_id
+        if tid in self._handler_ids:
+            raise self._handler_wait_error(tid, "delay")
         if not isinstance(ticks, int) or ticks < 1:
             raise ValidationError("delay must be >= 1 ticks")
-        yield from self._svc(api, lambda: None)
-        result = yield from self._block(api, "delay", ticks, code=RESULT_OK)
-        return result
+        self.engine._crit_enter(tid)
+        yield self._svc_req
+        self.engine._crit_exit(tid)
+        self._arm_timeout(tid, ticks, code=RESULT_OK)
+        return _result((yield _BlockRequest("delay")))
 
     def start_task(self, api, task_id):
-        def op():
+        def start(_tcb):
             self._task_thread(task_id)
             self.engine.start_thread(task_id)
 
-        yield from self._svc(api, op)
-        return SvcResult(RESULT_OK)
+        return self._give(api, self.tcb, task_id, "thread", start)
 
     def exit_task(self, api):
-        yield from self._svc(api, lambda: None)
+        yield from self._give(api, self.tcb, api.thread_id, "thread",
+                              lambda _tcb: None)
         yield from api.exit()
 
     # ------------------------------------------------------------------
@@ -834,54 +839,45 @@ class Kernel:
                           timeout, attempt)
 
     def mtx_lock(self, api, mtx_id, timeout=None):
-        tid = api.thread_id
-        if tid in self._handler_ids:
-            raise self._handler_wait_error(tid, f"mutex {mtx_id}")
-        timeout = self._validate_timeout(timeout)
+        return self._take(api, self.mutexes, mtx_id, "mutex", timeout,
+                          self._lock, self._unqueue)
+
+    def _lock(self, mtx, tid):
+        """mtx_lock's effect: own the mutex, or queue on it and lend the
+        caller's priority along the owner chain."""
         tcb = self.tcb[tid]
+        if mtx.lock(tid):
+            tcb.held.append(mtx)
+            return True, None, ()
+        tcb.blocked_on = mtx
+        self._inherit(mtx.owner)
+        return False, None, ()
 
-        def op(mtx):
-            if mtx.lock(tid):
-                tcb.held.append(mtx)
-                return True
-            tcb.blocked_on = mtx
-            self._inherit(mtx.owner)
-            return False
-
-        if (yield from self._svc(api, self._apply, self.mutexes, mtx_id,
-                                 "mutex", op)):
-            return SvcResult(RESULT_OK)
-        mtx = self.mutexes[mtx_id]
-
-        def cancel(tid):
-            mtx.cancel_wait(tid)
-            tcb.blocked_on = None
-            self._inherit(mtx.owner)
-
-        result = yield from self._block(api, f"mutex {mtx_id}", timeout, cancel)
-        return result
+    def _unqueue(self, tid):
+        """mtx_lock's timeout: leave the queue, take back the lent priority."""
+        tcb = self.tcb[tid]
+        mtx, tcb.blocked_on = tcb.blocked_on, None
+        mtx.cancel_wait(tid)
+        self._inherit(mtx.owner)
 
     def mtx_unlock(self, api, mtx_id):
-        tid = api.thread_id
+        return self._give(api, self.mutexes, mtx_id, "mutex",
+                          self._unlock, api.thread_id)
 
-        def op(mtx):
-            nxt = mtx.unlock(tid)
-            self.tcb[tid].held.remove(mtx)
-            if nxt is not None:
-                tcb = self.tcb[nxt]
-                tcb.blocked_on = None
-                tcb.held.append(mtx)
-            return nxt
-
-        next_owner = yield from self._svc(api, self._apply, self.mutexes,
-                                          mtx_id, "mutex", op)
-        if next_owner is not None:  # a free mutex had no waiters to lose
-            self._release(next_owner)
-            # the new owner was the best waiter: the waiters it takes
-            # over cannot better its priority, so only the old owner's
-            # can change
-            self._inherit(tid)
-        return SvcResult(RESULT_OK)
+    def _unlock(self, mtx, tid):
+        """mtx_unlock's effect: hand the mutex to its best waiter, if any,
+        and take back from the caller what the mutex's waiters lent it."""
+        nxt = mtx.unlock(tid)
+        self.tcb[tid].held.remove(mtx)
+        if nxt is None:  # a free mutex had no waiters to lose
+            return None
+        tcb = self.tcb[nxt]
+        tcb.blocked_on = None
+        tcb.held.append(mtx)
+        # the new owner was the best waiter: the waiters it takes over
+        # cannot better its priority, so only the old owner's can change
+        self._inherit(tid)
+        return [(nxt, None)]
 
     def pool_get(self, api, pool_id, timeout=None):
         return self._take(api, self.fixed_pools, pool_id, "fixed pool", timeout,

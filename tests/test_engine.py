@@ -335,18 +335,18 @@ def test_busy_handler_drops_activation():
 
 
 def test_nested_interrupts_unwind_lifo():
-    def handler(label, ticks):
+    def handler(label, ticks, uj):
         def factory(api):
-            yield from api.wait(Annotation(label, ticks, 0), ContextKind.ISR)
+            yield from api.wait(Annotation(label, ticks, uj), ContextKind.ISR)
         return factory
 
     def body(api):
-        yield from api.wait(Annotation("main", 8, 0))
+        yield from api.wait(Annotation("main", 8, 17))
         yield from api.exit()
 
     t = task(1, "T", 5, body)
-    h1 = isr(2, "H1", handler("one", 3))
-    h2 = isr(3, "H2", handler("two", 1))
+    h1 = isr(2, "H1", handler("one", 3, 10))
+    h2 = isr(3, "H2", handler("two", 1, 0))
     eng, sink = make_engine(
         [t, h1, h2, task(4, "IDLE", 99, forever_idle, is_idle=True)])
     eng.start_thread(1)
@@ -365,6 +365,16 @@ def test_nested_interrupts_unwind_lifo():
         (2, 3, "H2", "two"),   # nested: H2 runs to completion first
         (3, 5, "H1", "one"),   # H1 resumes directly, no dispatch
         (5, 12, "T", "main"),
+    ]
+    # each split record keeps its share of the energy (2 and 3 uJ a tick,
+    # the remainder on the final tick) and the event that opened it
+    assert [(r.eem_uj, r.event_kind) for r in sink.records
+            if not r.is_control] == [
+        (2, "STARTUP"),
+        (3, "STARTUP"),
+        (0, "STARTUP"),
+        (7, "RETURN_FROM_INTERRUPT"),
+        (15, "RETURN_FROM_INTERRUPT"),
     ]
     returns = control_rows(sink, "INT_RETURN")
     assert returns == [(3, "H2"), (5, "H1")]

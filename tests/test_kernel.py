@@ -1073,9 +1073,15 @@ def test_start_task_on_live_task_is_an_error():
     ("wakeup", 2, ObjectStateError),     # names a handler
     ("start_task", 9, NotFoundError),
     ("start_task", 2, ObjectStateError),
+    ("sem_wait", 9, NotFoundError),
+    ("sem_signal", 9, NotFoundError),
+    ("mtx_lock", 9, NotFoundError),
+    ("mtx_unlock", 1, ObjectStateError),  # declared, but free
 ])
 def test_failed_task_service_closes_its_critical_section(service, target, error):
     k, _ = mk()
+    k.declare_semaphore(1, 0)
+    k.declare_mutex(1)
     out = {}
 
     def body(ctx):
@@ -1094,6 +1100,32 @@ def test_failed_task_service_closes_its_critical_section(service, target, error)
     assert k.engine.critical_depth() == 0
     th = k.engine.thread(1)
     assert th.state is ThreadState.DORMANT and th.token.cet == 3
+
+
+def test_a_service_called_through_a_thread_that_is_not_running_is_refused():
+    # the refusal comes from opening the implicit section, before any
+    # CRIT_ENTER row or service tick
+    k, sink = mk()
+    k.declare_semaphore(1, 0)
+    out = {}
+
+    def body(ctx):
+        other = ctx.kernel.engine.thread(2).api
+        try:
+            yield from ctx.kernel.sem_signal(other, 1)
+        except ProtocolError as exc:
+            out["error"] = str(exc)
+        out["depth"] = ctx.kernel.engine.critical_depth()
+
+    k.declare_task(1, "T", 5, body)
+    k.declare_task(2, "U", 6, lambda ctx: compute(ctx, "u", 1))
+    k.boot()
+    k.run(3)
+    assert out == {"error": "critical section entered by a non-running thread",
+                   "depth": 0}
+    assert not any(r.label == "CRIT_ENTER" for r in sink.records)
+    assert k.engine.thread(1).token.cet == 0
+    assert k.semaphores[1].count == 0
 
 
 def test_exit_task_service():
