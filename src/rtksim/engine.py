@@ -50,10 +50,13 @@ preemption or an interrupt still resume the body.
 A caller that knows the tick hook has no work for a while may ``coast``
 instead of stepping: with nothing for the gate to commit, the rest of
 the running segment, or a stretch of renewed idle ticks, is consumed
-with one accounting step and the same trace rows.
+with one accounting step and the same trace rows.  A coasted idle
+stretch is written as one record whose ``repeat`` counts its completed
+one-tick rows (see ``trace``); stepping writes those rows one by one.
 
 Trace rows are plain TraceRecord dataclasses, built positionally with
-the enum strings read through ``_value_``.
+the enum strings read through ``_value_``; every record but a coasted
+idle stretch has ``repeat`` 1.
 """
 
 from __future__ import annotations
@@ -842,17 +845,17 @@ class Engine:
         """Close the idle thread's completed tick and charge the next
         ``n`` on the same segment: the state n CONTINUE_RUN resumes of
         idle_body reach, since that body only re-opens its one-tick
-        wait.  The first n - 1 of those ticks are written as completed
-        rows here; the last one's record stays open."""
+        wait.  The first n - 1 of those ticks are written here as one
+        completed record with ``repeat`` n - 1; the last one's record
+        stays open."""
         self._close_record_completed(th)
         now = self.now
         last = now + n - 1
         if n > 1:
-            record = self._trace.record
-            row = (th.id, th.name, seg.context_kind._value_, seg.label,
-                   seg.etm, seg.eem_uj, EventKind.CONTINUE_RUN._value_)
-            for t in range(now, last):
-                record(TraceRecord(t, t + 1, *row))
+            self._trace.record(TraceRecord(
+                now, last, th.id, th.name, seg.context_kind._value_,
+                seg.label, seg.etm, seg.eem_uj,
+                EventKind.CONTINUE_RUN._value_, n - 1))
             # a one-tick segment charges all of its energy on its tick,
             # so those ticks charge as one stretch; the record reopened
             # below drops what this adds to it

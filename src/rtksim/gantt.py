@@ -227,9 +227,18 @@ def render_svg_gantt(records, ticks: int) -> str:
                     f'" height="{_ROW_H - 8}" fill="url(#{fid})" '
                     f'stroke="#404040" stroke-width="0.5">'
                     f'<title>{r.thread_name} {label} [')
-            out.append(f'<rect x="{_LEFT + start * _CELL_W}{head}'
-                       f'{((end if end < ticks else ticks) - start) * _CELL_W}'
-                       f'{tail}{start},{end})</title></rect>')
+            if r.repeat == 1:
+                out.append(f'<rect x="{_LEFT + start * _CELL_W}{head}'
+                           f'{((end if end < ticks else ticks) - start) * _CELL_W}'
+                           f'{tail}{start},{end})</title></rect>')
+            else:
+                # one <rect> per row of a repeated record
+                etm = r.etm_ticks
+                out.extend([
+                    f'<rect x="{_LEFT + t * _CELL_W}{head}'
+                    f'{((t + etm if t + etm < ticks else ticks) - t) * _CELL_W}'
+                    f'{tail}{t},{t + etm})</title></rect>'
+                    for t in range(start, end if end < ticks else ticks, etm)])
 
     # legend strip
     lx = _LEFT

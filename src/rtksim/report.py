@@ -41,7 +41,8 @@ def usage_from_records(records) -> tuple:
     """Aggregate per-thread CET/CEE from a record stream.
 
     Control rows are zero-width and carry no energy, so summing over
-    everything is safe.
+    everything is safe.  A record with ``repeat`` k spans its k rows'
+    ticks and carries k times their energy.
     """
     totals: dict[int, list] = {}   # thread id -> [name, cet, cee_uj]
     for r in records:
@@ -50,7 +51,7 @@ def usage_from_records(records) -> tuple:
         except KeyError:
             acc = totals[r.thread_id] = [r.thread_name, 0, 0]
         acc[1] += r.tick_end - r.tick_start
-        acc[2] += r.eem_uj
+        acc[2] += r.eem_uj * r.repeat
     return tuple(
         ThreadUsage(tid, *totals[tid])
         for tid in sorted(totals)

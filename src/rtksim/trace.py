@@ -6,6 +6,14 @@ activity held the CPU; control rows are zero-width and mark scheduling
 boundaries (dispatch, preemption, handler entry/return, critical
 sections, blocking, exit).
 
+A record with ``repeat`` k > 1 stands for k consecutive segment rows
+that differ only in their ticks: each is ``etm_ticks`` wide and carries
+``eem_uj``, and together they cover [tick_start, tick_end).  The engine
+writes a coasted stretch of idle ticks that way.  Every consumer here
+reads it as its k rows, so the CSV, report and Gantt bytes are those of
+the expanded trace; ``rows`` expands a record stream for any other
+consumer.
+
 Energy is carried internally as integer micro-joules so accounting is
 exact; the CSV renders milli-joules with trailing zeros trimmed.
 """
@@ -62,10 +70,11 @@ def parse_mj(text) -> int:
 
 @dataclass(slots=True)
 class TraceRecord:
-    """One trace row.  A plain slotted dataclass: the engine builds one
-    per segment and control row, a frozen one cost ~4x as much to build,
-    and slots make it smaller and cheaper still.  Nothing mutates a
-    record after it is emitted."""
+    """One trace row, or ``repeat`` equal rows back to back.  A plain
+    slotted dataclass: the engine builds one per segment and control
+    row, a frozen one cost ~4x as much to build, and slots make it
+    smaller and cheaper still.  Nothing mutates a record after it is
+    emitted."""
 
     tick_start: int
     tick_end: int
@@ -76,17 +85,34 @@ class TraceRecord:
     etm_ticks: int
     eem_uj: int
     event_kind: str
+    repeat: int = 1
 
     @property
     def is_control(self) -> bool:
         return self.label in CONTROL_LABELS and self.etm_ticks == 0
 
     def csv_row(self) -> str:
+        """The record's CSV line, or its rows' lines joined by newlines."""
+        if self.repeat != 1:
+            return "\n".join(r.csv_row() for r in rows((self,)))
         return (
             f"{self.tick_start},{self.tick_end},{self.thread_id},{self.thread_name},"
             f"{self.context_kind},{self.label},{self.etm_ticks},{format_mj(self.eem_uj)},"
             f"{self.event_kind}"
         )
+
+
+def rows(records):
+    """The records with each repeated one expanded into its rows."""
+    for r in records:
+        if r.repeat == 1:
+            yield r
+            continue
+        etm = r.etm_ticks
+        for t in range(r.tick_start, r.tick_end, etm):
+            yield TraceRecord(t, t + etm, r.thread_id, r.thread_name,
+                              r.context_kind, r.label, etm, r.eem_uj,
+                              r.event_kind)
 
 
 class NullSink:
@@ -100,9 +126,8 @@ class NullSink:
 class ListSink:
     def __init__(self):
         self.records: list[TraceRecord] = []
-
-    def record(self, rec: TraceRecord) -> None:
-        self.records.append(rec)
+        # the list's own append, so a buffered record costs no Python frame
+        self.record = self.records.append
 
     def close(self) -> None:
         pass
@@ -132,8 +157,8 @@ def records_to_csv(records) -> str:
     text after the two ticks is formatted once.
     """
     tails = {}
-    rows = [CSV_HEADER]
-    append = rows.append
+    lines = [CSV_HEADER]
+    append = lines.append
     for r in records:
         key = (r.thread_id, r.thread_name, r.context_kind, r.label,
                r.etm_ticks, r.eem_uj, r.event_kind)
@@ -143,9 +168,14 @@ def records_to_csv(records) -> str:
             tid, name, context, label, etm, uj, event = key
             tail = tails[key] = (f"{tid},{name},{context},{label},{etm},"
                                  f"{format_mj(uj)},{event}")
-        append(f"{r.tick_start},{r.tick_end},{tail}")
-    rows.append("")
-    return "\n".join(rows)
+        if r.repeat == 1:
+            append(f"{r.tick_start},{r.tick_end},{tail}")
+        else:
+            etm = r.etm_ticks
+            lines.extend([f"{t},{t + etm},{tail}"
+                          for t in range(r.tick_start, r.tick_end, etm)])
+    lines.append("")
+    return "\n".join(lines)
 
 
 def check_claims(records, length: int) -> None:

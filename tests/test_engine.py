@@ -27,7 +27,7 @@ from rtksim.errors import (
     StateError,
     ValidationError,
 )
-from rtksim.trace import ListSink, running_vector
+from rtksim.trace import ListSink, TraceRecord, rows, running_vector
 
 
 def make_engine(threads, expected=None):
@@ -53,7 +53,7 @@ forever_idle = idle_body
 
 def work_rows(sink):
     return [(r.tick_start, r.tick_end, r.thread_name, r.label)
-            for r in sink.records if not r.is_control]
+            for r in rows(sink.records) if not r.is_control]
 
 
 def control_rows(sink, label):
@@ -660,9 +660,11 @@ def _coast_system():
     return eng, sink
 
 
-def _state(eng, sink):
+def _state(eng, sink, expand=False):
+    # a coasting run's records are compared row by row, as rows() expands them
     eng.finish()
-    return eng.now, sink.records, [
+    records = list(rows(sink.records)) if expand else sink.records
+    return eng.now, records, [
         (th.token, th.svc_ticks, th.run_streak, th.max_streak)
         for th in eng.threads()]
 
@@ -679,7 +681,7 @@ def test_coasting_between_ticks_equals_stepping(limits):
     ticks = eng.now
     stepped, stepped_sink = _coast_system()
     stepped.run_ticks(ticks)
-    assert _state(eng, sink) == _state(stepped, stepped_sink)
+    assert _state(eng, sink, expand=True) == _state(stepped, stepped_sink)
 
 
 def test_a_coast_ends_with_the_segment_and_charges_its_remainder():
@@ -699,13 +701,16 @@ def test_idle_coast_writes_one_row_per_tick_and_leaves_the_last_open():
     eng, sink = _coast_system()
     eng.run_ticks(14)                  # A is done, idle ran tick 13
     assert eng.coast(4) == 4
+    # the coast's three completed rows are one record
+    assert sink.records[-1] == TraceRecord(
+        14, 17, 2, "IDLE", "IDLE", "idle", 1, 0, "CONTINUE_RUN", 3)
     assert work_rows(sink)[-4:] == [
         (13, 14, "IDLE", "idle"), (14, 15, "IDLE", "idle"),
         (15, 16, "IDLE", "idle"), (16, 17, "IDLE", "idle")]
     eng.finish()
     assert work_rows(sink)[-1] == (17, 18, "IDLE", "idle")
     # the first idle row is its dispatch's STARTUP, the renewals continue
-    assert [r.event_kind for r in sink.records[-5:]] == [
+    assert [r.event_kind for r in list(rows(sink.records))[-5:]] == [
         "STARTUP", *["CONTINUE_RUN"] * 4]
 
 

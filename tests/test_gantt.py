@@ -3,6 +3,7 @@
 from xml.dom import minidom
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtksim.engine import Annotation
 from rtksim.errors import ConsistencyError
@@ -15,6 +16,7 @@ from rtksim.trace import (
     CTL_PREEMPT,
     ListSink,
     TraceRecord,
+    rows,
 )
 
 
@@ -100,6 +102,40 @@ def test_markers_past_the_window_are_dropped():
     records = [work(0, 2, 1), ctl(7, 1, CTL_PREEMPT)]
     text = render_text_gantt(records, 5)
     assert ">" not in text.replace("> preempt", "")
+
+
+def _laid_out(items):
+    """Records laid end to end from (kind, tid, context, etm, repeat, gap)
+    items: a segment of ``repeat`` rows of ``etm`` ticks each, or a marker
+    at the current tick."""
+    records, tick = [], 0
+    for kind, tid, context, etm, repeat, gap in items:
+        tick += gap
+        if kind in (CTL_INT_ENTER, CTL_INT_RETURN, CTL_PREEMPT):
+            records.append(ctl(tick, tid, kind))
+            continue
+        end = tick + etm * repeat
+        records.append(TraceRecord(tick, end, tid, f"T{tid}", context, kind,
+                                   etm, 0, "CONTINUE_RUN", repeat))
+        tick = end
+    return records
+
+
+_items = st.tuples(
+    st.sampled_from(["w", "idle", CTL_INT_ENTER, CTL_INT_RETURN, CTL_PREEMPT]),
+    st.integers(1, 3), st.sampled_from(sorted(LEGEND)), st.integers(1, 3),
+    st.integers(1, 4), st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(items=st.lists(_items, max_size=10), ticks=st.integers(1, 40))
+def test_repeated_records_render_as_their_rows(items, ticks):
+    records = _laid_out(items)
+    expanded = list(rows(records))
+    assert (render_text_gantt(records, ticks)
+            == render_text_gantt(expanded, ticks))
+    assert (render_svg_gantt(records, ticks)
+            == render_svg_gantt(expanded, ticks))
 
 
 def test_overlapping_claims_are_rejected():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rtksim.errors import ConsistencyError
+from rtksim.report import usage_from_records
 from rtksim.scenario import build_kernel, parse_scenario_text
 from rtksim.trace import (
     CONTROL_LABELS,
@@ -15,6 +16,7 @@ from rtksim.trace import (
     format_mj,
     parse_mj,
     records_to_csv,
+    rows,
     running_vector,
 )
 
@@ -131,15 +133,28 @@ def test_check_claims_raises_exactly_when_running_vector_does(records, length):
 
 
 _NAMES = {1: "A", 2: "B", 3: "IDLE"}
+
+
+def _row(start, width, tid, context, label, etm, uj, event, repeat):
+    if label in CONTROL_LABELS:
+        repeat = 1
+    if repeat > 1:
+        # ``repeat`` segment rows, each ``etm`` wide, back to back
+        etm = max(etm, 1)
+        width = repeat * etm
+    return TraceRecord(start, start + width, tid, _NAMES[tid], context, label,
+                       etm, uj, event, repeat)
+
+
 _rows = st.builds(
-    lambda start, width, tid, context, label, etm, uj, event: TraceRecord(
-        start, start + width, tid, _NAMES[tid], context, label, etm, uj, event),
+    _row,
     st.integers(0, 50), st.integers(0, 3), st.sampled_from(sorted(_NAMES)),
     st.sampled_from(["TASK", "SVC", "IDLE"]),
     st.sampled_from(["work", "svc", "DISPATCH"]), st.integers(0, 3),
     # negative, zero, whole and fractional milli-joules
     st.sampled_from([-2500, -1, 0, 1, 50, 999, 1000, 1500, 12345]),
-    st.sampled_from(["", "STARTUP", "CONTINUE_RUN"]))
+    st.sampled_from(["", "STARTUP", "CONTINUE_RUN"]),
+    st.integers(1, 4))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -147,6 +162,56 @@ _rows = st.builds(
 def test_records_to_csv_is_the_header_and_each_csv_row(records):
     assert records_to_csv(records) == (
         CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in records))
+
+
+# a record with repeat k reads everywhere as the k rows rows() yields
+
+def test_rows_expands_a_repeated_record():
+    rec = TraceRecord(4, 10, 3, "IDLE", "IDLE", "idle", 2, 7, "CONTINUE_RUN", 3)
+    assert list(rows([rec])) == [
+        TraceRecord(t, t + 2, 3, "IDLE", "IDLE", "idle", 2, 7, "CONTINUE_RUN")
+        for t in (4, 6, 8)]
+    assert rec.csv_row() == ("4,6,3,IDLE,IDLE,idle,2,0.007,CONTINUE_RUN\n"
+                             "6,8,3,IDLE,IDLE,idle,2,0.007,CONTINUE_RUN\n"
+                             "8,10,3,IDLE,IDLE,idle,2,0.007,CONTINUE_RUN")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(records=st.lists(_rows, max_size=30))
+def test_csv_text_equals_the_expanded_rows(records, tmp_path_factory):
+    expanded = list(rows(records))
+    assert all(r.repeat == 1 for r in expanded)
+    assert sum(r.repeat for r in records) == len(expanded)
+    text = records_to_csv(expanded)
+    assert records_to_csv(records) == text
+    path = tmp_path_factory.getbasetemp() / "expanded_rows.csv"
+    sink = CsvFileSink(path)
+    for r in records:
+        sink.record(r)
+    sink.close()
+    assert path.read_text() == text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(records=st.lists(_rows, max_size=30))
+def test_usage_equals_the_expanded_rows(records):
+    assert usage_from_records(records) == usage_from_records(rows(records))
+
+
+def _vector(records, length):
+    try:
+        return running_vector(records, length)
+    except ConsistencyError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(records=st.lists(_rows, max_size=12), length=st.integers(0, 70))
+def test_claims_equal_the_expanded_rows(records, length):
+    expanded = list(rows(records))
+    assert (_claim_error(check_claims, records, length)
+            == _claim_error(check_claims, expanded, length))
+    assert _vector(records, length) == _vector(expanded, length)
 
 
 def test_list_sink_collects_in_order():
