@@ -7,6 +7,11 @@ A behavior program is a short list of statements drawn from a closed set:
 * ``bfm``     - perform a device access through the bus model,
 * ``loop``    - repeat a block a fixed number of times, or forever.
 
+Each service is one row of ``_SERVICES``: its kernel method, its
+arguments, and whether it can wait.  Parsing, the handler check,
+serialization, compiling and the scenario's reference checks all read
+that row, so a service is added or changed in one place.
+
 A program compiles to a flat tuple of ops, where a loop is a head and a
 back jump, and runs in one generator frame with a program counter: the
 run-to-completion counterpart of a coroutine body.  A scenario file thus
@@ -66,174 +71,112 @@ class Loop:
         return self.count is None
 
 
-# Per-service argument rosters: name -> (kind, required, default).
-# Kinds: id (int >= 1), int, nat (int >= 0), pos (int >= 1), pattern
-# (int 1..0xFFFFFFFF), bits (int 0..0xFFFFFFFF), timeout (int >= 1 or the
-# string "forever"), mode ("and"/"or"), bool, text, name (variable name).
-_SERVICE_ARGS = {
-    "sleep": {"timeout": ("timeout", False, None)},
-    "wakeup": {"task": ("id", True, None)},
-    "delay": {"ticks": ("pos", True, None)},
-    "exit": {},
-    "start": {"task": ("id", True, None)},
-    "sem_wait": {
-        "sem": ("id", True, None),
-        "count": ("pos", False, 1),
-        "timeout": ("timeout", False, None),
-    },
-    "sem_signal": {
-        "sem": ("id", True, None),
-        "count": ("pos", False, 1),
-    },
-    "flg_wait": {
-        "flag": ("id", True, None),
-        "pattern": ("pattern", True, None),
-        "mode": ("mode", False, "or"),
-        "clear": ("bool", False, False),
-        "timeout": ("timeout", False, None),
-    },
-    "flg_set": {"flag": ("id", True, None), "pattern": ("bits", True, None)},
-    "flg_clear": {"flag": ("id", True, None), "mask": ("bits", True, None)},
-    "mbx_send": {
-        "mailbox": ("id", True, None),
-        "payload": ("text", True, None),
-        "priority": ("nat", False, 0),
-    },
-    "mbx_recv": {
-        "mailbox": ("id", True, None),
-        "timeout": ("timeout", False, None),
-    },
-    "mbf_send": {
-        "buffer": ("id", True, None),
-        "payload": ("text", True, None),
-        "timeout": ("timeout", False, None),
-    },
-    "mbf_recv": {
-        "buffer": ("id", True, None),
-        "timeout": ("timeout", False, None),
-    },
-    "mtx_lock": {
-        "mutex": ("id", True, None),
-        "timeout": ("timeout", False, None),
-    },
-    "mtx_unlock": {"mutex": ("id", True, None)},
-    "pool_get": {
-        "pool": ("id", True, None),
-        "as": ("name", True, None),
-        "timeout": ("timeout", False, None),
-    },
-    "pool_rel": {"pool": ("id", True, None), "ref": ("name", True, None)},
-    "vpool_get": {
-        "pool": ("id", True, None),
-        "size": ("pos", True, None),
-        "as": ("name", True, None),
-        "timeout": ("timeout", False, None),
-    },
-    "vpool_rel": {"pool": ("id", True, None), "ref": ("name", True, None)},
-}
-
-SERVICE_NAMES = frozenset(_SERVICE_ARGS)
-
-# Services that can make their caller wait.  As in uITRON (E_CTX), only a
-# task may call them: a handler runs each activation to completion.
-_WAITING_SERVICES = frozenset({
-    "sleep", "delay", "sem_wait", "flg_wait", "mbx_recv", "mbf_send",
-    "mbf_recv", "mtx_lock", "pool_get", "vpool_get",
-})
-
-# Device access argument values are bytes or addresses; both sides are ints.
-_BFM_ARG_KEYS = frozenset({"addr", "value"})
-
-
 def _is_int(value) -> bool:
     # bool is an int subclass and must not pass for numeric fields
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_BAD = object()  # sentinel: None is a valid value (forever timeouts)
+# Argument kinds: kind -> (test of a value, what a value must be).
+_KINDS = {
+    "id": (lambda v: _is_int(v) and v >= 1, "an integer id >= 1"),
+    "nat": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "pos": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "pattern": (lambda v: _is_int(v) and 1 <= v <= 0xFFFFFFFF,
+                "a nonzero 32-bit pattern"),
+    "bits": (lambda v: _is_int(v) and 0 <= v <= 0xFFFFFFFF, "a 32-bit value"),
+    "timeout": (lambda v: v is None or v == "forever" or _is_int(v) and v >= 1,
+                'an integer >= 1 or "forever"'),
+    "mode": (lambda v: v in ("and", "or"), '"and" or "or"'),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "text": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "name": (lambda v: isinstance(v, str) and v.isidentifier(),
+             "a variable name"),
+}
+
+_TIMEOUT = ("timeout", "timeout", False, None, None)
+_PAYLOAD = ("payload", "text", True, None, None)
+_AS = ("as", "name", True, None, None)
+_REF = ("ref", "name", True, None, None)
 
 
-def _check_value(kind, value, path, key, problems):
-    """Validate one argument value; append to problems and return _BAD on error."""
-    if kind == "id":
-        if not _is_int(value) or value < 1:
-            problems.append((path, f"'{key}' must be an integer id >= 1"))
-            return _BAD
-        return value
-    if kind == "int":
-        if not _is_int(value):
-            problems.append((path, f"'{key}' must be an integer"))
-            return _BAD
-        return value
-    if kind == "nat":
-        if not _is_int(value) or value < 0:
-            problems.append((path, f"'{key}' must be an integer >= 0"))
-            return _BAD
-        return value
-    if kind == "pos":
-        if not _is_int(value) or value < 1:
-            problems.append((path, f"'{key}' must be an integer >= 1"))
-            return _BAD
-        return value
-    if kind == "pattern":
-        if not _is_int(value) or not 1 <= value <= 0xFFFFFFFF:
-            problems.append((path, f"'{key}' must be a nonzero 32-bit pattern"))
-            return _BAD
-        return value
-    if kind == "bits":
-        if not _is_int(value) or not 0 <= value <= 0xFFFFFFFF:
-            problems.append((path, f"'{key}' must be a 32-bit value"))
-            return _BAD
-        return value
-    if kind == "timeout":
-        if value == "forever" or value is None:
-            return None
-        if not _is_int(value) or value < 1:
-            problems.append(
-                (path, f"'{key}' must be an integer >= 1 or \"forever\"")
-            )
-            return _BAD
-        return value
-    if kind == "mode":
-        if value not in ("and", "or"):
-            problems.append((path, f"'{key}' must be \"and\" or \"or\""))
-            return _BAD
-        return value
-    if kind == "bool":
-        if not isinstance(value, bool):
-            problems.append((path, f"'{key}' must be true or false"))
-            return _BAD
-        return value
-    if kind == "text":
-        if not isinstance(value, str) or not value:
-            problems.append((path, f"'{key}' must be a non-empty string"))
-            return _BAD
-        return value
-    if kind == "name":
-        if not isinstance(value, str) or not value.isidentifier():
-            problems.append((path, f"'{key}' must be a variable name"))
-            return _BAD
-        return value
-    raise AssertionError(kind)
+def _id(key, obj):
+    """A required argument that names an object of kind ``obj`` by id."""
+    return (key, "id", True, None, obj)
+
+
+# One row per service: name -> (kernel method, arguments, can wait).  An
+# argument is (key, kind, required, default, the object kind its id names
+# or None).  The values reach the kernel method positionally, after the
+# api and in row order, except ``as``, which binds the service's result
+# to a name, and ``ref``, which passes the value bound to its name.  The
+# method is looked up on the kernel instance at call time, so wrappers
+# set on it see every call.  As in uITRON (E_CTX), only a task may call a
+# service that can wait: a handler runs each activation to completion.
+_SERVICES = {
+    "sleep": ("sleep", (_TIMEOUT,), True),
+    "wakeup": ("wakeup", (_id("task", "task"),), False),
+    "delay": ("delay", (("ticks", "pos", True, None, None),), True),
+    "exit": ("exit_task", (), False),
+    "start": ("start_task", (_id("task", "task"),), False),
+    "sem_wait": ("sem_wait", (_id("sem", "semaphore"),
+                              ("count", "pos", False, 1, None), _TIMEOUT), True),
+    "sem_signal": ("sem_signal", (_id("sem", "semaphore"),
+                                  ("count", "pos", False, 1, None)), False),
+    "flg_wait": ("flag_wait", (_id("flag", "flag"),
+                               ("pattern", "pattern", True, None, None),
+                               ("mode", "mode", False, "or", None),
+                               ("clear", "bool", False, False, None),
+                               _TIMEOUT), True),
+    "flg_set": ("flag_set", (_id("flag", "flag"),
+                             ("pattern", "bits", True, None, None)), False),
+    "flg_clear": ("flag_clear", (_id("flag", "flag"),
+                                 ("mask", "bits", True, None, None)), False),
+    "mbx_send": ("mbx_send", (_id("mailbox", "mailbox"), _PAYLOAD,
+                              ("priority", "nat", False, 0, None)), False),
+    "mbx_recv": ("mbx_recv", (_id("mailbox", "mailbox"), _TIMEOUT), True),
+    "mbf_send": ("mbf_send", (_id("buffer", "buffer"), _PAYLOAD, _TIMEOUT),
+                 True),
+    "mbf_recv": ("mbf_recv", (_id("buffer", "buffer"), _TIMEOUT), True),
+    "mtx_lock": ("mtx_lock", (_id("mutex", "mutex"), _TIMEOUT), True),
+    "mtx_unlock": ("mtx_unlock", (_id("mutex", "mutex"),), False),
+    "pool_get": ("pool_get", (_id("pool", "fixed_pool"), _AS, _TIMEOUT), True),
+    "pool_rel": ("pool_release", (_id("pool", "fixed_pool"), _REF), False),
+    "vpool_get": ("vpool_get", (_id("pool", "variable_pool"),
+                                ("size", "pos", True, None, None), _AS,
+                                _TIMEOUT), True),
+    "vpool_rel": ("vpool_release", (_id("pool", "variable_pool"), _REF),
+                  False),
+}
+
+# The noun a release names when its ``ref`` was never bound.
+_REF_WHAT = {"pool_rel": "pool block", "vpool_rel": "pool region"}
+
+SERVICE_NAMES = frozenset(_SERVICES)
+
+# Device access argument values are bytes or addresses; both sides are ints.
+_BFM_ARG_KEYS = frozenset({"addr", "value"})
 
 
 def _parse_call(raw, path, problems):
     service = raw.get("service")
-    if not isinstance(service, str) or service not in _SERVICE_ARGS:
-        known = ", ".join(sorted(_SERVICE_ARGS))
+    if not isinstance(service, str) or service not in _SERVICES:
+        known = ", ".join(sorted(_SERVICES))
         problems.append((path, f"unknown service {service!r}; one of: {known}"))
         return None
-    spec = _SERVICE_ARGS[service]
     given = {k: v for k, v in raw.items() if k not in ("call", "service")}
     args = {}
     ok = True
-    for key, (kind, required, default) in spec.items():
+    for key, kind, required, default, _obj in _SERVICES[service][1]:
         if key in given:
-            value = _check_value(kind, given.pop(key), path, key, problems)
-            if value is _BAD:
+            value = given.pop(key)
+            test, what = _KINDS[kind]
+            if not test(value):
+                problems.append((path, f"'{key}' must be {what}"))
                 ok = False
-                continue
-            args[key] = value
+            elif kind == "timeout" and value == "forever":
+                args[key] = None
+            else:
+                args[key] = value
         elif required:
             problems.append((path, f"service '{service}' needs '{key}'"))
             ok = False
@@ -323,7 +266,7 @@ def _parse_stmt(raw, path, problems, *, handler, top, last):
                 return None
             merged["service"] = raw["call"]
         stmt = _parse_call(merged, path, problems)
-        if handler and stmt is not None and stmt.service in _WAITING_SERVICES:
+        if handler and stmt is not None and _SERVICES[stmt.service][2]:
             problems.append((path, f"a handler cannot call '{stmt.service}', "
                                    "which can wait; only tasks may wait"))
             return None
@@ -393,11 +336,11 @@ def statement_to_raw(stmt):
         return {"compute": stmt.label}
     if isinstance(stmt, Call):
         raw = {"call": stmt.service}
-        defaults = _SERVICE_ARGS[stmt.service]
+        params = {p[0]: p[2:4] for p in _SERVICES[stmt.service][1]}
         for key, value in stmt.args:
-            if value == defaults[key][2] and not defaults[key][1]:
-                continue  # omit optionals left at their default
-            raw[key] = "forever" if defaults[key][0] == "timeout" and value is None else value
+            required, default = params[key]
+            if required or value != default:  # omit optionals left at default
+                raw[key] = value
         return raw
     if isinstance(stmt, Bfm):
         raw = {"bfm": f"{stmt.device}.{stmt.access}"}
@@ -416,38 +359,10 @@ def program_to_raw(statements):
     return [statement_to_raw(s) for s in statements]
 
 
-# Behavior service -> (kernel method, argument keys passed positionally
-# after the api, argument keys passed by keyword).  The method is looked up
-# on the kernel instance at call time, so wrappers set on it see every call.
-_CALLS = {
-    "sleep": ("sleep", ("timeout",), ()),
-    "wakeup": ("wakeup", ("task",), ()),
-    "delay": ("delay", ("ticks",), ()),
-    "exit": ("exit_task", (), ()),
-    "start": ("start_task", ("task",), ()),
-    "sem_wait": ("sem_wait", ("sem", "count", "timeout"), ()),
-    "sem_signal": ("sem_signal", ("sem", "count"), ()),
-    "flg_wait": ("flag_wait", ("flag", "pattern", "mode"), ("clear", "timeout")),
-    "flg_set": ("flag_set", ("flag", "pattern"), ()),
-    "flg_clear": ("flag_clear", ("flag", "mask"), ()),
-    "mbx_send": ("mbx_send", ("mailbox", "payload", "priority"), ()),
-    "mbx_recv": ("mbx_recv", ("mailbox", "timeout"), ()),
-    "mbf_send": ("mbf_send", ("buffer", "payload", "timeout"), ()),
-    "mbf_recv": ("mbf_recv", ("buffer", "timeout"), ()),
-    "mtx_lock": ("mtx_lock", ("mutex", "timeout"), ()),
-    "mtx_unlock": ("mtx_unlock", ("mutex",), ()),
-    "pool_get": ("pool_get", ("pool", "timeout"), ()),
-    "pool_rel": ("pool_release", ("pool", "ref"), ()),
-    "vpool_get": ("vpool_get", ("pool", "size", "timeout"), ()),
-    "vpool_rel": ("vpool_release", ("pool", "ref"), ()),
-}
-
-_REF_WHAT = {"pool_rel": "pool block", "vpool_rel": "pool region"}
-
 # Op codes of a compiled program.  An op is a tuple led by its code:
 #   (_COMPUTE, label)
-#   (_CALL, method, positional args, keyword args, ``as`` name or None)
-#   (_RELEASE, method, positional args before the ref, ref name, what)
+#   (_CALL, method, args, ``as`` name or None)
+#   (_RELEASE, method, args before the ref, ref name, what)
 #   (_BFM, device, access, args)
 #   (_HEAD, counter, count)     arm a counted loop's counter
 #   (_BACK, counter, target)    one pass done: jump back while passes remain
@@ -469,12 +384,11 @@ def _leaf_op(st):
         a["mode"] = FLAG_MODE_AND if a["mode"] == "and" else FLAG_MODE_OR
     elif service == "mbf_send":
         a["payload"] = a["payload"].encode("utf-8")
-    method, positional, keyword = _CALLS[service]
-    if service in _REF_WHAT:  # the ref is the last positional argument
-        return (_RELEASE, method, tuple(a[k] for k in positional[:-1]),
-                a["ref"], _REF_WHAT[service])
-    return (_CALL, method, tuple(a[k] for k in positional),
-            {k: a[k] for k in keyword}, a.get("as"))
+    method, params, _can_wait = _SERVICES[service]
+    args = tuple(a[p[0]] for p in params if p[0] not in ("as", "ref"))
+    if "ref" in a:  # the ref is the last argument
+        return (_RELEASE, method, args, a["ref"], _REF_WHAT[service])
+    return (_CALL, method, args, a.get("as"))
 
 
 def _compile(statements, *, handler):
@@ -543,9 +457,9 @@ def _exec(ops, counters, api, kernel, reqs):
         if code == _COMPUTE:
             yield reqs[op[1]]
         elif code == _CALL:
-            res = yield from getattr(kernel, op[1])(api, *op[2], **op[3])
-            if op[4] is not None and res.ok:
-                refs[op[4]] = res.value
+            res = yield from getattr(kernel, op[1])(api, *op[2])
+            if op[3] is not None and res.ok:
+                refs[op[3]] = res.value
         elif code == _BACK:
             left = count[op[1]] - 1
             count[op[1]] = left

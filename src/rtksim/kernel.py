@@ -93,7 +93,7 @@ IDLE_PRIORITY = 141
 
 DEFAULT_CYCLES_PER_TICK = 12000
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,14 @@ _OBJECT_KINDS = {
 }
 
 
+def valid_name(name) -> bool:
+    """A thread, device, access or label name: letters, digits, '_', '.'
+    and '-' only, the whole string, so a trace CSV cell holds it as is."""
+    return isinstance(name, str) and _NAME_RE.fullmatch(name) is not None
+
+
 def _check_name(name):
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+    if not valid_name(name):
         raise ValidationError(f"bad name {name!r}: use letters, digits, _ . -")
     return name
 
@@ -236,7 +242,7 @@ class Kernel:
                                      ContextKind.SVC)
         self._bfm_reqs = {}  # (device, access) -> its BFM segment request
         self._idle_id_cfg = idle_id
-        self._idle_name = idle_name
+        self._idle_name = _check_name(idle_name)
         self.abort_on_deadlock = abort_on_deadlock
 
         self.devices = DeviceRegistry()
@@ -802,7 +808,7 @@ class Kernel:
         return self._give(api, self.semaphores, sem_id, "semaphore",
                           lambda sem: [(tid, None) for tid in sem.signal(n)])
 
-    def flag_wait(self, api, flg_id, pattern, mode, *, clear=False, timeout=None):
+    def flag_wait(self, api, flg_id, pattern, mode, clear=False, timeout=None):
         return self._take(api, self.flags, flg_id, "event flag", timeout,
                           lambda flg, tid: (*flg.wait(tid, pattern, mode, clear), ()))
 

@@ -33,8 +33,11 @@ from .kernel import (
     Stimulus,
     USER_PRIORITY_MAX,
     USER_PRIORITY_MIN,
+    valid_name,
 )
 from .objects import DEFAULT_SEMAPHORE_MAX
+from .report import UJ_PER_WH
+from .trace import parse_mj
 
 __all__ = [
     "Scenario",
@@ -48,24 +51,6 @@ __all__ = [
     "build_kernel",
     "demo_scenario_path",
 ]
-
-_NAME_KEYS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-"
-
-# Microjoules per watt-hour; battery capacities stay exact integers.
-_UJ_PER_WH = 3_600_000_000
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _valid_name(v) -> bool:
-    return (
-        isinstance(v, str)
-        and v != ""
-        and all(c in _NAME_KEYS for c in v)
-    )
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -260,15 +245,11 @@ class _Source:
 
 def _parse_energy_mj(src, value, path):
     """Millijoule figure -> integer microjoules.  Finer than 1 uJ is rejected."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            uj = Decimal(str(value)) * 1000
-        except InvalidOperation:
-            uj = None
-        if uj is not None and uj.is_finite() and uj == int(uj) and uj >= 0:
-            return int(uj)
-    src.problem(path, "energy must be a millijoule figure no finer than 0.001")
-    return None
+    try:
+        return parse_mj(value)
+    except ValueError:
+        src.problem(path, "energy must be a millijoule figure no finer than 0.001")
+        return None
 
 
 def _get_map(src, raw, path, *, required=False):
@@ -296,7 +277,7 @@ def _get_int(src, raw, path, key, *, default=None, minimum=None, required=False)
             return None
         return default
     v = raw[key]
-    if not _is_int(v) or (minimum is not None and v < minimum):
+    if not behavior._is_int(v) or (minimum is not None and v < minimum):
         low = f" >= {minimum}" if minimum is not None else ""
         src.problem(path + (key,), f"'{key}' must be an integer{low}")
         return None
@@ -310,7 +291,7 @@ def _get_name(src, raw, path, key, *, default=None, required=False):
             return None
         return default
     v = raw[key]
-    if not _valid_name(v):
+    if not valid_name(v):
         src.problem(path + (key,),
                     f"'{key}' must use letters, digits, '_', '.', '-'")
         return None
@@ -333,7 +314,7 @@ def _parse_annotations(src, raw):
     out = []
     for label, spec in table.items():
         path = ("annotations", label)
-        if not _valid_name(label):
+        if not valid_name(label):
             src.problem(path, "annotation labels use letters, digits, '_', '.', '-'")
             continue
         spec = _get_map(src, spec, path, required=True)
@@ -606,7 +587,7 @@ def _parse_devices(src, raw):
             ops = _OPS_BY_KIND[kind]
             for aname, aspec in acc_map.items():
                 apath = path + ("accesses", aname)
-                if not _valid_name(aname):
+                if not valid_name(aname):
                     src.problem(apath, "access names use letters, digits, "
                                        "'_', '.', '-'")
                     continue
@@ -670,24 +651,8 @@ def _parse_stimuli(src, raw):
 # ----------------------------------------------------------------------
 # cross-reference checks
 
-_OBJ_REF_FIELDS = {
-    "sem": "semaphore",
-    "flag": "flag",
-    "mutex": "mutex",
-    "mailbox": "mailbox",
-    "buffer": "buffer",
-}
-
-_POOL_SERVICES = {
-    "pool_get": "fixed_pool",
-    "pool_rel": "fixed_pool",
-    "vpool_get": "variable_pool",
-    "vpool_rel": "variable_pool",
-}
-
-
 def _check_program_refs(src, stmts, path, scn_parts):
-    (labels, task_ids, objects, devices, buffers) = scn_parts
+    (labels, objects, devices, buffers) = scn_parts
     for sub, st in behavior.iter_statements(stmts):
         here = path + sub
         if isinstance(st, behavior.Compute):
@@ -695,25 +660,15 @@ def _check_program_refs(src, stmts, path, scn_parts):
                 src.problem(here, f"no annotation named '{st.label}'")
         elif isinstance(st, behavior.Call):
             args = dict(st.args)
-            for field_name, kind in _OBJ_REF_FIELDS.items():
-                if field_name in args and (kind, args[field_name]) not in objects:
-                    src.problem(
-                        here, f"no {kind} with id {args[field_name]}")
-            if st.service in _POOL_SERVICES:
-                kind = _POOL_SERVICES[st.service]
-                if (kind, args["pool"]) not in objects:
-                    src.problem(here, f"no {kind} with id {args['pool']}")
-            if st.service in ("wakeup", "start") and args["task"] not in task_ids:
-                src.problem(here, f"no task with id {args['task']}")
-            if st.service == "mbf_send":
-                cap = buffers.get(args["buffer"])
-                if cap is not None:
-                    size = len(args["payload"].encode("utf-8"))
-                    if size > cap:
-                        src.problem(
-                            here,
-                            f"payload is {size} bytes; buffer "
-                            f"{args['buffer']} holds {cap}")
+            for key, *_, obj in behavior._SERVICES[st.service][1]:
+                if obj is not None and (obj, args[key]) not in objects:
+                    src.problem(here, f"no {obj} with id {args[key]}")
+            cap = buffers.get(args.get("buffer"))
+            if cap is not None and "payload" in args:  # sent to a buffer
+                size = len(args["payload"].encode("utf-8"))
+                if size > cap:
+                    src.problem(here, f"payload is {size} bytes; buffer "
+                                      f"{args['buffer']} holds {cap}")
         elif isinstance(st, behavior.Bfm):
             dev = devices.get(st.device)
             if dev is None:
@@ -726,14 +681,14 @@ def _check_program_refs(src, stmts, path, scn_parts):
 
 def _cross_check(src, scn: Scenario):
     labels = {a.label for a in scn.annotations}
-    task_ids = {t.task_id for t in scn.tasks}
     objects = {(o.kind, o.obj_id) for o in scn.objects}
+    objects.update(("task", t.task_id) for t in scn.tasks)
     devices = {d.name: d for d in scn.devices}
     buffers = {
         o.obj_id: dict(o.params)["capacity"]
         for o in scn.objects if o.kind == "buffer"
     }
-    parts = (labels, task_ids, objects, devices, buffers)
+    parts = (labels, objects, devices, buffers)
 
     for i, t in enumerate(scn.tasks):
         if not t.idle:
@@ -809,7 +764,7 @@ def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
         uj = None
         if isinstance(v, (int, float, str)) and not isinstance(v, bool):
             try:
-                uj = Decimal(str(v)) * _UJ_PER_WH
+                uj = Decimal(str(v)) * UJ_PER_WH
             except InvalidOperation:
                 uj = None
         if uj is None or not uj.is_finite() or uj != int(uj) or uj <= 0:
@@ -898,7 +853,7 @@ def scenario_to_raw(scn: Scenario) -> dict:
         "run_ticks": scn.run_ticks,
     }
     if scn.battery_uj is not None:
-        wh = Decimal(scn.battery_uj) / _UJ_PER_WH
+        wh = Decimal(scn.battery_uj) / UJ_PER_WH
         raw["battery_wh"] = (int(wh) if wh == int(wh)
                              else format(wh.normalize(), "f"))
     raw["svc_cost"] = {"etm": scn.svc_etm, "eem": _energy_raw(scn.svc_eem_uj)}
@@ -989,7 +944,7 @@ def save_scenario(scn: Scenario, path):
 # ----------------------------------------------------------------------
 # kernel wiring
 
-def build_kernel(scn: Scenario, *, tick_us=None, abort_on_deadlock=None) -> Kernel:
+def build_kernel(scn: Scenario, *, tick_us=None) -> Kernel:
     """Declare everything a validated scenario describes on a fresh kernel.
 
     The caller still boots and runs it, so sinks can be attached and the
@@ -1003,8 +958,7 @@ def build_kernel(scn: Scenario, *, tick_us=None, abort_on_deadlock=None) -> Kern
         svc_eem_uj=scn.svc_eem_uj,
         idle_id=idle.task_id if idle else None,
         idle_name=idle.name if idle else "IDLE",
-        abort_on_deadlock=(scn.abort_on_deadlock if abort_on_deadlock is None
-                           else abort_on_deadlock),
+        abort_on_deadlock=scn.abort_on_deadlock,
     )
     table = scn.annotation_table()
 

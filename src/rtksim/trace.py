@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 
 CSV_HEADER = "tick_start,tick_end,thread_id,thread_name,context_kind,label,etm_ticks,eem_mJ,event_kind"
 
@@ -51,21 +52,20 @@ def format_mj(uj: int) -> str:
     return f"{sign}{whole}.{frac:03d}".rstrip("0")
 
 
-def parse_mj(text) -> int:
-    """Parse a milli-joule value (int, float or string) to micro-joules.
+def parse_mj(value) -> int:
+    """Parse a milli-joule figure (int, float or string) to micro-joules.
 
-    Rejects anything finer than micro-joule resolution.
+    Raises ValueError for anything else: a bool, a negative or non-finite
+    figure, or one finer than micro-joule resolution.
     """
-    from decimal import Decimal, InvalidOperation
-
-    try:
-        d = Decimal(str(text))
-    except InvalidOperation:
-        raise ValueError(f"bad energy value: {text!r}") from None
-    scaled = d * 1000
-    if scaled != scaled.to_integral_value():
-        raise ValueError(f"energy {text!r} finer than micro-joule resolution")
-    return int(scaled)
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            uj = Decimal(str(value)) * 1000
+        except InvalidOperation:
+            uj = None
+        if uj is not None and uj.is_finite() and uj == int(uj) and uj >= 0:
+            return int(uj)
+    raise ValueError(f"bad energy value: {value!r}")
 
 
 @dataclass(slots=True)

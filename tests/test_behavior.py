@@ -7,10 +7,11 @@ compiled program itself rather than a whole scenario.
 
 import pytest
 
-from rtksim.behavior import _compile, build_factory, parse_program
+from rtksim.behavior import _SERVICES, _compile, build_factory, parse_program
 from rtksim.engine import Annotation
-from rtksim.errors import UsageError
+from rtksim.errors import ProtocolError, SimError, UsageError
 from rtksim.kernel import Kernel
+from rtksim.objects import FLAG_MODE_OR
 from rtksim.trace import ListSink
 
 TABLE = {"w": Annotation("w", 1, 0), "v": Annotation("v", 2, 0)}
@@ -134,3 +135,50 @@ def test_compute_in_a_cyclic_handler_is_charged_in_handler_context():
             for r in sink.records if r.thread_id == 2 and r.label == "v"]
     assert rows == [(5, "CYC_HANDLER", 2), (10, "CYC_HANDLER", 2)]
     assert k.engine.thread(2).token.cycles == 2
+
+
+# A value each argument kind accepts.  Every id names object 1 of its
+# kind, declared below; a ``ref`` passes 0 for the grant it would name.
+KIND_VALUES = {"id": 1, "nat": 0, "pos": 1, "pattern": 1, "bits": 1,
+               "timeout": None, "mode": FLAG_MODE_OR, "bool": False,
+               "text": b"hi", "name": 0}
+
+
+@pytest.mark.parametrize("service", sorted(_SERVICES))
+def test_the_kernel_refuses_a_handler_at_the_call_exactly_when_the_row_can_wait(
+        service):
+    # The kernel, not the table, refuses: as in uITRON (E_CTX), a service
+    # that can wait raises ProtocolError before its service segment, so
+    # the handler wrote no row after INT_ENTER.  What a service that
+    # cannot wait does after its segment (an unlock of a mutex the
+    # handler does not own, an exit) is not at issue here.
+    method, params, can_wait = _SERVICES[service]
+    args = [KIND_VALUES[kind] for key, kind, *_ in params if key != "as"]
+
+    def waiter(ctx):
+        yield from ctx.kernel.delay(ctx.api, 20)
+
+    def handler(ctx):
+        yield from getattr(ctx.kernel, method)(ctx.api, *args)
+
+    sink = ListSink()
+    k = Kernel()
+    k.declare_task(1, "T", 5, waiter)
+    k.declare_alarm(2, "H", 3, handler)
+    k.declare_semaphore(1, 0)
+    k.declare_flag(1)
+    k.declare_mutex(1)
+    k.declare_mailbox(1)
+    k.declare_buffer(1, 8)
+    k.declare_fixed_pool(1, 2, 8)
+    k.declare_variable_pool(1, 16)
+    k.attach_sinks(trace_sink=sink)
+    k.boot()
+    error = None
+    try:
+        k.run(10)
+    except SimError as exc:
+        error = exc
+    rows = [r.label for r in sink.records if r.thread_id == 2]
+    refused = isinstance(error, ProtocolError) and rows == ["INT_ENTER"]
+    assert refused == can_wait, (error, rows)

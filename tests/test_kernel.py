@@ -1247,6 +1247,19 @@ def test_declaration_validation():
         k.declare_alarm(3, "A2", 0, lambda ctx: iter(()))
 
 
+def test_a_name_with_a_trailing_newline_is_refused():
+    # a `$` anchored match let it through; the trace CSV cannot hold it
+    k, _ = mk()
+    with pytest.raises(ValidationError, match="bad name"):
+        k.declare_task(1, "T\n", 5, lambda ctx: iter(()))
+
+
+def test_the_idle_name_is_checked_like_any_thread_name():
+    # "I,DLE" would have written an idle row with one column too many
+    with pytest.raises(ValidationError, match="bad name 'I,DLE'"):
+        Kernel(idle_name="I,DLE")
+
+
 def test_isr_attachment_validation():
     k, _ = mk()
     k.add_device("serial_io", "uart", {})

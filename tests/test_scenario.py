@@ -459,9 +459,9 @@ def test_build_kernel_wires_the_demo():
 
 def test_build_kernel_overrides():
     scn = parse_scenario_text(MINIMAL + "on_deadlock: report\n")
-    k = build_kernel(scn, tick_us=77, abort_on_deadlock=True)
+    k = build_kernel(scn, tick_us=77)
     assert k.tick_us == 77
-    assert k.abort_on_deadlock is True
+    assert k.abort_on_deadlock is False   # the scenario's on_deadlock
 
 
 # ----------------------------------------------------------------------

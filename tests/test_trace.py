@@ -48,6 +48,12 @@ class TestEnergyFormatting:
         assert parse_mj(format_mj(uj)) == uj
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", -1, "0.0001", True, [1]])
+def test_parse_mj_refuses_what_is_not_a_whole_micro_joule_count(value):
+    with pytest.raises(ValueError, match="bad energy value"):
+        parse_mj(value)
+
+
 def test_csv_row_shape():
     r = work(3, 7, 1, uj=2500, event="STARTUP")
     assert r.csv_row() == "3,7,1,T1,TASK,crunch,4,2.5,STARTUP"
