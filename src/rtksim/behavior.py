@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Annotation
 from .errors import UsageError
 from .objects import FLAG_MODE_AND, FLAG_MODE_OR
 
@@ -33,7 +32,6 @@ __all__ = [
     "Call",
     "Bfm",
     "Loop",
-    "SERVICE_NAMES",
     "parse_program",
     "statement_to_raw",
     "program_to_raw",
@@ -150,8 +148,6 @@ _SERVICES = {
 
 # The noun a release names when its ``ref`` was never bound.
 _REF_WHAT = {"pool_rel": "pool block", "vpool_rel": "pool region"}
-
-SERVICE_NAMES = frozenset(_SERVICES)
 
 # Device access argument values are bytes or addresses; both sides are ints.
 _BFM_ARG_KEYS = frozenset({"addr", "value"})

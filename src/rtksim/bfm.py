@@ -253,9 +253,6 @@ class DeviceRegistry:
         except KeyError:
             raise NotFoundError(f"no device named {name!r}") from None
 
-    def devices(self):
-        return list(self._devices.values())
-
     def perform(self, tick: int, device_name: str, access_name: str, args: dict):
         """Mutate device state; returns (response, AccessSpec).
 

@@ -86,6 +86,7 @@ from .trace import (
     CTL_PREEMPT,
     NullSink,
     TraceRecord,
+    valid_name,
 )
 
 _ZERO_TIME_STEP_LIMIT = 1_000_000
@@ -165,6 +166,9 @@ class Annotation:
     eem_uj: int = 0
 
     def validate(self):
+        if not valid_name(self.label):
+            raise ValidationError(
+                f"annotation {self.label!r}: use letters, digits, _ . -")
         if not isinstance(self.etm, int) or self.etm < 0:
             raise ValidationError(f"annotation {self.label!r}: etm must be an int >= 0")
         if not isinstance(self.eem_uj, int) or self.eem_uj < 0:

@@ -100,58 +100,33 @@ _TOP = 40
 _BOTTOM = 30
 
 
+_WHITE_LINE = '<path d="{}" stroke="#ffffff" stroke-width="1.5"/>'
+
+# context -> (tile size, background, overlay) of its SVG fill pattern.  A
+# None background is the context's color, and so is "{color}" in an
+# overlay; the overlays tell contexts apart even in monochrome print.
+_PATTERNS = {
+    "TASK": (4, None, ""),
+    "SVC": (6, None, _WHITE_LINE.format("M0 6 L6 0")),
+    "BFM": (6, None, _WHITE_LINE.format("M0 0 L6 6")),
+    "ISR": (6, None, '<circle cx="3" cy="3" r="1.2" fill="#ffffff"/>'),
+    "CYC_HANDLER": (6, None, _WHITE_LINE.format("M0 3 L6 3")),
+    "ALM_HANDLER": (6, None, _WHITE_LINE.format("M3 0 L3 6")),
+    "IDLE": (8, "#f0f0f0",
+             '<path d="M0 8 L8 0" stroke="{color}" stroke-width="1"/>'),
+}
+
+
 def _svg_patterns():
-    # hatch/dot overlays distinguish contexts even in monochrome print
     defs = ['<defs>']
-    for key, (_g, fid, color) in LEGEND.items():
-        if key == "STARTUP":
-            continue
-        if key == "TASK":
-            defs.append(
-                f'<pattern id="{fid}" width="4" height="4" '
-                f'patternUnits="userSpaceOnUse">'
-                f'<rect width="4" height="4" fill="{color}"/></pattern>')
-        elif key == "SVC":
-            defs.append(
-                f'<pattern id="{fid}" width="6" height="6" '
-                f'patternUnits="userSpaceOnUse">'
-                f'<rect width="6" height="6" fill="{color}"/>'
-                f'<path d="M0 6 L6 0" stroke="#ffffff" stroke-width="1.5"/>'
-                f'</pattern>')
-        elif key == "BFM":
-            defs.append(
-                f'<pattern id="{fid}" width="6" height="6" '
-                f'patternUnits="userSpaceOnUse">'
-                f'<rect width="6" height="6" fill="{color}"/>'
-                f'<path d="M0 0 L6 6" stroke="#ffffff" stroke-width="1.5"/>'
-                f'</pattern>')
-        elif key == "ISR":
-            defs.append(
-                f'<pattern id="{fid}" width="6" height="6" '
-                f'patternUnits="userSpaceOnUse">'
-                f'<rect width="6" height="6" fill="{color}"/>'
-                f'<circle cx="3" cy="3" r="1.2" fill="#ffffff"/></pattern>')
-        elif key == "CYC_HANDLER":
-            defs.append(
-                f'<pattern id="{fid}" width="6" height="6" '
-                f'patternUnits="userSpaceOnUse">'
-                f'<rect width="6" height="6" fill="{color}"/>'
-                f'<path d="M0 3 L6 3" stroke="#ffffff" stroke-width="1.5"/>'
-                f'</pattern>')
-        elif key == "ALM_HANDLER":
-            defs.append(
-                f'<pattern id="{fid}" width="6" height="6" '
-                f'patternUnits="userSpaceOnUse">'
-                f'<rect width="6" height="6" fill="{color}"/>'
-                f'<path d="M3 0 L3 6" stroke="#ffffff" stroke-width="1.5"/>'
-                f'</pattern>')
-        else:  # IDLE
-            defs.append(
-                f'<pattern id="{fid}" width="8" height="8" '
-                f'patternUnits="userSpaceOnUse">'
-                f'<rect width="8" height="8" fill="#f0f0f0"/>'
-                f'<path d="M0 8 L8 0" stroke="{color}" stroke-width="1"/>'
-                f'</pattern>')
+    for key, (size, background, overlay) in _PATTERNS.items():
+        _g, fid, color = LEGEND[key]
+        defs.append(
+            f'<pattern id="{fid}" width="{size}" height="{size}" '
+            f'patternUnits="userSpaceOnUse">'
+            f'<rect width="{size}" height="{size}" '
+            f'fill="{background or color}"/>'
+            f'{overlay.format(color=color)}</pattern>')
     defs.append('</defs>')
     return defs
 

@@ -1,11 +1,15 @@
 """The kernel: services, timers, handlers, boot protocol, deadlock watch.
 
-Everything a scenario declares is instantiated by ``boot`` before tick 0,
-in zero simulated time and by direct calls, with no init task: it
-registers every thread, seals the thread registry, creates the objects,
-arms the handlers and starts the tasks plus the idle task.  No service
-can run during boot; trace sinks attach only after it, so the first
-recorded event is the first user dispatch.
+A declaration builds its part of the run at the call: a task or handler
+gets its ``SimThread`` and ``TaskControl``, an object is constructed and
+a device made, so a bad declaration is refused there.  ``boot`` then,
+before tick 0, in zero simulated time and by direct calls, with no init
+task: it creates the engine, which closes the declarations even if boot
+fails later, checks the stimuli, registers the idle task, the tasks and
+the handlers, seals the thread registry, arms the handlers and starts
+the tasks plus the idle task.  No service can run during boot; trace
+sinks attach only after it, so the first recorded event is the first
+user dispatch.
 
 Every service call runs inside an implicit critical section and charges
 the caller one SVC-context segment (cost is configurable, default one
@@ -29,20 +33,23 @@ take that was not granted then waits forever or with a timeout (the
 through its ``cancel_wait``, or, on a mutex, also takes back the
 priority the waiter lent.
 
-Timer boundaries are processed at instants 1..T for a T-tick run: due
-timer events first (insertion order within one instant), then the
-stimuli declared for that instant, then a deadlock check.  A timeout
-whose wait already ended some other way stays in the timer heap until
-it falls due, but it does not defer the deadlock.  ``run`` coasts the
-engine through the ticks before the next due timer entry or stimulus,
-whose boundaries have nothing to process, so the tick hook runs only
-after the ticks it steps.
+Every timed event sits on one agenda, a heap of (due, rank, seq, action,
+arg) entries: cyclic and alarm activations, pushed when their handler is
+declared; the stimuli, pushed at boot; and wait timeouts.  At instants
+1..T of a T-tick run the tick hook runs the entries that fell due: timer
+events first, then that instant's stimuli (rank), each kind in insertion
+order (seq); then it checks for a deadlock.  A wait that ends some other
+way takes its timeout off the agenda at once, so every entry left has
+work to do: while any is left there is no deadlock, and ``run`` coasts
+the engine through the ticks before the first one falls due, whose
+boundaries have nothing to process, so the tick hook runs only after
+the ticks it steps.
 """
 
 from __future__ import annotations
 
 import heapq
-import re
+import itertools
 from dataclasses import dataclass, field
 
 from .bfm import (
@@ -74,6 +81,7 @@ from .errors import (
     ValidationError,
 )
 from .objects import (
+    DEFAULT_SEMAPHORE_MAX,
     EventFlag,
     FixedPool,
     Mailbox,
@@ -82,6 +90,7 @@ from .objects import (
     Semaphore,
     VariablePool,
 )
+from .trace import valid_name
 
 RESULT_OK = "OK"
 RESULT_TIMEOUT = "TIMEOUT"
@@ -92,8 +101,6 @@ HANDLER_PRIORITY = 0  # handlers are not scheduled; the dump prints this
 IDLE_PRIORITY = 141
 
 DEFAULT_CYCLES_PER_TICK = 12000
-
-_NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
 
 @dataclass(frozen=True)
@@ -129,40 +136,18 @@ class CallContext:
 class TaskControl:
     """Kernel-side task bookkeeping beyond the engine's thread record.
 
-    ``timeout_seq`` is the timer-heap sequence number of the current
-    wait's timeout, or None, so a timeout armed for an earlier wait
-    cannot release a later one.
+    ``timeout`` is the agenda entry of the current wait's timeout, or
+    None; a wait that ends some other way takes it off the agenda.
     ``held`` and ``blocked_on`` are the thread's edges in the mutex
     owner graph that priority inheritance walks.
     """
 
     extended_info: int = 0
     wakeup_count: int = 0
-    timeout_seq: int | None = None
+    timeout: tuple | None = None
     sleeping: bool = False  # in a ``sleep`` that a wakeup ends
     held: list[Mutex] = field(default_factory=list)  # mutexes it owns
     blocked_on: Mutex | None = None  # mutex it is queued on
-
-
-@dataclass(frozen=True)
-class TaskDecl:
-    task_id: int
-    name: str
-    priority: int
-    body: object
-    extended_info: int = 0
-
-
-@dataclass(frozen=True)
-class HandlerDecl:
-    thread_id: int
-    name: str
-    kind: ThreadKind
-    body: object
-    extended_info: int = 0
-    period: int = 0   # cyclic
-    phase: int = 0    # cyclic; 0 means "defer to period"
-    offset: int = 0   # alarm
 
 
 @dataclass(frozen=True)
@@ -176,29 +161,9 @@ class Stimulus:
     value: int = 0
 
 
-# timer event kinds; a timeout carries the result code it releases with,
-# an activation its handler's period (None for an alarm, which fires once)
-_EV_TIMEOUT = "timeout"
-_EV_ACTIVATE = "activate"
-
-
-# object kind -> (registry attribute, class); ``declare_<kind>`` stores
-# the class's constructor keywords
-_OBJECT_KINDS = {
-    "semaphore": ("semaphores", Semaphore),
-    "flag": ("flags", EventFlag),
-    "mutex": ("mutexes", Mutex),
-    "mailbox": ("mailboxes", Mailbox),
-    "buffer": ("buffers", MessageBuffer),
-    "fixed_pool": ("fixed_pools", FixedPool),
-    "variable_pool": ("variable_pools", VariablePool),
-}
-
-
-def valid_name(name) -> bool:
-    """A thread, device, access or label name: letters, digits, '_', '.'
-    and '-' only, the whole string, so a trace CSV cell holds it as is."""
-    return isinstance(name, str) and _NAME_RE.fullmatch(name) is not None
+# agenda ranks: the timer events due at an instant run before its stimuli
+_RANK_TIMER = 0
+_RANK_STIMULUS = 1
 
 
 def _check_name(name):
@@ -229,6 +194,8 @@ class Kernel:
                  svc_etm: int = 1, svc_eem_uj: int = 0,
                  idle_id: int | None = None, idle_name: str = "IDLE",
                  abort_on_deadlock: bool = True):
+        if not isinstance(tick_us, int) or tick_us < 1:
+            raise ValidationError("tick resolution must be >= 1 us")
         if not isinstance(cycles_per_tick, int) or cycles_per_tick < 1:
             raise ValidationError("cycles_per_tick must be >= 1")
         if not isinstance(svc_etm, int) or svc_etm < 0:
@@ -247,21 +214,15 @@ class Kernel:
 
         self.devices = DeviceRegistry()
         self.engine: Engine | None = None
-        self.tcb: dict[int, TaskControl] = {}
+        self.tcb: dict[int, TaskControl] = {}  # declared threads, idle from boot
         self.deadlock_report: tuple | None = None
 
-        self._task_decls: list[TaskDecl] = []
-        self._handler_decls: list[HandlerDecl] = []
-        self._thread_ids: set[int] = set()  # of both kinds of declaration
-        self._handler_ids: set[int] = set()
-        self._object_decls: list[tuple] = []
+        self._tasks: list[SimThread] = []
+        self._handlers: dict[int, SimThread] = {}
         self._stimuli: list[Stimulus] = []
-        self._stim_idx = 0
-        self._isr_bindings: list[tuple] = []
 
-        self._timer: list[tuple] = []   # (due, seq, kind, data)
-        self._timer_seq = 0
-        self._stale_timeouts = 0   # heap entries whose wait already ended
+        self._agenda: list[tuple] = []  # heap of (due, rank, seq, action, arg)
+        self._agenda_seq = itertools.count()
         self._booted = False
         self._trace_sink = None
 
@@ -282,21 +243,26 @@ class Kernel:
         if self.engine is not None:  # boot started, even if it raised
             raise UsageError("declarations are closed once boot starts")
 
-    def _check_thread_id(self, thread_id):
+    def _check_thread(self, thread_id, name):
+        self._pre_boot()
         _check_id(thread_id, "thread")
-        if thread_id in self._thread_ids:
+        if thread_id in self.tcb:
             raise ConflictError(f"thread id {thread_id} already declared")
+        _check_name(name)
 
-    def _add_handler(self, decl: HandlerDecl):
-        self._handler_decls.append(decl)
-        self._thread_ids.add(decl.thread_id)
-        self._handler_ids.add(decl.thread_id)
+    def _add_thread(self, thread_id, name, kind, priority, body,
+                    extended_info):
+        th = SimThread(thread_id, name, kind, priority, self._wrap(body))
+        self.tcb[thread_id] = TaskControl(extended_info=extended_info)
+        if kind is ThreadKind.TASK:
+            self._tasks.append(th)
+        else:
+            self._handlers[thread_id] = th
+        return th
 
     def declare_task(self, task_id: int, name: str, priority: int, body,
                      *, extended_info: int = 0):
-        self._pre_boot()
-        self._check_thread_id(task_id)
-        _check_name(name)
+        self._check_thread(task_id, name)
         if not isinstance(priority, int) or not (
             USER_PRIORITY_MIN <= priority <= USER_PRIORITY_MAX
         ):
@@ -304,86 +270,79 @@ class Kernel:
                 f"task {name}: priority must be in "
                 f"{USER_PRIORITY_MIN}..{USER_PRIORITY_MAX}"
             )
-        self._task_decls.append(
-            TaskDecl(task_id, name, priority, body, extended_info)
-        )
-        self._thread_ids.add(task_id)
+        self._add_thread(task_id, name, ThreadKind.TASK, priority, body,
+                         extended_info)
 
     def declare_cyclic(self, thread_id: int, name: str, period: int, body,
                        *, phase: int = 0, extended_info: int = 0):
         """Cyclic handler firing at absolute ticks phase, phase+period, ...
         A zero phase defers to the period, so the first activation is
         never at tick 0."""
-        self._pre_boot()
-        self._check_thread_id(thread_id)
-        _check_name(name)
+        self._check_thread(thread_id, name)
         if not isinstance(period, int) or period < 1:
             raise ValidationError(f"cyclic {name}: period must be >= 1")
         if not isinstance(phase, int) or phase < 0:
             raise ValidationError(f"cyclic {name}: phase must be >= 0")
-        self._add_handler(HandlerDecl(
-            thread_id, name, ThreadKind.CYCLIC, body,
-            extended_info, period=period, phase=phase,
-        ))
+        th = self._add_thread(thread_id, name, ThreadKind.CYCLIC,
+                              HANDLER_PRIORITY, body, extended_info)
+        self._schedule(phase or period, _RANK_TIMER, self._activate,
+                       (th, period))
 
     def declare_alarm(self, thread_id: int, name: str, offset: int, body,
                       *, extended_info: int = 0):
-        self._pre_boot()
-        self._check_thread_id(thread_id)
-        _check_name(name)
+        self._check_thread(thread_id, name)
         if not isinstance(offset, int) or offset < 1:
             raise ValidationError(f"alarm {name}: offset must be >= 1")
-        self._add_handler(HandlerDecl(
-            thread_id, name, ThreadKind.ALARM, body,
-            extended_info, offset=offset,
-        ))
+        th = self._add_thread(thread_id, name, ThreadKind.ALARM,
+                              HANDLER_PRIORITY, body, extended_info)
+        self._schedule(offset, _RANK_TIMER, self._activate, (th, None))
 
     def declare_isr(self, thread_id: int, name: str, body,
                     *, extended_info: int = 0):
-        self._pre_boot()
-        self._check_thread_id(thread_id)
-        _check_name(name)
-        self._add_handler(HandlerDecl(
-            thread_id, name, ThreadKind.ISR, body, extended_info,
-        ))
+        self._check_thread(thread_id, name)
+        self._add_thread(thread_id, name, ThreadKind.ISR, HANDLER_PRIORITY,
+                         body, extended_info)
 
-    def _declare_object(self, kind: str, obj_id: int, kwargs):
+    def _declare_object(self, registry, cls, kind, obj_id, **kwargs):
         self._pre_boot()
         _check_id(obj_id, kind)
-        for k, existing_id, _kw in self._object_decls:
-            if k == kind and existing_id == obj_id:
-                raise ConflictError(f"{kind} id {obj_id} already declared")
-        self._object_decls.append((kind, obj_id, kwargs))
+        if obj_id in registry:
+            raise ConflictError(f"{kind} id {obj_id} already declared")
+        registry[obj_id] = cls(obj_id, priority_of=self._waiter_priority,
+                               **kwargs)
 
     def declare_semaphore(self, obj_id, initial, *, max_count=None, extended_info=0):
-        kw = {"initial": initial, "extended_info": extended_info}
-        if max_count is not None:
-            kw["max_count"] = max_count
-        self._declare_object("semaphore", obj_id, kw)
+        if max_count is None:
+            max_count = DEFAULT_SEMAPHORE_MAX
+        self._declare_object(self.semaphores, Semaphore, "semaphore", obj_id,
+                             initial=initial, max_count=max_count,
+                             extended_info=extended_info)
 
     def declare_flag(self, obj_id, initial=0, *, extended_info=0):
-        self._declare_object("flag", obj_id,
-                             {"initial": initial, "extended_info": extended_info})
+        self._declare_object(self.flags, EventFlag, "flag", obj_id,
+                             initial=initial, extended_info=extended_info)
 
     def declare_mutex(self, obj_id, *, extended_info=0):
-        self._declare_object("mutex", obj_id, {"extended_info": extended_info})
+        self._declare_object(self.mutexes, Mutex, "mutex", obj_id,
+                             extended_info=extended_info)
 
     def declare_mailbox(self, obj_id, *, extended_info=0):
-        self._declare_object("mailbox", obj_id, {"extended_info": extended_info})
+        self._declare_object(self.mailboxes, Mailbox, "mailbox", obj_id,
+                             extended_info=extended_info)
 
     def declare_buffer(self, obj_id, capacity, *, extended_info=0):
-        self._declare_object("buffer", obj_id,
-                             {"capacity": capacity, "extended_info": extended_info})
+        self._declare_object(self.buffers, MessageBuffer, "buffer", obj_id,
+                             capacity=capacity, extended_info=extended_info)
 
     def declare_fixed_pool(self, obj_id, block_count, block_size, *, extended_info=0):
-        self._declare_object("fixed_pool", obj_id, {
-            "block_count": block_count, "block_size": block_size,
-            "extended_info": extended_info,
-        })
+        self._declare_object(self.fixed_pools, FixedPool, "fixed_pool", obj_id,
+                             block_count=block_count, block_size=block_size,
+                             extended_info=extended_info)
 
     def declare_variable_pool(self, obj_id, size, *, extended_info=0):
-        self._declare_object("variable_pool", obj_id,
-                             {"size": size, "extended_info": extended_info})
+        self._declare_object(self.variable_pools, VariablePool,
+                             "variable_pool", obj_id,
+                             size=size, extended_info=extended_info)
 
     def add_device(self, kind: str, name: str, accesses, **options):
         self._pre_boot()
@@ -395,15 +354,10 @@ class Kernel:
         dev = self.devices.get(device_name)
         if dev.kind != KIND_INTC:
             raise ValidationError(f"device {device_name} is not an interrupt controller")
-        decl = next(
-            (d for d in self._handler_decls
-             if d.thread_id == isr_id and d.kind is ThreadKind.ISR),
-            None,
-        )
-        if decl is None:
+        th = self._handlers.get(isr_id)
+        if th is None or th.kind is not ThreadKind.ISR:
             raise NotFoundError(f"no ISR declared with id {isr_id}")
         dev.attach(line, isr_id)
-        self._isr_bindings.append((device_name, line, isr_id))
 
     def add_stimulus(self, tick: int, kind: str, device: str, *,
                      line: int = 0, value: int = 0):
@@ -427,56 +381,31 @@ class Kernel:
     # boot
 
     def boot(self):
-        if self._booted:
-            raise UsageError("already booted")
+        if self.engine is not None:
+            raise UsageError("boot runs once")
+        eng = self.engine = Engine(len(self.tcb) + 1, tick_us=self.tick_us)
+        eng.on_tick = self._timer_tick
         self._validate_stimuli()
-        expected = len(self._task_decls) + len(self._handler_decls) + 1
-        declared = self._thread_ids
         idle_id = self._idle_id_cfg
         if idle_id is None:
-            idle_id = (max(declared) + 1) if declared else 1
-        elif idle_id in declared:
+            idle_id = max(self.tcb, default=0) + 1
+        elif idle_id in self.tcb:
             raise ConflictError(f"idle id {idle_id} collides with a declared thread")
         self.idle_id = idle_id
 
-        eng = Engine(expected, tick_us=self.tick_us)
-        eng.on_tick = self._timer_tick
-        self.engine = eng
-
-        idle = SimThread(idle_id, self._idle_name, ThreadKind.TASK,
-                         IDLE_PRIORITY, idle_body, is_idle=True)
-        eng.register(idle)
+        eng.register(SimThread(idle_id, self._idle_name, ThreadKind.TASK,
+                               IDLE_PRIORITY, idle_body, is_idle=True))
         self.tcb[idle_id] = TaskControl()
-        for d in self._task_decls:
-            th = SimThread(d.task_id, d.name, ThreadKind.TASK, d.priority,
-                           self._wrap(d.body))
+        for th in (*self._tasks, *self._handlers.values()):
             eng.register(th)
-            self.tcb[d.task_id] = TaskControl(extended_info=d.extended_info)
-        for d in self._handler_decls:
-            th = SimThread(d.thread_id, d.name, d.kind, HANDLER_PRIORITY,
-                           self._wrap(d.body))
-            eng.register(th)
-            self.tcb[d.thread_id] = TaskControl(extended_info=d.extended_info)
         eng.all_created()
-        self._create_objects()
-        for d in self._handler_decls:
-            eng.arm_handler(d.thread_id)
-            if d.kind is ThreadKind.CYCLIC:
-                phase = d.phase if d.phase >= 1 else d.period
-                self._push_timer(phase, _EV_ACTIVATE, (d.thread_id, d.period))
-            elif d.kind is ThreadKind.ALARM:
-                self._push_timer(eng.now + d.offset, _EV_ACTIVATE,
-                                 (d.thread_id, None))
-        for d in self._task_decls:
-            eng.start_thread(d.task_id)
+        for handler_id in self._handlers:
+            eng.arm_handler(handler_id)
+        for th in self._tasks:
+            eng.start_thread(th.id)
         eng.start_thread(idle_id)
-
-        # stimuli fire in declaration order within one tick
-        self._stimuli = sorted(
-            enumerate(self._stimuli), key=lambda p: (p[1].tick, p[0])
-        )
-        self._stimuli = [s for _i, s in self._stimuli]
-        self._stim_idx = 0
+        for st in self._stimuli:
+            self._schedule(st.tick, _RANK_STIMULUS, self._apply_stimulus, st)
 
         eng.attach_sinks(trace_sink=self._trace_sink)
         self._booted = True
@@ -504,12 +433,6 @@ class Kernel:
                     f"stimulus at tick {st.tick}: {st.device} has no input FIFO"
                 )
 
-    def _create_objects(self):
-        for kind, obj_id, kwargs in self._object_decls:
-            registry, cls = _OBJECT_KINDS[kind]
-            getattr(self, registry)[obj_id] = cls(
-                obj_id, priority_of=self._waiter_priority, **kwargs)
-
     def _waiter_priority(self, tid):
         return self.engine.thread(tid).current_priority
 
@@ -535,8 +458,7 @@ class Kernel:
             raise ValidationError("tick count must be >= 0")
         eng = self.engine
         table = eng._table
-        timer, stimuli = self._timer, self._stimuli
-        n_stimuli = len(stimuli)
+        agenda = self._agenda
         end = eng.now + ticks
         while eng.now < end:
             eng.run_one_tick()
@@ -546,16 +468,13 @@ class Kernel:
             th = table[eng.current_id]
             if th.seg is None or not (th.seg_left or th.is_idle):
                 continue
-            # The hook has work only at the next timer entry (a stale
-            # timeout counts) or stimulus, so the ticks before that one
-            # may coast: their hooks would find the state this tick's
-            # hook left, and its deadlock check has already seen it.
+            # The hook has work only when the first agenda entry falls
+            # due, so the ticks before that one may coast: their hooks
+            # would find the state this tick's hook left, and its
+            # deadlock check has already seen it.
             stop = end
-            if timer and timer[0][0] <= stop:
-                stop = timer[0][0] - 1
-            idx = self._stim_idx
-            if idx < n_stimuli and stimuli[idx].tick <= stop:
-                stop = stimuli[idx].tick - 1
+            if agenda and agenda[0][0] <= stop:
+                stop = agenda[0][0] - 1
             if stop > eng.now:
                 eng.coast(stop - eng.now)
 
@@ -567,46 +486,40 @@ class Kernel:
         self.engine.finish()
 
     # ------------------------------------------------------------------
-    # timers and stimuli
+    # the agenda: timers and stimuli
 
-    def _push_timer(self, due: int, kind: str, data):
-        heapq.heappush(self._timer, (due, self._timer_seq, kind, data))
-        self._timer_seq += 1
+    def _schedule(self, due: int, rank: int, action, arg):
+        """Put ``action(arg, now)`` on the agenda for instant ``due``;
+        return its entry."""
+        entry = (due, rank, next(self._agenda_seq), action, arg)
+        heapq.heappush(self._agenda, entry)
+        return entry
 
     def _timer_tick(self, now: int):
-        timer = self._timer
-        while timer and timer[0][0] <= now:
-            _due, _seq, kind, data = heapq.heappop(timer)
-            self._timer_event(kind, data, now)
-        stimuli = self._stimuli
-        while self._stim_idx < len(stimuli) and stimuli[self._stim_idx].tick == now:
-            self._apply_stimulus(stimuli[self._stim_idx])
-            self._stim_idx += 1
+        agenda = self._agenda
+        while agenda and agenda[0][0] <= now:
+            _due, _rank, _seq, action, arg = heapq.heappop(agenda)
+            action(arg, now)
         self._check_deadlock(now)
 
-    def _timer_event(self, kind: str, data, now: int):
-        eng = self.engine
-        if kind == _EV_ACTIVATE:
-            thread_id, period = data
-            th = eng.thread(thread_id)
-            if th.awaiting_activation and not th.activation_queued:
-                eng.raise_interrupt(thread_id)
-            # a busy handler simply misses this activation
-            if period is not None:
-                self._push_timer(now + period, _EV_ACTIVATE, data)
-            return
-        # a timeout whose wait ended some other way is a no-op
-        thread_id, seq, cancel, code = data
-        tcb = self.tcb[thread_id]
-        if tcb.timeout_seq != seq:
-            self._stale_timeouts -= 1
-            return
-        tcb.timeout_seq = None
+    def _activate(self, data, now: int):
+        """A cyclic or alarm activation; a busy handler misses it.  A
+        cyclic handler's next one is due a period later."""
+        th, period = data
+        if th.awaiting_activation and not th.activation_queued:
+            self.engine.raise_interrupt(th.id)
+        if period is not None:
+            self._schedule(now + period, _RANK_TIMER, self._activate, data)
+
+    def _expire(self, data, _now: int):
+        """A wait's timeout: leave the object, then end the wait."""
+        thread_id, cancel, code = data
+        self.tcb[thread_id].timeout = None
         if cancel is not None:
             cancel(thread_id)
-        eng.release(thread_id, EventKind.SLEEP_ARRIVAL, (code, None))
+        self.engine.release(thread_id, EventKind.SLEEP_ARRIVAL, (code, None))
 
-    def _apply_stimulus(self, st: Stimulus):
+    def _apply_stimulus(self, st: Stimulus, _now: int):
         dev = self.devices.get(st.device)
         if st.kind == "irq":
             self.engine.raise_interrupt(dev.bound_handler(st.line))
@@ -616,11 +529,8 @@ class Kernel:
             dev.feed(st.value)
 
     def _check_deadlock(self, now: int):
-        timer, stale = self._timer, self._stale_timeouts
-        if timer and (not stale or len(timer) > stale):
-            return  # a timer entry can still fire
-        if self._stim_idx < len(self._stimuli):
-            return
+        if self._agenda:
+            return  # a timed event is still to come
         eng = self.engine
         if eng.pending_activation_count() > 0:
             return
@@ -657,7 +567,7 @@ class Kernel:
         served).  A timeout calls ``cancel``, by default ``cancel_wait``.
         """
         tid = api.thread_id
-        if tid in self._handler_ids:
+        if tid in self._handlers:
             raise self._handler_wait_error(tid, f"{what} {obj_id}")
         timeout = self._validate_timeout(timeout)
         self.engine._crit_enter(tid)
@@ -723,16 +633,18 @@ class Kernel:
     def _arm_timeout(self, tid, ticks, cancel=None, code=RESULT_TIMEOUT):
         """End the wait ``tid`` begins next in ``ticks`` ticks, unless it
         ends first: call ``cancel(tid)``, then release it with ``code``."""
-        seq = self.tcb[tid].timeout_seq = self._timer_seq
-        self._push_timer(self.engine.now + ticks, _EV_TIMEOUT,
-                         (tid, seq, cancel, code))
+        self.tcb[tid].timeout = self._schedule(
+            self.engine.now + ticks, _RANK_TIMER, self._expire,
+            (tid, cancel, code))
 
     def _release(self, thread_id, code=RESULT_OK, value=None):
-        """End a thread's wait other than by its timeout."""
+        """End a thread's wait other than by its timeout, and take the
+        timeout off the agenda."""
         tcb = self.tcb[thread_id]
-        if tcb.timeout_seq is not None:
-            tcb.timeout_seq = None
-            self._stale_timeouts += 1
+        if tcb.timeout is not None:
+            self._agenda.remove(tcb.timeout)
+            heapq.heapify(self._agenda)
+            tcb.timeout = None
         self.engine.release(thread_id, EventKind.SLEEP_ARRIVAL, (code, value))
 
     # ------------------------------------------------------------------
@@ -742,7 +654,7 @@ class Kernel:
         """Sleep until wakeup or timeout.  A queued wakeup is consumed
         immediately without blocking."""
         tid = api.thread_id
-        if tid in self._handler_ids:
+        if tid in self._handlers:
             raise self._handler_wait_error(tid, "sleep")
         timeout = self._validate_timeout(timeout)
         self.engine._crit_enter(tid)
@@ -775,7 +687,7 @@ class Kernel:
     def delay(self, api, ticks):
         """Unconditional delay: only expiry releases it; wakeups queue up."""
         tid = api.thread_id
-        if tid in self._handler_ids:
+        if tid in self._handlers:
             raise self._handler_wait_error(tid, "delay")
         if not isinstance(ticks, int) or ticks < 1:
             raise ValidationError("delay must be >= 1 ticks")
@@ -918,7 +830,7 @@ class Kernel:
         req = self._bfm_reqs.get((device, access))
         if req is None:
             etm = -(-spec.cycles // self.cycles_per_tick)  # ceil division
-            req = self._bfm_reqs[device, access] = api.segment(
+            req = self._bfm_reqs[device, access] = _WaitRequest(
                 Annotation(f"bfm:{device}.{access}", etm, spec.eem_uj),
                 ContextKind.BFM)
         api.check_running()

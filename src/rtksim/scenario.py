@@ -10,7 +10,7 @@ source line, so a broken file is fixed in one round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from pathlib import Path
 
 import yaml
@@ -33,11 +33,10 @@ from .kernel import (
     Stimulus,
     USER_PRIORITY_MAX,
     USER_PRIORITY_MIN,
-    valid_name,
 )
 from .objects import DEFAULT_SEMAPHORE_MAX
 from .report import UJ_PER_WH
-from .trace import parse_mj
+from .trace import parse_mj, to_uj, valid_name
 
 __all__ = [
     "Scenario",
@@ -248,7 +247,8 @@ def _parse_energy_mj(src, value, path):
     try:
         return parse_mj(value)
     except ValueError:
-        src.problem(path, "energy must be a millijoule figure no finer than 0.001")
+        src.problem(path, "energy must be a millijoule figure no finer "
+                          "than 0.001 and no larger than 1e15")
         return None
 
 
@@ -760,18 +760,14 @@ def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
 
     battery_uj = None
     if raw.get("battery_wh") is not None:
-        v = raw["battery_wh"]
-        uj = None
-        if isinstance(v, (int, float, str)) and not isinstance(v, bool):
-            try:
-                uj = Decimal(str(v)) * UJ_PER_WH
-            except InvalidOperation:
-                uj = None
-        if uj is None or not uj.is_finite() or uj != int(uj) or uj <= 0:
+        try:
+            battery_uj = to_uj(raw["battery_wh"], UJ_PER_WH) or None
+        except ValueError:
+            pass
+        if battery_uj is None:
             src.problem(("battery_wh",),
-                        "battery_wh must be a positive watt-hour figure")
-        else:
-            battery_uj = int(uj)
+                        "battery_wh must be a positive watt-hour figure "
+                        "of at most 1e18 uJ")
 
     svc_etm, svc_eem = 1, 0
     svc = _get_map(src, raw.get("svc_cost"), ("svc_cost",))

@@ -21,6 +21,7 @@ exact; the CSV renders milli-joules with trailing zeros trimmed.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -41,6 +42,14 @@ CONTROL_LABELS = frozenset({
     CTL_INT_ENTER, CTL_INT_RETURN, CTL_CRIT_ENTER, CTL_CRIT_EXIT,
 })
 
+_NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+
+
+def valid_name(name) -> bool:
+    """A thread, device, access or label name: letters, digits, '_', '.'
+    and '-' only, the whole string, so a trace CSV cell holds it as is."""
+    return isinstance(name, str) and _NAME_RE.fullmatch(name) is not None
+
 
 def format_mj(uj: int) -> str:
     """Render integer micro-joules as a milli-joule decimal string."""
@@ -52,20 +61,33 @@ def format_mj(uj: int) -> str:
     return f"{sign}{whole}.{frac:03d}".rstrip("0")
 
 
-def parse_mj(value) -> int:
-    """Parse a milli-joule figure (int, float or string) to micro-joules.
+# The largest energy figure an input may give, in micro-joules (1e15 mJ,
+# about 2.8e8 Wh).  It is checked before a Decimal becomes an int, which
+# takes time quadratic in the exponent.
+MAX_UJ = 10 ** 18
+
+
+def to_uj(value, uj_per_unit: int) -> int:
+    """Parse a figure (int, float or string) in a unit of ``uj_per_unit``
+    micro-joules to micro-joules.
 
     Raises ValueError for anything else: a bool, a negative or non-finite
-    figure, or one finer than micro-joule resolution.
+    figure, one past MAX_UJ, or one finer than micro-joule resolution.
     """
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            uj = Decimal(str(value)) * 1000
+            uj = Decimal(str(value)) * uj_per_unit
         except InvalidOperation:
             uj = None
-        if uj is not None and uj.is_finite() and uj == int(uj) and uj >= 0:
+        if (uj is not None and uj.is_finite() and 0 <= uj <= MAX_UJ
+                and uj == int(uj)):
             return int(uj)
     raise ValueError(f"bad energy value: {value!r}")
+
+
+def parse_mj(value) -> int:
+    """Parse a milli-joule figure to micro-joules (see ``to_uj``)."""
+    return to_uj(value, 1000)
 
 
 @dataclass(slots=True)

@@ -640,6 +640,21 @@ def test_priority_must_be_a_non_negative_int():
     assert task(1, "T", 0, idle_body).current_priority == 0
 
 
+def test_an_annotation_label_a_csv_cell_cannot_hold_is_refused():
+    # "x,y" would write a ten-column row under the nine-column header
+    def body(api):
+        yield from api.wait(Annotation("x,y", 2, 0))
+
+    t = task(1, "A", 5, body)
+    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng.start_thread(1)
+    eng.start_thread(2)
+    with pytest.raises(ValidationError, match="'x,y'"):
+        eng.run_ticks(1)
+    assert [r.label for r in sink.records] == ["DISPATCH"]
+    assert t.token.cet == 0
+
+
 # --------------------------------------------------------------------------
 # coasting: ticks that need no scheduling decision, consumed in one step
 

@@ -131,7 +131,8 @@ def test_stale_sleep_timer_cannot_release_a_later_wait():
     assert out["first"] == RESULT_OK
     assert "second" not in out
     # the second wait is genuinely stuck: reported as a deadlock as soon
-    # as T2 has exited, though the stale timer stays in the heap until 11
+    # as T2 has exited; the first wait's timeout, due at 11, left the
+    # agenda when the wakeup ended that wait
     assert k.deadlock_report == (6, [(1, "T1", "sleep")])
 
 
@@ -378,7 +379,7 @@ def test_stale_timeout_does_not_defer_deadlock():
     k, _ = mk()
 
     def a(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 100)   # B wakes it; timer stays
+        yield from ctx.kernel.sleep(ctx.api, 100)   # B wakes it; no timer left
         yield from ctx.kernel.sleep(ctx.api)
 
     def b(ctx):
@@ -399,7 +400,7 @@ def test_live_timeout_defers_deadlock_after_a_stale_one_fell_due():
     k, _ = mk()
 
     def a(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 5)     # woken; stale, due at 6
+        yield from ctx.kernel.sleep(ctx.api, 5)     # woken; was due at 6
         res = yield from ctx.kernel.sleep(ctx.api, 10)   # live from 4 to 14
         out["a"] = (res.code, ctx.kernel.engine.now)
 
@@ -438,8 +439,8 @@ def test_timeout_that_fired_is_not_counted_stale():
     k.boot()
     with pytest.raises(DeadlockError) as ei:
         k.run(200)
-    # a fired timeout counted stale would report both at 12, while A's
-    # sleep still had its timeout to come
+    # a deadlock check blind to A's live timeout would report both at
+    # 12, while A's sleep still had its timeout to come
     assert out["a"] == (RESULT_TIMEOUT, 21)
     assert ei.value.tick == 22
     assert ei.value.blocked == [(2, "B", "sleep")]
@@ -1284,6 +1285,22 @@ def test_unbound_irq_stimulus_fails_at_boot():
         k.boot()
 
 
+def test_a_timer_event_runs_before_a_stimulus_of_the_same_instant():
+    # the cyclic activation and the IRQ both fall due at tick 5; the
+    # cyclic one is queued first, so it enters first and the ISR nests
+    k, sink = mk()
+    k.add_device("intc", "pic", {}, lines=1)
+    k.add_stimulus(5, "irq", "pic", line=0)   # declared before the handler
+    k.declare_isr(2, "ISR", handler_burner(1))
+    k.attach_isr("pic", 0, 2)
+    k.declare_cyclic(1, "CYC", 5, handler_burner(1))
+    k.boot()
+    k.run(8)
+    entries = [(r.tick_start, r.thread_name) for r in sink.records
+               if r.label == "INT_ENTER"]
+    assert entries == [(5, "CYC"), (5, "ISR")]
+
+
 def test_boot_protocol_guards():
     k, _ = mk()
     with pytest.raises(UsageError):
@@ -1320,7 +1337,8 @@ def test_boot_registers_the_declared_threads_plus_idle():
 def test_failed_boot_keeps_declarations_closed():
     k, _ = mk()
     k.declare_task(1, "T", 5, lambda ctx: compute(ctx, "w", 1))
-    k.declare_semaphore(1, 5, max_count=3)    # initial above its max
+    k.add_device("intc", "pic", {}, lines=2)
+    k.add_stimulus(2, "irq", "pic", line=1)   # no ISR on line 1
     with pytest.raises(ValidationError):
         k.boot()
     with pytest.raises(UsageError):
@@ -1329,6 +1347,14 @@ def test_failed_boot_keeps_declarations_closed():
         k.declare_mutex(1)
     with pytest.raises(UsageError):
         k.run(1)
+
+
+def test_a_bad_object_is_refused_at_its_declaration():
+    k, _ = mk()
+    with pytest.raises(ValidationError, match="bad maximum count"):
+        k.declare_semaphore(1, 5, max_count=3)    # initial above its max
+    assert k.semaphores == {}
+    k.declare_semaphore(1, 3, max_count=3)        # the id is still free
 
 
 def test_boot_leaves_no_trace_records():
@@ -1436,8 +1462,8 @@ def test_free_run_equals_step_mode_on_the_workloads(name, seed):
 
 
 def _deadlock_in_a_quiet_stretch(abort_on_deadlock):
-    # B's 100-tick sleep ends early, so its timeout stays in the heap,
-    # stale, until tick 101; A then computes 40 quiet ticks and both sleep
+    # B's 100-tick sleep ends early, which takes its timeout (due at 101)
+    # off the agenda; A then computes 40 quiet ticks and both sleep
     k, sink = mk(abort_on_deadlock=abort_on_deadlock)
 
     def a(ctx):
@@ -1466,6 +1492,32 @@ def test_a_deadlock_after_a_coast_is_found_at_the_stepped_tick():
     assert error is None
     assert outcome[-1] == (45, blocked)
     assert steps < 10
+
+
+def test_a_wait_that_ends_early_does_not_stop_a_coast_at_its_timeout():
+    # B's 100-tick sleep would time out at 101; A's wakeup ends it at
+    # tick 2, and B's 150 quiet ticks then coast across tick 101
+    def make():
+        k, sink = mk()
+
+        def a(ctx):
+            yield from ctx.kernel.wakeup(ctx.api, 2)
+
+        def b(ctx):
+            yield from ctx.kernel.sleep(ctx.api, 100)
+            yield from compute(ctx, "quiet", 150)
+
+        k.declare_task(1, "A", 6, a)
+        k.declare_task(2, "B", 5, b)
+        k.boot()
+        return k, sink
+
+    _, error, steps = free_and_stepped(make, 200)
+    assert error is None
+    k, _ = make()
+    stepped = counting_hooks(k)
+    k.run(200)
+    assert stepped == [1, 2, 3, 153] and steps == 4
 
 
 def _coast_log(k):

@@ -1,5 +1,7 @@
 """Scenario parsing: validation messages, locations, round-trips, wiring."""
 
+import time
+
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from rtksim.scenario import (
     scenario_to_raw,
     scenario_to_yaml,
 )
-from rtksim.trace import ListSink
+from rtksim.trace import MAX_UJ, ListSink
 from test_acceptance import spec_to_raw, spec_to_yaml
 from test_bench_digests import workloads
 
@@ -179,6 +181,29 @@ def test_battery_must_be_positive(value):
 def test_fractional_battery_capacity():
     scn = parse_scenario_text(MINIMAL + "battery_wh: 0.5\n")
     assert scn.battery_uj == 1_800_000_000
+
+
+@pytest.mark.parametrize("text, line", [
+    (MINIMAL.replace("eem: 0", 'eem: "1e800000"'), 3),
+    (MINIMAL + 'battery_wh: "1e800000"\n', 10),
+])
+def test_a_huge_energy_exponent_is_refused_at_once(text, line):
+    # the Decimal-to-int conversion of such a figure takes time
+    # quadratic in its exponent: about a minute for this one
+    parse_scenario_text(MINIMAL)                  # warm up
+    start = time.perf_counter()
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario_text(text, "huge.yaml")
+    assert time.perf_counter() - start < 0.010
+    assert [msg for loc, msg in problems_of(excinfo)
+            if loc == f"huge.yaml:{line}" and "1e1" in msg]
+
+
+def test_energy_up_to_the_bound_is_accepted():
+    scn = parse_scenario_text(MINIMAL.replace("eem: 0", "eem: 1e15"))
+    assert scn.annotation_table()["work"].eem_uj == MAX_UJ
+    with pytest.raises(ScenarioError, match="no larger than 1e15"):
+        parse_scenario_text(MINIMAL.replace("eem: 0", "eem: 1.000001e15"))
 
 
 def test_on_deadlock_accepts_only_the_two_policies():
