@@ -34,6 +34,7 @@ _OPS_BY_KIND = {
 
 DEFAULT_SERIAL_CAPACITY = 16
 DEFAULT_INTC_LINES = 8
+MEMORY_WIDTHS = (1, 2, 4)  # bytes per aligned access
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class Memory(BfmDevice):
         super().__init__(name, accesses)
         if not isinstance(size, int) or size < 1:
             raise ValidationError(f"device {name}: size must be >= 1")
-        if width not in (1, 2, 4):
+        if width not in MEMORY_WIDTHS:
             raise ValidationError(f"device {name}: width must be 1, 2 or 4")
         self.size = size
         self.width = width

@@ -150,9 +150,17 @@ class TaskControl:
     blocked_on: Mutex | None = None  # mutex it is queued on
 
 
+# stimulus kind -> the device kind it drives, and the refusal of any other
+STIMULUS_KINDS = {
+    "irq": (KIND_INTC, "is not an interrupt controller"),
+    "pio_set": (KIND_PARALLEL, "has no input latch"),
+    "serial_in": (KIND_SERIAL, "has no input FIFO"),
+}
+
+
 @dataclass(frozen=True)
 class Stimulus:
-    """One scripted external event.  kind: irq | pio_set | serial_in."""
+    """One scripted external event; its kind is a key of STIMULUS_KINDS."""
 
     tick: int
     kind: str
@@ -364,7 +372,7 @@ class Kernel:
         self._pre_boot()
         if not isinstance(tick, int) or tick < 1:
             raise ValidationError("stimulus tick must be >= 1")
-        if kind not in ("irq", "pio_set", "serial_in"):
+        if kind not in STIMULUS_KINDS:
             raise ValidationError(f"unknown stimulus kind {kind!r}")
         self.devices.get(device)  # must exist
         self._stimuli.append(Stimulus(tick, kind, device, line, value))
@@ -413,24 +421,14 @@ class Kernel:
     def _validate_stimuli(self):
         for st in self._stimuli:
             dev = self.devices.get(st.device)
-            if st.kind == "irq":
-                if dev.kind != KIND_INTC:
-                    raise ValidationError(
-                        f"stimulus at tick {st.tick}: {st.device} is not "
-                        "an interrupt controller"
-                    )
-                if dev.bound_handler(st.line) is None:
-                    raise ValidationError(
-                        f"stimulus at tick {st.tick}: line {st.line} of "
-                        f"{st.device} is not bound to an ISR"
-                    )
-            elif st.kind == "pio_set" and dev.kind != KIND_PARALLEL:
+            device_kind, refusal = STIMULUS_KINDS[st.kind]
+            if dev.kind != device_kind:
                 raise ValidationError(
-                    f"stimulus at tick {st.tick}: {st.device} has no input latch"
-                )
-            elif st.kind == "serial_in" and dev.kind != KIND_SERIAL:
+                    f"stimulus at tick {st.tick}: {st.device} {refusal}")
+            if st.kind == "irq" and dev.bound_handler(st.line) is None:
                 raise ValidationError(
-                    f"stimulus at tick {st.tick}: {st.device} has no input FIFO"
+                    f"stimulus at tick {st.tick}: line {st.line} of "
+                    f"{st.device} is not bound to an ISR"
                 )
 
     def _waiter_priority(self, tid):

@@ -5,12 +5,22 @@ constants, the thread roster with behavior programs, kernel objects,
 devices, scripted stimuli, run length, and the battery.  Validation
 reports every problem it can find in one pass, each tagged with the
 source line, so a broken file is fixed in one round.
+
+Each kind of section entry (a task, each handler kind, each object,
+device and stimulus kind) is one `_Kind`: a row per field, giving the
+field's YAML key, its check, its default, whether the writer keeps it
+at that default, and the keyword the kernel's declare call takes it
+under.  One reader, one writer and one builder serve every kind, so a
+key is listed only in its row; a rule across fields (a semaphore's
+initial count within its maximum) is the kind's `check`.  A range the
+kernel enforces is read from the module that enforces it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cached_property
 from pathlib import Path
 
 import yaml
@@ -18,31 +28,31 @@ import yaml
 from . import behavior
 from .bfm import (
     AccessSpec,
-    DEVICE_KINDS,
+    DEFAULT_INTC_LINES,
     KIND_INTC,
     KIND_MEMORY,
     KIND_PARALLEL,
     KIND_RTC,
     KIND_SERIAL,
+    MEMORY_WIDTHS,
     _OPS_BY_KIND,
 )
 from .engine import Annotation
 from .errors import ScenarioError
 from .kernel import (
+    DEFAULT_CYCLES_PER_TICK,
     Kernel,
-    Stimulus,
+    STIMULUS_KINDS,
     USER_PRIORITY_MAX,
     USER_PRIORITY_MIN,
 )
-from .objects import DEFAULT_SEMAPHORE_MAX
+from .objects import DEFAULT_SEMAPHORE_MAX, _PATTERN_MASK
 from .report import UJ_PER_WH
 from .trace import parse_mj, to_uj, valid_name
 
 __all__ = [
     "Scenario",
-    "TaskSpec",
-    "HandlerSpec",
-    "DeviceSpec",
+    "Entry",
     "parse_scenario_text",
     "load_scenario",
     "scenario_to_yaml",
@@ -51,44 +61,22 @@ __all__ = [
     "demo_scenario_path",
 ]
 
-@dataclass(frozen=True)
-class TaskSpec:
-    task_id: int
-    name: str
-    priority: int           # 0 for the idle entry
-    behavior: tuple         # empty for the idle entry
-    idle: bool = False
-    extended_info: int = 0
-
 
 @dataclass(frozen=True)
-class HandlerSpec:
-    thread_id: int
-    name: str
-    kind: str               # "cyclic" | "alarm" | "isr"
-    behavior: tuple
-    period: int = 0
-    phase: int = 0
-    offset: int = 0
-    device: str = ""        # isr: interrupt controller name
-    line: int = 0
-    extended_info: int = 0
+class Entry:
+    """One checked section entry: its kind and a value per row of that
+    kind.  A value reads as the attribute its YAML key names; `task_id`
+    and `obj_id` read the `id`."""
 
-
-@dataclass(frozen=True)
-class ObjectSpec:
     kind: str
-    obj_id: int
-    params: tuple           # sorted (key, value) pairs
-    extended_info: int = 0
+    values: tuple
+    schema: _Kind = field(compare=False, repr=False)
+    path: tuple = field(compare=False, repr=False)  # where the source has it
 
+    def __post_init__(self):
+        self.__dict__.update(zip(self.schema.keys, self.values))
 
-@dataclass(frozen=True)
-class DeviceSpec:
-    name: str
-    kind: str
-    accesses: tuple         # AccessSpec rows, declaration order
-    options: tuple          # sorted (key, value) pairs
+    task_id = obj_id = property(lambda self: self.id)
 
 
 @dataclass(frozen=True)
@@ -102,9 +90,9 @@ class Scenario:
     svc_eem_uj: int
     abort_on_deadlock: bool
     annotations: tuple      # Annotation rows
-    tasks: tuple
-    handlers: tuple
-    objects: tuple          # ObjectSpec rows
+    tasks: tuple            # Entry rows: task, and at most one idle
+    handlers: tuple         # Entry rows
+    objects: tuple
     devices: tuple
     stimuli: tuple
 
@@ -113,10 +101,7 @@ class Scenario:
 
     @property
     def idle_task(self):
-        for t in self.tasks:
-            if t.idle:
-                return t
-        return None
+        return next((t for t in self.tasks if t.kind == "idle"), None)
 
 
 # ----------------------------------------------------------------------
@@ -242,14 +227,6 @@ class _Source:
             )
 
 
-def _parse_energy_mj(src, value, path):
-    """Millijoule figure -> integer microjoules.  Finer than 1 uJ is rejected."""
-    try:
-        return parse_mj(value)
-    except ValueError:
-        src.problem(path, "energy must be a millijoule figure no finer "
-                          "than 0.001 and no larger than 1e15")
-        return None
 
 
 def _get_map(src, raw, path, *, required=False):
@@ -270,38 +247,400 @@ def _get_list(src, raw, path, *, required=False):
     return raw
 
 
-def _get_int(src, raw, path, key, *, default=None, minimum=None, required=False):
-    if key not in raw or raw[key] is None:
-        if required:
-            src.problem(path, f"missing '{key}'")
-            return None
-        return default
-    v = raw[key]
-    if not behavior._is_int(v) or (minimum is not None and v < minimum):
-        low = f" >= {minimum}" if minimum is not None else ""
-        src.problem(path + (key,), f"'{key}' must be an integer{low}")
-        return None
-    return v
-
-
-def _get_name(src, raw, path, key, *, default=None, required=False):
-    if key not in raw:
-        if required:
-            src.problem(path, f"missing '{key}'")
-            return None
-        return default
-    v = raw[key]
-    if not valid_name(v):
-        src.problem(path + (key,),
-                    f"'{key}' must use letters, digits, '_', '.', '-'")
-        return None
-    return v
-
-
 def _reject_extras(src, raw, path, allowed):
     for key in raw:
         if key not in allowed:
             src.problem(path + (key,), f"unknown key '{key}'")
+
+
+# ----------------------------------------------------------------------
+# field checks: `read` takes a present value and returns it checked, or
+# reports a problem at `path` (the value's own) and returns None; `raw`
+# is its YAML form and `build(value, annotations)` what the kernel's
+# declare call takes, where that is not the value itself.
+
+class _Check:
+    build = None
+
+    def raw(self, value):
+        return value
+
+
+class _Int(_Check):
+    """An integer >= minimum.  One past `maximum` is reported with `over`,
+    but the entry still counts as declared, so references stay quiet."""
+
+    def __init__(self, minimum, maximum=None, over=""):
+        self.minimum, self.maximum, self.over = minimum, maximum, over
+
+    def read(self, src, value, path):
+        if not behavior._is_int(value) or value < self.minimum:
+            src.problem(path,
+                        f"'{path[-1]}' must be an integer >= {self.minimum}")
+            return None
+        if self.maximum is not None and value > self.maximum:
+            src.problem(path, self.over)
+        return value
+
+
+class _OneOf(_Check):
+    """One of a few values, of the same type: `width: true` is no 1."""
+
+    def __init__(self, allowed):
+        self.allowed = tuple(allowed)
+        words = [str(v).lower() for v in allowed]
+        self.spelled = " or ".join([", ".join(words[:-1]), words[-1]])
+
+    def read(self, src, value, path):
+        # compared, not hashed: a list or mapping value is a problem too
+        if any(type(value) is type(v) and value == v for v in self.allowed):
+            return value
+        src.problem(path, f"'{path[-1]}' must be {self.spelled}")
+        return None
+
+
+class _Name(_Check):
+    def read(self, src, value, path):
+        if valid_name(value):
+            return value
+        src.problem(path,
+                    f"'{path[-1]}' must use letters, digits, '_', '.', '-'")
+        return None
+
+
+class _Given(_Check):
+    """A value its section has checked already: an entry's kind, an op."""
+
+    def read(self, src, value, path):
+        return value
+
+
+class _Implicit(_Check):
+    """A field the idle task has without saying so.  Giving it is reported,
+    but the entry keeps `value` and stays declared."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def read(self, src, value, path):
+        src.problem(path, f"the idle task's '{path[-1]}' is implicit")
+        return self.value
+
+
+class _Energy(_Check):
+    """A millijoule figure, kept as integer microjoules."""
+
+    def read(self, src, value, path):
+        try:
+            return parse_mj(value)
+        except ValueError:
+            src.problem(path, "energy must be a millijoule figure no finer "
+                              "than 0.001 and no larger than 1e15")
+            return None
+
+    def raw(self, uj):
+        if uj % 1000 == 0:
+            return uj // 1000
+        return format((Decimal(uj) / 1000).normalize(), "f")
+
+
+class _Program(_Check):
+    """A behavior program; a handler's may not wait."""
+
+    def __init__(self, handler):
+        self.handler = handler
+
+    def read(self, src, value, path):
+        return behavior.parse_program(value, path, src.problems,
+                                      handler=self.handler)
+
+    def raw(self, stmts):
+        return behavior.program_to_raw(stmts)
+
+    def build(self, stmts, annotations):
+        return behavior.build_factory(stmts, annotations, handler=self.handler)
+
+
+class _Accesses(_Check):
+    """A device's access table: access name -> op, cycles and energy."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.ops = _OPS_BY_KIND[kind]
+
+    def read(self, src, value, path):
+        table = _get_map(src, value, path)
+        if table is None:
+            return None
+        out = []
+        for name, spec in _named_entries(src, table, path, "access names"):
+            if spec.get("op") not in self.ops:
+                legal = ", ".join(self.ops) if self.ops else "none"
+                src.problem(path + (name,),
+                            f"op for a {self.kind} device must be: {legal}")
+                continue
+            values = _read_entry(src, spec, path + (name,), _ACCESS)
+            if values is not None:
+                out.append(AccessSpec(name, *values))
+        return tuple(out)
+
+    def raw(self, accesses):
+        return {a.name: _entry_raw(_ACCESS.rows, (a.op, a.cycles, a.eem_uj))
+                for a in accesses}
+
+    def build(self, accesses, annotations):
+        return {a.name: a for a in accesses}
+
+
+_NAME, _GIVEN, _ENERGY = _Name(), _Given(), _Energy()
+
+
+# ----------------------------------------------------------------------
+# rows: one per field of each kind of entry
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Row:
+    key: str                    # the YAML key
+    check: _Check
+    default: object = _REQUIRED  # taken when the key is absent or null
+    keyword: str | None = ""    # the declare keyword: "" the key, None none
+    write_default: bool = False  # the writer keeps it at its default
+
+
+@dataclass(frozen=True)
+class _Kind:
+    name: str
+    rows: tuple
+    declare: object = None      # declare(kernel, **keywords); None: not one
+    check: object = None        # check(src, entry): a rule across its fields
+
+    @cached_property
+    def keys(self):
+        return tuple(row.key for row in self.rows)
+
+    @cached_property
+    def params(self):
+        """(index, keyword, build) of each value the declare call takes."""
+        return tuple((i, row.keyword or row.key, row.check.build)
+                     for i, row in enumerate(self.rows)
+                     if row.keyword is not None)
+
+
+_EEM_ROW = _Row("eem", _ENERGY, 0, write_default=True)
+_COST = _Kind("cost", (_Row("etm", _Int(0)), _EEM_ROW))
+_SVC_COST = _Kind("svc_cost", (_Row("etm", _Int(0), 1, write_default=True),
+                               _EEM_ROW))
+_ACCESS = _Kind("access", (_Row("op", _GIVEN),
+                           _Row("cycles", _Int(0), 0, write_default=True),
+                           _EEM_ROW))
+
+_HEAD = (
+    _Row("name", _NAME, "scenario", write_default=True),
+    _Row("tick_us", _Int(1), 1000, write_default=True),
+    _Row("cycles_per_tick", _Int(1), DEFAULT_CYCLES_PER_TICK,
+         write_default=True),
+    _Row("run_ticks", _Int(1)),
+)
+
+_NAME_ROW = _Row("name", _NAME)
+_EXT_ROW = _Row("extended_info", _Int(0), 0)
+
+_TASK = _Kind("task", (
+    _Row("id", _Int(1), keyword="task_id"),
+    _NAME_ROW,
+    _Row("idle", _GIVEN, False, keyword=None),
+    _Row("priority", _Int(USER_PRIORITY_MIN, USER_PRIORITY_MAX,
+                          f"priority must be in {USER_PRIORITY_MIN}.."
+                          f"{USER_PRIORITY_MAX}")),
+    _Row("behavior", _Program(handler=False), keyword="body"),
+    _EXT_ROW,
+), Kernel.declare_task)
+
+# an entry with `idle: true`; build_kernel hands it to Kernel itself
+_IDLE = _Kind("idle", (
+    *_TASK.rows[:3],                # id, name, idle
+    _Row("priority", _Implicit(0), 0),
+    _Row("behavior", _Implicit(()), ()),
+    _EXT_ROW,
+))
+
+
+def _declare_isr(kernel, *, device_name, line, **declare):
+    kernel.declare_isr(**declare)
+    kernel.attach_isr(device_name, line, declare["thread_id"])
+
+
+def _handler(name, declare, *rows):
+    return _Kind(name, (
+        _Row("id", _Int(1), keyword="thread_id"),
+        _NAME_ROW,
+        _Row("kind", _GIVEN, keyword=None),
+        *rows,
+        _EXT_ROW,
+        _Row("behavior", _Program(handler=True), keyword="body"),
+    ), declare)
+
+
+_HANDLER_KINDS = {k.name: k for k in (
+    _handler("cyclic", Kernel.declare_cyclic,
+             _Row("period", _Int(1)), _Row("phase", _Int(0), 0)),
+    _handler("alarm", Kernel.declare_alarm, _Row("offset", _Int(1))),
+    _handler("isr", _declare_isr,
+             _Row("device", _NAME, keyword="device_name"),
+             _Row("line", _Int(0), 0, write_default=True)),
+)}
+
+
+def _object(name, *params, check=None):
+    """An object kind; its parameters come in key order, as written."""
+    return _Kind(name, (_Row("id", _Int(1), keyword="obj_id"), *params,
+                        _EXT_ROW), getattr(Kernel, "declare_" + name), check)
+
+
+def _initial_within_max(src, sem):
+    """Reported, but the semaphore stays declared, so references stay quiet."""
+    limit = DEFAULT_SEMAPHORE_MAX if sem.max is None else sem.max
+    if sem.initial > limit:
+        src.problem(sem.path + ("initial",),
+                    f"'initial' must not exceed 'max' ({limit})")
+
+
+# section key -> kind.  A None default leaves the kernel's own in force.
+_OBJECT_SECTIONS = {
+    "semaphores": _object("semaphore", _Row("initial", _Int(0)),
+                          _Row("max", _Int(1), None, keyword="max_count"),
+                          check=_initial_within_max),
+    "flags": _object("flag", _Row("initial", _Int(
+        0, _PATTERN_MASK, "'initial' must fit 32 bits"), None)),
+    "mutexes": _object("mutex"),
+    "mailboxes": _object("mailbox"),
+    "buffers": _object("buffer", _Row("capacity", _Int(1))),
+    "fixed_pools": _object("fixed_pool", _Row("block_size", _Int(1)),
+                           _Row("blocks", _Int(1), keyword="block_count")),
+    "variable_pools": _object("variable_pool", _Row("size", _Int(1))),
+}
+
+
+def _device(kind, *options):
+    """A device kind; its options come in key order, as written, and
+    default to the device class's own."""
+    return _Kind(kind, (
+        _NAME_ROW,
+        _Row("kind", _GIVEN),
+        *options,
+        _Row("accesses", _Accesses(kind), ()),
+    ), Kernel.add_device)
+
+
+_DEVICE_KINDS = {k.name: k for k in (
+    _device(KIND_MEMORY, _Row("size", _Int(1), None),
+            _Row("width", _OneOf(MEMORY_WIDTHS), None)),
+    _device(KIND_SERIAL, _Row("capacity", _Int(1), None,
+                              keyword="out_capacity")),
+    _device(KIND_PARALLEL),
+    _device(KIND_INTC, _Row("lines", _Int(1), None)),
+    _device(KIND_RTC),
+)}
+
+# what a stimulus carries, by the kind of device it drives
+_BYTE_ROW = _Row("value", _Int(0, 0xFF, "'value' must be a byte (0..255)"),
+                 0, write_default=True)
+_STIMULUS_INPUT = {
+    KIND_INTC: _Row("line", _Int(0), 0, write_default=True),
+    KIND_PARALLEL: _BYTE_ROW,
+    KIND_SERIAL: _BYTE_ROW,
+}
+_STIMULUS_KINDS = {
+    kind: _Kind(kind, (_Row("tick", _Int(1)), _Row("kind", _GIVEN),
+                       _Row("device", _NAME), _STIMULUS_INPUT[device_kind]),
+                Kernel.add_stimulus)
+    for kind, (device_kind, _) in STIMULUS_KINDS.items()
+}
+
+
+# ----------------------------------------------------------------------
+# one reader for every kind
+
+def _read(src, raw, path, rows):
+    """Each row's value from the mapping `raw`, in row order, or None when
+    one is missing or fails its check; every failure is reported."""
+    values = []
+    ok = True
+    for row in rows:
+        value = raw.get(row.key)
+        if value is None:
+            value = row.default
+            if value is _REQUIRED:  # at the null's line, or the entry's
+                src.problem(path + (row.key,), f"missing '{row.key}'")
+                ok = False
+        else:
+            value = row.check.read(src, value, path + (row.key,))
+            if value is None:
+                ok = False
+        values.append(value)
+    return tuple(values) if ok else None
+
+
+def _read_entry(src, raw, path, kind):
+    _reject_extras(src, raw, path, kind.keys)
+    return _read(src, raw, path, kind.rows)
+
+
+def _named_entries(src, table, path, what):
+    """(name, mapping) for each entry of a mapping keyed by name."""
+    for name, spec in table.items():
+        if not valid_name(name):
+            src.problem(path + (name,),
+                        f"{what} use letters, digits, '_', '.', '-'")
+            continue
+        spec = _get_map(src, spec, path + (name,), required=True)
+        if spec is not None:
+            yield name, spec
+
+
+def _entries(src, raw, path, kind_of, *, unique=None, required=False):
+    """The entries of the list section at `path` whose fields pass their
+    rows.  kind_of(entry, path) gives an entry's `_Kind`, or None after
+    reporting why it has none.  unique = (key, message, seen) drops an
+    entry whose value under `key` is in `seen`."""
+    out = []
+    entries = _get_list(src, raw, path, required=required) or ()
+    for here, raw in ((path + (i,), e) for i, e in enumerate(entries)):
+        raw = _get_map(src, raw, here, required=True)
+        kind = None if raw is None else kind_of(raw, here)
+        values = None if kind is None else _read_entry(src, raw, here, kind)
+        if values is None:
+            continue
+        entry = Entry(kind.name, values, kind, here)
+        if kind.check is not None:
+            kind.check(src, entry)
+        if unique is not None:
+            key, message, seen = unique
+            value = getattr(entry, key)
+            if value in seen:
+                src.problem(here + (key,), message.format(value))
+                continue
+            seen.add(value)
+        out.append(entry)
+    return tuple(out)
+
+
+def _kind_key(src, kinds, message):
+    """kind_of for a section whose entries name their kind under 'kind'."""
+    def kind_of(raw, path):
+        kind = raw.get("kind")
+        if isinstance(kind, str) and kind in kinds:
+            return kinds[kind]
+        src.problem(path, message)
+        return None
+    return kind_of
+
+
+def _either(words):
+    return ", ".join([*words[:-1], "or " + words[-1]])
 
 
 # ----------------------------------------------------------------------
@@ -312,344 +651,59 @@ def _parse_annotations(src, raw):
     if table is None:
         return ()
     out = []
-    for label, spec in table.items():
-        path = ("annotations", label)
-        if not valid_name(label):
-            src.problem(path, "annotation labels use letters, digits, '_', '.', '-'")
-            continue
-        spec = _get_map(src, spec, path, required=True)
-        if spec is None:
-            continue
-        _reject_extras(src, spec, path, {"etm", "eem"})
-        etm = _get_int(src, spec, path, "etm", minimum=0, required=True)
-        eem = _parse_energy_mj(src, spec.get("eem", 0), path + ("eem",))
-        if etm is None or eem is None:
-            continue
-        out.append(Annotation(label, etm, eem))
+    for label, spec in _named_entries(src, table, ("annotations",),
+                                      "annotation labels"):
+        values = _read_entry(src, spec, ("annotations", label), _COST)
+        if values is not None:
+            out.append(Annotation(label, *values))
     return tuple(out)
 
 
-def _parse_tasks(src, raw, *, handler_ids):
-    entries = _get_list(src, raw, ("tasks",), required=True)
-    if entries is None:
-        return ()
-    out = []
-    seen_ids = set()
-    idle_seen = False
-    for i, entry in enumerate(entries):
-        path = ("tasks", i)
-        entry = _get_map(src, entry, path, required=True)
-        if entry is None:
-            continue
-        _reject_extras(src, entry, path,
-                       {"id", "name", "priority", "behavior", "idle",
-                        "extended_info"})
-        tid = _get_int(src, entry, path, "id", minimum=1, required=True)
-        name = _get_name(src, entry, path, "name", required=True)
-        ext = _get_int(src, entry, path, "extended_info", minimum=0, default=0)
-        idle = entry.get("idle", False)
-        if not isinstance(idle, bool):
-            src.problem(path + ("idle",), "'idle' must be true or false")
-            continue
-        if tid is None or name is None or ext is None:
-            continue
-        if tid in seen_ids or tid in handler_ids:
-            src.problem(path + ("id",), f"thread id {tid} declared twice")
-            continue
-        seen_ids.add(tid)
-        if idle:
-            if idle_seen:
-                src.problem(path, "only one idle task entry is allowed")
-                continue
-            idle_seen = True
-            for key in ("priority", "behavior"):
-                if key in entry:
-                    src.problem(path + (key,),
-                                f"the idle task's '{key}' is implicit")
-            out.append(TaskSpec(tid, name, 0, (), idle=True,
-                                extended_info=ext))
-            continue
-        prio = _get_int(src, entry, path, "priority",
-                        minimum=USER_PRIORITY_MIN, required=True)
-        if prio is not None and prio > USER_PRIORITY_MAX:
-            src.problem(path + ("priority",),
-                        f"priority must be in {USER_PRIORITY_MIN}.."
-                        f"{USER_PRIORITY_MAX}")
-            prio = None
-        stmts = None
-        if "behavior" not in entry:
-            src.problem(path, "missing 'behavior'")
-        else:
-            stmts = behavior.parse_program(
-                entry["behavior"], path + ("behavior",), src.problems)
-        if prio is None or stmts is None:
-            continue
-        out.append(TaskSpec(tid, name, prio, stmts, extended_info=ext))
-    return tuple(out)
+def _task_kind(src, raw, path):
+    idle = raw.get("idle")
+    if idle is None or isinstance(idle, bool):
+        return _IDLE if idle else _TASK
+    src.problem(path + ("idle",), "'idle' must be true or false")
+    return None
 
 
-_HANDLER_KEYS = {
-    "cyclic": {"id", "name", "kind", "period", "phase", "behavior",
-               "extended_info"},
-    "alarm": {"id", "name", "kind", "offset", "behavior", "extended_info"},
-    "isr": {"id", "name", "kind", "device", "line", "behavior",
-            "extended_info"},
-}
-
-
-def _parse_handlers(src, raw):
-    entries = _get_list(src, raw, ("handlers",))
-    if entries is None:
-        return (), set()
-    out = []
-    ids = set()
-    for i, entry in enumerate(entries):
-        path = ("handlers", i)
-        entry = _get_map(src, entry, path, required=True)
-        if entry is None:
-            continue
-        kind = entry.get("kind")
-        if not isinstance(kind, str) or kind not in _HANDLER_KEYS:
-            src.problem(path, "handler kind must be cyclic, alarm, or isr")
-            continue
-        _reject_extras(src, entry, path, _HANDLER_KEYS[kind])
-        tid = _get_int(src, entry, path, "id", minimum=1, required=True)
-        name = _get_name(src, entry, path, "name", required=True)
-        ext = _get_int(src, entry, path, "extended_info", minimum=0, default=0)
-        stmts = None
-        if "behavior" not in entry:
-            src.problem(path, "missing 'behavior'")
-        else:
-            stmts = behavior.parse_program(
-                entry["behavior"], path + ("behavior",), src.problems,
-                handler=True)
-        period = phase = offset = line = 0
-        device = ""
-        ok = True
-        if kind == "cyclic":
-            period = _get_int(src, entry, path, "period", minimum=1,
-                              required=True)
-            phase = _get_int(src, entry, path, "phase", minimum=0, default=0)
-            ok = period is not None and phase is not None
-            period = period or 0
-            phase = phase or 0
-        elif kind == "alarm":
-            offset = _get_int(src, entry, path, "offset", minimum=1,
-                              required=True)
-            ok = offset is not None
-            offset = offset or 0
-        else:
-            device = _get_name(src, entry, path, "device", required=True)
-            line = _get_int(src, entry, path, "line", minimum=0, default=0)
-            ok = device is not None and line is not None
-            device = device or ""
-            line = line or 0
-        if tid is None or name is None or ext is None or stmts is None or not ok:
-            continue
-        if tid in ids:
-            src.problem(path + ("id",), f"thread id {tid} declared twice")
-            continue
-        ids.add(tid)
-        out.append(HandlerSpec(tid, name, kind, stmts, period=period,
-                               phase=phase, offset=offset, device=device,
-                               line=line, extended_info=ext))
-    return tuple(out), ids
-
-
-# Object sections: YAML key -> (kind, required params, optional params).
-# Param kinds reuse the small integer checks above.
-_OBJECT_SECTIONS = {
-    "semaphores": ("semaphore",
-                   (("initial", 0),),
-                   (("max", 1),)),
-    "flags": ("flag", (), (("initial", 0),)),
-    "mutexes": ("mutex", (), ()),
-    "mailboxes": ("mailbox", (), ()),
-    "buffers": ("buffer", (("capacity", 1),), ()),
-    "fixed_pools": ("fixed_pool",
-                    (("blocks", 1), ("block_size", 1)),
-                    ()),
-    "variable_pools": ("variable_pool", (("size", 1),), ()),
-}
-
-
-# object YAML keys whose declare_<kind> keyword differs
-_DECLARE_KEYWORDS = {"max": "max_count", "blocks": "block_count"}
+def _parse_threads(src, raw):
+    """(tasks, handlers): one id namespace, handlers first."""
+    unique = ("id", "thread id {} declared twice", set())
+    handlers = _entries(src, raw.get("handlers"), ("handlers",),
+                        _kind_key(src, _HANDLER_KINDS, "handler kind must be "
+                                  f"{_either([*_HANDLER_KINDS])}"),
+                        unique=unique)
+    tasks = _entries(src, raw.get("tasks"), ("tasks",),
+                     lambda t, here: _task_kind(src, t, here),
+                     unique=unique, required=True)
+    idle = [t for t in tasks if t.kind == "idle"]
+    for t in idle[1:]:
+        src.problem(t.path, "only one idle task entry is allowed")
+    return tuple(t for t in tasks if t.kind != "idle" or t is idle[0]), handlers
 
 
 def _parse_objects(src, raw):
     sections = _get_map(src, raw, ("objects",))
     if sections is None:
         return ()
-    out = []
     _reject_extras(src, sections, ("objects",), set(_OBJECT_SECTIONS))
-    for key, (kind, required, optional) in _OBJECT_SECTIONS.items():
-        entries = _get_list(src, sections.get(key), ("objects", key))
-        if entries is None:
-            continue
-        seen = set()
-        allowed = {"id", "extended_info"}
-        allowed.update(k for k, _ in required)
-        allowed.update(k for k, _ in optional)
-        for i, entry in enumerate(entries):
-            path = ("objects", key, i)
-            entry = _get_map(src, entry, path, required=True)
-            if entry is None:
-                continue
-            _reject_extras(src, entry, path, allowed)
-            oid = _get_int(src, entry, path, "id", minimum=1, required=True)
-            ext = _get_int(src, entry, path, "extended_info", minimum=0,
-                           default=0)
-            params = []
-            ok = oid is not None and ext is not None
-            for pkey, minimum in required:
-                val = _get_int(src, entry, path, pkey, minimum=minimum,
-                               required=True)
-                if val is None:
-                    ok = False
-                else:
-                    params.append((pkey, val))
-            for pkey, minimum in optional:
-                if pkey in entry:
-                    val = _get_int(src, entry, path, pkey, minimum=minimum)
-                    if val is None:
-                        ok = False
-                    else:
-                        params.append((pkey, val))
-            if not ok:
-                continue
-            _check_object_ranges(src, kind, dict(params), path)
-            if oid in seen:
-                src.problem(path + ("id",), f"{kind} id {oid} declared twice")
-                continue
-            seen.add(oid)
-            out.append(ObjectSpec(kind, oid, tuple(sorted(params)),
-                                  extended_info=ext))
-    return tuple(out)
-
-
-def _check_object_ranges(src, kind, params, path):
-    """Bounds that involve more than one parameter or the object's width.
-    The object still counts as declared, so references to it stay quiet."""
-    initial = params.get("initial", 0)
-    if kind == "flag" and initial > 0xFFFFFFFF:
-        src.problem(path + ("initial",), "'initial' must fit 32 bits")
-    elif kind == "semaphore":
-        limit = params.get("max", DEFAULT_SEMAPHORE_MAX)
-        if initial > limit:
-            src.problem(path + ("initial",),
-                        f"'initial' must not exceed 'max' ({limit})")
-
-
-_DEVICE_OPTIONS = {
-    KIND_MEMORY: {"size": 1, "width": 1},
-    KIND_SERIAL: {"capacity": 1},
-    KIND_PARALLEL: {},
-    KIND_INTC: {"lines": 1},
-    KIND_RTC: {},
-}
-
-
-def _parse_devices(src, raw):
-    entries = _get_list(src, raw, ("devices",))
-    if entries is None:
-        return ()
-    out = []
-    seen = set()
-    for i, entry in enumerate(entries):
-        path = ("devices", i)
-        entry = _get_map(src, entry, path, required=True)
-        if entry is None:
-            continue
-        name = _get_name(src, entry, path, "name", required=True)
-        kind = entry.get("kind")
-        if kind not in DEVICE_KINDS:
-            src.problem(path, f"device kind must be one of: "
-                              f"{', '.join(sorted(DEVICE_KINDS))}")
-            continue
-        opt_spec = _DEVICE_OPTIONS[kind]
-        _reject_extras(src, entry, path,
-                       {"name", "kind", "accesses"} | set(opt_spec))
-        options = []
-        ok = name is not None
-        for okey, minimum in opt_spec.items():
-            if okey in entry:
-                val = _get_int(src, entry, path, okey, minimum=minimum)
-                if val is None:
-                    ok = False
-                else:
-                    options.append((okey, val))
-        acc_map = _get_map(src, entry.get("accesses"), path + ("accesses",))
-        accesses = []
-        if acc_map is None:
-            ok = False
-        else:
-            ops = _OPS_BY_KIND[kind]
-            for aname, aspec in acc_map.items():
-                apath = path + ("accesses", aname)
-                if not valid_name(aname):
-                    src.problem(apath, "access names use letters, digits, "
-                                       "'_', '.', '-'")
-                    continue
-                aspec = _get_map(src, aspec, apath, required=True)
-                if aspec is None:
-                    continue
-                _reject_extras(src, aspec, apath, {"op", "cycles", "eem"})
-                op = aspec.get("op")
-                if op not in ops:
-                    legal = ", ".join(ops) if ops else "none"
-                    src.problem(apath, f"op for a {kind} device must be: {legal}")
-                    continue
-                cycles = _get_int(src, aspec, apath, "cycles", minimum=0,
-                                  default=0)
-                eem = _parse_energy_mj(src, aspec.get("eem", 0),
-                                       apath + ("eem",))
-                if cycles is None or eem is None:
-                    continue
-                accesses.append(AccessSpec(aname, op, cycles, eem))
-        if not ok:
-            continue
-        if name in seen:
-            src.problem(path + ("name",), f"device '{name}' declared twice")
-            continue
-        seen.add(name)
-        out.append(DeviceSpec(name, kind, tuple(accesses),
-                              tuple(sorted(options))))
-    return tuple(out)
-
-
-def _parse_stimuli(src, raw):
-    entries = _get_list(src, raw, ("stimuli",))
-    if entries is None:
-        return ()
-    out = []
-    for i, entry in enumerate(entries):
-        path = ("stimuli", i)
-        entry = _get_map(src, entry, path, required=True)
-        if entry is None:
-            continue
-        kind = entry.get("kind")
-        if kind not in ("irq", "pio_set", "serial_in"):
-            src.problem(path, "stimulus kind must be irq, pio_set, or serial_in")
-            continue
-        allowed = {"tick", "kind", "device"}
-        allowed.add("line" if kind == "irq" else "value")
-        _reject_extras(src, entry, path, allowed)
-        tick = _get_int(src, entry, path, "tick", minimum=1, required=True)
-        device = _get_name(src, entry, path, "device", required=True)
-        line = _get_int(src, entry, path, "line", minimum=0, default=0)
-        value = _get_int(src, entry, path, "value", minimum=0, default=0)
-        if None in (tick, device, line, value):
-            continue
-        if kind != "irq" and not 0 <= value <= 0xFF:
-            src.problem(path + ("value",), "'value' must be a byte (0..255)")
-            continue
-        out.append(Stimulus(tick, kind, device, line, value))
-    return tuple(out)
+    out = ()
+    for key, kind in _OBJECT_SECTIONS.items():
+        out += _entries(src, sections.get(key), ("objects", key),
+                        lambda *_, kind=kind: kind,
+                        unique=("id", f"{kind.name} id {{}} declared twice",
+                                set()))
+    return out
 
 
 # ----------------------------------------------------------------------
 # cross-reference checks
+
+# how the checks below name each kind of device an entry needs
+_DEVICE_WORDS = {KIND_INTC: "an interrupt controller",
+                 KIND_PARALLEL: "parallel I/O", KIND_SERIAL: "serial I/O"}
+
 
 def _check_program_refs(src, stmts, path, scn_parts):
     (labels, objects, devices, buffers) = scn_parts
@@ -684,54 +738,43 @@ def _cross_check(src, scn: Scenario):
     objects = {(o.kind, o.obj_id) for o in scn.objects}
     objects.update(("task", t.task_id) for t in scn.tasks)
     devices = {d.name: d for d in scn.devices}
-    buffers = {
-        o.obj_id: dict(o.params)["capacity"]
-        for o in scn.objects if o.kind == "buffer"
-    }
+    buffers = {o.obj_id: o.capacity for o in scn.objects if o.kind == "buffer"}
     parts = (labels, objects, devices, buffers)
 
-    for i, t in enumerate(scn.tasks):
-        if not t.idle:
-            _check_program_refs(src, t.behavior, ("tasks", i, "behavior"), parts)
+    for t in scn.tasks:
+        _check_program_refs(src, t.behavior, t.path + ("behavior",), parts)
     isr_bound = set()
-    for i, h in enumerate(scn.handlers):
-        _check_program_refs(src, h.behavior, ("handlers", i, "behavior"), parts)
+    for h in scn.handlers:
+        _check_program_refs(src, h.behavior, h.path + ("behavior",), parts)
         if h.kind != "isr":
             continue
-        path = ("handlers", i)
         dev = devices.get(h.device)
         if dev is None or dev.kind != KIND_INTC:
-            src.problem(path + ("device",),
-                        f"'{h.device}' is not an interrupt controller")
+            src.problem(h.path + ("device",),
+                        f"'{h.device}' is not {_DEVICE_WORDS[KIND_INTC]}")
             continue
-        lines = dict(dev.options).get("lines", 8)
+        lines = DEFAULT_INTC_LINES if dev.lines is None else dev.lines
         if h.line >= lines:
-            src.problem(path + ("line",),
+            src.problem(h.path + ("line",),
                         f"line {h.line} is outside 0..{lines - 1}")
         elif (h.device, h.line) in isr_bound:
-            src.problem(path + ("line",),
+            src.problem(h.path + ("line",),
                         f"line {h.line} of '{h.device}' is bound twice")
         else:
             isr_bound.add((h.device, h.line))
 
-    for i, st in enumerate(scn.stimuli):
-        path = ("stimuli", i)
+    for st in scn.stimuli:
+        path = st.path + ("device",)
         dev = devices.get(st.device)
+        need = STIMULUS_KINDS[st.kind][0]
         if dev is None:
-            src.problem(path + ("device",), f"no device named '{st.device}'")
-            continue
-        if st.kind == "irq":
-            if dev.kind != KIND_INTC:
-                src.problem(path + ("device",),
-                            f"'{st.device}' is not an interrupt controller")
-            elif (st.device, st.line) not in isr_bound:
-                src.problem(path + ("line",),
-                            f"no handler is bound to line {st.line} "
-                            f"of '{st.device}'")
-        elif st.kind == "pio_set" and dev.kind != KIND_PARALLEL:
-            src.problem(path + ("device",), f"'{st.device}' is not parallel I/O")
-        elif st.kind == "serial_in" and dev.kind != KIND_SERIAL:
-            src.problem(path + ("device",), f"'{st.device}' is not serial I/O")
+            src.problem(path, f"no device named '{st.device}'")
+        elif dev.kind != need:
+            src.problem(path, f"'{st.device}' is not {_DEVICE_WORDS[need]}")
+        elif need == KIND_INTC and (st.device, st.line) not in isr_bound:
+            src.problem(st.path + ("line",),
+                        f"no handler is bound to line {st.line} "
+                        f"of '{st.device}'")
 
 
 # ----------------------------------------------------------------------
@@ -752,11 +795,7 @@ def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
         raise ScenarioError(
             [(f"{filename}:1", "a scenario is a mapping of sections")])
     _reject_extras(src, raw, (), _TOP_KEYS)
-
-    name = _get_name(src, raw, (), "name", default="scenario")
-    tick_us = _get_int(src, raw, (), "tick_us", minimum=1, default=1000)
-    cpt = _get_int(src, raw, (), "cycles_per_tick", minimum=1, default=12000)
-    run_ticks = _get_int(src, raw, (), "run_ticks", minimum=1, required=True)
+    head = _read(src, raw, (), _HEAD) or (None,) * len(_HEAD)
 
     battery_uj = None
     if raw.get("battery_wh") is not None:
@@ -769,12 +808,9 @@ def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
                         "battery_wh must be a positive watt-hour figure "
                         "of at most 1e18 uJ")
 
-    svc_etm, svc_eem = 1, 0
-    svc = _get_map(src, raw.get("svc_cost"), ("svc_cost",))
-    if svc:
-        _reject_extras(src, svc, ("svc_cost",), {"etm", "eem"})
-        svc_etm = _get_int(src, svc, ("svc_cost",), "etm", minimum=0, default=1)
-        svc_eem = _parse_energy_mj(src, svc.get("eem", 0), ("svc_cost", "eem"))
+    svc = _get_map(src, raw.get("svc_cost"), ("svc_cost",)) or {}
+    svc_etm, svc_eem_uj = (_read_entry(src, svc, ("svc_cost",), _SVC_COST)
+                           or (None, None))
 
     abort = True
     if "on_deadlock" in raw:
@@ -785,23 +821,24 @@ def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
             abort = raw["on_deadlock"] == "abort"
 
     annotations = _parse_annotations(src, raw.get("annotations"))
-    handlers, handler_ids = _parse_handlers(src, raw.get("handlers"))
-    tasks = _parse_tasks(src, raw.get("tasks"), handler_ids=handler_ids)
+    tasks, handlers = _parse_threads(src, raw)
     objects = _parse_objects(src, raw.get("objects"))
-    devices = _parse_devices(src, raw.get("devices"))
-    stimuli = _parse_stimuli(src, raw.get("stimuli"))
+    devices = _entries(src, raw.get("devices"), ("devices",),
+                       _kind_key(src, _DEVICE_KINDS, "device kind must be one "
+                                 f"of: {', '.join(sorted(_DEVICE_KINDS))}"),
+                       unique=("name", "device '{}' declared twice", set()))
+    stimuli = _entries(src, raw.get("stimuli"), ("stimuli",),
+                       _kind_key(src, _STIMULUS_KINDS, "stimulus kind must "
+                                 f"be {_either([*_STIMULUS_KINDS])}"))
 
-    if not any(not t.idle for t in tasks) and not src.problems:
+    if not any(t.kind == "task" for t in tasks) and not src.problems:
         src.problem(("tasks",), "at least one non-idle task is required")
 
     scn = Scenario(
-        name=name or "scenario",
-        tick_us=tick_us or 1000,
-        cycles_per_tick=cpt or 12000,
-        run_ticks=run_ticks or 1,
+        *head,
         battery_uj=battery_uj,
-        svc_etm=1 if svc_etm is None else svc_etm,
-        svc_eem_uj=0 if svc_eem is None else svc_eem,
+        svc_etm=svc_etm,
+        svc_eem_uj=svc_eem_uj,
         abort_on_deadlock=abort,
         annotations=annotations,
         tasks=tasks,
@@ -834,96 +871,47 @@ def demo_scenario_path() -> Path:
 # ----------------------------------------------------------------------
 # serialization (round-trips through parse_scenario_text)
 
-def _energy_raw(uj: int):
-    if uj % 1000 == 0:
-        return uj // 1000
-    mj = Decimal(uj) / 1000
-    return format(mj.normalize(), "f")
+def _entry_raw(rows, values):
+    """The mapping of one entry: each field that is set, unless its row
+    leaves it out at its default."""
+    return {row.key: row.check.raw(value) for row, value in zip(rows, values)
+            if value is not None
+            and (row.write_default or value != row.default)}
+
+
+def _section_raw(entries):
+    return [_entry_raw(e.schema.rows, e.values) for e in entries]
 
 
 def scenario_to_raw(scn: Scenario) -> dict:
-    raw = {
-        "name": scn.name,
-        "tick_us": scn.tick_us,
-        "cycles_per_tick": scn.cycles_per_tick,
-        "run_ticks": scn.run_ticks,
-    }
+    raw = _entry_raw(_HEAD, (scn.name, scn.tick_us, scn.cycles_per_tick,
+                             scn.run_ticks))
     if scn.battery_uj is not None:
         wh = Decimal(scn.battery_uj) / UJ_PER_WH
         raw["battery_wh"] = (int(wh) if wh == int(wh)
                              else format(wh.normalize(), "f"))
-    raw["svc_cost"] = {"etm": scn.svc_etm, "eem": _energy_raw(scn.svc_eem_uj)}
+    raw["svc_cost"] = _entry_raw(_SVC_COST.rows,
+                                 (scn.svc_etm, scn.svc_eem_uj))
     if not scn.abort_on_deadlock:
         raw["on_deadlock"] = "report"
     if scn.annotations:
-        raw["annotations"] = {
-            a.label: {"etm": a.etm, "eem": _energy_raw(a.eem_uj)}
-            for a in scn.annotations
-        }
-    tasks = []
-    for t in scn.tasks:
-        entry = {"id": t.task_id, "name": t.name}
-        if t.idle:
-            entry["idle"] = True
-        else:
-            entry["priority"] = t.priority
-            entry["behavior"] = behavior.program_to_raw(t.behavior)
-        if t.extended_info:
-            entry["extended_info"] = t.extended_info
-        tasks.append(entry)
-    raw["tasks"] = tasks
+        raw["annotations"] = {a.label: _entry_raw(_COST.rows,
+                                                  (a.etm, a.eem_uj))
+                              for a in scn.annotations}
+    raw["tasks"] = _section_raw(scn.tasks)
     if scn.handlers:
-        handlers = []
-        for h in scn.handlers:
-            entry = {"id": h.thread_id, "name": h.name, "kind": h.kind}
-            if h.kind == "cyclic":
-                entry["period"] = h.period
-                if h.phase:
-                    entry["phase"] = h.phase
-            elif h.kind == "alarm":
-                entry["offset"] = h.offset
-            else:
-                entry["device"] = h.device
-                entry["line"] = h.line
-            if h.extended_info:
-                entry["extended_info"] = h.extended_info
-            entry["behavior"] = behavior.program_to_raw(h.behavior)
-            handlers.append(entry)
-        raw["handlers"] = handlers
+        raw["handlers"] = _section_raw(scn.handlers)
     if scn.objects:
+        section_of = {kind.name: key for key, kind in _OBJECT_SECTIONS.items()}
         sections = {}
-        section_of = {kind: key for key, (kind, _, _) in
-                      _OBJECT_SECTIONS.items()}
         for o in scn.objects:
-            entry = {"id": o.obj_id}
-            entry.update(dict(o.params))
-            if o.extended_info:
-                entry["extended_info"] = o.extended_info
-            sections.setdefault(section_of[o.kind], []).append(entry)
+            sections.setdefault(section_of[o.kind], []).append(
+                _entry_raw(o.schema.rows, o.values))
         raw["objects"] = sections
     if scn.devices:
-        devices = []
-        for d in scn.devices:
-            entry = {"name": d.name, "kind": d.kind}
-            entry.update(dict(d.options))
-            if d.accesses:
-                entry["accesses"] = {
-                    a.name: {"op": a.op, "cycles": a.cycles,
-                             "eem": _energy_raw(a.eem_uj)}
-                    for a in d.accesses
-                }
-            devices.append(entry)
-        raw["devices"] = devices
+        raw["devices"] = _section_raw(scn.devices)
     if scn.stimuli:
-        rows = []
-        for st in scn.stimuli:
-            entry = {"tick": st.tick, "kind": st.kind, "device": st.device}
-            if st.kind == "irq":
-                entry["line"] = st.line
-            else:
-                entry["value"] = st.value
-            rows.append(entry)
-        raw["stimuli"] = rows
+        raw["stimuli"] = _section_raw(scn.stimuli)
     return raw
 
 
@@ -957,44 +945,16 @@ def build_kernel(scn: Scenario, *, tick_us=None) -> Kernel:
         abort_on_deadlock=scn.abort_on_deadlock,
     )
     table = scn.annotation_table()
-
-    for d in scn.devices:
-        options = {
-            ("out_capacity" if k == "capacity" else k): v
-            for k, v in d.options
-        }
-        kernel.add_device(d.kind, d.name,
-                          {a.name: a for a in d.accesses},
-                          **options)
-    for t in scn.tasks:
-        if t.idle:
+    for entry in (*scn.devices, *scn.tasks, *scn.handlers, *scn.objects,
+                  *scn.stimuli):
+        declare, values = entry.schema.declare, entry.values
+        if declare is None:
             continue
-        kernel.declare_task(
-            t.task_id, t.name, t.priority,
-            behavior.build_factory(t.behavior, table),
-            extended_info=t.extended_info,
-        )
-    for h in scn.handlers:
-        body = behavior.build_factory(h.behavior, table, handler=True)
-        if h.kind == "cyclic":
-            kernel.declare_cyclic(h.thread_id, h.name, h.period, body,
-                                  phase=h.phase, extended_info=h.extended_info)
-        elif h.kind == "alarm":
-            kernel.declare_alarm(h.thread_id, h.name, h.offset, body,
-                                 extended_info=h.extended_info)
-        else:
-            kernel.declare_isr(h.thread_id, h.name, body,
-                               extended_info=h.extended_info)
-    for h in scn.handlers:
-        if h.kind == "isr":
-            kernel.attach_isr(h.device, h.line, h.thread_id)
-
-    for o in scn.objects:
-        params = {_DECLARE_KEYWORDS.get(k, k): v for k, v in o.params}
-        getattr(kernel, "declare_" + o.kind)(
-            o.obj_id, extended_info=o.extended_info, **params)
-
-    for st in scn.stimuli:
-        kernel.add_stimulus(st.tick, st.kind, st.device,
-                            line=st.line, value=st.value)
+        keywords = {}
+        for i, keyword, build in entry.schema.params:
+            value = values[i]
+            if value is not None:
+                keywords[keyword] = value if build is None else build(value,
+                                                                      table)
+        declare(kernel, **keywords)
     return kernel

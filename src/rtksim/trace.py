@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DecimalException, Inexact, localcontext
 
 CSV_HEADER = "tick_start,tick_end,thread_id,thread_name,context_kind,label,etm_ticks,eem_mJ,event_kind"
 
@@ -73,11 +73,15 @@ def to_uj(value, uj_per_unit: int) -> int:
 
     Raises ValueError for anything else: a bool, a negative or non-finite
     figure, one past MAX_UJ, or one finer than micro-joule resolution.
+    The product is exact: a figure whose digits do not fit the context
+    is refused, never rounded to a whole count.
     """
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            uj = Decimal(str(value)) * uj_per_unit
-        except InvalidOperation:
+            with localcontext() as ctx:
+                ctx.traps[Inexact] = True
+                uj = Decimal(str(value)) * uj_per_unit
+        except DecimalException:
             uj = None
         if (uj is not None and uj.is_finite() and 0 <= uj <= MAX_UJ
                 and uj == int(uj)):

@@ -4,9 +4,10 @@ Runs `rtk-sim run` in process on the demo scenario and compares the
 sha256 of every artifact it writes with the digests pinned below: the
 full run's trace CSV, SVG and text Gantt charts, text and JSON reports,
 kernel-state dump and device log; the 2000-tick run that stops with
-exit 4 at the LCD's FIFO overflow; and the 500-tick step-mode run.  A
-change that moves a digest on purpose updates it here and says which
-one moved, and why.
+exit 4 at the LCD's FIFO overflow; and the 500-tick step-mode run.  It
+also pins the text `scenario_to_yaml` writes for the demo and for the
+benchmark workloads at seed 1.  A change that moves a digest on purpose
+updates it here and says which one moved, and why.
 """
 
 import hashlib
@@ -14,7 +15,12 @@ import hashlib
 import pytest
 
 from rtksim.cli import EXIT_OK, EXIT_RUN_ERROR, main
-from rtksim.scenario import demo_scenario_path
+from rtksim.scenario import (
+    demo_scenario_path,
+    parse_scenario_text,
+    scenario_to_yaml,
+)
+from test_bench_digests import SEED, workloads
 
 # artifact file -> the flags that write it, before its path
 _FLAGS = {
@@ -66,3 +72,22 @@ def test_demo_artifacts_match_their_digests(run, tmp_path, capsys):
         assert capsys.readouterr().err == (
             "rtk-sim: error at tick 1291 while thread LCD was running: "
             "device lcd: out FIFO overflow at 128\n")
+
+
+# scenario -> sha256 of scenario_to_yaml(parse_scenario_text(its text))
+SERIALIZED = {
+    "demo": "790f0a31b644c91e958abf4e12a25b93c02e2e6695090e689239c91b97c78956",
+    "steady": "6dd56da5b5aafc1898cf833db0a4c248ca24f87f759360a07c1da1cb65c81618",
+    "sparse": "06432bba0b3c95a3440b3bac386831a4a7ca6a32241b5a749f47bff9f27c9ae1",
+    "wide": "9451543034fd5736b97ea11f46328a426b35fabcafdec36e5ae96affbdb3f519",
+}
+
+
+@pytest.mark.parametrize("name", SERIALIZED)
+def test_serialized_scenarios_match_their_digests(name):
+    if name == "demo":
+        text = demo_scenario_path().read_text(encoding="utf-8")
+    else:
+        text = workloads.generate(name, SEED)
+    out = scenario_to_yaml(parse_scenario_text(text))
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SERIALIZED[name]

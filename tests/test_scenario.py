@@ -1,14 +1,18 @@
 """Scenario parsing: validation messages, locations, round-trips, wiring."""
 
+import copy
 import time
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracle import MUTEX_SEED_BASE, generate_spec
 from rtksim import scenario
-from rtksim.errors import ScenarioError
+from rtksim.bfm import DEFAULT_INTC_LINES, MEMORY_WIDTHS
+from rtksim.errors import ScenarioError, SimError
+from rtksim.kernel import USER_PRIORITY_MAX
+from rtksim.objects import _PATTERN_MASK
 from rtksim.scenario import (
     build_kernel,
     demo_scenario_path,
@@ -185,6 +189,7 @@ def test_fractional_battery_capacity():
 
 @pytest.mark.parametrize("text, line", [
     (MINIMAL.replace("eem: 0", 'eem: "1e800000"'), 3),
+    (MINIMAL.replace("eem: 0", 'eem: "1e999999"'), 3),   # past Decimal's Emax
     (MINIMAL + 'battery_wh: "1e800000"\n', 10),
 ])
 def test_a_huge_energy_exponent_is_refused_at_once(text, line):
@@ -204,6 +209,29 @@ def test_energy_up_to_the_bound_is_accepted():
     assert scn.annotation_table()["work"].eem_uj == MAX_UJ
     with pytest.raises(ScenarioError, match="no larger than 1e15"):
         parse_scenario_text(MINIMAL.replace("eem: 0", "eem: 1.000001e15"))
+
+
+def test_idle_must_be_true_or_false():
+    for value in ("'true'", "1", "[]", "{a: 1}"):
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario_text(MINIMAL + f"  - {{id: 2, name: I, idle: {value}}}\n",
+                                filename="scn.yaml")
+        assert problems_of(ei) == [("scn.yaml:10", "'idle' must be true or false")]
+
+
+def test_an_idle_entry_with_an_implicit_field_stays_declared():
+    text = (MINIMAL
+            + "  - {id: 2, name: IDLE, idle: true, priority: 9}\n"
+            + "  - {id: 3, name: IDLE2, idle: true}\n"
+            + "objects:\n  mutexes:\n    - {id: 1}\n"
+            + "handlers:\n"
+            + "  - {id: 4, name: H, kind: alarm, offset: 1, behavior:"
+            + " [{call: start, task: 2}]}\n")
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(text, filename="scn.yaml")
+    assert problems_of(ei) == [
+        ("scn.yaml:10", "the idle task's 'priority' is implicit"),
+        ("scn.yaml:11", "only one idle task entry is allowed")]
 
 
 def test_on_deadlock_accepts_only_the_two_policies():
@@ -407,6 +435,22 @@ def test_isr_binding_rules():
             ISR_BASE + "handlers:\n" + isr(2, "pic", 0) + isr(3, "pic", 0))
 
 
+def test_a_problem_is_located_at_its_own_entry_after_a_dropped_one():
+    text = ISR_BASE + "handlers:\n  - {id: 2, kind: isr}\n" + isr(3, "port", 0)
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(text, filename="scn.yaml")
+    assert problems_of(ei)[-1] == (
+        "scn.yaml:14", "'port' is not an interrupt controller")
+
+
+def test_a_null_value_counts_as_left_out():
+    extra = "objects:\n  semaphores:\n    - {id: 1, initial: 0, max: null}\n"
+    scn = parse_scenario_text(refs_text("{call: sem_wait, sem: 1}", extra)
+                              .replace("eem: 0", "eem: null"))
+    assert scn.annotation_table()["work"].eem_uj == 0
+    assert build_kernel(scn).semaphores[1].max_count == 65535
+
+
 def test_stimulus_device_kind_must_match():
     text = ISR_BASE + (
         "stimuli:\n"
@@ -530,6 +574,17 @@ def test_semaphore_initial_must_not_exceed_max(entry, limit):
         ("scn.yaml:12", f"'initial' must not exceed 'max' ({limit})")]
 
 
+def test_semaphore_initial_is_reported_among_the_objects():
+    text = (MINIMAL + "objects:\n"
+            "  semaphores:\n    - {id: 1, initial: 3, max: 2}\n"
+            "  flags:\n    - {id: 0}\n")
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(text, filename="scn.yaml")
+    assert problems_of(ei) == [
+        ("scn.yaml:12", "'initial' must not exceed 'max' (2)"),
+        ("scn.yaml:14", "'id' must be an integer >= 1")]
+
+
 def test_bfm_value_must_be_a_byte():
     extra = (
         "devices:\n"
@@ -544,6 +599,25 @@ def test_bfm_value_must_be_a_byte():
                             filename="scn.yaml")
     assert problems_of(ei) == [
         ("scn.yaml:14", "bfm argument 'value' must be a byte (0..255)")]
+
+
+MEMORY = (
+    "devices:\n"
+    "  - name: ram\n"
+    "    kind: memory\n"
+    "    width: {}\n"
+)
+
+
+def test_memory_width_is_checked_where_it_is_written():
+    for width in (1, 2, 4):
+        build_kernel(parse_scenario_text(MINIMAL + MEMORY.format(width)))
+    for width in (0, 3, 8, "true", "'2'", "[4]", "{4: 4}"):
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario_text(MINIMAL + MEMORY.format(width),
+                                filename="scn.yaml")
+        assert problems_of(ei) == [
+            ("scn.yaml:13", "'width' must be 1, 2 or 4")]
 
 
 def test_collection_as_mapping_key_is_a_parse_error():
@@ -649,3 +723,74 @@ def test_any_text_parses_or_raises_scenario_error(loader, text):
             parse_scenario_text(text, filename="scn.yaml")
         except ScenarioError:
             pass
+
+
+# ----------------------------------------------------------------------
+# what parses, builds, boots and runs
+
+_RUN_TEXTS = {
+    "demo": demo_scenario_path().read_text(encoding="utf-8"),
+    **{name: workloads.generate(name, 1) for name in workloads.WORKLOADS},
+    **{f"spec{seed}": spec_to_yaml(generate_spec(seed)) for seed in (0, 1)},
+}
+_RUN_RAW = {name: yaml.load(text, Loader=scenario._Loader)
+            for name, text in _RUN_TEXTS.items()}
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+# each device kind's options; a field's maximum, where it has one, read
+# from the module that enforces it
+_DEVICE_OPTIONS = {"memory": ("size", "width"), "serial_io": ("capacity",),
+                   "intc": ("lines",)}
+_MAXIMA = {"priority": USER_PRIORITY_MAX, "value": 0xFF,
+           "initial": _PATTERN_MASK, "width": max(MEMORY_WIDTHS),
+           "line": DEFAULT_INTC_LINES - 1}
+
+
+def _int_fields(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _int_fields(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _int_fields(value, path + (i,))
+    elif isinstance(node, int) and not isinstance(node, bool):
+        yield path
+
+
+def _boundary_mutants(name):
+    """(text name, path, value): one integer field or device option of the
+    text set to 0, 1, 3, the field's maximum or one past it."""
+    raw = _RUN_RAW[name]
+    paths = list(_int_fields(raw))
+    for i, dev in enumerate(raw.get("devices", ())):
+        paths += [("devices", i, key) for key in _DEVICE_OPTIONS.get(dev["kind"], ())]
+    for path in dict.fromkeys(paths):
+        top = _MAXIMA.get(path[-1])
+        for value in (0, 1, 3, *(() if top is None else (top, top + 1))):
+            yield name, path, value
+
+
+_MUTANTS = [m for name in _RUN_TEXTS for m in _boundary_mutants(name)]
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(mutant=st.sampled_from(_MUTANTS))
+@example(mutant=("steady", ("devices", 0, "width"), 3))
+def test_what_parses_builds_boots_and_runs_to_its_window(mutant):
+    name, path, value = mutant
+    raw = copy.deepcopy(_RUN_RAW[name])
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        scn = parse_scenario_text(yaml.dump(raw, Dumper=_DUMPER,
+                                            sort_keys=False))
+    except ScenarioError:
+        return
+    kernel = build_kernel(scn)
+    kernel.boot()
+    try:
+        kernel.run(scn.run_ticks)
+    except SimError:
+        pass

@@ -48,8 +48,9 @@ class TestEnergyFormatting:
         assert parse_mj(format_mj(uj)) == uj
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", -1, "0.0001", True, [1],
-                                   "1e800000"])
+@pytest.mark.parametrize("value", [
+    "inf", "nan", -1, "0.0001", True, [1], "1e800000", "1e999999",
+    "0.50000000000000000000000000001", "1.0000000000000000000000000000001"])
 def test_parse_mj_refuses_what_is_not_a_whole_micro_joule_count(value):
     with pytest.raises(ValueError, match="bad energy value"):
         parse_mj(value)
