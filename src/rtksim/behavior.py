@@ -2,357 +2,56 @@
 
 A behavior program is a short list of statements drawn from a closed set:
 
-* ``compute`` - burn one annotated work segment,
-* ``call``    - invoke a kernel service by name,
-* ``bfm``     - perform a device access through the bus model,
-* ``loop``    - repeat a block a fixed number of times, or forever.
+* ``{compute: label}``          - burn one annotated work segment,
+* ``{call: service, ...}``      - invoke a kernel service by name,
+* ``{bfm: device.access, ...}`` - perform a device access through the
+  bus model,
+* ``{loop: true, count: N, body: [...]}`` - repeat a block N times, or
+  forever with ``count: forever``; ``loop: forever`` says the same.
 
-Each service is one row of ``_SERVICES``: its kernel method, its
-arguments, and whether it can wait.  Parsing, the handler check,
-serialization, compiling and the scenario's reference checks all read
-that row, so a service is added or changed in one place.
+A statement's head key (the first of ``compute``, ``call``, ``bfm`` and
+``loop`` it has) chooses its kind; for ``call`` and ``loop`` the head's
+value does.  Each kind is a `schema._Kind`: a row per key, read,
+written and reference-checked by the same code as a scenario's section
+entries.  A row that names something (an annotation label, an object
+of a kind by id, a device access) says what it names, and a row whose
+value the kernel takes in another form (a flag mode, a buffer payload,
+a timeout of "forever") builds it.  Each service is one kind in
+``_SERVICES``: its kernel method, its argument rows, and whether it can
+wait.
 
 A program compiles to a flat tuple of ops, where a loop is a head and a
 back jump, and runs in one generator frame with a program counter: the
 run-to-completion counterpart of a coroutine body.  A scenario file thus
-fully determines what every thread does.  Statements are plain
-data; parsing reports problems as ``(path, message)`` pairs so callers can
-attach source locations.
+fully determines what every thread does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UsageError
-from .objects import FLAG_MODE_AND, FLAG_MODE_OR
+from .objects import FLAG_MODE_AND, FLAG_MODE_OR, _PATTERN_MASK
+from .schema import (
+    _Check,
+    _GIVEN,
+    _Int,
+    _Is,
+    _Kind,
+    _NAME,
+    _OneOf,
+    _Row,
+    Entry,
+    _declare,
+    _entry_raw,
+    _read_entry,
+)
+from .trace import is_int
 
 __all__ = [
-    "Compute",
-    "Call",
-    "Bfm",
-    "Loop",
+    "Statement",
     "parse_program",
-    "statement_to_raw",
-    "program_to_raw",
+    "iter_statements",
     "build_factory",
 ]
-
-
-@dataclass(frozen=True)
-class Compute:
-    """Charge the annotation named by ``label`` in the thread's own context."""
-
-    label: str
-
-
-@dataclass(frozen=True)
-class Call:
-    service: str
-    args: tuple  # sorted (key, value) pairs; dicts would break hashing/equality
-
-
-@dataclass(frozen=True)
-class Bfm:
-    device: str
-    access: str
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Loop:
-    count: int | None  # None means forever
-    body: tuple
-
-    @property
-    def forever(self) -> bool:
-        return self.count is None
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass and must not pass for numeric fields
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# Argument kinds: kind -> (test of a value, what a value must be).
-_KINDS = {
-    "id": (lambda v: _is_int(v) and v >= 1, "an integer id >= 1"),
-    "nat": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "pos": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "pattern": (lambda v: _is_int(v) and 1 <= v <= 0xFFFFFFFF,
-                "a nonzero 32-bit pattern"),
-    "bits": (lambda v: _is_int(v) and 0 <= v <= 0xFFFFFFFF, "a 32-bit value"),
-    "timeout": (lambda v: v is None or v == "forever" or _is_int(v) and v >= 1,
-                'an integer >= 1 or "forever"'),
-    "mode": (lambda v: v in ("and", "or"), '"and" or "or"'),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "text": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
-    "name": (lambda v: isinstance(v, str) and v.isidentifier(),
-             "a variable name"),
-}
-
-_TIMEOUT = ("timeout", "timeout", False, None, None)
-_PAYLOAD = ("payload", "text", True, None, None)
-_AS = ("as", "name", True, None, None)
-_REF = ("ref", "name", True, None, None)
-
-
-def _id(key, obj):
-    """A required argument that names an object of kind ``obj`` by id."""
-    return (key, "id", True, None, obj)
-
-
-# One row per service: name -> (kernel method, arguments, can wait).  An
-# argument is (key, kind, required, default, the object kind its id names
-# or None).  The values reach the kernel method positionally, after the
-# api and in row order, except ``as``, which binds the service's result
-# to a name, and ``ref``, which passes the value bound to its name.  The
-# method is looked up on the kernel instance at call time, so wrappers
-# set on it see every call.  As in uITRON (E_CTX), only a task may call a
-# service that can wait: a handler runs each activation to completion.
-_SERVICES = {
-    "sleep": ("sleep", (_TIMEOUT,), True),
-    "wakeup": ("wakeup", (_id("task", "task"),), False),
-    "delay": ("delay", (("ticks", "pos", True, None, None),), True),
-    "exit": ("exit_task", (), False),
-    "start": ("start_task", (_id("task", "task"),), False),
-    "sem_wait": ("sem_wait", (_id("sem", "semaphore"),
-                              ("count", "pos", False, 1, None), _TIMEOUT), True),
-    "sem_signal": ("sem_signal", (_id("sem", "semaphore"),
-                                  ("count", "pos", False, 1, None)), False),
-    "flg_wait": ("flag_wait", (_id("flag", "flag"),
-                               ("pattern", "pattern", True, None, None),
-                               ("mode", "mode", False, "or", None),
-                               ("clear", "bool", False, False, None),
-                               _TIMEOUT), True),
-    "flg_set": ("flag_set", (_id("flag", "flag"),
-                             ("pattern", "bits", True, None, None)), False),
-    "flg_clear": ("flag_clear", (_id("flag", "flag"),
-                                 ("mask", "bits", True, None, None)), False),
-    "mbx_send": ("mbx_send", (_id("mailbox", "mailbox"), _PAYLOAD,
-                              ("priority", "nat", False, 0, None)), False),
-    "mbx_recv": ("mbx_recv", (_id("mailbox", "mailbox"), _TIMEOUT), True),
-    "mbf_send": ("mbf_send", (_id("buffer", "buffer"), _PAYLOAD, _TIMEOUT),
-                 True),
-    "mbf_recv": ("mbf_recv", (_id("buffer", "buffer"), _TIMEOUT), True),
-    "mtx_lock": ("mtx_lock", (_id("mutex", "mutex"), _TIMEOUT), True),
-    "mtx_unlock": ("mtx_unlock", (_id("mutex", "mutex"),), False),
-    "pool_get": ("pool_get", (_id("pool", "fixed_pool"), _AS, _TIMEOUT), True),
-    "pool_rel": ("pool_release", (_id("pool", "fixed_pool"), _REF), False),
-    "vpool_get": ("vpool_get", (_id("pool", "variable_pool"),
-                                ("size", "pos", True, None, None), _AS,
-                                _TIMEOUT), True),
-    "vpool_rel": ("vpool_release", (_id("pool", "variable_pool"), _REF),
-                  False),
-}
-
-# The noun a release names when its ``ref`` was never bound.
-_REF_WHAT = {"pool_rel": "pool block", "vpool_rel": "pool region"}
-
-# Device access argument values are bytes or addresses; both sides are ints.
-_BFM_ARG_KEYS = frozenset({"addr", "value"})
-
-
-def _parse_call(raw, path, problems):
-    service = raw.get("service")
-    if not isinstance(service, str) or service not in _SERVICES:
-        known = ", ".join(sorted(_SERVICES))
-        problems.append((path, f"unknown service {service!r}; one of: {known}"))
-        return None
-    given = {k: v for k, v in raw.items() if k not in ("call", "service")}
-    args = {}
-    ok = True
-    for key, kind, required, default, _obj in _SERVICES[service][1]:
-        if key in given:
-            value = given.pop(key)
-            test, what = _KINDS[kind]
-            if not test(value):
-                problems.append((path, f"'{key}' must be {what}"))
-                ok = False
-            elif kind == "timeout" and value == "forever":
-                args[key] = None
-            else:
-                args[key] = value
-        elif required:
-            problems.append((path, f"service '{service}' needs '{key}'"))
-            ok = False
-        else:
-            args[key] = default
-    for key in sorted(given):
-        problems.append((path, f"service '{service}' does not take '{key}'"))
-        ok = False
-    if not ok:
-        return None
-    return Call(service, tuple(sorted(args.items(), key=lambda kv: kv[0])))
-
-
-def _parse_bfm(raw, path, problems):
-    device = raw.get("device")
-    access = raw.get("access")
-    ok = True
-    if not isinstance(device, str) or not device:
-        problems.append((path, "bfm statement needs a 'device' name"))
-        ok = False
-    if not isinstance(access, str) or not access:
-        problems.append((path, "bfm statement needs an 'access' name"))
-        ok = False
-    args = {}
-    for key, value in raw.items():
-        if key in ("bfm", "device", "access"):
-            continue
-        if key not in _BFM_ARG_KEYS:
-            problems.append((path, f"unknown bfm argument '{key}'"))
-            ok = False
-        elif not _is_int(value) or value < 0:
-            problems.append((path, f"bfm argument '{key}' must be an integer >= 0"))
-            ok = False
-        elif key == "value" and value > 0xFF:
-            problems.append((path, "bfm argument 'value' must be a byte (0..255)"))
-            ok = False
-        else:
-            args[key] = value
-    if not ok:
-        return None
-    return Bfm(device, access, tuple(sorted(args.items())))
-
-
-def _parse_loop(raw, path, problems, *, handler):
-    count = raw.get("count", "forever")
-    body_raw = raw.get("body")
-    extras = sorted(set(raw) - {"loop", "count", "body"})
-    for key in extras:
-        problems.append((path, f"loop does not take '{key}'"))
-    if count == "forever":
-        count = None
-        if handler:
-            problems.append((path, "forever loops are only legal in tasks"))
-            return None
-    elif not _is_int(count) or count < 1:
-        problems.append((path, "loop count must be an integer >= 1 or \"forever\""))
-        return None
-    if not isinstance(body_raw, list) or not body_raw:
-        problems.append((path, "loop needs a non-empty 'body' list"))
-        return None
-    body = _parse_block(body_raw, path + ("body",), problems, handler=handler,
-                        top=False)
-    if body is None or extras:
-        return None
-    return Loop(count, body)
-
-
-def _parse_stmt(raw, path, problems, *, handler, top, last):
-    if not isinstance(raw, dict):
-        problems.append((path, "statement must be a mapping"))
-        return None
-    if "compute" in raw:
-        label = raw["compute"]
-        extras = sorted(set(raw) - {"compute"})
-        for key in extras:
-            problems.append((path, f"compute does not take '{key}'"))
-        if not isinstance(label, str) or not label:
-            problems.append((path, "compute needs an annotation label"))
-            return None
-        return None if extras else Compute(label)
-    if "call" in raw or "service" in raw:
-        merged = dict(raw)
-        if "call" in raw:
-            # {call: sleep, timeout: 5} sugar for {service: sleep, ...}
-            if "service" in raw and raw["service"] != raw["call"]:
-                problems.append((path, "statement names two different services"))
-                return None
-            merged["service"] = raw["call"]
-        stmt = _parse_call(merged, path, problems)
-        if handler and stmt is not None and _SERVICES[stmt.service][2]:
-            problems.append((path, f"a handler cannot call '{stmt.service}', "
-                                   "which can wait; only tasks may wait"))
-            return None
-        return stmt
-    if "bfm" in raw:
-        merged = dict(raw)
-        head = raw["bfm"]
-        if isinstance(head, str) and "." in head:
-            dev, _, acc = head.partition(".")
-            merged.setdefault("device", dev)
-            merged.setdefault("access", acc)
-        return _parse_bfm(merged, path, problems)
-    if "device" in raw and "access" in raw:
-        return _parse_bfm(raw, path, problems)
-    if "loop" in raw or "count" in raw and "body" in raw:
-        stmt = _parse_loop(raw, path, problems, handler=handler)
-        if stmt is not None and stmt.forever and not (top and last):
-            problems.append(
-                (path, "a forever loop must be the final top-level statement"))
-            return None
-        return stmt
-    problems.append((path, "statement is not compute, call, bfm, or loop"))
-    return None
-
-
-def _parse_block(raw_list, path, problems, *, handler, top):
-    out = []
-    bad = False
-    n = len(raw_list)
-    for i, raw in enumerate(raw_list):
-        stmt = _parse_stmt(raw, path + (i,), problems, handler=handler,
-                           top=top, last=(i == n - 1))
-        if stmt is None:
-            bad = True
-        else:
-            out.append(stmt)
-    return None if bad else tuple(out)
-
-
-def parse_program(raw, path, problems, *, handler=False):
-    """Parse a raw statement list into a statement tuple.
-
-    Appends ``(path, message)`` pairs to ``problems`` and returns None when
-    anything is wrong.  Cross references (annotation labels, object ids,
-    devices) are the caller's job; this pass is purely structural.
-    """
-    if not isinstance(raw, list) or not raw:
-        problems.append((path, "behavior must be a non-empty statement list"))
-        return None
-    return _parse_block(raw, path, problems, handler=handler, top=True)
-
-
-def iter_statements(statements):
-    """Walk a statement tree depth-first, yielding (path, statement)."""
-    def walk(stmts, path):
-        for i, st in enumerate(stmts):
-            here = path + (i,)
-            yield here, st
-            if isinstance(st, Loop):
-                yield from walk(st.body, here + ("body",))
-    yield from walk(statements, ())
-
-
-def statement_to_raw(stmt):
-    """Inverse of statement parsing, for scenario round-trips."""
-    if isinstance(stmt, Compute):
-        return {"compute": stmt.label}
-    if isinstance(stmt, Call):
-        raw = {"call": stmt.service}
-        params = {p[0]: p[2:4] for p in _SERVICES[stmt.service][1]}
-        for key, value in stmt.args:
-            required, default = params[key]
-            if required or value != default:  # omit optionals left at default
-                raw[key] = value
-        return raw
-    if isinstance(stmt, Bfm):
-        raw = {"bfm": f"{stmt.device}.{stmt.access}"}
-        raw.update(dict(stmt.args))
-        return raw
-    if isinstance(stmt, Loop):
-        return {
-            "loop": True,
-            "count": "forever" if stmt.forever else stmt.count,
-            "body": [statement_to_raw(s) for s in stmt.body],
-        }
-    raise AssertionError(stmt)
-
-
-def program_to_raw(statements):
-    return [statement_to_raw(s) for s in statements]
 
 
 # Op codes of a compiled program.  An op is a tuple led by its code:
@@ -367,24 +66,238 @@ def program_to_raw(statements):
 _COMPUTE, _CALL, _RELEASE, _BFM, _HEAD, _BACK, _AGAIN, _MARK = range(8)
 
 
-def _leaf_op(st):
-    if isinstance(st, Compute):
-        return (_COMPUTE, st.label)
-    if isinstance(st, Bfm):
-        return (_BFM, st.device, st.access, dict(st.args))
-    if not isinstance(st, Call):
-        raise AssertionError(st)
-    service = st.service
-    a = dict(st.args)
-    if service == "flg_wait":
-        a["mode"] = FLAG_MODE_AND if a["mode"] == "and" else FLAG_MODE_OR
-    elif service == "mbf_send":
-        a["payload"] = a["payload"].encode("utf-8")
-    method, params, _can_wait = _SERVICES[service]
-    args = tuple(a[p[0]] for p in params if p[0] not in ("as", "ref"))
-    if "ref" in a:  # the ref is the last argument
-        return (_RELEASE, method, args, a["ref"], _REF_WHAT[service])
-    return (_CALL, method, args, a.get("as"))
+class Statement(Entry):
+    """One checked statement: a value per row of its kind, each read as
+    the attribute its key names (``count``, ``body``).  A compute
+    statement's label also reads as ``label``, a call's service as
+    ``service``."""
+
+    def __post_init__(self):
+        pass  # a program has many statements: no copy of the values
+
+    def __getattr__(self, key):
+        # only for a name the instance lacks; reading `__dict__` keeps a
+        # copy that probes before the fields are set from recursing
+        kind = self.__dict__.get("schema")
+        if kind is None or key not in kind.keys:
+            raise AttributeError(key)
+        return self.values[kind.keys.index(key)]
+
+    label = property(lambda self: self.compute)
+    service = property(lambda self: self.call)
+
+    @property
+    def forever(self) -> bool:
+        return self.kind == "loop" and self.count == "forever"
+
+
+class _Fixed(_Check):
+    """A head whose value chose the kind; it reads as ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def read(self, problems, value, path):
+        return self.value
+
+
+class _Block(_Check):
+    """A non-empty statement list: a program, or a loop's body."""
+
+    def read(self, problems, value, path):
+        if not isinstance(value, list) or not value:
+            problems.append((path, "expected a non-empty statement list"))
+            return None
+        stmts = [_read_statement(problems, raw, path + (i,))
+                 for i, raw in enumerate(value)]
+        return None if None in stmts else tuple(stmts)
+
+    def raw(self, stmts):
+        return [_entry_raw(st.schema.rows, st.values) for st in stmts]
+
+
+class _Program(_Block):
+    """A thread's behavior; a handler's may not wait."""
+
+    def __init__(self, handler):
+        self.handler = handler
+
+    def read(self, problems, value, path):
+        return parse_program(value, path, problems, handler=self.handler)
+
+    def build(self, stmts, annotations):
+        return build_factory(stmts, annotations, handler=self.handler)
+
+
+# "forever" reaches the kernel as a timeout of None
+_POS_OR_FOREVER = _Is(lambda v: v == "forever" or is_int(v) and v >= 1,
+                      'be an integer >= 1 or "forever"',
+                      lambda v, _: None if v == "forever" else v)
+_TIMEOUT = _Row("timeout", _POS_OR_FOREVER, "forever")
+_COUNT = _Row("count", _Int(1), 1)
+_VAR = _Is(lambda v: isinstance(v, str) and v.isidentifier(),
+           "be a variable name")
+_AS, _REF = _Row("as", _VAR), _Row("ref", _VAR)
+
+
+def _text(build=None):
+    return _Is(lambda v: isinstance(v, str) and v != "",
+               "be a non-empty string", build)
+
+
+def _bits(key, minimum):
+    return _Row(key, _Int(minimum, _PATTERN_MASK, f"'{key}' must fit 32 bits"))
+
+
+def _id(key, obj):
+    """A required argument that names an object of kind ``obj`` by id."""
+    return _Row(key, _Int(1), names=obj)
+
+
+def _service(name, method, waits, *rows, what=None):
+    """The kind of ``{call: name, ...}``.  The argument values reach the
+    kernel method positionally, after the api and in the order of
+    ``rows``, except ``as``, which binds the service's result to a name,
+    and ``ref``, the last, which passes the ``what`` bound to its name.
+    The method is looked up on the kernel instance at call time, so
+    wrappers set on it see every call.  A file lists the arguments in
+    key order.  As in uITRON (E_CTX), only a task may call a service
+    that ``waits``: a handler runs each activation to completion."""
+    order = [row.key for row in rows if row.key not in ("as", "ref")]
+
+    def op(**args):
+        values = tuple(args[key] for key in order)
+        if what is not None:
+            return (_RELEASE, method, values, args["ref"], what)
+        return (_CALL, method, values, args.get("as"))
+    return _Kind(name, (_Row("call", _GIVEN, keyword=None),
+                        *sorted(rows, key=lambda row: row.key)), op,
+                 waits=waits)
+
+
+_SERVICES = {k.name: k for k in (
+    _service("sleep", "sleep", True, _TIMEOUT),
+    _service("wakeup", "wakeup", False, _id("task", "task")),
+    _service("delay", "delay", True, _Row("ticks", _Int(1))),
+    _service("exit", "exit_task", False),
+    _service("start", "start_task", False, _id("task", "task")),
+    _service("sem_wait", "sem_wait", True,
+             _id("sem", "semaphore"), _COUNT, _TIMEOUT),
+    _service("sem_signal", "sem_signal", False,
+             _id("sem", "semaphore"), _COUNT),
+    _service("flg_wait", "flag_wait", True, _id("flag", "flag"),
+             _bits("pattern", 1),
+             _Row("mode", _Is(lambda v: v in ("and", "or"), 'be "and" or "or"',
+                              lambda v, _: (FLAG_MODE_AND if v == "and"
+                                            else FLAG_MODE_OR)), "or"),
+             _Row("clear", _OneOf((True, False)), False), _TIMEOUT),
+    _service("flg_set", "flag_set", False, _id("flag", "flag"),
+             _bits("pattern", 0)),
+    _service("flg_clear", "flag_clear", False, _id("flag", "flag"),
+             _bits("mask", 0)),
+    _service("mbx_send", "mbx_send", False, _id("mailbox", "mailbox"),
+             _Row("payload", _text()), _Row("priority", _Int(0), 0)),
+    _service("mbx_recv", "mbx_recv", True, _id("mailbox", "mailbox"),
+             _TIMEOUT),
+    _service("mbf_send", "mbf_send", True, _id("buffer", "buffer"),
+             _Row("payload", _text(lambda v, _: v.encode("utf-8"))),
+             _TIMEOUT),
+    _service("mbf_recv", "mbf_recv", True, _id("buffer", "buffer"),
+             _TIMEOUT),
+    _service("mtx_lock", "mtx_lock", True, _id("mutex", "mutex"), _TIMEOUT),
+    _service("mtx_unlock", "mtx_unlock", False, _id("mutex", "mutex")),
+    _service("pool_get", "pool_get", True, _id("pool", "fixed_pool"), _AS,
+             _TIMEOUT),
+    _service("pool_rel", "pool_release", False, _id("pool", "fixed_pool"),
+             _REF, what="pool block"),
+    _service("vpool_get", "vpool_get", True, _id("pool", "variable_pool"),
+             _Row("size", _Int(1)), _AS, _TIMEOUT),
+    _service("vpool_rel", "vpool_release", False,
+             _id("pool", "variable_pool"), _REF, what="pool region"),
+)}
+
+_BLOCK = _Block()
+
+
+def _loop(count):
+    return _Kind("loop", (_Row("loop", _Fixed(True)),
+                          _Row("count", count, "forever", write_default=True),
+                          _Row("body", _BLOCK)))
+
+
+# head key -> the kind of statement it starts, or its kinds by the
+# head's value.  `loop: forever` reads as `loop: true` with `count:
+# forever`, its only count.
+_HEADS = {
+    "compute": _Kind("compute", (_Row("compute", _NAME, names="annotation"),),
+                     lambda compute: (_COMPUTE, compute)),
+    "call": _SERVICES,
+    # the head names a device and one of its accesses
+    "bfm": _Kind("bfm", (
+        _Row("bfm", _Is(lambda v: isinstance(v, str) and all(v.partition(".")),
+                        "be device.access"), names="device"),
+        _Row("addr", _Int(0), None),
+        _Row("value", _Int(0, 0xFF, "bfm argument 'value' must be a byte "
+                                    "(0..255)"), None),
+    ), lambda bfm, **args: (_BFM, *bfm.split(".", 1), args)),
+    "loop": {True: _loop(_POS_OR_FOREVER),
+             "forever": _loop(_Is(lambda v: v == "forever",
+                                  'be "forever" in a forever loop'))},
+}
+
+
+def _read_statement(problems, raw, path):
+    if not isinstance(raw, dict):
+        problems.append((path, "statement must be a mapping"))
+        return None
+    for head, kind in _HEADS.items():
+        if head in raw:
+            break
+    else:
+        problems.append((path, "statement is not compute, call, bfm, or loop"))
+        return None
+    if not isinstance(kind, _Kind):  # chosen by the head's value
+        kinds, value = kind, raw[head]
+        # typed first: a list is no key, and 1 == True is no `loop: true`
+        kind = kinds.get(value) if isinstance(value, (str, bool)) else None
+        if kind is None:
+            problems.append((path + (head,), f"'{head}' must be one of: "
+                             + ", ".join(str(k).lower() for k in kinds)))
+            return None
+    values = _read_entry(problems, raw, path, kind)
+    return None if values is None else Statement(kind.name, values, kind, path)
+
+
+def parse_program(raw, path, problems, *, handler=False):
+    """Parse a raw statement list into a statement tuple.
+
+    Appends ``(path, message)`` pairs to ``problems`` and returns None when
+    anything is wrong.  Cross references are the caller's job: each row
+    says what it names.  A handler may not call a service that can
+    wait, and a forever loop may only be a task's final top-level
+    statement.
+    """
+    reported = len(problems)
+    stmts = _BLOCK.read(problems, raw, path)
+    for st in iter_statements(stmts or ()):
+        if handler and st.schema.waits:
+            problems.append((st.path, f"a handler cannot call '{st.kind}', "
+                                      "which can wait; only tasks may wait"))
+        elif st.forever and handler:
+            problems.append((st.path, "forever loops are only legal in tasks"))
+        elif st.forever and st is not stmts[-1]:
+            problems.append((st.path, "a forever loop must be the final "
+                                      "top-level statement"))
+    return stmts if len(problems) == reported else None
+
+
+def iter_statements(statements):
+    """Every statement of a program, depth-first: a loop, then its body."""
+    for st in statements:
+        yield st
+        for value in st.values:
+            if isinstance(value, tuple):  # a loop's body
+                yield from iter_statements(value)
 
 
 def _compile(statements, *, handler):
@@ -402,10 +315,10 @@ def _compile(statements, *, handler):
 
     def block(stmts):
         for st in stmts:
-            if isinstance(st, Loop):
+            if st.kind == "loop":
                 loop(st, mark=False)
             else:
-                ops.append(_leaf_op(st))
+                ops.append(_declare(st, None))  # the op its rows build
 
     def loop(st, *, mark):
         nonlocal counters
@@ -424,7 +337,7 @@ def _compile(statements, *, handler):
                 ops.append((_MARK,))
             ops.append((_BACK, counter, top))
 
-    if not handler and statements and isinstance(statements[-1], Loop):
+    if not handler and statements and statements[-1].kind == "loop":
         block(statements[:-1])
         loop(statements[-1], mark=True)
     else:

@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConflictError, DeviceError, NotFoundError, ValidationError
+from .trace import is_int
 
 KIND_MEMORY = "memory"
 KIND_SERIAL = "serial_io"
@@ -51,18 +52,18 @@ class AccessSpec:
             raise ValidationError(
                 f"device {device}: op {self.op!r} not valid for kind {kind}"
             )
-        if not isinstance(self.cycles, int) or self.cycles < 0:
+        if not is_int(self.cycles) or self.cycles < 0:
             raise ValidationError(
                 f"device {device}: access {self.name!r} cycles must be >= 0"
             )
-        if not isinstance(self.eem_uj, int) or self.eem_uj < 0:
+        if not is_int(self.eem_uj) or self.eem_uj < 0:
             raise ValidationError(
                 f"device {device}: access {self.name!r} energy must be >= 0"
             )
 
 
 def _check_byte(device: str, value) -> int:
-    if not isinstance(value, int) or not (0 <= value <= 0xFF):
+    if not is_int(value) or not (0 <= value <= 0xFF):
         raise ValidationError(f"device {device}: value must be a byte (0..255)")
     return value
 
@@ -97,16 +98,16 @@ class Memory(BfmDevice):
 
     def __init__(self, name, accesses, *, size: int = 65536, width: int = 1):
         super().__init__(name, accesses)
-        if not isinstance(size, int) or size < 1:
+        if not is_int(size) or size < 1:
             raise ValidationError(f"device {name}: size must be >= 1")
-        if width not in MEMORY_WIDTHS:
+        if not is_int(width) or width not in MEMORY_WIDTHS:
             raise ValidationError(f"device {name}: width must be 1, 2 or 4")
         self.size = size
         self.width = width
         self._bytes: dict[int, int] = {}
 
     def _check_addr(self, addr) -> int:
-        if not isinstance(addr, int) or not (0 <= addr < self.size):
+        if not is_int(addr) or not (0 <= addr < self.size):
             raise DeviceError(f"device {self.name}: address {addr} out of range")
         if addr % self.width != 0:
             raise DeviceError(
@@ -131,7 +132,7 @@ class SerialIO(BfmDevice):
 
     def __init__(self, name, accesses, *, out_capacity: int = DEFAULT_SERIAL_CAPACITY):
         super().__init__(name, accesses)
-        if not isinstance(out_capacity, int) or out_capacity < 1:
+        if not is_int(out_capacity) or out_capacity < 1:
             raise ValidationError(f"device {name}: out capacity must be >= 1")
         self.out_capacity = out_capacity
         self.out_fifo: deque[int] = deque()
@@ -183,13 +184,13 @@ class InterruptController(BfmDevice):
 
     def __init__(self, name, accesses, *, lines: int = DEFAULT_INTC_LINES):
         super().__init__(name, accesses)
-        if not isinstance(lines, int) or lines < 1:
+        if not is_int(lines) or lines < 1:
             raise ValidationError(f"device {name}: line count must be >= 1")
         self.lines = lines
         self.bindings: dict[int, int] = {}  # line -> handler thread id
 
     def attach(self, line: int, handler_id: int):
-        if not isinstance(line, int) or not (0 <= line < self.lines):
+        if not is_int(line) or not (0 <= line < self.lines):
             raise ValidationError(
                 f"device {self.name}: line {line} outside 0..{self.lines - 1}"
             )

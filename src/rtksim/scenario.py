@@ -7,20 +7,22 @@ reports every problem it can find in one pass, each tagged with the
 source line, so a broken file is fixed in one round.
 
 Each kind of section entry (a task, each handler kind, each object,
-device and stimulus kind) is one `_Kind`: a row per field, giving the
-field's YAML key, its check, its default, whether the writer keeps it
-at that default, and the keyword the kernel's declare call takes it
-under.  One reader, one writer and one builder serve every kind, so a
-key is listed only in its row; a rule across fields (a semaphore's
-initial count within its maximum) is the kind's `check`.  A range the
-kernel enforces is read from the module that enforces it.
+device and stimulus kind) is one `schema._Kind`: a row per field,
+giving the field's YAML key, its check, its default, whether the writer
+keeps it at that default, and the keyword the kernel's declare call
+takes it under.  The reader, writer and builder in `schema.py` serve
+every kind, and every kind of behavior statement too, so a key is
+listed only in its row; a rule across fields (a semaphore's initial
+count within its maximum) is the kind's `check`.  A statement row that
+names an annotation, an object or a device says so, and one pass checks
+each such name against the scenario.  A range the kernel enforces is
+read from the module that enforces it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property
 from pathlib import Path
 
 import yaml
@@ -48,6 +50,22 @@ from .kernel import (
 )
 from .objects import DEFAULT_SEMAPHORE_MAX, _PATTERN_MASK
 from .report import UJ_PER_WH
+from .schema import (
+    _Check,
+    _GIVEN,
+    _Int,
+    _Is,
+    _Kind,
+    _NAME,
+    _OneOf,
+    _Row,
+    Entry,
+    _declare,
+    _entry_raw,
+    _read,
+    _read_entry,
+    _reject_extras,
+)
 from .trace import parse_mj, to_uj, valid_name
 
 __all__ = [
@@ -60,23 +78,6 @@ __all__ = [
     "build_kernel",
     "demo_scenario_path",
 ]
-
-
-@dataclass(frozen=True)
-class Entry:
-    """One checked section entry: its kind and a value per row of that
-    kind.  A value reads as the attribute its YAML key names; `task_id`
-    and `obj_id` read the `id`."""
-
-    kind: str
-    values: tuple
-    schema: _Kind = field(compare=False, repr=False)
-    path: tuple = field(compare=False, repr=False)  # where the source has it
-
-    def __post_init__(self):
-        self.__dict__.update(zip(self.schema.keys, self.values))
-
-    task_id = obj_id = property(lambda self: self.id)
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,6 @@ class _Source:
         line = self.lines.get(path, 1)
         return f"{self.filename}:{line}"
 
-    def problem(self, path, message):
-        self.problems.append((path, message))
-
     def raise_if_failed(self):
         if self.problems:
             raise ScenarioError(
@@ -227,93 +225,26 @@ class _Source:
             )
 
 
-
-
-def _get_map(src, raw, path, *, required=False):
+def _get_map(problems, raw, path, *, required=False):
     if raw is None and not required:
         return {}
     if not isinstance(raw, dict):
-        src.problem(path, "expected a mapping")
+        problems.append((path, "expected a mapping"))
         return None
     return raw
 
 
-def _get_list(src, raw, path, *, required=False):
+def _get_list(problems, raw, path, *, required=False):
     if raw is None and not required:
         return []
     if not isinstance(raw, list):
-        src.problem(path, "expected a list")
+        problems.append((path, "expected a list"))
         return None
     return raw
 
 
-def _reject_extras(src, raw, path, allowed):
-    for key in raw:
-        if key not in allowed:
-            src.problem(path + (key,), f"unknown key '{key}'")
-
-
 # ----------------------------------------------------------------------
-# field checks: `read` takes a present value and returns it checked, or
-# reports a problem at `path` (the value's own) and returns None; `raw`
-# is its YAML form and `build(value, annotations)` what the kernel's
-# declare call takes, where that is not the value itself.
-
-class _Check:
-    build = None
-
-    def raw(self, value):
-        return value
-
-
-class _Int(_Check):
-    """An integer >= minimum.  One past `maximum` is reported with `over`,
-    but the entry still counts as declared, so references stay quiet."""
-
-    def __init__(self, minimum, maximum=None, over=""):
-        self.minimum, self.maximum, self.over = minimum, maximum, over
-
-    def read(self, src, value, path):
-        if not behavior._is_int(value) or value < self.minimum:
-            src.problem(path,
-                        f"'{path[-1]}' must be an integer >= {self.minimum}")
-            return None
-        if self.maximum is not None and value > self.maximum:
-            src.problem(path, self.over)
-        return value
-
-
-class _OneOf(_Check):
-    """One of a few values, of the same type: `width: true` is no 1."""
-
-    def __init__(self, allowed):
-        self.allowed = tuple(allowed)
-        words = [str(v).lower() for v in allowed]
-        self.spelled = " or ".join([", ".join(words[:-1]), words[-1]])
-
-    def read(self, src, value, path):
-        # compared, not hashed: a list or mapping value is a problem too
-        if any(type(value) is type(v) and value == v for v in self.allowed):
-            return value
-        src.problem(path, f"'{path[-1]}' must be {self.spelled}")
-        return None
-
-
-class _Name(_Check):
-    def read(self, src, value, path):
-        if valid_name(value):
-            return value
-        src.problem(path,
-                    f"'{path[-1]}' must use letters, digits, '_', '.', '-'")
-        return None
-
-
-class _Given(_Check):
-    """A value its section has checked already: an entry's kind, an op."""
-
-    def read(self, src, value, path):
-        return value
-
+# checks of section fields only (`schema.py` has the shared ones)
 
 class _Implicit(_Check):
     """A field the idle task has without saying so.  Giving it is reported,
@@ -322,43 +253,26 @@ class _Implicit(_Check):
     def __init__(self, value):
         self.value = value
 
-    def read(self, src, value, path):
-        src.problem(path, f"the idle task's '{path[-1]}' is implicit")
+    def read(self, problems, value, path):
+        problems.append((path, f"the idle task's '{path[-1]}' is implicit"))
         return self.value
 
 
 class _Energy(_Check):
     """A millijoule figure, kept as integer microjoules."""
 
-    def read(self, src, value, path):
+    def read(self, problems, value, path):
         try:
             return parse_mj(value)
         except ValueError:
-            src.problem(path, "energy must be a millijoule figure no finer "
-                              "than 0.001 and no larger than 1e15")
+            problems.append((path, "energy must be a millijoule figure no "
+                                   "finer than 0.001 and no larger than 1e15"))
             return None
 
     def raw(self, uj):
         if uj % 1000 == 0:
             return uj // 1000
         return format((Decimal(uj) / 1000).normalize(), "f")
-
-
-class _Program(_Check):
-    """A behavior program; a handler's may not wait."""
-
-    def __init__(self, handler):
-        self.handler = handler
-
-    def read(self, src, value, path):
-        return behavior.parse_program(value, path, src.problems,
-                                      handler=self.handler)
-
-    def raw(self, stmts):
-        return behavior.program_to_raw(stmts)
-
-    def build(self, stmts, annotations):
-        return behavior.build_factory(stmts, annotations, handler=self.handler)
 
 
 class _Accesses(_Check):
@@ -368,18 +282,19 @@ class _Accesses(_Check):
         self.kind = kind
         self.ops = _OPS_BY_KIND[kind]
 
-    def read(self, src, value, path):
-        table = _get_map(src, value, path)
+    def read(self, problems, value, path):
+        table = _get_map(problems, value, path)
         if table is None:
             return None
         out = []
-        for name, spec in _named_entries(src, table, path, "access names"):
+        for name, spec in _named_entries(problems, table, path,
+                                         "access names"):
             if spec.get("op") not in self.ops:
                 legal = ", ".join(self.ops) if self.ops else "none"
-                src.problem(path + (name,),
-                            f"op for a {self.kind} device must be: {legal}")
+                problems.append((path + (name,), f"op for a {self.kind} "
+                                                 f"device must be: {legal}"))
                 continue
-            values = _read_entry(src, spec, path + (name,), _ACCESS)
+            values = _read_entry(problems, spec, path + (name,), _ACCESS)
             if values is not None:
                 out.append(AccessSpec(name, *values))
         return tuple(out)
@@ -392,42 +307,11 @@ class _Accesses(_Check):
         return {a.name: a for a in accesses}
 
 
-_NAME, _GIVEN, _ENERGY = _Name(), _Given(), _Energy()
+_ENERGY = _Energy()
 
 
 # ----------------------------------------------------------------------
 # rows: one per field of each kind of entry
-
-_REQUIRED = object()
-
-
-@dataclass(frozen=True)
-class _Row:
-    key: str                    # the YAML key
-    check: _Check
-    default: object = _REQUIRED  # taken when the key is absent or null
-    keyword: str | None = ""    # the declare keyword: "" the key, None none
-    write_default: bool = False  # the writer keeps it at its default
-
-
-@dataclass(frozen=True)
-class _Kind:
-    name: str
-    rows: tuple
-    declare: object = None      # declare(kernel, **keywords); None: not one
-    check: object = None        # check(src, entry): a rule across its fields
-
-    @cached_property
-    def keys(self):
-        return tuple(row.key for row in self.rows)
-
-    @cached_property
-    def params(self):
-        """(index, keyword, build) of each value the declare call takes."""
-        return tuple((i, row.keyword or row.key, row.check.build)
-                     for i, row in enumerate(self.rows)
-                     if row.keyword is not None)
-
 
 _EEM_ROW = _Row("eem", _ENERGY, 0, write_default=True)
 _COST = _Kind("cost", (_Row("etm", _Int(0)), _EEM_ROW))
@@ -455,7 +339,7 @@ _TASK = _Kind("task", (
     _Row("priority", _Int(USER_PRIORITY_MIN, USER_PRIORITY_MAX,
                           f"priority must be in {USER_PRIORITY_MIN}.."
                           f"{USER_PRIORITY_MAX}")),
-    _Row("behavior", _Program(handler=False), keyword="body"),
+    _Row("behavior", behavior._Program(handler=False), keyword="body"),
     _EXT_ROW,
 ), Kernel.declare_task)
 
@@ -480,7 +364,7 @@ def _handler(name, declare, *rows):
         _Row("kind", _GIVEN, keyword=None),
         *rows,
         _EXT_ROW,
-        _Row("behavior", _Program(handler=True), keyword="body"),
+        _Row("behavior", behavior._Program(handler=True), keyword="body"),
     ), declare)
 
 
@@ -500,12 +384,12 @@ def _object(name, *params, check=None):
                         _EXT_ROW), getattr(Kernel, "declare_" + name), check)
 
 
-def _initial_within_max(src, sem):
+def _initial_within_max(problems, sem):
     """Reported, but the semaphore stays declared, so references stay quiet."""
     limit = DEFAULT_SEMAPHORE_MAX if sem.max is None else sem.max
     if sem.initial > limit:
-        src.problem(sem.path + ("initial",),
-                    f"'initial' must not exceed 'max' ({limit})")
+        problems.append((sem.path + ("initial",),
+                         f"'initial' must not exceed 'max' ({limit})"))
 
 
 # section key -> kind.  A None default leaves the kernel's own in force.
@@ -524,11 +408,16 @@ _OBJECT_SECTIONS = {
 }
 
 
+# a bfm statement names `device.access`, so a device name has no '.'
+_DEVICE_NAME = _Row("name", _Is(lambda v: valid_name(v) and "." not in v,
+                                "use letters, digits, '_', '-'"))
+
+
 def _device(kind, *options):
     """A device kind; its options come in key order, as written, and
     default to the device class's own."""
     return _Kind(kind, (
-        _NAME_ROW,
+        _DEVICE_NAME,
         _Row("kind", _GIVEN),
         *options,
         _Row("accesses", _Accesses(kind), ()),
@@ -562,79 +451,55 @@ _STIMULUS_KINDS = {
 
 
 # ----------------------------------------------------------------------
-# one reader for every kind
+# sections of entries
 
-def _read(src, raw, path, rows):
-    """Each row's value from the mapping `raw`, in row order, or None when
-    one is missing or fails its check; every failure is reported."""
-    values = []
-    ok = True
-    for row in rows:
-        value = raw.get(row.key)
-        if value is None:
-            value = row.default
-            if value is _REQUIRED:  # at the null's line, or the entry's
-                src.problem(path + (row.key,), f"missing '{row.key}'")
-                ok = False
-        else:
-            value = row.check.read(src, value, path + (row.key,))
-            if value is None:
-                ok = False
-        values.append(value)
-    return tuple(values) if ok else None
-
-
-def _read_entry(src, raw, path, kind):
-    _reject_extras(src, raw, path, kind.keys)
-    return _read(src, raw, path, kind.rows)
-
-
-def _named_entries(src, table, path, what):
+def _named_entries(problems, table, path, what):
     """(name, mapping) for each entry of a mapping keyed by name."""
     for name, spec in table.items():
         if not valid_name(name):
-            src.problem(path + (name,),
-                        f"{what} use letters, digits, '_', '.', '-'")
+            problems.append((path + (name,),
+                             f"{what} use letters, digits, '_', '.', '-'"))
             continue
-        spec = _get_map(src, spec, path + (name,), required=True)
+        spec = _get_map(problems, spec, path + (name,), required=True)
         if spec is not None:
             yield name, spec
 
 
-def _entries(src, raw, path, kind_of, *, unique=None, required=False):
+def _entries(problems, raw, path, kind_of, *, unique=None, required=False):
     """The entries of the list section at `path` whose fields pass their
     rows.  kind_of(entry, path) gives an entry's `_Kind`, or None after
     reporting why it has none.  unique = (key, message, seen) drops an
     entry whose value under `key` is in `seen`."""
     out = []
-    entries = _get_list(src, raw, path, required=required) or ()
+    entries = _get_list(problems, raw, path, required=required) or ()
     for here, raw in ((path + (i,), e) for i, e in enumerate(entries)):
-        raw = _get_map(src, raw, here, required=True)
+        raw = _get_map(problems, raw, here, required=True)
         kind = None if raw is None else kind_of(raw, here)
-        values = None if kind is None else _read_entry(src, raw, here, kind)
+        values = (None if kind is None
+                  else _read_entry(problems, raw, here, kind))
         if values is None:
             continue
         entry = Entry(kind.name, values, kind, here)
         if kind.check is not None:
-            kind.check(src, entry)
+            kind.check(problems, entry)
         if unique is not None:
             key, message, seen = unique
             value = getattr(entry, key)
             if value in seen:
-                src.problem(here + (key,), message.format(value))
+                problems.append((here + (key,), message.format(value)))
                 continue
             seen.add(value)
         out.append(entry)
     return tuple(out)
 
 
-def _kind_key(src, kinds, message):
+def _kind_key(problems, kinds, message):
     """kind_of for a section whose entries name their kind under 'kind'."""
     def kind_of(raw, path):
         kind = raw.get("kind")
         if isinstance(kind, str) and kind in kinds:
             return kinds[kind]
-        src.problem(path, message)
+        problems.append((path, message))
         return None
     return kind_of
 
@@ -646,51 +511,51 @@ def _either(words):
 # ----------------------------------------------------------------------
 # section parsers
 
-def _parse_annotations(src, raw):
-    table = _get_map(src, raw, ("annotations",))
+def _parse_annotations(problems, raw):
+    table = _get_map(problems, raw, ("annotations",))
     if table is None:
         return ()
     out = []
-    for label, spec in _named_entries(src, table, ("annotations",),
+    for label, spec in _named_entries(problems, table, ("annotations",),
                                       "annotation labels"):
-        values = _read_entry(src, spec, ("annotations", label), _COST)
+        values = _read_entry(problems, spec, ("annotations", label), _COST)
         if values is not None:
             out.append(Annotation(label, *values))
     return tuple(out)
 
 
-def _task_kind(src, raw, path):
+def _task_kind(problems, raw, path):
     idle = raw.get("idle")
     if idle is None or isinstance(idle, bool):
         return _IDLE if idle else _TASK
-    src.problem(path + ("idle",), "'idle' must be true or false")
+    problems.append((path + ("idle",), "'idle' must be true or false"))
     return None
 
 
-def _parse_threads(src, raw):
+def _parse_threads(problems, raw):
     """(tasks, handlers): one id namespace, handlers first."""
     unique = ("id", "thread id {} declared twice", set())
-    handlers = _entries(src, raw.get("handlers"), ("handlers",),
-                        _kind_key(src, _HANDLER_KINDS, "handler kind must be "
-                                  f"{_either([*_HANDLER_KINDS])}"),
+    handlers = _entries(problems, raw.get("handlers"), ("handlers",),
+                        _kind_key(problems, _HANDLER_KINDS, "handler kind "
+                                  f"must be {_either([*_HANDLER_KINDS])}"),
                         unique=unique)
-    tasks = _entries(src, raw.get("tasks"), ("tasks",),
-                     lambda t, here: _task_kind(src, t, here),
+    tasks = _entries(problems, raw.get("tasks"), ("tasks",),
+                     lambda t, here: _task_kind(problems, t, here),
                      unique=unique, required=True)
     idle = [t for t in tasks if t.kind == "idle"]
     for t in idle[1:]:
-        src.problem(t.path, "only one idle task entry is allowed")
+        problems.append((t.path, "only one idle task entry is allowed"))
     return tuple(t for t in tasks if t.kind != "idle" or t is idle[0]), handlers
 
 
-def _parse_objects(src, raw):
-    sections = _get_map(src, raw, ("objects",))
+def _parse_objects(problems, raw):
+    sections = _get_map(problems, raw, ("objects",))
     if sections is None:
         return ()
-    _reject_extras(src, sections, ("objects",), set(_OBJECT_SECTIONS))
+    _reject_extras(problems, sections, ("objects",), set(_OBJECT_SECTIONS))
     out = ()
     for key, kind in _OBJECT_SECTIONS.items():
-        out += _entries(src, sections.get(key), ("objects", key),
+        out += _entries(problems, sections.get(key), ("objects", key),
                         lambda *_, kind=kind: kind,
                         unique=("id", f"{kind.name} id {{}} declared twice",
                                 set()))
@@ -705,61 +570,62 @@ _DEVICE_WORDS = {KIND_INTC: "an interrupt controller",
                  KIND_PARALLEL: "parallel I/O", KIND_SERIAL: "serial I/O"}
 
 
-def _check_program_refs(src, stmts, path, scn_parts):
-    (labels, objects, devices, buffers) = scn_parts
-    for sub, st in behavior.iter_statements(stmts):
-        here = path + sub
-        if isinstance(st, behavior.Compute):
-            if st.label not in labels:
-                src.problem(here, f"no annotation named '{st.label}'")
-        elif isinstance(st, behavior.Call):
-            args = dict(st.args)
-            for key, *_, obj in behavior._SERVICES[st.service][1]:
-                if obj is not None and (obj, args[key]) not in objects:
-                    src.problem(here, f"no {obj} with id {args[key]}")
-            cap = buffers.get(args.get("buffer"))
-            if cap is not None and "payload" in args:  # sent to a buffer
-                size = len(args["payload"].encode("utf-8"))
+def _check_program_refs(problems, stmts, labels, objects, devices):
+    """Report each annotation, object or device access a statement's row
+    names that the scenario does not declare, and a payload too large for
+    the buffer it is sent to."""
+    for st in behavior.iter_statements(stmts):
+        for row, value in zip(st.schema.rows, st.values):
+            names = row.names
+            if names is None:
+                continue
+            if names == "annotation":
+                if value not in labels:
+                    problems.append(
+                        (st.path, f"no annotation named '{value}'"))
+            elif names == "device":
+                name, _, access = value.partition(".")
+                dev = devices.get(name)
+                if dev is None:
+                    problems.append((st.path, f"no device named '{name}'"))
+                elif access not in {a.name for a in dev.accesses}:
+                    problems.append((st.path, f"device '{name}' has no "
+                                              f"access '{access}'"))
+            elif (names, value) not in objects:
+                problems.append((st.path, f"no {names} with id {value}"))
+            elif names == "buffer" and "payload" in st.schema.keys:
+                size = len(st.payload.encode("utf-8"))
+                cap = objects[names, value].capacity
                 if size > cap:
-                    src.problem(here, f"payload is {size} bytes; buffer "
-                                      f"{args['buffer']} holds {cap}")
-        elif isinstance(st, behavior.Bfm):
-            dev = devices.get(st.device)
-            if dev is None:
-                src.problem(here, f"no device named '{st.device}'")
-            elif st.access not in {a.name for a in dev.accesses}:
-                src.problem(
-                    here, f"device '{st.device}' has no access "
-                          f"'{st.access}'")
+                    problems.append((st.path, f"payload is {size} bytes; "
+                                              f"buffer {value} holds {cap}"))
 
 
-def _cross_check(src, scn: Scenario):
+def _cross_check(problems, scn: Scenario):
     labels = {a.label for a in scn.annotations}
-    objects = {(o.kind, o.obj_id) for o in scn.objects}
-    objects.update(("task", t.task_id) for t in scn.tasks)
+    objects = {(o.kind, o.obj_id): o for o in scn.objects}
+    objects.update((("task", t.task_id), t) for t in scn.tasks)
     devices = {d.name: d for d in scn.devices}
-    buffers = {o.obj_id: o.capacity for o in scn.objects if o.kind == "buffer"}
-    parts = (labels, objects, devices, buffers)
 
     for t in scn.tasks:
-        _check_program_refs(src, t.behavior, t.path + ("behavior",), parts)
+        _check_program_refs(problems, t.behavior, labels, objects, devices)
     isr_bound = set()
     for h in scn.handlers:
-        _check_program_refs(src, h.behavior, h.path + ("behavior",), parts)
+        _check_program_refs(problems, h.behavior, labels, objects, devices)
         if h.kind != "isr":
             continue
         dev = devices.get(h.device)
         if dev is None or dev.kind != KIND_INTC:
-            src.problem(h.path + ("device",),
-                        f"'{h.device}' is not {_DEVICE_WORDS[KIND_INTC]}")
+            problems.append((h.path + ("device",), f"'{h.device}' is not "
+                             f"{_DEVICE_WORDS[KIND_INTC]}"))
             continue
         lines = DEFAULT_INTC_LINES if dev.lines is None else dev.lines
         if h.line >= lines:
-            src.problem(h.path + ("line",),
-                        f"line {h.line} is outside 0..{lines - 1}")
+            problems.append((h.path + ("line",),
+                             f"line {h.line} is outside 0..{lines - 1}"))
         elif (h.device, h.line) in isr_bound:
-            src.problem(h.path + ("line",),
-                        f"line {h.line} of '{h.device}' is bound twice")
+            problems.append((h.path + ("line",),
+                             f"line {h.line} of '{h.device}' is bound twice"))
         else:
             isr_bound.add((h.device, h.line))
 
@@ -768,13 +634,14 @@ def _cross_check(src, scn: Scenario):
         dev = devices.get(st.device)
         need = STIMULUS_KINDS[st.kind][0]
         if dev is None:
-            src.problem(path, f"no device named '{st.device}'")
+            problems.append((path, f"no device named '{st.device}'"))
         elif dev.kind != need:
-            src.problem(path, f"'{st.device}' is not {_DEVICE_WORDS[need]}")
+            problems.append(
+                (path, f"'{st.device}' is not {_DEVICE_WORDS[need]}"))
         elif need == KIND_INTC and (st.device, st.line) not in isr_bound:
-            src.problem(st.path + ("line",),
-                        f"no handler is bound to line {st.line} "
-                        f"of '{st.device}'")
+            problems.append((st.path + ("line",),
+                             f"no handler is bound to line {st.line} "
+                             f"of '{st.device}'"))
 
 
 # ----------------------------------------------------------------------
@@ -790,12 +657,12 @@ _TOP_KEYS = {
 def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
     """Parse and validate; raises ScenarioError listing every problem found."""
     src = _Source(text, filename)
-    raw = src.data
+    raw, problems = src.data, src.problems
     if not isinstance(raw, dict):
         raise ScenarioError(
             [(f"{filename}:1", "a scenario is a mapping of sections")])
-    _reject_extras(src, raw, (), _TOP_KEYS)
-    head = _read(src, raw, (), _HEAD) or (None,) * len(_HEAD)
+    _reject_extras(problems, raw, (), _TOP_KEYS)
+    head = _read(problems, raw, (), _HEAD) or (None,) * len(_HEAD)
 
     battery_uj = None
     if raw.get("battery_wh") is not None:
@@ -804,35 +671,36 @@ def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
         except ValueError:
             pass
         if battery_uj is None:
-            src.problem(("battery_wh",),
-                        "battery_wh must be a positive watt-hour figure "
-                        "of at most 1e18 uJ")
+            problems.append((("battery_wh",),
+                             "battery_wh must be a positive watt-hour figure "
+                             "of at most 1e18 uJ"))
 
-    svc = _get_map(src, raw.get("svc_cost"), ("svc_cost",)) or {}
-    svc_etm, svc_eem_uj = (_read_entry(src, svc, ("svc_cost",), _SVC_COST)
+    svc = _get_map(problems, raw.get("svc_cost"), ("svc_cost",)) or {}
+    svc_etm, svc_eem_uj = (_read_entry(problems, svc, ("svc_cost",), _SVC_COST)
                            or (None, None))
 
     abort = True
     if "on_deadlock" in raw:
         if raw["on_deadlock"] not in ("abort", "report"):
-            src.problem(("on_deadlock",),
-                        "on_deadlock must be \"abort\" or \"report\"")
+            problems.append((("on_deadlock",),
+                             "on_deadlock must be \"abort\" or \"report\""))
         else:
             abort = raw["on_deadlock"] == "abort"
 
-    annotations = _parse_annotations(src, raw.get("annotations"))
-    tasks, handlers = _parse_threads(src, raw)
-    objects = _parse_objects(src, raw.get("objects"))
-    devices = _entries(src, raw.get("devices"), ("devices",),
-                       _kind_key(src, _DEVICE_KINDS, "device kind must be one "
-                                 f"of: {', '.join(sorted(_DEVICE_KINDS))}"),
+    annotations = _parse_annotations(problems, raw.get("annotations"))
+    tasks, handlers = _parse_threads(problems, raw)
+    objects = _parse_objects(problems, raw.get("objects"))
+    devices = _entries(problems, raw.get("devices"), ("devices",),
+                       _kind_key(problems, _DEVICE_KINDS,
+                                 "device kind must be one of: "
+                                 + ", ".join(sorted(_DEVICE_KINDS))),
                        unique=("name", "device '{}' declared twice", set()))
-    stimuli = _entries(src, raw.get("stimuli"), ("stimuli",),
-                       _kind_key(src, _STIMULUS_KINDS, "stimulus kind must "
-                                 f"be {_either([*_STIMULUS_KINDS])}"))
+    stimuli = _entries(problems, raw.get("stimuli"), ("stimuli",),
+                       _kind_key(problems, _STIMULUS_KINDS, "stimulus kind "
+                                 f"must be {_either([*_STIMULUS_KINDS])}"))
 
-    if not any(t.kind == "task" for t in tasks) and not src.problems:
-        src.problem(("tasks",), "at least one non-idle task is required")
+    if not any(t.kind == "task" for t in tasks) and not problems:
+        problems.append((("tasks",), "at least one non-idle task is required"))
 
     scn = Scenario(
         *head,
@@ -847,7 +715,7 @@ def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
         devices=devices,
         stimuli=stimuli,
     )
-    _cross_check(src, scn)
+    _cross_check(problems, scn)
     src.raise_if_failed()
     return scn
 
@@ -870,14 +738,6 @@ def demo_scenario_path() -> Path:
 
 # ----------------------------------------------------------------------
 # serialization (round-trips through parse_scenario_text)
-
-def _entry_raw(rows, values):
-    """The mapping of one entry: each field that is set, unless its row
-    leaves it out at its default."""
-    return {row.key: row.check.raw(value) for row, value in zip(rows, values)
-            if value is not None
-            and (row.write_default or value != row.default)}
-
 
 def _section_raw(entries):
     return [_entry_raw(e.schema.rows, e.values) for e in entries]
@@ -947,14 +807,6 @@ def build_kernel(scn: Scenario, *, tick_us=None) -> Kernel:
     table = scn.annotation_table()
     for entry in (*scn.devices, *scn.tasks, *scn.handlers, *scn.objects,
                   *scn.stimuli):
-        declare, values = entry.schema.declare, entry.values
-        if declare is None:
-            continue
-        keywords = {}
-        for i, keyword, build in entry.schema.params:
-            value = values[i]
-            if value is not None:
-                keywords[keyword] = value if build is None else build(value,
-                                                                      table)
-        declare(kernel, **keywords)
+        if entry.schema.declare is not None:
+            _declare(entry, table, kernel)
     return kernel

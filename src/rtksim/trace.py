@@ -51,6 +51,12 @@ def valid_name(name) -> bool:
     return isinstance(name, str) and _NAME_RE.fullmatch(name) is not None
 
 
+def is_int(value) -> bool:
+    """An integer and not a bool: `True` is an `int` to Python, but no
+    count, id, size or width."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def format_mj(uj: int) -> str:
     """Render integer micro-joules as a milli-joule decimal string."""
     sign = "-" if uj < 0 else ""

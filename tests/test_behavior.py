@@ -7,11 +7,11 @@ compiled program itself rather than a whole scenario.
 
 import pytest
 
-from rtksim.behavior import _SERVICES, _compile, build_factory, parse_program
+from rtksim.behavior import (
+    _RELEASE, _SERVICES, _compile, build_factory, parse_program)
 from rtksim.engine import Annotation
 from rtksim.errors import ProtocolError, SimError, UsageError
 from rtksim.kernel import Kernel
-from rtksim.objects import FLAG_MODE_OR
 from rtksim.trace import ListSink
 
 TABLE = {"w": Annotation("w", 1, 0), "v": Annotation("v", 2, 0)}
@@ -137,11 +137,12 @@ def test_compute_in_a_cyclic_handler_is_charged_in_handler_context():
     assert k.engine.thread(2).token.cycles == 2
 
 
-# A value each argument kind accepts.  Every id names object 1 of its
-# kind, declared below; a ``ref`` passes 0 for the grant it would name.
-KIND_VALUES = {"id": 1, "nat": 0, "pos": 1, "pattern": 1, "bits": 1,
-               "timeout": None, "mode": FLAG_MODE_OR, "bool": False,
-               "text": b"hi", "name": 0}
+# A value for each required argument of a service.  Every id names
+# object 1 of its kind, declared below; a release passes 0 for the grant
+# its ``ref`` would name.
+REQUIRED = {"task": 1, "ticks": 1, "sem": 1, "flag": 1, "pattern": 1,
+            "mask": 1, "mailbox": 1, "payload": "hi", "buffer": 1,
+            "mutex": 1, "pool": 1, "size": 4, "as": "b", "ref": "b"}
 
 
 @pytest.mark.parametrize("service", sorted(_SERVICES))
@@ -151,9 +152,14 @@ def test_the_kernel_refuses_a_handler_at_the_call_exactly_when_the_row_can_wait(
     # that can wait raises ProtocolError before its service segment, so
     # the handler wrote no row after INT_ENTER.  What a service that
     # cannot wait does after its segment (an unlock of a mutex the
-    # handler does not own, an exit) is not at issue here.
-    method, params, can_wait = _SERVICES[service]
-    args = [KIND_VALUES[kind] for key, kind, *_ in params if key != "as"]
+    # handler does not own, an exit) is not at issue here.  The call is
+    # the one the service's statement compiles to, its values built by
+    # the rows.
+    kind = _SERVICES[service]
+    raw = {"call": service, **{row.key: REQUIRED[row.key]
+                               for row in kind.rows if row.key in REQUIRED}}
+    [op] = _compile(parse([raw]), handler=True)[0]
+    method, args = op[1], op[2] + (0,) * (op[0] == _RELEASE)
 
     def waiter(ctx):
         yield from ctx.kernel.delay(ctx.api, 20)
@@ -181,4 +187,4 @@ def test_the_kernel_refuses_a_handler_at_the_call_exactly_when_the_row_can_wait(
         error = exc
     rows = [r.label for r in sink.records if r.thread_id == 2]
     refused = isinstance(error, ProtocolError) and rows == ["INT_ENTER"]
-    assert refused == can_wait, (error, rows)
+    assert refused == kind.waits, (error, rows)

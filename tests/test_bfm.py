@@ -211,3 +211,28 @@ class TestRegistry:
 
     def test_empty_log_csv_is_header_only(self):
         assert DeviceRegistry().log_csv() == DEVICE_LOG_HEADER + "\n"
+
+
+# `True` is an `int` to Python (and `True in (1, 2, 4)`); no option,
+# budget, byte, address or line takes it for 1
+@pytest.mark.parametrize("build", [
+    lambda: Memory("m", {}, width=True),
+    lambda: Memory("m", {}, size=True),
+    lambda: SerialIO("s", {}, out_capacity=True),
+    lambda: InterruptController("i", {}, lines=True),
+    lambda: InterruptController("i", {}).attach(True, 5),
+    lambda: Memory("m", {"x": AccessSpec("x", "read", True, 0)}),
+    lambda: Memory("m", {"x": AccessSpec("x", "read", 0, True)}),
+    lambda: ParallelIO("p", {}).set_input(True),
+    lambda: SerialIO("s", {}).feed(False),
+    lambda: Memory("m", rw_table()).perform("write", {"value": True}),
+], ids=["width", "size", "capacity", "lines", "line", "cycles", "energy",
+        "latch", "feed", "value"])
+def test_a_bool_is_no_integer(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_a_bool_is_no_address():
+    with pytest.raises(DeviceError, match="out of range"):
+        Memory("m", rw_table()).perform("read", {"addr": False})

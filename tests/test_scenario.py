@@ -498,6 +498,16 @@ def test_save_and_load_round_trip(tmp_path):
     assert load_scenario(path) == scn
 
 
+def test_a_statement_is_written_head_first_then_in_key_order():
+    # the service's kernel takes sem, count, timeout in that order
+    scn = parse_scenario_text(refs_text(
+        "{call: sem_wait, timeout: 5, sem: 1, count: 2}",
+        "objects:\n  semaphores: [{id: 1, initial: 0}]\n"))
+    [stmt] = scenario_to_raw(scn)["tasks"][0]["behavior"]
+    assert list(stmt.items()) == [("call", "sem_wait"), ("count", 2),
+                                  ("sem", 1), ("timeout", 5)]
+
+
 def test_raw_serialization_formats_energy_readably():
     raw = scenario_to_raw(load_scenario(demo_scenario_path()))
     assert raw["battery_wh"] == 10
@@ -788,6 +798,144 @@ def test_what_parses_builds_boots_and_runs_to_its_window(mutant):
                                             sort_keys=False))
     except ScenarioError:
         return
+    kernel = build_kernel(scn)
+    kernel.boot()
+    try:
+        kernel.run(scn.run_ticks)
+    except SimError:
+        pass
+
+
+# ----------------------------------------------------------------------
+# statement forms, and what a statement-shape mutant does
+
+@pytest.mark.parametrize("stmt, message", [
+    ("{loop: 3, body: [{compute: work}]}", "'loop' must be one of: true, forever"),
+    ("{loop: 1, body: [{compute: work}]}", "'loop' must be one of: true, forever"),
+    ("{loop: false, body: [{compute: work}]}",
+     "'loop' must be one of: true, forever"),
+    ("{loop: forever, count: 2, body: [{compute: work}]}",
+     "'count' must be \"forever\" in a forever loop"),
+    ("{service: sleep}", "statement is not compute, call, bfm, or loop"),
+    ("{device: port, access: put}",
+     "statement is not compute, call, bfm, or loop"),
+    ("{bfm: port.put, device: port}", "unknown key 'device'"),
+    ("{count: 2, body: [{compute: work}]}",
+     "statement is not compute, call, bfm, or loop"),
+], ids=["loop-3", "loop-1", "loop-false", "forever-count", "service", "device-access",
+        "bfm-device", "count-body"])
+def test_a_statement_outside_its_rows_is_refused(stmt, message):
+    extra = ("devices:\n  - name: port\n    kind: parallel_io\n"
+             "    accesses:\n      put: {op: out, cycles: 0, eem: 0}\n")
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(refs_text(stmt, extra), filename="scn.yaml")
+    assert problems_of(ei) == [("scn.yaml:14", message)]
+
+
+def test_loop_true_without_a_count_loops_forever():
+    scn = parse_scenario_text(refs_text("{loop: true, body: [{compute: work}]}"))
+    [loop] = scn.tasks[0].behavior
+    assert loop.forever and loop.count == "forever"
+    assert loop == parse_scenario_text(
+        refs_text("{loop: forever, body: [{compute: work}]}")).tasks[0].behavior[0]
+
+
+def test_a_device_name_has_no_dot():
+    # `bfm: io.a.rd` names the access `a.rd` of a device `io`, so a device
+    # `io.a` could not be named; it is refused where it is declared
+    text = MINIMAL + "devices:\n  - {name: io.a, kind: parallel_io}\n"
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(text, filename="scn.yaml")
+    assert problems_of(ei) == [
+        ("scn.yaml:11", "'name' must use letters, digits, '_', '-'")]
+
+
+_STMT_RAW = {**_RUN_RAW, "spec_mutex": yaml.load(
+    spec_to_yaml(generate_spec(MUTEX_SEED_BASE)), Loader=scenario._Loader)}
+
+
+def _statement_paths(node, path=()):
+    """The path of each behavior statement under ``node``, loop bodies
+    included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("behavior", "body") and isinstance(value, list):
+                for i, stmt in enumerate(value):
+                    yield path + (key, i)
+                    yield from _statement_paths(stmt, path + (key, i))
+            else:
+                yield from _statement_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _statement_paths(value, path + (i,))
+
+
+def _node(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+def _names(raw):
+    """The names a statement of ``raw`` may give, and two it may not."""
+    return [*raw.get("annotations", ()), "nowhere", "lcd.x.y",
+            *(f"{d['name']}.{a}" for d in raw.get("devices", ())
+              for a in d.get("accesses", ()))]
+
+
+_STMT_PATHS = {name: list(_statement_paths(raw))
+               for name, raw in _STMT_RAW.items()}
+_HEAD_KEYS = ["compute", "call", "bfm", "loop", "service", "device", "count"]
+_ODD_KEYS = [*_HEAD_KEYS, "body", "timeout", "sem", "task", "as", "ref",
+             "addr", "value", "access", "mode", "clear", "payload"]
+_ODD_VALUES = [None, True, False, 0, -1, 3, 1.5, "", "x", "forever", "and",
+               [], [{"compute": "x"}], {}, {"a": 1}]
+
+
+@st.composite
+def _statement_mutants(draw):
+    """(text name, ((path, statement),)): one statement of a text with
+    its head key swapped, one key dropped or added, one value of the
+    wrong type, or one reference renamed."""
+    name = draw(st.sampled_from(sorted(_STMT_RAW)))
+    path = draw(st.sampled_from(_STMT_PATHS[name]))
+    stmt = dict(_node(_STMT_RAW[name], path))
+    key = draw(st.sampled_from(list(stmt)))
+    how = draw(st.sampled_from(["head", "drop", "add", "type", "rename"]))
+    if how == "head":
+        head = draw(st.sampled_from(_HEAD_KEYS))
+        stmt = {head if k == key else k: v for k, v in stmt.items()}
+    elif how == "drop":
+        del stmt[key]
+    elif how == "add":
+        stmt[draw(st.sampled_from(_ODD_KEYS))] = draw(st.sampled_from(_ODD_VALUES))
+    elif how == "type":
+        stmt[key] = draw(st.sampled_from(_ODD_VALUES))
+    elif isinstance(stmt[key], str):
+        stmt[key] = draw(st.sampled_from(_names(_STMT_RAW[name])))
+    else:
+        stmt[key] = draw(st.integers(0, 4))
+    return name, ((path, stmt),)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mutant=_statement_mutants())
+@example(mutant=("demo", ((("tasks", 0, "behavior", 0),
+                           {"loop": 3, "body": [{"compute": "render_frame"}]}),)))
+@example(mutant=("demo", ((("devices", 0, "name"), "io.a"),
+                          (("tasks", 0, "behavior", 0, "body", 2),
+                           {"device": "io.a", "access": "frame_out"}))))
+def test_a_statement_mutant_that_parses_round_trips_and_runs(mutant):
+    name, edits = mutant
+    raw = copy.deepcopy(_STMT_RAW[name])
+    for path, value in edits:
+        _node(raw, path[:-1])[path[-1]] = value
+    try:
+        scn = parse_scenario_text(yaml.dump(raw, Dumper=_DUMPER,
+                                            sort_keys=False))
+    except ScenarioError:
+        return
+    assert parse_scenario_text(scenario_to_yaml(scn)) == scn
     kernel = build_kernel(scn)
     kernel.boot()
     try:
