@@ -36,9 +36,14 @@ Scheduling model:
     nor a handler entry is committed; both are deferred until the
     first boundary after the depth returns to zero.
 
+An Engine takes the whole thread table, each thread DORMANT, at once.
+
 Energy is tracked as integer micro-joules.  A multi-tick annotation
 charges eem // etm per tick, with the remainder applied on its final
-tick, so split segments sum exactly to the annotated amount.
+tick, so split segments sum exactly to the annotated amount.  A trace
+record of a segment is closed from the clock: its ticks run from the
+resume that opened it to now, at eem // etm each, plus the remainder
+if they end the segment.
 
 The idle thread (``is_idle=True``) must run this module's ``idle_body``:
 one "idle" tick after another in IDLE context.  Because that body is
@@ -72,7 +77,6 @@ from .errors import (
     ProtocolError,
     SchedulerEmptyError,
     StateError,
-    UsageError,
     ValidationError,
 )
 from .trace import (
@@ -86,6 +90,7 @@ from .trace import (
     CTL_PREEMPT,
     NullSink,
     TraceRecord,
+    is_int,
     valid_name,
 )
 
@@ -143,7 +148,7 @@ class ThreadState(enum.Enum):
 
 # the transitions the scheduler makes, as the legal next states of each
 # state, keyed by its value because Enum.__hash__ runs Python code;
-# register and arm_handler set the state directly.  No service drives a
+# Engine() and arm_handler set the state directly.  No service drives a
 # thread into the SUSPENDED states, which exist only as listing codes.
 _NEXT_STATES = {
     "NON_EXISTENT": (),
@@ -166,12 +171,15 @@ class Annotation:
     eem_uj: int = 0
 
     def validate(self):
+        # every body a behavior program builds validates its annotations,
+        # so the bool test is inline, with no call to trace.is_int
+        etm, eem_uj = self.etm, self.eem_uj
         if not valid_name(self.label):
             raise ValidationError(
                 f"annotation {self.label!r}: use letters, digits, _ . -")
-        if not isinstance(self.etm, int) or self.etm < 0:
+        if not isinstance(etm, int) or type(etm) is bool or etm < 0:
             raise ValidationError(f"annotation {self.label!r}: etm must be an int >= 0")
-        if not isinstance(self.eem_uj, int) or self.eem_uj < 0:
+        if not isinstance(eem_uj, int) or type(eem_uj) is bool or eem_uj < 0:
             raise ValidationError(f"annotation {self.label!r}: eem must be >= 0")
 
 
@@ -241,7 +249,7 @@ def idle_body(api):
 
 
 class SimThread:
-    """A registered activity: task, idle task, or time/interrupt handler.
+    """An activity: task, idle task, or time/interrupt handler.
 
     ``body`` is a callable taking a ThreadApi and returning a generator.
     ``gen`` is None until the engine first steps a dispatched task or an
@@ -251,17 +259,18 @@ class SimThread:
     token keeps accumulating across them all.
 
     A segment's state lives on its thread: ``seg`` is the request being
-    charged and ``seg_left`` its ticks left.  The ``rec_`` fields are
-    the segment's open trace record, which a suspension closes and a
-    resume reopens: its start tick, the ticks and µJ charged into it,
-    and the event that opened it.
+    charged and ``seg_left`` its ticks left.  ``rec_start`` and
+    ``rec_event`` open the segment's trace record, which a suspension
+    closes and a resume reopens: the thread has charged every tick
+    since ``rec_start`` to the segment, so the clock gives the record's
+    ticks and the segment their energy.
     """
 
     def __init__(self, thread_id: int, name: str, kind: ThreadKind,
                  priority: int, body, *, is_idle: bool = False):
-        if not isinstance(thread_id, int) or thread_id <= 0:
+        if not is_int(thread_id) or thread_id <= 0:
             raise ValidationError("thread id must be a positive integer")
-        if not isinstance(priority, int) or priority < 0:
+        if not is_int(priority) or priority < 0:
             raise ValidationError("priority must be an integer >= 0")
         if is_idle and body is not idle_body:
             raise ValidationError("the idle thread must run engine.idle_body")
@@ -285,8 +294,6 @@ class SimThread:
         self.seg: _WaitRequest | None = None
         self.seg_left = 0
         self.rec_start = 0
-        self.rec_ticks = 0
-        self.rec_uj = 0
         self.rec_event = EventKind.CONTINUE_RUN
         self.preempt_requested = False
         self.awaiting_activation = False
@@ -374,17 +381,18 @@ class ThreadApi:
 class Engine:
     """Owns the thread table, clock, interrupt stack and trampoline."""
 
-    def __init__(self, expected_count: int, tick_us: int = 1000):
-        if not isinstance(expected_count, int) or expected_count < 1:
-            raise ValidationError("expected thread count must be >= 1")
-        if not isinstance(tick_us, int) or tick_us < 1:
-            raise ValidationError("tick resolution must be >= 1 us")
-        self.expected_count = expected_count
-        self.tick_us = tick_us
+    def __init__(self, threads, trace_sink=None):
+        """Hold ``threads``, each DORMANT, and write to ``trace_sink``."""
         self.now = 0
         self.current_id: int | None = None
         self.on_tick = None  # callable(now) run after each stepped tick
         self._table: dict[int, SimThread] = {}
+        for th in threads:
+            if th.id in self._table:
+                raise ConflictError(f"thread id {th.id} given twice")
+            th.api = ThreadApi(self, th.id)
+            th.state = ThreadState.DORMANT
+            self._table[th.id] = th
         # current priority -> sorted (ready_tick, id); bit p set while
         # class p is non-empty
         self._classes: dict[int, list[tuple[int, int]]] = {}
@@ -395,42 +403,11 @@ class Engine:
         self._pending_activations: list[int] = []
         self._crit_depth = 0
         self._crit_owner: int | None = None
-        self._all_created = False
-        self._trace = NullSink()
-        self._sinks_attached = False
+        self._trace = NullSink() if trace_sink is None else trace_sink
         self._finished = False
 
     # ------------------------------------------------------------------
-    # setup phase
-
-    def register(self, thread: SimThread) -> int:
-        if self._all_created:
-            raise UsageError("cannot register after the set was sealed")
-        if thread.id in self._table:
-            raise ConflictError(f"thread id {thread.id} already registered")
-        if len(self._table) >= self.expected_count:
-            raise ConsistencyError(
-                f"more threads than the expected {self.expected_count}"
-            )
-        thread.api = ThreadApi(self, thread.id)
-        thread.state = ThreadState.DORMANT
-        self._table[thread.id] = thread
-        return thread.id
-
-    def all_created(self):
-        if len(self._table) != self.expected_count:
-            raise ConsistencyError(
-                f"{len(self._table)} threads registered, expected {self.expected_count}"
-            )
-        self._all_created = True
-
-    def attach_sinks(self, trace_sink=None):
-        """Attach the trace sink (the default is a NullSink)."""
-        if self._sinks_attached:
-            raise UsageError("sinks already attached")
-        self._sinks_attached = True
-        if trace_sink is not None:
-            self._trace = trace_sink
+    # the thread table
 
     def threads(self):
         return list(self._table.values())
@@ -580,7 +557,7 @@ class Engine:
         if self.current_id is not None:
             th = self._table[self.current_id]
             if th.seg is not None:
-                self._close_record_partial(th)
+                self._close_record(th)
         self._trace.close()
 
     # ------------------------------------------------------------------
@@ -714,8 +691,7 @@ class Engine:
         if th.gen is None:  # a fresh task: its body starts at this dispatch
             th.pending_resume = Resume(EventKind.STARTUP)
         event = th.pending_resume.event if th.pending_resume else EventKind.CONTINUE_RUN
-        th.rec_start, th.rec_ticks, th.rec_uj, th.rec_event = (
-            self.now, 0, 0, event)
+        th.rec_start, th.rec_event = self.now, event
         ctx = ContextKind.STARTUP if event is EventKind.STARTUP else th.default_context
         self._emit_control(th, CTL_DISPATCH, event, ctx)
         self.current_id = thread_id
@@ -723,7 +699,7 @@ class Engine:
     def _suspend_current(self, event: EventKind, *, emit_preempt=True):
         th = self._table[self.current_id]
         if th.seg is not None:
-            self._close_record_partial(th)
+            self._close_record(th)
         th.run_streak = 0
         th.pending_resume = Resume(event)
         th.preempt_requested = False
@@ -773,9 +749,7 @@ class Engine:
         if it.kind.is_handler:
             # inner return always resumes the interrupted handler
             self._set_state(it, ThreadState.RUNNING)
-            it.rec_start, it.rec_ticks, it.rec_uj, it.rec_event = (
-                self.now, 0, 0, it.pending_resume.event if it.pending_resume
-                else EventKind.CONTINUE_RUN)
+            it.rec_start, it.rec_event = self.now, it.pending_resume.event
             self.current_id = tid
             return
         # outermost return: delayed dispatching decision.  ``it`` is
@@ -787,8 +761,15 @@ class Engine:
     def _step(self, th: SimThread):
         """Resume the running thread's body, building it first if it has
         none, and act on what it yields or on its end."""
-        if th.seg is not None:  # it has no ticks left
-            self._close_record_completed(th)
+        seg = th.seg
+        if seg is not None:  # it has no ticks left
+            if seg.etm == 0:  # its record is 0 ticks wide, all its energy
+                th.token.cee_uj += seg.eem_uj
+                self._emit(th, seg.label, seg.context_kind, th.rec_event,
+                           self.now, self.now, uj=seg.eem_uj)
+            else:
+                self._close_record(th)
+            th.seg = None
         value = th.pending_resume or _CONTINUE
         th.pending_resume = None
         th.rec_event = value.event  # opens the record of a segment it yields
@@ -811,7 +792,7 @@ class Engine:
         if type(req) is _WaitRequest:
             th.seg = req
             th.seg_left = req.etm
-            th.rec_start, th.rec_ticks, th.rec_uj = self.now, 0, 0
+            th.rec_start = self.now
         elif isinstance(req, _ExitRequest):
             self._do_exit(th)
         elif isinstance(req, _BlockRequest):
@@ -852,7 +833,7 @@ class Engine:
         wait.  The first n - 1 of those ticks are written here as one
         completed record with ``repeat`` n - 1; the last one's record
         stays open."""
-        self._close_record_completed(th)
+        self._close_record(th)
         now = self.now
         last = now + n - 1
         if n > 1:
@@ -861,25 +842,20 @@ class Engine:
                 seg.label, seg.etm, seg.eem_uj,
                 EventKind.CONTINUE_RUN._value_, n - 1))
             # a one-tick segment charges all of its energy on its tick,
-            # so those ticks charge as one stretch; the record reopened
-            # below drops what this adds to it
+            # so those ticks charge as one stretch
             th.seg_left = n - 1
             self._consume(th, seg, n - 1)
-        th.seg = seg
         th.seg_left = seg.etm
-        th.rec_start, th.rec_ticks, th.rec_uj = last, 0, 0
-        th.rec_event = EventKind.CONTINUE_RUN
+        th.rec_start, th.rec_event = last, EventKind.CONTINUE_RUN
         self._consume(th, seg, 1)
 
     def _consume(self, th: SimThread, seg: _WaitRequest, n: int):
         """Charge ``n`` ticks of the running segment, at most what it has
         left; its remainder energy goes with its final tick."""
         left = th.seg_left = th.seg_left - n
-        th.rec_ticks += n
         share = seg.per_tick_uj * n
         if left == 0:
             share += seg.rem_uj
-        th.rec_uj += share
         tok = th.token
         tok.cet += n
         tok.cee_uj += share
@@ -889,27 +865,19 @@ class Engine:
         if streak > th.max_streak:
             th.max_streak = streak
 
-    def _close_record_partial(self, th: SimThread):
-        """Write the suspended segment's open record; the dispatch or
-        handler return that resumes the thread opens the next one."""
-        ticks = th.rec_ticks
-        if ticks > 0:
+    def _close_record(self, th: SimThread):
+        """Write the segment's open record, unless it is empty: the ticks
+        from ``rec_start`` to now, each at the per-tick energy, plus the
+        remainder if they finished the segment.  The resume that goes on
+        with the segment opens the next one."""
+        start, now = th.rec_start, self.now
+        if now > start:
             seg = th.seg
+            uj = seg.per_tick_uj * (now - start)
+            if th.seg_left == 0:
+                uj += seg.rem_uj
             self._emit(th, seg.label, seg.context_kind, th.rec_event,
-                       th.rec_start, th.rec_start + ticks,
-                       etm=ticks, uj=th.rec_uj)
-
-    def _close_record_completed(self, th: SimThread):
-        seg = th.seg
-        ticks = th.rec_ticks
-        uj = th.rec_uj
-        if seg.etm == 0:
-            uj = seg.eem_uj
-            th.token.cee_uj += uj
-        if ticks > 0 or seg.etm == 0:
-            self._emit(th, seg.label, seg.context_kind, th.rec_event,
-                       th.rec_start, th.rec_start + ticks, etm=ticks, uj=uj)
-        th.seg = None
+                       start, now, etm=now - start, uj=uj)
 
     # --- critical sections ----------------------------------------------
 

@@ -11,7 +11,7 @@ class SimError(Exception):
 
 
 class UsageError(SimError):
-    """API misuse: double init, attaching sinks twice, registering late."""
+    """API misuse: declaring after boot, booting twice, running unbooted."""
 
 
 class ValidationError(SimError):

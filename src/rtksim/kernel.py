@@ -4,12 +4,13 @@ A declaration builds its part of the run at the call: a task or handler
 gets its ``SimThread`` and ``TaskControl``, an object is constructed and
 a device made, so a bad declaration is refused there.  ``boot`` then,
 before tick 0, in zero simulated time and by direct calls, with no init
-task: it creates the engine, which closes the declarations even if boot
-fails later, checks the stimuli, registers the idle task, the tasks and
-the handlers, seals the thread registry, arms the handlers and starts
-the tasks plus the idle task.  No service can run during boot; trace
-sinks attach only after it, so the first recorded event is the first
-user dispatch.
+task.  Its first step closes the declarations, even if boot fails
+later.  It then checks the stimuli, picks the idle id, builds the
+engine from the whole thread table (the idle task, the tasks and the
+handlers) and the trace sink, arms the handlers and starts the tasks
+plus the idle task; ``engine`` is set once all of that is done.  No
+service can run during boot and boot writes no record, so the first
+recorded event is the first dispatch.
 
 Every service call runs inside an implicit critical section and charges
 the caller one SVC-context segment (cost is configurable, default one
@@ -90,7 +91,7 @@ from .objects import (
     Semaphore,
     VariablePool,
 )
-from .trace import valid_name
+from .trace import is_int, valid_name
 
 RESULT_OK = "OK"
 RESULT_TIMEOUT = "TIMEOUT"
@@ -191,9 +192,15 @@ def _served(handoff):
 
 
 def _check_id(value, what):
-    if not isinstance(value, int) or value < 1:
+    if not is_int(value) or value < 1:
         raise ValidationError(f"{what} id must be a positive integer")
     return value
+
+
+def _check_extended_info(value):
+    # the debug dump prints it in hex
+    if not is_int(value) or value < 0:
+        raise ValidationError("extended_info must be an integer >= 0")
 
 
 class Kernel:
@@ -202,14 +209,16 @@ class Kernel:
                  svc_etm: int = 1, svc_eem_uj: int = 0,
                  idle_id: int | None = None, idle_name: str = "IDLE",
                  abort_on_deadlock: bool = True):
-        if not isinstance(tick_us, int) or tick_us < 1:
+        if not is_int(tick_us) or tick_us < 1:
             raise ValidationError("tick resolution must be >= 1 us")
-        if not isinstance(cycles_per_tick, int) or cycles_per_tick < 1:
+        if not is_int(cycles_per_tick) or cycles_per_tick < 1:
             raise ValidationError("cycles_per_tick must be >= 1")
-        if not isinstance(svc_etm, int) or svc_etm < 0:
+        if not is_int(svc_etm) or svc_etm < 0:
             raise ValidationError("service cost etm must be >= 0")
-        if not isinstance(svc_eem_uj, int) or svc_eem_uj < 0:
+        if not is_int(svc_eem_uj) or svc_eem_uj < 0:
             raise ValidationError("service cost eem must be >= 0")
+        if idle_id is not None:
+            _check_id(idle_id, "idle")
         self.tick_us = tick_us
         self.cycles_per_tick = cycles_per_tick
         # the SVC segment every service charges, one request for all threads
@@ -231,7 +240,7 @@ class Kernel:
 
         self._agenda: list[tuple] = []  # heap of (due, rank, seq, action, arg)
         self._agenda_seq = itertools.count()
-        self._booted = False
+        self._closed = False  # boot started, even if it raised
         self._trace_sink = None
 
         self.semaphores: dict[int, Semaphore] = {}
@@ -248,7 +257,7 @@ class Kernel:
     # declaration phase (pre-boot)
 
     def _pre_boot(self):
-        if self.engine is not None:  # boot started, even if it raised
+        if self._closed:
             raise UsageError("declarations are closed once boot starts")
 
     def _check_thread(self, thread_id, name):
@@ -260,6 +269,7 @@ class Kernel:
 
     def _add_thread(self, thread_id, name, kind, priority, body,
                     extended_info):
+        _check_extended_info(extended_info)
         th = SimThread(thread_id, name, kind, priority, self._wrap(body))
         self.tcb[thread_id] = TaskControl(extended_info=extended_info)
         if kind is ThreadKind.TASK:
@@ -271,7 +281,7 @@ class Kernel:
     def declare_task(self, task_id: int, name: str, priority: int, body,
                      *, extended_info: int = 0):
         self._check_thread(task_id, name)
-        if not isinstance(priority, int) or not (
+        if not is_int(priority) or not (
             USER_PRIORITY_MIN <= priority <= USER_PRIORITY_MAX
         ):
             raise ValidationError(
@@ -287,9 +297,9 @@ class Kernel:
         A zero phase defers to the period, so the first activation is
         never at tick 0."""
         self._check_thread(thread_id, name)
-        if not isinstance(period, int) or period < 1:
+        if not is_int(period) or period < 1:
             raise ValidationError(f"cyclic {name}: period must be >= 1")
-        if not isinstance(phase, int) or phase < 0:
+        if not is_int(phase) or phase < 0:
             raise ValidationError(f"cyclic {name}: phase must be >= 0")
         th = self._add_thread(thread_id, name, ThreadKind.CYCLIC,
                               HANDLER_PRIORITY, body, extended_info)
@@ -299,7 +309,7 @@ class Kernel:
     def declare_alarm(self, thread_id: int, name: str, offset: int, body,
                       *, extended_info: int = 0):
         self._check_thread(thread_id, name)
-        if not isinstance(offset, int) or offset < 1:
+        if not is_int(offset) or offset < 1:
             raise ValidationError(f"alarm {name}: offset must be >= 1")
         th = self._add_thread(thread_id, name, ThreadKind.ALARM,
                               HANDLER_PRIORITY, body, extended_info)
@@ -316,6 +326,7 @@ class Kernel:
         _check_id(obj_id, kind)
         if obj_id in registry:
             raise ConflictError(f"{kind} id {obj_id} already declared")
+        _check_extended_info(kwargs["extended_info"])
         registry[obj_id] = cls(obj_id, priority_of=self._waiter_priority,
                                **kwargs)
 
@@ -370,15 +381,17 @@ class Kernel:
     def add_stimulus(self, tick: int, kind: str, device: str, *,
                      line: int = 0, value: int = 0):
         self._pre_boot()
-        if not isinstance(tick, int) or tick < 1:
+        if not is_int(tick) or tick < 1:
             raise ValidationError("stimulus tick must be >= 1")
+        if not is_int(line) or not is_int(value):
+            raise ValidationError("stimulus line and value must be integers")
         if kind not in STIMULUS_KINDS:
             raise ValidationError(f"unknown stimulus kind {kind!r}")
         self.devices.get(device)  # must exist
         self._stimuli.append(Stimulus(tick, kind, device, line, value))
 
     def attach_sinks(self, trace_sink=None, report_sink=None):
-        """Set the trace sink the engine gets after boot.  Only a trace
+        """Set the trace sink the engine gets at boot.  Only a trace
         sink is supported: ``report_sink`` must be None."""
         self._pre_boot()
         if report_sink is not None:
@@ -389,10 +402,9 @@ class Kernel:
     # boot
 
     def boot(self):
-        if self.engine is not None:
+        if self._closed:
             raise UsageError("boot runs once")
-        eng = self.engine = Engine(len(self.tcb) + 1, tick_us=self.tick_us)
-        eng.on_tick = self._timer_tick
+        self._closed = True
         self._validate_stimuli()
         idle_id = self._idle_id_cfg
         if idle_id is None:
@@ -400,13 +412,12 @@ class Kernel:
         elif idle_id in self.tcb:
             raise ConflictError(f"idle id {idle_id} collides with a declared thread")
         self.idle_id = idle_id
-
-        eng.register(SimThread(idle_id, self._idle_name, ThreadKind.TASK,
-                               IDLE_PRIORITY, idle_body, is_idle=True))
+        idle = SimThread(idle_id, self._idle_name, ThreadKind.TASK,
+                         IDLE_PRIORITY, idle_body, is_idle=True)
         self.tcb[idle_id] = TaskControl()
-        for th in (*self._tasks, *self._handlers.values()):
-            eng.register(th)
-        eng.all_created()
+        eng = Engine((idle, *self._tasks, *self._handlers.values()),
+                     self._trace_sink)
+        eng.on_tick = self._timer_tick
         for handler_id in self._handlers:
             eng.arm_handler(handler_id)
         for th in self._tasks:
@@ -414,9 +425,7 @@ class Kernel:
         eng.start_thread(idle_id)
         for st in self._stimuli:
             self._schedule(st.tick, _RANK_STIMULUS, self._apply_stimulus, st)
-
-        eng.attach_sinks(trace_sink=self._trace_sink)
-        self._booted = True
+        self.engine = eng
 
     def _validate_stimuli(self):
         for st in self._stimuli:
@@ -450,9 +459,9 @@ class Kernel:
     def run(self, ticks: int):
         """Advance ``ticks`` ticks: step each tick that may need a
         scheduling decision or a boundary's work, and coast the others."""
-        if not self._booted:
+        if self.engine is None:
             raise UsageError("boot before running")
-        if not isinstance(ticks, int) or ticks < 0:
+        if not is_int(ticks) or ticks < 0:
             raise ValidationError("tick count must be >= 0")
         eng = self.engine
         table = eng._table
@@ -622,9 +631,10 @@ class Kernel:
 
     @staticmethod
     def _validate_timeout(timeout):
+        # per service call, so the bool test is inline, not trace.is_int
         if timeout is None:
             return None
-        if not isinstance(timeout, int) or timeout < 1:
+        if not isinstance(timeout, int) or type(timeout) is bool or timeout < 1:
             raise ValidationError("timeout must be >= 1 ticks (or forever)")
         return timeout
 
@@ -687,7 +697,7 @@ class Kernel:
         tid = api.thread_id
         if tid in self._handlers:
             raise self._handler_wait_error(tid, "delay")
-        if not isinstance(ticks, int) or ticks < 1:
+        if not isinstance(ticks, int) or type(ticks) is bool or ticks < 1:
             raise ValidationError("delay must be >= 1 ticks")
         self.engine._crit_enter(tid)
         yield self._svc_req

@@ -9,6 +9,10 @@ Waiter ordering everywhere: priority first (smaller wins, read live at
 pop time through the priority_of callable), then enqueue order.  A
 newcomer never bypasses a queued waiter even when the resource could
 satisfy it immediately; the queue head is served first or nobody is.
+
+No integer argument takes a bool.  A constructor tests with
+``trace.is_int``; a per-call method tests ``type(n) is bool`` inline, so
+a service call makes no extra Python call.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import heapq
 from collections import deque
 
 from .errors import ObjectStateError, ValidationError
+from .trace import is_int
 
 FLAG_MODE_AND = "AND"
 FLAG_MODE_OR = "OR"
@@ -114,16 +119,16 @@ class Semaphore(WaitObject):
 
     def __init__(self, obj_id: int, initial: int, *, priority_of,
                  max_count: int = DEFAULT_SEMAPHORE_MAX, extended_info: int = 0):
-        if not isinstance(initial, int) or initial < 0:
+        if not is_int(initial) or initial < 0:
             raise ValidationError(f"semaphore {obj_id}: initial count must be >= 0")
-        if not isinstance(max_count, int) or max_count < 1 or initial > max_count:
+        if not is_int(max_count) or max_count < 1 or initial > max_count:
             raise ValidationError(f"semaphore {obj_id}: bad maximum count")
         super().__init__(obj_id, priority_of, extended_info)
         self.count = initial
         self.max_count = max_count
 
     def acquire(self, waiter, n: int = 1) -> bool:
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or type(n) is bool or n < 1:
             raise ValidationError(f"semaphore {self.id}: acquire count must be >= 1")
         if n > self.max_count:
             raise ValidationError(f"semaphore {self.id}: request exceeds maximum")
@@ -135,7 +140,7 @@ class Semaphore(WaitObject):
 
     def signal(self, n: int = 1):
         """Returns the waiters released by this signal, in release order."""
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or type(n) is bool or n < 1:
             raise ValidationError(f"semaphore {self.id}: signal count must be >= 1")
         if self.count + n > self.max_count:
             raise ObjectStateError(
@@ -158,7 +163,7 @@ class EventFlag(WaitObject):
 
     def __init__(self, obj_id: int, initial: int = 0, *, priority_of,
                  extended_info: int = 0):
-        if not isinstance(initial, int) or not (0 <= initial <= _PATTERN_MASK):
+        if not is_int(initial) or not (0 <= initial <= _PATTERN_MASK):
             raise ValidationError(f"event flag {obj_id}: pattern must fit 32 bits")
         super().__init__(obj_id, priority_of, extended_info)
         self.pattern = initial
@@ -171,7 +176,8 @@ class EventFlag(WaitObject):
 
     @staticmethod
     def _check(wanted, mode):
-        if not isinstance(wanted, int) or not (1 <= wanted <= _PATTERN_MASK):
+        if (not isinstance(wanted, int) or type(wanted) is bool
+                or not (1 <= wanted <= _PATTERN_MASK)):
             raise ValidationError("event flag: wait pattern must be a nonzero 32-bit mask")
         if mode not in (FLAG_MODE_AND, FLAG_MODE_OR):
             raise ValidationError(f"event flag: unknown mode {mode!r}")
@@ -194,7 +200,8 @@ class EventFlag(WaitObject):
         it in the same evaluation pass.  Returns (waiter, snapshot)
         pairs in release order.
         """
-        if not isinstance(bits, int) or not (0 <= bits <= _PATTERN_MASK):
+        if (not isinstance(bits, int) or type(bits) is bool
+                or not (0 <= bits <= _PATTERN_MASK)):
             raise ValidationError(f"event flag {self.id}: pattern must fit 32 bits")
         self.pattern |= bits
         released = []
@@ -207,7 +214,8 @@ class EventFlag(WaitObject):
         return released
 
     def clear_bits(self, mask: int):
-        if not isinstance(mask, int) or not (0 <= mask <= _PATTERN_MASK):
+        if (not isinstance(mask, int) or type(mask) is bool
+                or not (0 <= mask <= _PATTERN_MASK)):
             raise ValidationError(f"event flag {self.id}: pattern must fit 32 bits")
         self.pattern &= mask
 
@@ -222,7 +230,7 @@ class Mailbox(WaitObject):
 
     def send(self, priority: int, payload):
         """Queue a message; returns (receiver, message) if one was waiting."""
-        if not isinstance(priority, int) or priority < 0:
+        if not isinstance(priority, int) or type(priority) is bool or priority < 0:
             raise ValidationError(f"mailbox {self.id}: message priority must be >= 0")
         heapq.heappush(self._messages, (priority, self._seq, payload))
         self._seq += 1
@@ -253,7 +261,7 @@ class MessageBuffer:
 
     def __init__(self, obj_id: int, capacity: int, *, priority_of,
                  extended_info: int = 0):
-        if not isinstance(capacity, int) or capacity < 1:
+        if not is_int(capacity) or capacity < 1:
             raise ValidationError(f"message buffer {obj_id}: capacity must be >= 1")
         self.id = obj_id
         self.capacity = capacity
@@ -363,9 +371,9 @@ class FixedPool(WaitObject):
 
     def __init__(self, obj_id: int, block_count: int, block_size: int, *,
                  priority_of, extended_info: int = 0):
-        if not isinstance(block_count, int) or block_count < 1:
+        if not is_int(block_count) or block_count < 1:
             raise ValidationError(f"fixed pool {obj_id}: block count must be >= 1")
-        if not isinstance(block_size, int) or block_size < 1:
+        if not is_int(block_size) or block_size < 1:
             raise ValidationError(f"fixed pool {obj_id}: block size must be >= 1")
         super().__init__(obj_id, priority_of, extended_info)
         self.block_count = block_count
@@ -390,7 +398,8 @@ class FixedPool(WaitObject):
 
     def release(self, index: int):
         """Returns (waiter, index) when the block goes straight to a waiter."""
-        if not isinstance(index, int) or not (0 <= index < self.block_count):
+        if (not isinstance(index, int) or type(index) is bool
+                or not (0 <= index < self.block_count)):
             raise ObjectStateError(f"fixed pool {self.id}: no block {index}")
         if index not in self._allocated:
             raise ObjectStateError(f"fixed pool {self.id}: block {index} is free")
@@ -411,7 +420,7 @@ class VariablePool(WaitObject):
 
     def __init__(self, obj_id: int, size: int, *, priority_of,
                  extended_info: int = 0):
-        if not isinstance(size, int) or size < 1:
+        if not is_int(size) or size < 1:
             raise ValidationError(f"variable pool {obj_id}: size must be >= 1")
         super().__init__(obj_id, priority_of, extended_info)
         self.size = size
@@ -445,7 +454,7 @@ class VariablePool(WaitObject):
         self._free = merged
 
     def get(self, waiter, n: int):
-        if not isinstance(n, int) or not (1 <= n <= self.size):
+        if not isinstance(n, int) or type(n) is bool or not (1 <= n <= self.size):
             raise ValidationError(
                 f"variable pool {self.id}: request {n} outside 1..{self.size}"
             )
@@ -458,7 +467,8 @@ class VariablePool(WaitObject):
 
     def release(self, offset: int):
         """Returns [(waiter, offset, n)] granted out of the freed space."""
-        if offset not in self._allocated:
+        # get hands out plain ints; True or 1.0 would find offset 1
+        if type(offset) is not int or offset not in self._allocated:
             raise ObjectStateError(
                 f"variable pool {self.id}: offset {offset} is not allocated"
             )

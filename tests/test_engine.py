@@ -5,6 +5,7 @@ ThreadApi, so each scheduling rule can be pinned in isolation.  Expected
 traces were worked out by hand on a tick grid before being frozen here.
 """
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from rtksim.engine import (
     idle_body,
 )
 from rtksim.errors import (
+    ConflictError,
     ConsistencyError,
     ProtocolError,
     SchedulerEmptyError,
@@ -30,14 +32,9 @@ from rtksim.errors import (
 from rtksim.trace import ListSink, TraceRecord, rows, running_vector
 
 
-def make_engine(threads, expected=None):
-    eng = Engine(expected if expected is not None else len(threads))
+def make_engine(threads):
     sink = ListSink()
-    eng.attach_sinks(trace_sink=sink)
-    for th in threads:
-        eng.register(th)
-    eng.all_created()
-    return eng, sink
+    return Engine(threads, trace_sink=sink), sink
 
 
 def task(tid, name, prio, body, **kw):
@@ -380,6 +377,78 @@ def test_nested_interrupts_unwind_lifo():
     assert returns == [(3, "H2"), (5, "H1")]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_split_segment_records_sum_to_the_annotation(seed):
+    # tasks and nested handlers charge multi-tick segments whose energy
+    # leaves a remainder; preemptions, interrupts and coasts split them.
+    # Each segment's records are as wide as their ticks and sum to its
+    # ticks; each tick charges eem // etm, and the remainder rides on the
+    # record that ends the segment, however the segment was cut.
+    rng = random.Random(seed)
+    segments = {}   # (thread id, label) -> (etm, eem) of every segment begun
+    done = set()    # the segments whose wait returned
+
+    def charger(tid, count, ctx=None):
+        labels = itertools.count()
+
+        def body(api):
+            for _ in range(count):
+                label = f"s{next(labels)}"
+                etm = rng.randint(2, 7)
+                eem = etm * rng.randint(0, 4) + rng.randint(1, etm - 1)
+                segments[tid, label] = etm, eem
+                yield from api.wait(Annotation(label, etm, eem), ctx)
+                done.add((tid, label))
+        return body
+
+    tasks = [task(tid, f"T{tid}", prio, charger(tid, count))
+             for tid, prio, count in ((1, 8, 20), (2, 6, 3), (3, 4, 2))]
+    handlers = [isr(tid, f"H{tid}", charger(tid, 2, ContextKind.ISR))
+                for tid in (4, 5, 6)]
+    eng, sink = make_engine(
+        tasks + handlers + [task(7, "IDLE", 99, forever_idle, is_idle=True)])
+    for th in handlers:
+        eng.arm_handler(th.id)
+    eng.start_thread(1)
+    eng.start_thread(7)
+    for _ in range(600):
+        for th in tasks:
+            if th.state is ThreadState.DORMANT and rng.random() < 0.05:
+                eng.start_thread(th.id)
+        for th in handlers:
+            if rng.random() < 0.015:
+                eng.raise_interrupt(th.id)
+        if rng.random() < 0.2:
+            eng.coast(rng.randint(1, 6))
+        else:
+            eng.run_one_tick()
+    eng.finish()
+
+    work = [r for r in rows(sink.records) if not r.is_control]
+    parts = {}
+    for r in work:
+        parts.setdefault((r.thread_id, r.label), []).append(r)
+    split = nested = 0
+    for key, (etm, eem) in segments.items():
+        recs = parts.pop(key, [])
+        per_tick, rem = divmod(eem, etm)
+        ticks = sum(r.etm_ticks for r in recs)
+        assert all(r.tick_end - r.tick_start == r.etm_ticks > 0 for r in recs)
+        assert ticks == etm if key in done else ticks <= etm
+        expected = [per_tick * r.etm_ticks for r in recs]
+        if ticks == etm:
+            expected[-1] += rem
+        assert [r.eem_uj for r in recs] == expected, key
+        split += len(recs) > 1
+        nested += len(recs) > 1 and key[0] in (4, 5, 6)
+    assert set(parts) == {(7, "idle")}
+    for th in eng.threads():
+        mine = [r for r in work if r.thread_id == th.id]
+        assert th.token.cet == sum(r.etm_ticks for r in mine)
+        assert th.token.cee_uj == sum(r.eem_uj for r in mine)
+    assert len(done) > 50 and split > 10 and nested > 0
+
+
 def test_preempted_thread_keeps_ready_stamp():
     # C (stamp 0) is preempted at tick 2.  B (id 2 < C's id 3) was woken
     # at tick 1.  If the preemption re-stamped C to 2, B would win the
@@ -534,9 +603,7 @@ def test_zero_time_livelock_guard(monkeypatch):
             yield from api.wait(Annotation("nop", 0, 0))
 
     # no sink attached: the default NullSink absorbs the record churn
-    eng = Engine(1)
-    eng.register(task(1, "SPIN", 5, body))
-    eng.all_created()
+    eng = Engine([task(1, "SPIN", 5, body)])
     eng.start_thread(1)
     with pytest.raises(ConsistencyError, match="livelock"):
         eng.run_one_tick()
@@ -638,6 +705,23 @@ def test_priority_must_be_a_non_negative_int():
         with pytest.raises(ValidationError, match="priority"):
             task(1, "T", bad, idle_body)
     assert task(1, "T", 0, idle_body).current_priority == 0
+
+
+# `True` is an `int` to Python; no id, priority, etm or energy takes it for 1
+@pytest.mark.parametrize("call", [
+    lambda: task(True, "T", 5, idle_body),
+    lambda: task(1, "T", True, idle_body),
+    lambda: Annotation("a", True).validate(),
+    lambda: Annotation("a", 1, False).validate(),
+], ids=["id", "priority", "etm", "eem"])
+def test_a_bool_is_no_integer(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_a_thread_id_given_twice_is_a_conflict():
+    with pytest.raises(ConflictError, match="thread id 1"):
+        Engine([task(1, "A", 5, idle_body), task(1, "B", 6, idle_body)])
 
 
 def test_an_annotation_label_a_csv_cell_cannot_hold_is_refused():

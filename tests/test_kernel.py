@@ -1317,6 +1317,110 @@ def test_boot_protocol_guards():
         k.add_stimulus(5, "irq", "x")
 
 
+def _one_tick(ctx):
+    yield from compute(ctx, "w", 1)
+
+
+def _with_pic(call):
+    k = Kernel()
+    k.add_device("intc", "pic", {}, lines=2)
+    k.declare_isr(1, "ISR", _one_tick)
+    k.attach_isr("pic", 1, 1)
+    call(k)
+
+
+def _booted(call):
+    k = Kernel()
+    k.boot()
+    call(k)
+
+
+# `True` is an `int` to Python; no id, priority, period, offset, tick or
+# count takes it for 1 (it would reach the trace and the dump as "True")
+@pytest.mark.parametrize("call", [
+    lambda: Kernel(tick_us=True),
+    lambda: Kernel(cycles_per_tick=True),
+    lambda: Kernel(svc_etm=True),
+    lambda: Kernel(svc_eem_uj=False),
+    lambda: Kernel(idle_id=True),
+    lambda: Kernel().declare_task(True, "A", 5, _one_tick),
+    lambda: Kernel().declare_task(1, "A", True, _one_tick),
+    lambda: Kernel().declare_cyclic(True, "C", 5, _one_tick),
+    lambda: Kernel().declare_cyclic(1, "C", True, _one_tick),
+    lambda: Kernel().declare_cyclic(1, "C", 5, _one_tick, phase=True),
+    lambda: Kernel().declare_alarm(True, "A", 5, _one_tick),
+    lambda: Kernel().declare_alarm(1, "A", True, _one_tick),
+    lambda: Kernel().declare_isr(True, "I", _one_tick),
+    lambda: Kernel().declare_semaphore(True, 1),
+    lambda: Kernel().declare_semaphore(1, True),
+    lambda: Kernel().declare_semaphore(1, 1, max_count=True),
+    lambda: Kernel().declare_flag(True),
+    lambda: Kernel().declare_flag(1, True),
+    lambda: Kernel().declare_mutex(True),
+    lambda: Kernel().declare_mailbox(True),
+    lambda: Kernel().declare_buffer(True, 8),
+    lambda: Kernel().declare_buffer(1, True),
+    lambda: Kernel().declare_fixed_pool(1, True, 4),
+    lambda: Kernel().declare_fixed_pool(1, 2, True),
+    lambda: Kernel().declare_variable_pool(True, 8),
+    lambda: Kernel().declare_variable_pool(1, True),
+    lambda: _with_pic(lambda k: k.add_stimulus(True, "irq", "pic", line=1)),
+    lambda: _with_pic(lambda k: k.add_stimulus(2, "irq", "pic", line=True)),
+    lambda: _with_pic(lambda k: k.add_stimulus(2, "irq", "pic", value=True)),
+    lambda: _booted(lambda k: k.run(True)),
+], ids=["tick_us", "cycles", "svc_etm", "svc_eem", "idle-id", "task-id",
+        "task-priority", "cyclic-id", "period", "phase", "alarm-id",
+        "offset", "isr-id", "sem-id", "sem-initial", "sem-max", "flag-id",
+        "flag-initial", "mtx-id", "mbx-id", "mbf-id", "mbf-capacity",
+        "fpl-count", "fpl-size", "vpl-id", "vpl-size", "stimulus-tick",
+        "stimulus-line", "stimulus-value", "run"])
+def test_a_bool_is_no_integer(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_extended_info_is_an_integer_at_least_0():
+    # the dump writes it in hex: a str used to end the dump in a
+    # ValueError, a bool read as 1
+    for bad in (True, "x", -1, 1.0):
+        k = Kernel()
+        with pytest.raises(ValidationError, match="extended_info"):
+            k.declare_task(1, "T", 5, _one_tick, extended_info=bad)
+        with pytest.raises(ValidationError, match="extended_info"):
+            k.declare_alarm(2, "A", 5, _one_tick, extended_info=bad)
+        with pytest.raises(ValidationError, match="extended_info"):
+            k.declare_semaphore(1, 0, extended_info=bad)
+        assert (k.tcb, k.semaphores, k._agenda) == ({}, {}, [])
+    k.declare_flag(1, extended_info=0xFFFFFFFF)
+
+
+@pytest.mark.parametrize("service", [
+    lambda kern, api: kern.delay(api, True),
+    lambda kern, api: kern.sleep(api, True),
+    lambda kern, api: kern.sem_wait(api, 1, timeout=True),
+    lambda kern, api: kern.sem_wait(api, 1, True),
+    lambda kern, api: kern.sem_signal(api, 1, True),
+    lambda kern, api: kern.flag_set(api, 1, True),
+    lambda kern, api: kern.mbx_send(api, 1, "m", True),
+    lambda kern, api: kern.vpool_get(api, 1, True),
+], ids=["delay", "sleep-timeout", "wait-timeout", "acquire", "signal",
+        "flag-set", "mbx-priority", "vpool-get"])
+def test_a_service_refuses_a_bool_for_an_integer(service):
+    k, _ = mk()
+    k.declare_semaphore(1, 1)
+    k.declare_flag(1)
+    k.declare_mailbox(1)
+    k.declare_variable_pool(1, 8)
+
+    def body(ctx):
+        yield from service(ctx.kernel, ctx.api)
+
+    k.declare_task(1, "T", 5, body)
+    k.boot()
+    with pytest.raises(ValidationError):
+        k.run(5)
+
+
 def test_boot_registers_the_declared_threads_plus_idle():
     k, _ = mk()
     k.declare_task(1, "A", 5, lambda ctx: compute(ctx, "w", 1))

@@ -701,6 +701,45 @@ def test_semaphore_validation():
         Semaphore(9, 5, priority_of=_lookup, max_count=4)
 
 
+# `True` is an `int` to Python; no count, size, pattern, priority or
+# block takes it for 1, at construction or per call
+@pytest.mark.parametrize("call", [
+    lambda: Semaphore(9, True, priority_of=_lookup),
+    lambda: Semaphore(9, 0, priority_of=_lookup, max_count=True),
+    lambda: Semaphore(9, 1, priority_of=_lookup).acquire(1, True),
+    lambda: Semaphore(9, 0, priority_of=_lookup).signal(True),
+    lambda: EventFlag(9, True, priority_of=_lookup),
+    lambda: EventFlag(9, 1, priority_of=_lookup).wait(1, True, FLAG_MODE_OR, False),
+    lambda: EventFlag(9, 0, priority_of=_lookup).set_bits(True),
+    lambda: EventFlag(9, 1, priority_of=_lookup).clear_bits(False),
+    lambda: Mailbox(9, priority_of=_lookup).send(True, "m"),
+    lambda: MessageBuffer(9, True, priority_of=_lookup),
+    lambda: FixedPool(9, True, 4, priority_of=_lookup),
+    lambda: FixedPool(9, 2, True, priority_of=_lookup),
+    lambda: VariablePool(9, True, priority_of=_lookup),
+    lambda: VariablePool(9, 4, priority_of=_lookup).get(1, True),
+], ids=["sem-initial", "sem-max", "acquire", "signal", "flag-initial",
+        "flag-wait", "set-bits", "clear-bits", "mbx-priority",
+        "mbf-capacity", "fpl-count", "fpl-size", "vpl-size", "vpl-get"])
+def test_a_bool_is_no_integer(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("block", [True, 1.0])
+def test_a_block_is_named_by_an_int(block):
+    # True == 1.0 == 1, and each hashes as 1
+    fpl = FixedPool(9, 2, 4, priority_of=_lookup)
+    assert [fpl.get(w) for w in (1, 2)] == [(True, 0), (True, 1)]
+    with pytest.raises(ObjectStateError):
+        fpl.release(block)
+    vpl = VariablePool(9, 4, priority_of=_lookup)
+    assert [vpl.get(w, 1) for w in (1, 2)] == [(True, 0), (True, 1)]
+    with pytest.raises(ObjectStateError):
+        vpl.release(block)
+    assert (fpl.free_count, vpl.used_bytes) == (0, 2)
+
+
 def test_semaphore_overflow_leaves_state_intact():
     s = Semaphore(9, 2, priority_of=_lookup, max_count=2)
     with pytest.raises(ObjectStateError):

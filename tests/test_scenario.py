@@ -11,7 +11,7 @@ from oracle import MUTEX_SEED_BASE, generate_spec
 from rtksim import scenario
 from rtksim.bfm import DEFAULT_INTC_LINES, MEMORY_WIDTHS
 from rtksim.errors import ScenarioError, SimError
-from rtksim.kernel import USER_PRIORITY_MAX
+from rtksim.kernel import STIMULUS_KINDS, USER_PRIORITY_MAX
 from rtksim.objects import _PATTERN_MASK
 from rtksim.scenario import (
     build_kernel,
@@ -929,6 +929,103 @@ def test_a_statement_mutant_that_parses_round_trips_and_runs(mutant):
     name, edits = mutant
     raw = copy.deepcopy(_STMT_RAW[name])
     for path, value in edits:
+        _node(raw, path[:-1])[path[-1]] = value
+    try:
+        scn = parse_scenario_text(yaml.dump(raw, Dumper=_DUMPER,
+                                            sort_keys=False))
+    except ScenarioError:
+        return
+    assert parse_scenario_text(scenario_to_yaml(scn)) == scn
+    kernel = build_kernel(scn)
+    kernel.boot()
+    try:
+        kernel.run(scn.run_ticks)
+    except SimError:
+        pass
+
+
+# ----------------------------------------------------------------------
+# what a section-entry mutant does
+
+_LEGAL_KINDS = {"handlers": tuple(scenario._HANDLER_KINDS),
+                "devices": tuple(scenario._DEVICE_KINDS),
+                "stimuli": tuple(STIMULUS_KINDS)}
+_BAD_NAMES = ["a b", "x,y", "io.a", ""]
+
+
+def _section_entries(raw):
+    """(path, entry) of each entry of a list section of ``raw``."""
+    for key in ("tasks", "handlers", "devices", "stimuli"):
+        for i, entry in enumerate(raw.get(key) or ()):
+            yield (key, i), entry
+    for key, entries in (raw.get("objects") or {}).items():
+        for i, entry in enumerate(entries):
+            yield ("objects", key, i), entry
+
+
+def _id_space(path):
+    # thread ids are one namespace; each object kind is its own
+    return ("threads",) if path[0] in ("tasks", "handlers") else path[:-1]
+
+
+def _section_mutants(name):
+    """(text name, path, value): one entry's name made another entry's (of
+    its own section or another) or an invalid one, its kind made another
+    legal kind, one of another section or an unknown one, or its id made
+    a duplicate or an unused one.  A path into ``annotations`` renames
+    that annotation."""
+    raw = _RUN_RAW[name]
+    entries = list(_section_entries(raw))
+    names = {}   # section -> its names, annotations included
+    ids = {}     # id namespace -> its ids
+    for path, entry in entries:
+        if "name" in entry:
+            names.setdefault(path[0], []).append(entry["name"])
+        if "id" in entry:
+            ids.setdefault(_id_space(path), []).append(entry["id"])
+    names["annotations"] = list(raw.get("annotations") or ())
+    unused = 1 + max(i for space in ids.values() for i in space)
+    firsts = [section[0] for section in names.values() if section]
+
+    def renames(section, old):
+        own = names[section]
+        dup = own[(own.index(old) + 1) % len(own)]
+        return dict.fromkeys(x for x in (dup, *firsts, *_BAD_NAMES) if x != old)
+
+    for old in names["annotations"]:
+        for new in renames("annotations", old):
+            yield name, ("annotations", old), new
+    for path, entry in entries:
+        if "name" in entry:
+            for new in renames(path[0], entry["name"]):
+                yield name, path + ("name",), new
+        legal = _LEGAL_KINDS.get(path[0])
+        if legal:
+            foreign = [k for key, kinds in _LEGAL_KINDS.items()
+                       if key != path[0] for k in kinds[:1]]
+            for new in (*legal, *foreign, "bogus"):
+                if new != entry["kind"]:
+                    yield name, path + ("kind",), new
+        if "id" in entry:
+            space = ids[_id_space(path)]
+            dup = space[(space.index(entry["id"]) + 1) % len(space)]
+            for new in dict.fromkeys((dup, unused)):
+                if new != entry["id"]:
+                    yield name, path + ("id",), new
+
+
+_SECTION_MUTANTS = [m for name in _RUN_TEXTS for m in _section_mutants(name)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mutant=st.sampled_from(_SECTION_MUTANTS))
+def test_a_section_mutant_that_parses_round_trips_and_runs(mutant):
+    name, path, value = mutant
+    raw = copy.deepcopy(_RUN_RAW[name])
+    if path[0] == "annotations":
+        raw["annotations"] = {value if k == path[1] else k: v
+                              for k, v in raw["annotations"].items()}
+    else:
         _node(raw, path[:-1])[path[-1]] = value
     try:
         scn = parse_scenario_text(yaml.dump(raw, Dumper=_DUMPER,
