@@ -30,13 +30,10 @@ __all__ = [
 ]
 
 _STATE_CODES = {
-    ThreadState.NON_EXISTENT: "NON",
     ThreadState.DORMANT: "DMT",
     ThreadState.READY: "RDY",
     ThreadState.RUNNING: "RUN",
     ThreadState.WAITING: "WAI",
-    ThreadState.SUSPENDED: "SUS",
-    ThreadState.WAITING_SUSPENDED: "WAS",
 }
 _CODE_STATES = {v: k for k, v in _STATE_CODES.items()}
 

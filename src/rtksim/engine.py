@@ -11,11 +11,15 @@ that runs from its start to its end:
   * a started task's body is built at its first dispatch and runs until
     it returns or yields ``api.exit()``; either ends the task (DORMANT),
     and a restart builds a fresh body.
-  * an armed handler waits for an activation.  Each activation builds a
-    fresh body and runs it to completion, like one call of a
-    run-to-completion method; its return is the handler's return from
-    interrupt (one more cycle on its token), and the handler then waits
-    for its next activation.  A handler cannot exit.
+  * an armed handler waits for an activation: a handler is armed
+    exactly while it is WAITING.  Each activation builds a fresh body
+    and runs it to completion, like one call of a run-to-completion
+    method; its return is the handler's return from interrupt (one
+    more cycle on its token), and the handler then waits for its next
+    activation.  A handler cannot exit.
+
+A thread is in one of four states: DORMANT (a new thread, an ended
+task, an unarmed handler), READY, RUNNING or WAITING.
 
 Scheduling model:
   * priorities: smaller integer wins; equal priority is FIFO by the
@@ -28,7 +32,9 @@ Scheduling model:
     moves a ready thread to its new place at once.
   * preemption and interrupt delivery are checked at wait boundaries
     and between ticks of a multi-tick wait; a partial segment is
-    accounted tick-exactly.
+    accounted tick-exactly.  Each check reads the ready bitmap against
+    the running task's ``outranked_by`` mask, so a thread readied or a
+    priority changed by anyone takes effect at the next check.
   * handler activations always displace tasks.  While any handler is
     active, a task dispatch cannot be committed; it happens after the
     outermost handler returns (delayed dispatching).
@@ -36,7 +42,8 @@ Scheduling model:
     nor a handler entry is committed; both are deferred until the
     first boundary after the depth returns to zero.
 
-An Engine takes the whole thread table, each thread DORMANT, at once.
+An Engine takes the whole thread table at once, each thread DORMANT as
+built.
 
 Energy is tracked as integer micro-joules.  A multi-tick annotation
 charges eem // etm per tick, with the remainder applied on its final
@@ -137,28 +144,21 @@ _HANDLER_CONTEXT = {
 
 
 class ThreadState(enum.Enum):
-    NON_EXISTENT = "NON_EXISTENT"
     DORMANT = "DORMANT"
     READY = "READY"
     RUNNING = "RUNNING"
     WAITING = "WAITING"
-    SUSPENDED = "SUSPENDED"
-    WAITING_SUSPENDED = "WAITING_SUSPENDED"
 
 
 # the transitions the scheduler makes, as the legal next states of each
 # state, keyed by its value because Enum.__hash__ runs Python code;
-# Engine() and arm_handler set the state directly.  No service drives a
-# thread into the SUSPENDED states, which exist only as listing codes.
+# arm_handler sets the state directly.
 _NEXT_STATES = {
-    "NON_EXISTENT": (),
     "DORMANT": (ThreadState.READY,),
     "READY": (ThreadState.RUNNING,),
     "RUNNING": (ThreadState.READY, ThreadState.WAITING, ThreadState.DORMANT),
     # a waiting handler runs when it is activated
     "WAITING": (ThreadState.READY, ThreadState.RUNNING),
-    "SUSPENDED": (),
-    "WAITING_SUSPENDED": (),
 }
 
 
@@ -258,6 +258,10 @@ class SimThread:
     be restarted and each handler activation runs a fresh body.  The
     token keeps accumulating across them all.
 
+    A thread starts DORMANT.  ``outranked_by`` masks the ready bitmap's
+    classes that preempt it; it is written with ``current_priority``
+    and stays 0 for a handler, which only its own return ends.
+
     A segment's state lives on its thread: ``seg`` is the request being
     charged and ``seg_left`` its ticks left.  ``rec_start`` and
     ``rec_event`` open the segment's trace record, which a suspension
@@ -279,13 +283,14 @@ class SimThread:
         self.kind = kind
         self.base_priority = priority
         self.current_priority = priority
+        self.outranked_by = (1 << priority) - 1 if kind is ThreadKind.TASK else 0
         self.is_idle = is_idle
         if kind.is_handler:
             self.default_context = _HANDLER_CONTEXT[kind]
         else:
             self.default_context = ContextKind.IDLE if is_idle else ContextKind.TASK
         self.body = body
-        self.state = ThreadState.NON_EXISTENT
+        self.state = ThreadState.DORMANT
         self.token = Token()
         self.api: ThreadApi | None = None
 
@@ -295,9 +300,6 @@ class SimThread:
         self.seg_left = 0
         self.rec_start = 0
         self.rec_event = EventKind.CONTINUE_RUN
-        self.preempt_requested = False
-        self.awaiting_activation = False
-        self.activation_queued = False
         self.waiting_reason: str | None = None
         self.ready_tick = 0
         self.ready_key = None  # (ready_tick, id) while in a ready class
@@ -391,7 +393,6 @@ class Engine:
             if th.id in self._table:
                 raise ConflictError(f"thread id {th.id} given twice")
             th.api = ThreadApi(self, th.id)
-            th.state = ThreadState.DORMANT
             self._table[th.id] = th
         # current priority -> sorted (ready_tick, id); bit p set while
         # class p is non-empty
@@ -424,8 +425,6 @@ class Engine:
             raise StateError(f"cannot start {th.name}: state {th.state.value}")
         if th.kind.is_handler:
             raise ProtocolError("handlers are armed, not started")
-        th.pending_resume = None
-        th.seg = None
         self._make_ready(th)
 
     def arm_handler(self, thread_id: int):
@@ -438,24 +437,23 @@ class Engine:
         if th.state is not ThreadState.DORMANT:
             raise StateError(f"cannot arm {th.name}: state {th.state.value}")
         th.state = ThreadState.WAITING  # arming is not a scheduled transition
-        th.awaiting_activation = True
-        th.waiting_reason = "activation wait"
 
     def raise_interrupt(self, handler_id: int):
         """Queue a handler activation.
 
         Activations nest LIFO in queueing order at the next boundary.
-        A handler that is mid-activation (or already queued) drops the
-        request; a dormant handler is an error.
+        Only a handler that waits (state WAITING) and is not queued yet
+        takes the request; a busy one, mid-activation or already queued,
+        drops it and returns False.  A dormant handler is an error.
         """
         th = self._get(handler_id)
         if not th.kind.is_handler:
             raise ProtocolError(f"{th.name} is not a handler")
-        if th.state in (ThreadState.DORMANT, ThreadState.NON_EXISTENT):
+        if th.state is ThreadState.DORMANT:
             raise NotFoundError(f"handler {th.name} is not armed")
-        if not th.awaiting_activation or th.activation_queued:
+        if (th.state is not ThreadState.WAITING
+                or handler_id in self._pending_activations):
             return False  # busy: request dropped
-        th.activation_queued = True
         self._pending_activations.append(handler_id)
         return True
 
@@ -464,7 +462,7 @@ class Engine:
         th = self._get(thread_id)
         if th.state is not ThreadState.WAITING:
             raise StateError(f"cannot release {th.name}: state {th.state.value}")
-        if th.awaiting_activation:
+        if th.kind is not ThreadKind.TASK:
             raise ProtocolError("handlers are activated, not released")
         th.pending_resume = Resume(event, payload)
         th.waiting_reason = None
@@ -472,20 +470,17 @@ class Engine:
 
     def set_priority(self, thread_id: int, priority: int):
         """Set a thread's current priority; a ready thread moves to its
-        place in the new class at once, keeping its ready stamp.  Call
-        ``recheck_preemption`` once the changes are done."""
+        place in the new class at once, keeping its ready stamp.  A
+        running task that a ready thread now outranks is preempted at
+        the next boundary."""
         th = self._get(thread_id)
+        th.outranked_by = (1 << priority) - 1 if th.kind is ThreadKind.TASK else 0
         if th.ready_key is None:
             th.current_priority = priority
         else:
             self._dequeue(th)
             th.current_priority = priority
             self._enqueue(th)
-
-    def recheck_preemption(self):
-        """Re-evaluate whether a ready thread outranks the current one.
-        Needed after priority changes that bypass the ready-up path."""
-        self._flag_preempt_if_outranked()
 
     def critical_depth(self) -> int:
         return self._crit_depth
@@ -494,7 +489,7 @@ class Engine:
         return [
             (th.id, th.name, th.waiting_reason or "waiting")
             for th in self._table.values()
-            if th.state is ThreadState.WAITING and not th.awaiting_activation
+            if th.state is ThreadState.WAITING and th.kind is ThreadKind.TASK
         ]
 
     def ready_ids(self):
@@ -533,7 +528,7 @@ class Engine:
             return 0
         th = self._table[cur]
         if self._crit_depth == 0 and (self._pending_activations
-                                      or th.preempt_requested):
+                                      or self._ready_bits & th.outranked_by):
             return 0
         seg = th.seg
         if seg is None:
@@ -580,7 +575,6 @@ class Engine:
         self._set_state(th, ThreadState.READY)
         th.ready_tick = self.now
         self._enqueue(th)
-        self._flag_preempt_if_outranked()
 
     def _enqueue(self, th: SimThread):
         key = th.ready_key = (th.ready_tick, th.id)
@@ -599,21 +593,6 @@ class Engine:
         th.ready_key = None
         if not q:
             self._ready_bits ^= 1 << prio
-
-    def _outranked(self, th: SimThread) -> bool:
-        """Whether a ready thread has a better current priority than ``th``."""
-        bits = self._ready_bits
-        return bits != 0 and (bits & -bits).bit_length() - 1 < th.current_priority
-
-    def _flag_preempt_if_outranked(self):
-        cur = self.current_id
-        if cur is None:
-            return
-        th = self._table[cur]
-        if th.kind.is_handler:
-            return  # delayed dispatching: decided at outermost return
-        if self._outranked(th):
-            th.preempt_requested = True
 
     def _pick_ready(self) -> int | None:
         """The head of the best non-empty class (its lowest set bit)."""
@@ -673,21 +652,18 @@ class Engine:
                     )
                 self._dispatch(nxt)
                 continue
+            # a ready thread of a better class preempts a task; inside a
+            # critical section it waits until the section closes
             th = self._table[self.current_id]
-            if th.preempt_requested and not th.kind.is_handler:
-                if self._crit_depth == 0:
-                    if self._outranked(th):
-                        self._suspend_current(EventKind.RETURN_FROM_PREEMPTION)
-                        continue
-                    th.preempt_requested = False
-                # depth > 0: stays pending until the section closes
+            if self._crit_depth == 0 and self._ready_bits & th.outranked_by:
+                self._suspend_current(EventKind.RETURN_FROM_PREEMPTION)
+                continue
             return
 
     def _dispatch(self, thread_id: int):
         th = self._table[thread_id]
         self._dequeue(th)
         self._set_state(th, ThreadState.RUNNING)
-        th.preempt_requested = False
         if th.gen is None:  # a fresh task: its body starts at this dispatch
             th.pending_resume = Resume(EventKind.STARTUP)
         event = th.pending_resume.event if th.pending_resume else EventKind.CONTINUE_RUN
@@ -702,7 +678,6 @@ class Engine:
             self._close_record(th)
         th.run_streak = 0
         th.pending_resume = Resume(event)
-        th.preempt_requested = False
         self._set_state(th, ThreadState.READY)
         if not th.kind.is_handler:
             # handlers are not scheduled: an interrupted one resumes
@@ -718,8 +693,6 @@ class Engine:
         if interrupted is not None:
             self._suspend_current(EventKind.RETURN_FROM_INTERRUPT, emit_preempt=False)
         self._stack.append(interrupted)
-        h.awaiting_activation = False
-        h.activation_queued = False
         self._set_state(h, ThreadState.RUNNING)
         # only the first activation starts; no activation has returned yet
         event = EventKind.STARTUP if h.token.cycles == 0 else EventKind.CONTINUE_RUN
@@ -736,16 +709,12 @@ class Engine:
         self._emit_control(th, CTL_INT_RETURN, EventKind.RETURN_FROM_INTERRUPT)
         th.gen = None
         self._set_state(th, ThreadState.WAITING)
-        th.awaiting_activation = True
-        th.waiting_reason = "activation wait"
         th.run_streak = 0
         self.current_id = None
 
         if tid is None:
             return
-        it = self._table.get(tid)
-        if it is None or it.state is ThreadState.DORMANT:
-            return
+        it = self._table[tid]  # READY since the activation suspended it
         if it.kind.is_handler:
             # inner return always resumes the interrupted handler
             self._set_state(it, ThreadState.RUNNING)
@@ -754,7 +723,7 @@ class Engine:
             return
         # outermost return: delayed dispatching decision.  ``it`` is
         # ready itself, so a better class holds some other thread.
-        if self._outranked(it):
+        if self._ready_bits & it.outranked_by:
             return  # the gate will dispatch the higher-priority thread
         self._dispatch(tid)
 

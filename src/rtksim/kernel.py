@@ -301,19 +301,19 @@ class Kernel:
             raise ValidationError(f"cyclic {name}: period must be >= 1")
         if not is_int(phase) or phase < 0:
             raise ValidationError(f"cyclic {name}: phase must be >= 0")
-        th = self._add_thread(thread_id, name, ThreadKind.CYCLIC,
-                              HANDLER_PRIORITY, body, extended_info)
+        self._add_thread(thread_id, name, ThreadKind.CYCLIC,
+                         HANDLER_PRIORITY, body, extended_info)
         self._schedule(phase or period, _RANK_TIMER, self._activate,
-                       (th, period))
+                       (thread_id, period))
 
     def declare_alarm(self, thread_id: int, name: str, offset: int, body,
                       *, extended_info: int = 0):
         self._check_thread(thread_id, name)
         if not is_int(offset) or offset < 1:
             raise ValidationError(f"alarm {name}: offset must be >= 1")
-        th = self._add_thread(thread_id, name, ThreadKind.ALARM,
-                              HANDLER_PRIORITY, body, extended_info)
-        self._schedule(offset, _RANK_TIMER, self._activate, (th, None))
+        self._add_thread(thread_id, name, ThreadKind.ALARM,
+                         HANDLER_PRIORITY, body, extended_info)
+        self._schedule(offset, _RANK_TIMER, self._activate, (thread_id, None))
 
     def declare_isr(self, thread_id: int, name: str, body,
                     *, extended_info: int = 0):
@@ -510,11 +510,11 @@ class Kernel:
         self._check_deadlock(now)
 
     def _activate(self, data, now: int):
-        """A cyclic or alarm activation; a busy handler misses it.  A
-        cyclic handler's next one is due a period later."""
-        th, period = data
-        if th.awaiting_activation and not th.activation_queued:
-            self.engine.raise_interrupt(th.id)
+        """A cyclic or alarm activation; a busy handler misses it (see
+        ``Engine.raise_interrupt``).  A cyclic handler's next one is due
+        a period later."""
+        handler_id, period = data
+        self.engine.raise_interrupt(handler_id)
         if period is not None:
             self._schedule(now + period, _RANK_TIMER, self._activate, data)
 
@@ -684,7 +684,7 @@ class Kernel:
     def wakeup(self, api, task_id):
         def wake(tcb):
             th = self._task_thread(task_id)
-            if th.state in (ThreadState.DORMANT, ThreadState.NON_EXISTENT):
+            if th.state is ThreadState.DORMANT:
                 raise ObjectStateError(f"cannot wake dormant task {th.name}")
             if th.state is ThreadState.WAITING and tcb.sleeping:
                 return [(task_id, None)]
@@ -877,4 +877,3 @@ class Kernel:
             if tcb.blocked_on is None:
                 break
             tid = tcb.blocked_on.owner
-        eng.recheck_preemption()

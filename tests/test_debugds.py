@@ -102,10 +102,13 @@ def test_listing_matches_golden_byte_for_byte():
 def test_golden_listing_parses_back_to_the_snapshot():
     snap = take_snapshot(golden_kernel())
     assert parse_listing(GOLDEN) == snap
-    # no service suspends a thread, but the listing codes still parse
-    for code in ("SUS", "WAS"):
-        parsed = parse_listing(GOLDEN.replace("= DMT", f"= {code}"))
-        assert parsed.tasks[0].state == code
+
+
+def test_parse_refuses_the_state_codes_no_run_reaches():
+    # a thread is DORMANT, READY, RUNNING or WAITING; no other code parses
+    for code in ("NON", "SUS", "WAS"):
+        with pytest.raises(ValidationError, match="unknown task state"):
+            parse_listing(GOLDEN.replace("= DMT", f"= {code}"))
 
 
 def busy_kernel() -> Kernel:

@@ -195,7 +195,6 @@ def _schedule(changes):
     for tick in range(7):
         for tid, prio in changes.get(tick, ()):
             eng.set_priority(tid, prio)
-        eng.recheck_preemption()
         eng.run_one_tick()
     eng.finish()
     names = {th.id: th.name for th in threads}
@@ -210,6 +209,11 @@ def test_boosted_ready_thread_jumps_its_peers_then_falls_back():
     assert _schedule({1: [(3, 3)], 2: [(3, 5)]}) == "RRRABC-"
     # B drops to 7, C rises above R itself and preempts it at once
     assert _schedule({1: [(2, 7), (3, 0)]}) == "RCRRAB-"
+
+
+def test_lowering_the_running_task_preempts_it_at_the_next_boundary():
+    # set_priority is the only call: the gate reads the ready classes
+    assert _schedule({1: [(4, 6)]}) == "RABCRR-"
 
 
 def test_same_tick_ties_break_by_id_in_every_class():
@@ -268,7 +272,6 @@ def test_ready_classes_hold_exactly_the_ready_tasks_over_a_long_run():
                 eng.release(th.id, EventKind.SLEEP_ARRIVAL)
         for th in rng.sample(workers, 2):
             eng.set_priority(th.id, rng.randint(1, 6))
-        eng.recheck_preemption()
         if rng.random() < 0.1:
             eng.raise_interrupt(13)
         eng.run_one_tick()
@@ -831,7 +834,7 @@ def test_no_coast_while_the_gate_has_work():
     eng.run_one_tick()                 # H runs its one tick
     eng.run_one_tick()                 # A resumes
     assert eng.coast(0) == 0
-    eng.thread(1).preempt_requested = True
+    eng.set_priority(1, 100)           # A now ranks below the ready idle
     assert eng.coast(5) == 0           # a preemption waits to be checked
-    eng.thread(1).preempt_requested = False
+    eng.set_priority(1, 5)
     assert eng.coast(5) == 5

@@ -643,7 +643,7 @@ def test_collection_as_mapping_key_is_a_parse_error():
 LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__,
                              reason="PyYAML was built without libyaml")
 LOADERS = [
-    pytest.param(yaml.SafeLoader, id="pure"),
+    pytest.param(scenario._PureLoader, id="pure"),
     pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
                  marks=LIBYAML),
 ]
@@ -666,6 +666,8 @@ EDGE_TEXTS = [
     "run_ticks: !!bool maybe\n",
     "- " * 1500 + "1\n",                                # nested too deeply
     *("a: " + "[" * n + "]" * n + "\n" for n in (256, 257, 300, 600, 900)),
+    *("[" * n + "]" * n + "\n" for n in (257, 258)),   # the last flow level
+    "a: " + "[" * 100_000 + "]" * 100_000 + "\n",
     "- " * 30000 + "1\n",
     "",
     "# comment only\n",
@@ -700,7 +702,27 @@ def test_libyaml_builds_what_the_pure_python_loader_builds():
     texts.append(demo_scenario_path().read_text(encoding="utf-8"))
     for text in texts + EDGE_TEXTS:
         assert (_outcome(text, yaml.CSafeLoader)
-                == _outcome(text, yaml.SafeLoader)), text[:80]
+                == _outcome(text, scenario._PureLoader)), text[:80]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_flow_nesting_is_refused_at_the_first_bracket_past_the_limit(loader):
+    deepest, deeper = ("[" * n + "]" * n + "\n" for n in (257, 258))
+    assert isinstance(_outcome(deepest, loader), tuple)  # parsed
+    assert _outcome(deeper, loader) == ["scn.yaml:1"]
+    # the pure-Python scanner is quadratic in flow nesting until it gives
+    # up near 1500 levels (~1.4 s); it now stops at the limit
+    start = time.perf_counter()
+    assert _outcome("a: " + "[" * 100_000 + "]" * 100_000, loader) == ["scn.yaml:1"]
+    assert time.perf_counter() - start < 2
+
+
+def test_the_pure_scanner_stops_at_the_first_bracket_past_the_limit():
+    loader = scenario._PureLoader("[" * 1000)
+    with pytest.raises(RecursionError):
+        while loader.check_token():
+            loader.get_token()
+    assert loader.flow_level == scenario._NODE_DEPTH_LIMIT + 1
 
 
 _KEYS = ["run_ticks", "name", "tick_us", "tasks", "id", "priority",
