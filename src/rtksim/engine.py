@@ -66,9 +66,16 @@ with one accounting step and the same trace rows.  A coasted idle
 stretch is written as one record whose ``repeat`` counts its completed
 one-tick rows (see ``trace``); stepping writes those rows one by one.
 
-Trace rows are plain TraceRecord dataclasses, built positionally with
-the enum strings read through ``_value_``; every record but a coasted
-idle stretch has ``repeat`` 1.
+Trace rows are plain TraceRecord dataclasses, each built positionally
+where it is written, with the enum strings read through ``_value_``,
+and handed to the sink's ``record``, bound once at construction.  Every
+record but a coasted idle stretch has ``repeat`` 1.
+
+A stepped tick runs in one frame, ``run_one_tick``.  It calls the gate,
+the only place a transfer is committed, only when there is one to
+commit, and ``_step`` only when the running segment is done; ``_step``
+takes a body's wait request itself and leaves the rarer requests to
+``_handle_request``.
 """
 
 from __future__ import annotations
@@ -405,6 +412,7 @@ class Engine:
         self._crit_depth = 0
         self._crit_owner: int | None = None
         self._trace = NullSink() if trace_sink is None else trace_sink
+        self._record = self._trace.record
         self._finished = False
 
     # ------------------------------------------------------------------
@@ -473,6 +481,10 @@ class Engine:
         place in the new class at once, keeping its ready stamp.  A
         running task that a ready thread now outranks is preempted at
         the next boundary."""
+        # priority inheritance calls this, so the bool test is inline,
+        # with no call to trace.is_int
+        if not isinstance(priority, int) or type(priority) is bool or priority < 0:
+            raise ValidationError("priority must be an integer >= 0")
         th = self._get(thread_id)
         th.outranked_by = (1 << priority) - 1 if th.kind is ThreadKind.TASK else 0
         if th.ready_key is None:
@@ -507,7 +519,32 @@ class Engine:
 
     def run_one_tick(self):
         """Advance exactly one tick interval and fire the tick hook."""
-        self._run_interval()
+        table = self._table
+        guard = 0
+        while True:
+            # the gate's work, tested first and inline as in ``coast``,
+            # so a busy tick pays no call for it
+            cur = self.current_id
+            if cur is None or self._crit_depth == 0 and (
+                    self._pending_activations
+                    or self._ready_bits & table[cur].outranked_by):
+                self._gate()
+                cur = self.current_id
+            th = table[cur]
+            seg = th.seg
+            if seg is not None:
+                if th.seg_left > 0:
+                    self._consume(th, seg, 1)
+                    break
+                if th.is_idle and th.pending_resume is None:
+                    self._renew_idle(th, seg, 1)
+                    break
+            self._step(th)
+            guard += 1
+            if guard > _ZERO_TIME_STEP_LIMIT:
+                raise ConsistencyError(
+                    f"zero-time livelock at tick {self.now} in {th.name}"
+                )
         self.now += 1
         if self.on_tick is not None:
             self.on_tick(self.now)
@@ -601,41 +638,16 @@ class Engine:
             return None
         return self._classes[(bits & -bits).bit_length() - 1][0][1]
 
-    def _emit(self, th: SimThread, label: str, context: ContextKind,
-              event: EventKind | None, start: int, end: int,
-              etm: int = 0, uj: int = 0):
-        self._trace.record(TraceRecord(
-            start, end, th.id, th.name, context._value_, label, etm, uj,
-            event._value_ if event is not None else "",
-        ))
-
     def _emit_control(self, th: SimThread, label: str,
                       event: EventKind | None = None,
                       context: ContextKind | None = None):
         ctx = context if context is not None else th.default_context
-        self._emit(th, label, ctx, event, self.now, self.now)
+        now = self.now
+        self._record(TraceRecord(
+            now, now, th.id, th.name, ctx._value_, label, 0, 0,
+            event._value_ if event is not None else ""))
 
     # --- trampoline ----------------------------------------------------
-
-    def _run_interval(self):
-        guard = 0
-        while True:
-            self._gate()
-            th = self._table[self.current_id]
-            seg = th.seg
-            if seg is not None:
-                if th.seg_left > 0:
-                    self._consume(th, seg, 1)
-                    return
-                if th.is_idle and th.pending_resume is None:
-                    self._renew_idle(th, seg, 1)
-                    return
-            self._step(th)
-            guard += 1
-            if guard > _ZERO_TIME_STEP_LIMIT:
-                raise ConsistencyError(
-                    f"zero-time livelock at tick {self.now} in {th.name}"
-                )
 
     def _gate(self):
         """Commit pending control transfers.  Zero simulated time."""
@@ -657,6 +669,12 @@ class Engine:
             th = self._table[self.current_id]
             if self._crit_depth == 0 and self._ready_bits & th.outranked_by:
                 self._suspend_current(EventKind.RETURN_FROM_PREEMPTION)
+                # a task that outranks its own class would be dispatched
+                # and preempted again for ever, in zero time
+                if self._pick_ready() == th.id:
+                    raise ConsistencyError(
+                        f"preemption loop at tick {self.now}: {th.id}:{th.name}"
+                        f" is the best ready thread after its own preemption")
                 continue
             return
 
@@ -734,8 +752,10 @@ class Engine:
         if seg is not None:  # it has no ticks left
             if seg.etm == 0:  # its record is 0 ticks wide, all its energy
                 th.token.cee_uj += seg.eem_uj
-                self._emit(th, seg.label, seg.context_kind, th.rec_event,
-                           self.now, self.now, uj=seg.eem_uj)
+                now = self.now
+                self._record(TraceRecord(
+                    now, now, th.id, th.name, seg.context_kind._value_,
+                    seg.label, 0, seg.eem_uj, th.rec_event._value_))
             else:
                 self._close_record(th)
             th.seg = None
@@ -755,14 +775,16 @@ class Engine:
             else:
                 self._do_exit(th)
             return
-        self._handle_request(th, req)
-
-    def _handle_request(self, th: SimThread, req):
-        if type(req) is _WaitRequest:
+        if type(req) is _WaitRequest:  # the common request, taken here
             th.seg = req
             th.seg_left = req.etm
             th.rec_start = self.now
-        elif isinstance(req, _ExitRequest):
+        else:
+            self._handle_request(th, req)
+
+    def _handle_request(self, th: SimThread, req):
+        """Act on a request other than a wait."""
+        if isinstance(req, _ExitRequest):
             self._do_exit(th)
         elif isinstance(req, _BlockRequest):
             if th.kind is not ThreadKind.TASK:
@@ -806,7 +828,7 @@ class Engine:
         now = self.now
         last = now + n - 1
         if n > 1:
-            self._trace.record(TraceRecord(
+            self._record(TraceRecord(
                 now, last, th.id, th.name, seg.context_kind._value_,
                 seg.label, seg.etm, seg.eem_uj,
                 EventKind.CONTINUE_RUN._value_, n - 1))
@@ -845,8 +867,9 @@ class Engine:
             uj = seg.per_tick_uj * (now - start)
             if th.seg_left == 0:
                 uj += seg.rem_uj
-            self._emit(th, seg.label, seg.context_kind, th.rec_event,
-                       start, now, etm=now - start, uj=uj)
+            self._record(TraceRecord(
+                start, now, th.id, th.name, seg.context_kind._value_,
+                seg.label, now - start, uj, th.rec_event._value_))
 
     # --- critical sections ----------------------------------------------
 
@@ -856,7 +879,10 @@ class Engine:
         self._crit_depth += 1
         if self._crit_depth == 1:
             self._crit_owner = thread_id
-            self._emit_control(self._table[thread_id], CTL_CRIT_ENTER)
+            th, now = self._table[thread_id], self.now
+            self._record(TraceRecord(
+                now, now, thread_id, th.name, th.default_context._value_,
+                CTL_CRIT_ENTER, 0, 0, ""))
 
     def _crit_exit(self, thread_id: int):
         if self._crit_depth == 0:
@@ -865,5 +891,8 @@ class Engine:
             raise ProtocolError("critical section exit by a non-owner")
         self._crit_depth -= 1
         if self._crit_depth == 0:
-            self._emit_control(self._table[thread_id], CTL_CRIT_EXIT)
+            th, now = self._table[thread_id], self.now
+            self._record(TraceRecord(
+                now, now, thread_id, th.name, th.default_context._value_,
+                CTL_CRIT_EXIT, 0, 0, ""))
             self._crit_owner = None

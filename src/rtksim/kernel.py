@@ -39,12 +39,12 @@ arg) entries: cyclic and alarm activations, pushed when their handler is
 declared; the stimuli, pushed at boot; and wait timeouts.  At instants
 1..T of a T-tick run the tick hook runs the entries that fell due: timer
 events first, then that instant's stimuli (rank), each kind in insertion
-order (seq); then it checks for a deadlock.  A wait that ends some other
-way takes its timeout off the agenda at once, so every entry left has
-work to do: while any is left there is no deadlock, and ``run`` coasts
-the engine through the ticks before the first one falls due, whose
-boundaries have nothing to process, so the tick hook runs only after
-the ticks it steps.
+order (seq); then, only if the agenda is empty, it checks for a
+deadlock.  A wait that ends some other way takes its timeout off the
+agenda at once, so every entry left has work to do: while any is left
+there is no deadlock, and ``run`` coasts the engine through the ticks
+before the first one falls due, whose boundaries have nothing to
+process, so the tick hook runs only after the ticks it steps.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ class SvcResult:
     def ok(self) -> bool:
         return self.code == RESULT_OK
 
-    @property
-    def timed_out(self) -> bool:
-        return self.code == RESULT_TIMEOUT
+
+# the result of every service that has no value: building a frozen
+# SvcResult costs about a microsecond, and nothing can change this one
+_OK = SvcResult(RESULT_OK)
 
 
 class CallContext:
@@ -183,7 +184,10 @@ def _check_name(name):
 
 def _result(resume):
     """The SvcResult of a wait, from the Resume that ended it."""
-    return SvcResult(*(resume.payload or (RESULT_OK,)))
+    payload = resume.payload
+    if payload is None or payload == (RESULT_OK, None):
+        return _OK
+    return SvcResult(*payload)
 
 
 def _served(handoff):
@@ -507,7 +511,8 @@ class Kernel:
         while agenda and agenda[0][0] <= now:
             _due, _rank, _seq, action, arg = heapq.heappop(agenda)
             action(arg, now)
-        self._check_deadlock(now)
+        if not agenda:  # a timed event still to come rules out a deadlock
+            self._check_deadlock(now)
 
     def _activate(self, data, now: int):
         """A cyclic or alarm activation; a busy handler misses it (see
@@ -536,8 +541,8 @@ class Kernel:
             dev.feed(st.value)
 
     def _check_deadlock(self, now: int):
-        if self._agenda:
-            return  # a timed event is still to come
+        """Stop on, or report, a deadlock: no timed event to come (the
+        caller's test), nothing to run but idle, and a task waiting."""
         eng = self.engine
         if eng.pending_activation_count() > 0:
             return
@@ -587,7 +592,7 @@ class Kernel:
         for waiter, result in released:
             self._release(waiter, RESULT_OK, result)
         if granted:
-            return SvcResult(RESULT_OK, value)
+            return _OK if value is None else SvcResult(RESULT_OK, value)
         if timeout is not None:
             self._arm_timeout(tid, timeout, cancel or obj.cancel_wait)
         return _result((yield _BlockRequest(f"{what} {obj_id}")))
@@ -607,7 +612,7 @@ class Kernel:
             self.engine._crit_exit(tid)
         for waiter, result in released or ():
             self._release(waiter, RESULT_OK, result)
-        return SvcResult(RESULT_OK)
+        return _OK
 
     @staticmethod
     def _lookup(registry, obj_id, what):
@@ -673,7 +678,7 @@ class Kernel:
             tcb.wakeup_count -= 1
         self.engine._crit_exit(tid)
         if woken:
-            return SvcResult(RESULT_OK)
+            return _OK
         if timeout is not None:
             self._arm_timeout(tid, timeout)
         tcb.sleeping = True

@@ -5,8 +5,10 @@ ThreadApi, so each scheduling rule can be pinned in isolation.  Expected
 traces were worked out by hand on a tick grid before being frozen here.
 """
 
+import contextlib
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -610,6 +612,49 @@ def test_zero_time_livelock_guard(monkeypatch):
     eng.start_thread(1)
     with pytest.raises(ConsistencyError, match="livelock"):
         eng.run_one_tick()
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail, rather than hang, a call that does not return in time."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_task_preempted_by_its_own_class_stops_the_gate():
+    # A's mask wrongly covers its own class 5, where B waits: preempted,
+    # A is still the head of class 5, so the gate would dispatch and
+    # preempt it again for ever, in zero time
+    def body(api):
+        yield from api.wait(Annotation("work", 5, 0))
+
+    a = task(1, "A", 5, body)
+    # no sink attached: the default NullSink absorbs the record churn
+    eng = Engine([a, task(2, "B", 5, body),
+                  task(3, "IDLE", 99, forever_idle, is_idle=True)])
+    for tid in (1, 2, 3):
+        eng.start_thread(tid)
+    a.outranked_by = (1 << 6) - 1
+    with _time_limit(3), pytest.raises(
+            ConsistencyError, match="preemption loop at tick 0: 1:A"):
+        eng.run_one_tick()
+
+
+@pytest.mark.parametrize("bad", [True, -1, "x"])
+def test_set_priority_refuses_what_a_thread_refuses(bad):
+    eng, _ = make_engine([task(1, "A", 5, idle_body)])
+    with pytest.raises(ValidationError, match="priority"):
+        eng.set_priority(1, bad)
+    th = eng.thread(1)
+    assert (th.current_priority, th.outranked_by) == (5, (1 << 5) - 1)
 
 
 def test_zero_etm_segment_charges_full_energy_at_close():
