@@ -481,9 +481,7 @@ class Engine:
         place in the new class at once, keeping its ready stamp.  A
         running task that a ready thread now outranks is preempted at
         the next boundary."""
-        # priority inheritance calls this, so the bool test is inline,
-        # with no call to trace.is_int
-        if not isinstance(priority, int) or type(priority) is bool or priority < 0:
+        if not is_int(priority) or priority < 0:
             raise ValidationError("priority must be an integer >= 0")
         th = self._get(thread_id)
         th.outranked_by = (1 << priority) - 1 if th.kind is ThreadKind.TASK else 0

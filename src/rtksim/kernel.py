@@ -185,7 +185,7 @@ def _check_name(name):
 def _result(resume):
     """The SvcResult of a wait, from the Resume that ended it."""
     payload = resume.payload
-    if payload is None or payload == (RESULT_OK, None):
+    if payload is None or payload[1] is None and payload[0] == RESULT_OK:
         return _OK
     return SvcResult(*payload)
 

@@ -860,6 +860,35 @@ def test_mailbox_direct_handoff_to_blocked_receiver():
     assert k.mailboxes[1].message_count == 0
 
 
+def test_blocked_receiver_gets_a_message_that_equals_none():
+    """A message handed to a waiting receiver comes back as the same
+    object, whatever its ``__eq__`` says about None."""
+    class EqualsAnything:
+        def __eq__(self, other):
+            return True
+
+        __hash__ = object.__hash__
+
+    msg = EqualsAnything()
+    out = {}
+    k, _ = mk()
+    k.declare_mailbox(1)
+
+    def receiver(ctx):
+        res = yield from ctx.kernel.mbx_recv(ctx.api, 1)
+        out["msg"] = res.value
+
+    def sender(ctx):
+        yield from compute(ctx, "gap", 2)
+        yield from ctx.kernel.mbx_send(ctx.api, 1, msg)
+
+    k.declare_task(1, "RECV", 5, receiver)
+    k.declare_task(2, "SEND", 10, sender)
+    k.boot()
+    k.run(10)
+    assert out["msg"] is msg
+
+
 def test_message_buffer_backpressure_roundtrip():
     out = {}
     k, _ = mk()
