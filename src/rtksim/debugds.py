@@ -5,6 +5,16 @@ listing layout is golden-tested byte for byte, and parse_listing inverts
 dump_listing exactly, so snapshots can be archived as text and compared
 structurally later.
 
+The layout lives in dump_listing alone.  parse_listing reads each value
+where dump_listing writes it, walking the same task rows and object
+sections, renders the snapshot it built, and accepts the text only if that
+rendering equals it byte for byte; every line ends with a newline.  Any
+other text raises ValidationError: a value that does not read ("listing
+line N: ... is not an integer", "not hexadecimal", "unknown task state"),
+text that stops short ("listing ended early"), the first line that differs
+("listing line N: expected ..., got ...") or what follows the listing
+("listing line N: unexpected trailing line ...").  Lines count from 1.
+
 Run-time figures are labeled in milliseconds, which is literal at the
 default 1 ms tick; any other resolution adds a header line naming the tick
 length, and the figures stay in ticks.
@@ -151,12 +161,15 @@ _SECTIONS = (
 )
 
 
+def _stat_labels(title, rows) -> tuple:
+    return (f"{title} Extended Information", *(label for label, _ in rows),
+            "No. of Waiting Tasks")
+
+
 def _object_record(title, rows, obj) -> DsObject:
-    return DsObject(obj.id, (
-        (f"{title} Extended Information", obj.extended_info),
-        *((label, value(obj)) for label, value in rows),
-        ("No. of Waiting Tasks", obj.waiting_count),
-    ))
+    values = (obj.extended_info, *(value(obj) for _, value in rows),
+              obj.waiting_count)
+    return DsObject(obj.id, tuple(zip(_stat_labels(title, rows), values)))
 
 
 def ref_task(kernel, task_id: int) -> DsTask:
@@ -234,127 +247,69 @@ def dump_listing(snap: DsSnapshot) -> str:
 
 
 # ----------------------------------------------------------------------
-# parsing (exact inverse of dump_listing)
-
-class _Lines:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise ValidationError("listing ended early")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def peek(self):
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def expect(self, literal: str):
-        line = self.next()
-        if line != literal:
-            raise ValidationError(
-                f"listing line {self.pos}: expected {literal!r}, got {line!r}")
-
-    def fail(self, message: str):
-        raise ValidationError(f"listing line {self.pos}: {message}")
-
-
-def _parse_int(lines, text, what) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        lines.fail(f"{what} is not an integer: {text!r}")
-
-
-def _split_tag(lines, line, prefix, sep):
-    if not line.startswith(prefix) or sep not in line:
-        lines.fail(f"expected a {prefix!r} line, got {line!r}")
-    _, _, tail = line.partition(sep)
-    return tail
-
-
-def _parse_field(lines, *, indent="  ") -> tuple:
-    line = lines.next()
-    head = indent + "> "
-    if not line.startswith(head) or "= " not in line:
-        lines.fail(f"expected a field line, got {line!r}")
-    body = line[len(head):]
-    name, _, value_text = body.rpartition("= ")
-    name = name.rstrip()
-    if _hex_label(name):
-        try:
-            value = int(value_text, 16)
-        except ValueError:
-            lines.fail(f"field {name!r} is not hexadecimal: {value_text!r}")
-    elif name == "Task State":
-        if value_text not in _CODE_STATES:
-            lines.fail(f"unknown task state {value_text!r}")
-        value = value_text
-    else:
-        value = _parse_int(lines, value_text, name)
-    return name, value
-
-
-def _parse_task_block(lines, idx) -> DsTask:
-    line = lines.next()
-    tag = f"{idx}. Task ID : "
-    if not line.startswith(tag):
-        lines.fail(f"expected {tag!r}..., got {line!r}")
-    task_id = _parse_int(lines, line[len(tag):], "task id")
-    values = {}
-    for expected, name in _TASK_ROWS:
-        label, values[name] = _parse_field(lines)
-        if label != expected:
-            lines.fail(f"expected field {expected!r}, got {label!r}")
-        if name == "state":
-            lines.expect(_WAIT_LINE)
-    lines.expect(_SEPARATOR)
-    return DsTask(task_id=task_id, **values)
-
+# parsing (the module docstring says what is accepted)
 
 def parse_listing(text: str) -> DsSnapshot:
-    lines = _Lines(text)
-    lines.expect("Debug Support (DS)")
-    tick = _parse_int(
-        lines, _split_tag(lines, lines.next(), "Snapshot Tick", " : "),
-        "snapshot tick")
-    tick_us = 1000
-    peeked = lines.peek()
-    if peeked is not None and peeked.startswith("Run Time Unit : tick ("):
-        inner = lines.next()[len("Run Time Unit : tick ("):]
-        if not inner.endswith(" us)"):
-            lines.fail("malformed run time unit line")
-        tick_us = _parse_int(lines, inner[:-len(" us)")], "tick length")
-    count = _parse_int(
-        lines,
-        _split_tag(lines, lines.next(), "No. of Registered Tasks", " : "),
-        "task count")
+    """Invert dump_listing, refusing any text that it does not write."""
+    lines = text.split("\n")
+    pos = 0
 
-    tasks = tuple(_parse_task_block(lines, i + 1) for i in range(count))
+    def line() -> str:
+        nonlocal pos
+        if pos + 1 >= len(lines):   # text after the last newline is no line
+            raise ValidationError("listing ended early")
+        pos += 1
+        return lines[pos - 1]
 
+    def value(sep=" : ", label=""):
+        # a value runs from its separator to the next space or the line's end
+        word = line().partition(sep)[2].split(" ")[0]
+        if label == "Task State":
+            if word in _CODE_STATES:
+                return word
+            problem = f"unknown task state {word!r}"
+        else:
+            base, kind = ((16, "hexadecimal") if _hex_label(label)
+                          else (10, "an integer"))
+            try:
+                return int(word, base)
+            except ValueError:
+                problem = f"{label or 'value'} is not {kind}: {word!r}"
+        raise ValidationError(f"listing line {pos}: {problem}")
+
+    line()   # the title
+    tick = value()
+    tick_us = value("(") if lines[pos].startswith("Run Time Unit") else 1000
+    tasks = []
+    for _ in range(value()):
+        task_id = value()
+        row = {}
+        for label, name in _TASK_ROWS:
+            row[name] = value("= ", label)
+            if name == "state":
+                line()   # the wait line
+        line()   # the separator
+        tasks.append(DsTask(task_id, **row))
     sections = []
-    for _kind, title, plural, _attr, _rows in _SECTIONS:
-        lines.expect(f"  ({title} Statistics)")
-        n = _parse_int(
-            lines,
-            _split_tag(lines, lines.next(), f"  No. of Allocated {plural}", " : "),
-            "object count")
+    for _kind, title, plural, _attr, rows in _SECTIONS:
+        line()   # the section heading
         entries = []
-        for i in range(n):
-            line = lines.next()
-            tag = f"  {i + 1}. {title} ID : "
-            if not line.startswith(tag):
-                lines.fail(f"expected {tag!r}..., got {line!r}")
-            obj_id = _parse_int(lines, line[len(tag):], "object id")
-            stats = []
-            while lines.peek() is not None and lines.peek().startswith("    > "):
-                stats.append(_parse_field(lines, indent="    "))
-            lines.expect(_SEPARATOR)
-            entries.append(DsObject(obj_id, tuple(stats)))
+        for _ in range(value()):
+            obj_id = value()
+            stats = tuple((label, value("= ", label))
+                          for label in _stat_labels(title, rows))
+            line()   # the separator
+            entries.append(DsObject(obj_id, stats))
         sections.append(DsSection(title, plural, tuple(entries)))
+    snap = DsSnapshot(tick, tick_us, tuple(tasks), tuple(sections))
 
-    if lines.peek() not in (None, ""):
-        lines.fail(f"unexpected trailing line {lines.peek()!r}")
-    return DsSnapshot(tick, tick_us, tasks, tuple(sections))
+    want = dump_listing(snap).split("\n")
+    if lines != want:
+        for n, (got, expected) in enumerate(zip(lines, want[:-1]), 1):
+            if got != expected:
+                raise ValidationError(
+                    f"listing line {n}: expected {expected!r}, got {got!r}")
+        n = len(want)
+        raise ValidationError(
+            f"listing line {n}: unexpected trailing line {lines[n - 1]!r}")
+    return snap

@@ -147,7 +147,6 @@ class TaskControl:
     extended_info: int = 0
     wakeup_count: int = 0
     timeout: tuple | None = None
-    sleeping: bool = False  # in a ``sleep`` that a wakeup ends
     held: list[Mutex] = field(default_factory=list)  # mutexes it owns
     blocked_on: Mutex | None = None  # mutex it is queued on
 
@@ -174,6 +173,10 @@ class Stimulus:
 # agenda ranks: the timer events due at an instant run before its stimuli
 _RANK_TIMER = 0
 _RANK_STIMULUS = 1
+
+# the wait reason of a task in ``sleep``; the engine holds it exactly while
+# the task is WAITING there, which is what ``wakeup`` tests
+_SLEEP = "sleep"
 
 
 def _check_name(name):
@@ -681,17 +684,14 @@ class Kernel:
             return _OK
         if timeout is not None:
             self._arm_timeout(tid, timeout)
-        tcb.sleeping = True
-        result = _result((yield _BlockRequest("sleep")))
-        tcb.sleeping = False
-        return result
+        return _result((yield _BlockRequest(_SLEEP)))
 
     def wakeup(self, api, task_id):
         def wake(tcb):
             th = self._task_thread(task_id)
             if th.state is ThreadState.DORMANT:
                 raise ObjectStateError(f"cannot wake dormant task {th.name}")
-            if th.state is ThreadState.WAITING and tcb.sleeping:
+            if th.waiting_reason == _SLEEP:
                 return [(task_id, None)]
             tcb.wakeup_count += 1
 

@@ -697,13 +697,10 @@ def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
     svc_etm, svc_eem_uj = (_read_entry(problems, svc, ("svc_cost",), _SVC_COST)
                            or (None, None))
 
-    abort = True
-    if "on_deadlock" in raw:
-        if raw["on_deadlock"] not in ("abort", "report"):
-            problems.append((("on_deadlock",),
-                             "on_deadlock must be \"abort\" or \"report\""))
-        else:
-            abort = raw["on_deadlock"] == "abort"
+    on_deadlock = raw.get("on_deadlock")
+    if on_deadlock not in (None, "abort", "report"):
+        problems.append((("on_deadlock",),
+                         "on_deadlock must be \"abort\" or \"report\""))
 
     annotations = _parse_annotations(problems, raw.get("annotations"))
     tasks, handlers = _parse_threads(problems, raw)
@@ -725,7 +722,7 @@ def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
         battery_uj=battery_uj,
         svc_etm=svc_etm,
         svc_eem_uj=svc_eem_uj,
-        abort_on_deadlock=abort,
+        abort_on_deadlock=on_deadlock != "report",
         annotations=annotations,
         tasks=tasks,
         handlers=handlers,

@@ -1,8 +1,15 @@
 """Kernel state listings: fixed layout, exact inverse parsing, lookups."""
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtksim.debugds import (
+    DsObject,
+    DsSection,
+    DsSnapshot,
+    DsTask,
     dump_listing,
     parse_listing,
     ref_object,
@@ -217,6 +224,17 @@ def test_parse_rejects_malformed_listings():
         parse_listing(bad_hex)
     with pytest.raises(ValidationError, match="trailing"):
         parse_listing(GOLDEN + "one more line\n")
+    with pytest.raises(ValidationError, match="line 49: unexpected trailing line ''"):
+        parse_listing(GOLDEN + "\nanything at all\nmore\n")
+    with pytest.raises(ValidationError,
+                       match="line 2: expected 'Snapshot Tick : 5', got"):
+        parse_listing(GOLDEN.replace("Tick : 5", "Tick XYZ : 5"))
+    with pytest.raises(ValidationError,
+                       match="line 6: expected .*, got '  > Current Priority = 5'"):
+        parse_listing(GOLDEN.replace("Current Priority" + " " * 22,
+                                     "Current Priority ", 1))
+    with pytest.raises(ValidationError, match="ended early"):
+        parse_listing(GOLDEN[:-1])   # the last line lacks its newline
 
 
 def test_thirty_service_ticks_render_as_thirty_ms():
@@ -232,3 +250,69 @@ def test_thirty_service_ticks_render_as_thirty_ms():
     k.run(40)
     text = dump_listing(take_snapshot(k))
     assert "  > Cumulative System Level Run Time (ms) = 30\n" in text
+
+
+# ----------------------------------------------------------------------
+# properties: random snapshots, and single-line edits of their listings
+
+# each object class's (title, plural, stat labels), in listing order
+_LAYOUT = tuple(
+    (sec.title, sec.plural, tuple(label for label, _ in sec.entries[0].stats))
+    for sec in take_snapshot(busy_kernel()).sections)
+_values = st.integers(-2**40, 2**40)
+
+
+@st.composite
+def snapshots(draw):
+    tasks = draw(st.lists(st.builds(
+        DsTask, **{**{f.name: _values for f in fields(DsTask)},
+                   "state": st.sampled_from(["DMT", "RDY", "RUN", "WAI"])}),
+        max_size=3))
+    sections = tuple(
+        DsSection(title, plural, tuple(
+            DsObject(draw(_values),
+                     tuple((label, draw(_values)) for label in labels))
+            for _ in range(draw(st.integers(0, 2)))))
+        for title, plural, labels in _LAYOUT)
+    tick_us = draw(st.just(1000) | st.integers(1, 10**6))
+    return DsSnapshot(draw(_values), tick_us, tuple(tasks), sections)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(snap=snapshots())
+def test_random_snapshots_round_trip(snap):
+    assert parse_listing(dump_listing(snap)) == snap
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(snap=snapshots(), data=st.data())
+def test_a_one_line_edit_is_refused_or_renders_back(snap, data):
+    text = dump_listing(snap)
+    lines = text.split("\n")[:-1]
+    fields_at = [i for i, line in enumerate(lines) if "= " in line]
+    tags_at = [i for i, line in enumerate(lines) if " : " in line]
+    edit = data.draw(st.sampled_from(
+        ["drop", "duplicate", "retag", "junk"] + ["repad"] * bool(fields_at)))
+    if edit == "junk":
+        text += "\n" + data.draw(st.text())
+    else:
+        at = data.draw(st.sampled_from(
+            {"repad": fields_at, "retag": tags_at}.get(edit, range(len(lines)))))
+        line = lines[at]
+        if edit == "drop":
+            del lines[at]
+        elif edit == "duplicate":
+            lines.insert(at, line)
+        elif edit == "repad":
+            label, _, value = line.partition("= ")
+            pad = " " * data.draw(st.integers(0, 45))
+            lines[at] = label.rstrip() + pad + "= " + value
+        else:
+            words = data.draw(st.text("ab :.()0123456789", max_size=30))
+            lines[at] = words + " : " + line.partition(" : ")[2]
+        text = "\n".join(lines) + "\n"
+    try:
+        snap = parse_listing(text)
+    except ValidationError:
+        return
+    assert dump_listing(snap) == text

@@ -445,9 +445,11 @@ def test_a_problem_is_located_at_its_own_entry_after_a_dropped_one():
 
 def test_a_null_value_counts_as_left_out():
     extra = "objects:\n  semaphores:\n    - {id: 1, initial: 0, max: null}\n"
-    scn = parse_scenario_text(refs_text("{call: sem_wait, sem: 1}", extra)
+    scn = parse_scenario_text("on_deadlock: null\n"
+                              + refs_text("{call: sem_wait, sem: 1}", extra)
                               .replace("eem: 0", "eem: null"))
     assert scn.annotation_table()["work"].eem_uj == 0
+    assert scn.abort_on_deadlock
     assert build_kernel(scn).semaphores[1].max_count == 65535
 
 
