@@ -1,11 +1,12 @@
 """Mutation gate: every listed mutant must make the tier-1 suite fail.
 
-Usage: ``python3 tests/mutants.py [NAME ...]``; names pick a subset.
+Usage: ``python3 tests/mutants.py``; it runs every listed mutant.
 
 A mutant is a named ``(file, old, new)`` triple, and ``old`` must occur
 exactly once in the file.  For each mutant the runner copies the tree,
-without ``.git``, to a temporary directory, makes the replacement there
-and runs the tier-1 command with ``-x`` in the copy:
+without ``.git``, caches, ``.venv``, ``build`` or ``*.egg-info`` and with
+symlinks kept as links, to a temporary directory, makes the replacement
+there and runs the tier-1 command with ``-x`` in the copy:
 
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors -x
 
@@ -132,8 +133,10 @@ def try_tree(mutant=None) -> tuple:
     run tier-1 on the copy."""
     with tempfile.TemporaryDirectory(prefix="rtksim-mutant-") as tmp:
         tree = Path(tmp) / "tree"
-        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        shutil.copytree(ROOT, tree, symlinks=True,
+                        ignore=shutil.ignore_patterns(
+                            ".git", "__pycache__", ".pytest_cache",
+                            ".hypothesis", ".venv", "build", "*.egg-info"))
         if mutant is not None:
             file, old, new = mutant
             path = tree / file
@@ -145,11 +148,7 @@ def try_tree(mutant=None) -> tuple:
         return run_suite(tree)
 
 
-def main(names: list) -> int:
-    unknown = set(names) - {name for name, *_ in MUTANTS}
-    if unknown:
-        print(f"no mutant named {', '.join(sorted(unknown))}")
-        return 2
+def main() -> int:
     start = time.perf_counter()
     verdict, detail = try_tree()
     print(f"unmutated tree: {verdict}, {detail} "
@@ -157,8 +156,7 @@ def main(names: list) -> int:
     if verdict != "passed":
         return 1
     killed = 0
-    chosen = [m for m in MUTANTS if not names or m[0] in names]
-    for name, *mutant in chosen:
+    for name, *mutant in MUTANTS:
         began = time.perf_counter()
         verdict, detail = try_tree(mutant)
         killed += verdict == "failed"
@@ -166,10 +164,10 @@ def main(names: list) -> int:
             verdict, "FINDING:")
         print(f"{name}: {outcome} {detail} "
               f"({time.perf_counter() - began:.1f} s)", flush=True)
-    print(f"{killed} of {len(chosen)} mutants killed in "
+    print(f"{killed} of {len(MUTANTS)} mutants killed in "
           f"{time.perf_counter() - start:.0f} s")
-    return 0 if killed == len(chosen) else 1
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

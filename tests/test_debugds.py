@@ -1,5 +1,6 @@
 """Kernel state listings: fixed layout, exact inverse parsing, lookups."""
 
+import functools
 from dataclasses import fields
 
 import pytest
@@ -255,10 +256,15 @@ def test_thirty_service_ticks_render_as_thirty_ms():
 # ----------------------------------------------------------------------
 # properties: random snapshots, and single-line edits of their listings
 
-# each object class's (title, plural, stat labels), in listing order
-_LAYOUT = tuple(
-    (sec.title, sec.plural, tuple(label for label, _ in sec.entries[0].stats))
-    for sec in take_snapshot(busy_kernel()).sections)
+@functools.cache
+def _layout() -> tuple:
+    """Each object class's (title, plural, stat labels), in listing order."""
+    return tuple(
+        (sec.title, sec.plural,
+         tuple(label for label, _ in sec.entries[0].stats))
+        for sec in take_snapshot(busy_kernel()).sections)
+
+
 _values = st.integers(-2**40, 2**40)
 
 
@@ -273,7 +279,7 @@ def snapshots(draw):
             DsObject(draw(_values),
                      tuple((label, draw(_values)) for label in labels))
             for _ in range(draw(st.integers(0, 2)))))
-        for title, plural, labels in _LAYOUT)
+        for title, plural, labels in _layout())
     tick_us = draw(st.just(1000) | st.integers(1, 10**6))
     return DsSnapshot(draw(_values), tick_us, tuple(tasks), sections)
 
