@@ -13,10 +13,11 @@ A statement's head key (the first of ``compute``, ``call``, ``bfm`` and
 ``loop`` it has) chooses its kind; for ``call`` and ``loop`` the head's
 value does.  Each kind is a `schema._Kind`: a row per key, read,
 written and reference-checked by the same code as a scenario's section
-entries.  A row that names something (an annotation label, an object
-of a kind by id, a device access) says what it names, and a row whose
-value the kernel takes in another form (a flag mode, a buffer payload,
-a timeout of "forever") builds it.  Each service is one kind in
+entries, and a checked statement is a `schema.Entry`, as an entry is.
+A row that names something (an annotation label, an object of a kind
+by id, a device access) says what it names, and a row whose value the
+kernel takes in another form (a flag mode, a buffer payload, a timeout
+of "forever") builds it.  Each service is one kind in
 ``_SERVICES``: its kernel method, its argument rows, and whether it can
 wait.
 
@@ -47,7 +48,6 @@ from .schema import (
 from .trace import is_int
 
 __all__ = [
-    "Statement",
     "parse_program",
     "iter_statements",
     "build_factory",
@@ -64,31 +64,6 @@ __all__ = [
 #   (_AGAIN, target)            a forever loop's jump back
 #   (_MARK,)                    one task cycle done
 _COMPUTE, _CALL, _RELEASE, _BFM, _HEAD, _BACK, _AGAIN, _MARK = range(8)
-
-
-class Statement(Entry):
-    """One checked statement: a value per row of its kind, each read as
-    the attribute its key names (``count``, ``body``).  A compute
-    statement's label also reads as ``label``, a call's service as
-    ``service``."""
-
-    def __post_init__(self):
-        pass  # a program has many statements: no copy of the values
-
-    def __getattr__(self, key):
-        # only for a name the instance lacks; reading `__dict__` keeps a
-        # copy that probes before the fields are set from recursing
-        kind = self.__dict__.get("schema")
-        if kind is None or key not in kind.keys:
-            raise AttributeError(key)
-        return self.values[kind.keys.index(key)]
-
-    label = property(lambda self: self.compute)
-    service = property(lambda self: self.call)
-
-    @property
-    def forever(self) -> bool:
-        return self.kind == "loop" and self.count == "forever"
 
 
 class _Fixed(_Check):
@@ -265,7 +240,7 @@ def _read_statement(problems, raw, path):
                              + ", ".join(str(k).lower() for k in kinds)))
             return None
     values = _read_entry(problems, raw, path, kind)
-    return None if values is None else Statement(kind.name, values, kind, path)
+    return None if values is None else Entry(kind.name, values, kind, path)
 
 
 def parse_program(raw, path, problems, *, handler=False):
@@ -280,12 +255,13 @@ def parse_program(raw, path, problems, *, handler=False):
     reported = len(problems)
     stmts = _BLOCK.read(problems, raw, path)
     for st in iter_statements(stmts or ()):
+        forever = st.kind == "loop" and st.count == "forever"
         if handler and st.schema.waits:
             problems.append((st.path, f"a handler cannot call '{st.kind}', "
                                       "which can wait; only tasks may wait"))
-        elif st.forever and handler:
+        elif forever and handler:
             problems.append((st.path, "forever loops are only legal in tasks"))
-        elif st.forever and st is not stmts[-1]:
+        elif forever and st is not stmts[-1]:
             problems.append((st.path, "a forever loop must be the final "
                                       "top-level statement"))
     return stmts if len(problems) == reported else None
@@ -322,7 +298,7 @@ def _compile(statements, *, handler):
 
     def loop(st, *, mark):
         nonlocal counters
-        if st.forever:
+        if st.count == "forever":
             top = len(ops)
             block(st.body)
             if mark:

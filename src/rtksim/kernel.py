@@ -466,11 +466,13 @@ class Kernel:
     def run(self, ticks: int):
         """Advance ``ticks`` ticks: step each tick that may need a
         scheduling decision or a boundary's work, and coast the others."""
-        if self.engine is None:
+        eng = self.engine
+        if eng is None:
             raise UsageError("boot before running")
+        if eng._finished:
+            raise UsageError("the run is finished: its trace is closed")
         if not is_int(ticks) or ticks < 0:
             raise ValidationError("tick count must be >= 0")
-        eng = self.engine
         table = eng._table
         agenda = self._agenda
         end = eng.now + ticks
@@ -497,6 +499,10 @@ class Kernel:
         self.run(1)
 
     def finish(self):
+        """Close the run: flush the open trace record and the sink.  A
+        second call does nothing; `run` and `step` after it raise."""
+        if self.engine is None:
+            raise UsageError("boot before finishing")
         self.engine.finish()
 
     # ------------------------------------------------------------------

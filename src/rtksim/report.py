@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .trace import format_mj
+from .trace import format_mj, is_int
 
 __all__ = [
     "ThreadUsage",
@@ -77,7 +77,7 @@ class BatteryModel:
     """Fixed energy budget drained by the observed consumption."""
 
     def __init__(self, capacity_uj: int):
-        if not isinstance(capacity_uj, int) or capacity_uj < 1:
+        if not is_int(capacity_uj) or capacity_uj < 1:
             raise ValidationError("battery capacity must be at least 1 uJ")
         self.capacity_uj = capacity_uj
 
@@ -125,8 +125,10 @@ class DistributionReport:
 
 def build_report(usages, *, run_ticks: int, tick_us: int = 1000,
                  battery_uj: int | None = None) -> DistributionReport:
-    if not isinstance(run_ticks, int) or run_ticks < 1:
+    if not is_int(run_ticks) or run_ticks < 1:
         raise ValidationError("report window must cover at least 1 tick")
+    if not is_int(tick_us) or tick_us < 1:
+        raise ValidationError("a tick must last an integer >= 1 us")
     battery = (BatteryModel(battery_uj) if battery_uj is not None
                else BatteryModel.from_wh())
     usages = tuple(sorted(usages, key=lambda u: u.thread_id))

@@ -6,24 +6,33 @@ devices, scripted stimuli, run length, and the battery.  Validation
 reports every problem it can find in one pass, each tagged with the
 source line, so a broken file is fixed in one round.
 
-Each kind of section entry (a task, each handler kind, each object,
-device and stimulus kind) is one `schema._Kind`: a row per field,
+The file itself is one `schema._Kind`, `_SCENARIO`, with a row per
+top-level key, and so is each kind of section entry (a task, each
+handler kind, each object, device and stimulus kind): a row per field,
 giving the field's YAML key, its check, its default, whether the writer
 keeps it at that default, and the keyword the kernel's declare call
-takes it under.  The reader, writer and builder in `schema.py` serve
+takes it under.  A field that holds mappings of its own is a check with
+its own `read` and `raw`: `_Section` a list of entries, `_Table` a
+mapping of named entries (the annotations, a device's accesses),
+`_Objects` the objects mapping and `_Nested` one mapping of its own
+rows (`svc_cost`).  The reader, writer and builder in `schema.py` serve
 every kind, and every kind of behavior statement too, so a key is
-listed only in its row; a rule across fields (a semaphore's initial
-count within its maximum) is the kind's `check`.  A statement row that
-names an annotation, an object or a device says so, and one pass checks
-each such name against the scenario.  A range the kernel enforces is
-read from the module that enforces it.
+listed only in its row, and the file is read by one `_read` and written
+by one `_entry_raw`.  A rule across fields is the kind's `check` (a
+semaphore's initial count within its maximum); the one rule across
+sections is that thread ids are one namespace, handlers first, with at
+most one idle task.  A statement row that names an annotation, an
+object or a device says so, and one pass checks each such name against
+the scenario.  A range the kernel enforces is read from the module that
+enforces it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -64,9 +73,8 @@ from .schema import (
     _entry_raw,
     _read,
     _read_entry,
-    _reject_extras,
 )
-from .trace import parse_mj, to_uj, valid_name
+from .trace import to_uj, valid_name
 
 __all__ = [
     "Scenario",
@@ -80,22 +88,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
+    """A checked scenario file: a value per `_SCENARIO` row, in row order."""
+
     name: str
     tick_us: int
     cycles_per_tick: int
     run_ticks: int
-    battery_uj: int | None
-    svc_etm: int
-    svc_eem_uj: int
-    abort_on_deadlock: bool
+    battery_uj: int | None  # battery_wh, in uJ
+    svc_cost: tuple         # (etm, eem_uj) that every service call charges
+    on_deadlock: str        # "abort" or "report"
     annotations: tuple      # Annotation rows
     tasks: tuple            # Entry rows: task, and at most one idle
     handlers: tuple         # Entry rows
     objects: tuple
     devices: tuple
     stimuli: tuple
+
+    svc_etm = property(lambda self: self.svc_cost[0])
+    svc_eem_uj = property(lambda self: self.svc_cost[1])
+    abort_on_deadlock = property(lambda self: self.on_deadlock != "report")
 
     def annotation_table(self) -> dict:
         return {a.label: a for a in self.annotations}
@@ -243,24 +255,6 @@ class _Source:
             )
 
 
-def _get_map(problems, raw, path, *, required=False):
-    if raw is None and not required:
-        return {}
-    if not isinstance(raw, dict):
-        problems.append((path, "expected a mapping"))
-        return None
-    return raw
-
-
-def _get_list(problems, raw, path, *, required=False):
-    if raw is None and not required:
-        return []
-    if not isinstance(raw, list):
-        problems.append((path, "expected a list"))
-        return None
-    return raw
-
-
 # ----------------------------------------------------------------------
 # checks of section fields only (`schema.py` has the shared ones)
 
@@ -277,75 +271,177 @@ class _Implicit(_Check):
 
 
 class _Energy(_Check):
-    """A millijoule figure, kept as integer microjoules."""
+    """A figure in a unit of `per` micro-joules (a millijoule, a
+    watt-hour), kept as integer micro-joules of at least `least`."""
+
+    def __init__(self, per, least, problem):
+        self.per, self.least, self.problem = per, least, problem
 
     def read(self, problems, value, path):
         try:
-            return parse_mj(value)
+            uj = to_uj(value, self.per)
         except ValueError:
-            problems.append((path, "energy must be a millijoule figure no "
-                                   "finer than 0.001 and no larger than 1e15"))
+            uj = None
+        if uj is None or uj < self.least:
+            problems.append((path, self.problem))
             return None
+        return uj
 
     def raw(self, uj):
-        if uj % 1000 == 0:
-            return uj // 1000
-        return format((Decimal(uj) / 1000).normalize(), "f")
+        if uj % self.per == 0:
+            return uj // self.per
+        return format((Decimal(uj) / self.per).normalize(), "f")
 
 
-class _Accesses(_Check):
-    """A device's access table: access name -> op, cycles and energy."""
+class _Nested(_Check):
+    """A mapping of its own kind's rows, read as their values."""
 
     def __init__(self, kind):
         self.kind = kind
-        self.ops = _OPS_BY_KIND[kind]
 
     def read(self, problems, value, path):
-        table = _get_map(problems, value, path)
-        if table is None:
+        if not isinstance(value, dict):
+            problems.append((path, "expected a mapping"))
             return None
+        return _read_entry(problems, value, path, self.kind)
+
+    def raw(self, values):
+        return _entry_raw(self.kind.rows, values)
+
+
+class _Table(_Check):
+    """A mapping of names to entries of one kind (the annotations, a
+    device's accesses), read as make(name, *values) for each entry that
+    passes its rows.  A table that is no mapping is reported and reads
+    as empty."""
+
+    def __init__(self, kind, make, what):
+        self.kind, self.make, self.what = kind, make, what
+
+    def read(self, problems, value, path):
+        if not isinstance(value, dict):
+            problems.append((path, "expected a mapping"))
+            return ()
         out = []
-        for name, spec in _named_entries(problems, table, path,
-                                         "access names"):
-            if spec.get("op") not in self.ops:
-                legal = ", ".join(self.ops) if self.ops else "none"
-                problems.append((path + (name,), f"op for a {self.kind} "
-                                                 f"device must be: {legal}"))
-                continue
-            values = _read_entry(problems, spec, path + (name,), _ACCESS)
-            if values is not None:
-                out.append(AccessSpec(name, *values))
+        for name, spec in value.items():
+            here = path + (name,)
+            if not valid_name(name):
+                problems.append(
+                    (here, f"{self.what} use letters, digits, '_', '.', '-'"))
+            elif not isinstance(spec, dict):
+                problems.append((here, "expected a mapping"))
+            else:
+                values = _read_entry(problems, spec, here, self.kind)
+                if values is not None:
+                    out.append(self.make(name, *values))
         return tuple(out)
 
-    def raw(self, accesses):
-        return {a.name: _entry_raw(_ACCESS.rows, (a.op, a.cycles, a.eem_uj))
-                for a in accesses}
+    def raw(self, items):
+        return {name: _entry_raw(self.kind.rows, values)
+                for name, *values in map(astuple, items)}
 
-    def build(self, accesses, annotations):
-        return {a.name: a for a in accesses}
+    def build(self, items, annotations):
+        return {item.name: item for item in items}
 
 
-_ENERGY = _Energy()
+class _Section(_Check):
+    """A list of entries.  kind_of(problems, entry, path) gives an entry's
+    `_Kind`, or None after reporting why it has none.  An entry whose
+    `unique` field repeats an earlier entry's is reported with `twice`
+    and dropped.  A section that is no list is reported and reads as
+    empty."""
+
+    def __init__(self, kind_of, unique=None, twice=""):
+        self.kind_of, self.unique, self.twice = kind_of, unique, twice
+
+    def read(self, problems, value, path):
+        if not isinstance(value, list):
+            problems.append((path, "expected a list"))
+            return ()
+        out = []
+        seen = set()
+        for here, raw in ((path + (i,), e) for i, e in enumerate(value)):
+            if not isinstance(raw, dict):
+                problems.append((here, "expected a mapping"))
+                continue
+            kind = self.kind_of(problems, raw, here)
+            values = (None if kind is None
+                      else _read_entry(problems, raw, here, kind))
+            if values is None:
+                continue
+            entry = Entry(kind.name, values, kind, here)
+            if kind.check is not None:
+                kind.check(problems, entry)
+            if self.unique is not None:
+                key = getattr(entry, self.unique)
+                if key in seen:
+                    problems.append((here + (self.unique,),
+                                     self.twice.format(key)))
+                    continue
+                seen.add(key)
+            out.append(entry)
+        return tuple(out)
+
+    def raw(self, entries):
+        return [_entry_raw(e.schema.rows, e.values) for e in entries]
+
+
+class _Objects(_Nested):
+    """The objects mapping: a section per object kind, read as one tuple
+    of entries in section order."""
+
+    def __init__(self, sections):
+        self.kinds = tuple(sections.values())
+        super().__init__(_Kind("objects", tuple(
+            _Row(key, _Section(lambda *_, kind=kind: kind, "id",
+                               f"{kind.name} id {{}} declared twice"), ())
+            for key, kind in sections.items())))
+
+    def read(self, problems, value, path):
+        return sum(super().read(problems, value, path) or (), ())
+
+    def raw(self, objects):
+        return super().raw(tuple(tuple(o for o in objects if o.schema is kind)
+                                 for kind in self.kinds))
+
+
+def _by_kind(kinds, problem):
+    """kind_of for a section whose entries name their kind under 'kind'."""
+    def kind_of(problems, raw, path):
+        kind = raw.get("kind")
+        if isinstance(kind, str) and kind in kinds:
+            return kinds[kind]
+        problems.append((path, problem))
+        return None
+    return kind_of
+
+
+def _either(words):
+    return ", ".join([*words[:-1], "or " + words[-1]])
 
 
 # ----------------------------------------------------------------------
 # rows: one per field of each kind of entry
 
+_ENERGY = _Energy(1000, 0, "energy must be a millijoule figure no finer "
+                             "than 0.001 and no larger than 1e15")
 _EEM_ROW = _Row("eem", _ENERGY, 0, write_default=True)
 _COST = _Kind("cost", (_Row("etm", _Int(0)), _EEM_ROW))
 _SVC_COST = _Kind("svc_cost", (_Row("etm", _Int(0), 1, write_default=True),
                                _EEM_ROW))
-_ACCESS = _Kind("access", (_Row("op", _GIVEN),
-                           _Row("cycles", _Int(0), 0, write_default=True),
-                           _EEM_ROW))
 
-_HEAD = (
-    _Row("name", _NAME, "scenario", write_default=True),
-    _Row("tick_us", _Int(1), 1000, write_default=True),
-    _Row("cycles_per_tick", _Int(1), DEFAULT_CYCLES_PER_TICK,
-         write_default=True),
-    _Row("run_ticks", _Int(1)),
-)
+
+def _access(kind):
+    """An access of a device of `kind`: an op that kind takes, its cycles
+    and its energy."""
+    ops = _OPS_BY_KIND[kind]
+    legal = " or ".join(ops) or "none"
+    return _Kind("access", (
+        _Row("op", _Is(ops.__contains__,
+                       f"be {legal} for a device of kind {kind}")),
+        _Row("cycles", _Int(0), 0, write_default=True),
+        _EEM_ROW))
+
 
 _NAME_ROW = _Row("name", _NAME)
 _EXT_ROW = _Row("extended_info", _Int(0), 0)
@@ -438,7 +534,8 @@ def _device(kind, *options):
         _DEVICE_NAME,
         _Row("kind", _GIVEN),
         *options,
-        _Row("accesses", _Accesses(kind), ()),
+        _Row("accesses", _Table(_access(kind), AccessSpec, "access names"),
+             ()),
     ), Kernel.add_device)
 
 
@@ -469,78 +566,7 @@ _STIMULUS_KINDS = {
 
 
 # ----------------------------------------------------------------------
-# sections of entries
-
-def _named_entries(problems, table, path, what):
-    """(name, mapping) for each entry of a mapping keyed by name."""
-    for name, spec in table.items():
-        if not valid_name(name):
-            problems.append((path + (name,),
-                             f"{what} use letters, digits, '_', '.', '-'"))
-            continue
-        spec = _get_map(problems, spec, path + (name,), required=True)
-        if spec is not None:
-            yield name, spec
-
-
-def _entries(problems, raw, path, kind_of, *, unique=None, required=False):
-    """The entries of the list section at `path` whose fields pass their
-    rows.  kind_of(entry, path) gives an entry's `_Kind`, or None after
-    reporting why it has none.  unique = (key, message, seen) drops an
-    entry whose value under `key` is in `seen`."""
-    out = []
-    entries = _get_list(problems, raw, path, required=required) or ()
-    for here, raw in ((path + (i,), e) for i, e in enumerate(entries)):
-        raw = _get_map(problems, raw, here, required=True)
-        kind = None if raw is None else kind_of(raw, here)
-        values = (None if kind is None
-                  else _read_entry(problems, raw, here, kind))
-        if values is None:
-            continue
-        entry = Entry(kind.name, values, kind, here)
-        if kind.check is not None:
-            kind.check(problems, entry)
-        if unique is not None:
-            key, message, seen = unique
-            value = getattr(entry, key)
-            if value in seen:
-                problems.append((here + (key,), message.format(value)))
-                continue
-            seen.add(value)
-        out.append(entry)
-    return tuple(out)
-
-
-def _kind_key(problems, kinds, message):
-    """kind_of for a section whose entries name their kind under 'kind'."""
-    def kind_of(raw, path):
-        kind = raw.get("kind")
-        if isinstance(kind, str) and kind in kinds:
-            return kinds[kind]
-        problems.append((path, message))
-        return None
-    return kind_of
-
-
-def _either(words):
-    return ", ".join([*words[:-1], "or " + words[-1]])
-
-
-# ----------------------------------------------------------------------
-# section parsers
-
-def _parse_annotations(problems, raw):
-    table = _get_map(problems, raw, ("annotations",))
-    if table is None:
-        return ()
-    out = []
-    for label, spec in _named_entries(problems, table, ("annotations",),
-                                      "annotation labels"):
-        values = _read_entry(problems, spec, ("annotations", label), _COST)
-        if values is not None:
-            out.append(Annotation(label, *values))
-    return tuple(out)
-
+# the file: a row per top-level key, and the one rule across sections
 
 def _task_kind(problems, raw, path):
     idle = raw.get("idle")
@@ -550,34 +576,50 @@ def _task_kind(problems, raw, path):
     return None
 
 
-def _parse_threads(problems, raw):
-    """(tasks, handlers): one id namespace, handlers first."""
-    unique = ("id", "thread id {} declared twice", set())
-    handlers = _entries(problems, raw.get("handlers"), ("handlers",),
-                        _kind_key(problems, _HANDLER_KINDS, "handler kind "
-                                  f"must be {_either([*_HANDLER_KINDS])}"),
-                        unique=unique)
-    tasks = _entries(problems, raw.get("tasks"), ("tasks",),
-                     lambda t, here: _task_kind(problems, t, here),
-                     unique=unique, required=True)
-    idle = [t for t in tasks if t.kind == "idle"]
-    for t in idle[1:]:
-        problems.append((t.path, "only one idle task entry is allowed"))
-    return tuple(t for t in tasks if t.kind != "idle" or t is idle[0]), handlers
+_THREAD_TWICE = "thread id {} declared twice"
+
+_SCENARIO = _Kind("scenario", (
+    _Row("name", _NAME, "scenario", write_default=True),
+    _Row("tick_us", _Int(1), 1000, write_default=True),
+    _Row("cycles_per_tick", _Int(1), DEFAULT_CYCLES_PER_TICK,
+         write_default=True),
+    _Row("run_ticks", _Int(1)),
+    _Row("battery_wh", _Energy(UJ_PER_WH, 1, "battery_wh must be a positive "
+                               "watt-hour figure of at most 1e18 uJ"), None),
+    _Row("svc_cost", _Nested(_SVC_COST),
+         tuple(row.default for row in _SVC_COST.rows), write_default=True),
+    _Row("on_deadlock", _OneOf(("abort", "report")), "abort"),
+    _Row("annotations", _Table(_COST, Annotation, "annotation labels"), ()),
+    _Row("tasks", _Section(_task_kind, "id", _THREAD_TWICE)),
+    _Row("handlers", _Section(_by_kind(_HANDLER_KINDS, "handler kind must be "
+                                       + _either([*_HANDLER_KINDS])),
+                              "id", _THREAD_TWICE), ()),
+    _Row("objects", _Objects(_OBJECT_SECTIONS), ()),
+    _Row("devices", _Section(_by_kind(_DEVICE_KINDS, "device kind must be one "
+                                      "of: " + ", ".join(sorted(_DEVICE_KINDS))),
+                             "name", "device '{}' declared twice"), ()),
+    _Row("stimuli", _Section(_by_kind(_STIMULUS_KINDS, "stimulus kind must be "
+                                      + _either([*_STIMULUS_KINDS]))), ()),
+))
 
 
-def _parse_objects(problems, raw):
-    sections = _get_map(problems, raw, ("objects",))
-    if sections is None:
-        return ()
-    _reject_extras(problems, sections, ("objects",), set(_OBJECT_SECTIONS))
-    out = ()
-    for key, kind in _OBJECT_SECTIONS.items():
-        out += _entries(problems, sections.get(key), ("objects", key),
-                        lambda *_, kind=kind: kind,
-                        unique=("id", f"{kind.name} id {{}} declared twice",
-                                set()))
-    return out
+def _one_thread_namespace(problems, scn):
+    """Thread ids are one namespace, handlers first, and at most one task
+    is idle: a task that breaks either rule is reported and dropped."""
+    seen = {h.id for h in scn.handlers}
+    tasks = []
+    idle = False
+    for t in scn.tasks or ():               # None when it is missing
+        if t.id in seen:
+            problems.append((t.path + ("id",), _THREAD_TWICE.format(t.id)))
+        elif t.kind == "idle" and idle:
+            problems.append((t.path, "only one idle task entry is allowed"))
+        else:
+            idle = idle or t.kind == "idle"
+            tasks.append(t)
+    if not any(t.kind == "task" for t in tasks) and not problems:
+        problems.append((("tasks",), "at least one non-idle task is required"))
+    return scn._replace(tasks=tuple(tasks))
 
 
 # ----------------------------------------------------------------------
@@ -665,72 +707,15 @@ def _cross_check(problems, scn: Scenario):
 # ----------------------------------------------------------------------
 # entry points
 
-_TOP_KEYS = {
-    "name", "tick_us", "cycles_per_tick", "run_ticks", "battery_wh",
-    "svc_cost", "on_deadlock", "annotations", "tasks", "handlers",
-    "objects", "devices", "stimuli",
-}
-
-
 def parse_scenario_text(text: str, filename: str = "<scenario>") -> Scenario:
     """Parse and validate; raises ScenarioError listing every problem found."""
     src = _Source(text, filename)
-    raw, problems = src.data, src.problems
-    if not isinstance(raw, dict):
+    if not isinstance(src.data, dict):
         raise ScenarioError(
             [(f"{filename}:1", "a scenario is a mapping of sections")])
-    _reject_extras(problems, raw, (), _TOP_KEYS)
-    head = _read(problems, raw, (), _HEAD) or (None,) * len(_HEAD)
-
-    battery_uj = None
-    if raw.get("battery_wh") is not None:
-        try:
-            battery_uj = to_uj(raw["battery_wh"], UJ_PER_WH) or None
-        except ValueError:
-            pass
-        if battery_uj is None:
-            problems.append((("battery_wh",),
-                             "battery_wh must be a positive watt-hour figure "
-                             "of at most 1e18 uJ"))
-
-    svc = _get_map(problems, raw.get("svc_cost"), ("svc_cost",)) or {}
-    svc_etm, svc_eem_uj = (_read_entry(problems, svc, ("svc_cost",), _SVC_COST)
-                           or (None, None))
-
-    on_deadlock = raw.get("on_deadlock")
-    if on_deadlock not in (None, "abort", "report"):
-        problems.append((("on_deadlock",),
-                         "on_deadlock must be \"abort\" or \"report\""))
-
-    annotations = _parse_annotations(problems, raw.get("annotations"))
-    tasks, handlers = _parse_threads(problems, raw)
-    objects = _parse_objects(problems, raw.get("objects"))
-    devices = _entries(problems, raw.get("devices"), ("devices",),
-                       _kind_key(problems, _DEVICE_KINDS,
-                                 "device kind must be one of: "
-                                 + ", ".join(sorted(_DEVICE_KINDS))),
-                       unique=("name", "device '{}' declared twice", set()))
-    stimuli = _entries(problems, raw.get("stimuli"), ("stimuli",),
-                       _kind_key(problems, _STIMULUS_KINDS, "stimulus kind "
-                                 f"must be {_either([*_STIMULUS_KINDS])}"))
-
-    if not any(t.kind == "task" for t in tasks) and not problems:
-        problems.append((("tasks",), "at least one non-idle task is required"))
-
-    scn = Scenario(
-        *head,
-        battery_uj=battery_uj,
-        svc_etm=svc_etm,
-        svc_eem_uj=svc_eem_uj,
-        abort_on_deadlock=on_deadlock != "report",
-        annotations=annotations,
-        tasks=tasks,
-        handlers=handlers,
-        objects=objects,
-        devices=devices,
-        stimuli=stimuli,
-    )
-    _cross_check(problems, scn)
+    values, _ = _read(src.problems, src.data, (), _SCENARIO)
+    scn = _one_thread_namespace(src.problems, Scenario(*values))
+    _cross_check(src.problems, scn)
     src.raise_if_failed()
     return scn
 
@@ -754,40 +739,8 @@ def demo_scenario_path() -> Path:
 # ----------------------------------------------------------------------
 # serialization (round-trips through parse_scenario_text)
 
-def _section_raw(entries):
-    return [_entry_raw(e.schema.rows, e.values) for e in entries]
-
-
 def scenario_to_raw(scn: Scenario) -> dict:
-    raw = _entry_raw(_HEAD, (scn.name, scn.tick_us, scn.cycles_per_tick,
-                             scn.run_ticks))
-    if scn.battery_uj is not None:
-        wh = Decimal(scn.battery_uj) / UJ_PER_WH
-        raw["battery_wh"] = (int(wh) if wh == int(wh)
-                             else format(wh.normalize(), "f"))
-    raw["svc_cost"] = _entry_raw(_SVC_COST.rows,
-                                 (scn.svc_etm, scn.svc_eem_uj))
-    if not scn.abort_on_deadlock:
-        raw["on_deadlock"] = "report"
-    if scn.annotations:
-        raw["annotations"] = {a.label: _entry_raw(_COST.rows,
-                                                  (a.etm, a.eem_uj))
-                              for a in scn.annotations}
-    raw["tasks"] = _section_raw(scn.tasks)
-    if scn.handlers:
-        raw["handlers"] = _section_raw(scn.handlers)
-    if scn.objects:
-        section_of = {kind.name: key for key, kind in _OBJECT_SECTIONS.items()}
-        sections = {}
-        for o in scn.objects:
-            sections.setdefault(section_of[o.kind], []).append(
-                _entry_raw(o.schema.rows, o.values))
-        raw["objects"] = sections
-    if scn.devices:
-        raw["devices"] = _section_raw(scn.devices)
-    if scn.stimuli:
-        raw["stimuli"] = _section_raw(scn.stimuli)
-    return raw
+    return _entry_raw(_SCENARIO.rows, scn)
 
 
 def scenario_to_yaml(scn: Scenario) -> str:

@@ -1,12 +1,14 @@
 """Field rows: one reader, one writer and one builder for every mapping
-a scenario file holds.
+a scenario file holds, the file itself included.
 
-Each kind of mapping (a task, each handler, object, device and stimulus
-kind, and each kind of behavior statement) is one `_Kind`: a row per
-field, giving the field's YAML key, its check, its default, whether the
-writer keeps it at that default, the keyword its kind's declare call
-takes it under, and what it names, if it names something the scenario
-declares elsewhere.  `scenario.py` and `behavior.py` read, write and
+Each kind of mapping (the file's top level, a task, each handler,
+object, device and stimulus kind, and each kind of behavior statement)
+is one `_Kind`: a row per field, giving the field's YAML key, its
+check, its default, whether the writer keeps it at that default, the
+keyword its kind's declare call takes it under, and what it names, if
+it names something the scenario declares elsewhere.  A field that holds
+mappings of its own (a section, an access table) is a check with its
+own `read` and `raw`.  `scenario.py` and `behavior.py` read, write and
 build their mappings with the functions here, so a key is listed only
 in its row.
 
@@ -132,16 +134,22 @@ class _Kind:
 @dataclass(frozen=True)
 class Entry:
     """One checked mapping: its kind and a value per row of that kind.
-    A value reads as the attribute its YAML key names; `task_id` and
-    `obj_id` read the `id`."""
+    A value reads as the attribute its YAML key names (``count``,
+    ``body``), found through the kind's rows, so an entry keeps no copy
+    of its values; `task_id` and `obj_id` read the `id`."""
 
     kind: str
     values: tuple
     schema: _Kind = field(compare=False, repr=False)
     path: tuple = field(compare=False, repr=False)  # where the source has it
 
-    def __post_init__(self):
-        self.__dict__.update(zip(self.schema.keys, self.values))
+    def __getattr__(self, key):
+        # only for a name the instance lacks; reading `__dict__` keeps a
+        # copy that probes before the fields are set from recursing
+        kind = self.__dict__.get("schema")
+        if kind is None or key not in kind.keys:
+            raise AttributeError(key)
+        return self.values[kind.keys.index(key)]
 
     task_id = obj_id = property(lambda self: self.id)
 
@@ -149,35 +157,36 @@ class Entry:
 # ----------------------------------------------------------------------
 # one reader, one writer and one builder for every kind
 
-def _reject_extras(problems, raw, path, allowed):
+def _read(problems, raw, path, kind):
+    """Each of the kind's values from the mapping `raw`, in row order, and
+    whether all of them passed.  A key no row lists is reported, and so
+    is a value that is missing or fails its check; that value reads as
+    None."""
     for key in raw:
-        if key not in allowed:
+        if key not in kind.keys:
             problems.append((path + (key,), f"unknown key '{key}'"))
-
-
-def _read(problems, raw, path, rows):
-    """Each row's value from the mapping `raw`, in row order, or None when
-    one is missing or fails its check; every failure is reported."""
     values = []
     ok = True
-    for row in rows:
+    for row in kind.rows:
         value = raw.get(row.key)
         if value is None:
             value = row.default
             if value is _REQUIRED:  # at the null's line, or the entry's
                 problems.append((path + (row.key,), f"missing '{row.key}'"))
+                value = None
                 ok = False
         else:
             value = row.check.read(problems, value, path + (row.key,))
             if value is None:
                 ok = False
         values.append(value)
-    return tuple(values) if ok else None
+    return tuple(values), ok
 
 
 def _read_entry(problems, raw, path, kind):
-    _reject_extras(problems, raw, path, kind.keys)
-    return _read(problems, raw, path, kind.rows)
+    """The values of one entry, or None when one of them failed."""
+    values, ok = _read(problems, raw, path, kind)
+    return values if ok else None
 
 
 def _entry_raw(rows, values):

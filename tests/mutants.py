@@ -41,6 +41,7 @@ TIER1 = (sys.executable, "-m", "pytest", "-q",
 
 ENGINE = "src/rtksim/engine.py"
 KERNEL = "src/rtksim/kernel.py"
+SCENARIO = "src/rtksim/scenario.py"
 
 # (name, file, old, new)
 MUTANTS = (
@@ -91,6 +92,25 @@ MUTANTS = (
     ("wakeup-ends-any-wait", KERNEL,
      "            if th.waiting_reason == _SLEEP:\n",
      "            if th.state is ThreadState.WAITING:\n"),
+    # -- the scenario file as field rows, and the run-control order
+    ("thread-id-rule-ignores-handler-ids", SCENARIO,
+     "    seen = {h.id for h in scn.handlers}\n",
+     "    seen = set()\n"),
+    ("section-without-duplicate-check", SCENARIO,
+     "                if key in seen:\n",
+     "                if False:\n"),
+    ("one-idle-rule-removed", SCENARIO,
+     "        elif t.kind == \"idle\" and idle:\n",
+     "        elif False:\n"),
+    ("battery-raw-writes-microjoules", SCENARIO,
+     "            return uj // self.per\n",
+     "            return uj if self.per == UJ_PER_WH else uj // self.per\n"),
+    ("run-after-finish-not-refused", KERNEL,
+     "        if eng._finished:\n",
+     "        if False:\n"),
+    ("report-takes-any-tick-length", "src/rtksim/report.py",
+     "    if not is_int(tick_us) or tick_us < 1:\n",
+     "    if False:\n"),
 )
 
 

@@ -29,7 +29,12 @@ from rtksim.errors import (
 )
 from rtksim.kernel import RESULT_OK, RESULT_TIMEOUT, Kernel
 from rtksim.objects import FLAG_MODE_AND, FLAG_MODE_OR
-from rtksim.scenario import build_kernel, parse_scenario_text
+from rtksim.scenario import (
+    build_kernel,
+    demo_scenario_path,
+    load_scenario,
+    parse_scenario_text,
+)
 from rtksim.trace import ListSink, records_to_csv, running_vector
 
 
@@ -1344,6 +1349,25 @@ def test_boot_protocol_guards():
         k.declare_task(2, "LATE", 5, lambda ctx: iter(()))
     with pytest.raises(UsageError):
         k.add_stimulus(5, "irq", "x")
+
+
+def test_finish_needs_a_boot_and_closes_the_run():
+    with pytest.raises(UsageError, match="boot before finishing"):
+        Kernel().finish()
+    k = build_kernel(load_scenario(demo_scenario_path()))
+    sink = ListSink()
+    k.attach_sinks(trace_sink=sink)
+    k.boot()
+    k.run(105)          # stops inside a segment, which finish closes
+    k.finish()
+    k.finish()          # a second finish does nothing
+    rows = list(sink.records)
+    for call in (lambda: k.run(95), k.step):
+        with pytest.raises(UsageError, match="the run is finished"):
+            call()
+    # nothing was written after the close: 105 ticks, each once
+    assert sink.records == rows
+    assert sum(r.etm_ticks * r.repeat for r in rows) == 105
 
 
 def _one_tick(ctx):

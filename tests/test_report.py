@@ -77,6 +77,23 @@ def test_capacity_must_be_a_positive_integer():
         BatteryModel("big")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: BatteryModel(True),
+    lambda: build_report((), run_ticks=True),
+    lambda: build_report((), run_ticks=5, tick_us=True),
+    lambda: build_report((), run_ticks=5, tick_us="x"),
+    lambda: build_report((), run_ticks=5, tick_us=0),
+    lambda: build_report((), run_ticks=5, tick_us=2.5),
+    lambda: build_report((), run_ticks=5, battery_uj=True),
+], ids=["capacity-bool", "window-bool", "tick-bool", "tick-str", "tick-0",
+        "tick-float", "battery-bool"])
+def test_the_report_takes_only_integers(call):
+    # checked with trace.is_int, as the kernel checks its own: `True`
+    # would render as "Window : True ticks (1 tick = True us)"
+    with pytest.raises(ValidationError):
+        call()
+
+
 def test_default_capacity_is_ten_watt_hours():
     assert BatteryModel.from_wh().capacity_uj == 36_000_000_000
 

@@ -334,7 +334,7 @@ def test_a_handler_program_may_not_wait(service):
 
 def test_a_handler_program_may_call_services_that_do_not_wait():
     scn = parse_scenario_text(handler_text("{call: wakeup, task: 1}"))
-    assert scn.handlers[0].behavior[1].body[0].service == "wakeup"
+    assert scn.handlers[0].behavior[1].body[0].call == "wakeup"
 
 
 def test_forever_loop_must_close_the_task_body():
@@ -859,7 +859,7 @@ def test_a_statement_outside_its_rows_is_refused(stmt, message):
 def test_loop_true_without_a_count_loops_forever():
     scn = parse_scenario_text(refs_text("{loop: true, body: [{compute: work}]}"))
     [loop] = scn.tasks[0].behavior
-    assert loop.forever and loop.count == "forever"
+    assert loop.count == "forever"
     assert loop == parse_scenario_text(
         refs_text("{loop: forever, body: [{compute: work}]}")).tasks[0].behavior[0]
 
@@ -1038,19 +1038,40 @@ def _section_mutants(name):
                     yield name, path + ("id",), new
 
 
-_SECTION_MUTANTS = [m for name in _RUN_TEXTS for m in _section_mutants(name)]
+_TOP_LEVEL_KEYS = ["name", "tick_us", "cycles_per_tick", "run_ticks",
+                   "battery_wh", "svc_cost", "on_deadlock", "annotations",
+                   "tasks", "handlers", "objects", "devices", "stimuli"]
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+def _top_level_mutants(name):
+    """(text name, (key,), value): one top-level key, of those the file
+    may have, set to null, a list, a mapping or another key's value."""
+    raw = _RUN_RAW[name]
+    for key in _TOP_LEVEL_KEYS:
+        for value in (None, [1], {"a": 1},
+                      *(v for other, v in raw.items() if other != key)):
+            yield name, (key,), value
+
+
+_SECTION_MUTANTS = [m for name in _RUN_TEXTS
+                    for m in (*_section_mutants(name), *_top_level_mutants(name))]
+
+
+@settings(max_examples=45, deadline=None, derandomize=True)
 @given(mutant=st.sampled_from(_SECTION_MUTANTS))
+@example(mutant=("demo", ("tasks",), None))
+@example(mutant=("demo", ("objects",), [1]))
+@example(mutant=("demo", ("on_deadlock",), {"a": 1}))
+@example(mutant=("steady", ("tick_us",), _RUN_RAW["steady"]["run_ticks"]))
+@example(mutant=("demo", ("battery_wh",), _RUN_RAW["demo"]["run_ticks"]))
 def test_a_section_mutant_that_parses_round_trips_and_runs(mutant):
     name, path, value = mutant
     raw = copy.deepcopy(_RUN_RAW[name])
-    if path[0] == "annotations":
+    if path[0] == "annotations" and len(path) == 2:
         raw["annotations"] = {value if k == path[1] else k: v
                               for k, v in raw["annotations"].items()}
-    else:
-        _node(raw, path[:-1])[path[-1]] = value
+    else:   # a copy: a value of another key must not become a YAML alias
+        _node(raw, path[:-1])[path[-1]] = copy.deepcopy(value)
     try:
         scn = parse_scenario_text(yaml.dump(raw, Dumper=_DUMPER,
                                             sort_keys=False))
