@@ -91,6 +91,7 @@ from .errors import (
     ProtocolError,
     SchedulerEmptyError,
     StateError,
+    UsageError,
     ValidationError,
 )
 from .trace import (
@@ -512,11 +513,19 @@ class Engine:
     # run control
 
     def run_ticks(self, n: int):
+        """Step ``n`` ticks; after ``finish`` raise UsageError, since the
+        trace is closed."""
+        if self._finished:
+            raise UsageError("the run is finished: its trace is closed")
         for _ in range(n):
             self.run_one_tick()
 
     def run_one_tick(self):
-        """Advance exactly one tick interval and fire the tick hook."""
+        """Advance exactly one tick interval and fire the tick hook.
+
+        It is the kernel's per-tick step, so it tests nothing about
+        ``finish``: ``run_ticks`` and ``Kernel.run`` refuse a finished
+        run once per call."""
         table = self._table
         guard = 0
         while True:

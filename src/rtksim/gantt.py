@@ -68,9 +68,9 @@ def render_text_gantt(records, ticks: int) -> str:
                     slot[r.tick_start] = glyph
                     any_marks[r.thread_id] = True
         elif r.tick_end > r.tick_start:
-            glyph = LEGEND[r.context_kind][0]
-            for t in range(r.tick_start, min(r.tick_end, ticks)):
-                rows[r.thread_id][t] = glyph
+            end = min(r.tick_end, ticks)
+            rows[r.thread_id][r.tick_start:end] = (
+                [LEGEND[r.context_kind][0]] * (end - r.tick_start))
 
     label_width = max((len(f"{tid} {name}") for tid, name in threads),
                       default=0)

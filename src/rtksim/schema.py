@@ -59,8 +59,10 @@ class _OneOf(_Check):
 
     def __init__(self, allowed):
         self.allowed = tuple(allowed)
-        words = [str(v).lower() for v in allowed]
-        self.spelled = " or ".join([", ".join(words[:-1]), words[-1]])
+        if not self.allowed:
+            raise ValueError("_OneOf needs at least one allowed value")
+        *words, last = [str(v).lower() for v in self.allowed]
+        self.spelled = f"{', '.join(words)} or {last}" if words else last
 
     def read(self, problems, value, path):
         # compared, not hashed: a list or mapping value is a problem too

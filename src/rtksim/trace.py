@@ -14,6 +14,17 @@ reads it as its k rows, so the CSV, report and Gantt bytes are those of
 the expanded trace; ``rows`` expands a record stream for any other
 consumer.
 
+A repeated record's CSV lines come from one renderer, shared by
+``records_to_csv`` and ``TraceRecord.csv_row``, that builds no
+``TraceRecord`` per row.  One-tick rows go 100 at a time: tick
+``100*q + d`` with ``q >= 1`` is written ``str(q)`` and then ``d`` in
+two digits, so the rows of ticks ``100*q`` to ``100*q + 99`` are
+``str(q).join(pieces) + str(q + 1) + last``, one C-level join, where
+``pieces`` and ``last`` depend only on the text after the two ticks and
+are built once per call for each such text.  The rows before the first
+whole block and after the last, the ticks below 100, a stretch of fewer
+than two blocks and rows wider than a tick are formatted one by one.
+
 Energy is carried internally as integer micro-joules so accounting is
 exact; the CSV renders milli-joules with trailing zeros trimmed.
 """
@@ -125,13 +136,54 @@ class TraceRecord:
 
     def csv_row(self) -> str:
         """The record's CSV line, or its rows' lines joined by newlines."""
-        if self.repeat != 1:
-            return "\n".join(r.csv_row() for r in rows((self,)))
-        return (
-            f"{self.tick_start},{self.tick_end},{self.thread_id},{self.thread_name},"
-            f"{self.context_kind},{self.label},{self.etm_ticks},{format_mj(self.eem_uj)},"
-            f"{self.event_kind}"
-        )
+        tail = _tail(self.thread_id, self.thread_name, self.context_kind,
+                     self.label, self.etm_ticks, self.eem_uj, self.event_kind)
+        if self.repeat == 1:
+            return f"{self.tick_start},{self.tick_end},{tail}"
+        lines = []
+        _extend_rows(lines, self, tail, {})
+        return "\n".join(lines)
+
+
+def _tail(tid, name, context, label, etm, uj, event) -> str:
+    """A row's CSV text after its two ticks."""
+    return f"{tid},{name},{context},{label},{etm},{format_mj(uj)},{event}"
+
+
+_BLOCK = 100                   # one-tick rows joined at a time
+_MIN_BLOCK_ROWS = 2 * _BLOCK   # a shorter stretch is formatted row by row
+
+
+def _block_pieces(tail: str):
+    """``(pieces, last)`` for the rows ending in ``tail`` of ticks
+    ``100*q`` to ``100*q + 99``: the text between the places where
+    ``str(q)`` goes, and what follows ``str(q + 1)``."""
+    pieces = [""]
+    for d in range(_BLOCK - 1):
+        pieces += (f"{d:02d},", f"{d + 1:02d},{tail}\n")
+    pieces.append("99,")
+    return pieces, f"00,{tail}"
+
+
+def _extend_rows(lines: list, r: TraceRecord, tail: str, blocks: dict) -> None:
+    """Append the CSV lines of repeated record ``r``'s rows, whose text
+    after the ticks is ``tail``, to ``lines``: one-tick rows a whole
+    block to an item, ``blocks`` caching each tail's pieces, and the
+    others one row to an item."""
+    start, end, etm = r.tick_start, r.tick_end, r.etm_ticks
+    if etm == 1 and end - start >= _MIN_BLOCK_ROWS:
+        first = max(-(-start // _BLOCK), 1)   # no block of ticks below 100
+        stop = end // _BLOCK
+        try:
+            pieces, last = blocks[tail]
+        except KeyError:
+            pieces, last = blocks[tail] = _block_pieces(tail)
+        lines.extend([f"{t},{t + 1},{tail}"
+                      for t in range(start, first * _BLOCK)])
+        lines.extend([f"{str(q).join(pieces)}{q + 1}{last}"
+                      for q in range(first, stop)])
+        start = stop * _BLOCK
+    lines.extend([f"{t},{t + etm},{tail}" for t in range(start, end, etm)])
 
 
 def rows(records):
@@ -186,9 +238,10 @@ def records_to_csv(records) -> str:
 
     A trace repeats a few dozen (thread, context, label, length, energy,
     event) combinations over thousands of rows, so each combination's
-    text after the two ticks is formatted once.
+    text after the two ticks, and its block pieces, are formatted once.
     """
     tails = {}
+    blocks = {}
     lines = [CSV_HEADER]
     append = lines.append
     for r in records:
@@ -197,15 +250,11 @@ def records_to_csv(records) -> str:
         try:
             tail = tails[key]
         except KeyError:
-            tid, name, context, label, etm, uj, event = key
-            tail = tails[key] = (f"{tid},{name},{context},{label},{etm},"
-                                 f"{format_mj(uj)},{event}")
+            tail = tails[key] = _tail(*key)
         if r.repeat == 1:
             append(f"{r.tick_start},{r.tick_end},{tail}")
         else:
-            etm = r.etm_ticks
-            lines.extend([f"{t},{t + etm},{tail}"
-                          for t in range(r.tick_start, r.tick_end, etm)])
+            _extend_rows(lines, r, tail, blocks)
     lines.append("")
     return "\n".join(lines)
 

@@ -42,6 +42,7 @@ TIER1 = (sys.executable, "-m", "pytest", "-q",
 ENGINE = "src/rtksim/engine.py"
 KERNEL = "src/rtksim/kernel.py"
 SCENARIO = "src/rtksim/scenario.py"
+TRACE = "src/rtksim/trace.py"
 
 # (name, file, old, new)
 MUTANTS = (
@@ -111,6 +112,16 @@ MUTANTS = (
     ("report-takes-any-tick-length", "src/rtksim/report.py",
      "    if not is_int(tick_us) or tick_us < 1:\n",
      "    if False:\n"),
+    # -- a coasted stretch's CSV rows, 100 to a joined block
+    ("block-last-row-keeps-its-prefix", TRACE,
+     "{str(q).join(pieces)}{q + 1}{last}",
+     "{str(q).join(pieces)}{q}{last}"),
+    ("first-block-rounded-down", TRACE,
+     "first = max(-(-start // _BLOCK), 1)",
+     "first = max(start // _BLOCK, 1)"),
+    ("block-of-ticks-below-100", TRACE,
+     "first = max(-(-start // _BLOCK), 1)",
+     "first = -(-start // _BLOCK)"),
 )
 
 

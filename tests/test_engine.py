@@ -29,6 +29,7 @@ from rtksim.errors import (
     ProtocolError,
     SchedulerEmptyError,
     StateError,
+    UsageError,
     ValidationError,
 )
 from rtksim.trace import ListSink, TraceRecord, rows, running_vector
@@ -718,6 +719,26 @@ def test_finish_is_idempotent():
     n = len(sink.records)
     eng.finish()   # second call must not emit anything
     assert len(sink.records) == n
+
+
+def test_run_ticks_after_finish_is_refused():
+    def body(api):
+        while True:
+            yield from api.wait(Annotation("w", 3, 0))
+
+    eng, sink = make_engine(
+        [task(1, "A", 5, body), task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng.start_thread(1)
+    eng.start_thread(2)
+    eng.run_ticks(10)
+    eng.finish()
+    records = list(sink.records)
+    with pytest.raises(UsageError, match="the run is finished"):
+        eng.run_ticks(5)
+    # nothing stepped, nothing written to the closed sink
+    assert eng.now == 10
+    assert sink.records == records
+    assert max(r.tick_end for r in records) == 10
 
 
 def test_restart_preserves_accumulators():

@@ -632,6 +632,18 @@ def test_memory_width_is_checked_where_it_is_written():
             ("scn.yaml:13", "'width' must be 1, 2 or 4")]
 
 
+def test_one_of_spells_every_count_of_values():
+    from rtksim.schema import _OneOf
+    assert _OneOf((1,)).spelled == "1"
+    assert _OneOf((True, False)).spelled == "true or false"
+    assert _OneOf((1, 2, 4)).spelled == "1, 2 or 4"
+    problems = []
+    assert _OneOf(("halt",)).read(problems, "stop", ("on_deadlock",)) is None
+    assert problems == [(("on_deadlock",), "'on_deadlock' must be halt")]
+    with pytest.raises(ValueError, match="at least one"):
+        _OneOf(())
+
+
 def test_collection_as_mapping_key_is_a_parse_error():
     with pytest.raises(ScenarioError) as ei:
         parse_scenario_text("run_ticks: 5\n? [a]\n: 1\n", filename="scn.yaml")

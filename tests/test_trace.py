@@ -200,6 +200,59 @@ def test_csv_text_equals_the_expanded_rows(records, tmp_path_factory):
     assert path.read_text() == text
 
 
+# long stretches, which records_to_csv and csv_row render a 100-row block
+# at a time where the rows are one tick wide
+
+def _stretch(start, repeat, etm=1, tid=3, uj=0, event="CONTINUE_RUN"):
+    return TraceRecord(start, start + repeat * etm, tid, _NAMES[tid], "IDLE",
+                       "idle", etm, uj, event, repeat)
+
+
+def _one_row_at_a_time(records):
+    return CSV_HEADER + "\n" + "".join(r.csv_row() + "\n"
+                                       for r in rows(records))
+
+
+_starts = (st.integers(0, 100_000)
+           | st.builds(lambda base, offset: max(base + offset, 0),
+                       st.sampled_from([100, 1000, 10_000, 100_000]),
+                       st.integers(-300, 300)))
+_stretches = st.builds(
+    _stretch, _starts, st.integers(1, 3000), st.sampled_from([1, 1, 1, 2, 3]),
+    st.sampled_from(sorted(_NAMES)), st.sampled_from([0, 1, 1500]),
+    st.sampled_from(["", "CONTINUE_RUN"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(records=st.lists(_stretches, min_size=1, max_size=3))
+# across 99 -> 100, 999 -> 1000 and 9999 -> 10000
+@example(records=[_stretch(50, 300), _stretch(950, 300),
+                  _stretch(9950, 300)])
+# starts and ends inside a block
+@example(records=[_stretch(1234, 567)])
+# exactly two blocks, and one row short of two blocks
+@example(records=[_stretch(300, 200)])
+@example(records=[_stretch(300, 199)])
+@example(records=[_stretch(250, 200)])
+# starts below 100: no block of ticks 0-99
+@example(records=[_stretch(0, 450)])
+@example(records=[_stretch(5, 250)])
+# two-tick rows are formatted one by one
+@example(records=[_stretch(100, 300, etm=2)])
+def test_long_stretches_render_as_their_rows_one_at_a_time(records,
+                                                           tmp_path_factory):
+    text = _one_row_at_a_time(records)
+    assert records_to_csv(records) == text
+    assert CSV_HEADER + "\n" + "".join(r.csv_row() + "\n"
+                                       for r in records) == text
+    path = tmp_path_factory.getbasetemp() / "long_stretches.csv"
+    sink = CsvFileSink(path)
+    for r in records:
+        sink.record(r)
+    sink.close()
+    assert path.read_text() == text
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(records=st.lists(_rows, max_size=30))
 def test_usage_equals_the_expanded_rows(records):
