@@ -26,13 +26,16 @@ engine's exit), in one of two shapes.  The gives run ``_give``:
 ``sem_wait``, ``flag_wait``, ``mbx_recv``, ``mbf_send``, ``mbf_recv``,
 ``mtx_lock``, ``pool_get`` and ``vpool_get``; ``sleep`` and ``delay``
 are takes with frames of their own.  The effect runs after the SVC
-segment, inside the critical section: a give changes the object, a take
-tries to take from it.  Once the section closes, the service releases
-the waiters the effect served, in the order the object reports them.  A
+segment, inside the critical section.  An object service's effect is
+the object's own method, called with the service's arguments (the
+mutex's carry priority inheritance around it): a give changes the
+object and serves its queue, a take is granted or queued (see
+``objects``).  Once the section closes, the service releases the
+waiters the effect served, in the order the object reports them.  A
 take that was not granted then waits forever or with a timeout (the
 μITRON ``wai_``/``twai_`` forms); a timeout leaves the object's queue
 through its ``cancel_wait``, or, on a mutex, also takes back the
-priority the waiter lent.
+priority the waiter lent, then releases the waiters its leaving let in.
 
 Every timed event sits on one agenda, a heap of (due, rank, seq, action,
 arg) entries: cyclic and alarm activations, pushed when their handler is
@@ -191,11 +194,6 @@ def _result(resume):
     if payload is None or payload[1] is None and payload[0] == RESULT_OK:
         return _OK
     return SvcResult(*payload)
-
-
-def _served(handoff):
-    """A give's single (waiter, value) handoff, or None, as a list."""
-    return [] if handoff is None else [handoff]
 
 
 def _check_id(value, what):
@@ -533,12 +531,14 @@ class Kernel:
             self._schedule(now + period, _RANK_TIMER, self._activate, data)
 
     def _expire(self, data, _now: int):
-        """A wait's timeout: leave the object, then end the wait."""
+        """A wait's timeout: leave the object, end the wait, release the
+        waiters its leaving let in."""
         thread_id, cancel, code = data
         self.tcb[thread_id].timeout = None
-        if cancel is not None:
-            cancel(thread_id)
+        served = () if cancel is None else cancel(thread_id)
         self.engine.release(thread_id, EventKind.SLEEP_ARRIVAL, (code, None))
+        for waiter, value in served:
+            self._release(waiter, RESULT_OK, value)
 
     def _apply_stimulus(self, st: Stimulus, _now: int):
         dev = self.devices.get(st.device)
@@ -579,13 +579,14 @@ class Kernel:
     # Then it releases the waiters the effect served and, if it must
     # wait, arms its timeout and blocks.
 
-    def _take(self, api, registry, obj_id, what, timeout, attempt,
+    def _take(self, api, registry, obj_id, what, timeout, attempt, *args,
               cancel=None):
         """Take from an object, or else wait on it.
 
-        ``attempt(obj, tid)`` is the effect: it returns (granted, the
-        caller's value, the (thread id, value) pairs of the waiters it
-        served).  A timeout calls ``cancel``, by default ``cancel_wait``.
+        ``attempt(obj, tid, *args)`` is the effect, the object's take:
+        it returns (granted, the caller's value, the (thread id, value)
+        pairs of the waiters it served).  A timeout calls ``cancel``, by
+        default ``cancel_wait``, and releases the waiters it served.
         """
         tid = api.thread_id
         if tid in self._handlers:
@@ -595,7 +596,7 @@ class Kernel:
         yield self._svc_req
         try:
             obj = self._lookup(registry, obj_id, what)
-            granted, value, released = attempt(obj, tid)
+            granted, value, released = attempt(obj, tid, *args)
         finally:
             self.engine._crit_exit(tid)
         for waiter, result in released:
@@ -609,8 +610,9 @@ class Kernel:
     def _give(self, api, registry, obj_id, what, change, *args):
         """Change an object, then release the waiters it served.
 
-        ``change(obj, *args)`` is the effect: it returns the (thread id,
-        value) pairs of the waiters it served, or None.
+        ``change(obj, *args)`` is the effect, the object's give: it
+        returns the (thread id, value) pairs of the waiters it served, or
+        None.
         """
         tid = api.thread_id
         self.engine._crit_enter(tid)
@@ -733,15 +735,15 @@ class Kernel:
 
     def sem_wait(self, api, sem_id, n=1, timeout=None):
         return self._take(api, self.semaphores, sem_id, "semaphore", timeout,
-                          lambda sem, tid: (sem.acquire(tid, n), None, ()))
+                          Semaphore.acquire, n)
 
     def sem_signal(self, api, sem_id, n=1):
         return self._give(api, self.semaphores, sem_id, "semaphore",
-                          lambda sem: [(tid, None) for tid in sem.signal(n)])
+                          Semaphore.signal, n)
 
     def flag_wait(self, api, flg_id, pattern, mode, clear=False, timeout=None):
         return self._take(api, self.flags, flg_id, "event flag", timeout,
-                          lambda flg, tid: (*flg.wait(tid, pattern, mode, clear), ()))
+                          EventFlag.wait, pattern, mode, clear)
 
     def flag_set(self, api, flg_id, bits):
         return self._give(api, self.flags, flg_id, "event flag",
@@ -753,49 +755,43 @@ class Kernel:
 
     def mbx_send(self, api, mbx_id, payload, priority=0):
         return self._give(api, self.mailboxes, mbx_id, "mailbox",
-                          lambda mbx: _served(mbx.send(priority, payload)))
+                          Mailbox.send, priority, payload)
 
     def mbx_recv(self, api, mbx_id, timeout=None):
         return self._take(api, self.mailboxes, mbx_id, "mailbox", timeout,
-                          lambda mbx, tid: (*mbx.recv(tid), ()))
+                          Mailbox.recv)
 
     def mbf_send(self, api, mbf_id, data, timeout=None):
-        def attempt(buf, tid):
-            granted, delivered = buf.send(tid, data)
-            return granted, None, delivered
-
         return self._take(api, self.buffers, mbf_id, "message buffer",
-                          timeout, attempt)
+                          timeout, MessageBuffer.send, data)
 
     def mbf_recv(self, api, mbf_id, timeout=None):
-        def attempt(buf, tid):
-            granted, msg, senders = buf.recv(tid)
-            return granted, msg, [(sender, None) for sender in senders]
-
         return self._take(api, self.buffers, mbf_id, "message buffer",
-                          timeout, attempt)
+                          timeout, MessageBuffer.recv)
 
     def mtx_lock(self, api, mtx_id, timeout=None):
         return self._take(api, self.mutexes, mtx_id, "mutex", timeout,
-                          self._lock, self._unqueue)
+                          self._lock, cancel=self._unqueue)
 
     def _lock(self, mtx, tid):
         """mtx_lock's effect: own the mutex, or queue on it and lend the
         caller's priority along the owner chain."""
         tcb = self.tcb[tid]
-        if mtx.lock(tid):
+        answer = mtx.lock(tid)
+        if answer[0]:
             tcb.held.append(mtx)
-            return True, None, ()
-        tcb.blocked_on = mtx
-        self._inherit(mtx.owner)
-        return False, None, ()
+        else:
+            tcb.blocked_on = mtx
+            self._inherit(mtx.owner)
+        return answer
 
     def _unqueue(self, tid):
         """mtx_lock's timeout: leave the queue, take back the lent priority."""
         tcb = self.tcb[tid]
         mtx, tcb.blocked_on = tcb.blocked_on, None
-        mtx.cancel_wait(tid)
+        served = mtx.cancel_wait(tid)  # nobody: the mutex is still owned
         self._inherit(mtx.owner)
+        return served
 
     def mtx_unlock(self, api, mtx_id):
         return self._give(api, self.mutexes, mtx_id, "mutex",
@@ -804,34 +800,33 @@ class Kernel:
     def _unlock(self, mtx, tid):
         """mtx_unlock's effect: hand the mutex to its best waiter, if any,
         and take back from the caller what the mutex's waiters lent it."""
-        nxt = mtx.unlock(tid)
+        served = mtx.unlock(tid)
         self.tcb[tid].held.remove(mtx)
-        if nxt is None:  # a free mutex had no waiters to lose
-            return None
-        tcb = self.tcb[nxt]
+        if not served:  # a free mutex had no waiters to lose
+            return served
+        tcb = self.tcb[mtx.owner]
         tcb.blocked_on = None
         tcb.held.append(mtx)
         # the new owner was the best waiter: the waiters it takes over
         # cannot better its priority, so only the old owner's can change
         self._inherit(tid)
-        return [(nxt, None)]
+        return served
 
     def pool_get(self, api, pool_id, timeout=None):
         return self._take(api, self.fixed_pools, pool_id, "fixed pool", timeout,
-                          lambda pool, tid: (*pool.get(tid), ()))
+                          FixedPool.get)
 
     def pool_release(self, api, pool_id, index):
         return self._give(api, self.fixed_pools, pool_id, "fixed pool",
-                          lambda pool: _served(pool.release(index)))
+                          FixedPool.release, index)
 
     def vpool_get(self, api, pool_id, size, timeout=None):
         return self._take(api, self.variable_pools, pool_id, "variable pool",
-                          timeout, lambda pool, tid: (*pool.get(tid, size), ()))
+                          timeout, VariablePool.get, size)
 
     def vpool_release(self, api, pool_id, offset):
-        return self._give(
-            api, self.variable_pools, pool_id, "variable pool",
-            lambda pool: [(tid, off) for tid, off, _n in pool.release(offset)])
+        return self._give(api, self.variable_pools, pool_id, "variable pool",
+                          VariablePool.release, offset)
 
     # ------------------------------------------------------------------
     # peripherals

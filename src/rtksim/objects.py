@@ -1,14 +1,21 @@
 """Synchronization and resource objects, engine-agnostic.
 
-Each core holds pure bookkeeping: it never blocks a caller, it only
-answers "granted or queued" and reports which queued waiters a state
-change released.  The kernel adapts these decisions to thread blocking;
-tests can drive the cores directly with plain ints as waiters.
+Each core holds pure bookkeeping, never blocks a caller and answers in
+the kernel's terms.  A take (``acquire``, ``EventFlag.wait``, the
+``recv``s, ``MessageBuffer.send``, ``lock``, the ``get``s) returns
+``(granted, value, served)``; a give (``signal``, ``set_bits``,
+``clear_bits``, ``Mailbox.send``, ``unlock``, the ``release``s) and
+``cancel_wait`` return the ``(waiter, value)`` pairs they served.  Tests
+can drive the cores directly with plain ints as waiters.
 
-Waiter ordering everywhere: priority first (smaller wins, read live at
-pop time through the priority_of callable), then enqueue order.  A
-newcomer never bypasses a queued waiter even when the resource could
-satisfy it immediately; the queue head is served first or nobody is.
+Waiters are ordered by priority (smaller wins, read live at serve time
+through the priority_of callable), then enqueue order.  Every kind but
+the event flag keeps one rule: a newcomer is granted at once only when
+nobody waits (``_take``), and a change serves the queue head first or
+nobody (``WaitQueue.serve``), a head that leaves by timeout included.
+Such a kind supplies only ``_grant(waiter, request)``: what it can hand
+out now, or ``_WAIT``.  The flag grants, in queue order, every waiter
+its pattern satisfies.
 
 No integer argument takes a bool.  A constructor tests with
 ``trace.is_int``; a per-call method tests ``type(n) is bool`` inline, so
@@ -29,57 +36,78 @@ FLAG_MODE_OR = "OR"
 _PATTERN_MASK = 0xFFFFFFFF
 DEFAULT_SEMAPHORE_MAX = 65535
 
+# what a kind's _grant returns when it cannot serve the request now
+_WAIT = object()
+
 
 class WaitQueue:
     """Priority/FIFO wait queue with live priority resolution."""
 
     def __init__(self, priority_of):
         self._priority_of = priority_of
-        self._entries = []  # (waiter, seq, aux)
+        self._entries = []  # (waiter, seq, request)
         self._seq = 0
 
-    def add(self, waiter, aux=None):
-        self._entries.append((waiter, self._seq, aux))
+    def add(self, waiter, request=None):
+        self._entries.append((waiter, self._seq, request))
         self._seq += 1
 
     def _best_index(self):
         best = None
         best_key = None
-        for i, (waiter, seq, _aux) in enumerate(self._entries):
+        for i, (waiter, seq, _request) in enumerate(self._entries):
             key = (self._priority_of(waiter), seq)
             if best_key is None or key < best_key:
                 best, best_key = i, key
         return best
 
+    def serve(self, grant):
+        """The (waiter, value) pairs served, head first, while
+        ``grant(waiter, request)`` returns a value, not _WAIT: one scan
+        per waiter served."""
+        entries = self._entries
+        served = []
+        while entries:
+            i = self._best_index()
+            waiter, _seq, request = entries[i]
+            value = grant(waiter, request)
+            if value is _WAIT:
+                break
+            del entries[i]
+            served.append((waiter, value))
+        return served
+
+    # peek and pop serve nothing in the package; the benchmark's tracer
+    # (perfbench/tracer.py) wraps every name in its WAITQUEUE_METHODS
     def peek(self):
         i = self._best_index()
         if i is None:
             return None
-        waiter, _seq, aux = self._entries[i]
-        return waiter, aux
+        waiter, _seq, request = self._entries[i]
+        return waiter, request
 
     def pop(self):
         i = self._best_index()
         if i is None:
             return None
-        waiter, _seq, aux = self._entries.pop(i)
-        return waiter, aux
+        waiter, _seq, request = self._entries.pop(i)
+        return waiter, request
 
     def remove(self, waiter) -> bool:
-        for i, (w, _seq, _aux) in enumerate(self._entries):
+        for i, (w, _seq, _request) in enumerate(self._entries):
             if w == waiter:
                 del self._entries[i]
                 return True
         return False
 
     def waiters(self):
-        return [w for (w, _s, _a) in self._entries]
+        return [w for (w, _s, _r) in self._entries]
 
     def ordered(self):
-        """Entries as (waiter, aux) in service order (priority, then seq)."""
+        """Entries as (waiter, request) in service order (priority, then seq)."""
         return [
-            (w, aux)
-            for (w, seq, aux) in sorted(
+            (w, request)
+            for (w, seq, request) in sorted(
                 self._entries, key=lambda e: (self._priority_of(e[0]), e[1])
             )
         ]
@@ -89,6 +117,17 @@ class WaitQueue:
 
     def __bool__(self):
         return bool(self._entries)
+
+
+def _take(queue, grant, waiter, request, other=None):
+    """Grant ``request`` now if nobody waits and ``grant`` can, then
+    serve the ``other`` queue; or else queue the waiter."""
+    if not queue:
+        value = grant(waiter, request)
+        if value is not _WAIT:
+            return True, value, other.serve(grant) if other else ()
+    queue.add(waiter, request)
+    return False, None, ()
 
 
 class WaitObject:
@@ -101,8 +140,10 @@ class WaitObject:
         self.extended_info = extended_info
         self.queue = WaitQueue(priority_of)
 
-    def cancel_wait(self, waiter) -> bool:
-        return self.queue.remove(waiter)
+    def cancel_wait(self, waiter):
+        """Take ``waiter`` off the queue; serve the waiters it held back."""
+        self.queue.remove(waiter)
+        return self.queue.serve(self._grant)
 
     @property
     def waiting_count(self) -> int:
@@ -110,12 +151,7 @@ class WaitObject:
 
 
 class Semaphore(WaitObject):
-    """Counting semaphore with multi-unit acquire.
-
-    Releases follow the no-bypass head rule: on signal, the best queued
-    waiter is served repeatedly while its request fits the count; the
-    count never leaks past a waiting head to a newcomer.
-    """
+    """Counting semaphore with multi-unit acquire; a grant's value is None."""
 
     def __init__(self, obj_id: int, initial: int, *, priority_of,
                  max_count: int = DEFAULT_SEMAPHORE_MAX, extended_info: int = 0):
@@ -127,19 +163,20 @@ class Semaphore(WaitObject):
         self.count = initial
         self.max_count = max_count
 
-    def acquire(self, waiter, n: int = 1) -> bool:
+    def _grant(self, _waiter, n):
+        if n > self.count:
+            return _WAIT
+        self.count -= n
+        return None
+
+    def acquire(self, waiter, n: int = 1):
         if not isinstance(n, int) or type(n) is bool or n < 1:
             raise ValidationError(f"semaphore {self.id}: acquire count must be >= 1")
         if n > self.max_count:
             raise ValidationError(f"semaphore {self.id}: request exceeds maximum")
-        if not self.queue and self.count >= n:
-            self.count -= n
-            return True
-        self.queue.add(waiter, n)
-        return False
+        return _take(self.queue, self._grant, waiter, n)
 
     def signal(self, n: int = 1):
-        """Returns the waiters released by this signal, in release order."""
         if not isinstance(n, int) or type(n) is bool or n < 1:
             raise ValidationError(f"semaphore {self.id}: signal count must be >= 1")
         if self.count + n > self.max_count:
@@ -147,19 +184,14 @@ class Semaphore(WaitObject):
                 f"semaphore {self.id}: count would exceed {self.max_count}"
             )
         self.count += n
-        released = []
-        while self.queue:
-            waiter, need = self.queue.peek()
-            if need > self.count:
-                break
-            self.queue.pop()
-            self.count -= need
-            released.append(waiter)
-        return released
+        return self.queue.serve(self._grant)
 
 
 class EventFlag(WaitObject):
-    """32-bit event flag; waiters carry (pattern, mode, clear)."""
+    """32-bit event flag; a request is (pattern, mode, clear), a grant's
+    value the pattern that satisfied it.  Every waiter left after a pass
+    is one the pattern does not satisfy, so a leaving waiter lets none
+    in."""
 
     def __init__(self, obj_id: int, initial: int = 0, *, priority_of,
                  extended_info: int = 0):
@@ -168,56 +200,55 @@ class EventFlag(WaitObject):
         super().__init__(obj_id, priority_of, extended_info)
         self.pattern = initial
 
-    @staticmethod
-    def _satisfied(pattern, wanted, mode):
-        if mode == FLAG_MODE_AND:
-            return pattern & wanted == wanted
-        return pattern & wanted != 0
+    def _grant(self, _waiter, request):
+        wanted, mode, clear = request
+        pattern = self.pattern
+        if (pattern & wanted == wanted if mode == FLAG_MODE_AND
+                else pattern & wanted):
+            if clear:
+                self.pattern = 0  # whole pattern, not just the wanted bits
+            return pattern
+        return _WAIT
 
-    @staticmethod
-    def _check(wanted, mode):
+    def wait(self, waiter, wanted: int, mode: str, clear: bool):
+        """Granted whenever the pattern satisfies it, waiters or not."""
         if (not isinstance(wanted, int) or type(wanted) is bool
                 or not (1 <= wanted <= _PATTERN_MASK)):
             raise ValidationError("event flag: wait pattern must be a nonzero 32-bit mask")
         if mode not in (FLAG_MODE_AND, FLAG_MODE_OR):
             raise ValidationError(f"event flag: unknown mode {mode!r}")
-
-    def wait(self, waiter, wanted: int, mode: str, clear: bool):
-        """Immediate satisfaction check; (granted, pattern snapshot)."""
-        self._check(wanted, mode)
-        if self._satisfied(self.pattern, wanted, mode):
-            snapshot = self.pattern
-            if clear:
-                self.pattern = 0  # whole pattern, not just the wanted bits
-            return True, snapshot
-        self.queue.add(waiter, (wanted, mode, clear))
-        return False, None
+        if clear is not True and clear is not False:
+            raise ValidationError(f"event flag: clear must be a bool, not {clear!r}")
+        request = (wanted, mode, clear)
+        value = self._grant(waiter, request)
+        if value is _WAIT:
+            self.queue.add(waiter, request)
+            return False, None, ()
+        return True, value, ()
 
     def set_bits(self, bits: int):
-        """OR the bits in, then re-evaluate waiters in queue order.
-
-        A clear-on-release waiter zeroes the pattern for everyone behind
-        it in the same evaluation pass.  Returns (waiter, snapshot)
-        pairs in release order.
-        """
+        """OR the bits in, then grant each waiter in queue order that the
+        pattern satisfies: a clear-on-release waiter zeroes the pattern
+        for everyone behind it in the same pass."""
         if (not isinstance(bits, int) or type(bits) is bool
                 or not (0 <= bits <= _PATTERN_MASK)):
             raise ValidationError(f"event flag {self.id}: pattern must fit 32 bits")
         self.pattern |= bits
-        released = []
-        for waiter, (wanted, mode, clear) in self.queue.ordered():
-            if self._satisfied(self.pattern, wanted, mode):
-                released.append((waiter, self.pattern))
+        served = []
+        for waiter, request in self.queue.ordered():
+            value = self._grant(waiter, request)
+            if value is not _WAIT:
                 self.queue.remove(waiter)
-                if clear:
-                    self.pattern = 0
-        return released
+                served.append((waiter, value))
+        return served
 
     def clear_bits(self, mask: int):
+        """AND the mask in; fewer bits serve nobody."""
         if (not isinstance(mask, int) or type(mask) is bool
                 or not (0 <= mask <= _PATTERN_MASK)):
             raise ValidationError(f"event flag {self.id}: pattern must fit 32 bits")
         self.pattern &= mask
+        return ()
 
 
 class Mailbox(WaitObject):
@@ -228,24 +259,20 @@ class Mailbox(WaitObject):
         self._messages = []  # heap of (priority, seq, payload)
         self._seq = 0
 
+    def _grant(self, _waiter, _request):
+        if not self._messages:
+            return _WAIT
+        return heapq.heappop(self._messages)[2]
+
     def send(self, priority: int, payload):
-        """Queue a message; returns (receiver, message) if one was waiting."""
         if not isinstance(priority, int) or type(priority) is bool or priority < 0:
             raise ValidationError(f"mailbox {self.id}: message priority must be >= 0")
         heapq.heappush(self._messages, (priority, self._seq, payload))
         self._seq += 1
-        if self.queue:
-            waiter, _aux = self.queue.pop()
-            _prio, _seq, msg = heapq.heappop(self._messages)
-            return waiter, msg
-        return None
+        return self.queue.serve(self._grant)
 
     def recv(self, waiter):
-        if self._messages:
-            _prio, _seq, msg = heapq.heappop(self._messages)
-            return True, msg
-        self.queue.add(waiter)
-        return False, None
+        return _take(self.queue, self._grant, waiter, None)
 
     @property
     def message_count(self) -> int:
@@ -253,11 +280,9 @@ class Mailbox(WaitObject):
 
 
 class MessageBuffer:
-    """Bounded byte FIFO preserving message boundaries.
-
-    Senders block while their message does not fit; freed space admits
-    queued senders head-first, never a later sender past a waiting head.
-    """
+    """Bounded byte FIFO preserving message boundaries.  A sender's
+    request is its message, a receiver's None: a send serves waiting
+    receivers, a receive the senders the freed space admits."""
 
     def __init__(self, obj_id: int, capacity: int, *, priority_of,
                  extended_info: int = 0):
@@ -279,29 +304,20 @@ class MessageBuffer:
     def message_count(self) -> int:
         return len(self._messages)
 
-    def _store(self, data: bytes):
-        self._messages.append(data)
-        self._used += len(data)
-
-    def _drain_receivers(self, released):
-        while self._messages and self.recv_queue:
-            waiter, _aux = self.recv_queue.pop()
+    def _grant(self, _waiter, data):
+        if data is None:  # a receiver takes the oldest message
+            if not self._messages:
+                return _WAIT
             msg = self._messages.popleft()
             self._used -= len(msg)
-            released.append((waiter, msg))
-
-    def _drain_senders(self, released):
-        while self.send_queue:
-            peeked = self.send_queue.peek()
-            _waiter, data = peeked
-            if len(data) > self.free_bytes:
-                break
-            waiter, data = self.send_queue.pop()
-            self._store(data)
-            released.append(waiter)
+            return msg
+        if len(data) > self.capacity - self._used:
+            return _WAIT
+        self._messages.append(data)
+        self._used += len(data)
+        return None
 
     def send(self, waiter, data: bytes):
-        """(granted, receivers released with their messages)."""
         if not isinstance(data, (bytes, bytearray)):
             raise ValidationError(f"message buffer {self.id}: data must be bytes")
         data = bytes(data)
@@ -310,27 +326,17 @@ class MessageBuffer:
                 f"message buffer {self.id}: message length {len(data)} "
                 f"outside 1..{self.capacity}"
             )
-        if not self.send_queue and len(data) <= self.free_bytes:
-            self._store(data)
-            released = []
-            self._drain_receivers(released)
-            return True, released
-        self.send_queue.add(waiter, data)
-        return False, []
+        return _take(self.send_queue, self._grant, waiter, data, self.recv_queue)
 
     def recv(self, waiter):
-        """(granted, message, senders released by the freed space)."""
-        if self._messages:
-            msg = self._messages.popleft()
-            self._used -= len(msg)
-            released = []
-            self._drain_senders(released)
-            return True, msg, released
-        self.recv_queue.add(waiter)
-        return False, None, []
+        return _take(self.recv_queue, self._grant, waiter, None, self.send_queue)
 
-    def cancel_wait(self, waiter) -> bool:
-        return self.send_queue.remove(waiter) or self.recv_queue.remove(waiter)
+    def cancel_wait(self, waiter):
+        """Take ``waiter`` off its queue; serve the senders it held back.
+        A receiver waits only while the buffer is empty, so its leaving
+        lets nobody in."""
+        self.send_queue.remove(waiter) or self.recv_queue.remove(waiter)
+        return self.send_queue.serve(self._grant)
 
     @property
     def waiting_count(self) -> int:
@@ -338,32 +344,31 @@ class MessageBuffer:
 
 
 class Mutex(WaitObject):
-    """Non-recursive mutex.  Priority inheritance is computed by the
-    kernel from owner/waiter visibility; the core only tracks them."""
+    """Non-recursive mutex; a grant's value is None.  Priority inheritance
+    is computed by the kernel from owner/waiter visibility; the core only
+    tracks them."""
 
     def __init__(self, obj_id: int, *, priority_of, extended_info: int = 0):
         super().__init__(obj_id, priority_of, extended_info)
         self.owner = None
 
-    def lock(self, waiter) -> bool:
-        if self.owner is None:
-            self.owner = waiter
-            return True
+    def _grant(self, waiter, _request):
+        if self.owner is not None:
+            return _WAIT
+        self.owner = waiter
+        return None
+
+    def lock(self, waiter):
         if self.owner == waiter:
             raise ObjectStateError(f"mutex {self.id}: already held by the caller")
-        self.queue.add(waiter)
-        return False
+        return _take(self.queue, self._grant, waiter, None)
 
     def unlock(self, waiter):
-        """Returns the next owner, or None when the mutex goes free."""
+        """Hand the mutex to its best waiter, if any."""
         if self.owner != waiter:
             raise ObjectStateError(f"mutex {self.id}: unlock by non-owner")
-        if self.queue:
-            nxt, _aux = self.queue.pop()
-            self.owner = nxt
-            return nxt
         self.owner = None
-        return None
+        return self.queue.serve(self._grant)
 
 
 class FixedPool(WaitObject):
@@ -383,7 +388,9 @@ class FixedPool(WaitObject):
         self._allocated = set()
         self.max_used = 0
 
-    def _grant(self):
+    def _grant(self, _waiter, _request):
+        if not self._free:
+            return _WAIT
         idx = heapq.heappop(self._free)
         self._allocated.add(idx)
         if len(self._allocated) > self.max_used:
@@ -391,13 +398,9 @@ class FixedPool(WaitObject):
         return idx
 
     def get(self, waiter):
-        if not self.queue and self._free:
-            return True, self._grant()
-        self.queue.add(waiter)
-        return False, None
+        return _take(self.queue, self._grant, waiter, None)
 
     def release(self, index: int):
-        """Returns (waiter, index) when the block goes straight to a waiter."""
         if (not isinstance(index, int) or type(index) is bool
                 or not (0 <= index < self.block_count)):
             raise ObjectStateError(f"fixed pool {self.id}: no block {index}")
@@ -405,10 +408,7 @@ class FixedPool(WaitObject):
             raise ObjectStateError(f"fixed pool {self.id}: block {index} is free")
         self._allocated.discard(index)
         heapq.heappush(self._free, index)
-        if self.queue:
-            waiter, _aux = self.queue.pop()
-            return waiter, self._grant()
-        return None
+        return self.queue.serve(self._grant)
 
     @property
     def free_count(self) -> int:
@@ -416,7 +416,8 @@ class FixedPool(WaitObject):
 
 
 class VariablePool(WaitObject):
-    """Byte pool, first-fit at the lowest offset, free-list coalescing."""
+    """Byte pool, first-fit at the lowest offset, free-list coalescing;
+    a request is a size, a grant's value its offset."""
 
     def __init__(self, obj_id: int, size: int, *, priority_of,
                  extended_info: int = 0):
@@ -428,7 +429,7 @@ class VariablePool(WaitObject):
         self._allocated = {}      # offset -> length
         self.max_used = 0
 
-    def _try_alloc(self, n: int):
+    def _grant(self, _waiter, n):
         for i, (off, length) in enumerate(self._free):
             if length >= n:
                 if length == n:
@@ -440,7 +441,7 @@ class VariablePool(WaitObject):
                 if used > self.max_used:
                     self.max_used = used
                 return off
-        return None
+        return _WAIT
 
     def _free_block(self, off: int, n: int):
         self._free.append((off, n))
@@ -458,31 +459,16 @@ class VariablePool(WaitObject):
             raise ValidationError(
                 f"variable pool {self.id}: request {n} outside 1..{self.size}"
             )
-        if not self.queue:
-            off = self._try_alloc(n)
-            if off is not None:
-                return True, off
-        self.queue.add(waiter, n)
-        return False, None
+        return _take(self.queue, self._grant, waiter, n)
 
     def release(self, offset: int):
-        """Returns [(waiter, offset, n)] granted out of the freed space."""
         # get hands out plain ints; True or 1.0 would find offset 1
         if type(offset) is not int or offset not in self._allocated:
             raise ObjectStateError(
                 f"variable pool {self.id}: offset {offset} is not allocated"
             )
-        n = self._allocated.pop(offset)
-        self._free_block(offset, n)
-        granted = []
-        while self.queue:
-            waiter, need = self.queue.peek()
-            off = self._try_alloc(need)
-            if off is None:
-                break  # head does not fit; nobody behind it may pass
-            self.queue.pop()
-            granted.append((waiter, off, need))
-        return granted
+        self._free_block(offset, self._allocated.pop(offset))
+        return self.queue.serve(self._grant)
 
     @property
     def used_bytes(self) -> int:

@@ -500,7 +500,7 @@ def _object(name, *params, check=None):
 
 def _initial_within_max(problems, sem):
     """Reported, but the semaphore stays declared, so references stay quiet."""
-    limit = DEFAULT_SEMAPHORE_MAX if sem.max is None else sem.max
+    limit = sem.max or DEFAULT_SEMAPHORE_MAX
     if sem.initial > limit:
         problems.append((sem.path + ("initial",),
                          f"'initial' must not exceed 'max' ({limit})"))
@@ -632,8 +632,9 @@ _DEVICE_WORDS = {KIND_INTC: "an interrupt controller",
 
 def _check_program_refs(problems, stmts, labels, objects, devices):
     """Report each annotation, object or device access a statement's row
-    names that the scenario does not declare, and a payload too large for
-    the buffer it is sent to."""
+    names that the scenario does not declare, and a request its object can
+    never grant: a payload too large for its buffer, a semaphore count
+    above the maximum, a variable pool request above the pool's size."""
     for st in behavior.iter_statements(stmts):
         for row, value in zip(st.schema.rows, st.values):
             names = row.names
@@ -659,6 +660,16 @@ def _check_program_refs(problems, stmts, labels, objects, devices):
                 if size > cap:
                     problems.append((st.path, f"payload is {size} bytes; "
                                               f"buffer {value} holds {cap}"))
+            elif names == "semaphore":
+                limit = objects[names, value].max or DEFAULT_SEMAPHORE_MAX
+                if st.count > limit:
+                    problems.append((st.path + ("count",), f"count is {st.count}; "
+                                     f"semaphore {value} holds at most {limit}"))
+            elif names == "variable_pool" and "size" in st.schema.keys:
+                limit = objects[names, value].size
+                if st.size > limit:
+                    problems.append((st.path + ("size",), f"size is {st.size}; "
+                                     f"variable pool {value} holds {limit}"))
 
 
 def _cross_check(problems, scn: Scenario):

@@ -41,6 +41,7 @@ TIER1 = (sys.executable, "-m", "pytest", "-q",
 
 ENGINE = "src/rtksim/engine.py"
 KERNEL = "src/rtksim/kernel.py"
+OBJECTS = "src/rtksim/objects.py"
 SCENARIO = "src/rtksim/scenario.py"
 TRACE = "src/rtksim/trace.py"
 
@@ -79,9 +80,9 @@ MUTANTS = (
     ("preemption-mask-shifted", ENGINE,
      "self.outranked_by = (1 << priority) - 1 if kind",
      "self.outranked_by = ((1 << priority) - 1) >> 1 if kind"),
-    ("flag-waits-always-or", "src/rtksim/objects.py",
-     "return pattern & wanted == wanted",
-     "return pattern & wanted != 0"),
+    ("flag-waits-always-or", OBJECTS,
+     "pattern & wanted == wanted if mode == FLAG_MODE_AND",
+     "pattern & wanted != 0 if mode == FLAG_MODE_AND"),
     ("set-priority-keeps-outranked-by", ENGINE,
      "        th.outranked_by = (1 << priority) - 1"
      " if th.kind is ThreadKind.TASK else 0\n",
@@ -122,6 +123,37 @@ MUTANTS = (
     ("block-of-ticks-below-100", TRACE,
      "first = max(-(-start // _BLOCK), 1)",
      "first = -(-start // _BLOCK)"),
+    # -- one grant rule for the kernel objects
+    ("take-grants-while-others-wait", OBJECTS,
+     "    if not queue:\n"
+     "        value = grant(waiter, request)\n",
+     "    if True:\n"
+     "        value = grant(waiter, request)\n"),
+    ("serve-passes-a-head-it-cannot-serve", OBJECTS,
+     "        while entries:\n"
+     "            i = self._best_index()\n"
+     "            waiter, _seq, request = entries[i]\n"
+     "            value = grant(waiter, request)\n"
+     "            if value is _WAIT:\n"
+     "                break\n"
+     "            del entries[i]\n"
+     "            served.append((waiter, value))\n",
+     "        for waiter, request in self.ordered():\n"
+     "            value = grant(waiter, request)\n"
+     "            if value is not _WAIT:\n"
+     "                self.remove(waiter)\n"
+     "                served.append((waiter, value))\n"),
+    ("cancel-wait-serves-nobody", OBJECTS,
+     "        self.queue.remove(waiter)\n"
+     "        return self.queue.serve(self._grant)\n",
+     "        self.queue.remove(waiter)\n"
+     "        return []\n"),
+    ("mailbox-grants-the-oldest-message", OBJECTS,
+     "        return heapq.heappop(self._messages)[2]\n",
+     "        oldest = min(self._messages, key=lambda m: m[1])\n"
+     "        self._messages.remove(oldest)\n"
+     "        heapq.heapify(self._messages)\n"
+     "        return oldest[2]\n"),
 )
 
 

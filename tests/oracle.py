@@ -233,6 +233,17 @@ class RefSim:
         elif len(seen) + upstream >= 3:
             self.coverage["chain3"] = True
 
+    def _serve_sem(self, sem, stamp):
+        """Release the semaphore's waiters head first while the head's
+        need fits the count."""
+        while sem.queue:
+            head = self._head(sem.queue)
+            if head[2] > sem.count:
+                break
+            sem.queue.remove(head)
+            sem.count -= head[2]
+            self._release(self.threads[head[0]], stamp)
+
     def _release(self, th, stamp):
         th.state = "ready"
         th.wait_kind = None
@@ -415,13 +426,7 @@ class RefSim:
             _k, sem_id, n = op
             sem = self.sems[sem_id]
             sem.count += n
-            while sem.queue:
-                head = self._head(sem.queue)
-                if head[2] > sem.count:
-                    break
-                sem.queue.remove(head)
-                sem.count -= head[2]
-                self._release(self.threads[head[0]], t)
+            self._serve_sem(sem, t)
             return False
         if kind == "mtx_lock":
             _k, mtx_id, timeout = op
@@ -483,6 +488,9 @@ class RefSim:
                         if self._inherit():   # the waiter's boost is withdrawn
                             self.coverage["withdrawn"] = True
                 self._release(th, b)
+                if wait_obj is not None and wait_obj[0] == "sem":
+                    # a head that gave up may let the waiters behind it in
+                    self._serve_sem(self.sems[wait_obj[1]], b)
         stimuli = self.stimuli
         while self.stim_i < len(stimuli) and stimuli[self.stim_i][0] == b:
             _tick, line = stimuli[self.stim_i]

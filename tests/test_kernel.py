@@ -1065,6 +1065,66 @@ def test_blocking_service_timeout(service):
     assert nothing_given(k)
 
 
+# object -> (declare it, a call of a higher-priority task that leaves too
+# little for the head or None, the head's call (timeout 3), the call queued
+# behind the head that fits once it has left, the object's state after)
+_STUCK_CASES = {
+    "semaphore": (                                  # count 1
+        lambda k: k.declare_semaphore(1, 1, max_count=4),
+        None,
+        lambda kn, api: kn.sem_wait(api, 1, 2, timeout=3),
+        lambda kn, api: kn.sem_wait(api, 1, 1),
+        lambda k: (k.semaphores[1].count, k.semaphores[1].waiting_count),
+    ),
+    "variable_pool": (                              # 2 of 8 bytes free
+        lambda k: k.declare_variable_pool(1, 8),
+        lambda kn, api: kn.vpool_get(api, 1, 6),
+        lambda kn, api: kn.vpool_get(api, 1, 4, timeout=3),
+        lambda kn, api: kn.vpool_get(api, 1, 2),
+        lambda k: (k.variable_pools[1].size - k.variable_pools[1].used_bytes,
+                   k.variable_pools[1].waiting_count),
+    ),
+    "message_buffer": (                             # 1 of 4 bytes free
+        lambda k: k.declare_buffer(1, 4),
+        lambda kn, api: kn.mbf_send(api, 1, b"abc"),
+        lambda kn, api: kn.mbf_send(api, 1, b"def", timeout=3),
+        lambda kn, api: kn.mbf_send(api, 1, b"g"),
+        lambda k: (k.buffers[1].free_bytes, k.buffers[1].waiting_count),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_STUCK_CASES))
+def test_a_head_that_times_out_lets_the_waiter_behind_it_in(kind):
+    # the head waits for more than is free; the smaller request behind it
+    # may not pass it, but once the head gives up it fits.  It used to stay
+    # queued, and the run stopped with a false deadlock.
+    declare, hold, head, behind, state = _STUCK_CASES[kind]
+    out = {}
+    k, _ = mk()
+    declare(k)
+
+    def task(name, call):
+        def body(ctx):
+            res = yield from call(ctx.kernel, ctx.api)
+            out[name] = (res.code, ctx.kernel.engine.now)
+        return body
+
+    if hold is not None:
+        k.declare_task(1, "HOLD", 1, task("hold", hold))
+    k.declare_task(2, "HEAD", 2, task("head", head))
+    k.declare_task(3, "BEHIND", 3, task("behind", behind))
+    k.boot()
+    k.run(12)
+    start = 0 if hold is None else 1
+    # the head queues at tick start+1 and leaves 3 ticks later; the task
+    # behind it is released at that boundary and runs once the head is done
+    assert out["head"] == (RESULT_TIMEOUT, start + 4)
+    assert out["behind"] == (RESULT_OK, start + 4)
+    assert state(k) == (0, 0)
+    assert k.engine.waiting_threads() == []
+
+
 # --------------------------------------------------------------------------
 # start/exit services
 

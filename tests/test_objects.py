@@ -6,7 +6,10 @@ over plain lists (a bitmap, for the byte pool).  Logs of per-op results
 and the final observable state must match exactly.
 
 The reference models restate the contract from scratch: priority first,
-enqueue order second, and no newcomer ever passes a waiting queue head.
+enqueue order second, no newcomer ever passes a waiting queue head, and a
+waiter that leaves lets in the waiters it held back.  Each logs a take's
+answer as (granted, value, served) and a give's or a cancel's as the
+(waiter, value) pairs it served, as the cores answer.
 """
 
 import itertools
@@ -69,7 +72,7 @@ def run_sem_impl(seq, initial):
         else:
             ws = s.queue.waiters()
             if ws:
-                log.append(("cancel", ws[0], s.cancel_wait(ws[0])))
+                log.append(("cancel", ws[0], tuple(s.cancel_wait(ws[0]))))
             else:
                 log.append(("cancel", None, False))
     log.append(("final", s.count, tuple(s.queue.ordered())))
@@ -82,36 +85,41 @@ def run_sem_oracle(seq, initial):
     seqno = 0
     acq_i = 0
     log = []
+
+    def serve():
+        nonlocal count
+        out = []
+        while q:
+            head = _service_order(q)[0]
+            if head[2] > count:
+                break
+            q.remove(head)
+            count -= head[2]
+            out.append((head[0], None))
+        return tuple(out)
+
     for op in seq:
         if op[0] == "acq":
             w = acq_i
             acq_i += 1
             if not q and count >= op[1]:
                 count -= op[1]
-                log.append(("acq", w, True))
+                log.append(("acq", w, (True, None, ())))
             else:
                 q.append((w, seqno, op[1]))
                 seqno += 1
-                log.append(("acq", w, False))
+                log.append(("acq", w, (False, None, ())))
         elif op[0] == "sig":
             if count + op[1] > SEM_MAX:
                 log.append(("err", "overflow"))
                 continue
             count += op[1]
-            out = []
-            while q:
-                head = _service_order(q)[0]
-                if head[2] > count:
-                    break
-                q.remove(head)
-                count -= head[2]
-                out.append(head[0])
-            log.append(("sig", tuple(out)))
+            log.append(("sig", serve()))
         else:
             if q:
                 first = min(q, key=lambda e: e[1])
                 q.remove(first)
-                log.append(("cancel", first[0], True))
+                log.append(("cancel", first[0], serve()))
             else:
                 log.append(("cancel", None, False))
     log.append(("final", count,
@@ -159,13 +167,11 @@ def run_flag_impl(seq, initial):
         if op[0] == "wait":
             w = wait_i
             wait_i += 1
-            granted, snap = f.wait(w, op[1], op[2], op[3])
-            log.append(("wait", w, granted, snap))
+            log.append(("wait", w, f.wait(w, op[1], op[2], op[3])))
         elif op[0] == "set":
             log.append(("set", tuple(f.set_bits(op[1]))))
         else:
-            f.clear_bits(op[1])
-            log.append(("clear",))
+            log.append(("clear", tuple(f.clear_bits(op[1]))))
     log.append(("final", f.pattern, tuple(f.queue.ordered())))
     return log
 
@@ -184,11 +190,11 @@ def run_flag_oracle(seq, initial):
                 snap = pattern
                 if op[3]:
                     pattern = 0
-                log.append(("wait", w, True, snap))
+                log.append(("wait", w, (True, snap, ())))
             else:
                 q.append((w, seqno, op[1], op[2], op[3]))
                 seqno += 1
-                log.append(("wait", w, False, None))
+                log.append(("wait", w, (False, None, ())))
         elif op[0] == "set":
             pattern |= op[1]
             out = []
@@ -203,7 +209,7 @@ def run_flag_oracle(seq, initial):
             log.append(("set", tuple(out)))
         else:
             pattern &= op[1]
-            log.append(("clear",))
+            log.append(("clear", ()))
     log.append(("final", pattern,
                 tuple((e[0], (e[2], e[3], e[4])) for e in _service_order(q))))
     return log
@@ -234,7 +240,7 @@ def run_mbx_impl(seq):
     recv_i = 0
     for i, op in enumerate(seq):
         if op[0] == "send":
-            log.append(("send", m.send(op[1], f"m{i}")))
+            log.append(("send", tuple(m.send(op[1], f"m{i}"))))
         elif op[0] == "recv":
             w = recv_i
             recv_i += 1
@@ -242,7 +248,7 @@ def run_mbx_impl(seq):
         else:
             ws = m.queue.waiters()
             if ws:
-                log.append(("cancel", ws[0], m.cancel_wait(ws[0])))
+                log.append(("cancel", ws[0], tuple(m.cancel_wait(ws[0]))))
             else:
                 log.append(("cancel", None, False))
     drained = []
@@ -272,23 +278,23 @@ def run_mbx_oracle(seq):
             if q:
                 head = _service_order(q)[0]
                 q.remove(head)
-                log.append(("send", (head[0], pop_msg())))
+                log.append(("send", ((head[0], pop_msg()),)))
             else:
-                log.append(("send", None))
+                log.append(("send", ()))
         elif op[0] == "recv":
             w = recv_i
             recv_i += 1
             if msgs:
-                log.append(("recv", w, (True, pop_msg())))
+                log.append(("recv", w, (True, pop_msg(), ())))
             else:
                 q.append((w, wseq))
                 wseq += 1
-                log.append(("recv", w, (False, None)))
+                log.append(("recv", w, (False, None, ())))
         else:
             if q:
                 first = min(q, key=lambda e: e[1])
                 q.remove(first)
-                log.append(("cancel", first[0], True))
+                log.append(("cancel", first[0], ()))
             else:
                 log.append(("cancel", None, False))
     drained = []
@@ -322,8 +328,8 @@ def run_mbf_impl(seq):
     for i, op in enumerate(seq):
         w = i % 3
         if op[0] == "send":
-            granted, released = b.send(w, bytes([i]) * op[1])
-            log.append(("send", w, granted, tuple(released)))
+            granted, value, released = b.send(w, bytes([i]) * op[1])
+            log.append(("send", w, granted, value, tuple(released)))
         elif op[0] == "recv":
             granted, msg, released = b.recv(w)
             log.append(("recv", w, granted, msg, tuple(released)))
@@ -333,7 +339,7 @@ def run_mbf_impl(seq):
             if target is None:
                 log.append(("cancel", None, False))
             else:
-                log.append(("cancel", target, b.cancel_wait(target)))
+                log.append(("cancel", target, tuple(b.cancel_wait(target))))
     drained = []
     di = 0
     while b.message_count:
@@ -372,7 +378,7 @@ def run_mbf_oracle(seq):
                 break
             sendq.remove(head)
             msgs.append(head[2])
-            out.append(head[0])
+            out.append((head[0], None))
         return out
 
     for i, op in enumerate(seq):
@@ -381,11 +387,11 @@ def run_mbf_oracle(seq):
             data = bytes([i]) * op[1]
             if not sendq and len(data) <= free():
                 msgs.append(data)
-                log.append(("send", w, True, tuple(drain_receivers())))
+                log.append(("send", w, True, None, tuple(drain_receivers())))
             else:
                 sendq.append((w, sseq, data))
                 sseq += 1
-                log.append(("send", w, False, ()))
+                log.append(("send", w, False, None, ()))
         elif op[0] == "recv":
             if msgs:
                 msg = msgs.pop(0)
@@ -398,11 +404,11 @@ def run_mbf_oracle(seq):
             if sendq:
                 first = min(sendq, key=lambda e: e[1])
                 sendq.remove(first)
-                log.append(("cancel", first[0], True))
+                log.append(("cancel", first[0], tuple(drain_senders())))
             elif recvq:
                 first = min(recvq, key=lambda e: e[1])
                 recvq.remove(first)
-                log.append(("cancel", first[0], True))
+                log.append(("cancel", first[0], tuple(drain_senders())))
             else:
                 log.append(("cancel", None, False))
     drained = []
@@ -437,7 +443,7 @@ def run_mtx_impl(seq):
             if op[0] == "lock":
                 log.append(("lock", op[1], m.lock(op[1])))
             else:
-                log.append(("unlock", op[1], m.unlock(op[1])))
+                log.append(("unlock", op[1], tuple(m.unlock(op[1]))))
         except ObjectStateError:
             log.append(("err", op[0], op[1]))
     log.append(("final", m.owner,
@@ -455,13 +461,13 @@ def run_mtx_oracle(seq):
         if op[0] == "lock":
             if owner is None:
                 owner = w
-                log.append(("lock", w, True))
+                log.append(("lock", w, (True, None, ())))
             elif owner == w:
                 log.append(("err", "lock", w))
             else:
                 q.append((w, seqno))
                 seqno += 1
-                log.append(("lock", w, False))
+                log.append(("lock", w, (False, None, ())))
         else:
             if owner != w:
                 log.append(("err", "unlock", w))
@@ -469,10 +475,10 @@ def run_mtx_oracle(seq):
                 head = _service_order(q)[0]
                 q.remove(head)
                 owner = head[0]
-                log.append(("unlock", w, head[0]))
+                log.append(("unlock", w, ((head[0], None),)))
             else:
                 owner = None
-                log.append(("unlock", w, None))
+                log.append(("unlock", w, ()))
     log.append(("final", owner, tuple(e[0] for e in _service_order(q))))
     return log
 
@@ -502,13 +508,13 @@ def run_fpl_impl(seq):
             log.append(("get", w, p.get(w)))
         elif op[0] == "rel":
             try:
-                log.append(("rel", op[1], p.release(op[1])))
+                log.append(("rel", op[1], tuple(p.release(op[1]))))
             except ObjectStateError:
                 log.append(("err", "rel", op[1]))
         else:
             ws = p.queue.waiters()
             if ws:
-                log.append(("cancel", ws[0], p.cancel_wait(ws[0])))
+                log.append(("cancel", ws[0], tuple(p.cancel_wait(ws[0]))))
             else:
                 log.append(("cancel", None, False))
     log.append(("final", p.free_count, p.max_used,
@@ -538,11 +544,11 @@ def run_fpl_oracle(seq):
             w = get_i % 3
             get_i += 1
             if not q and free:
-                log.append(("get", w, (True, grant())))
+                log.append(("get", w, (True, grant(), ())))
             else:
                 q.append((w, seqno))
                 seqno += 1
-                log.append(("get", w, (False, None)))
+                log.append(("get", w, (False, None, ())))
         elif op[0] == "rel":
             if op[1] not in held:
                 log.append(("err", "rel", op[1]))
@@ -552,14 +558,14 @@ def run_fpl_oracle(seq):
             if q:
                 head = _service_order(q)[0]
                 q.remove(head)
-                log.append(("rel", op[1], (head[0], grant())))
+                log.append(("rel", op[1], ((head[0], grant()),)))
             else:
-                log.append(("rel", op[1], None))
+                log.append(("rel", op[1], ()))
         else:
             if q:
                 first = min(q, key=lambda e: e[1])
                 q.remove(first)
-                log.append(("cancel", first[0], True))
+                log.append(("cancel", first[0], ()))
             else:
                 log.append(("cancel", None, False))
     log.append(("final", len(free), max_used,
@@ -578,28 +584,36 @@ def test_fixed_pool_exhaustive():
 # --------------------------------------------------------------------------
 # variable-size pool (reference keeps a plain byte bitmap)
 
-VPL_ALPHA = (("get", 3), ("get", 5), ("rel", "old"), ("rel", "new"))
+VPL_ALPHA = (("get", 3), ("get", 5), ("rel", "old"), ("rel", "new"),
+             ("cancel",))
 VPL_SIZE = 8
 
 
 def run_vpl_impl(seq):
     p = VariablePool(1, VPL_SIZE, priority_of=_lookup)
-    held = []  # (offset, n) in grant order
+    held = []  # offsets in grant order
     log = []
     for i, op in enumerate(seq):
         if op[0] == "get":
-            granted, off = p.get(i % 3, op[1])
+            granted, off, served = p.get(i % 3, op[1])
             if granted:
-                held.append((off, op[1]))
-            log.append(("get", i % 3, granted, off))
-        else:
+                held.append(off)
+            log.append(("get", i % 3, granted, off, served))
+        elif op[0] == "rel":
             if not held:
                 log.append(("rel", None))
                 continue
-            off, _n = held.pop(0 if op[1] == "old" else -1)
-            handed = p.release(off)
-            held.extend((o, n) for (_w, o, n) in handed)
+            handed = p.release(held.pop(0 if op[1] == "old" else -1))
+            held.extend(o for (_w, o) in handed)
             log.append(("rel", tuple(handed)))
+        else:
+            ws = p.queue.waiters()
+            if not ws:
+                log.append(("cancel", None, False))
+                continue
+            handed = p.cancel_wait(ws[0])
+            held.extend(o for (_w, o) in handed)
+            log.append(("cancel", ws[0], tuple(handed)))
     log.append(("final", p.used_bytes, p.max_used,
                 tuple(p.queue.ordered())))
     return log
@@ -630,7 +644,7 @@ def run_vpl_oracle(seq):
             if off is None:
                 break
             q.remove(head)
-            out.append((head[0], off, head[2]))
+            out.append((head[0], off))
             held.append((off, head[2]))
         return out
 
@@ -641,17 +655,24 @@ def run_vpl_oracle(seq):
             if off is None:
                 q.append((w, seqno, op[1]))
                 seqno += 1
-                log.append(("get", w, False, None))
+                log.append(("get", w, False, None, ()))
             else:
                 held.append((off, op[1]))
-                log.append(("get", w, True, off))
-        else:
+                log.append(("get", w, True, off, ()))
+        elif op[0] == "rel":
             if not held:
                 log.append(("rel", None))
                 continue
             off, n = held.pop(0 if op[1] == "old" else -1)
             used[off:off + n] = b"\x00" * n
             log.append(("rel", tuple(serve_queue())))
+        else:
+            if not q:
+                log.append(("cancel", None, False))
+                continue
+            first = min(q, key=lambda e: e[1])
+            q.remove(first)
+            log.append(("cancel", first[0], tuple(serve_queue())))
     log.append(("final", sum(used), max_used,
                 tuple((e[0], e[2]) for e in _service_order(q))))
     return log
@@ -730,11 +751,11 @@ def test_a_bool_is_no_integer(call):
 def test_a_block_is_named_by_an_int(block):
     # True == 1.0 == 1, and each hashes as 1
     fpl = FixedPool(9, 2, 4, priority_of=_lookup)
-    assert [fpl.get(w) for w in (1, 2)] == [(True, 0), (True, 1)]
+    assert [fpl.get(w) for w in (1, 2)] == [(True, 0, ()), (True, 1, ())]
     with pytest.raises(ObjectStateError):
         fpl.release(block)
     vpl = VariablePool(9, 4, priority_of=_lookup)
-    assert [vpl.get(w, 1) for w in (1, 2)] == [(True, 0), (True, 1)]
+    assert [vpl.get(w, 1) for w in (1, 2)] == [(True, 0, ()), (True, 1, ())]
     with pytest.raises(ObjectStateError):
         vpl.release(block)
     assert (fpl.free_count, vpl.used_bytes) == (0, 2)
@@ -761,10 +782,18 @@ def test_event_flag_validation():
         EventFlag(9, 1 << 32, priority_of=_lookup)
 
 
+@pytest.mark.parametrize("clear", ["no", 1, 0, None])
+def test_event_flag_clear_is_true_or_false(clear):
+    # a truthy non-bool used to be granted and zero the pattern
+    f = EventFlag(9, 0b11, priority_of=_lookup)
+    with pytest.raises(ValidationError):
+        f.wait(1, 0b01, FLAG_MODE_OR, clear)
+    assert f.pattern == 0b11 and not f.queue
+
+
 def test_event_flag_clear_on_grant_zeroes_whole_pattern():
     f = EventFlag(9, 0b1110, priority_of=_lookup)
-    granted, snap = f.wait(1, 0b0010, FLAG_MODE_OR, True)
-    assert granted and snap == 0b1110
+    assert f.wait(1, 0b0010, FLAG_MODE_OR, True) == (True, 0b1110, ())
     assert f.pattern == 0      # not merely the waited bits
 
 
@@ -772,7 +801,7 @@ def test_mutex_misuse():
     m = Mutex(9, priority_of=_lookup)
     with pytest.raises(ObjectStateError):
         m.unlock(1)            # never locked
-    assert m.lock(1) is True
+    assert m.lock(1) == (True, None, ())
     with pytest.raises(ObjectStateError):
         m.lock(1)              # recursion not supported
     with pytest.raises(ObjectStateError):
@@ -793,9 +822,8 @@ def test_message_buffer_validation():
 
 def test_message_buffer_accepts_bytearray():
     b = MessageBuffer(9, 4, priority_of=_lookup)
-    granted, _released = b.send(1, bytearray(b"ab"))
-    assert granted
-    _granted, msg, _rel = b.recv(2)
+    assert b.send(1, bytearray(b"ab")) == (True, None, ())
+    _granted, msg, _served = b.recv(2)
     assert msg == b"ab" and isinstance(msg, bytes)
 
 
@@ -811,10 +839,10 @@ def test_fixed_pool_misuse():
 
 def test_fixed_pool_grants_lowest_index():
     p = FixedPool(9, block_count=3, block_size=8, priority_of=_lookup)
-    assert p.get(1) == (True, 0)
-    assert p.get(1) == (True, 1)
+    assert p.get(1) == (True, 0, ())
+    assert p.get(1) == (True, 1, ())
     p.release(0)
-    assert p.get(1) == (True, 0)
+    assert p.get(1) == (True, 0, ())
 
 
 def test_variable_pool_first_fit_and_coalescing():
@@ -824,12 +852,12 @@ def test_variable_pool_first_fit_and_coalescing():
     assert (a, b) == (0, 4)
     p.release(a)
     # hole of 4 at offset 0; request of 2 goes there, not to the tail
-    assert p.get(1, 2) == (True, 0)
+    assert p.get(1, 2) == (True, 0, ())
     p.release(b)
     p.release(0)
     # 0..2 free, 2..4 free from the first release, 4..8 from the second:
     # all coalesced, so a full-size request fits again
-    assert p.get(1, 10) == (True, 0)
+    assert p.get(1, 10) == (True, 0, ())
 
 
 def test_variable_pool_misuse():

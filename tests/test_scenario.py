@@ -407,6 +407,37 @@ def test_oversized_buffer_payload_is_a_parse_error():
         parse_scenario_text(refs_text(stmt, extra))
 
 
+_NEVER_GRANTED_OBJECTS = (
+    "objects:\n"
+    "  semaphores:\n"
+    "    - {id: 1, initial: 0, max: 3}\n"
+    "    - {id: 2, initial: 0}\n"
+    "  variable_pools:\n"
+    "    - {id: 1, size: 64}\n"
+)
+
+
+@pytest.mark.parametrize("stmt,message", [
+    ("{call: sem_wait, sem: 1, count: 4}",
+     "count is 4; semaphore 1 holds at most 3"),
+    ("{call: sem_signal, sem: 1, count: 4}",
+     "count is 4; semaphore 1 holds at most 3"),
+    ("{call: sem_wait, sem: 2, count: 65536}",
+     "count is 65536; semaphore 2 holds at most 65535"),
+    ("{call: vpool_get, pool: 1, size: 100, as: region}",
+     "size is 100; variable pool 1 holds 64"),
+])
+def test_a_request_its_object_can_never_grant_is_a_parse_error(stmt, message):
+    # these used to parse, and the run stopped at the call
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario_text(refs_text(stmt, _NEVER_GRANTED_OBJECTS))
+    assert problems_of(excinfo) == [("<scenario>:15", message)]
+    for fits in ("{call: sem_wait, sem: 1, count: 3}",
+                 "{call: sem_signal, sem: 2, count: 65535}",
+                 "{call: vpool_get, pool: 1, size: 64, as: region}"):
+        parse_scenario_text(refs_text(fits, _NEVER_GRANTED_OBJECTS))
+
+
 ISR_BASE = (
     "run_ticks: 5\n"
     "annotations:\n"
