@@ -144,12 +144,17 @@ def _write_artifacts(args, scn, kernel, records, elapsed: int) -> None:
                 sys.stdout.write(text)
 
     if args.gantt or args.gantt_out:
-        render = render_svg_gantt if args.gantt == "svg" else render_text_gantt
-        chart = render(records, elapsed)
-        if args.gantt_out:
-            _write_artifact(args.gantt_out, chart)
+        if elapsed < 1:
+            print("rtk-sim: no ticks elapsed, skipping Gantt chart",
+                  file=sys.stderr)
         else:
-            sys.stdout.write(chart)
+            render = (render_svg_gantt if args.gantt == "svg"
+                      else render_text_gantt)
+            chart = render(records, elapsed)
+            if args.gantt_out:
+                _write_artifact(args.gantt_out, chart)
+            else:
+                sys.stdout.write(chart)
 
 
 def _cmd_run(args) -> int:

@@ -52,24 +52,22 @@ record of a segment is closed from the clock: its ticks run from the
 resume that opened it to now, at eem // etm each, plus the remainder
 if they end the segment.
 
-The idle thread (``is_idle=True``) must run this module's ``idle_body``:
-one "idle" tick after another in IDLE context.  Because that body is
-fixed, the trampoline renews a completed idle tick in place, emitting
-the same CONTINUE_RUN row a resume of the body would, without the
-generator round trip.  Its first dispatch and every return from a
-preemption or an interrupt still resume the body.
+The idle thread (``is_idle=True``) must run this module's ``idle_body``,
+whose one wait never ends: it is charged for every tick nobody else
+wants, and its body is resumed only at the first dispatch.  A stretch
+of idle ticks is written when it closes, at a preemption, an interrupt
+entry or ``finish``, as the one-tick rows it stands for: its first row,
+then one record whose ``repeat`` counts the rest (see ``trace``).
 
 A caller that knows the tick hook has no work for a while may ``coast``
 instead of stepping: with nothing for the gate to commit, the rest of
-the running segment, or a stretch of renewed idle ticks, is consumed
-with one accounting step and the same trace rows.  A coasted idle
-stretch is written as one record whose ``repeat`` counts its completed
-one-tick rows (see ``trace``); stepping writes those rows one by one.
+the running segment is consumed with one accounting step, and the
+trace records are those stepping writes.
 
 Trace rows are plain TraceRecord dataclasses, each built positionally
 where it is written, with the enum strings read through ``_value_``,
 and handed to the sink's ``record``, bound once at construction.  Every
-record but a coasted idle stretch has ``repeat`` 1.
+record but an idle stretch's rows after its first has ``repeat`` 1.
 
 A stepped tick runs in one frame, ``run_one_tick``.  It calls the gate,
 the only place a transfer is committed, only when there is one to
@@ -81,6 +79,7 @@ takes a body's wait request itself and leaves the rarer requests to
 from __future__ import annotations
 
 import enum
+import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
@@ -110,6 +109,9 @@ from .trace import (
 )
 
 _ZERO_TIME_STEP_LIMIT = 1_000_000
+# the ticks left of the idle segment: an int that no run can count down,
+# so every tick charged to it stays integer arithmetic
+_ENDLESS = sys.maxsize
 
 
 class EventKind(enum.Enum):
@@ -247,13 +249,15 @@ class _ExitRequest:
     __slots__ = ()
 
 
-_IDLE_ANNOTATION = Annotation("idle", 1, 0)
+# the idle thread's one segment: one-tick "idle" rows in IDLE context,
+# charged for as long as nothing else runs (see ``_step``)
+_IDLE_SEGMENT = _WaitRequest(Annotation("idle", 1, 0), ContextKind.IDLE)
 
 
 def idle_body(api):
-    """Body of the idle thread: one-tick idle segments forever."""
+    """Body of the idle thread: the idle segment, which never ends."""
     while True:
-        yield from api.wait(_IDLE_ANNOTATION, ContextKind.IDLE)
+        yield _IDLE_SEGMENT
 
 
 class SimThread:
@@ -271,7 +275,9 @@ class SimThread:
     and stays 0 for a handler, which only its own return ends.
 
     A segment's state lives on its thread: ``seg`` is the request being
-    charged and ``seg_left`` its ticks left.  ``rec_start`` and
+    charged and ``seg_left`` its ticks left, which for the idle segment
+    never run out.  A thread with ticks left always has its ``seg``, so
+    a tick may be charged on ``seg_left`` alone.  ``rec_start`` and
     ``rec_event`` open the segment's trace record, which a suspension
     closes and a resume reopens: the thread has charged every tick
     since ``rec_start`` to the segment, so the clock gives the record's
@@ -538,14 +544,9 @@ class Engine:
                 self._gate()
                 cur = self.current_id
             th = table[cur]
-            seg = th.seg
-            if seg is not None:
-                if th.seg_left > 0:
-                    self._consume(th, seg, 1)
-                    break
-                if th.is_idle and th.pending_resume is None:
-                    self._renew_idle(th, seg, 1)
-                    break
+            if th.seg_left:
+                self._consume(th, th.seg, 1)
+                break
             self._step(th)
             guard += 1
             if guard > _ZERO_TIME_STEP_LIMIT:
@@ -563,28 +564,19 @@ class Engine:
         The caller vouches that the hook has no work at the end of any of
         them.  A coast needs a gate with nothing to commit, and then takes
         what the next ``run_one_tick`` calls would do without a decision:
-        the rest of the running segment, up to ``limit`` ticks, or, for
-        the idle thread, ``limit`` renewed idle ticks.  Otherwise it
-        consumes nothing.
+        the rest of the running segment, up to ``limit`` ticks.  Otherwise
+        it consumes nothing.
         """
         cur = self.current_id
-        if cur is None or limit <= 0:
+        if cur is None:
             return 0
         th = self._table[cur]
-        if self._crit_depth == 0 and (self._pending_activations
-                                      or self._ready_bits & th.outranked_by):
+        n = min(limit, th.seg_left)
+        if n <= 0 or self._crit_depth == 0 and (
+                self._pending_activations
+                or self._ready_bits & th.outranked_by):
             return 0
-        seg = th.seg
-        if seg is None:
-            return 0
-        if th.seg_left > 0:
-            n = min(limit, th.seg_left)
-            self._consume(th, seg, n)
-        elif th.is_idle and th.pending_resume is None:
-            n = limit
-            self._renew_idle(th, seg, n)
-        else:
-            return 0
+        self._consume(th, th.seg, n)
         self.now += n
         return n
 
@@ -784,7 +776,7 @@ class Engine:
             return
         if type(req) is _WaitRequest:  # the common request, taken here
             th.seg = req
-            th.seg_left = req.etm
+            th.seg_left = _ENDLESS if req is _IDLE_SEGMENT else req.etm
             th.rec_start = self.now
         else:
             self._handle_request(th, req)
@@ -824,29 +816,6 @@ class Engine:
         self._emit_control(th, CTL_EXIT)
         self.current_id = None
 
-    def _renew_idle(self, th: SimThread, seg: _WaitRequest, n: int):
-        """Close the idle thread's completed tick and charge the next
-        ``n`` on the same segment: the state n CONTINUE_RUN resumes of
-        idle_body reach, since that body only re-opens its one-tick
-        wait.  The first n - 1 of those ticks are written here as one
-        completed record with ``repeat`` n - 1; the last one's record
-        stays open."""
-        self._close_record(th)
-        now = self.now
-        last = now + n - 1
-        if n > 1:
-            self._record(TraceRecord(
-                now, last, th.id, th.name, seg.context_kind._value_,
-                seg.label, seg.etm, seg.eem_uj,
-                EventKind.CONTINUE_RUN._value_, n - 1))
-            # a one-tick segment charges all of its energy on its tick,
-            # so those ticks charge as one stretch
-            th.seg_left = n - 1
-            self._consume(th, seg, n - 1)
-        th.seg_left = seg.etm
-        th.rec_start, th.rec_event = last, EventKind.CONTINUE_RUN
-        self._consume(th, seg, 1)
-
     def _consume(self, th: SimThread, seg: _WaitRequest, n: int):
         """Charge ``n`` ticks of the running segment, at most what it has
         left; its remainder energy goes with its final tick."""
@@ -867,10 +836,24 @@ class Engine:
         """Write the segment's open record, unless it is empty: the ticks
         from ``rec_start`` to now, each at the per-tick energy, plus the
         remainder if they finished the segment.  The resume that goes on
-        with the segment opens the next one."""
+        with the segment opens the next one.
+
+        An idle stretch is written as the one-tick rows idle_body's wait
+        stands for: its first row, opened by ``rec_event``, and then, if
+        it is longer, one record of the CONTINUE_RUN rows after it."""
         start, now = th.rec_start, self.now
         if now > start:
             seg = th.seg
+            if seg is _IDLE_SEGMENT and now - start > 1:
+                tid, name, ctx = th.id, th.name, seg.context_kind._value_
+                self._record(TraceRecord(
+                    start, start + 1, tid, name, ctx, seg.label, seg.etm,
+                    seg.eem_uj, th.rec_event._value_))
+                self._record(TraceRecord(
+                    start + 1, now, tid, name, ctx, seg.label, seg.etm,
+                    seg.eem_uj, EventKind.CONTINUE_RUN._value_,
+                    now - start - 1))
+                return
             uj = seg.per_tick_uj * (now - start)
             if th.seg_left == 0:
                 uj += seg.rem_uj

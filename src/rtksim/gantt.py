@@ -12,11 +12,13 @@ LEGEND below.
 
 from __future__ import annotations
 
+from .errors import ValidationError
 from .trace import (
     CTL_INT_ENTER,
     CTL_INT_RETURN,
     CTL_PREEMPT,
     check_claims,
+    is_int,
 )
 
 __all__ = ["LEGEND", "render_text_gantt", "render_svg_gantt"]
@@ -50,9 +52,17 @@ def _threads_in(records):
     return sorted(names.items())
 
 
+def _check_window(records, ticks) -> None:
+    """A chart covers ticks 0 to ``ticks`` - 1, at least one, and no
+    two segments in it claim the same tick."""
+    if not is_int(ticks) or ticks < 1:
+        raise ValidationError("a Gantt chart must cover at least 1 tick")
+    check_claims(records, ticks)
+
+
 def render_text_gantt(records, ticks: int) -> str:
     """One character per tick per thread; markers on a companion line."""
-    check_claims(records, ticks)
+    _check_window(records, ticks)
     threads = _threads_in(records)
     rows = {tid: ["."] * ticks for tid, _ in threads}
     marks = {tid: [" "] * ticks for tid, _ in threads}
@@ -132,7 +142,7 @@ def _svg_patterns():
 
 
 def render_svg_gantt(records, ticks: int) -> str:
-    check_claims(records, ticks)
+    _check_window(records, ticks)
     threads = _threads_in(records)
     width = _LEFT + ticks * _CELL_W + 20
     height = _TOP + len(threads) * (_ROW_H + _ROW_GAP) + _BOTTOM

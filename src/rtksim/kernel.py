@@ -476,11 +476,10 @@ class Kernel:
         end = eng.now + ticks
         while eng.now < end:
             eng.run_one_tick()
-            # Only a running segment with ticks left, or idle, can coast.
-            # Tested first and inline, so a busy tick pays a few lookups
-            # and no call.
-            th = table[eng.current_id]
-            if th.seg is None or not (th.seg_left or th.is_idle):
+            # Only a running segment with ticks left can coast.  Tested
+            # first and inline, so a busy tick pays a few lookups and no
+            # call.
+            if not table[eng.current_id].seg_left:
                 continue
             # The hook has work only when the first agenda entry falls
             # due, so the ticks before that one may coast: their hooks

@@ -9,10 +9,10 @@ sections, blocking, exit).
 A record with ``repeat`` k > 1 stands for k consecutive segment rows
 that differ only in their ticks: each is ``etm_ticks`` wide and carries
 ``eem_uj``, and together they cover [tick_start, tick_end).  The engine
-writes a coasted stretch of idle ticks that way.  Every consumer here
-reads it as its k rows, so the CSV, report and Gantt bytes are those of
-the expanded trace; ``rows`` expands a record stream for any other
-consumer.
+writes the rows of an idle stretch after its first that way.  Every
+consumer here reads it as its k rows, so the CSV, report and Gantt
+bytes are those of the expanded trace; ``rows`` expands a record stream
+for any other consumer.
 
 A repeated record's CSV lines come from one renderer, shared by
 ``records_to_csv`` and ``TraceRecord.csv_row``, that builds no

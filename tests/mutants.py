@@ -154,6 +154,18 @@ MUTANTS = (
      "        self._messages.remove(oldest)\n"
      "        heapq.heapify(self._messages)\n"
      "        return oldest[2]\n"),
+    # -- the idle thread's one endless segment
+    ("idle-stretch-opens-with-continue-run", ENGINE,
+     "                    seg.eem_uj, th.rec_event._value_))\n"
+     "                self._record(TraceRecord(\n",
+     "                    seg.eem_uj, EventKind.CONTINUE_RUN._value_))\n"
+     "                self._record(TraceRecord(\n"),
+    ("idle-stretch-repeats-one-row-too-many", ENGINE,
+     "                    now - start - 1))\n",
+     "                    now - start))\n"),
+    ("idle-resumed-every-tick", ENGINE,
+     "th.seg_left = _ENDLESS if req is _IDLE_SEGMENT else req.etm",
+     "th.seg_left = req.etm"),
 )
 
 

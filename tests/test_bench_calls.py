@@ -22,15 +22,19 @@ Their limits of 38 and 52 trip if the ``_svc`` frame comes back, which
 costs ~2.5 calls per tick on steady.
 Writing each coasted idle stretch as one record with a ``repeat`` count,
 not one record per tick, brought `sparse` from 2.6 to 0.2: what is left
-is the ~260 stepped ticks.  Its limit of 0.5 trips if the coast goes back
-to a record per idle tick.  ``ListSink`` appending through the list's own
+is the ~260 stepped ticks.  Its limit of 0.5 trips if idle goes back to
+a record per tick.  ``ListSink`` appending through the list's own
 method, with no Python frame per record, brought steady to 33.4 and wide
 to 45.9.  Building each record where it is written, stepping a tick in
 ``run_one_tick`` with the gate called only when it has work, and sharing
 one valueless service result brought steady from 32.3 to 25.4 and wide
 from 43.7 to 34.6; their limits of 29 and 39 sit below the earlier
 figures, so bringing back both the gate call and the record-building
-frame on every tick trips them.
+frame on every tick trips them.  Running idle as one segment that never
+ends, written as two records when it is preempted, interrupted or
+finished, brought steady from 25.1 to 24.6, wide from 34.5 to 34.4 and
+sparse from 0.143 to 0.129; resuming idle's body on every tick again
+puts sparse past its limit.
 Rendering a coasted stretch's one-tick rows 100 to a joined string,
 not one string per row, brought the peak memory of ``sparse``'s CSV
 render from 3.25 to 2.14 times the text's length (Python 3.11,
@@ -124,8 +128,8 @@ def test_artifact_calls_per_record(name, limit):
 
 
 def test_csv_of_a_coasted_window_holds_no_string_per_row():
-    """``sparse``'s trace is mostly coasted idle stretches, each one
-    record; rendering them is bounded by the peak memory the render
+    """``sparse``'s trace is mostly coasted idle stretches, each two
+    records; rendering them is bounded by the peak memory the render
     takes beside its own text."""
     scn = parse_scenario_text(workloads.generate("sparse", SEED),
                               "sparse.yaml")

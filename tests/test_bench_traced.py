@@ -53,9 +53,9 @@ def test_traced_steady_run_counts(tmp_path):
     assert run.elapsed == workloads.window(name)
     _times, spans = layers.layer_times(probe)   # raises unless they add up
     assert probe.counts["svc_calls"] == 6477
-    assert spans == {"behavior": 10882, "resume": 11150}
-    # a coasted idle stretch is one record; the CSV still has every row
-    assert probe.counts["records"] == 24538
+    assert spans == {"behavior": 10882, "resume": 10883}
+    # an idle stretch is two records; the CSV still has every row
+    assert probe.counts["records"] == 24099
     assert run.texts["trace"].count("\n") - 1 == 25655
     assert service_resumes(probe) == {
         "bfm_call": 3152, "delay": 409, "flag_set": 774, "flag_wait": 1163,
@@ -77,8 +77,8 @@ def test_traced_wide_run_counts(tmp_path):
     assert run.elapsed == workloads.window(name)
     _times, spans = layers.layer_times(probe)
     assert probe.counts["svc_calls"] == 5479
-    assert spans == {"behavior": 9415, "resume": 9475}
-    assert probe.counts["records"] == 24495
+    assert spans == {"behavior": 9415, "resume": 9416}
+    assert probe.counts["records"] == 24449
     assert sum(r.repeat for r in run.records) == 25361
     assert probe.counts["DISPATCH"] == 3218
     assert probe.counts["PREEMPT"] == 793

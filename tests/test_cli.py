@@ -236,10 +236,15 @@ def test_interactive_step_commands(monkeypatch, capsys):
     assert "unknown command 'x'" in captured.err
 
 
-def test_zero_elapsed_ticks_skips_the_report(monkeypatch, capsys):
+@pytest.mark.parametrize("option, skipped, heading", [
+    (["--report", "text"], "report", "Consumed Time/Energy Distribution"),
+    (["--gantt", "text"], "Gantt chart", "Execution Trace"),
+], ids=["report", "gantt"])
+def test_zero_elapsed_ticks_skips_the_report(monkeypatch, capsys,
+                                             option, skipped, heading):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
-    rc = main(["run", DEMO, "--mode", "step", "--report", "text"])
+    rc = main(["run", DEMO, "--mode", "step", *option])
     assert rc == EXIT_OK
     captured = capsys.readouterr()
-    assert "no ticks elapsed, skipping report" in captured.err
-    assert "Consumed Time/Energy Distribution" not in captured.out
+    assert f"no ticks elapsed, skipping {skipped}" in captured.err
+    assert heading not in captured.out

@@ -828,11 +828,9 @@ def _coast_system():
     return eng, sink
 
 
-def _state(eng, sink, expand=False):
-    # a coasting run's records are compared row by row, as rows() expands them
+def _state(eng, sink):
     eng.finish()
-    records = list(rows(sink.records)) if expand else sink.records
-    return eng.now, records, [
+    return eng.now, sink.records, [
         (th.token, th.svc_ticks, th.run_streak, th.max_streak)
         for th in eng.threads()]
 
@@ -849,7 +847,7 @@ def test_coasting_between_ticks_equals_stepping(limits):
     ticks = eng.now
     stepped, stepped_sink = _coast_system()
     stepped.run_ticks(ticks)
-    assert _state(eng, sink, expand=True) == _state(stepped, stepped_sink)
+    assert _state(eng, sink) == _state(stepped, stepped_sink)
 
 
 def test_a_coast_ends_with_the_segment_and_charges_its_remainder():
@@ -865,21 +863,50 @@ def test_a_coast_ends_with_the_segment_and_charges_its_remainder():
     assert (t.svc_ticks, t.max_streak) == (3, 13)
 
 
-def test_idle_coast_writes_one_row_per_tick_and_leaves_the_last_open():
+def test_an_idle_stretch_is_written_when_it_closes():
+    # idle's one segment never ends, so a coast takes all it may of it,
+    # stepped ticks and coasts alike leave its record open, and it is
+    # written when the stretch closes: its first row, opened by the
+    # dispatch's STARTUP, then one record of the rows that continue it
     eng, sink = _coast_system()
     eng.run_ticks(14)                  # A is done, idle ran tick 13
+    written = list(sink.records)
+    assert written[-1].label == "DISPATCH"
     assert eng.coast(4) == 4
-    # the coast's three completed rows are one record
-    assert sink.records[-1] == TraceRecord(
-        14, 17, 2, "IDLE", "IDLE", "idle", 1, 0, "CONTINUE_RUN", 3)
-    assert work_rows(sink)[-4:] == [
-        (13, 14, "IDLE", "idle"), (14, 15, "IDLE", "idle"),
-        (15, 16, "IDLE", "idle"), (16, 17, "IDLE", "idle")]
+    eng.run_ticks(2)
+    assert sink.records == written
     eng.finish()
-    assert work_rows(sink)[-1] == (17, 18, "IDLE", "idle")
-    # the first idle row is its dispatch's STARTUP, the renewals continue
-    assert [r.event_kind for r in list(rows(sink.records))[-5:]] == [
-        "STARTUP", *["CONTINUE_RUN"] * 4]
+    idle = TraceRecord(13, 14, 2, "IDLE", "IDLE", "idle", 1, 0, "STARTUP")
+    assert sink.records[-2:] == [idle, TraceRecord(
+        14, 20, 2, "IDLE", "IDLE", "idle", 1, 0, "CONTINUE_RUN", 6)]
+
+
+def test_a_preemption_and_an_interrupt_close_the_idle_stretch():
+    def task_body(api):
+        yield from api.wait(Annotation("t", 2, 0))
+        yield from api.exit()
+
+    def handler(api):
+        yield from api.wait(Annotation("isr", 1, 0), ContextKind.ISR)
+
+    eng, sink = make_engine([task(1, "A", 5, task_body), isr(2, "H", handler),
+                             task(3, "IDLE", 99, forever_idle, is_idle=True)])
+    eng.arm_handler(2)
+    eng.start_thread(3)
+    eng.run_ticks(4)
+    eng.start_thread(1)                # preempts idle at tick 4
+    eng.run_ticks(3)                   # A runs ticks 4 and 5, idle 6
+    eng.raise_interrupt(2)             # enters H at tick 7
+    eng.run_ticks(2)                   # H runs tick 7, idle 8
+    assert eng.coast(1) == 1
+    eng.finish()
+    # a one-tick stretch is its first row alone
+    assert [(r.tick_start, r.tick_end, r.event_kind, r.repeat)
+            for r in sink.records if r.thread_id == 3 and not r.is_control
+            ] == [(0, 1, "STARTUP", 1), (1, 4, "CONTINUE_RUN", 3),
+                  (6, 7, "RETURN_FROM_PREEMPTION", 1),
+                  (8, 9, "RETURN_FROM_INTERRUPT", 1),
+                  (9, 10, "CONTINUE_RUN", 1)]
 
 
 def test_no_coast_while_the_gate_has_work():

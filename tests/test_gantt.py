@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtksim.engine import Annotation
-from rtksim.errors import ConsistencyError
+from rtksim.errors import ConsistencyError, ValidationError
 from rtksim.gantt import LEGEND, render_svg_gantt, render_text_gantt
 from rtksim.kernel import Kernel
 from rtksim.scenario import build_kernel, demo_scenario_path, load_scenario
@@ -144,6 +144,13 @@ def test_overlapping_claims_are_rejected():
         render_text_gantt(records, 6)
     with pytest.raises(ConsistencyError):
         render_svg_gantt(records, 6)
+
+
+@pytest.mark.parametrize("render", [render_text_gantt, render_svg_gantt])
+@pytest.mark.parametrize("ticks", [0, -1, True, 2.0])
+def test_a_chart_covers_at_least_one_tick(render, ticks):
+    with pytest.raises(ValidationError, match="at least 1 tick"):
+        render([], ticks)
 
 
 def test_svg_is_wellformed_and_describes_the_run():

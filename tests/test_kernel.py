@@ -1624,10 +1624,11 @@ def counting_hooks(k):
 
 
 def outcome(k, sink):
-    """What a run leaves: its trace, listing, tokens and deadlock report."""
+    """What a run leaves: its trace records and CSV, listing, tokens and
+    deadlock report."""
     k.finish()
     eng = k.engine
-    return (eng.now, records_to_csv(sink.records),
+    return (eng.now, sink.records, records_to_csv(sink.records),
             dump_listing(take_snapshot(k)),
             {th.id: (th.token, th.svc_ticks, th.max_streak)
              for th in eng.threads()},
@@ -1671,8 +1672,12 @@ def test_free_run_equals_step_mode_on_the_workloads(name, seed):
         k.boot()
         return k, sink
 
-    (now, *_), error, steps = free_and_stepped(make, scn.run_ticks)
+    (now, records, *_), error, steps = free_and_stepped(make, scn.run_ticks)
     assert (now, error) == (scn.run_ticks, None)
+    # a segment record's rows are as wide as its ticks, repeat or not
+    for r in records:
+        if r.etm_ticks > 0:
+            assert r.repeat * r.etm_ticks == r.tick_end - r.tick_start, r
     assert steps < scn.run_ticks      # the free run coasted
     if name == "sparse":
         assert steps < scn.run_ticks // 100
@@ -1774,7 +1779,7 @@ def test_a_coast_crosses_a_multi_tick_service_in_its_critical_section():
         logs.append(_coast_log(k))
         return k, sink
 
-    (_, _, _, tokens, _), _, steps = free_and_stepped(make, 120)
+    (_, _, _, _, tokens, _), _, steps = free_and_stepped(make, 120)
     assert steps < 80
     assert any(depth == 1 and n > 1 for depth, n in logs[0])
     # W: three services of 6 ticks / 20 uJ and three 9-tick / 40 uJ
@@ -1798,7 +1803,7 @@ def test_an_energy_remainder_on_the_last_coasted_tick():
         logs.append(_coast_log(k))
         return k, sink
 
-    (_, csv, _, tokens, _), _, _ = free_and_stepped(make, 20)
+    (_, _, csv, _, tokens, _), _, _ = free_and_stepped(make, 20)
     # tick 0 is stepped and ticks 1..10 coast, the last of them with the
     # remainder; then the task ends and idle coasts to the end
     assert logs[0] == [(0, 10), (0, 8)]
