@@ -118,37 +118,12 @@ class Scenario(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# YAML loading with line positions
+# YAML loading: one walk of the node tree, lines looked up on failure
 
 # Deeper node trees are refused.  The pure-Python composer recurses about
 # twice per level and gives up near 490, libyaml composes far deeper;
 # this one limit, below both, makes the two loaders agree at any depth.
 _NODE_DEPTH_LIMIT = 256
-
-
-def _index_node(node, path, lines, problems, seen):
-    if len(path) > _NODE_DEPTH_LIMIT:
-        raise RecursionError  # reported like the loaders' own: nested too deeply
-    if id(node) in seen:
-        # aliases would let one node validate at two paths; refuse up front
-        problems.append((path, "YAML aliases are not supported"))
-        return
-    seen.add(id(node))
-    lines.setdefault(path, node.start_mark.line + 1)
-    if isinstance(node, yaml.MappingNode):
-        keys = set()
-        for k_node, v_node in node.value:
-            if not isinstance(k_node, yaml.ScalarNode):
-                continue  # construction rejects the unhashable key
-            key = k_node.value
-            if key in keys:
-                problems.append((path + (key,), f"duplicate key '{key}'"))
-            keys.add(key)
-            lines.setdefault(path + (key,), k_node.start_mark.line + 1)
-            _index_node(v_node, path + (key,), lines, problems, seen)
-    elif isinstance(node, yaml.SequenceNode):
-        for i, item in enumerate(node.value):
-            _index_node(item, path + (i,), lines, problems, seen)
 
 
 class _PureLoader(yaml.SafeLoader):
@@ -205,44 +180,121 @@ def _yaml_problem(text: str, exc) -> tuple:
     return line, f"unacceptable character #x{ord(bad):04x}"
 
 
-def _construct(loader, node):
+_TAG = "tag:yaml.org,2002:"
+_STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
+_SCALARS = {_TAG + t for t in ("null", "bool", "int", "float", "binary",
+                                "timestamp")}
+
+
+def _walk(loader, root, problems, lines=None):
+    """The data PyYAML constructs from the node tree at `root`, built in
+    one walk that makes the checks too: a node deeper than
+    `_NODE_DEPTH_LIMIT` raises RecursionError, and a node met again (an
+    alias) or a key whose source text repeats in its mapping is a problem
+    at its path, which holds each key as constructed.  `lines` gets each
+    path's line.  A tree with a node the walk does not build (a merge key,
+    `!!set`, a collection as a key) or a scalar its tag refuses goes to
+    the library whole once checked: a merge rewrites its node, and the
+    error the library meets first depends on the whole tree."""
+    ctors, built, whole = loader.yaml_constructors, {}, False
+
+    def construct(node, otherwise=None):
+        # the scalar's value by its tag, or `otherwise` if the library is to
+        # build the tree and report what it refuses
+        nonlocal whole
+        if node.tag in _SCALARS:
+            try:
+                return ctors[node.tag](loader, node)
+            except (yaml.MarkedYAMLError, ValueError, LookupError,
+                    AttributeError):
+                pass
+        whole = True
+        return otherwise
+
+    def walk(node, path):
+        nonlocal whole
+        if len(path) > _NODE_DEPTH_LIMIT:
+            raise RecursionError  # reported like the loaders' own: nested too deeply
+        if node in built:
+            # aliases would let one node validate at two paths; refuse them
+            problems.append((path, "YAML aliases are not supported"))
+            return built[node]
+        if lines is not None:
+            lines.setdefault(path, node.start_mark.line + 1)
+        tag, value = node.tag, node.value
+        if node.id == "scalar":
+            data = built[node] = value if tag == _STR else construct(node)
+        elif node.id == "sequence":
+            whole |= tag != _SEQ
+            data = built[node] = []
+            for i, item in enumerate(value):
+                data.append(walk(item, path + (i,)))
+        else:
+            whole |= tag != _MAP
+            data = built[node] = {}
+            texts = set()
+            for key_node, item in value:
+                if key_node.id != "scalar":
+                    whole = True  # unhashable, or built by its tag
+                    continue
+                key = text = key_node.value
+                if key_node.tag != _STR:
+                    key = construct(key_node, text)
+                here = path + (key,)
+                if text in texts:
+                    problems.append((here, f"duplicate key '{text}'"))
+                texts.add(text)
+                if lines is not None:
+                    lines.setdefault(here, key_node.start_mark.line + 1)
+                data[key] = walk(item, here)
+        return data
+
+    data = walk(root, ())
+    if not whole:
+        return data
     try:
-        return loader.construct_document(node)
+        return loader.construct_document(root)
     except (ValueError, LookupError, AttributeError) as exc:
         # a scalar its tag's constructor rejects (`2001-13-45`, `!!int x`);
         # the constructor leaves the node it failed on last in this dict
-        failed = next(reversed(loader.recursive_objects), node)
+        failed = next(reversed(loader.recursive_objects), root)
         raise yaml.constructor.ConstructorError(
             None, None, f"cannot construct {failed.tag}: {exc}",
             failed.start_mark) from None
 
 
 class _Source:
-    """Parsed YAML data plus a path -> line map for error locations."""
+    """A YAML text's data, built and checked by one `_walk`, and the
+    problems found in it.  A path's line is looked up only to report a
+    problem: the first `locate` composes and walks the text again."""
 
     def __init__(self, text: str, filename: str):
-        self.filename = filename
+        self.text, self.filename = text, filename
         self.problems: list = []
-        self.lines: dict = {}
-        loader_cls = (_Loader if _depth_bound(text) < _C_DEPTH_LIMIT
+        self.lines = None       # path -> line, once a problem is located
+        self.data = self._load(self.problems)
+
+    def _load(self, problems, lines=None):
+        loader_cls = (_Loader if _depth_bound(self.text) < _C_DEPTH_LIMIT
                       else _PureLoader)
         try:
-            loader = loader_cls(text)  # one pass: compose, index, construct
+            loader = loader_cls(self.text)
             try:
                 node = loader.get_single_node()
-                if node is not None:  # index first: construction rewrites merge keys
-                    _index_node(node, (), self.lines, self.problems, set())
-                self.data = None if node is None else _construct(loader, node)
+                return node and _walk(loader, node, problems, lines)
             finally:
                 loader.dispose()
         except (yaml.MarkedYAMLError, yaml.reader.ReaderError,
                 UnicodeEncodeError, RecursionError) as exc:
-            line, message = _yaml_problem(text, exc)
+            line, message = _yaml_problem(self.text, exc)
             raise ScenarioError(
-                [(f"{filename}:{line}", f"not valid YAML: {message}")]
+                [(f"{self.filename}:{line}", f"not valid YAML: {message}")]
             ) from None
 
     def locate(self, path) -> str:
+        if self.lines is None:
+            self.lines = {}
+            self._load([], self.lines)
         while path and path not in self.lines:
             path = path[:-1]
         line = self.lines.get(path, 1)

@@ -166,6 +166,19 @@ MUTANTS = (
     ("idle-resumed-every-tick", ENGINE,
      "th.seg_left = _ENDLESS if req is _IDLE_SEGMENT else req.etm",
      "th.seg_left = req.etm"),
+    # -- the scenario's data built in one walk of the YAML node tree
+    ("walk-reads-every-scalar-as-its-text", SCENARIO,
+     "            data = built[node] = value if tag == _STR else construct(node)\n",
+     "            data = built[node] = value\n"),
+    ("walk-without-duplicate-key-check", SCENARIO,
+     "                if text in texts:\n",
+     "                if False:\n"),
+    ("walk-lets-aliases-through", SCENARIO,
+     "            problems.append((path, \"YAML aliases are not supported\"))\n",
+     "            pass\n"),
+    ("walk-paths-hold-key-text", SCENARIO,
+     "                here = path + (key,)\n",
+     "                here = path + (text,)\n"),
 )
 
 

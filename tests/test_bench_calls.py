@@ -41,6 +41,11 @@ render from 3.25 to 2.14 times the text's length (Python 3.11,
 tracemalloc); its bound of 2.5 trips if the render goes back to a
 string per row.  A call count cannot see that change: a block costs
 more profiled calls than the rows' f-strings, which make none.
+Building the scenario's data in one walk of the composed YAML node
+tree, with no line map for a valid file and no PyYAML construct frame
+per node, brought the parse of ``wide`` from 28.4 calls per composed
+node to 15.6 (libyaml, Python 3.11); its limit of 17 trips if either
+per-node pass comes back.
 
 The calls are summed over the profiler's entries, one per code object.
 pstats keys its table by file, line and name, and every dataclass
@@ -56,7 +61,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+import yaml
 
+from rtksim import scenario
 from rtksim.gantt import render_svg_gantt
 from rtksim.report import build_report, render_text, usage_from_records
 from rtksim.scenario import build_kernel, parse_scenario_text
@@ -147,3 +154,28 @@ def test_csv_of_a_coasted_window_holds_no_string_per_row():
         tracemalloc.stop()
     ratio = peak / len(text)
     assert ratio < 2.5, f"sparse: CSV render peaked at {ratio:.2f}x its text"
+
+
+def _nodes(node):
+    if node.id == "scalar":
+        return 1
+    if node.id == "sequence":
+        return 1 + sum(map(_nodes, node.value))
+    return 1 + sum(_nodes(k) + _nodes(v) for k, v in node.value)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="the pure-Python composer makes calls per node")
+def test_parse_calls_per_node():
+    """``parse_scenario_text`` on ``wide``, bounded per node of the YAML
+    node tree that libyaml composes, keys included."""
+    text = workloads.generate("wide", SEED)
+    nodes = _nodes(yaml.compose(text, Loader=scenario._Loader))
+    parse_scenario_text(text, "wide.yaml")  # warm the regex caches
+    profile = cProfile.Profile()
+    profile.enable()
+    parse_scenario_text(text, "wide.yaml")
+    profile.disable()
+    calls = sum(entry.callcount for entry in profile.getstats())
+    per_node = calls / nodes
+    assert per_node <= 17, f"wide: {per_node:.1f} calls per YAML node"

@@ -1,5 +1,6 @@
 """Scenario parsing: validation messages, locations, round-trips, wiring."""
 
+import contextlib
 import copy
 import time
 
@@ -703,6 +704,10 @@ EDGE_TEXTS = [
     "tasks: [\n",                                       # flow error
     "a:\n\tb: 1\n",                                     # tab indent
     "run_ticks: 5\n? [a]\n: 1\n",                       # unhashable key
+    "<<: {<<: 1}\n<<: 1\n",                             # a merge in a merge
+    "a: [2001-13-45]\nb: !!int x\n",                    # PyYAML's first error
+    "1: a\n'1': b\n",                                   # one text, two keys
+    "a: 1\n=: 1\n",                                     # a value key
     "run_ticks: 5\nname: a\x07\n",                      # control characters
     "run_ticks: 5\n\nname: \x00\n",
     "name: \ud800\n",                                   # lone surrogates
@@ -720,11 +725,13 @@ EDGE_TEXTS = [
 
 
 def _outcome(text, loader):
-    """What `_Source` makes of ``text`` under ``loader``."""
+    """What `_Source` makes of ``text`` under ``loader``: the YAML error's
+    locations, or the data, every path's line and the problems."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario, "_Loader", loader)
         try:
             src = scenario._Source(text, "scn.yaml")
+            src.locate(())  # the line map is built on the first lookup
         except ScenarioError as exc:
             return [loc for loc, _ in exc.problems]
     return src.data, src.lines, src.problems
@@ -789,17 +796,219 @@ _SCENARIO_SHAPED = st.lists(
     max_size=12).map("\n".join)
 
 
+# ----------------------------------------------------------------------
+# the one walk of the node tree against the loader it replaced
+
+def _index_node(node, path, lines, problems, seen):
+    if len(path) > scenario._NODE_DEPTH_LIMIT:
+        raise RecursionError
+    if id(node) in seen:
+        problems.append((path, "YAML aliases are not supported"))
+        return
+    seen.add(id(node))
+    lines.setdefault(path, node.start_mark.line + 1)
+    if isinstance(node, yaml.MappingNode):
+        keys = set()
+        for k_node, v_node in node.value:
+            if not isinstance(k_node, yaml.ScalarNode):
+                continue
+            key = k_node.value
+            if key in keys:
+                problems.append((path + (key,), f"duplicate key '{key}'"))
+            keys.add(key)
+            lines.setdefault(path + (key,), k_node.start_mark.line + 1)
+            _index_node(v_node, path + (key,), lines, problems, seen)
+    elif isinstance(node, yaml.SequenceNode):
+        for i, item in enumerate(node.value):
+            _index_node(item, path + (i,), lines, problems, seen)
+
+
+def _construct(loader, node):
+    try:
+        return loader.construct_document(node)
+    except (ValueError, LookupError, AttributeError) as exc:
+        failed = next(reversed(loader.recursive_objects), node)
+        raise yaml.constructor.ConstructorError(
+            None, None, f"cannot construct {failed.tag}: {exc}",
+            failed.start_mark) from None
+
+
+class _ReferenceSource(scenario._Source):
+    """The naive loader the walk replaced, as the reference model: index
+    every node's line under its keys' source text, with the depth, alias
+    and duplicate-key checks, then let PyYAML construct the document.
+    `key_texts` holds the source text of each key that is not a string."""
+
+    def __init__(self, text, filename):
+        self.filename, self.problems, self.lines = filename, [], {}
+        self.key_texts = set()
+        loader_cls = (scenario._Loader
+                      if scenario._depth_bound(text) < scenario._C_DEPTH_LIMIT
+                      else scenario._PureLoader)
+        try:
+            loader = loader_cls(text)
+            try:
+                node = loader.get_single_node()
+                if node is not None:
+                    _index_node(node, (), self.lines, self.problems, set())
+                    self.key_texts = _texts_of_keys_not_str(node)
+                self.data = None if node is None else _construct(loader, node)
+            finally:
+                loader.dispose()
+        except (yaml.MarkedYAMLError, yaml.reader.ReaderError,
+                UnicodeEncodeError, RecursionError) as exc:
+            line, message = scenario._yaml_problem(text, exc)
+            raise ScenarioError(
+                [(f"{filename}:{line}", f"not valid YAML: {message}")]
+            ) from None
+
+
+def _texts_of_keys_not_str(root):
+    """The source text of each scalar key under ``root`` that is not a
+    string, read before construction rewrites merge keys."""
+    texts, todo, seen = set(), [root], set()
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, yaml.MappingNode):
+            for k_node, v_node in node.value:
+                if (isinstance(k_node, yaml.ScalarNode)
+                        and k_node.tag != scenario._STR):
+                    texts.add(k_node.value)
+                todo += [k_node, v_node]
+        elif isinstance(node, yaml.SequenceNode):
+            todo += node.value
+    return texts
+
+
+def _at_a_key_not_str(data, path, key_texts):
+    """Whether ``path`` passes a key of ``data`` that is not a string, or a
+    string key of a mapping whose keys that are not strings may share its
+    text (one of ``key_texts``).  Only there can the reference locate the
+    path elsewhere: it indexes each key's line under its source text, so
+    it cannot find `1:`, and it takes `1` and `'1'` for one key."""
+    for key in path:
+        if isinstance(data, dict) and (
+                not isinstance(key, str) or key in key_texts
+                and not all(isinstance(k, str) for k in data)):
+            return True
+        try:
+            data = data[key]
+        except (LookupError, TypeError):
+            return False
+    return False
+
+
+@contextlib.contextmanager
+def _sources_made(source):
+    """Puts a subclass of ``source`` in the place of `scenario._Source`
+    and yields the list of the instances made of it."""
+    made = []
+
+    class Recorded(source):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_Source", Recorded)
+        yield made
+
+
+def _parse_with(source, text, loader):
+    """The ``source`` that parse_scenario_text makes of ``text`` with its
+    YAML read under ``loader``, and each problem as (location, message,
+    path)."""
+    with _sources_made(source) as made, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_Loader", loader)
+        try:
+            parse_scenario_text(text, "scn.yaml")
+            problems = []
+        except ScenarioError as exc:
+            problems = exc.problems
+    src = made[0]
+    paths = [path for path, _ in src.problems]
+    if [m for _, m in problems] != [m for _, m in src.problems]:
+        paths = [()] * len(problems)  # a YAML error, or not a mapping
+    return src, [(loc, message, path)
+                 for (loc, message), path in zip(problems, paths)]
+
+
+def _assert_read_as_the_reference_reads(text, loader):
+    src, problems = _parse_with(scenario._Source, text, loader)
+    ref, ref_problems = _parse_with(_ReferenceSource, text, loader)
+    data = getattr(src, "data", None)
+    assert data == getattr(ref, "data", None)
+    assert [m for _, m, _ in problems] == [m for _, m, _ in ref_problems]
+    for (loc, message, path), (ref_loc, _, _) in zip(problems, ref_problems):
+        # the one difference: a key that is not a string is now found
+        assert loc == ref_loc or _at_a_key_not_str(
+            data, path, ref.key_texts), (message, loc, ref_loc)
+
+
 @pytest.mark.parametrize("loader", LOADERS)
-@settings(max_examples=150, deadline=None, derandomize=True)
+def test_valid_files_read_as_the_reference_reads(loader):
+    texts = [spec_to_yaml(generate_spec(seed)) for seed in range(200)]
+    texts += [workloads.generate(name, 1) for name in workloads.WORKLOADS]
+    texts.append(demo_scenario_path().read_text(encoding="utf-8"))
+    for text in texts:
+        _assert_read_as_the_reference_reads(text, loader)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text", EDGE_TEXTS, ids=range(len(EDGE_TEXTS)))
+def test_edge_texts_read_as_the_reference_reads(loader, text):
+    _assert_read_as_the_reference_reads(text, loader)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(text=st.text() | _SCENARIO_SHAPED
        | _SCENARIO_SHAPED.map(lambda tail: MINIMAL + tail))
 def test_any_text_parses_or_raises_scenario_error(loader, text):
+    # as the reference does: only a ScenarioError escapes either
+    _assert_read_as_the_reference_reads(text, loader)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text, problem", [
+    (MINIMAL.replace("tasks:\n", "1: x\ntasks:\n"),
+     ("scn.yaml:4", "unknown key '1'")),
+    (MINIMAL + "name: a\non_deadlock: report\n2001-01-01: 1\n",
+     ("scn.yaml:12", "unknown key '2001-01-01'")),
+    (MINIMAL + "name: a\non_deadlock: report\n1.5: 1\n",
+     ("scn.yaml:12", "unknown key '1.5'")),
+    (MINIMAL.replace("    priority: 5\n", "    priority: 5\n    7: 1\n"),
+     ("scn.yaml:8", "unknown key '7'")),
+    (MINIMAL.replace("  work: {etm: 1, eem: 0}\n",
+                     "  work: {etm: 1, eem: 0}\n  1: {etm: 1, eem: 0}\n"),
+     ("scn.yaml:4", "annotation labels use letters, digits, '_', '.', '-'")),
+    (MINIMAL + "objects:\n  3: []\n", ("scn.yaml:11", "unknown key '3'")),
+    (MINIMAL + "devices:\n  - name: io\n    kind: parallel_io\n"
+     "    accesses:\n      get: {op: in, cycles: 0, eem: 0}\n"
+     "      5: {op: out, cycles: 0, eem: 0}\n",
+     ("scn.yaml:15", "access names use letters, digits, '_', '.', '-'")),
+], ids=["top-level", "date", "float", "task", "annotation", "objects",
+        "access"])
+def test_a_problem_at_a_key_not_a_string_is_located_at_its_line(
+        loader, text, problem):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario, "_Loader", loader)
-        try:
+        with pytest.raises(ScenarioError) as ei:
             parse_scenario_text(text, filename="scn.yaml")
-        except ScenarioError:
-            pass
+    assert problems_of(ei) == [problem]
+
+
+def test_lines_are_looked_up_only_to_report_a_problem():
+    with _sources_made(scenario._Source) as made:
+        parse_scenario_text(workloads.generate("wide", 1), "wide.yaml")
+        with pytest.raises(ScenarioError):
+            parse_scenario_text(MINIMAL + "1: x\n", "scn.yaml")
+    valid, broken = made
+    assert valid.lines is None
+    assert broken.lines[(1,)] == 10 and broken.lines[("tasks", 0)] == 5
 
 
 # ----------------------------------------------------------------------
