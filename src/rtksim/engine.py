@@ -42,6 +42,15 @@ Scheduling model:
     nor a handler entry is committed; both are deferred until the
     first boundary after the depth returns to zero.
 
+A kernel service's SVC request is critical: ``_step`` opens a critical
+section when it takes one and closes it when the segment ends, then
+resumes the service, so the service's effect runs in that same step,
+before the gate.  The section's rows (CRIT_ENTER, the segment,
+CRIT_EXIT) are one trace record whose ``section`` names their context
+(see ``trace``).  A record written while the section is open, by
+``finish`` inside it, writes the CRIT_ENTER row first.  A service inside
+a library section (``begin_critical``) only counts depth.
+
 An Engine takes the whole thread table at once, each thread DORMANT as
 built.
 
@@ -109,6 +118,7 @@ from .trace import (
 )
 
 _ZERO_TIME_STEP_LIMIT = 1_000_000
+_NOT_RUNNING = "critical section entered by a non-running thread"
 # the ticks left of the idle segment: an int that no run can count down,
 # so every tick charged to it stays integer arithmetic
 _ENDLESS = sys.maxsize
@@ -222,16 +232,19 @@ _CONTINUE = Resume(EventKind.CONTINUE_RUN)
 class _WaitRequest:
     """Charge ``annotation`` as one segment in ``context_kind``; the
     per-tick energy split is worked out once, here.  While a thread
-    charges the segment, the request is the thread's ``seg``."""
+    charges the segment, the request is the thread's ``seg``.  A
+    ``critical`` segment, a kernel service's, runs in a critical section
+    that opens when the engine takes it and closes when it ends."""
 
     __slots__ = ("label", "etm", "eem_uj", "context_kind",
-                 "per_tick_uj", "rem_uj")
+                 "per_tick_uj", "rem_uj", "critical")
 
-    def __init__(self, annotation, context_kind):
+    def __init__(self, annotation, context_kind, critical=False):
         self.label = annotation.label
         self.etm = etm = annotation.etm
         self.eem_uj = annotation.eem_uj
         self.context_kind = context_kind
+        self.critical = critical
         if etm > 0:
             self.per_tick_uj, self.rem_uj = divmod(annotation.eem_uj, etm)
         else:
@@ -418,6 +431,9 @@ class Engine:
         self._pending_activations: list[int] = []
         self._crit_depth = 0
         self._crit_owner: int | None = None
+        # the context of the open service section's rows while none of
+        # them is written, else ""
+        self._section_rows = ""
         self._trace = NullSink() if trace_sink is None else trace_sink
         self._record = self._trace.record
         self._finished = False
@@ -749,7 +765,9 @@ class Engine:
         none, and act on what it yields or on its end."""
         seg = th.seg
         if seg is not None:  # it has no ticks left
-            if seg.etm == 0:  # its record is 0 ticks wide, all its energy
+            if seg.critical:
+                self._close_section(th, seg)
+            elif seg.etm == 0:  # its record is 0 ticks wide, all its energy
                 th.token.cee_uj += seg.eem_uj
                 now = self.now
                 self._record(TraceRecord(
@@ -778,6 +796,11 @@ class Engine:
             th.seg = req
             th.seg_left = _ENDLESS if req is _IDLE_SEGMENT else req.etm
             th.rec_start = self.now
+            if req.critical:  # a service's: its section opens here
+                if not self._crit_depth:
+                    self._crit_owner = th.id
+                    self._section_rows = th.default_context._value_
+                self._crit_depth += 1
         else:
             self._handle_request(th, req)
 
@@ -840,8 +863,17 @@ class Engine:
 
         An idle stretch is written as the one-tick rows idle_body's wait
         stands for: its first row, opened by ``rec_event``, and then, if
-        it is longer, one record of the CONTINUE_RUN rows after it."""
+        it is longer, one record of the CONTINUE_RUN rows after it.
+
+        A service segment that is closed here, before its end, is the
+        only way a record gets written inside its section: the section's
+        CRIT_ENTER row goes out first."""
         start, now = th.rec_start, self.now
+        if self._section_rows:
+            self._record(TraceRecord(
+                start, start, th.id, th.name, self._section_rows,
+                CTL_CRIT_ENTER, 0, 0, ""))
+            self._section_rows = ""
         if now > start:
             seg = th.seg
             if seg is _IDLE_SEGMENT and now - start > 1:
@@ -863,16 +895,33 @@ class Engine:
 
     # --- critical sections ----------------------------------------------
 
+    def _close_section(self, th: SimThread, seg: _WaitRequest):
+        """Write the record of a service's segment, which has no ticks
+        left, and close the section it opened.
+
+        Nothing can suspend a thread inside a section, so the record
+        covers the whole segment, and nothing else was written in the
+        section: the record holds its three rows.  A service inside a
+        library section only counts depth, so its record is the segment
+        alone."""
+        if seg.etm == 0:
+            th.token.cee_uj += seg.eem_uj
+        self._crit_depth -= 1
+        if not self._crit_depth:
+            self._crit_owner = None
+        self._record(TraceRecord(
+            th.rec_start, self.now, th.id, th.name, seg.context_kind._value_,
+            seg.label, seg.etm, seg.eem_uj, th.rec_event._value_, 1,
+            self._section_rows))
+        self._section_rows = ""
+
     def _crit_enter(self, thread_id: int):
         if self.current_id != thread_id:
-            raise ProtocolError("critical section entered by a non-running thread")
+            raise ProtocolError(_NOT_RUNNING)
         self._crit_depth += 1
         if self._crit_depth == 1:
             self._crit_owner = thread_id
-            th, now = self._table[thread_id], self.now
-            self._record(TraceRecord(
-                now, now, thread_id, th.name, th.default_context._value_,
-                CTL_CRIT_ENTER, 0, 0, ""))
+            self._emit_control(self._table[thread_id], CTL_CRIT_ENTER)
 
     def _crit_exit(self, thread_id: int):
         if self._crit_depth == 0:
@@ -881,8 +930,5 @@ class Engine:
             raise ProtocolError("critical section exit by a non-owner")
         self._crit_depth -= 1
         if self._crit_depth == 0:
-            th, now = self._table[thread_id], self.now
-            self._record(TraceRecord(
-                now, now, thread_id, th.name, th.default_context._value_,
-                CTL_CRIT_EXIT, 0, 0, ""))
+            self._emit_control(self._table[thread_id], CTL_CRIT_EXIT)
             self._crit_owner = None

@@ -12,11 +12,13 @@ plus the idle task; ``engine`` is set once all of that is done.  No
 service can run during boot and boot writes no record, so the first
 recorded event is the first dispatch.
 
-Every service call runs inside an implicit critical section and charges
-the caller one SVC-context segment (cost is configurable, default one
-tick / zero energy).  A service that must block does so only as its
-final step, after the critical section closed.  Blocking services return
-result codes; a timeout is a result, not an exception.
+Every service call charges the caller one SVC-context segment (cost is
+configurable, default one tick / zero energy) inside an implicit
+critical section: the service refuses a caller that is not running, and
+yields the segment as a critical request, which the engine charges in a
+section of its own (see ``engine``).  A service that must block does so
+only as its final step, after the critical section closed.  Blocking
+services return result codes; a timeout is a result, not an exception.
 
 Each service is one generator frame (``exit_task`` then yields the
 engine's exit), in one of two shapes.  The gives run ``_give``:
@@ -26,16 +28,17 @@ engine's exit), in one of two shapes.  The gives run ``_give``:
 ``sem_wait``, ``flag_wait``, ``mbx_recv``, ``mbf_send``, ``mbf_recv``,
 ``mtx_lock``, ``pool_get`` and ``vpool_get``; ``sleep`` and ``delay``
 are takes with frames of their own.  The effect runs after the SVC
-segment, inside the critical section.  An object service's effect is
-the object's own method, called with the service's arguments (the
-mutex's carry priority inheritance around it): a give changes the
-object and serves its queue, a take is granted or queued (see
-``objects``).  Once the section closes, the service releases the
-waiters the effect served, in the order the object reports them.  A
-take that was not granted then waits forever or with a timeout (the
-μITRON ``wai_``/``twai_`` forms); a timeout leaves the object's queue
-through its ``cancel_wait``, or, on a mutex, also takes back the
-priority the waiter lent, then releases the waiters its leaving let in.
+segment, as the engine closes the section, in the same step and before
+any scheduling decision.  An object service's effect is the object's
+own method, called with the service's arguments (the mutex's carry
+priority inheritance around it): a give changes the object and serves
+its queue, a take is granted or queued (see ``objects``).  The service
+then releases the waiters the effect served, in the order the object
+reports them.  A take that was not granted then waits forever or with
+a timeout (the μITRON ``wai_``/``twai_`` forms); a timeout leaves the
+object's queue through its ``cancel_wait``, or, on a mutex, also takes
+back the priority the waiter lent, then releases the waiters its
+leaving let in.
 
 Every timed event sits on one agenda, a heap of (due, rank, seq, action,
 arg) entries: cyclic and alarm activations, pushed when their handler is
@@ -72,6 +75,7 @@ from .engine import (
     ThreadKind,
     ThreadState,
     _BlockRequest,
+    _NOT_RUNNING,
     _WaitRequest,
     idle_body,
 )
@@ -226,9 +230,10 @@ class Kernel:
             _check_id(idle_id, "idle")
         self.tick_us = tick_us
         self.cycles_per_tick = cycles_per_tick
-        # the SVC segment every service charges, one request for all threads
+        # the SVC segment every service charges in its critical section,
+        # one request for all threads
         self._svc_req = _WaitRequest(Annotation("svc", svc_etm, svc_eem_uj),
-                                     ContextKind.SVC)
+                                     ContextKind.SVC, critical=True)
         self._bfm_reqs = {}  # (device, access) -> its BFM segment request
         self._idle_id_cfg = idle_id
         self._idle_name = _check_name(idle_name)
@@ -571,12 +576,12 @@ class Kernel:
     # service plumbing
     #
     # Every service is one generator frame: it checks its caller and
-    # arguments, opens the implicit critical section and yields the SVC
-    # segment.  Its effect then runs in the section under a try/finally,
-    # so an effect that raises still closes it; the yield is outside the
-    # try, so a generator closed in the SVC wait leaves the section alone.
-    # Then it releases the waiters the effect served and, if it must
-    # wait, arms its timeout and blocks.
+    # arguments and yields the SVC segment, which the engine charges in
+    # the implicit critical section.  The engine resumes the service as
+    # it closes the section, in the step the segment ends, so the effect
+    # runs before any scheduling decision.  Then the service releases the
+    # waiters the effect served and, if it must wait, arms its timeout
+    # and blocks.
 
     def _take(self, api, registry, obj_id, what, timeout, attempt, *args,
               cancel=None):
@@ -591,13 +596,11 @@ class Kernel:
         if tid in self._handlers:
             raise self._handler_wait_error(tid, f"{what} {obj_id}")
         timeout = self._validate_timeout(timeout)
-        self.engine._crit_enter(tid)
+        if self.engine.current_id != tid:
+            raise ProtocolError(_NOT_RUNNING)
         yield self._svc_req
-        try:
-            obj = self._lookup(registry, obj_id, what)
-            granted, value, released = attempt(obj, tid, *args)
-        finally:
-            self.engine._crit_exit(tid)
+        obj = self._lookup(registry, obj_id, what)
+        granted, value, released = attempt(obj, tid, *args)
         for waiter, result in released:
             self._release(waiter, RESULT_OK, result)
         if granted:
@@ -613,13 +616,10 @@ class Kernel:
         returns the (thread id, value) pairs of the waiters it served, or
         None.
         """
-        tid = api.thread_id
-        self.engine._crit_enter(tid)
+        if self.engine.current_id != api.thread_id:
+            raise ProtocolError(_NOT_RUNNING)
         yield self._svc_req
-        try:
-            released = change(self._lookup(registry, obj_id, what), *args)
-        finally:
-            self.engine._crit_exit(tid)
+        released = change(self._lookup(registry, obj_id, what), *args)
         for waiter, result in released or ():
             self._release(waiter, RESULT_OK, result)
         return _OK
@@ -680,14 +680,12 @@ class Kernel:
         if tid in self._handlers:
             raise self._handler_wait_error(tid, "sleep")
         timeout = self._validate_timeout(timeout)
-        self.engine._crit_enter(tid)
+        if self.engine.current_id != tid:
+            raise ProtocolError(_NOT_RUNNING)
         yield self._svc_req
         tcb = self.tcb[tid]
-        woken = tcb.wakeup_count > 0
-        if woken:
+        if tcb.wakeup_count > 0:
             tcb.wakeup_count -= 1
-        self.engine._crit_exit(tid)
-        if woken:
             return _OK
         if timeout is not None:
             self._arm_timeout(tid, timeout)
@@ -711,9 +709,9 @@ class Kernel:
             raise self._handler_wait_error(tid, "delay")
         if not isinstance(ticks, int) or type(ticks) is bool or ticks < 1:
             raise ValidationError("delay must be >= 1 ticks")
-        self.engine._crit_enter(tid)
+        if self.engine.current_id != tid:
+            raise ProtocolError(_NOT_RUNNING)
         yield self._svc_req
-        self.engine._crit_exit(tid)
         self._arm_timeout(tid, ticks, code=RESULT_OK)
         return _result((yield _BlockRequest("delay")))
 

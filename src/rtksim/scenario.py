@@ -144,9 +144,20 @@ class _PureLoader(yaml.SafeLoader):
         super().fetch_flow_collection_start(TokenClass)
 
 
+# YAML 1.1 resolves a plain `=` to its value tag, which PyYAML's safe
+# loaders cannot construct; it reads as the string "=", as it does as a key.
+_VALUE = "tag:yaml.org,2002:value"
+_PureLoader.add_constructor(_VALUE, yaml.SafeLoader.construct_yaml_str)
+
 # PyYAML's libyaml binding when it was built with one; both loaders build
 # the same node tree with the same line marks.
-_Loader = getattr(yaml, "CSafeLoader", _PureLoader)
+if hasattr(yaml, "CSafeLoader"):
+    class _Loader(yaml.CSafeLoader):
+        """libyaml's safe loader, with `=` read as a string."""
+
+    _Loader.add_constructor(_VALUE, yaml.CSafeLoader.construct_yaml_str)
+else:
+    _Loader = _PureLoader
 
 # libyaml composes nested collections by C recursion, which overflows an
 # 8 MiB stack at about 24k levels and kills the process.  A block level
@@ -183,19 +194,21 @@ def _yaml_problem(text: str, exc) -> tuple:
 _TAG = "tag:yaml.org,2002:"
 _STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
 _SCALARS = {_TAG + t for t in ("null", "bool", "int", "float", "binary",
-                                "timestamp")}
+                                "timestamp", "value")}
 
 
 def _walk(loader, root, problems, lines=None):
     """The data PyYAML constructs from the node tree at `root`, built in
     one walk that makes the checks too: a node deeper than
     `_NODE_DEPTH_LIMIT` raises RecursionError, and a node met again (an
-    alias) or a key whose source text repeats in its mapping is a problem
-    at its path, which holds each key as constructed.  `lines` gets each
-    path's line.  A tree with a node the walk does not build (a merge key,
-    `!!set`, a collection as a key) or a scalar its tag refuses goes to
-    the library whole once checked: a merge rewrites its node, and the
-    error the library meets first depends on the whole tree."""
+    alias) or a key equal, as constructed, to one before it in its
+    mapping (`1` and `01`, `true` and `yes`) is a problem at its path,
+    which holds each key as constructed.  `lines` gets each path's line,
+    a repeated key's its own.  A tree with a node the walk does not build
+    (a merge key, `!!set`, a collection as a key) or a scalar its tag
+    refuses goes to the library whole once checked: a merge rewrites its
+    node, and the error the library meets first depends on the whole
+    tree."""
     ctors, built, whole = loader.yaml_constructors, {}, False
 
     def construct(node, otherwise=None):
@@ -232,7 +245,6 @@ def _walk(loader, root, problems, lines=None):
         else:
             whole |= tag != _MAP
             data = built[node] = {}
-            texts = set()
             for key_node, item in value:
                 if key_node.id != "scalar":
                     whole = True  # unhashable, or built by its tag
@@ -241,11 +253,10 @@ def _walk(loader, root, problems, lines=None):
                 if key_node.tag != _STR:
                     key = construct(key_node, text)
                 here = path + (key,)
-                if text in texts:
+                if key in data:
                     problems.append((here, f"duplicate key '{text}'"))
-                texts.add(text)
                 if lines is not None:
-                    lines.setdefault(here, key_node.start_mark.line + 1)
+                    lines[here] = key_node.start_mark.line + 1
                 data[key] = walk(item, here)
         return data
 

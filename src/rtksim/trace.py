@@ -14,6 +14,15 @@ consumer here reads it as its k rows, so the CSV, report and Gantt
 bytes are those of the expanded trace; ``rows`` expands a record stream
 for any other consumer.
 
+A record whose ``section`` names a context stands for the three rows of
+a kernel service's critical section: a ``CRIT_ENTER`` row at its start,
+the service's segment itself, and a ``CRIT_EXIT`` row at its end, both
+control rows in that context.  The engine writes each section nothing
+else was written in that way.  ``records_to_csv``, ``csv_row`` and
+``rows`` expand it to its three rows.  The Gantt charts and the report
+read it as its segment: they skip a zero-width row that is not a mark,
+and the two control rows carry no energy.
+
 A repeated record's CSV lines come from one renderer, shared by
 ``records_to_csv`` and ``TraceRecord.csv_row``, that builds no
 ``TraceRecord`` per row.  One-tick rows go 100 at a time: tick
@@ -113,11 +122,12 @@ def parse_mj(value) -> int:
 
 @dataclass(slots=True)
 class TraceRecord:
-    """One trace row, or ``repeat`` equal rows back to back.  A plain
-    slotted dataclass: the engine builds one per segment and control
-    row, a frozen one cost ~4x as much to build, and slots make it
-    smaller and cheaper still.  Nothing mutates a record after it is
-    emitted."""
+    """One trace row, ``repeat`` equal rows back to back, or a service's
+    segment between the control rows of its critical section, whose
+    context ``section`` names ("" for none).  A plain slotted dataclass:
+    the engine builds one per segment and control row, a frozen one cost
+    ~4x as much to build, and slots make it smaller and cheaper still.
+    Nothing mutates a record after it is emitted."""
 
     tick_start: int
     tick_end: int
@@ -129,6 +139,7 @@ class TraceRecord:
     eem_uj: int
     event_kind: str
     repeat: int = 1
+    section: str = ""
 
     @property
     def is_control(self) -> bool:
@@ -136,6 +147,8 @@ class TraceRecord:
 
     def csv_row(self) -> str:
         """The record's CSV line, or its rows' lines joined by newlines."""
+        if self.section:
+            return "\n".join(r.csv_row() for r in rows((self,)))
         tail = _tail(self.thread_id, self.thread_name, self.context_kind,
                      self.label, self.etm_ticks, self.eem_uj, self.event_kind)
         if self.repeat == 1:
@@ -187,16 +200,26 @@ def _extend_rows(lines: list, r: TraceRecord, tail: str, blocks: dict) -> None:
 
 
 def rows(records):
-    """The records with each repeated one expanded into its rows."""
+    """The records with each repeated or section one expanded into its
+    rows."""
     for r in records:
-        if r.repeat == 1:
+        if r.section:
+            start, end, tid, name = (r.tick_start, r.tick_end, r.thread_id,
+                                     r.thread_name)
+            yield TraceRecord(start, start, tid, name, r.section,
+                              CTL_CRIT_ENTER, 0, 0, "")
+            yield TraceRecord(start, end, tid, name, r.context_kind, r.label,
+                              r.etm_ticks, r.eem_uj, r.event_kind)
+            yield TraceRecord(end, end, tid, name, r.section,
+                              CTL_CRIT_EXIT, 0, 0, "")
+        elif r.repeat == 1:
             yield r
-            continue
-        etm = r.etm_ticks
-        for t in range(r.tick_start, r.tick_end, etm):
-            yield TraceRecord(t, t + etm, r.thread_id, r.thread_name,
-                              r.context_kind, r.label, etm, r.eem_uj,
-                              r.event_kind)
+        else:
+            etm = r.etm_ticks
+            for t in range(r.tick_start, r.tick_end, etm):
+                yield TraceRecord(t, t + etm, r.thread_id, r.thread_name,
+                                  r.context_kind, r.label, etm, r.eem_uj,
+                                  r.event_kind)
 
 
 class NullSink:
@@ -238,10 +261,12 @@ def records_to_csv(records) -> str:
 
     A trace repeats a few dozen (thread, context, label, length, energy,
     event) combinations over thousands of rows, so each combination's
-    text after the two ticks, and its block pieces, are formatted once.
+    text after the two ticks, its block pieces and its section's rows'
+    text are formatted once.
     """
     tails = {}
     blocks = {}
+    sections = {}
     lines = [CSV_HEADER]
     append = lines.append
     for r in records:
@@ -251,7 +276,18 @@ def records_to_csv(records) -> str:
             tail = tails[key]
         except KeyError:
             tail = tails[key] = _tail(*key)
-        if r.repeat == 1:
+        if r.section:
+            key = (r.thread_id, r.thread_name, r.section)
+            try:
+                enter, leave = sections[key]
+            except KeyError:
+                enter, leave = sections[key] = (
+                    _tail(*key, CTL_CRIT_ENTER, 0, 0, ""),
+                    _tail(*key, CTL_CRIT_EXIT, 0, 0, ""))
+            start, end = r.tick_start, r.tick_end
+            append(f"{start},{start},{enter}\n{start},{end},{tail}\n"
+                   f"{end},{end},{leave}")
+        elif r.repeat == 1:
             append(f"{r.tick_start},{r.tick_end},{tail}")
         else:
             _extend_rows(lines, r, tail, blocks)

@@ -2,16 +2,21 @@
 
 Usage: ``python3 tests/mutants.py``; it runs every listed mutant.
 
-A mutant is a named ``(file, old, new)`` triple, and ``old`` must occur
-exactly once in the file.  For each mutant the runner copies the tree,
-without ``.git``, caches, ``.venv``, ``build`` or ``*.egg-info`` and with
-symlinks kept as links, to a temporary directory, makes the replacement
-there and runs the tier-1 command with ``-x`` in the copy:
+A mutant is a named ``(module, file, old, new)`` entry: ``old`` must
+occur exactly once in ``file``, and ``module`` is the test module that
+kills it.  A mutant that needs several edits gives ``old`` and ``new``
+as tuples of the same length.  For each mutant the runner copies the
+tree, without ``.git``, caches, ``.venv``, ``build`` or ``*.egg-info``
+and with symlinks kept as links, to a temporary directory, makes the
+replacement there and runs the tier-1 command with ``-x`` in the copy,
+first on ``module`` alone and then, only if that passes, on the whole
+suite:
 
-    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors -x
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors -x [module]
 
-Each run has its own TIMEOUT_S and RLIMIT_AS.  A failing suite kills the
-mutant; a passing one lets it survive.  A run that hangs, runs out of
+So a mutant still meets every test, but the run that kills it is most
+often the short one.  Each run has its own TIMEOUT_S and RLIMIT_AS.  A
+failing run kills the mutant; a passing suite lets it survive.  A run that hangs, runs out of
 memory, dies by a signal or cannot run its tests is a finding: the suite
 neither passed nor failed, and someone should look.  The unmutated tree
 runs first the same way and must pass, so that a broken suite cannot
@@ -45,91 +50,108 @@ OBJECTS = "src/rtksim/objects.py"
 SCENARIO = "src/rtksim/scenario.py"
 TRACE = "src/rtksim/trace.py"
 
-# (name, file, old, new)
+ACCEPTANCE = "tests/test_acceptance.py"
+BEHAVIOR_T = "tests/test_behavior.py"
+BENCH_CALLS = "tests/test_bench_calls.py"
+BENCH_DIGESTS = "tests/test_bench_digests.py"
+BENCH_TRACED = "tests/test_bench_traced.py"
+CLI = "tests/test_cli.py"
+DEBUGDS_T = "tests/test_debugds.py"
+DEMO_DIGESTS = "tests/test_demo_digests.py"
+ENGINE_T = "tests/test_engine.py"
+KERNEL_T = "tests/test_kernel.py"
+REPORT_T = "tests/test_report.py"
+SCENARIO_T = "tests/test_scenario.py"
+SECTIONS_T = "tests/test_section_records.py"
+TRACE_T = "tests/test_trace.py"
+
+# (name, module that kills it, file, old, new)
 MUTANTS = (
     # -- run by hand for the stepped-tick change, before this gate existed
-    ("gate-check-without-pending-activations", ENGINE,
+    ("gate-check-without-pending-activations", ACCEPTANCE, ENGINE,
      "                    self._pending_activations\n"
      "                    or self._ready_bits & table[cur].outranked_by):",
      "                    self._ready_bits & table[cur].outranked_by):"),
-    ("gate-check-without-outranking-term", ENGINE,
+    ("gate-check-without-outranking-term", ACCEPTANCE, ENGINE,
      "                    self._pending_activations\n"
      "                    or self._ready_bits & table[cur].outranked_by):",
      "                    self._pending_activations):"),
-    ("timer-tick-never-checks-deadlock", KERNEL,
+    ("timer-tick-never-checks-deadlock", CLI, KERNEL,
      "            self._check_deadlock(now)\n",
      "            pass\n"),
-    ("granted-take-drops-its-value", KERNEL,
+    ("granted-take-drops-its-value", BEHAVIOR_T, KERNEL,
      "return _OK if value is None else SvcResult(RESULT_OK, value)",
      "return _OK"),
-    ("preemption-loop-guard-removed", ENGINE,
+    ("preemption-loop-guard-removed", ENGINE_T, ENGINE,
      "                if self._pick_ready() == th.id:\n",
      "                if False:\n"),
-    ("set-priority-takes-any-value", ENGINE,
+    ("set-priority-takes-any-value", ENGINE_T, ENGINE,
      "        if not is_int(priority) or priority < 0:\n"
      "            raise ValidationError(\"priority must be an integer >= 0\")\n"
      "        th = self._get(thread_id)\n",
      "        th = self._get(thread_id)\n"),
     # -- the prototype of this gate
-    ("cyclic-period-one-tick-longer", KERNEL,
+    ("cyclic-period-one-tick-longer", ACCEPTANCE, KERNEL,
      "self._schedule(now + period, _RANK_TIMER, self._activate, data)",
      "self._schedule(now + period + 1, _RANK_TIMER, self._activate, data)"),
-    ("release-without-heapify", KERNEL,
+    ("release-without-heapify", ACCEPTANCE, KERNEL,
      "            heapq.heapify(self._agenda)\n",
      ""),
-    ("preemption-mask-shifted", ENGINE,
+    ("preemption-mask-shifted", ACCEPTANCE, ENGINE,
      "self.outranked_by = (1 << priority) - 1 if kind",
      "self.outranked_by = ((1 << priority) - 1) >> 1 if kind"),
-    ("flag-waits-always-or", OBJECTS,
+    ("flag-waits-always-or", ACCEPTANCE, OBJECTS,
      "pattern & wanted == wanted if mode == FLAG_MODE_AND",
      "pattern & wanted != 0 if mode == FLAG_MODE_AND"),
-    ("set-priority-keeps-outranked-by", ENGINE,
+    ("set-priority-keeps-outranked-by", ACCEPTANCE, ENGINE,
      "        th.outranked_by = (1 << priority) - 1"
      " if th.kind is ThreadKind.TASK else 0\n",
      ""),
     # -- the debug-listing parser and the wait reason of sleep
-    ("parse-listing-without-rerender-check", "src/rtksim/debugds.py",
+    ("parse-listing-without-rerender-check", DEBUGDS_T,
+     "src/rtksim/debugds.py",
      "    if lines != want:\n",
      "    if False:\n"),
-    ("wakeup-ends-any-wait", KERNEL,
+    ("wakeup-ends-any-wait", ACCEPTANCE, KERNEL,
      "            if th.waiting_reason == _SLEEP:\n",
      "            if th.state is ThreadState.WAITING:\n"),
     # -- the scenario file as field rows, and the run-control order
-    ("thread-id-rule-ignores-handler-ids", SCENARIO,
+    ("thread-id-rule-ignores-handler-ids", SCENARIO_T, SCENARIO,
      "    seen = {h.id for h in scn.handlers}\n",
      "    seen = set()\n"),
-    ("section-without-duplicate-check", SCENARIO,
+    ("section-without-duplicate-check", SCENARIO_T, SCENARIO,
      "                if key in seen:\n",
      "                if False:\n"),
-    ("one-idle-rule-removed", SCENARIO,
+    ("one-idle-rule-removed", SCENARIO_T, SCENARIO,
      "        elif t.kind == \"idle\" and idle:\n",
      "        elif False:\n"),
-    ("battery-raw-writes-microjoules", SCENARIO,
+    ("battery-raw-writes-microjoules", DEMO_DIGESTS, SCENARIO,
      "            return uj // self.per\n",
      "            return uj if self.per == UJ_PER_WH else uj // self.per\n"),
-    ("run-after-finish-not-refused", KERNEL,
+    ("run-after-finish-not-refused", KERNEL_T, KERNEL,
      "        if eng._finished:\n",
      "        if False:\n"),
-    ("report-takes-any-tick-length", "src/rtksim/report.py",
+    ("report-takes-any-tick-length", REPORT_T,
+     "src/rtksim/report.py",
      "    if not is_int(tick_us) or tick_us < 1:\n",
      "    if False:\n"),
     # -- a coasted stretch's CSV rows, 100 to a joined block
-    ("block-last-row-keeps-its-prefix", TRACE,
+    ("block-last-row-keeps-its-prefix", BENCH_DIGESTS, TRACE,
      "{str(q).join(pieces)}{q + 1}{last}",
      "{str(q).join(pieces)}{q}{last}"),
-    ("first-block-rounded-down", TRACE,
+    ("first-block-rounded-down", BENCH_DIGESTS, TRACE,
      "first = max(-(-start // _BLOCK), 1)",
      "first = max(start // _BLOCK, 1)"),
-    ("block-of-ticks-below-100", TRACE,
+    ("block-of-ticks-below-100", TRACE_T, TRACE,
      "first = max(-(-start // _BLOCK), 1)",
      "first = -(-start // _BLOCK)"),
     # -- one grant rule for the kernel objects
-    ("take-grants-while-others-wait", OBJECTS,
+    ("take-grants-while-others-wait", ACCEPTANCE, OBJECTS,
      "    if not queue:\n"
      "        value = grant(waiter, request)\n",
      "    if True:\n"
      "        value = grant(waiter, request)\n"),
-    ("serve-passes-a-head-it-cannot-serve", OBJECTS,
+    ("serve-passes-a-head-it-cannot-serve", ACCEPTANCE, OBJECTS,
      "        while entries:\n"
      "            i = self._best_index()\n"
      "            waiter, _seq, request = entries[i]\n"
@@ -143,42 +165,63 @@ MUTANTS = (
      "            if value is not _WAIT:\n"
      "                self.remove(waiter)\n"
      "                served.append((waiter, value))\n"),
-    ("cancel-wait-serves-nobody", OBJECTS,
+    ("cancel-wait-serves-nobody", ACCEPTANCE, OBJECTS,
      "        self.queue.remove(waiter)\n"
      "        return self.queue.serve(self._grant)\n",
      "        self.queue.remove(waiter)\n"
      "        return []\n"),
-    ("mailbox-grants-the-oldest-message", OBJECTS,
+    ("mailbox-grants-the-oldest-message", ACCEPTANCE, OBJECTS,
      "        return heapq.heappop(self._messages)[2]\n",
      "        oldest = min(self._messages, key=lambda m: m[1])\n"
      "        self._messages.remove(oldest)\n"
      "        heapq.heapify(self._messages)\n"
      "        return oldest[2]\n"),
     # -- the idle thread's one endless segment
-    ("idle-stretch-opens-with-continue-run", ENGINE,
+    ("idle-stretch-opens-with-continue-run", ACCEPTANCE, ENGINE,
      "                    seg.eem_uj, th.rec_event._value_))\n"
      "                self._record(TraceRecord(\n",
      "                    seg.eem_uj, EventKind.CONTINUE_RUN._value_))\n"
      "                self._record(TraceRecord(\n"),
-    ("idle-stretch-repeats-one-row-too-many", ENGINE,
+    ("idle-stretch-repeats-one-row-too-many", BENCH_TRACED, ENGINE,
      "                    now - start - 1))\n",
      "                    now - start))\n"),
-    ("idle-resumed-every-tick", ENGINE,
+    ("idle-resumed-every-tick", BENCH_CALLS, ENGINE,
      "th.seg_left = _ENDLESS if req is _IDLE_SEGMENT else req.etm",
      "th.seg_left = req.etm"),
     # -- the scenario's data built in one walk of the YAML node tree
-    ("walk-reads-every-scalar-as-its-text", SCENARIO,
+    ("walk-reads-every-scalar-as-its-text", ACCEPTANCE, SCENARIO,
      "            data = built[node] = value if tag == _STR else construct(node)\n",
      "            data = built[node] = value\n"),
-    ("walk-without-duplicate-key-check", SCENARIO,
-     "                if text in texts:\n",
+    ("walk-without-duplicate-key-check", SCENARIO_T, SCENARIO,
+     "                if key in data:\n",
      "                if False:\n"),
-    ("walk-lets-aliases-through", SCENARIO,
+    ("walk-lets-aliases-through", SCENARIO_T, SCENARIO,
      "            problems.append((path, \"YAML aliases are not supported\"))\n",
      "            pass\n"),
-    ("walk-paths-hold-key-text", SCENARIO,
+    ("walk-paths-hold-key-text", SCENARIO_T, SCENARIO,
      "                here = path + (key,)\n",
      "                here = path + (text,)\n"),
+    # -- each service's critical section run by the engine, one record
+    ("gate-preempts-inside-a-section", ACCEPTANCE, ENGINE,
+     ("            if cur is None or self._crit_depth == 0 and (\n",
+      "            if self._crit_depth == 0 and self._ready_bits"
+      " & th.outranked_by:\n"),
+     ("            if cur is None or (\n",
+      "            if self._ready_bits & th.outranked_by:\n")),
+    ("section-exit-row-at-the-start-tick", SECTIONS_T, TRACE,
+     "\n                   f\"{end},{end},{leave}\")\n",
+     "\n                   f\"{start},{start},{leave}\")\n"),
+    ("finish-drops-an-open-sections-enter-row", SECTIONS_T, ENGINE,
+     "        if self._section_rows:\n",
+     "        if False:\n"),
+    ("service-of-a-caller-not-running-not-refused", SECTIONS_T, KERNEL,
+     "        if self.engine.current_id != api.thread_id:\n",
+     "        if False:\n"),
+    ("service-in-a-library-section-writes-its-rows", SECTIONS_T, ENGINE,
+     "                if not self._crit_depth:\n"
+     "                    self._crit_owner = th.id\n",
+     "                if True:\n"
+     "                    self._crit_owner = th.id\n"),
 )
 
 
@@ -186,14 +229,14 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run_suite(tree: Path) -> tuple:
-    """Run tier-1 in ``tree``: (verdict, detail), verdict one of
-    "passed", "failed" or "finding"."""
+def run_suite(tree: Path, module=None) -> tuple:
+    """Run tier-1 in ``tree``, or only its test ``module``: (verdict,
+    detail), verdict one of "passed", "failed" or "finding"."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
-        TIER1, cwd=tree, env=env, stdout=subprocess.PIPE,
+        TIER1 + ((module,) if module else ()), cwd=tree, env=env, stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True, start_new_session=True,
         preexec_fn=_limit_memory)
     try:
@@ -217,22 +260,30 @@ def run_suite(tree: Path) -> tuple:
 
 
 def try_tree(mutant=None) -> tuple:
-    """Copy the tree, apply ``mutant`` (file, old, new) if given, and
-    run tier-1 on the copy."""
+    """Copy the tree, apply ``mutant`` (module, file, old, new) if
+    given, and run tier-1 on the copy, its module first."""
     with tempfile.TemporaryDirectory(prefix="rtksim-mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, symlinks=True,
                         ignore=shutil.ignore_patterns(
                             ".git", "__pycache__", ".pytest_cache",
                             ".hypothesis", ".venv", "build", "*.egg-info"))
-        if mutant is not None:
-            file, old, new = mutant
-            path = tree / file
-            text = path.read_text()
-            if text.count(old) != 1:
+        if mutant is None:
+            return run_suite(tree)
+        module, file, old, new = mutant
+        if isinstance(old, str):
+            old, new = (old,), (new,)
+        path = tree / file
+        text = path.read_text()
+        for each_old, each_new in zip(old, new, strict=True):
+            if text.count(each_old) != 1:
                 return "finding", (f"stale: the text to replace occurs "
-                                   f"{text.count(old)} times in {file}")
-            path.write_text(text.replace(old, new))
+                                   f"{text.count(each_old)} times in {file}")
+            text = text.replace(each_old, each_new)
+        path.write_text(text)
+        verdict, detail = run_suite(tree, module)
+        if verdict != "passed":
+            return verdict, detail
         return run_suite(tree)
 
 

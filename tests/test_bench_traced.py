@@ -14,6 +14,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from rtksim.trace import rows
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 1
 
@@ -54,8 +56,9 @@ def test_traced_steady_run_counts(tmp_path):
     _times, spans = layers.layer_times(probe)   # raises unless they add up
     assert probe.counts["svc_calls"] == 6477
     assert spans == {"behavior": 10882, "resume": 10883}
-    # an idle stretch is two records; the CSV still has every row
-    assert probe.counts["records"] == 24099
+    # an idle stretch is two records and a service's section one; the
+    # CSV still has every row
+    assert probe.counts["records"] == 14299
     assert run.texts["trace"].count("\n") - 1 == 25655
     assert service_resumes(probe) == {
         "bfm_call": 3152, "delay": 409, "flag_set": 774, "flag_wait": 1163,
@@ -78,8 +81,10 @@ def test_traced_wide_run_counts(tmp_path):
     _times, spans = layers.layer_times(probe)
     assert probe.counts["svc_calls"] == 5479
     assert spans == {"behavior": 9415, "resume": 9416}
-    assert probe.counts["records"] == 24449
-    assert sum(r.repeat for r in run.records) == 25361
+    assert probe.counts["records"] == 13557
+    # a service's section is one record of three rows
+    assert sum(r.repeat + 2 * bool(r.section) for r in run.records) == 25361
+    assert sum(1 for _ in rows(run.records)) == 25361
     assert probe.counts["DISPATCH"] == 3218
     assert probe.counts["PREEMPT"] == 793
     assert probe.counts["INT_ENTER"] == 32

@@ -106,13 +106,21 @@ def test_markers_past_the_window_are_dropped():
 
 def _laid_out(items):
     """Records laid end to end from (kind, tid, context, etm, repeat, gap)
-    items: a segment of ``repeat`` rows of ``etm`` ticks each, or a marker
-    at the current tick."""
+    items: a segment of ``repeat`` rows of ``etm`` ticks each, a service's
+    section of ``etm - 1`` ticks in ``context``, or a marker at the
+    current tick."""
     records, tick = [], 0
     for kind, tid, context, etm, repeat, gap in items:
         tick += gap
         if kind in (CTL_INT_ENTER, CTL_INT_RETURN, CTL_PREEMPT):
             records.append(ctl(tick, tid, kind))
+            continue
+        if kind == "svc":
+            end = tick + etm - 1
+            records.append(TraceRecord(tick, end, tid, f"T{tid}", "SVC",
+                                       "svc", etm - 1, 0, "CONTINUE_RUN", 1,
+                                       context))
+            tick = end
             continue
         end = tick + etm * repeat
         records.append(TraceRecord(tick, end, tid, f"T{tid}", context, kind,
@@ -122,7 +130,8 @@ def _laid_out(items):
 
 
 _items = st.tuples(
-    st.sampled_from(["w", "idle", CTL_INT_ENTER, CTL_INT_RETURN, CTL_PREEMPT]),
+    st.sampled_from(["w", "idle", "svc", CTL_INT_ENTER, CTL_INT_RETURN,
+                     CTL_PREEMPT]),
     st.integers(1, 3), st.sampled_from(sorted(LEGEND)), st.integers(1, 3),
     st.integers(1, 4), st.integers(0, 2))
 

@@ -35,7 +35,7 @@ from rtksim.scenario import (
     load_scenario,
     parse_scenario_text,
 )
-from rtksim.trace import ListSink, records_to_csv, running_vector
+from rtksim.trace import ListSink, records_to_csv, rows, running_vector
 
 
 def mk(**kw) -> tuple[Kernel, ListSink]:
@@ -1198,8 +1198,8 @@ def test_failed_task_service_closes_its_critical_section(service, target, error)
 
 
 def test_a_service_called_through_a_thread_that_is_not_running_is_refused():
-    # the refusal comes from opening the implicit section, before any
-    # CRIT_ENTER row or service tick
+    # the refusal comes at the call, before the section opens: no
+    # CRIT_ENTER row and no service tick
     k, sink = mk()
     k.declare_semaphore(1, 0)
     out = {}
@@ -1218,7 +1218,7 @@ def test_a_service_called_through_a_thread_that_is_not_running_is_refused():
     k.run(3)
     assert out == {"error": "critical section entered by a non-running thread",
                    "depth": 0}
-    assert not any(r.label == "CRIT_ENTER" for r in sink.records)
+    assert not any(r.label == "CRIT_ENTER" for r in rows(sink.records))
     assert k.engine.thread(1).token.cet == 0
     assert k.semaphores[1].count == 0
 

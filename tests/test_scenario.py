@@ -690,8 +690,7 @@ LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__,
                              reason="PyYAML was built without libyaml")
 LOADERS = [
     pytest.param(scenario._PureLoader, id="pure"),
-    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
-                 marks=LIBYAML),
+    pytest.param(scenario._Loader, id="libyaml", marks=LIBYAML),
 ]
 
 EDGE_TEXTS = [
@@ -721,6 +720,9 @@ EDGE_TEXTS = [
     "- " * 30000 + "1\n",
     "",
     "# comment only\n",
+    "name: =\n",                                        # a value
+    "1: a\n01: b\ntrue: c\nyes: d\n",                   # one key, two texts
+    "a: {x: 1}\nb: 2\na: {y: 2}\na: 3\n",               # a key three times
 ]
 
 
@@ -753,7 +755,7 @@ def test_libyaml_builds_what_the_pure_python_loader_builds():
     texts += [workloads.generate(name, 1, 1.0) for name in workloads.WORKLOADS]
     texts.append(demo_scenario_path().read_text(encoding="utf-8"))
     for text in texts + EDGE_TEXTS:
-        assert (_outcome(text, yaml.CSafeLoader)
+        assert (_outcome(text, scenario._Loader)
                 == _outcome(text, scenario._PureLoader)), text[:80]
 
 
@@ -775,6 +777,39 @@ def test_the_pure_scanner_stops_at_the_first_bracket_past_the_limit():
         while loader.check_token():
             loader.get_token()
     assert loader.flow_level == scenario._NODE_DEPTH_LIMIT + 1
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text, data, problems", [
+    ("1: a\n01: b\n", {1: "b"}, [("scn.yaml:2", "duplicate key '01'")]),
+    ("true: 1\nyes: 2\n", {True: 2},
+     [("scn.yaml:2", "duplicate key 'yes'")]),
+    ("a: 1\nb: 2\na: 3\n", {"a": 3, "b": 2},
+     [("scn.yaml:3", "duplicate key 'a'")]),
+    ("1: a\n'1': b\n", {1: "a", "1": "b"}, []),
+], ids=["int", "bool", "str", "int-and-str"])
+def test_keys_are_compared_as_constructed(loader, text, data, problems):
+    # two texts of one key drop a value, so they are a duplicate, found
+    # at the second key's line; one text of two keys is not
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_Loader", loader)
+        src = scenario._Source(text, "scn.yaml")
+        assert src.data == data
+        assert [(src.locate(p), m) for p, m in src.problems] == problems
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_plain_equals_sign_is_a_string(loader):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_Loader", loader)
+        assert scenario._Source("name: =\n=: 1\n", "scn.yaml").data == {
+            "name": "=", "=": 1}
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario_text(MINIMAL + "name: =\n", filename="scn.yaml")
+    [(loc, msg)] = problems_of(ei)
+    assert loc == "scn.yaml:10" and "constructor" not in msg
+    # PyYAML's own loaders are left as they were
+    assert "tag:yaml.org,2002:value" not in yaml.SafeLoader.yaml_constructors
 
 
 _KEYS = ["run_ticks", "name", "tick_us", "tasks", "id", "priority",
@@ -799,7 +834,7 @@ _SCENARIO_SHAPED = st.lists(
 # ----------------------------------------------------------------------
 # the one walk of the node tree against the loader it replaced
 
-def _index_node(node, path, lines, problems, seen):
+def _index_node(loader, node, path, lines, problems, seen):
     if len(path) > scenario._NODE_DEPTH_LIMIT:
         raise RecursionError
     if id(node) in seen:
@@ -812,15 +847,28 @@ def _index_node(node, path, lines, problems, seen):
         for k_node, v_node in node.value:
             if not isinstance(k_node, yaml.ScalarNode):
                 continue
-            key = k_node.value
-            if key in keys:
+            key, value = k_node.value, _constructed_key(loader, k_node)
+            if value in keys:
                 problems.append((path + (key,), f"duplicate key '{key}'"))
-            keys.add(key)
+                lines[path + (key,)] = k_node.start_mark.line + 1
+            keys.add(value)
             lines.setdefault(path + (key,), k_node.start_mark.line + 1)
-            _index_node(v_node, path + (key,), lines, problems, seen)
+            _index_node(loader, v_node, path + (key,), lines, problems, seen)
     elif isinstance(node, yaml.SequenceNode):
         for i, item in enumerate(node.value):
-            _index_node(item, path + (i,), lines, problems, seen)
+            _index_node(loader, item, path + (i,), lines, problems, seen)
+
+
+def _constructed_key(loader, node):
+    """The scalar key ``node`` as PyYAML constructs it, or its text if
+    PyYAML refuses it; the loader forgets it either way."""
+    try:
+        return loader.construct_object(node, deep=True)
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError):
+        return node.value
+    finally:
+        loader.constructed_objects.clear()
+        loader.recursive_objects.clear()
 
 
 def _construct(loader, node):
@@ -836,7 +884,9 @@ def _construct(loader, node):
 class _ReferenceSource(scenario._Source):
     """The naive loader the walk replaced, as the reference model: index
     every node's line under its keys' source text, with the depth, alias
-    and duplicate-key checks, then let PyYAML construct the document.
+    and duplicate-key checks (keys compared as PyYAML constructs them, a
+    repeated key located at its own line), then let PyYAML construct the
+    document.
     `key_texts` holds the source text of each key that is not a string."""
 
     def __init__(self, text, filename):
@@ -850,7 +900,8 @@ class _ReferenceSource(scenario._Source):
             try:
                 node = loader.get_single_node()
                 if node is not None:
-                    _index_node(node, (), self.lines, self.problems, set())
+                    _index_node(loader, node, (), self.lines, self.problems,
+                                set())
                     self.key_texts = _texts_of_keys_not_str(node)
                 self.data = None if node is None else _construct(loader, node)
             finally:

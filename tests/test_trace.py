@@ -143,15 +143,18 @@ def test_check_claims_raises_exactly_when_running_vector_does(records, length):
 _NAMES = {1: "A", 2: "B", 3: "IDLE"}
 
 
-def _row(start, width, tid, context, label, etm, uj, event, repeat):
-    if label in CONTROL_LABELS:
+def _row(start, width, tid, context, label, etm, uj, event, repeat,
+         section):
+    if label in CONTROL_LABELS or section:
         repeat = 1
+    if label in CONTROL_LABELS:
+        section = ""
     if repeat > 1:
         # ``repeat`` segment rows, each ``etm`` wide, back to back
         etm = max(etm, 1)
         width = repeat * etm
     return TraceRecord(start, start + width, tid, _NAMES[tid], context, label,
-                       etm, uj, event, repeat)
+                       etm, uj, event, repeat, section)
 
 
 _rows = st.builds(
@@ -162,7 +165,7 @@ _rows = st.builds(
     # negative, zero, whole and fractional milli-joules
     st.sampled_from([-2500, -1, 0, 1, 50, 999, 1000, 1500, 12345]),
     st.sampled_from(["", "STARTUP", "CONTINUE_RUN"]),
-    st.integers(1, 4))
+    st.integers(1, 4), st.sampled_from(["", "", "TASK", "CYC_HANDLER"]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -172,7 +175,8 @@ def test_records_to_csv_is_the_header_and_each_csv_row(records):
         CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in records))
 
 
-# a record with repeat k reads everywhere as the k rows rows() yields
+# a record with repeat k reads everywhere as the k rows rows() yields, and
+# a service's section record as its three rows
 
 def test_rows_expands_a_repeated_record():
     rec = TraceRecord(4, 10, 3, "IDLE", "IDLE", "idle", 2, 7, "CONTINUE_RUN", 3)
@@ -184,12 +188,26 @@ def test_rows_expands_a_repeated_record():
                              "8,10,3,IDLE,IDLE,idle,2,0.007,CONTINUE_RUN")
 
 
+def test_rows_expands_a_section_record():
+    rec = TraceRecord(4, 6, 2, "H", "SVC", "svc", 2, 30, "STARTUP", 1,
+                      "ISR")
+    assert list(rows([rec])) == [
+        TraceRecord(4, 4, 2, "H", "ISR", "CRIT_ENTER", 0, 0, ""),
+        TraceRecord(4, 6, 2, "H", "SVC", "svc", 2, 30, "STARTUP"),
+        TraceRecord(6, 6, 2, "H", "ISR", "CRIT_EXIT", 0, 0, "")]
+    assert rec.csv_row() == ("4,4,2,H,ISR,CRIT_ENTER,0,0,\n"
+                             "4,6,2,H,SVC,svc,2,0.03,STARTUP\n"
+                             "6,6,2,H,ISR,CRIT_EXIT,0,0,")
+    assert not rec.is_control
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(records=st.lists(_rows, max_size=30))
 def test_csv_text_equals_the_expanded_rows(records, tmp_path_factory):
     expanded = list(rows(records))
-    assert all(r.repeat == 1 for r in expanded)
-    assert sum(r.repeat for r in records) == len(expanded)
+    assert all(r.repeat == 1 and not r.section for r in expanded)
+    assert sum(r.repeat + 2 * bool(r.section)
+               for r in records) == len(expanded)
     text = records_to_csv(expanded)
     assert records_to_csv(records) == text
     path = tmp_path_factory.getbasetemp() / "expanded_rows.csv"
