@@ -273,4 +273,5 @@ class DeviceRegistry:
     def log_csv(self) -> str:
         lines = [DEVICE_LOG_HEADER]
         lines.extend(row.csv_row() for row in self.log)
-        return "\n".join(lines) + "\n"
+        lines.append("")
+        return "\n".join(lines)

@@ -243,7 +243,8 @@ def dump_listing(snap: DsSnapshot) -> str:
                 field(label, _value_str(label, value),
                       indent="    ", width=_STAT_FIELD_WIDTH)
             out.append(_SEPARATOR)
-    return "\n".join(out) + "\n"
+    out.append("")
+    return "\n".join(out)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,11 @@ tick boundary.
 
 The pattern-to-context legend is an arbitrary fixed choice, documented in
 LEGEND below.
+
+The SVG's elements are joined a batch of records at a time, as the trace
+CSV's rows are (``trace.batches``), so its peak memory is about twice its
+text.  Every text ends with its newline through an empty last line, not
+a second copy of the text.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .trace import (
     CTL_INT_ENTER,
     CTL_INT_RETURN,
     CTL_PREEMPT,
+    batches,
     check_claims,
     is_int,
 )
@@ -98,8 +104,8 @@ def render_text_gantt(records, ticks: int) -> str:
             out.append(f"{pad}  {''.join(marks[tid]).rstrip()}")
     legend = "legend: # task  S service  B bus  I isr  C cyclic  A alarm  " \
              "i idle  ^ int-enter  v int-return  > preempt"
-    out.append(legend)
-    return "\n".join(out) + "\n"
+    out += [legend, ""]
+    return "\n".join(out)
 
 
 _CELL_W = 8
@@ -183,47 +189,53 @@ def render_svg_gantt(records, ticks: int) -> str:
     # the text of a segment's <rect> around its x, width and ticks, per
     # (thread, context, label): a trace repeats a few dozen of them
     pieces = {}
-    for r in records:
-        label = r.label
-        if label in _MARKS:
-            if r.tick_start > ticks:
+    chunks = []
+    for batch in batches(records):
+        for r in batch:
+            label = r.label
+            if label in _MARKS:
+                if r.tick_start > ticks:
+                    continue
+                y = rows_y[r.thread_id]
+                x = x_of(r.tick_start)
+                if label == CTL_INT_ENTER:
+                    out.append(f'<path d="M{x - 4} {y + 8} L{x + 4} {y + 8} '
+                               f'L{x} {y}" fill="#202020"/>')
+                elif label == CTL_INT_RETURN:
+                    out.append(f'<path d="M{x - 4} {y} L{x + 4} {y} '
+                               f'L{x} {y + 8}" fill="#202020"/>')
+                else:  # PREEMPT
+                    out.append(f'<path d="M{x - 4} {y - 2} L{x + 4} {y + 3} '
+                               f'L{x - 4} {y + 8}" fill="#a02020"/>')
                 continue
-            y = rows_y[r.thread_id]
-            x = x_of(r.tick_start)
-            if label == CTL_INT_ENTER:
-                out.append(f'<path d="M{x - 4} {y + 8} L{x + 4} {y + 8} '
-                           f'L{x} {y}" fill="#202020"/>')
-            elif label == CTL_INT_RETURN:
-                out.append(f'<path d="M{x - 4} {y} L{x + 4} {y} '
-                           f'L{x} {y + 8}" fill="#202020"/>')
-            else:  # PREEMPT
-                out.append(f'<path d="M{x - 4} {y - 2} L{x + 4} {y + 3} '
-                           f'L{x - 4} {y + 8}" fill="#a02020"/>')
-            continue
-        start, end = r.tick_start, r.tick_end
-        if end > start and start < ticks:
-            key = (r.thread_id, r.thread_name, r.context_kind, label)
-            try:
-                head, tail = pieces[key]
-            except KeyError:
-                fid = LEGEND[r.context_kind][1]
-                head, tail = pieces[key] = (
-                    f'" y="{rows_y[r.thread_id] + 4}" width="',
-                    f'" height="{_ROW_H - 8}" fill="url(#{fid})" '
-                    f'stroke="#404040" stroke-width="0.5">'
-                    f'<title>{r.thread_name} {label} [')
-            if r.repeat == 1:
-                out.append(f'<rect x="{_LEFT + start * _CELL_W}{head}'
-                           f'{((end if end < ticks else ticks) - start) * _CELL_W}'
-                           f'{tail}{start},{end})</title></rect>')
-            else:
-                # one <rect> per row of a repeated record
-                etm = r.etm_ticks
-                out.extend([
-                    f'<rect x="{_LEFT + t * _CELL_W}{head}'
-                    f'{((t + etm if t + etm < ticks else ticks) - t) * _CELL_W}'
-                    f'{tail}{t},{t + etm})</title></rect>'
-                    for t in range(start, end if end < ticks else ticks, etm)])
+            start, end = r.tick_start, r.tick_end
+            if end > start and start < ticks:
+                key = (r.thread_id, r.thread_name, r.context_kind, label)
+                try:
+                    head, tail = pieces[key]
+                except KeyError:
+                    fid = LEGEND[r.context_kind][1]
+                    head, tail = pieces[key] = (
+                        f'" y="{rows_y[r.thread_id] + 4}" width="',
+                        f'" height="{_ROW_H - 8}" fill="url(#{fid})" '
+                        f'stroke="#404040" stroke-width="0.5">'
+                        f'<title>{r.thread_name} {label} [')
+                stop = end if end < ticks else ticks
+                if r.repeat == 1:
+                    out.append(f'<rect x="{_LEFT + start * _CELL_W}{head}'
+                               f'{(stop - start) * _CELL_W}'
+                               f'{tail}{start},{end})</title></rect>')
+                else:
+                    # one <rect> per row of a repeated record
+                    etm = r.etm_ticks
+                    out.extend([
+                        f'<rect x="{_LEFT + t * _CELL_W}{head}'
+                        f'{((t + etm if t + etm < stop else stop) - t) * _CELL_W}'
+                        f'{tail}{t},{t + etm})</title></rect>'
+                        for t in range(start, stop, etm)])
+        out.append("")
+        chunks.append("\n".join(out))
+        out = []
 
     # legend strip
     lx = _LEFT
@@ -235,5 +247,6 @@ def render_svg_gantt(records, ticks: int) -> str:
                    f'fill="url(#{fid})" stroke="#404040" stroke-width="0.5"/>')
         out.append(f'<text x="{lx + 18}" y="{ly}" fill="#333333">{key}</text>')
         lx += 22 + 8 * len(key)
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
+    out += ['</svg>', ""]
+    chunks.append("\n".join(out))
+    return "".join(chunks)

@@ -187,7 +187,7 @@ def render_text(rep: DistributionReport) -> str:
         ("Projected lifespan : infinite" if rep.lifespan_ticks is None else
          f"Projected lifespan : {_lifespan_str(rep.lifespan_ticks)} ticks"),
     ]
-    return "\n".join(head + body + battery) + "\n"
+    return "\n".join([*head, *body, *battery, ""])
 
 
 def render_json(rep: DistributionReport) -> str:

@@ -203,12 +203,14 @@ def _walk(loader, root, problems, lines=None):
     `_NODE_DEPTH_LIMIT` raises RecursionError, and a node met again (an
     alias) or a key equal, as constructed, to one before it in its
     mapping (`1` and `01`, `true` and `yes`) is a problem at its path,
-    which holds each key as constructed.  `lines` gets each path's line,
-    a repeated key's its own.  A tree with a node the walk does not build
-    (a merge key, `!!set`, a collection as a key) or a scalar its tag
-    refuses goes to the library whole once checked: a merge rewrites its
-    node, and the error the library meets first depends on the whole
-    tree."""
+    which holds each key as constructed; the n-th repeat of a key in a
+    mapping is a problem at the key's path and `("repeat", n)`.  `lines`
+    gets each path's line: a repeated key's path that of its last
+    repeat, whose value the data holds, and each repeat's its own.  A
+    tree with a node the walk does not build (a merge key, `!!set`, a
+    collection as a key) or a scalar its tag refuses goes to the library
+    whole once checked: a merge rewrites its node, and the error the
+    library meets first depends on the whole tree."""
     ctors, built, whole = loader.yaml_constructors, {}, False
 
     def construct(node, otherwise=None):
@@ -245,6 +247,7 @@ def _walk(loader, root, problems, lines=None):
         else:
             whole |= tag != _MAP
             data = built[node] = {}
+            repeats = 0
             for key_node, item in value:
                 if key_node.id != "scalar":
                     whole = True  # unhashable, or built by its tag
@@ -254,7 +257,11 @@ def _walk(loader, root, problems, lines=None):
                     key = construct(key_node, text)
                 here = path + (key,)
                 if key in data:
-                    problems.append((here, f"duplicate key '{text}'"))
+                    repeats += 1
+                    again = here + (("repeat", repeats),)
+                    problems.append((again, f"duplicate key '{text}'"))
+                    if lines is not None:
+                        lines[again] = key_node.start_mark.line + 1
                 if lines is not None:
                     lines[here] = key_node.start_mark.line + 1
                 data[key] = walk(item, here)

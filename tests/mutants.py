@@ -60,6 +60,7 @@ DEBUGDS_T = "tests/test_debugds.py"
 DEMO_DIGESTS = "tests/test_demo_digests.py"
 ENGINE_T = "tests/test_engine.py"
 KERNEL_T = "tests/test_kernel.py"
+RENDER_T = "tests/test_render_batches.py"
 REPORT_T = "tests/test_report.py"
 SCENARIO_T = "tests/test_scenario.py"
 SECTIONS_T = "tests/test_section_records.py"
@@ -209,8 +210,8 @@ MUTANTS = (
      ("            if cur is None or (\n",
       "            if self._ready_bits & th.outranked_by:\n")),
     ("section-exit-row-at-the-start-tick", SECTIONS_T, TRACE,
-     "\n                   f\"{end},{end},{leave}\")\n",
-     "\n                   f\"{start},{start},{leave}\")\n"),
+     "\n                       f\"{end},{end},{leave}\")\n",
+     "\n                       f\"{start},{start},{leave}\")\n"),
     ("finish-drops-an-open-sections-enter-row", SECTIONS_T, ENGINE,
      "        if self._section_rows:\n",
      "        if False:\n"),
@@ -222,6 +223,25 @@ MUTANTS = (
      "                    self._crit_owner = th.id\n",
      "                if True:\n"
      "                    self._crit_owner = th.id\n"),
+    # -- the trace CSV and the SVG Gantt rendered a batch of records at a time
+    ("csv-chunks-joined-without-newline", RENDER_T, TRACE,
+     ("        append(\"\")\n"
+      "        chunks.append(\"\\n\".join(lines))\n",
+      "    return \"\".join(chunks)\n"),
+     ("        chunks.append(\"\\n\".join(lines))\n",
+      "    return \"\".join(chunks) + \"\\n\"\n")),
+    ("last-partial-batch-dropped", RENDER_T, TRACE,
+     "        yield batch\n"
+     "        if len(batch) < BATCH:\n"
+     "            return\n",
+     "        if len(batch) < BATCH:\n"
+     "            return\n"
+     "        yield batch\n"),
+    ("csv-header-repeated-per-batch", RENDER_T, TRACE,
+     "        lines = []\n"
+     "        append = lines.append\n",
+     "        lines = [CSV_HEADER]\n"
+     "        append = lines.append\n"),
 )
 
 

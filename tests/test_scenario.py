@@ -786,8 +786,11 @@ def test_the_pure_scanner_stops_at_the_first_bracket_past_the_limit():
      [("scn.yaml:2", "duplicate key 'yes'")]),
     ("a: 1\nb: 2\na: 3\n", {"a": 3, "b": 2},
      [("scn.yaml:3", "duplicate key 'a'")]),
+    ("a: 1\nb: 2\na: 3\na: 4\n", {"a": 4, "b": 2},
+     [("scn.yaml:3", "duplicate key 'a'"),
+      ("scn.yaml:4", "duplicate key 'a'")]),
     ("1: a\n'1': b\n", {1: "a", "1": "b"}, []),
-], ids=["int", "bool", "str", "int-and-str"])
+], ids=["int", "bool", "str", "str-three-times", "int-and-str"])
 def test_keys_are_compared_as_constructed(loader, text, data, problems):
     # two texts of one key drop a value, so they are a duplicate, found
     # at the second key's line; one text of two keys is not
@@ -843,14 +846,17 @@ def _index_node(loader, node, path, lines, problems, seen):
     seen.add(id(node))
     lines.setdefault(path, node.start_mark.line + 1)
     if isinstance(node, yaml.MappingNode):
-        keys = set()
+        keys, repeats = set(), 0
         for k_node, v_node in node.value:
             if not isinstance(k_node, yaml.ScalarNode):
                 continue
             key, value = k_node.value, _constructed_key(loader, k_node)
             if value in keys:
-                problems.append((path + (key,), f"duplicate key '{key}'"))
-                lines[path + (key,)] = k_node.start_mark.line + 1
+                repeats += 1
+                again = path + (key, ("repeat", repeats))
+                problems.append((again, f"duplicate key '{key}'"))
+                line = lines[path + (key,)] = k_node.start_mark.line + 1
+                lines[again] = line
             keys.add(value)
             lines.setdefault(path + (key,), k_node.start_mark.line + 1)
             _index_node(loader, v_node, path + (key,), lines, problems, seen)
