@@ -38,9 +38,9 @@ Scheduling model:
   * handler activations always displace tasks.  While any handler is
     active, a task dispatch cannot be committed; it happens after the
     outermost handler returns (delayed dispatching).
-  * while the critical-section depth is nonzero, neither a preemption
-    nor a handler entry is committed; both are deferred until the
-    first boundary after the depth returns to zero.
+  * while a critical section is open, neither a preemption nor a
+    handler entry is committed; both are deferred until the first
+    boundary after it closes.
 
 A kernel service's SVC request is critical: ``_step`` opens a critical
 section when it takes one and closes it when the segment ends, then
@@ -48,8 +48,7 @@ resumes the service, so the service's effect runs in that same step,
 before the gate.  The section's rows (CRIT_ENTER, the segment,
 CRIT_EXIT) are one trace record whose ``section`` names their context
 (see ``trace``).  A record written while the section is open, by
-``finish`` inside it, writes the CRIT_ENTER row first.  A service inside
-a library section (``begin_critical``) only counts depth.
+``finish`` inside it, writes the CRIT_ENTER row first.
 
 An Engine takes the whole thread table at once, each thread DORMANT as
 built.
@@ -105,7 +104,6 @@ from .errors import (
 from .trace import (
     CTL_BLOCK,
     CTL_CRIT_ENTER,
-    CTL_CRIT_EXIT,
     CTL_DISPATCH,
     CTL_EXIT,
     CTL_INT_ENTER,
@@ -383,8 +381,6 @@ class ThreadApi:
         """Block until another party releases this thread; returns the
         EventKind delivered by the release."""
         self.check_running()
-        if self._engine.critical_depth() > 0:
-            raise ProtocolError("cannot block while holding a critical section")
         value = yield _BlockRequest(reason)
         return value.event
 
@@ -393,14 +389,6 @@ class ThreadApi:
         yield _ExitRequest()
 
     # -- immediate operations -----------------------------------------------
-
-    def begin_critical(self):
-        self.check_running()
-        self._engine._crit_enter(self.thread_id)
-
-    def end_critical(self):
-        self.check_running()
-        self._engine._crit_exit(self.thread_id)
 
     def mark_cycle(self):
         tok = self._engine._table[self.thread_id].token
@@ -429,11 +417,9 @@ class Engine:
         # (None for an idle CPU), innermost last
         self._stack: list[int | None] = []
         self._pending_activations: list[int] = []
-        self._crit_depth = 0
-        self._crit_owner: int | None = None
-        # the context of the open service section's rows while none of
-        # them is written, else ""
-        self._section_rows = ""
+        # None while no section is open; else the context of its rows
+        # while none of them is written, and "" once one is
+        self._section: str | None = None
         self._trace = NullSink() if trace_sink is None else trace_sink
         self._record = self._trace.record
         self._finished = False
@@ -516,7 +502,8 @@ class Engine:
             self._enqueue(th)
 
     def critical_depth(self) -> int:
-        return self._crit_depth
+        """1 while a service's critical section is open, else 0."""
+        return 0 if self._section is None else 1
 
     def waiting_threads(self):
         return [
@@ -552,9 +539,10 @@ class Engine:
         guard = 0
         while True:
             # the gate's work, tested first and inline as in ``coast``,
-            # so a busy tick pays no call for it
+            # so a busy tick pays no call for it; inside a critical
+            # section it waits until the section closes
             cur = self.current_id
-            if cur is None or self._crit_depth == 0 and (
+            if cur is None or self._section is None and (
                     self._pending_activations
                     or self._ready_bits & table[cur].outranked_by):
                 self._gate()
@@ -588,7 +576,7 @@ class Engine:
             return 0
         th = self._table[cur]
         n = min(limit, th.seg_left)
-        if n <= 0 or self._crit_depth == 0 and (
+        if n <= 0 or self._section is None and (
                 self._pending_activations
                 or self._ready_bits & th.outranked_by):
             return 0
@@ -665,9 +653,10 @@ class Engine:
     # --- trampoline ----------------------------------------------------
 
     def _gate(self):
-        """Commit pending control transfers.  Zero simulated time."""
+        """Commit pending control transfers; its caller tests that no
+        critical section is open.  Zero simulated time."""
         while True:
-            if self._pending_activations and self._crit_depth == 0:
+            if self._pending_activations:
                 hid = self._pending_activations.pop(0)
                 self._enter_activation(hid)
                 continue
@@ -679,10 +668,9 @@ class Engine:
                     )
                 self._dispatch(nxt)
                 continue
-            # a ready thread of a better class preempts a task; inside a
-            # critical section it waits until the section closes
+            # a ready thread of a better class preempts a task
             th = self._table[self.current_id]
-            if self._crit_depth == 0 and self._ready_bits & th.outranked_by:
+            if self._ready_bits & th.outranked_by:
                 self._suspend_current(EventKind.RETURN_FROM_PREEMPTION)
                 # a task that outranks its own class would be dispatched
                 # and preempted again for ever, in zero time
@@ -736,8 +724,6 @@ class Engine:
     def _return_from_handler(self, th: SimThread):
         """End the activation of ``th``, whose body returned: pop its
         interrupt frame and make it wait for its next activation."""
-        if self._crit_depth != 0:
-            raise ProtocolError("handler returned inside a critical section")
         tid = self._stack.pop()  # the running handler's is the top entry
         self._emit_control(th, CTL_INT_RETURN, EventKind.RETURN_FROM_INTERRUPT)
         th.gen = None
@@ -797,10 +783,7 @@ class Engine:
             th.seg_left = _ENDLESS if req is _IDLE_SEGMENT else req.etm
             th.rec_start = self.now
             if req.critical:  # a service's: its section opens here
-                if not self._crit_depth:
-                    self._crit_owner = th.id
-                    self._section_rows = th.default_context._value_
-                self._crit_depth += 1
+                self._section = th.default_context._value_
         else:
             self._handle_request(th, req)
 
@@ -814,10 +797,6 @@ class Engine:
                 # completion, so only a task may wait
                 raise ProtocolError(
                     f"{th.name}: a handler cannot wait ({req.reason})")
-            if self._crit_depth > 0:
-                raise ProtocolError(
-                    f"{th.name} blocked while critical depth is {self._crit_depth}"
-                )
             self._set_state(th, ThreadState.WAITING)
             th.waiting_reason = req.reason
             th.run_streak = 0
@@ -829,8 +808,6 @@ class Engine:
     def _do_exit(self, th: SimThread):
         if th.kind.is_handler:
             raise ProtocolError(f"{th.name}: a handler returns, it cannot exit")
-        if self._crit_depth > 0 and self._crit_owner == th.id:
-            raise ProtocolError(f"{th.name} exited inside a critical section")
         self._set_state(th, ThreadState.DORMANT)
         th.run_streak = 0
         th.pending_resume = None
@@ -869,11 +846,11 @@ class Engine:
         only way a record gets written inside its section: the section's
         CRIT_ENTER row goes out first."""
         start, now = th.rec_start, self.now
-        if self._section_rows:
+        if self._section:
             self._record(TraceRecord(
-                start, start, th.id, th.name, self._section_rows,
+                start, start, th.id, th.name, self._section,
                 CTL_CRIT_ENTER, 0, 0, ""))
-            self._section_rows = ""
+            self._section = ""
         if now > start:
             seg = th.seg
             if seg is _IDLE_SEGMENT and now - start > 1:
@@ -901,34 +878,11 @@ class Engine:
 
         Nothing can suspend a thread inside a section, so the record
         covers the whole segment, and nothing else was written in the
-        section: the record holds its three rows.  A service inside a
-        library section only counts depth, so its record is the segment
-        alone."""
+        section: the record holds its three rows."""
         if seg.etm == 0:
             th.token.cee_uj += seg.eem_uj
-        self._crit_depth -= 1
-        if not self._crit_depth:
-            self._crit_owner = None
         self._record(TraceRecord(
             th.rec_start, self.now, th.id, th.name, seg.context_kind._value_,
             seg.label, seg.etm, seg.eem_uj, th.rec_event._value_, 1,
-            self._section_rows))
-        self._section_rows = ""
-
-    def _crit_enter(self, thread_id: int):
-        if self.current_id != thread_id:
-            raise ProtocolError(_NOT_RUNNING)
-        self._crit_depth += 1
-        if self._crit_depth == 1:
-            self._crit_owner = thread_id
-            self._emit_control(self._table[thread_id], CTL_CRIT_ENTER)
-
-    def _crit_exit(self, thread_id: int):
-        if self._crit_depth == 0:
-            raise ProtocolError("critical section exit without entry")
-        if self._crit_owner != thread_id:
-            raise ProtocolError("critical section exit by a non-owner")
-        self._crit_depth -= 1
-        if self._crit_depth == 0:
-            self._emit_control(self._table[thread_id], CTL_CRIT_EXIT)
-            self._crit_owner = None
+            self._section))
+        self._section = None

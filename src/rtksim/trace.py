@@ -249,17 +249,33 @@ class ListSink:
 
 
 class CsvFileSink:
-    """Streams records to a CSV file as they are emitted."""
+    """Writes the records to a CSV file in ``records_to_csv``'s bytes: it
+    holds a batch of ``BATCH`` records and writes it as one chunk of
+    text when it is full, and the records it holds at ``close``."""
 
     def __init__(self, path):
         self._fh: io.TextIOBase = open(path, "w", newline="\n")
-        self._fh.write(CSV_HEADER + "\n")
+        self._caches = {}, {}, {}
+        self._lines = [CSV_HEADER]
+        # filled in place, so a record costs no list method call
+        self._batch = [None] * BATCH
+        self._held = 0
 
     def record(self, rec: TraceRecord) -> None:
-        self._fh.write(rec.csv_row() + "\n")
+        held = self._held
+        self._batch[held] = rec
+        self._held = held = held + 1
+        if held == BATCH:
+            self._write()
+
+    def _write(self) -> None:
+        self._fh.write(_csv_chunk(self._lines, self._batch[:self._held],
+                                  *self._caches))
+        self._lines, self._held = [], 0
 
     def close(self) -> None:
         if not self._fh.closed:
+            self._write()
             self._fh.close()
 
 
@@ -292,40 +308,46 @@ def records_to_csv(records) -> str:
     text are formatted once.  The rows are joined a batch of records at
     a time (``batches``).
     """
-    tails = {}
-    blocks = {}
-    sections = {}
+    caches = {}, {}, {}
     chunks = []
     lines = [CSV_HEADER]
-    append = lines.append
     for batch in batches(records):
-        for r in batch:
-            key = (r.thread_id, r.thread_name, r.context_kind, r.label,
-                   r.etm_ticks, r.eem_uj, r.event_kind)
-            try:
-                tail = tails[key]
-            except KeyError:
-                tail = tails[key] = _tail(*key)
-            if r.section:
-                key = (r.thread_id, r.thread_name, r.section)
-                try:
-                    enter, leave = sections[key]
-                except KeyError:
-                    enter, leave = sections[key] = (
-                        _tail(*key, CTL_CRIT_ENTER, 0, 0, ""),
-                        _tail(*key, CTL_CRIT_EXIT, 0, 0, ""))
-                start, end = r.tick_start, r.tick_end
-                append(f"{start},{start},{enter}\n{start},{end},{tail}\n"
-                       f"{end},{end},{leave}")
-            elif r.repeat == 1:
-                append(f"{r.tick_start},{r.tick_end},{tail}")
-            else:
-                _extend_rows(lines, r, tail, blocks)
-        append("")
-        chunks.append("\n".join(lines))
+        chunks.append(_csv_chunk(lines, batch, *caches))
         lines = []
-        append = lines.append
     return "".join(chunks)
+
+
+def _csv_chunk(lines: list, batch, tails: dict, blocks: dict,
+               sections: dict) -> str:
+    """``lines`` and the CSV lines of ``batch``'s records after them,
+    joined into one chunk with each line ended by a newline.  ``tails``,
+    ``blocks`` and ``sections`` cache a combination's text across the
+    batches of one trace."""
+    append = lines.append
+    for r in batch:
+        key = (r.thread_id, r.thread_name, r.context_kind, r.label,
+               r.etm_ticks, r.eem_uj, r.event_kind)
+        try:
+            tail = tails[key]
+        except KeyError:
+            tail = tails[key] = _tail(*key)
+        if r.section:
+            key = (r.thread_id, r.thread_name, r.section)
+            try:
+                enter, leave = sections[key]
+            except KeyError:
+                enter, leave = sections[key] = (
+                    _tail(*key, CTL_CRIT_ENTER, 0, 0, ""),
+                    _tail(*key, CTL_CRIT_EXIT, 0, 0, ""))
+            start, end = r.tick_start, r.tick_end
+            append(f"{start},{start},{enter}\n{start},{end},{tail}\n"
+                   f"{end},{end},{leave}")
+        elif r.repeat == 1:
+            append(f"{r.tick_start},{r.tick_end},{tail}")
+        else:
+            _extend_rows(lines, r, tail, blocks)
+    append("")
+    return "\n".join(lines)
 
 
 def check_claims(records, length: int) -> None:

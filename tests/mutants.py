@@ -204,31 +204,28 @@ MUTANTS = (
      "                here = path + (text,)\n"),
     # -- each service's critical section run by the engine, one record
     ("gate-preempts-inside-a-section", ACCEPTANCE, ENGINE,
-     ("            if cur is None or self._crit_depth == 0 and (\n",
-      "            if self._crit_depth == 0 and self._ready_bits"
-      " & th.outranked_by:\n"),
-     ("            if cur is None or (\n",
-      "            if self._ready_bits & th.outranked_by:\n")),
+     "            if cur is None or self._section is None and (\n",
+     "            if cur is None or (\n"),
     ("section-exit-row-at-the-start-tick", SECTIONS_T, TRACE,
-     "\n                       f\"{end},{end},{leave}\")\n",
-     "\n                       f\"{start},{start},{leave}\")\n"),
+     "\n                   f\"{end},{end},{leave}\")\n",
+     "\n                   f\"{start},{start},{leave}\")\n"),
     ("finish-drops-an-open-sections-enter-row", SECTIONS_T, ENGINE,
-     "        if self._section_rows:\n",
+     "        if self._section:\n",
      "        if False:\n"),
     ("service-of-a-caller-not-running-not-refused", SECTIONS_T, KERNEL,
      "        if self.engine.current_id != api.thread_id:\n",
      "        if False:\n"),
-    ("service-in-a-library-section-writes-its-rows", SECTIONS_T, ENGINE,
-     "                if not self._crit_depth:\n"
-     "                    self._crit_owner = th.id\n",
-     "                if True:\n"
-     "                    self._crit_owner = th.id\n"),
+    ("section-never-closes", SECTIONS_T, ENGINE,
+     "            self._section))\n"
+     "        self._section = None\n",
+     "            self._section))\n"
+     "        self._section = \"\"\n"),
     # -- the trace CSV and the SVG Gantt rendered a batch of records at a time
     ("csv-chunks-joined-without-newline", RENDER_T, TRACE,
-     ("        append(\"\")\n"
-      "        chunks.append(\"\\n\".join(lines))\n",
+     ("    append(\"\")\n"
+      "    return \"\\n\".join(lines)\n",
       "    return \"\".join(chunks)\n"),
-     ("        chunks.append(\"\\n\".join(lines))\n",
+     ("    return \"\\n\".join(lines)\n",
       "    return \"\".join(chunks) + \"\\n\"\n")),
     ("last-partial-batch-dropped", RENDER_T, TRACE,
      "        yield batch\n"
@@ -239,9 +236,24 @@ MUTANTS = (
      "        yield batch\n"),
     ("csv-header-repeated-per-batch", RENDER_T, TRACE,
      "        lines = []\n"
-     "        append = lines.append\n",
+     "    return \"\".join(chunks)\n",
      "        lines = [CSV_HEADER]\n"
-     "        append = lines.append\n"),
+     "    return \"\".join(chunks)\n"),
+    # -- CsvFileSink writing records_to_csv's chunk a batch at a time
+    ("sink-header-repeated-per-batch", SECTIONS_T, TRACE,
+     "        self._lines, self._held = [], 0\n",
+     "        self._lines, self._held = [CSV_HEADER], 0\n"),
+    ("sink-drops-the-records-it-holds-at-close", TRACE_T, TRACE,
+     "        if not self._fh.closed:\n"
+     "            self._write()\n",
+     "        if not self._fh.closed:\n"),
+    ("sink-formats-each-record-on-its-own", BENCH_CALLS, TRACE,
+     "        held = self._held\n"
+     "        self._batch[held] = rec\n"
+     "        self._held = held = held + 1\n"
+     "        if held == BATCH:\n"
+     "            self._write()\n",
+     "        self._fh.write(rec.csv_row() + \"\\n\")\n"),
 )
 
 

@@ -52,6 +52,10 @@ as one record, with no ``_crit_enter`` or ``_crit_exit`` call and two
 records fewer, brought steady from 24.6 to 22.2 and wide from 34.4 to
 30.3 (sparse 0.129 to 0.120).  Their limits of 23 and 31 trip if the
 service frames call into the engine for their sections again.
+``CsvFileSink`` holding a batch of records and writing it as the chunk
+``records_to_csv`` renders, not a ``csv_row`` line per record, brought
+it from 15.6 calls per record on steady to 2.1; the renderers' limit
+of 3 trips if it goes back to a call or two per record.
 
 The calls are summed over the profiler's entries, one per code object.
 pstats keys its table by file, line and name, and every dataclass
@@ -73,7 +77,7 @@ from rtksim import scenario
 from rtksim.gantt import render_svg_gantt
 from rtksim.report import build_report, render_text, usage_from_records
 from rtksim.scenario import build_kernel, parse_scenario_text
-from rtksim.trace import ListSink, records_to_csv
+from rtksim.trace import CsvFileSink, ListSink, records_to_csv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 1
@@ -111,6 +115,19 @@ def test_run_phase_calls_per_tick(name, limit):
     assert per_tick <= limit, f"{name}: {per_tick:.1f} calls per tick"
 
 
+def _run(name):
+    """The scenario, the kernel and the trace records of a run of
+    workload ``name`` into a ``ListSink``."""
+    scn = parse_scenario_text(workloads.generate(name, SEED), f"{name}.yaml")
+    kernel = build_kernel(scn)
+    sink = ListSink()
+    kernel.attach_sinks(trace_sink=sink)
+    kernel.boot()
+    kernel.run(scn.run_ticks)
+    kernel.finish()
+    return scn, kernel, sink.records
+
+
 @pytest.mark.parametrize("name, limit", [("steady", 3)])
 def test_artifact_calls_per_record(name, limit):
     """The record-walking renderers, as the CLI runs them for ``steady``'s
@@ -119,14 +136,8 @@ def test_artifact_calls_per_record(name, limit):
     without a dict method call per record and checking claims without the
     per-tick vector brought them from 11.3 to 1.7 calls per record, so a
     renderer that goes back to a call or two per record trips the limit."""
-    scn = parse_scenario_text(workloads.generate(name, SEED), f"{name}.yaml")
-    kernel = build_kernel(scn)
-    sink = ListSink()
-    kernel.attach_sinks(trace_sink=sink)
-    kernel.boot()
-    kernel.run(scn.run_ticks)
-    kernel.finish()
-    records, elapsed = sink.records, kernel.engine.now
+    scn, kernel, records = _run(name)
+    elapsed = kernel.engine.now
     profile = cProfile.Profile()
     profile.enable()
     records_to_csv(records)
@@ -140,21 +151,33 @@ def test_artifact_calls_per_record(name, limit):
     assert per_record <= limit, f"{name}: {per_record:.1f} calls per record"
 
 
+@pytest.mark.parametrize("name, limit", [("steady", 3)])
+def test_csv_file_sink_calls_per_record(name, limit, tmp_path):
+    """``CsvFileSink`` taking ``steady``'s trace record by record, as the
+    engine hands it over, and closing, bounded per record by the
+    renderers' limit."""
+    _scn, _kernel, records = _run(name)
+    sink = CsvFileSink(tmp_path / "trace.csv")
+    record = sink.record
+    profile = cProfile.Profile()
+    profile.enable()
+    for r in records:
+        record(r)
+    sink.close()
+    profile.disable()
+    calls = sum(entry.callcount for entry in profile.getstats())
+    per_record = calls / len(records)
+    assert per_record <= limit, f"{name}: {per_record:.1f} calls per record"
+
+
 def test_csv_of_a_coasted_window_holds_no_string_per_row():
     """``sparse``'s trace is mostly coasted idle stretches, each two
     records; rendering them is bounded by the peak memory the render
     takes beside its own text."""
-    scn = parse_scenario_text(workloads.generate("sparse", SEED),
-                              "sparse.yaml")
-    kernel = build_kernel(scn)
-    sink = ListSink()
-    kernel.attach_sinks(trace_sink=sink)
-    kernel.boot()
-    kernel.run(scn.run_ticks)
-    kernel.finish()
+    _scn, _kernel, records = _run("sparse")
     tracemalloc.start()
     try:
-        text = records_to_csv(sink.records)
+        text = records_to_csv(records)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

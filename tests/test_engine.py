@@ -581,15 +581,6 @@ def test_handler_cannot_exit():
         _run_one_activation(handler)
 
 
-def test_handler_cannot_return_inside_a_critical_section():
-    def handler(api):
-        api.begin_critical()
-        yield from api.wait(Annotation("isr", 1, 0), ContextKind.ISR)
-
-    with pytest.raises(ProtocolError, match="critical section"):
-        _run_one_activation(handler)
-
-
 def test_empty_scheduler_is_an_error():
     def body(api):
         yield from api.exit()
@@ -816,9 +807,8 @@ def _coast_system():
     3 on its last), a 3-tick one in a critical section, then idle."""
     def body(api):
         yield from api.wait(Annotation("long", 10, 23))
-        api.begin_critical()
-        yield from api.wait(Annotation("locked", 3, 5), ContextKind.SVC)
-        api.end_critical()
+        yield engine._WaitRequest(Annotation("locked", 3, 5), ContextKind.SVC,
+                                  critical=True)
         yield from api.exit()
 
     t = task(1, "A", 5, body)

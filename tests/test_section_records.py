@@ -5,8 +5,8 @@ SVC segment and its ``CRIT_EXIT`` row, as one record, and expands it to
 those three rows wherever the trace is read.  Each test here pins the
 CSV text of one edge of that record, the text the engine wrote when each
 row was a record of its own: a window that ends inside the segment, a
-run error inside it, a service inside a library section, a free
-service, a handler's service and a refused caller.
+run error inside it, a free service, a handler's service and a refused
+caller.
 """
 
 import sys
@@ -186,62 +186,6 @@ def test_a_stimulus_error_inside_the_service_segment():
     assert k.engine.now == 3 and k.engine.critical_depth() == 1
     k.finish()
     assert csv_of(sink.records) == STIMULUS_ERROR
-
-
-# W waits on semaphore 1.  T opens a library section and signals W in
-# it: the service only counts depth, the library section writes the
-# rows, and W is dispatched once the section closes
-NESTED = """\
-tick_start,tick_end,thread_id,thread_name,context_kind,label,etm_ticks,eem_mJ,event_kind
-0,0,2,W,STARTUP,DISPATCH,0,0,STARTUP
-0,0,2,W,TASK,CRIT_ENTER,0,0,
-0,2,2,W,SVC,svc,2,0.003,STARTUP
-2,2,2,W,TASK,CRIT_EXIT,0,0,
-2,2,2,W,TASK,BLOCK,0,0,
-2,2,1,T,STARTUP,DISPATCH,0,0,STARTUP
-2,2,1,T,TASK,CRIT_ENTER,0,0,
-2,3,1,T,TASK,in,1,0,STARTUP
-3,5,1,T,SVC,svc,2,0.003,CONTINUE_RUN
-5,6,1,T,TASK,in,1,0,CONTINUE_RUN
-6,6,1,T,TASK,CRIT_EXIT,0,0,
-6,6,1,T,TASK,PREEMPT,0,0,RETURN_FROM_PREEMPTION
-6,6,2,W,TASK,DISPATCH,0,0,SLEEP_ARRIVAL
-6,6,2,W,TASK,EXIT,0,0,
-6,6,1,T,TASK,DISPATCH,0,0,RETURN_FROM_PREEMPTION
-6,7,1,T,TASK,out,1,0,RETURN_FROM_PREEMPTION
-7,7,1,T,TASK,EXIT,0,0,
-7,7,3,IDLE,STARTUP,DISPATCH,0,0,STARTUP
-7,8,3,IDLE,IDLE,idle,1,0,STARTUP
-8,9,3,IDLE,IDLE,idle,1,0,CONTINUE_RUN
-"""
-
-
-def test_a_service_inside_a_library_section():
-    k, sink = mk(svc_etm=2, svc_eem_uj=3)
-    k.declare_semaphore(1, 0)
-    depths = []
-
-    def body(ctx):
-        ctx.api.begin_critical()
-        yield from compute(ctx, "in", 1)
-        yield from ctx.kernel.sem_signal(ctx.api, 1)
-        depths.append(ctx.kernel.engine.critical_depth())
-        yield from compute(ctx, "in", 1)
-        ctx.api.end_critical()
-        yield from compute(ctx, "out", 1)
-
-    def waiter(ctx):
-        yield from ctx.kernel.sem_wait(ctx.api, 1)
-
-    k.declare_task(1, "T", 5, body)
-    k.declare_task(2, "W", 3, waiter)
-    k.boot()
-    k.run(9)
-    k.finish()
-    assert depths == [1]
-    assert csv_of(sink.records) == NESTED
-    # W's own service is one record; T's, in T's library section, is not
-    assert [r.thread_id for r in sink.records if r.section] == [2]
 
 
 # a service of cost 0: its section is one record at a single tick, and
