@@ -116,7 +116,6 @@ from .trace import (
 )
 
 _ZERO_TIME_STEP_LIMIT = 1_000_000
-_NOT_RUNNING = "critical section entered by a non-running thread"
 # the ticks left of the idle segment: an int that no run can count down,
 # so every tick charged to it stays integer arithmetic
 _ENDLESS = sys.maxsize
@@ -500,10 +499,6 @@ class Engine:
             self._dequeue(th)
             th.current_priority = priority
             self._enqueue(th)
-
-    def critical_depth(self) -> int:
-        """1 while a service's critical section is open, else 0."""
-        return 0 if self._section is None else 1
 
     def waiting_threads(self):
         return [

@@ -75,7 +75,6 @@ from .engine import (
     ThreadKind,
     ThreadState,
     _BlockRequest,
-    _NOT_RUNNING,
     _WaitRequest,
     idle_body,
 )
@@ -126,6 +125,10 @@ class SvcResult:
 # the result of every service that has no value: building a frozen
 # SvcResult costs about a microsecond, and nothing can change this one
 _OK = SvcResult(RESULT_OK)
+
+# refused before the section opens: a service called through the api of
+# a thread that is not the running one
+_NOT_RUNNING = "critical section entered by a non-running thread"
 
 
 class CallContext:

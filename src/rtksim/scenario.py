@@ -4,7 +4,11 @@ A scenario is one YAML document that fully determines a run: timing
 constants, the thread roster with behavior programs, kernel objects,
 devices, scripted stimuli, run length, and the battery.  Validation
 reports every problem it can find in one pass, each tagged with the
-source line, so a broken file is fixed in one round.
+source line, so a broken file is fixed in one round.  The file is
+written in a strict subset of YAML, which `_walk` reads from the
+composed node tree: sequences, mappings with scalar keys, and strings,
+nulls, booleans, integers and floats.  A merge key, a collection as a
+key, a date, bytes, a set or any other tag is refused at its line.
 
 The file itself is one `schema._Kind`, `_SCENARIO`, with a row per
 top-level key, and so is each kind of section entry (a task, each
@@ -133,7 +137,7 @@ class _PureLoader(yaml.SafeLoader):
     walks them all at each token, so it is quadratic in flow nesting
     (0.8 s for 1000 levels, 1.4 s for 30000).  The k-th nested bracket
     opens a node at depth k - 1 or deeper, unless it sits in a mapping
-    key, which construction refuses; so a text that nests more than
+    key, which the walk refuses; so a text that nests more than
     ``_NODE_DEPTH_LIMIT + 1`` is refused anyway, and the scan stops at
     the bracket that would open one more.
     """
@@ -144,20 +148,9 @@ class _PureLoader(yaml.SafeLoader):
         super().fetch_flow_collection_start(TokenClass)
 
 
-# YAML 1.1 resolves a plain `=` to its value tag, which PyYAML's safe
-# loaders cannot construct; it reads as the string "=", as it does as a key.
-_VALUE = "tag:yaml.org,2002:value"
-_PureLoader.add_constructor(_VALUE, yaml.SafeLoader.construct_yaml_str)
-
 # PyYAML's libyaml binding when it was built with one; both loaders build
 # the same node tree with the same line marks.
-if hasattr(yaml, "CSafeLoader"):
-    class _Loader(yaml.CSafeLoader):
-        """libyaml's safe loader, with `=` read as a string."""
-
-    _Loader.add_constructor(_VALUE, yaml.CSafeLoader.construct_yaml_str)
-else:
-    _Loader = _PureLoader
+_Loader = getattr(yaml, "CSafeLoader", _PureLoader)
 
 # libyaml composes nested collections by C recursion, which overflows an
 # 8 MiB stack at about 24k levels and kills the process.  A block level
@@ -193,41 +186,58 @@ def _yaml_problem(text: str, exc) -> tuple:
 
 _TAG = "tag:yaml.org,2002:"
 _STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
-_SCALARS = {_TAG + t for t in ("null", "bool", "int", "float", "binary",
-                                "timestamp", "value")}
+# the builder of each scalar tag of the subset but `!!str`; a plain `=`,
+# YAML 1.1's value tag, reads as the string
+_SCALARS = {_TAG + t: getattr(yaml.SafeLoader, "construct_yaml_" + t)
+            for t in ("null", "bool", "int", "float")}
+_SCALARS[_TAG + "value"] = yaml.SafeLoader.construct_yaml_str
+_REFUSED = object()     # in the place of a refused node's data
 
 
 def _walk(loader, root, problems, lines=None):
-    """The data PyYAML constructs from the node tree at `root`, built in
-    one walk that makes the checks too: a node deeper than
+    """The data of the node tree at `root`, built in one walk that makes
+    the checks too, or None if the tree has a node outside the subset of
+    YAML that a scenario is written in.
+
+    The subset is sequences, mappings whose keys are scalars, and
+    scalars that are strings (a plain `=` too), nulls, booleans, integers
+    and floats, each untagged or tagged with its own tag; `loader` lends
+    PyYAML's builder of each scalar tag its settings.  Each other node is
+    refused as a problem at its own path: a merge key `<<`, a collection
+    as a key, a collection tagged other than `!!seq` or `!!map` (`!!set`,
+    `!!omap`, a local tag), a scalar tagged `!!timestamp`, `!!binary` or
+    no scalar tag of the subset, and a scalar its tag's builder refuses
+    (`!!int five`).  A refused collection's items are not read; a refused
+    key's value is, at the key's path: its mapping's path and `("key",
+    i)`, for the mapping's i-th pair.  A node deeper than
     `_NODE_DEPTH_LIMIT` raises RecursionError, and a node met again (an
     alias) or a key equal, as constructed, to one before it in its
     mapping (`1` and `01`, `true` and `yes`) is a problem at its path,
     which holds each key as constructed; the n-th repeat of a key in a
     mapping is a problem at the key's path and `("repeat", n)`.  `lines`
-    gets each path's line: a repeated key's path that of its last
-    repeat, whose value the data holds, and each repeat's its own.  A
-    tree with a node the walk does not build (a merge key, `!!set`, a
-    collection as a key) or a scalar its tag refuses goes to the library
-    whole once checked: a merge rewrites its node, and the error the
-    library meets first depends on the whole tree."""
-    ctors, built, whole = loader.yaml_constructors, {}, False
+    gets each path's line: a repeated key's path that of its last repeat,
+    whose value the data holds, and each repeat's its own."""
+    built, refused = {}, []
 
-    def construct(node, otherwise=None):
-        # the scalar's value by its tag, or `otherwise` if the library is to
-        # build the tree and report what it refuses
-        nonlocal whole
-        if node.tag in _SCALARS:
-            try:
-                return ctors[node.tag](loader, node)
-            except (yaml.MarkedYAMLError, ValueError, LookupError,
-                    AttributeError):
-                pass
-        whole = True
-        return otherwise
+    def refuse(path, message):
+        refused.append(path)
+        problems.append((path, message))
+        return _REFUSED
+
+    def scalar(node, path):
+        # the value of a node that is no `!!str` scalar, `!!seq` sequence
+        # or `!!map` mapping: a scalar of another tag of the subset
+        build = node.id == "scalar" and _SCALARS.get(node.tag)
+        if not build:
+            return refuse(path, f"tag {node.tag.replace(_TAG, '!!')} "
+                                "is not supported")
+        try:
+            return build(loader, node)
+        except (yaml.MarkedYAMLError, ValueError, LookupError, AttributeError):
+            return refuse(path, f"'{node.value}' is not a valid "
+                                f"{node.tag[len(_TAG):]}")
 
     def walk(node, path):
-        nonlocal whole
         if len(path) > _NODE_DEPTH_LIMIT:
             raise RecursionError  # reported like the loaders' own: nested too deeply
         if node in built:
@@ -237,24 +247,27 @@ def _walk(loader, root, problems, lines=None):
         if lines is not None:
             lines.setdefault(path, node.start_mark.line + 1)
         tag, value = node.tag, node.value
-        if node.id == "scalar":
-            data = built[node] = value if tag == _STR else construct(node)
-        elif node.id == "sequence":
-            whole |= tag != _SEQ
+        if tag == _STR and node.id == "scalar":
+            data = built[node] = value
+        elif tag == _SEQ and node.id == "sequence":
             data = built[node] = []
             for i, item in enumerate(value):
                 data.append(walk(item, path + (i,)))
-        else:
-            whole |= tag != _MAP
+        elif tag == _MAP and node.id == "mapping":
             data = built[node] = {}
             repeats = 0
-            for key_node, item in value:
-                if key_node.id != "scalar":
-                    whole = True  # unhashable, or built by its tag
-                    continue
+            for i, (key_node, item) in enumerate(value):
                 key = text = key_node.value
-                if key_node.tag != _STR:
-                    key = construct(key_node, text)
+                if key_node.tag != _STR or key_node.id != "scalar":
+                    at = ("key", i)     # the key if refused: unique in the mapping
+                    if key_node.id != "scalar":
+                        key = refuse(path + (at,), "a key must be a scalar")
+                    elif key_node.tag == _TAG + "merge":
+                        key = refuse(path + (at,), "merge keys are not supported")
+                    else:
+                        key = scalar(key_node, path + (at,))
+                    if key is _REFUSED:
+                        key = at
                 here = path + (key,)
                 if key in data:
                     repeats += 1
@@ -265,32 +278,29 @@ def _walk(loader, root, problems, lines=None):
                 if lines is not None:
                     lines[here] = key_node.start_mark.line + 1
                 data[key] = walk(item, here)
+        else:
+            data = built[node] = scalar(node, path)
         return data
 
     data = walk(root, ())
-    if not whole:
-        return data
-    try:
-        return loader.construct_document(root)
-    except (ValueError, LookupError, AttributeError) as exc:
-        # a scalar its tag's constructor rejects (`2001-13-45`, `!!int x`);
-        # the constructor leaves the node it failed on last in this dict
-        failed = next(reversed(loader.recursive_objects), root)
-        raise yaml.constructor.ConstructorError(
-            None, None, f"cannot construct {failed.tag}: {exc}",
-            failed.start_mark) from None
+    return None if refused else data
 
 
 class _Source:
     """A YAML text's data, built and checked by one `_walk`, and the
-    problems found in it.  A path's line is looked up only to report a
-    problem: the first `locate` composes and walks the text again."""
+    problems found in it.  A text with a node outside the subset is
+    refused with the walk's problems alone: its data lacks what was
+    refused, so no field of it is checked.  A path's line is looked up
+    only to report a problem: the first `locate` composes and walks the
+    text again."""
 
     def __init__(self, text: str, filename: str):
         self.text, self.filename = text, filename
         self.problems: list = []
         self.lines = None       # path -> line, once a problem is located
         self.data = self._load(self.problems)
+        if self.data is None:
+            self.raise_if_failed()  # a node refused; an empty text has none
 
     def _load(self, problems, lines=None):
         loader_cls = (_Loader if _depth_bound(self.text) < _C_DEPTH_LIMIT

@@ -191,7 +191,7 @@ MUTANTS = (
      "th.seg_left = req.etm"),
     # -- the scenario's data built in one walk of the YAML node tree
     ("walk-reads-every-scalar-as-its-text", ACCEPTANCE, SCENARIO,
-     "            data = built[node] = value if tag == _STR else construct(node)\n",
+     "            data = built[node] = scalar(node, path)\n",
      "            data = built[node] = value\n"),
     ("walk-without-duplicate-key-check", SCENARIO_T, SCENARIO,
      "                if key in data:\n",
@@ -202,6 +202,14 @@ MUTANTS = (
     ("walk-paths-hold-key-text", SCENARIO_T, SCENARIO,
      "                here = path + (key,)\n",
      "                here = path + (text,)\n"),
+    # -- a scenario read as a strict YAML subset, each refusal at its node
+    ("walk-accepts-a-merge-key", SCENARIO_T, SCENARIO,
+     "                if key_node.tag != _STR or key_node.id != \"scalar\":\n",
+     "                if key_node.tag not in (_STR, _TAG + \"merge\")"
+     " or key_node.id != \"scalar\":\n"),
+    ("refusal-at-the-parents-path", SCENARIO_T, SCENARIO,
+     "        problems.append((path, message))\n",
+     "        problems.append((path[:-1], message))\n"),
     # -- each service's critical section run by the engine, one record
     ("gate-preempts-inside-a-section", ACCEPTANCE, ENGINE,
      "            if cur is None or self._section is None and (\n",

@@ -113,6 +113,15 @@ def test_invalid_scenario_lists_problems(tmp_path, capsys):
     assert "bad.yaml:1" in err
 
 
+def test_a_merge_key_is_a_located_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "merge.yaml",
+                 DEADLOCKED.replace("run_ticks: 20\n", "<<: {run_ticks: 20}\n"))
+    assert main(["run", path]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"{path}:1: merge keys are not supported" in err
+    assert "Traceback" not in err and "missing" not in err
+
+
 @pytest.mark.parametrize("argv_extra,fragment", [
     (["--until", "0"], "--until must be >= 1"),
     (["--steps", "5"], "--steps only applies"),

@@ -848,7 +848,7 @@ def test_a_coast_ends_with_the_segment_and_charges_its_remainder():
     assert (eng.now, t.token.cet, t.token.cee_uj) == (10, 10, 23)
     assert eng.coast(100) == 0         # the body must be resumed next
     eng.run_one_tick()                 # enters the critical section
-    assert eng.critical_depth() == 1
+    assert eng._section is not None
     assert eng.coast(100) == 2
     assert (t.svc_ticks, t.max_streak) == (3, 13)
 

@@ -291,7 +291,7 @@ def refused_at_first_activation(k, sink, reason):
         k.run(30)
     assert (k.engine.now, k.engine.current_id) == (5, 1)
     assert [r.label for r in sink.records if r.thread_id == 1] == ["INT_ENTER"]
-    assert k.engine.critical_depth() == 0
+    assert k.engine._section is None
 
 
 @pytest.mark.parametrize("service, reason", [
@@ -1184,15 +1184,15 @@ def test_failed_task_service_closes_its_critical_section(service, target, error)
             yield from getattr(ctx.kernel, service)(ctx.api, target)
         except SimError as exc:
             out["error"] = type(exc)
-        out["depth"] = ctx.kernel.engine.critical_depth()
+        out["section"] = ctx.kernel.engine._section
         yield from compute(ctx, "after", 2)
 
     k.declare_task(1, "T", 5, body)
     k.declare_alarm(2, "ALM", 100, handler_burner(1))
     k.boot()
     k.run(10)
-    assert out == {"error": error, "depth": 0}
-    assert k.engine.critical_depth() == 0
+    assert out == {"error": error, "section": None}
+    assert k.engine._section is None
     th = k.engine.thread(1)
     assert th.state is ThreadState.DORMANT and th.token.cet == 3
 
@@ -1210,14 +1210,14 @@ def test_a_service_called_through_a_thread_that_is_not_running_is_refused():
             yield from ctx.kernel.sem_signal(other, 1)
         except ProtocolError as exc:
             out["error"] = str(exc)
-        out["depth"] = ctx.kernel.engine.critical_depth()
+        out["section"] = ctx.kernel.engine._section
 
     k.declare_task(1, "T", 5, body)
     k.declare_task(2, "U", 6, lambda ctx: compute(ctx, "u", 1))
     k.boot()
     k.run(3)
     assert out == {"error": "critical section entered by a non-running thread",
-                   "depth": 0}
+                   "section": None}
     assert not any(r.label == "CRIT_ENTER" for r in rows(sink.records))
     assert k.engine.thread(1).token.cet == 0
     assert k.semaphores[1].count == 0
@@ -1748,7 +1748,7 @@ def _coast_log(k):
     coast = k.engine.coast
 
     def logged(limit):
-        depth = k.engine.critical_depth()
+        depth = 0 if k.engine._section is None else 1
         n = coast(limit)
         log.append((depth, n))
         return n

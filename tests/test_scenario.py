@@ -77,24 +77,29 @@ def test_broken_yaml_reports_the_parser_error():
         parse_scenario_text("tasks: [\n")
 
 
-@pytest.mark.parametrize("text,line,fragment", [
-    ("tasks: [\n", 2, "while parsing a flow node"),
-    ("run_ticks: 5\nname: a\x07\n", 2, "unacceptable character #x0007"),
-    ("run_ticks: 5\n\nname: \x00\n", 3, "unacceptable character #x0000"),
-    ("run_ticks: 5\nname: x\ud800\n", 2, "unacceptable character #xd800"),
-    ("run_ticks: 5\nname: 2001-13-45\n", 2, "month must be in 1..12"),
-    ("run_ticks: !!int five\n", 1, "cannot construct tag:yaml.org,2002:int"),
-    ("- " * 1500 + "1\n", 1, "nested too deeply"),
-    ("- " * 30000 + "1\n", 1, "nested too deeply"),  # libyaml's stack: 24k
-    ("a: " + "[" * 600 + "]" * 600 + "\n", 1, "nested too deeply"),
+@pytest.mark.parametrize("text,line,start", [
+    ("tasks: [\n", 2, "not valid YAML: while parsing a flow node"),
+    ("run_ticks: 5\nname: a\x07\n", 2,
+     "not valid YAML: unacceptable character #x0007"),
+    ("run_ticks: 5\n\nname: \x00\n", 3,
+     "not valid YAML: unacceptable character #x0000"),
+    ("run_ticks: 5\nname: x\ud800\n", 2,
+     "not valid YAML: unacceptable character #xd800"),
+    # outside the subset: no field takes a date, and `five` is no int
+    ("run_ticks: 5\nname: 2001-13-45\n", 2, "tag !!timestamp is not supported"),
+    ("run_ticks: !!int five\n", 1, "'five' is not a valid int"),
+    ("- " * 1500 + "1\n", 1, "not valid YAML: nested too deeply"),
+    ("- " * 30000 + "1\n", 1,  # libyaml's stack: 24k
+     "not valid YAML: nested too deeply"),
+    ("a: " + "[" * 600 + "]" * 600 + "\n", 1, "not valid YAML: nested too deeply"),
 ], ids=["flow", "bel", "nul", "surrogate", "date", "int", "deep", "deeper",
         "flow-deep"])
-def test_yaml_errors_name_the_file_once_at_their_line(text, line, fragment):
+def test_yaml_errors_name_the_file_once_at_their_line(text, line, start):
     with pytest.raises(ScenarioError) as ei:
         parse_scenario_text(text, filename="scn.yaml")
     [(loc, msg)] = problems_of(ei)
     assert loc == f"scn.yaml:{line}"
-    assert msg.startswith("not valid YAML: ") and fragment in msg
+    assert msg.startswith(start)
     # the location is ours alone: no "in <unicode string>, line L" tail
     assert str(ei.value).count("scn.yaml") == 1 and "line" not in msg
 
@@ -679,8 +684,7 @@ def test_one_of_spells_every_count_of_values():
 def test_collection_as_mapping_key_is_a_parse_error():
     with pytest.raises(ScenarioError) as ei:
         parse_scenario_text("run_ticks: 5\n? [a]\n: 1\n", filename="scn.yaml")
-    [(loc, msg)] = problems_of(ei)
-    assert loc == "scn.yaml:2" and "found unhashable key" in msg
+    assert problems_of(ei) == [("scn.yaml:2", "a key must be a scalar")]
 
 
 # ----------------------------------------------------------------------
@@ -704,7 +708,7 @@ EDGE_TEXTS = [
     "a:\n\tb: 1\n",                                     # tab indent
     "run_ticks: 5\n? [a]\n: 1\n",                       # unhashable key
     "<<: {<<: 1}\n<<: 1\n",                             # a merge in a merge
-    "a: [2001-13-45]\nb: !!int x\n",                    # PyYAML's first error
+    "a: [2001-13-45]\nb: !!int x\n",                    # two refused scalars
     "1: a\n'1': b\n",                                   # one text, two keys
     "a: 1\n=: 1\n",                                     # a value key
     "run_ticks: 5\nname: a\x07\n",                      # control characters
@@ -812,7 +816,49 @@ def test_a_plain_equals_sign_is_a_string(loader):
     [(loc, msg)] = problems_of(ei)
     assert loc == "scn.yaml:10" and "constructor" not in msg
     # PyYAML's own loaders are left as they were
-    assert "tag:yaml.org,2002:value" not in yaml.SafeLoader.yaml_constructors
+    for cls in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        assert "tag:yaml.org,2002:value" not in cls.yaml_constructors
+
+
+# each node outside the subset, as an entry of a mapping whose field is
+# `{key}`, and its one problem
+_REFUSALS = [
+    ("<<: {{{key}: 5}}", "merge keys are not supported"),
+    ("{key}: !!set {{5}}", "tag !!set is not supported"),
+    ("{key}: !!omap [{{a: 5}}]", "tag !!omap is not supported"),
+    ("? [{key}]\n: 5", "a key must be a scalar"),
+    ("{{{key}: 1}}: 5", "a key must be a scalar"),
+    ("{key}: !foo 5", "tag !foo is not supported"),
+    ("{key}: 2001-01-01", "tag !!timestamp is not supported"),
+    ("{key}: !!binary aGk=", "tag !!binary is not supported"),
+    ("{key}: !!int five", "'five' is not a valid int"),
+    ("{key}: !!bool maybe", "'maybe' is not a valid bool"),
+]
+_REFUSAL_IDS = ["merge", "set", "omap", "seq-key", "map-key", "local-tag",
+                "date", "binary", "int", "bool"]
+
+
+def _refused(loader, text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_Loader", loader)
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario_text(text, filename="scn.yaml")
+    return problems_of(ei)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("entry, message", _REFUSALS, ids=_REFUSAL_IDS)
+def test_a_node_outside_the_subset_is_one_problem_at_its_line(
+        loader, entry, message):
+    # at the top level, in the place of run_ticks (line 9, the file's
+    # mapping starting at line 1): not also missing or of the wrong type
+    top = MINIMAL.replace("run_ticks: 5\n", "") + entry.format(key="run_ticks")
+    assert _refused(loader, top + "\n") == [("scn.yaml:9", message)]
+    # in a task's behavior, as a delay's ticks (line 11, the statement
+    # starting at line 10)
+    nested = MINIMAL + "      - call: delay\n        " + entry.format(
+        key="ticks").replace("\n", "\n        ")
+    assert _refused(loader, nested + "\n") == [("scn.yaml:11", message)]
 
 
 _KEYS = ["run_ticks", "name", "tick_us", "tasks", "id", "priority",
@@ -837,7 +883,7 @@ _SCENARIO_SHAPED = st.lists(
 # ----------------------------------------------------------------------
 # the one walk of the node tree against the loader it replaced
 
-def _index_node(loader, node, path, lines, problems, seen):
+def _index_node(loader, node, path, lines, problems, seen, refused):
     if len(path) > scenario._NODE_DEPTH_LIMIT:
         raise RecursionError
     if id(node) in seen:
@@ -845,10 +891,26 @@ def _index_node(loader, node, path, lines, problems, seen):
         return
     seen.add(id(node))
     lines.setdefault(path, node.start_mark.line + 1)
-    if isinstance(node, yaml.MappingNode):
+    why = _outside_the_subset(loader, node)
+    if why is not None:
+        refused.append((path, why))
+        problems.append((path, why))
+    elif isinstance(node, yaml.MappingNode):
         keys, repeats = set(), 0
-        for k_node, v_node in node.value:
-            if not isinstance(k_node, yaml.ScalarNode):
+        for i, (k_node, v_node) in enumerate(node.value):
+            if isinstance(k_node, yaml.ScalarNode):
+                why = ("merge keys are not supported"
+                       if k_node.tag == "tag:yaml.org,2002:merge"
+                       else _outside_the_subset(loader, k_node))
+            else:
+                why = "a key must be a scalar"
+            if why is not None:
+                # its value is read at the key's own path
+                at = path + (("key", i),)
+                lines[at] = k_node.start_mark.line + 1
+                refused.append((at, why))
+                problems.append((at, why))
+                _index_node(loader, v_node, at, lines, problems, seen, refused)
                 continue
             key, value = k_node.value, _constructed_key(loader, k_node)
             if value in keys:
@@ -859,19 +921,45 @@ def _index_node(loader, node, path, lines, problems, seen):
                 lines[again] = line
             keys.add(value)
             lines.setdefault(path + (key,), k_node.start_mark.line + 1)
-            _index_node(loader, v_node, path + (key,), lines, problems, seen)
+            _index_node(loader, v_node, path + (key,), lines, problems, seen,
+                        refused)
     elif isinstance(node, yaml.SequenceNode):
         for i, item in enumerate(node.value):
-            _index_node(loader, item, path + (i,), lines, problems, seen)
+            _index_node(loader, item, path + (i,), lines, problems, seen,
+                        refused)
+
+
+# the tags of the subset, by kind of node
+_SUBSET_TAGS = {
+    yaml.ScalarNode: {"str", "value", "null", "bool", "int", "float"},
+    yaml.SequenceNode: {"seq"},
+    yaml.MappingNode: {"map"},
+}
+
+
+def _outside_the_subset(loader, node):
+    """Why the scenario subset of YAML refuses ``node`` itself, or None:
+    a tag not of its kind, or a scalar its tag's constructor refuses."""
+    yaml_tag = node.tag.startswith("tag:yaml.org,2002:")
+    name = node.tag.rpartition(":")[2] if yaml_tag else None
+    if name not in _SUBSET_TAGS[type(node)]:
+        return f"tag {'!!' + name if yaml_tag else node.tag} is not supported"
+    if name not in ("str", "value", "seq", "map"):
+        try:
+            loader.construct_object(node, deep=True)
+        except (yaml.YAMLError, ValueError, LookupError, AttributeError):
+            return f"'{node.value}' is not a valid {name}"
+        finally:
+            loader.constructed_objects.clear()
+            loader.recursive_objects.clear()
+    return None
 
 
 def _constructed_key(loader, node):
-    """The scalar key ``node`` as PyYAML constructs it, or its text if
-    PyYAML refuses it; the loader forgets it either way."""
+    """The scalar key ``node`` as PyYAML constructs it; the loader
+    forgets it."""
     try:
         return loader.construct_object(node, deep=True)
-    except (yaml.YAMLError, ValueError, LookupError, AttributeError):
-        return node.value
     finally:
         loader.constructed_objects.clear()
         loader.recursive_objects.clear()
@@ -887,29 +975,46 @@ def _construct(loader, node):
             failed.start_mark) from None
 
 
+def _with_value_strings(loader_cls):
+    """A loader of its own on ``loader_cls`` that constructs a plain `=`
+    (YAML 1.1's value tag) as the string, as the walk reads it."""
+    ref = type("Reference" + loader_cls.__name__, (loader_cls,), {})
+    ref.add_constructor("tag:yaml.org,2002:value",
+                        yaml.SafeLoader.construct_yaml_str)
+    return ref
+
+
+_REFERENCE_LOADERS = {cls: _with_value_strings(cls)
+                      for cls in {scenario._PureLoader, scenario._Loader}}
+
+
 class _ReferenceSource(scenario._Source):
     """The naive loader the walk replaced, as the reference model: index
     every node's line under its keys' source text, with the depth, alias
     and duplicate-key checks (keys compared as PyYAML constructs them, a
     repeated key located at its own line), then let PyYAML construct the
-    document.
+    document.  A text with a node outside the scenario subset of YAML
+    is not constructed: it is refused with the index's problems, the
+    subset's refusals among them at each node's line.
     `key_texts` holds the source text of each key that is not a string."""
 
     def __init__(self, text, filename):
         self.filename, self.problems, self.lines = filename, [], {}
-        self.key_texts = set()
-        loader_cls = (scenario._Loader
-                      if scenario._depth_bound(text) < scenario._C_DEPTH_LIMIT
-                      else scenario._PureLoader)
+        self.key_texts, refused = set(), []
+        loader_cls = _REFERENCE_LOADERS[
+            scenario._Loader
+            if scenario._depth_bound(text) < scenario._C_DEPTH_LIMIT
+            else scenario._PureLoader]
         try:
             loader = loader_cls(text)
             try:
                 node = loader.get_single_node()
                 if node is not None:
                     _index_node(loader, node, (), self.lines, self.problems,
-                                set())
+                                set(), refused)
                     self.key_texts = _texts_of_keys_not_str(node)
-                self.data = None if node is None else _construct(loader, node)
+                self.data = (None if node is None or refused
+                             else _construct(loader, node))
             finally:
                 loader.dispose()
         except (yaml.MarkedYAMLError, yaml.reader.ReaderError,
@@ -918,6 +1023,8 @@ class _ReferenceSource(scenario._Source):
             raise ScenarioError(
                 [(f"{filename}:{line}", f"not valid YAML: {message}")]
             ) from None
+        if refused:
+            self.raise_if_failed()
 
 
 def _texts_of_keys_not_str(root):
@@ -1021,6 +1128,29 @@ def test_edge_texts_read_as_the_reference_reads(loader, text):
 
 
 @pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text, problems", [
+    ("base: &b {etm: 1}\nwork:\n  <<: *b\n  eem: 0\n",
+     [("scn.yaml:3", "merge keys are not supported"),
+      ("scn.yaml:3", "YAML aliases are not supported")]),
+    ("run_ticks: 5\n? [a]\n: 1\n", [("scn.yaml:2", "a key must be a scalar")]),
+    ("<<: {<<: 1}\n<<: 1\n", [("scn.yaml:1", "merge keys are not supported"),
+                              ("scn.yaml:1", "merge keys are not supported"),
+                              ("scn.yaml:2", "merge keys are not supported")]),
+    ("a: [2001-13-45]\nb: !!int x\n",
+     [("scn.yaml:1", "tag !!timestamp is not supported"),
+      ("scn.yaml:2", "'x' is not a valid int")]),
+    ("run_ticks: 5\nname: 2001-13-45\n",
+     [("scn.yaml:2", "tag !!timestamp is not supported")]),
+    ("run_ticks: !!bool maybe\n", [("scn.yaml:1", "'maybe' is not a valid bool")]),
+], ids=["merge", "unhashable-key", "merge-in-merge", "two-scalars", "date",
+        "bool"])
+def test_edge_texts_outside_the_subset_are_refused(loader, text, problems):
+    # PyYAML builds each of these, or reports only its first fault
+    assert text in EDGE_TEXTS
+    assert _refused(loader, text) == problems
+
+
+@pytest.mark.parametrize("loader", LOADERS)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(text=st.text() | _SCENARIO_SHAPED
        | _SCENARIO_SHAPED.map(lambda tail: MINIMAL + tail))
@@ -1034,7 +1164,7 @@ def test_any_text_parses_or_raises_scenario_error(loader, text):
     (MINIMAL.replace("tasks:\n", "1: x\ntasks:\n"),
      ("scn.yaml:4", "unknown key '1'")),
     (MINIMAL + "name: a\non_deadlock: report\n2001-01-01: 1\n",
-     ("scn.yaml:12", "unknown key '2001-01-01'")),
+     ("scn.yaml:12", "tag !!timestamp is not supported")),
     (MINIMAL + "name: a\non_deadlock: report\n1.5: 1\n",
      ("scn.yaml:12", "unknown key '1.5'")),
     (MINIMAL.replace("    priority: 5\n", "    priority: 5\n    7: 1\n"),

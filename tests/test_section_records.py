@@ -108,7 +108,7 @@ def test_a_window_that_ends_inside_the_service_segment():
     signal_after_work(k)
     k.boot()
     k.run(4)
-    assert k.engine.critical_depth() == 1
+    assert k.engine._section is not None
     k.finish()
     assert csv_of(sink.records) == CUT
 
@@ -183,7 +183,7 @@ def test_a_stimulus_error_inside_the_service_segment():
     k.boot()
     with pytest.raises(ValidationError, match="value must be a byte"):
         k.run(10)
-    assert k.engine.now == 3 and k.engine.critical_depth() == 1
+    assert k.engine.now == 3 and k.engine._section is not None
     k.finish()
     assert csv_of(sink.records) == STIMULUS_ERROR
 
@@ -302,7 +302,7 @@ def test_a_caller_that_is_not_running_is_refused(service, args):
             yield from getattr(ctx.kernel, service)(other, *args)
         except ProtocolError as exc:
             out["error"] = str(exc)
-        out["depth"] = ctx.kernel.engine.critical_depth()
+        out["section"] = ctx.kernel.engine._section
 
     k.declare_task(1, "T", 5, body)
     k.declare_task(2, "U", 6, lambda ctx: compute(ctx, "u", 1))
@@ -310,7 +310,7 @@ def test_a_caller_that_is_not_running_is_refused(service, args):
     k.run(3)
     k.finish()
     assert out == {"error": "critical section entered by a non-running thread",
-                   "depth": 0}
+                   "section": None}
     assert not any(r.label == "CRIT_ENTER" for r in rows(sink.records))
     assert k.engine.thread(1).token.cet == 0
     assert csv_of(sink.records) == REFUSED
