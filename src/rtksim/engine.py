@@ -24,10 +24,11 @@ task, an unarmed handler), READY, RUNNING or WAITING.
 Scheduling model:
   * priorities: smaller integer wins; equal priority is FIFO by the
     tick a thread last became ready, ties on the same tick by id.
-    A preempted thread keeps its original ready stamp, so it stays at
-    the head of its priority class.  The ready threads sit in one
-    (ready tick, id)-sorted list per current priority, with a bitmap of
-    the non-empty classes, so the best one is read off without a scan.
+    A thread's ``ready_key`` is that (tick, id) stamp, kept across a
+    dispatch, so a preempted thread goes back to the head of its
+    priority class.  The READY tasks sit in one ready_key-sorted list
+    per current priority, with a bitmap of the non-empty classes, so the
+    best one is read off without a scan.
     After boot only ``set_priority`` writes a current priority, and it
     moves a ready thread to its new place at once.
   * preemption and interrupt delivery are checked at wait boundaries
@@ -47,20 +48,22 @@ section when it takes one and closes it when the segment ends, then
 resumes the service, so the service's effect runs in that same step,
 before the gate.  The section's rows (CRIT_ENTER, the segment,
 CRIT_EXIT) are one trace record whose ``section`` names their context
-(see ``trace``).  A record written while the section is open, by
-``finish`` inside it, writes the CRIT_ENTER row first.
+(see ``trace``), written as the segment's record at its end.  A window
+that ends inside the section has ``finish`` write its CRIT_ENTER row on
+its own, then the segment's record.
 
 An Engine takes the whole thread table at once, each thread DORMANT as
 built.
 
 Energy is tracked as integer micro-joules.  A multi-tick annotation
 charges eem // etm per tick, with the remainder applied on its final
-tick, so split segments sum exactly to the annotated amount.  A trace
-record of a segment is closed from the clock: its ticks run from the
-resume that opened it to now, at eem // etm each, plus the remainder
-if they end the segment.
+tick, so split segments sum exactly to the annotated amount; a zero-tick
+one's energy is all remainder, charged when its record is written.
+Every record of a segment is written by ``_close_record``, from the
+clock: its ticks run from the resume that opened it to now, at
+eem // etm each, plus the remainder if they end the segment.
 
-The idle thread (``is_idle=True``) must run this module's ``idle_body``,
+The idle thread is the one that runs this module's ``idle_body``,
 whose one wait never ends: it is charged for every tick nobody else
 wants, and its body is resumed only at the first dispatch.  A stretch
 of idle ticks is written when it closes, at a preemption, an interrupt
@@ -244,8 +247,8 @@ class _WaitRequest:
         self.critical = critical
         if etm > 0:
             self.per_tick_uj, self.rem_uj = divmod(annotation.eem_uj, etm)
-        else:
-            self.per_tick_uj, self.rem_uj = 0, 0
+        else:  # no tick charges it: all its energy goes with its end
+            self.per_tick_uj, self.rem_uj = 0, annotation.eem_uj
 
 
 class _BlockRequest:
@@ -280,9 +283,10 @@ class SimThread:
     be restarted and each handler activation runs a fresh body.  The
     token keeps accumulating across them all.
 
-    A thread starts DORMANT.  ``outranked_by`` masks the ready bitmap's
-    classes that preempt it; it is written with ``current_priority``
-    and stays 0 for a handler, which only its own return ends.
+    A thread starts DORMANT, and it is the idle thread if its body is
+    ``idle_body``.  ``outranked_by`` masks the ready bitmap's classes
+    that preempt it; it is written with ``current_priority`` and stays 0
+    for a handler, which only its own return ends.
 
     A segment's state lives on its thread: ``seg`` is the request being
     charged and ``seg_left`` its ticks left, which for the idle segment
@@ -295,20 +299,18 @@ class SimThread:
     """
 
     def __init__(self, thread_id: int, name: str, kind: ThreadKind,
-                 priority: int, body, *, is_idle: bool = False):
+                 priority: int, body):
         if not is_int(thread_id) or thread_id <= 0:
             raise ValidationError("thread id must be a positive integer")
         if not is_int(priority) or priority < 0:
             raise ValidationError("priority must be an integer >= 0")
-        if is_idle and body is not idle_body:
-            raise ValidationError("the idle thread must run engine.idle_body")
         self.id = thread_id
         self.name = name
         self.kind = kind
         self.base_priority = priority
         self.current_priority = priority
         self.outranked_by = (1 << priority) - 1 if kind is ThreadKind.TASK else 0
-        self.is_idle = is_idle
+        self.is_idle = is_idle = body is idle_body
         if kind.is_handler:
             self.default_context = _HANDLER_CONTEXT[kind]
         else:
@@ -325,8 +327,7 @@ class SimThread:
         self.rec_start = 0
         self.rec_event = EventKind.CONTINUE_RUN
         self.waiting_reason: str | None = None
-        self.ready_tick = 0
-        self.ready_key = None  # (ready_tick, id) while in a ready class
+        self.ready_key = None  # (tick it last became ready, id)
         self.svc_ticks = 0  # consumed in SVC context
         self.run_streak = 0
         self.max_streak = 0
@@ -408,8 +409,8 @@ class Engine:
                 raise ConflictError(f"thread id {th.id} given twice")
             th.api = ThreadApi(self, th.id)
             self._table[th.id] = th
-        # current priority -> sorted (ready_tick, id); bit p set while
-        # class p is non-empty
+        # current priority -> its READY tasks' sorted ready_keys; bit p
+        # set while class p is non-empty
         self._classes: dict[int, list[tuple[int, int]]] = {}
         self._ready_bits = 0
         # the interrupt stack: the thread each entered handler interrupted
@@ -417,7 +418,6 @@ class Engine:
         self._stack: list[int | None] = []
         self._pending_activations: list[int] = []
         # None while no section is open; else the context of its rows
-        # while none of them is written, and "" once one is
         self._section: str | None = None
         self._trace = NullSink() if trace_sink is None else trace_sink
         self._record = self._trace.record
@@ -493,25 +493,25 @@ class Engine:
             raise ValidationError("priority must be an integer >= 0")
         th = self._get(thread_id)
         th.outranked_by = (1 << priority) - 1 if th.kind is ThreadKind.TASK else 0
-        if th.ready_key is None:
-            th.current_priority = priority
-        else:
+        if th.state is ThreadState.READY and th.kind is ThreadKind.TASK:
             self._dequeue(th)
             th.current_priority = priority
             self._enqueue(th)
+        else:
+            th.current_priority = priority
 
-    def waiting_threads(self):
-        return [
-            (th.id, th.name, th.waiting_reason or "waiting")
-            for th in self._table.values()
-            if th.state is ThreadState.WAITING and th.kind is ThreadKind.TASK
-        ]
-
-    def ready_ids(self):
-        return sorted(tid for q in self._classes.values() for _tick, tid in q)
-
-    def pending_activation_count(self) -> int:
-        return len(self._pending_activations)
+    def stalled(self):
+        """The (id, name, reason) rows of the waiting tasks if the run is
+        stalled: no activation pending and nothing but idle running or
+        ready.  Otherwise, or if no task waits, ``[]``."""
+        others = [th for th in self._table.values() if not th.is_idle]
+        if self._pending_activations or any(
+                th.state is ThreadState.RUNNING or th.state is ThreadState.READY
+                for th in others):
+            return []
+        return [(th.id, th.name, th.waiting_reason or "waiting")
+                for th in others
+                if th.state is ThreadState.WAITING and th.kind is ThreadKind.TASK]
 
     # ------------------------------------------------------------------
     # run control
@@ -586,6 +586,12 @@ class Engine:
         self._finished = True
         if self.current_id is not None:
             th = self._table[self.current_id]
+            if self._section is not None:  # the window ends inside it
+                start = th.rec_start
+                self._record(TraceRecord(
+                    start, start, th.id, th.name, self._section,
+                    CTL_CRIT_ENTER, 0, 0, ""))
+                self._section = None
             if th.seg is not None:
                 self._close_record(th)
         self._trace.close()
@@ -608,11 +614,11 @@ class Engine:
 
     def _make_ready(self, th: SimThread):
         self._set_state(th, ThreadState.READY)
-        th.ready_tick = self.now
+        th.ready_key = (self.now, th.id)
         self._enqueue(th)
 
     def _enqueue(self, th: SimThread):
-        key = th.ready_key = (th.ready_tick, th.id)
+        key = th.ready_key
         prio = th.current_priority
         q = self._classes.get(prio)
         if q:
@@ -625,7 +631,6 @@ class Engine:
         prio = th.current_priority
         q = self._classes[prio]
         del q[bisect_left(q, th.ready_key)]
-        th.ready_key = None
         if not q:
             self._ready_bits ^= 1 << prio
 
@@ -690,15 +695,15 @@ class Engine:
 
     def _suspend_current(self, event: EventKind, *, emit_preempt=True):
         th = self._table[self.current_id]
-        if th.seg is not None:
-            self._close_record(th)
+        if th.seg is not None and self.now > th.rec_start:
+            self._close_record(th)  # a zero-tick one is written at its end
         th.run_streak = 0
         th.pending_resume = Resume(event)
         self._set_state(th, ThreadState.READY)
         if not th.kind.is_handler:
             # handlers are not scheduled: an interrupted one resumes
             # from the interrupt stack
-            self._enqueue(th)  # keeps its original ready_tick
+            self._enqueue(th)  # keeps its ready_key
         if emit_preempt:
             self._emit_control(th, CTL_PREEMPT, event)
         self.current_id = None
@@ -744,18 +749,8 @@ class Engine:
     def _step(self, th: SimThread):
         """Resume the running thread's body, building it first if it has
         none, and act on what it yields or on its end."""
-        seg = th.seg
-        if seg is not None:  # it has no ticks left
-            if seg.critical:
-                self._close_section(th, seg)
-            elif seg.etm == 0:  # its record is 0 ticks wide, all its energy
-                th.token.cee_uj += seg.eem_uj
-                now = self.now
-                self._record(TraceRecord(
-                    now, now, th.id, th.name, seg.context_kind._value_,
-                    seg.label, 0, seg.eem_uj, th.rec_event._value_))
-            else:
-                self._close_record(th)
+        if th.seg is not None:  # it has no ticks left
+            self._close_record(th)
             th.seg = None
         value = th.pending_resume or _CONTINUE
         th.pending_resume = None
@@ -828,56 +823,40 @@ class Engine:
             th.max_streak = streak
 
     def _close_record(self, th: SimThread):
-        """Write the segment's open record, unless it is empty: the ticks
-        from ``rec_start`` to now, each at the per-tick energy, plus the
-        remainder if they finished the segment.  The resume that goes on
-        with the segment opens the next one.
+        """Write the segment's open record: the ticks from ``rec_start``
+        to now, each at the per-tick energy, plus the remainder if they
+        finished the segment.  The resume that goes on with the segment
+        opens the next one.  A record with no ticks is written only for
+        a zero-tick segment, at its end: no tick charged its energy, so
+        the token is charged here.
 
         An idle stretch is written as the one-tick rows idle_body's wait
         stands for: its first row, opened by ``rec_event``, and then, if
         it is longer, one record of the CONTINUE_RUN rows after it.
 
-        A service segment that is closed here, before its end, is the
-        only way a record gets written inside its section: the section's
-        CRIT_ENTER row goes out first."""
-        start, now = th.rec_start, self.now
-        if self._section:
+        A service's segment is written at its end, inside its section,
+        which nothing can suspend: the record holds the section's three
+        rows, and writing it closes the section."""
+        seg, start, now = th.seg, th.rec_start, self.now
+        if now == start and seg.etm:
+            return  # a segment preempted at its end was written then
+        if seg is _IDLE_SEGMENT and now - start > 1:
+            tid, name, ctx = th.id, th.name, seg.context_kind._value_
             self._record(TraceRecord(
-                start, start, th.id, th.name, self._section,
-                CTL_CRIT_ENTER, 0, 0, ""))
-            self._section = ""
-        if now > start:
-            seg = th.seg
-            if seg is _IDLE_SEGMENT and now - start > 1:
-                tid, name, ctx = th.id, th.name, seg.context_kind._value_
-                self._record(TraceRecord(
-                    start, start + 1, tid, name, ctx, seg.label, seg.etm,
-                    seg.eem_uj, th.rec_event._value_))
-                self._record(TraceRecord(
-                    start + 1, now, tid, name, ctx, seg.label, seg.etm,
-                    seg.eem_uj, EventKind.CONTINUE_RUN._value_,
-                    now - start - 1))
-                return
-            uj = seg.per_tick_uj * (now - start)
-            if th.seg_left == 0:
-                uj += seg.rem_uj
+                start, start + 1, tid, name, ctx, seg.label, seg.etm,
+                seg.eem_uj, th.rec_event._value_))
             self._record(TraceRecord(
-                start, now, th.id, th.name, seg.context_kind._value_,
-                seg.label, now - start, uj, th.rec_event._value_))
-
-    # --- critical sections ----------------------------------------------
-
-    def _close_section(self, th: SimThread, seg: _WaitRequest):
-        """Write the record of a service's segment, which has no ticks
-        left, and close the section it opened.
-
-        Nothing can suspend a thread inside a section, so the record
-        covers the whole segment, and nothing else was written in the
-        section: the record holds its three rows."""
-        if seg.etm == 0:
-            th.token.cee_uj += seg.eem_uj
+                start + 1, now, tid, name, ctx, seg.label, seg.etm,
+                seg.eem_uj, EventKind.CONTINUE_RUN._value_,
+                now - start - 1))
+            return
+        uj = seg.per_tick_uj * (now - start)
+        if th.seg_left == 0:
+            uj += seg.rem_uj
+            if not seg.etm:
+                th.token.cee_uj += uj
         self._record(TraceRecord(
-            th.rec_start, self.now, th.id, th.name, seg.context_kind._value_,
-            seg.label, seg.etm, seg.eem_uj, th.rec_event._value_, 1,
-            self._section))
+            start, now, th.id, th.name, seg.context_kind._value_,
+            seg.label, now - start, uj, th.rec_event._value_, 1,
+            self._section or ""))
         self._section = None

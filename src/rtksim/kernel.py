@@ -426,7 +426,7 @@ class Kernel:
             raise ConflictError(f"idle id {idle_id} collides with a declared thread")
         self.idle_id = idle_id
         idle = SimThread(idle_id, self._idle_name, ThreadKind.TASK,
-                         IDLE_PRIORITY, idle_body, is_idle=True)
+                         IDLE_PRIORITY, idle_body)
         self.tcb[idle_id] = TaskControl()
         eng = Engine((idle, *self._tasks, *self._handlers.values()),
                      self._trace_sink)
@@ -558,16 +558,8 @@ class Kernel:
 
     def _check_deadlock(self, now: int):
         """Stop on, or report, a deadlock: no timed event to come (the
-        caller's test), nothing to run but idle, and a task waiting."""
-        eng = self.engine
-        if eng.pending_activation_count() > 0:
-            return
-        cur = eng.current_id
-        if cur is not None and not eng.thread(cur).is_idle:
-            return
-        if any(not eng.thread(t).is_idle for t in eng.ready_ids()):
-            return
-        blocked = eng.waiting_threads()
+        caller's test) and a stalled engine (see ``Engine.stalled``)."""
+        blocked = self.engine.stalled()
         if not blocked:
             return
         if self.abort_on_deadlock:

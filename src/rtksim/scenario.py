@@ -203,7 +203,7 @@ def _walk(loader, root, problems, lines=None):
     scalars that are strings (a plain `=` too), nulls, booleans, integers
     and floats, each untagged or tagged with its own tag; `loader` lends
     PyYAML's builder of each scalar tag its settings.  Each other node is
-    refused as a problem at its own path: a merge key `<<`, a collection
+    refused as a problem: a merge key `<<`, a collection
     as a key, a collection tagged other than `!!seq` or `!!map` (`!!set`,
     `!!omap`, a local tag), a scalar tagged `!!timestamp`, `!!binary` or
     no scalar tag of the subset, and a scalar its tag's builder refuses
@@ -212,37 +212,43 @@ def _walk(loader, root, problems, lines=None):
     i)`, for the mapping's i-th pair.  A node deeper than
     `_NODE_DEPTH_LIMIT` raises RecursionError, and a node met again (an
     alias) or a key equal, as constructed, to one before it in its
-    mapping (`1` and `01`, `true` and `yes`) is a problem at its path,
-    which holds each key as constructed; the n-th repeat of a key in a
-    mapping is a problem at the key's path and `("repeat", n)`.  `lines`
-    gets each path's line: a repeated key's path that of its last repeat,
-    whose value the data holds, and each repeat's its own."""
+    mapping (`1` and `01`, `true` and `yes`) is a problem.
+
+    Each problem is a (line, message) pair in `problems`, located at the
+    node in hand: a refused node or a repeated key at its own line, and
+    an alias, whose node is the one its anchor marks, at the line of what
+    holds it, its key or its sequence.  A path, which holds each key as
+    constructed, locates only the problems found in the data: `lines`
+    gets each path's line, a repeated key's path that of its last
+    repeat, whose value the data holds."""
     built, refused = {}, []
 
-    def refuse(path, message):
-        refused.append(path)
-        problems.append((path, message))
+    def refuse(node, message):
+        refused.append(node)
+        problems.append((node.start_mark.line + 1, message))
         return _REFUSED
 
-    def scalar(node, path):
+    def scalar(node):
         # the value of a node that is no `!!str` scalar, `!!seq` sequence
         # or `!!map` mapping: a scalar of another tag of the subset
         build = node.id == "scalar" and _SCALARS.get(node.tag)
         if not build:
-            return refuse(path, f"tag {node.tag.replace(_TAG, '!!')} "
+            return refuse(node, f"tag {node.tag.replace(_TAG, '!!')} "
                                 "is not supported")
         try:
             return build(loader, node)
         except (yaml.MarkedYAMLError, ValueError, LookupError, AttributeError):
-            return refuse(path, f"'{node.value}' is not a valid "
+            return refuse(node, f"'{node.value}' is not a valid "
                                 f"{node.tag[len(_TAG):]}")
 
-    def walk(node, path):
+    def walk(node, path, holder):
+        # `holder` holds `node`: its key, its sequence, or itself (the root)
         if len(path) > _NODE_DEPTH_LIMIT:
             raise RecursionError  # reported like the loaders' own: nested too deeply
         if node in built:
             # aliases would let one node validate at two paths; refuse them
-            problems.append((path, "YAML aliases are not supported"))
+            problems.append((holder.start_mark.line + 1,
+                             "YAML aliases are not supported"))
             return built[node]
         if lines is not None:
             lines.setdefault(path, node.start_mark.line + 1)
@@ -252,53 +258,50 @@ def _walk(loader, root, problems, lines=None):
         elif tag == _SEQ and node.id == "sequence":
             data = built[node] = []
             for i, item in enumerate(value):
-                data.append(walk(item, path + (i,)))
+                data.append(walk(item, path + (i,), node))
         elif tag == _MAP and node.id == "mapping":
             data = built[node] = {}
-            repeats = 0
             for i, (key_node, item) in enumerate(value):
-                key = text = key_node.value
+                key = key_node.value
                 if key_node.tag != _STR or key_node.id != "scalar":
-                    at = ("key", i)     # the key if refused: unique in the mapping
                     if key_node.id != "scalar":
-                        key = refuse(path + (at,), "a key must be a scalar")
+                        key = refuse(key_node, "a key must be a scalar")
                     elif key_node.tag == _TAG + "merge":
-                        key = refuse(path + (at,), "merge keys are not supported")
+                        key = refuse(key_node, "merge keys are not supported")
                     else:
-                        key = scalar(key_node, path + (at,))
+                        key = scalar(key_node)
                     if key is _REFUSED:
-                        key = at
+                        key = ("key", i)  # unique in the mapping
                 here = path + (key,)
                 if key in data:
-                    repeats += 1
-                    again = here + (("repeat", repeats),)
-                    problems.append((again, f"duplicate key '{text}'"))
-                    if lines is not None:
-                        lines[again] = key_node.start_mark.line + 1
+                    problems.append((key_node.start_mark.line + 1,
+                                     f"duplicate key '{key_node.value}'"))
                 if lines is not None:
                     lines[here] = key_node.start_mark.line + 1
-                data[key] = walk(item, here)
+                data[key] = walk(item, here, key_node)
         else:
-            data = built[node] = scalar(node, path)
+            data = built[node] = scalar(node)
         return data
 
-    data = walk(root, ())
+    data = walk(root, (), root)
     return None if refused else data
 
 
 class _Source:
     """A YAML text's data, built and checked by one `_walk`, and the
-    problems found in it.  A text with a node outside the subset is
-    refused with the walk's problems alone: its data lacks what was
-    refused, so no field of it is checked.  A path's line is looked up
-    only to report a problem: the first `locate` composes and walks the
-    text again."""
+    problems found in it: the walk's, each at its line, in `found`, and
+    those of the data, each at its path, in `problems`.  A text with a
+    node outside the subset is refused with the walk's problems alone:
+    its data lacks what was refused, so no field of it is checked.  A
+    path's line is looked up only to report a problem: the first
+    `locate` composes and walks the text again."""
 
     def __init__(self, text: str, filename: str):
         self.text, self.filename = text, filename
+        self.found: list = []
         self.problems: list = []
         self.lines = None       # path -> line, once a problem is located
-        self.data = self._load(self.problems)
+        self.data = self._load(self.found)
         if self.data is None:
             self.raise_if_failed()  # a node refused; an empty text has none
 
@@ -329,10 +332,10 @@ class _Source:
         return f"{self.filename}:{line}"
 
     def raise_if_failed(self):
-        if self.problems:
+        if self.found or self.problems:
             raise ScenarioError(
-                [(self.locate(p), m) for p, m in self.problems]
-            )
+                [(f"{self.filename}:{line}", m) for line, m in self.found]
+                + [(self.locate(p), m) for p, m in self.problems])
 
 
 # ----------------------------------------------------------------------

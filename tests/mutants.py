@@ -179,37 +179,41 @@ MUTANTS = (
      "        return oldest[2]\n"),
     # -- the idle thread's one endless segment
     ("idle-stretch-opens-with-continue-run", ACCEPTANCE, ENGINE,
-     "                    seg.eem_uj, th.rec_event._value_))\n"
-     "                self._record(TraceRecord(\n",
-     "                    seg.eem_uj, EventKind.CONTINUE_RUN._value_))\n"
-     "                self._record(TraceRecord(\n"),
+     "                seg.eem_uj, th.rec_event._value_))\n"
+     "            self._record(TraceRecord(\n",
+     "                seg.eem_uj, EventKind.CONTINUE_RUN._value_))\n"
+     "            self._record(TraceRecord(\n"),
     ("idle-stretch-repeats-one-row-too-many", BENCH_TRACED, ENGINE,
-     "                    now - start - 1))\n",
-     "                    now - start))\n"),
+     "                now - start - 1))\n",
+     "                now - start))\n"),
     ("idle-resumed-every-tick", BENCH_CALLS, ENGINE,
      "th.seg_left = _ENDLESS if req is _IDLE_SEGMENT else req.etm",
      "th.seg_left = req.etm"),
     # -- the scenario's data built in one walk of the YAML node tree
     ("walk-reads-every-scalar-as-its-text", ACCEPTANCE, SCENARIO,
-     "            data = built[node] = scalar(node, path)\n",
+     "            data = built[node] = scalar(node)\n",
      "            data = built[node] = value\n"),
     ("walk-without-duplicate-key-check", SCENARIO_T, SCENARIO,
      "                if key in data:\n",
      "                if False:\n"),
     ("walk-lets-aliases-through", SCENARIO_T, SCENARIO,
-     "            problems.append((path, \"YAML aliases are not supported\"))\n",
+     "            problems.append((holder.start_mark.line + 1,\n"
+     "                             \"YAML aliases are not supported\"))\n",
      "            pass\n"),
     ("walk-paths-hold-key-text", SCENARIO_T, SCENARIO,
      "                here = path + (key,)\n",
-     "                here = path + (text,)\n"),
+     "                here = path + (key_node.value,)\n"),
     # -- a scenario read as a strict YAML subset, each refusal at its node
     ("walk-accepts-a-merge-key", SCENARIO_T, SCENARIO,
      "                if key_node.tag != _STR or key_node.id != \"scalar\":\n",
      "                if key_node.tag not in (_STR, _TAG + \"merge\")"
      " or key_node.id != \"scalar\":\n"),
-    ("refusal-at-the-parents-path", SCENARIO_T, SCENARIO,
-     "        problems.append((path, message))\n",
-     "        problems.append((path[:-1], message))\n"),
+    ("refusal-at-the-roots-line", SCENARIO_T, SCENARIO,
+     "        problems.append((node.start_mark.line + 1, message))\n",
+     "        problems.append((root.start_mark.line + 1, message))\n"),
+    ("alias-at-its-anchors-line", SCENARIO_T, SCENARIO,
+     "            problems.append((holder.start_mark.line + 1,\n",
+     "            problems.append((node.start_mark.line + 1,\n"),
     # -- each service's critical section run by the engine, one record
     ("gate-preempts-inside-a-section", ACCEPTANCE, ENGINE,
      "            if cur is None or self._section is None and (\n",
@@ -218,16 +222,29 @@ MUTANTS = (
      "\n                   f\"{end},{end},{leave}\")\n",
      "\n                   f\"{start},{start},{leave}\")\n"),
     ("finish-drops-an-open-sections-enter-row", SECTIONS_T, ENGINE,
-     "        if self._section:\n",
-     "        if False:\n"),
+     "            if self._section is not None:  # the window ends inside it\n",
+     "            if False:\n"),
     ("service-of-a-caller-not-running-not-refused", SECTIONS_T, KERNEL,
      "        if self.engine.current_id != api.thread_id:\n",
      "        if False:\n"),
     ("section-never-closes", SECTIONS_T, ENGINE,
-     "            self._section))\n"
+     "            self._section or \"\"))\n"
      "        self._section = None\n",
-     "            self._section))\n"
-     "        self._section = \"\"\n"),
+     "            self._section or \"\"))\n"),
+    # -- one writer of a segment's record, one stalled-run query
+    ("zero-tick-energy-not-charged", ENGINE_T, ENGINE,
+     "            if not seg.etm:\n"
+     "                th.token.cee_uj += uj\n",
+     ""),
+    ("zero-tick-segment-written-at-its-preemption", ENGINE_T, ENGINE,
+     "        if th.seg is not None and self.now > th.rec_start:\n",
+     "        if th.seg is not None:\n"),
+    ("segment-preempted-at-its-end-written-twice", ENGINE_T, ENGINE,
+     "        if now == start and seg.etm:\n",
+     "        if now == start and th.seg_left:\n"),
+    ("stalled-ignores-a-pending-activation", KERNEL_T, ENGINE,
+     "        if self._pending_activations or any(\n",
+     "        if any(\n"),
     # -- the trace CSV and the SVG Gantt rendered a batch of records at a time
     ("csv-chunks-joined-without-newline", RENDER_T, TRACE,
      ("    append(\"\")\n"

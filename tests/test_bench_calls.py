@@ -66,35 +66,21 @@ other tests.
 """
 
 import cProfile
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 import yaml
 
+from helpers import perfbench
 from rtksim import scenario
 from rtksim.gantt import render_svg_gantt
 from rtksim.report import build_report, render_text, usage_from_records
 from rtksim.scenario import build_kernel, parse_scenario_text
 from rtksim.trace import CsvFileSink, ListSink, records_to_csv
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 1
 
-
-def _import_workloads():
-    saved = sys.path[:], sys.dont_write_bytecode
-    sys.path.insert(0, str(PERFBENCH))
-    sys.dont_write_bytecode = True   # write nothing under perfbench/
-    try:
-        import workloads
-    finally:
-        sys.path[:], sys.dont_write_bytecode = saved
-    return workloads
-
-
-workloads = _import_workloads()
+workloads = perfbench("workloads")
 
 
 @pytest.mark.parametrize("name, limit", [

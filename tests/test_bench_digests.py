@@ -7,26 +7,15 @@ scenarios without running the benchmark.  The modules are loaded from
 their files and nothing under `perfbench/` is written.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from helpers import PERFBENCH, perfbench
+
 SEED = 1
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-pipeline = _load("pipeline")
-workloads = _load("workloads")
+pipeline, workloads = perfbench("pipeline"), perfbench("workloads")
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
 
 

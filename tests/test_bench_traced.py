@@ -10,32 +10,15 @@ the resumes of each service among them.  The modules are imported from
 and nothing under `perfbench/` is written.
 """
 
-import sys
 from collections import Counter
-from pathlib import Path
 
+from helpers import perfbench
 from rtksim.trace import rows
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 1
 
-
-def _import_perfbench():
-    # layers.py imports its siblings by plain module name
-    saved = sys.path[:], sys.dont_write_bytecode
-    sys.path.insert(0, str(PERFBENCH))
-    sys.dont_write_bytecode = True
-    try:
-        import layers
-        import pipeline
-        import tracer
-        import workloads
-    finally:
-        sys.path[:], sys.dont_write_bytecode = saved
-    return layers, pipeline, tracer, workloads
-
-
-layers, pipeline, tracer, workloads = _import_perfbench()
+layers, pipeline, tracer, workloads = map(
+    perfbench, ("layers", "pipeline", "tracer", "workloads"))
 
 
 def service_resumes(probe):

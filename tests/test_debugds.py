@@ -6,6 +6,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import compute
 from rtksim.debugds import (
     DsObject,
     DsSection,
@@ -17,14 +18,9 @@ from rtksim.debugds import (
     ref_task,
     take_snapshot,
 )
-from rtksim.engine import Annotation
 from rtksim.errors import NotFoundError, ValidationError
 from rtksim.kernel import Kernel
 from rtksim.trace import ListSink
-
-
-def compute(ctx, label, ticks, eem=0):
-    yield from ctx.api.wait(Annotation(label, ticks, eem))
 
 
 def booted(**kw) -> Kernel:

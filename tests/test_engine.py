@@ -67,7 +67,7 @@ def test_single_task_consumes_annotation():
         yield from api.exit()
 
     t = task(1, "A", 5, body)
-    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(2)
     eng.run_ticks(5)
@@ -92,7 +92,7 @@ def test_energy_split_per_tick_with_remainder_on_last():
         yield from api.exit()
 
     t = task(1, "A", 5, body)
-    eng, _ = make_engine([t, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng, _ = make_engine([t, task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(2)
     for _ in range(3):
@@ -115,7 +115,7 @@ def test_priority_preemption_and_resume():
     lo_t = task(1, "LO", 8, low)
     hi_t = task(2, "HI", 2, high)
     eng, sink = make_engine(
-        [lo_t, hi_t, task(3, "IDLE", 99, forever_idle, is_idle=True)])
+        [lo_t, hi_t, task(3, "IDLE", 99, forever_idle)])
     eng.start_thread(2)
     eng.start_thread(1)
     eng.start_thread(3)
@@ -145,7 +145,7 @@ def test_equal_priority_never_preempts():
     b = task(1, "B", 5, sleeper)    # lower id: blocks before A gets the CPU
     a = task(2, "A", 5, runner)
     eng, sink = make_engine(
-        [a, b, task(3, "IDLE", 99, forever_idle, is_idle=True)])
+        [a, b, task(3, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(2)
     eng.start_thread(3)
@@ -171,7 +171,7 @@ def test_ready_tie_breaks_by_id_then_fifo_by_stamp():
 
     a = task(1, "A", 5, body("A"))
     b = task(2, "B", 5, body("B"))
-    eng, _ = make_engine([a, b, task(3, "IDLE", 99, forever_idle, is_idle=True)])
+    eng, _ = make_engine([a, b, task(3, "IDLE", 99, forever_idle)])
     eng.start_thread(2)       # same tick: id breaks the tie, not start order
     eng.start_thread(1)
     eng.start_thread(3)
@@ -191,7 +191,7 @@ def _schedule(changes):
 
     threads = [task(1, "A", 5, body(1)), task(2, "B", 5, body(1)),
                task(3, "C", 5, body(1)), task(4, "R", 1, body(3)),
-               task(5, "-", 99, forever_idle, is_idle=True)]
+               task(5, "-", 99, forever_idle)]
     eng, sink = make_engine(threads)
     for th in threads:
         eng.start_thread(th.id)
@@ -232,7 +232,7 @@ def test_same_tick_ties_break_by_id_in_every_class():
 
     names = ["A", "B", "C", "D"]
     threads = [task(i + 1, n, 5, sleeper(n)) for i, n in enumerate(names)]
-    threads.append(task(5, "IDLE", 99, forever_idle, is_idle=True))
+    threads.append(task(5, "IDLE", 99, forever_idle))
     eng, _ = make_engine(threads)
     for th in threads:
         eng.start_thread(th.id)
@@ -263,7 +263,7 @@ def test_ready_classes_hold_exactly_the_ready_tasks_over_a_long_run():
 
     workers = [task(i, f"T{i}", rng.randint(1, 6), worker) for i in range(1, 13)]
     eng, _ = make_engine(workers + [
-        isr(13, "H", handler), task(14, "IDLE", 99, forever_idle, is_idle=True)])
+        isr(13, "H", handler), task(14, "IDLE", 99, forever_idle)])
     for th in workers:
         eng.start_thread(th.id)
     eng.start_thread(14)
@@ -278,7 +278,7 @@ def test_ready_classes_hold_exactly_the_ready_tasks_over_a_long_run():
         if rng.random() < 0.1:
             eng.raise_interrupt(13)
         eng.run_one_tick()
-        ready = sorted((th.current_priority, th.ready_tick, th.id)
+        ready = sorted((th.current_priority, *th.ready_key)
                        for th in eng.threads()
                        if th.state is ThreadState.READY and not th.kind.is_handler)
         queued = sorted((prio, tick, tid) for prio, q in eng._classes.items()
@@ -301,7 +301,7 @@ def test_interrupt_enters_at_gate_and_task_resumes_after():
     t = task(1, "T", 5, body)
     h = isr(2, "H", handler_factory)
     eng, sink = make_engine(
-        [t, h, task(3, "IDLE", 99, forever_idle, is_idle=True)])
+        [t, h, task(3, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(3)
     eng.arm_handler(2)
@@ -325,7 +325,7 @@ def test_busy_handler_drops_activation():
         yield from api.wait(Annotation("isr", 3, 0), ContextKind.ISR)
 
     h = isr(1, "H", handler_factory)
-    eng, _ = make_engine([h, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng, _ = make_engine([h, task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(2)
     eng.arm_handler(1)
     assert eng.raise_interrupt(1) is True
@@ -351,7 +351,7 @@ def test_nested_interrupts_unwind_lifo():
     h1 = isr(2, "H1", handler("one", 3, 10))
     h2 = isr(3, "H2", handler("two", 1, 0))
     eng, sink = make_engine(
-        [t, h1, h2, task(4, "IDLE", 99, forever_idle, is_idle=True)])
+        [t, h1, h2, task(4, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(4)
     eng.arm_handler(2)
@@ -412,7 +412,7 @@ def test_split_segment_records_sum_to_the_annotation(seed):
     handlers = [isr(tid, f"H{tid}", charger(tid, 2, ContextKind.ISR))
                 for tid in (4, 5, 6)]
     eng, sink = make_engine(
-        tasks + handlers + [task(7, "IDLE", 99, forever_idle, is_idle=True)])
+        tasks + handlers + [task(7, "IDLE", 99, forever_idle)])
     for th in handlers:
         eng.arm_handler(th.id)
     eng.start_thread(1)
@@ -474,7 +474,7 @@ def test_preempted_thread_keeps_ready_stamp():
     b = task(2, "B", 5, sleeper("b"))
     c = task(3, "C", 5, spin)
     eng, sink = make_engine(
-        [a, b, c, task(4, "IDLE", 99, forever_idle, is_idle=True)])
+        [a, b, c, task(4, "IDLE", 99, forever_idle)])
     for tid in (1, 2, 3, 4):
         eng.start_thread(tid)
     eng.run_ticks(1)                            # A and B block; C runs [0,1)
@@ -512,7 +512,7 @@ def test_task_body_is_built_at_first_dispatch_and_anew_at_restart():
     gens = []
     t = task(1, "LO", 5, _recording(low, gens))
     eng, sink = make_engine(
-        [t, task(2, "HI", 1, high), task(3, "IDLE", 99, forever_idle, is_idle=True)])
+        [t, task(2, "HI", 1, high), task(3, "IDLE", 99, forever_idle)])
     for tid in (1, 2, 3):
         eng.start_thread(tid)
     eng.run_ticks(2)            # HI runs first: LO is ready, not dispatched
@@ -547,7 +547,7 @@ def test_each_handler_activation_runs_a_fresh_body_and_counts_a_cycle():
 
     gens = []
     h = isr(1, "H", _recording(handler, gens))
-    eng, sink = make_engine([h, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng, sink = make_engine([h, task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(2)
     eng.arm_handler(1)
     assert gens == [] and h.state is ThreadState.WAITING
@@ -565,7 +565,7 @@ def test_each_handler_activation_runs_a_fresh_body_and_counts_a_cycle():
 
 def _run_one_activation(handler):
     eng, _ = make_engine(
-        [isr(1, "H", handler), task(2, "IDLE", 99, forever_idle, is_idle=True)])
+        [isr(1, "H", handler), task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(2)
     eng.arm_handler(1)
     eng.raise_interrupt(1)
@@ -631,7 +631,7 @@ def test_a_task_preempted_by_its_own_class_stops_the_gate():
     a = task(1, "A", 5, body)
     # no sink attached: the default NullSink absorbs the record churn
     eng = Engine([a, task(2, "B", 5, body),
-                  task(3, "IDLE", 99, forever_idle, is_idle=True)])
+                  task(3, "IDLE", 99, forever_idle)])
     for tid in (1, 2, 3):
         eng.start_thread(tid)
     a.outranked_by = (1 << 6) - 1
@@ -656,7 +656,7 @@ def test_zero_etm_segment_charges_full_energy_at_close():
         yield from api.exit()
 
     t = task(1, "A", 5, body)
-    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(2)
     eng.run_ticks(2)
@@ -669,13 +669,52 @@ def test_zero_etm_segment_charges_full_energy_at_close():
     assert t.token.cee_uj == 77
 
 
+def test_a_zero_etm_segment_preempted_before_its_end_is_written_once():
+    # A readies HI and then yields a zero-tick segment; HI preempts A
+    # before that segment ends, and A's record of it is written at its
+    # end, after the re-dispatch, with the event that resumed A
+    def body(api):
+        yield from api.wait(Annotation("work", 1, 0))
+        eng.release(2, EventKind.SLEEP_ARRIVAL)
+        yield from api.wait(Annotation("blip", 0, 77))
+        yield from api.exit()
+
+    def high(api):
+        yield from api.wait_event()
+        yield from api.wait(Annotation("hi", 1, 0))
+        yield from api.exit()
+
+    t = task(1, "A", 5, body)
+    eng, sink = make_engine(
+        [t, task(2, "HI", 1, high), task(3, "IDLE", 99, forever_idle)])
+    for tid in (1, 2, 3):
+        eng.start_thread(tid)
+    eng.run_ticks(3)
+    eng.finish()
+    assert [(r.tick_start, r.thread_name, r.label, r.eem_uj, r.event_kind)
+            for r in sink.records if r.thread_name != "IDLE"] == [
+        (0, "HI", "DISPATCH", 0, "STARTUP"),
+        (0, "HI", "BLOCK", 0, ""),
+        (0, "A", "DISPATCH", 0, "STARTUP"),
+        (0, "A", "work", 0, "STARTUP"),
+        (1, "A", "PREEMPT", 0, "RETURN_FROM_PREEMPTION"),
+        (1, "HI", "DISPATCH", 0, "SLEEP_ARRIVAL"),
+        (1, "HI", "hi", 0, "SLEEP_ARRIVAL"),
+        (2, "HI", "EXIT", 0, ""),
+        (2, "A", "DISPATCH", 0, "RETURN_FROM_PREEMPTION"),
+        (2, "A", "blip", 77, "RETURN_FROM_PREEMPTION"),
+        (2, "A", "EXIT", 0, ""),
+    ]
+    assert t.token.cee_uj == 77
+
+
 def test_finish_flushes_partial_record():
     def body(api):
         yield from api.wait(Annotation("long", 10, 40))
         yield from api.exit()
 
     t = task(1, "A", 5, body)
-    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(2)
     eng.run_ticks(3)
@@ -702,7 +741,7 @@ def test_finish_is_idempotent():
         yield from api.exit()
 
     eng, sink = make_engine(
-        [task(1, "A", 5, body), task(2, "IDLE", 99, forever_idle, is_idle=True)])
+        [task(1, "A", 5, body), task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(2)
     eng.run_ticks(3)
@@ -718,7 +757,7 @@ def test_run_ticks_after_finish_is_refused():
             yield from api.wait(Annotation("w", 3, 0))
 
     eng, sink = make_engine(
-        [task(1, "A", 5, body), task(2, "IDLE", 99, forever_idle, is_idle=True)])
+        [task(1, "A", 5, body), task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(2)
     eng.run_ticks(10)
@@ -738,7 +777,7 @@ def test_restart_preserves_accumulators():
         yield from api.exit()
 
     t = task(1, "A", 5, body)
-    eng, _ = make_engine([t, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng, _ = make_engine([t, task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(2)
     eng.run_ticks(3)
@@ -749,14 +788,15 @@ def test_restart_preserves_accumulators():
     assert t.token.cee_uj == 12
 
 
-def test_idle_thread_must_run_the_engine_idle_body():
+def test_the_idle_thread_is_the_one_that_runs_idle_body():
     def other_idle(api):
         while True:
             yield from api.wait(Annotation("idle", 1, 0), ContextKind.IDLE)
 
-    with pytest.raises(ValidationError, match="idle_body"):
-        task(2, "IDLE", 99, other_idle, is_idle=True)
-    assert task(2, "IDLE", 99, idle_body, is_idle=True).is_idle
+    other = task(2, "IDLE", 99, other_idle)
+    assert not other.is_idle and other.default_context is ContextKind.TASK
+    idle = task(2, "IDLE", 99, idle_body)
+    assert idle.is_idle and idle.default_context is ContextKind.IDLE
 
 
 def test_priority_must_be_a_non_negative_int():
@@ -790,7 +830,7 @@ def test_an_annotation_label_a_csv_cell_cannot_hold_is_refused():
         yield from api.wait(Annotation("x,y", 2, 0))
 
     t = task(1, "A", 5, body)
-    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(2)
     with pytest.raises(ValidationError, match="'x,y'"):
@@ -812,7 +852,7 @@ def _coast_system():
         yield from api.exit()
 
     t = task(1, "A", 5, body)
-    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle, is_idle=True)])
+    eng, sink = make_engine([t, task(2, "IDLE", 99, forever_idle)])
     eng.start_thread(1)
     eng.start_thread(2)
     return eng, sink
@@ -880,7 +920,7 @@ def test_a_preemption_and_an_interrupt_close_the_idle_stretch():
         yield from api.wait(Annotation("isr", 1, 0), ContextKind.ISR)
 
     eng, sink = make_engine([task(1, "A", 5, task_body), isr(2, "H", handler),
-                             task(3, "IDLE", 99, forever_idle, is_idle=True)])
+                             task(3, "IDLE", 99, forever_idle)])
     eng.arm_handler(2)
     eng.start_thread(3)
     eng.run_ticks(4)
@@ -906,7 +946,7 @@ def test_no_coast_while_the_gate_has_work():
     eng, _ = make_engine([
         task(1, "A", 5, lambda api: api.wait(Annotation("long", 10, 0))),
         isr(2, "H", handler),
-        task(3, "IDLE", 99, forever_idle, is_idle=True)])
+        task(3, "IDLE", 99, forever_idle)])
     assert eng.coast(5) == 0           # nothing is running yet
     eng.start_thread(1)
     eng.start_thread(3)

@@ -7,11 +7,9 @@ positions in comments were derived by hand: a service charges one tick
 and its effect lands on the caller's next resume.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
+from helpers import compute, perfbench
 from oracle import inherit_fixpoint
 from rtksim.bfm import AccessSpec
 from rtksim.debugds import dump_listing, take_snapshot
@@ -43,10 +41,6 @@ def mk(**kw) -> tuple[Kernel, ListSink]:
     sink = ListSink()
     k.attach_sinks(trace_sink=sink)
     return k, sink
-
-
-def compute(ctx, label, ticks, eem=0):
-    yield from ctx.api.wait(Annotation(label, ticks, eem))
 
 
 # --------------------------------------------------------------------------
@@ -1122,7 +1116,7 @@ def test_a_head_that_times_out_lets_the_waiter_behind_it_in(kind):
     assert out["head"] == (RESULT_TIMEOUT, start + 4)
     assert out["behind"] == (RESULT_OK, start + 4)
     assert state(k) == (0, 0)
-    assert k.engine.waiting_threads() == []
+    assert k.engine.stalled() == []
 
 
 # --------------------------------------------------------------------------
@@ -1597,20 +1591,6 @@ def test_idle_id_defaults_to_max_declared_plus_one():
 # --------------------------------------------------------------------------
 # free run against step mode: a free run coasts through quiet stretches
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _import_workloads():
-    saved = sys.path[:], sys.dont_write_bytecode
-    sys.path.insert(0, str(PERFBENCH))
-    sys.dont_write_bytecode = True   # write nothing under perfbench/
-    try:
-        import workloads
-    finally:
-        sys.path[:], sys.dont_write_bytecode = saved
-    return workloads
-
-
 def counting_hooks(k):
     """Count the tick hook's calls on a booted kernel: one per stepped tick."""
     calls = []
@@ -1662,7 +1642,7 @@ def free_and_stepped(make, ticks):
 @pytest.mark.parametrize("name, seed", [
     ("steady", 1), ("sparse", 1), ("wide", 1), ("sparse", 2), ("sparse", 3)])
 def test_free_run_equals_step_mode_on_the_workloads(name, seed):
-    workloads = _import_workloads()
+    workloads = perfbench("workloads")
     scn = parse_scenario_text(workloads.generate(name, seed), f"{name}.yaml")
 
     def make():

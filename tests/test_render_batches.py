@@ -6,13 +6,12 @@ The `steady` benchmark workload is loaded from `perfbench/` as
 `tests/test_bench_digests.py` loads it; nothing there is written.
 """
 
-import importlib.util
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import perfbench
 from rtksim import trace
 from rtksim.gantt import render_svg_gantt
 from rtksim.scenario import build_kernel, demo_scenario_path, load_scenario
@@ -25,20 +24,11 @@ from rtksim.trace import (
     records_to_csv,
 )
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SIZES = [1, 2, 3]
 # a renderer's traced peak, above what was allocated before the call, in
 # lengths of the text it returns: 2.79 (CSV) and 3.44 (SVG) on `steady`
 # when every row's string was alive beside the join and its copy
 PEAK_PER_TEXT = 2.25
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _rendered(records, ticks, size=None):
@@ -123,7 +113,7 @@ def test_the_batch_size_leaves_the_bytes_at_a_batch_edge(size, head, pair,
 
 @pytest.fixture(scope="module")
 def steady(tmp_path_factory):
-    pipeline, workloads = _load("pipeline"), _load("workloads")
+    pipeline, workloads = perfbench("pipeline"), perfbench("workloads")
     run = pipeline.simulate(workloads.generate("steady", 1), "steady.yaml",
                             (), tmp_path_factory.mktemp("steady"))
     return run.records, run.elapsed

@@ -8,6 +8,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import perfbench
 from oracle import MUTEX_SEED_BASE, generate_spec
 from rtksim import scenario
 from rtksim.bfm import DEFAULT_INTC_LINES, MEMORY_WIDTHS
@@ -25,7 +26,8 @@ from rtksim.scenario import (
 )
 from rtksim.trace import MAX_UJ, ListSink
 from test_acceptance import spec_to_raw, spec_to_yaml
-from test_bench_digests import workloads
+
+workloads = perfbench("workloads")
 
 
 MINIMAL = """\
@@ -802,7 +804,7 @@ def test_keys_are_compared_as_constructed(loader, text, data, problems):
         mp.setattr(scenario, "_Loader", loader)
         src = scenario._Source(text, "scn.yaml")
         assert src.data == data
-        assert [(src.locate(p), m) for p, m in src.problems] == problems
+        assert [(f"scn.yaml:{line}", m) for line, m in src.found] == problems
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -883,20 +885,23 @@ _SCENARIO_SHAPED = st.lists(
 # ----------------------------------------------------------------------
 # the one walk of the node tree against the loader it replaced
 
-def _index_node(loader, node, path, lines, problems, seen, refused):
+def _index_node(loader, node, path, lines, problems, seen, refused, holder):
+    # each problem at the line of the node in hand: an alias at that of
+    # ``holder``, its key or its sequence
     if len(path) > scenario._NODE_DEPTH_LIMIT:
         raise RecursionError
     if id(node) in seen:
-        problems.append((path, "YAML aliases are not supported"))
+        problems.append((holder.start_mark.line + 1,
+                         "YAML aliases are not supported"))
         return
     seen.add(id(node))
     lines.setdefault(path, node.start_mark.line + 1)
     why = _outside_the_subset(loader, node)
     if why is not None:
         refused.append((path, why))
-        problems.append((path, why))
+        problems.append((node.start_mark.line + 1, why))
     elif isinstance(node, yaml.MappingNode):
-        keys, repeats = set(), 0
+        keys = set()
         for i, (k_node, v_node) in enumerate(node.value):
             if isinstance(k_node, yaml.ScalarNode):
                 why = ("merge keys are not supported"
@@ -909,24 +914,24 @@ def _index_node(loader, node, path, lines, problems, seen, refused):
                 at = path + (("key", i),)
                 lines[at] = k_node.start_mark.line + 1
                 refused.append((at, why))
-                problems.append((at, why))
-                _index_node(loader, v_node, at, lines, problems, seen, refused)
+                problems.append((k_node.start_mark.line + 1, why))
+                _index_node(loader, v_node, at, lines, problems, seen, refused,
+                            k_node)
                 continue
             key, value = k_node.value, _constructed_key(loader, k_node)
             if value in keys:
-                repeats += 1
-                again = path + (key, ("repeat", repeats))
-                problems.append((again, f"duplicate key '{key}'"))
-                line = lines[path + (key,)] = k_node.start_mark.line + 1
-                lines[again] = line
+                # the data holds the last repeat's value, at its line
+                problems.append((k_node.start_mark.line + 1,
+                                 f"duplicate key '{key}'"))
+                lines[path + (key,)] = k_node.start_mark.line + 1
             keys.add(value)
             lines.setdefault(path + (key,), k_node.start_mark.line + 1)
             _index_node(loader, v_node, path + (key,), lines, problems, seen,
-                        refused)
+                        refused, k_node)
     elif isinstance(node, yaml.SequenceNode):
         for i, item in enumerate(node.value):
             _index_node(loader, item, path + (i,), lines, problems, seen,
-                        refused)
+                        refused, node)
 
 
 # the tags of the subset, by kind of node
@@ -999,7 +1004,8 @@ class _ReferenceSource(scenario._Source):
     `key_texts` holds the source text of each key that is not a string."""
 
     def __init__(self, text, filename):
-        self.filename, self.problems, self.lines = filename, [], {}
+        self.filename, self.found, self.problems = filename, [], []
+        self.lines = {}
         self.key_texts, refused = set(), []
         loader_cls = _REFERENCE_LOADERS[
             scenario._Loader
@@ -1010,8 +1016,8 @@ class _ReferenceSource(scenario._Source):
             try:
                 node = loader.get_single_node()
                 if node is not None:
-                    _index_node(loader, node, (), self.lines, self.problems,
-                                set(), refused)
+                    _index_node(loader, node, (), self.lines, self.found,
+                                set(), refused, node)
                     self.key_texts = _texts_of_keys_not_str(node)
                 self.data = (None if node is None or refused
                              else _construct(loader, node))
@@ -1093,8 +1099,10 @@ def _parse_with(source, text, loader):
         except ScenarioError as exc:
             problems = exc.problems
     src = made[0]
-    paths = [path for path, _ in src.problems]
-    if [m for _, m in problems] != [m for _, m in src.problems]:
+    # the walk's problems hold no path: each is located as it is found
+    found = getattr(src, "found", [])
+    paths = [()] * len(found) + [path for path, _ in src.problems]
+    if [m for _, m in problems] != [m for _, m in found + src.problems]:
         paths = [()] * len(problems)  # a YAML error, or not a mapping
     return src, [(loc, message, path)
                  for (loc, message), path in zip(problems, paths)]
@@ -1148,6 +1156,22 @@ def test_edge_texts_outside_the_subset_are_refused(loader, text, problems):
     # PyYAML builds each of these, or reports only its first fault
     assert text in EDGE_TEXTS
     assert _refused(loader, text) == problems
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_problem_in_a_value_a_repeat_overrides_is_at_its_own_line(loader):
+    # the walk locates its problems as it meets them; the key's path,
+    # which the data problems use, has the line of its last repeat
+    assert _refused(loader, "run_ticks: !!int x\nrun_ticks: 5\n") == [
+        ("scn.yaml:1", "'x' is not a valid int"),
+        ("scn.yaml:2", "duplicate key 'run_ticks'")]
+    assert _refused(loader, "b: &x 1\na: *x\na: 2\n") == [
+        ("scn.yaml:2", "YAML aliases are not supported"),
+        ("scn.yaml:3", "duplicate key 'a'"),
+        ("scn.yaml:1", "unknown key 'b'"),
+        ("scn.yaml:3", "unknown key 'a'"),
+        ("scn.yaml:1", "missing 'run_ticks'"),
+        ("scn.yaml:1", "missing 'tasks'")]
 
 
 @pytest.mark.parametrize("loader", LOADERS)

@@ -9,13 +9,10 @@ run error inside it, a free service, a handler's service and a refused
 caller.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
+from helpers import compute, perfbench
 from rtksim.cli import EXIT_OK, main
-from rtksim.engine import Annotation
 from rtksim.errors import ProtocolError, ValidationError
 from rtksim.kernel import Kernel
 from rtksim.scenario import build_kernel, demo_scenario_path, parse_scenario_text
@@ -28,18 +25,11 @@ from rtksim.trace import (
     rows,
 )
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
 def mk(**kw):
     k = Kernel(**kw)
     sink = ListSink()
     k.attach_sinks(trace_sink=sink)
     return k, sink
-
-
-def compute(ctx, label, ticks, eem=0):
-    yield from ctx.api.wait(Annotation(label, ticks, eem))
 
 
 def csv_of(records):
@@ -87,6 +77,16 @@ tick_start,tick_end,thread_id,thread_name,context_kind,label,etm_ticks,eem_mJ,ev
 0,2,1,T,TASK,work,2,0.005,STARTUP
 2,2,1,T,TASK,CRIT_ENTER,0,0,
 2,4,1,T,SVC,svc,2,0.004,CONTINUE_RUN
+"""
+
+# the window ends with the service's last tick: its segment is whole,
+# but the section is still open, so again no CRIT_EXIT follows
+AT_END = """\
+tick_start,tick_end,thread_id,thread_name,context_kind,label,etm_ticks,eem_mJ,event_kind
+0,0,1,T,STARTUP,DISPATCH,0,0,STARTUP
+0,2,1,T,TASK,work,2,0.005,STARTUP
+2,2,1,T,TASK,CRIT_ENTER,0,0,
+2,5,1,T,SVC,svc,3,0.007,CONTINUE_RUN
 """
 
 
@@ -145,7 +145,7 @@ objects:
 """
 
 
-@pytest.mark.parametrize("until, expected", [(4, CUT), (7, WHOLE)])
+@pytest.mark.parametrize("until, expected", [(4, CUT), (5, AT_END), (7, WHOLE)])
 @pytest.mark.parametrize("mode", ["run", "step"])
 def test_rtk_sim_until_inside_and_after_the_service(tmp_path, until,
                                                      expected, mode):
@@ -335,14 +335,7 @@ def _scenario_text(name):
     """The demo's scenario text, or a workload's at seed 1."""
     if name == "demo":
         return demo_scenario_path().read_text(encoding="utf-8")
-    saved = sys.path[:], sys.dont_write_bytecode
-    sys.path.insert(0, str(PERFBENCH))
-    sys.dont_write_bytecode = True   # write nothing under perfbench/
-    try:
-        import workloads
-    finally:
-        sys.path[:], sys.dont_write_bytecode = saved
-    return workloads.generate(name, 1)
+    return perfbench("workloads").generate(name, 1)
 
 
 @pytest.mark.parametrize("name", ["demo", "steady", "sparse", "wide"])
