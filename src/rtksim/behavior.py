@@ -56,14 +56,14 @@ __all__ = [
 
 # Op codes of a compiled program.  An op is a tuple led by its code:
 #   (_COMPUTE, label)
-#   (_CALL, method, args, ``as`` name or None)
+#   (_CALL, method, args, ``as`` name or None); a bfm statement is a
+#       call of ``bfm_call`` with (device, access, its args)
 #   (_RELEASE, method, args before the ref, ref name, what)
-#   (_BFM, device, access, args)
 #   (_HEAD, counter, count)     arm a counted loop's counter
 #   (_BACK, counter, target)    one pass done: jump back while passes remain
 #   (_AGAIN, target)            a forever loop's jump back
 #   (_MARK,)                    one task cycle done
-_COMPUTE, _CALL, _RELEASE, _BFM, _HEAD, _BACK, _AGAIN, _MARK = range(8)
+_COMPUTE, _CALL, _RELEASE, _HEAD, _BACK, _AGAIN, _MARK = range(7)
 
 
 class _Fixed(_Check):
@@ -131,13 +131,13 @@ def _id(key, obj):
 
 def _service(name, method, waits, *rows, what=None):
     """The kind of ``{call: name, ...}``.  The argument values reach the
-    kernel method positionally, after the api and in the order of
-    ``rows``, except ``as``, which binds the service's result to a name,
-    and ``ref``, the last, which passes the ``what`` bound to its name.
-    The method is looked up on the kernel instance at call time, so
-    wrappers set on it see every call.  A file lists the arguments in
-    key order.  As in uITRON (E_CTX), only a task may call a service
-    that ``waits``: a handler runs each activation to completion."""
+    kernel method positionally, in the order of ``rows``, except ``as``,
+    which binds the service's result to a name, and ``ref``, the last,
+    which passes the ``what`` bound to its name.  The method is looked
+    up on the kernel instance at call time, so wrappers set on it see
+    every call.  A file lists the arguments in key order.  As in uITRON
+    (E_CTX), only a task may call a service that ``waits``: a handler
+    runs each activation to completion."""
     order = [row.key for row in rows if row.key not in ("as", "ref")]
 
     def op(**args):
@@ -214,7 +214,8 @@ _HEADS = {
         _Row("addr", _Int(0), None),
         _Row("value", _Int(0, 0xFF, "bfm argument 'value' must be a byte "
                                     "(0..255)"), None),
-    ), lambda bfm, **args: (_BFM, *bfm.split(".", 1), args)),
+    ), lambda bfm, **args: (_CALL, "bfm_call", (*bfm.split(".", 1), args),
+                            None)),
     "loop": {True: _loop(_POS_OR_FOREVER),
              "forever": _loop(_Is(lambda v: v == "forever",
                                   'be "forever" in a forever loop'))},
@@ -342,7 +343,7 @@ def _exec(ops, counters, api, kernel, reqs):
         if code == _COMPUTE:
             yield reqs[op[1]]
         elif code == _CALL:
-            res = yield from getattr(kernel, op[1])(api, *op[2])
+            res = yield from getattr(kernel, op[1])(*op[2])
             if op[3] is not None and res.ok:
                 refs[op[3]] = res.value
         elif code == _BACK:
@@ -352,8 +353,6 @@ def _exec(ops, counters, api, kernel, reqs):
                 pc = op[2]
         elif code == _HEAD:
             count[op[1]] = op[2]
-        elif code == _BFM:
-            yield from kernel.bfm_call(api, op[1], op[2], op[3])
         elif code == _MARK:
             api.mark_cycle()
         elif code == _AGAIN:
@@ -362,7 +361,7 @@ def _exec(ops, counters, api, kernel, reqs):
             name = op[3]
             if name not in refs:
                 raise UsageError(f"{op[4]} reference '{name}' was never obtained")
-            yield from getattr(kernel, op[1])(api, *op[2], refs.pop(name))
+            yield from getattr(kernel, op[1])(*op[2], refs.pop(name))
 
 
 def build_factory(statements, annotations, *, handler=False):

@@ -22,8 +22,6 @@ KIND_PARALLEL = "parallel_io"
 KIND_INTC = "intc"
 KIND_RTC = "rtc"
 
-DEVICE_KINDS = (KIND_MEMORY, KIND_SERIAL, KIND_PARALLEL, KIND_INTC, KIND_RTC)
-
 # operation verbs accepted per device kind
 _OPS_BY_KIND = {
     KIND_MEMORY: ("read", "write"),

@@ -7,7 +7,9 @@ and every tick interval [t, t+1) is attributed to exactly one activity,
 so time and energy conservation hold by construction.
 
 The engine owns each thread's lifecycle, so a body is a plain generator
-that runs from its start to its end:
+that runs from its start to its end.  Every body is built with the
+engine's one ``ThreadApi``, whose operations act for the running thread
+(``current_id``), as the kernel's services do:
   * a started task's body is built at its first dispatch and runs until
     it returns or yields ``api.exit()``; either ends the task (DORMANT),
     and a restart builds a fresh body.
@@ -276,7 +278,8 @@ def idle_body(api):
 class SimThread:
     """An activity: task, idle task, or time/interrupt handler.
 
-    ``body`` is a callable taking a ThreadApi and returning a generator.
+    ``body`` is a callable taking the engine's ThreadApi and returning a
+    generator.
     ``gen`` is None until the engine first steps a dispatched task or an
     entered handler, which builds a fresh generator from ``body``; it goes
     back to None when the task ends or the handler returns, so a task can
@@ -318,7 +321,6 @@ class SimThread:
         self.body = body
         self.state = ThreadState.DORMANT
         self.token = Token()
-        self.api: ThreadApi | None = None
 
         self.gen = None
         self.pending_resume: Resume | None = None
@@ -337,7 +339,8 @@ class SimThread:
 
 
 class ThreadApi:
-    """Operations a body may invoke.  Bound to one thread.
+    """Operations a body may invoke, each for the running thread: the
+    engine keeps one, and hands it to every body it builds.
 
     Generator methods must be driven with ``yield from``; plain methods
     are immediate bookkeeping and never transfer control.  Starting a
@@ -345,27 +348,20 @@ class ThreadApi:
     work, not operations: a body simply runs, and a handler returns.
     """
 
-    def __init__(self, engine: "Engine", thread_id: int):
+    def __init__(self, engine: "Engine"):
         self._engine = engine
-        self.thread_id = thread_id
-
-    def check_running(self):
-        """Raise ProtocolError unless this thread is the running one."""
-        if self._engine.current_id != self.thread_id:
-            raise ProtocolError(
-                f"thread {self.thread_id} invoked an operation while not running"
-            )
 
     def segment(self, annotation: Annotation,
                 context_kind: ContextKind | None = None):
         """Validate ``annotation`` once and return a reusable request that
         charges it as one segment in ``context_kind`` (by default the
-        thread's own context).  The thread's body yields the request
-        itself; the value sent back is the Resume that let the segment
-        finish."""
+        running thread's own context).  The thread's body yields the
+        request itself; the value sent back is the Resume that let the
+        segment finish."""
         annotation.validate()
         if context_kind is None:
-            context_kind = self._engine._table[self.thread_id].default_context
+            eng = self._engine
+            context_kind = eng._table[eng.current_id].default_context
         return _WaitRequest(annotation, context_kind)
 
     # -- yielding operations ------------------------------------------------
@@ -373,14 +369,12 @@ class ThreadApi:
     def wait(self, annotation: Annotation, context_kind: ContextKind | None = None):
         """Charge one annotated segment; returns the EventKind that let
         the segment finish (CONTINUE_RUN when it was never suspended)."""
-        self.check_running()
         value = yield self.segment(annotation, context_kind)
         return value.event
 
     def wait_event(self, reason: str = "event wait"):
-        """Block until another party releases this thread; returns the
-        EventKind delivered by the release."""
-        self.check_running()
+        """Block until another party releases the running thread; returns
+        the EventKind delivered by the release."""
         value = yield _BlockRequest(reason)
         return value.event
 
@@ -391,8 +385,8 @@ class ThreadApi:
     # -- immediate operations -----------------------------------------------
 
     def mark_cycle(self):
-        tok = self._engine._table[self.thread_id].token
-        tok.cycles += 1
+        eng = self._engine
+        eng._table[eng.current_id].token.cycles += 1
 
 
 class Engine:
@@ -403,11 +397,11 @@ class Engine:
         self.now = 0
         self.current_id: int | None = None
         self.on_tick = None  # callable(now) run after each stepped tick
+        self.api = ThreadApi(self)  # every body's, acting for the running thread
         self._table: dict[int, SimThread] = {}
         for th in threads:
             if th.id in self._table:
                 raise ConflictError(f"thread id {th.id} given twice")
-            th.api = ThreadApi(self, th.id)
             self._table[th.id] = th
         # current priority -> its READY tasks' sorted ready_keys; bit p
         # set while class p is non-empty
@@ -757,7 +751,7 @@ class Engine:
         th.rec_event = value.event  # opens the record of a segment it yields
         try:
             if th.gen is None:
-                th.gen = th.body(th.api)
+                th.gen = th.body(self.api)
                 req = next(th.gen)
             else:
                 req = th.gen.send(value)

@@ -12,13 +12,16 @@ plus the idle task; ``engine`` is set once all of that is done.  No
 service can run during boot and boot writes no record, so the first
 recorded event is the first dispatch.
 
-Every service call charges the caller one SVC-context segment (cost is
-configurable, default one tick / zero energy) inside an implicit
-critical section: the service refuses a caller that is not running, and
-yields the segment as a critical request, which the engine charges in a
-section of its own (see ``engine``).  A service that must block does so
-only as its final step, after the critical section closed.  Blocking
-services return result codes; a timeout is a result, not an exception.
+As in μITRON, a service call names no caller: every service acts for
+the running thread, the engine's ``current_id``, which a service that
+needs it reads when its frame first runs (``mtx_unlock`` in its
+effect).  Every service call charges the caller one SVC-context segment
+(cost is configurable, default one tick / zero energy) inside an
+implicit critical section: the service yields the segment as a critical
+request, which the engine charges in a section of its own (see
+``engine``).  A service that must block does so only as its final step,
+after the critical section closed.  Blocking services return result
+codes; a timeout is a result, not an exception.
 
 Each service is one generator frame (``exit_task`` then yields the
 engine's exit), in one of two shapes.  The gives run ``_give``:
@@ -126,15 +129,12 @@ class SvcResult:
 # SvcResult costs about a microsecond, and nothing can change this one
 _OK = SvcResult(RESULT_OK)
 
-# refused before the section opens: a service called through the api of
-# a thread that is not the running one
-_NOT_RUNNING = "critical section entered by a non-running thread"
-
 
 class CallContext:
     """Handed to a task or handler body factory.
 
-    ``api`` carries the yielding operations, ``kernel`` the services.
+    ``api`` carries the yielding operations, ``kernel`` the services;
+    both act for the running thread, whose body the factory builds.
     """
 
     __slots__ = ("api", "kernel")
@@ -570,15 +570,15 @@ class Kernel:
     # ------------------------------------------------------------------
     # service plumbing
     #
-    # Every service is one generator frame: it checks its caller and
-    # arguments and yields the SVC segment, which the engine charges in
-    # the implicit critical section.  The engine resumes the service as
-    # it closes the section, in the step the segment ends, so the effect
-    # runs before any scheduling decision.  Then the service releases the
-    # waiters the effect served and, if it must wait, arms its timeout
-    # and blocks.
+    # Every service is one generator frame: it checks its arguments and
+    # yields the SVC segment, which the engine charges in the implicit
+    # critical section.  The engine resumes the service as it closes the
+    # section, in the step the segment ends, so the effect runs before
+    # any scheduling decision.  Then the service releases the waiters
+    # the effect served and, if it must wait, arms its timeout and
+    # blocks.
 
-    def _take(self, api, registry, obj_id, what, timeout, attempt, *args,
+    def _take(self, registry, obj_id, what, timeout, attempt, *args,
               cancel=None):
         """Take from an object, or else wait on it.
 
@@ -587,12 +587,10 @@ class Kernel:
         pairs of the waiters it served).  A timeout calls ``cancel``, by
         default ``cancel_wait``, and releases the waiters it served.
         """
-        tid = api.thread_id
+        tid = self.engine.current_id
         if tid in self._handlers:
             raise self._handler_wait_error(tid, f"{what} {obj_id}")
         timeout = self._validate_timeout(timeout)
-        if self.engine.current_id != tid:
-            raise ProtocolError(_NOT_RUNNING)
         yield self._svc_req
         obj = self._lookup(registry, obj_id, what)
         granted, value, released = attempt(obj, tid, *args)
@@ -604,15 +602,13 @@ class Kernel:
             self._arm_timeout(tid, timeout, cancel or obj.cancel_wait)
         return _result((yield _BlockRequest(f"{what} {obj_id}")))
 
-    def _give(self, api, registry, obj_id, what, change, *args):
+    def _give(self, registry, obj_id, what, change, *args):
         """Change an object, then release the waiters it served.
 
         ``change(obj, *args)`` is the effect, the object's give: it
         returns the (thread id, value) pairs of the waiters it served, or
         None.
         """
-        if self.engine.current_id != api.thread_id:
-            raise ProtocolError(_NOT_RUNNING)
         yield self._svc_req
         released = change(self._lookup(registry, obj_id, what), *args)
         for waiter, result in released or ():
@@ -668,15 +664,13 @@ class Kernel:
     # ------------------------------------------------------------------
     # task services
 
-    def sleep(self, api, timeout=None):
+    def sleep(self, timeout=None):
         """Sleep until wakeup or timeout.  A queued wakeup is consumed
         immediately without blocking."""
-        tid = api.thread_id
+        tid = self.engine.current_id
         if tid in self._handlers:
             raise self._handler_wait_error(tid, "sleep")
         timeout = self._validate_timeout(timeout)
-        if self.engine.current_id != tid:
-            raise ProtocolError(_NOT_RUNNING)
         yield self._svc_req
         tcb = self.tcb[tid]
         if tcb.wakeup_count > 0:
@@ -686,7 +680,7 @@ class Kernel:
             self._arm_timeout(tid, timeout)
         return _result((yield _BlockRequest(_SLEEP)))
 
-    def wakeup(self, api, task_id):
+    def wakeup(self, task_id):
         def wake(tcb):
             th = self._task_thread(task_id)
             if th.state is ThreadState.DORMANT:
@@ -695,74 +689,72 @@ class Kernel:
                 return [(task_id, None)]
             tcb.wakeup_count += 1
 
-        return self._give(api, self.tcb, task_id, "thread", wake)
+        return self._give(self.tcb, task_id, "thread", wake)
 
-    def delay(self, api, ticks):
+    def delay(self, ticks):
         """Unconditional delay: only expiry releases it; wakeups queue up."""
-        tid = api.thread_id
+        tid = self.engine.current_id
         if tid in self._handlers:
             raise self._handler_wait_error(tid, "delay")
         if not isinstance(ticks, int) or type(ticks) is bool or ticks < 1:
             raise ValidationError("delay must be >= 1 ticks")
-        if self.engine.current_id != tid:
-            raise ProtocolError(_NOT_RUNNING)
         yield self._svc_req
         self._arm_timeout(tid, ticks, code=RESULT_OK)
         return _result((yield _BlockRequest("delay")))
 
-    def start_task(self, api, task_id):
+    def start_task(self, task_id):
         def start(_tcb):
             self._task_thread(task_id)
             self.engine.start_thread(task_id)
 
-        return self._give(api, self.tcb, task_id, "thread", start)
+        return self._give(self.tcb, task_id, "thread", start)
 
-    def exit_task(self, api):
-        yield from self._give(api, self.tcb, api.thread_id, "thread",
+    def exit_task(self):
+        yield from self._give(self.tcb, self.engine.current_id, "thread",
                               lambda _tcb: None)
-        yield from api.exit()
+        yield from self.engine.api.exit()
 
     # ------------------------------------------------------------------
     # synchronization services
 
-    def sem_wait(self, api, sem_id, n=1, timeout=None):
-        return self._take(api, self.semaphores, sem_id, "semaphore", timeout,
+    def sem_wait(self, sem_id, n=1, timeout=None):
+        return self._take(self.semaphores, sem_id, "semaphore", timeout,
                           Semaphore.acquire, n)
 
-    def sem_signal(self, api, sem_id, n=1):
-        return self._give(api, self.semaphores, sem_id, "semaphore",
+    def sem_signal(self, sem_id, n=1):
+        return self._give(self.semaphores, sem_id, "semaphore",
                           Semaphore.signal, n)
 
-    def flag_wait(self, api, flg_id, pattern, mode, clear=False, timeout=None):
-        return self._take(api, self.flags, flg_id, "event flag", timeout,
+    def flag_wait(self, flg_id, pattern, mode, clear=False, timeout=None):
+        return self._take(self.flags, flg_id, "event flag", timeout,
                           EventFlag.wait, pattern, mode, clear)
 
-    def flag_set(self, api, flg_id, bits):
-        return self._give(api, self.flags, flg_id, "event flag",
+    def flag_set(self, flg_id, bits):
+        return self._give(self.flags, flg_id, "event flag",
                           EventFlag.set_bits, bits)
 
-    def flag_clear(self, api, flg_id, mask):
-        return self._give(api, self.flags, flg_id, "event flag",
+    def flag_clear(self, flg_id, mask):
+        return self._give(self.flags, flg_id, "event flag",
                           EventFlag.clear_bits, mask)
 
-    def mbx_send(self, api, mbx_id, payload, priority=0):
-        return self._give(api, self.mailboxes, mbx_id, "mailbox",
+    def mbx_send(self, mbx_id, payload, priority=0):
+        return self._give(self.mailboxes, mbx_id, "mailbox",
                           Mailbox.send, priority, payload)
 
-    def mbx_recv(self, api, mbx_id, timeout=None):
-        return self._take(api, self.mailboxes, mbx_id, "mailbox", timeout,
+    def mbx_recv(self, mbx_id, timeout=None):
+        return self._take(self.mailboxes, mbx_id, "mailbox", timeout,
                           Mailbox.recv)
 
-    def mbf_send(self, api, mbf_id, data, timeout=None):
-        return self._take(api, self.buffers, mbf_id, "message buffer",
+    def mbf_send(self, mbf_id, data, timeout=None):
+        return self._take(self.buffers, mbf_id, "message buffer",
                           timeout, MessageBuffer.send, data)
 
-    def mbf_recv(self, api, mbf_id, timeout=None):
-        return self._take(api, self.buffers, mbf_id, "message buffer",
+    def mbf_recv(self, mbf_id, timeout=None):
+        return self._take(self.buffers, mbf_id, "message buffer",
                           timeout, MessageBuffer.recv)
 
-    def mtx_lock(self, api, mtx_id, timeout=None):
-        return self._take(api, self.mutexes, mtx_id, "mutex", timeout,
+    def mtx_lock(self, mtx_id, timeout=None):
+        return self._take(self.mutexes, mtx_id, "mutex", timeout,
                           self._lock, cancel=self._unqueue)
 
     def _lock(self, mtx, tid):
@@ -785,13 +777,13 @@ class Kernel:
         self._inherit(mtx.owner)
         return served
 
-    def mtx_unlock(self, api, mtx_id):
-        return self._give(api, self.mutexes, mtx_id, "mutex",
-                          self._unlock, api.thread_id)
+    def mtx_unlock(self, mtx_id):
+        return self._give(self.mutexes, mtx_id, "mutex", self._unlock)
 
-    def _unlock(self, mtx, tid):
+    def _unlock(self, mtx):
         """mtx_unlock's effect: hand the mutex to its best waiter, if any,
         and take back from the caller what the mutex's waiters lent it."""
+        tid = self.engine.current_id
         served = mtx.unlock(tid)
         self.tcb[tid].held.remove(mtx)
         if not served:  # a free mutex had no waiters to lose
@@ -804,26 +796,26 @@ class Kernel:
         self._inherit(tid)
         return served
 
-    def pool_get(self, api, pool_id, timeout=None):
-        return self._take(api, self.fixed_pools, pool_id, "fixed pool", timeout,
+    def pool_get(self, pool_id, timeout=None):
+        return self._take(self.fixed_pools, pool_id, "fixed pool", timeout,
                           FixedPool.get)
 
-    def pool_release(self, api, pool_id, index):
-        return self._give(api, self.fixed_pools, pool_id, "fixed pool",
+    def pool_release(self, pool_id, index):
+        return self._give(self.fixed_pools, pool_id, "fixed pool",
                           FixedPool.release, index)
 
-    def vpool_get(self, api, pool_id, size, timeout=None):
-        return self._take(api, self.variable_pools, pool_id, "variable pool",
+    def vpool_get(self, pool_id, size, timeout=None):
+        return self._take(self.variable_pools, pool_id, "variable pool",
                           timeout, VariablePool.get, size)
 
-    def vpool_release(self, api, pool_id, offset):
-        return self._give(api, self.variable_pools, pool_id, "variable pool",
+    def vpool_release(self, pool_id, offset):
+        return self._give(self.variable_pools, pool_id, "variable pool",
                           VariablePool.release, offset)
 
     # ------------------------------------------------------------------
     # peripherals
 
-    def bfm_call(self, api, device, access, args=None):
+    def bfm_call(self, device, access, args=None):
         """Perform a device access, then charge its cycle/energy budget.
 
         Deliberately not a critical section: a long transfer stays
@@ -839,7 +831,6 @@ class Kernel:
             req = self._bfm_reqs[device, access] = _WaitRequest(
                 Annotation(f"bfm:{device}.{access}", etm, spec.eem_uj),
                 ContextKind.BFM)
-        api.check_running()
         yield req
         return SvcResult(RESULT_OK, response)
 

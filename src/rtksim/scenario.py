@@ -194,7 +194,14 @@ _SCALARS[_TAG + "value"] = yaml.SafeLoader.construct_yaml_str
 _REFUSED = object()     # in the place of a refused node's data
 
 
-def _walk(loader, root, problems, lines=None):
+def _alias_lines(text, loader_cls):
+    """The line of each alias in `text`, read from its event, since its
+    composed node is its anchor's.  Only a text with a `*` is parsed."""
+    return [ev.start_mark.line + 1 for ev in yaml.parse(text, loader_cls)
+            if type(ev) is yaml.AliasEvent] if "*" in text else []
+
+
+def _walk(loader, root, problems, lines=None, aliases=()):
     """The data of the node tree at `root`, built in one walk that makes
     the checks too, or None if the tree has a node outside the subset of
     YAML that a scenario is written in.
@@ -210,17 +217,19 @@ def _walk(loader, root, problems, lines=None):
     (`!!int five`).  A refused collection's items are not read; a refused
     key's value is, at the key's path: its mapping's path and `("key",
     i)`, for the mapping's i-th pair.  A node deeper than
-    `_NODE_DEPTH_LIMIT` raises RecursionError, and a node met again (an
-    alias) or a key equal, as constructed, to one before it in its
-    mapping (`1` and `01`, `true` and `yes`) is a problem.
+    `_NODE_DEPTH_LIMIT` raises RecursionError, and a key equal, as
+    constructed, to one before it in its mapping (`1` and `01`, `true`
+    and `yes`) is a problem.
 
     Each problem is a (line, message) pair in `problems`, located at the
-    node in hand: a refused node or a repeated key at its own line, and
-    an alias, whose node is the one its anchor marks, at the line of what
-    holds it, its key or its sequence.  A path, which holds each key as
-    constructed, locates only the problems found in the data: `lines`
-    gets each path's line, a repeated key's path that of its last
-    repeat, whose value the data holds."""
+    node in hand: a refused node or a repeated key at its own line.  Each
+    of the `aliases` lines is one more, after the walk's on its line.
+    Only a text with an alias meets a node again: a value is read as its
+    anchor's data, and a key is refused, as a key outside the subset is.
+    A path, which holds each key as constructed, locates only the
+    problems found in the data: `lines` gets each path's line, a
+    repeated key's path that of its last repeat, whose value the data
+    holds."""
     built, refused = {}, []
 
     def refuse(node, message):
@@ -241,14 +250,10 @@ def _walk(loader, root, problems, lines=None):
             return refuse(node, f"'{node.value}' is not a valid "
                                 f"{node.tag[len(_TAG):]}")
 
-    def walk(node, path, holder):
-        # `holder` holds `node`: its key, its sequence, or itself (the root)
+    def walk(node, path):
         if len(path) > _NODE_DEPTH_LIMIT:
             raise RecursionError  # reported like the loaders' own: nested too deeply
-        if node in built:
-            # aliases would let one node validate at two paths; refuse them
-            problems.append((holder.start_mark.line + 1,
-                             "YAML aliases are not supported"))
+        if aliases and node in built:
             return built[node]
         if lines is not None:
             lines.setdefault(path, node.start_mark.line + 1)
@@ -258,12 +263,15 @@ def _walk(loader, root, problems, lines=None):
         elif tag == _SEQ and node.id == "sequence":
             data = built[node] = []
             for i, item in enumerate(value):
-                data.append(walk(item, path + (i,), node))
+                data.append(walk(item, path + (i,)))
         elif tag == _MAP and node.id == "mapping":
             data = built[node] = {}
             for i, (key_node, item) in enumerate(value):
                 key = key_node.value
-                if key_node.tag != _STR or key_node.id != "scalar":
+                if aliases and key_node in built:
+                    refused.append(key_node)
+                    key = ("key", i)
+                elif key_node.tag != _STR or key_node.id != "scalar":
                     if key_node.id != "scalar":
                         key = refuse(key_node, "a key must be a scalar")
                     elif key_node.tag == _TAG + "merge":
@@ -272,18 +280,24 @@ def _walk(loader, root, problems, lines=None):
                         key = scalar(key_node)
                     if key is _REFUSED:
                         key = ("key", i)  # unique in the mapping
+                if aliases:
+                    built.setdefault(key_node, key)  # an alias may name it
                 here = path + (key,)
                 if key in data:
                     problems.append((key_node.start_mark.line + 1,
                                      f"duplicate key '{key_node.value}'"))
                 if lines is not None:
                     lines[here] = key_node.start_mark.line + 1
-                data[key] = walk(item, here, key_node)
+                data[key] = walk(item, here)
         else:
             data = built[node] = scalar(node)
         return data
 
-    data = walk(root, (), root)
+    data = walk(root, ())
+    if aliases:
+        problems += [(line, "YAML aliases are not supported")
+                     for line in aliases]
+        problems.sort(key=lambda problem: problem[0])
     return None if refused else data
 
 
@@ -312,7 +326,8 @@ class _Source:
             loader = loader_cls(self.text)
             try:
                 node = loader.get_single_node()
-                return node and _walk(loader, node, problems, lines)
+                return node and _walk(loader, node, problems, lines,
+                                      _alias_lines(self.text, loader_cls))
             finally:
                 loader.dispose()
         except (yaml.MarkedYAMLError, yaml.reader.ReaderError,

@@ -123,11 +123,6 @@ def to_uj(value, uj_per_unit: int) -> int:
     raise ValueError(f"bad energy value: {value!r}")
 
 
-def parse_mj(value) -> int:
-    """Parse a milli-joule figure to micro-joules (see ``to_uj``)."""
-    return to_uj(value, 1000)
-
-
 @dataclass(slots=True)
 class TraceRecord:
     """One trace row, ``repeat`` equal rows back to back, or a service's

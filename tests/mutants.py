@@ -197,23 +197,23 @@ MUTANTS = (
      "                if key in data:\n",
      "                if False:\n"),
     ("walk-lets-aliases-through", SCENARIO_T, SCENARIO,
-     "            problems.append((holder.start_mark.line + 1,\n"
-     "                             \"YAML aliases are not supported\"))\n",
-     "            pass\n"),
+     "            if type(ev) is yaml.AliasEvent] if \"*\" in text else []\n",
+     "            if type(ev) is yaml.AliasEvent] if False else []\n"),
     ("walk-paths-hold-key-text", SCENARIO_T, SCENARIO,
      "                here = path + (key,)\n",
      "                here = path + (key_node.value,)\n"),
     # -- a scenario read as a strict YAML subset, each refusal at its node
     ("walk-accepts-a-merge-key", SCENARIO_T, SCENARIO,
-     "                if key_node.tag != _STR or key_node.id != \"scalar\":\n",
-     "                if key_node.tag not in (_STR, _TAG + \"merge\")"
+     "                elif key_node.tag != _STR or key_node.id != \"scalar\":\n",
+     "                elif key_node.tag not in (_STR, _TAG + \"merge\")"
      " or key_node.id != \"scalar\":\n"),
     ("refusal-at-the-roots-line", SCENARIO_T, SCENARIO,
      "        problems.append((node.start_mark.line + 1, message))\n",
      "        problems.append((root.start_mark.line + 1, message))\n"),
     ("alias-at-its-anchors-line", SCENARIO_T, SCENARIO,
-     "            problems.append((holder.start_mark.line + 1,\n",
-     "            problems.append((node.start_mark.line + 1,\n"),
+     "            if type(ev) is yaml.AliasEvent] if",
+     "            if getattr(ev, \"anchor\", None)"
+     " and type(ev) is not yaml.AliasEvent] if"),
     # -- each service's critical section run by the engine, one record
     ("gate-preempts-inside-a-section", ACCEPTANCE, ENGINE,
      "            if cur is None or self._section is None and (\n",
@@ -224,9 +224,6 @@ MUTANTS = (
     ("finish-drops-an-open-sections-enter-row", SECTIONS_T, ENGINE,
      "            if self._section is not None:  # the window ends inside it\n",
      "            if False:\n"),
-    ("service-of-a-caller-not-running-not-refused", SECTIONS_T, KERNEL,
-     "        if self.engine.current_id != api.thread_id:\n",
-     "        if False:\n"),
     ("section-never-closes", SECTIONS_T, ENGINE,
      "            self._section or \"\"))\n"
      "        self._section = None\n",
@@ -272,6 +269,27 @@ MUTANTS = (
      "        if not self._fh.closed:\n"
      "            self._write()\n",
      "        if not self._fh.closed:\n"),
+    # -- every service and body operation acting for the running thread
+    ("take-lets-a-handler-wait", KERNEL_T, KERNEL,
+     "        if tid in self._handlers:\n"
+     "            raise self._handler_wait_error(tid, f\"{what} {obj_id}\")\n",
+     ""),
+    ("segment-defaults-to-task-context", ENGINE_T, ENGINE,
+     "            context_kind = eng._table[eng.current_id].default_context\n",
+     "            context_kind = ContextKind.TASK\n"),
+    # -- every alias refused at its own line
+    ("alias-key-read-as-its-anchors-node", SCENARIO_T, SCENARIO,
+     "                if aliases and key_node in built:\n"
+     "                    refused.append(key_node)\n"
+     "                    key = (\"key\", i)\n"
+     "                elif key_node.tag",
+     "                if key_node.tag"),
+    ("sequence-alias-at-the-sequences-line", SCENARIO_T, SCENARIO,
+     "                data.append(walk(item, path + (i,)))\n",
+     "                if aliases and item in built:\n"
+     "                    problems.append((node.start_mark.line + 1,\n"
+     "                                     \"YAML aliases are not supported\"))\n"
+     "                data.append(walk(item, path + (i,)))\n"),
     ("sink-formats-each-record-on-its-own", BENCH_CALLS, TRACE,
      "        held = self._held\n"
      "        self._batch[held] = rec\n"

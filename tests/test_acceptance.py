@@ -461,7 +461,7 @@ def test_07_system_level_runtime_line():
 
     def chatty(ctx):
         for _ in range(30):
-            yield from ctx.kernel.sem_signal(ctx.api, 1)
+            yield from ctx.kernel.sem_signal(1)
 
     k.declare_semaphore(1, 0)
     k.declare_task(1, "CHATTY", 5, chatty)
@@ -489,7 +489,7 @@ def test_08_battery_projection_exact():
     def eater(ctx):
         while True:
             yield from ctx.api.wait(hungry)
-            yield from ctx.kernel.sem_signal(ctx.api, 1)
+            yield from ctx.kernel.sem_signal(1)
 
     k.declare_semaphore(1, 0)
     k.declare_task(1, "EATER", 5, eater)

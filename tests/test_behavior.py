@@ -162,10 +162,10 @@ def test_the_kernel_refuses_a_handler_at_the_call_exactly_when_the_row_can_wait(
     method, args = op[1], op[2] + (0,) * (op[0] == _RELEASE)
 
     def waiter(ctx):
-        yield from ctx.kernel.delay(ctx.api, 20)
+        yield from ctx.kernel.delay(20)
 
     def handler(ctx):
-        yield from getattr(ctx.kernel, method)(ctx.api, *args)
+        yield from getattr(ctx.kernel, method)(*args)
 
     sink = ListSink()
     k = Kernel()

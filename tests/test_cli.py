@@ -177,7 +177,7 @@ def test_a_handler_that_waits_exits_four(monkeypatch, tmp_path, capsys):
         kernel.declare_semaphore(1, 0)
 
         def handler(ctx):
-            yield from ctx.kernel.sem_wait(ctx.api, 1)
+            yield from ctx.kernel.sem_wait(1)
         kernel.declare_cyclic(1, "H", 5, handler)
         return kernel
     monkeypatch.setattr("rtksim.cli.build_kernel", waiting_kernel)

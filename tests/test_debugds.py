@@ -90,7 +90,7 @@ def golden_kernel() -> Kernel:
 
     def body(ctx):
         yield from compute(ctx, "w", 2)
-        yield from ctx.kernel.sem_signal(ctx.api, 1)
+        yield from ctx.kernel.sem_signal(1)
 
     k.declare_task(1, "T", 5, body, extended_info=0x74)
     k.boot()
@@ -127,26 +127,26 @@ def busy_kernel() -> Kernel:
     k.declare_variable_pool(1, 16)
 
     def holder(ctx):
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.mtx_lock(1)
+        yield from ctx.kernel.sleep()
 
     def contender(ctx):
         # sit out the opening ticks so the lower-priority task locks first
-        yield from ctx.kernel.delay(ctx.api, 4)
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.delay(4)
+        yield from ctx.kernel.mtx_lock(1)
 
     def filler(ctx):
-        yield from ctx.kernel.vpool_get(ctx.api, 1, 6)
-        yield from ctx.kernel.pool_get(ctx.api, 1)
-        yield from ctx.kernel.mbx_send(ctx.api, 1, "note")
-        yield from ctx.kernel.mbf_send(ctx.api, 1, b"xy")
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.vpool_get(1, 6)
+        yield from ctx.kernel.pool_get(1)
+        yield from ctx.kernel.mbx_send(1, "note")
+        yield from ctx.kernel.mbf_send(1, b"xy")
+        yield from ctx.kernel.sleep()
 
     def dozer(ctx):
-        yield from ctx.kernel.delay(ctx.api, 50)
+        yield from ctx.kernel.delay(50)
 
     def prodder(ctx):
-        yield from ctx.kernel.wakeup(ctx.api, 4)
+        yield from ctx.kernel.wakeup(4)
 
     k.declare_task(1, "HOLD", 5, holder)
     k.declare_task(2, "WANT", 3, contender)
@@ -240,7 +240,7 @@ def test_thirty_service_ticks_render_as_thirty_ms():
 
     def body(ctx):
         for _ in range(30):
-            yield from ctx.kernel.sem_signal(ctx.api, 1)
+            yield from ctx.kernel.sem_signal(1)
 
     k.declare_task(1, "T", 5, body)
     k.boot()

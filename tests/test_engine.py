@@ -563,6 +563,35 @@ def test_each_handler_activation_runs_a_fresh_body_and_counts_a_cycle():
     assert len(control_rows(sink, "INT_RETURN")) == 3
 
 
+def test_every_body_gets_the_engines_one_api_acting_for_the_running_thread():
+    # a handler and a task build their segments through the same api: the
+    # default context and the cycle marked are the running thread's
+    seen = []
+
+    def body(label):
+        def run(api):
+            seen.append(api)
+            yield api.segment(Annotation(label, 1, 0))
+            api.mark_cycle()
+        return run
+
+    eng, sink = make_engine([isr(1, "H", body("h")), task(2, "A", 5, body("a")),
+                             task(3, "IDLE", 99, forever_idle)])
+    eng.start_thread(2)
+    eng.start_thread(3)
+    eng.arm_handler(1)
+    eng.raise_interrupt(1)
+    eng.run_ticks(3)
+    eng.finish()
+    assert seen == [eng.api, eng.api]
+    assert work_rows(sink) == [(0, 1, "H", "h"), (1, 2, "A", "a"),
+                               (2, 3, "IDLE", "idle")]
+    contexts = [r.context_kind for r in rows(sink.records) if not r.is_control]
+    assert contexts == ["ISR", "TASK", "IDLE"]
+    # the handler's return counts one more cycle
+    assert [eng.thread(tid).token.cycles for tid in (1, 2)] == [2, 1]
+
+
 def _run_one_activation(handler):
     eng, _ = make_engine(
         [isr(1, "H", handler), task(2, "IDLE", 99, forever_idle)])

@@ -40,7 +40,7 @@ def preemption_records():
     k.attach_sinks(trace_sink=sink)
 
     def hi(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 2)
+        yield from ctx.kernel.sleep(2)
         yield from ctx.api.wait(Annotation("h", 2, 0))
 
     def lo(ctx):

@@ -1,11 +1,15 @@
 """Kernel services, time-event handlers, boot protocol, deadlock detection.
 
 Scenarios are built programmatically through the declaration API.  Task
-body factories receive a CallContext; results are captured into plain
+body factories receive a CallContext, and a body calls each service with
+its arguments alone, as ``yield from ctx.kernel.sem_wait(1)``: the
+service acts for the running thread.  Results are captured into plain
 dicts so assertions stay outside the simulated world.  Expected tick
 positions in comments were derived by hand: a service charges one tick
 and its effect lands on the caller's next resume.
 """
+
+import inspect
 
 import pytest
 
@@ -51,12 +55,12 @@ def test_sleep_released_by_wakeup():
     k, _ = mk()
 
     def sleeper(ctx):
-        res = yield from ctx.kernel.sleep(ctx.api)
+        res = yield from ctx.kernel.sleep()
         out["code"] = res.code
 
     def waker(ctx):
         yield from compute(ctx, "w", 3)
-        yield from ctx.kernel.wakeup(ctx.api, 1)
+        yield from ctx.kernel.wakeup(1)
 
     k.declare_task(1, "SLEEPER", 5, sleeper)
     k.declare_task(2, "WAKER", 10, waker)
@@ -72,11 +76,11 @@ def test_queued_wakeup_skips_the_block():
     k, sink = mk()
 
     def waker(ctx):
-        yield from ctx.kernel.wakeup(ctx.api, 2)
+        yield from ctx.kernel.wakeup(2)
 
     def sleeper(ctx):
         yield from compute(ctx, "s", 2)
-        res = yield from ctx.kernel.sleep(ctx.api)
+        res = yield from ctx.kernel.sleep()
         out["code"] = res.code
 
     k.declare_task(1, "WAKER", 5, waker)
@@ -94,7 +98,7 @@ def test_sleep_timeout_expires_on_the_exact_boundary():
     k, _ = mk()
 
     def body(ctx):
-        res = yield from ctx.kernel.sleep(ctx.api, 4)
+        res = yield from ctx.kernel.sleep(4)
         out["code"] = res.code
 
     k.declare_task(1, "T", 5, body)
@@ -113,14 +117,14 @@ def test_stale_sleep_timer_cannot_release_a_later_wait():
     k, _ = mk(abort_on_deadlock=False)
 
     def t1(ctx):
-        res = yield from ctx.kernel.sleep(ctx.api, 10)   # timer due at 11
+        res = yield from ctx.kernel.sleep(10)   # timer due at 11
         out["first"] = res.code
-        res = yield from ctx.kernel.sleep(ctx.api)       # forever
+        res = yield from ctx.kernel.sleep()       # forever
         out["second"] = res.code                          # must never run
 
     def t2(ctx):
         yield from compute(ctx, "w", 2)
-        yield from ctx.kernel.wakeup(ctx.api, 1)
+        yield from ctx.kernel.wakeup(1)
 
     k.declare_task(1, "T1", 5, t1)
     k.declare_task(2, "T2", 10, t2)
@@ -140,20 +144,20 @@ def test_delay_ignores_wakeups_and_banks_them():
     k, _ = mk()
 
     def t1(ctx):
-        res = yield from ctx.kernel.delay(ctx.api, 8)
+        res = yield from ctx.kernel.delay(8)
         out["delay"] = res.code
-        res = yield from ctx.kernel.sleep(ctx.api)
+        res = yield from ctx.kernel.sleep()
         out["s1"] = res.code
-        res = yield from ctx.kernel.sleep(ctx.api)
+        res = yield from ctx.kernel.sleep()
         out["s2"] = res.code
-        res = yield from ctx.kernel.sleep(ctx.api, 5)
+        res = yield from ctx.kernel.sleep(5)
         out["s3"] = res.code
 
     def t2(ctx):
         yield from compute(ctx, "a", 1)
-        yield from ctx.kernel.wakeup(ctx.api, 1)
+        yield from ctx.kernel.wakeup(1)
         yield from compute(ctx, "b", 1)
-        yield from ctx.kernel.wakeup(ctx.api, 1)
+        yield from ctx.kernel.wakeup(1)
 
     k.declare_task(1, "T1", 5, t1)
     k.declare_task(2, "T2", 10, t2)
@@ -175,14 +179,14 @@ def test_wakeup_of_a_task_waiting_on_an_object_is_banked():
     k.declare_semaphore(1, 0)
 
     def t1(ctx):
-        yield from ctx.kernel.sleep(ctx.api)            # ended by T2's wakeup
-        res = yield from ctx.kernel.sem_wait(ctx.api, 1)
+        yield from ctx.kernel.sleep()            # ended by T2's wakeup
+        res = yield from ctx.kernel.sem_wait(1)
         out["sem"] = res.code                           # must never run
 
     def t2(ctx):
-        yield from ctx.kernel.wakeup(ctx.api, 1)
+        yield from ctx.kernel.wakeup(1)
         yield from compute(ctx, "gap", 3)                # T1 runs and blocks
-        yield from ctx.kernel.wakeup(ctx.api, 1)        # T1 waits on the semaphore
+        yield from ctx.kernel.wakeup(1)        # T1 waits on the semaphore
 
     k.declare_task(1, "T1", 5, t1)
     k.declare_task(2, "T2", 10, t2)
@@ -200,8 +204,8 @@ def test_wakeup_of_dormant_task_is_an_error():
         yield from compute(ctx, "x", 1)
 
     def t2(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 3)
-        yield from ctx.kernel.wakeup(ctx.api, 1)    # T1 exited long ago
+        yield from ctx.kernel.sleep(3)
+        yield from ctx.kernel.wakeup(1)    # T1 exited long ago
 
     k.declare_task(1, "T1", 5, t1)
     k.declare_task(2, "T2", 10, t2)
@@ -245,12 +249,12 @@ def test_alarm_fires_once_at_offset():
     k, _ = mk()
 
     def sleeper(ctx):
-        res = yield from ctx.kernel.sleep(ctx.api)
+        res = yield from ctx.kernel.sleep()
         out["woke_at"] = ctx.kernel.engine.now
         out["code"] = res.code
 
     def alarm_body(ctx):
-        yield from ctx.kernel.wakeup(ctx.api, 1)
+        yield from ctx.kernel.wakeup(1)
 
     k.declare_task(1, "T", 5, sleeper)
     k.declare_alarm(2, "A", 6, alarm_body)
@@ -266,15 +270,15 @@ def test_alarm_fires_once_at_offset():
 def waiting_handler(service):
     """A handler factory whose body calls ``service``, one that can wait."""
     def factory(ctx):
-        kernel, api = ctx.kernel, ctx.api
+        kernel = ctx.kernel
         if service == "sleep":
-            yield from kernel.sleep(api)
+            yield from kernel.sleep()
         elif service == "delay":
-            yield from kernel.delay(api, 2)
+            yield from kernel.delay(2)
         elif service == "mtx_lock":
-            yield from kernel.mtx_lock(api, 1)
+            yield from kernel.mtx_lock(1)
         else:
-            yield from kernel.sem_wait(api, 1, timeout=3)
+            yield from kernel.sem_wait(1, timeout=3)
     return factory
 
 
@@ -330,7 +334,7 @@ def test_busy_cyclic_handler_misses_fires():
 
 def _two_sleepers(k):
     def body(ctx):
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.sleep()
 
     k.declare_task(1, "T1", 5, body)
     k.declare_task(2, "T2", 6, body)
@@ -359,10 +363,10 @@ def test_pending_timer_defers_deadlock():
     k, _ = mk()
 
     def forever(ctx):
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.sleep()
 
     def timed(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 30)
+        yield from ctx.kernel.sleep(30)
 
     k.declare_task(1, "F", 5, forever)
     k.declare_task(2, "D", 6, timed)
@@ -378,12 +382,12 @@ def test_stale_timeout_does_not_defer_deadlock():
     k, _ = mk()
 
     def a(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 100)   # B wakes it; no timer left
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.sleep(100)   # B wakes it; no timer left
+        yield from ctx.kernel.sleep()
 
     def b(ctx):
-        yield from ctx.kernel.wakeup(ctx.api, 1)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.wakeup(1)
+        yield from ctx.kernel.sleep()
 
     k.declare_task(1, "A", 5, a)
     k.declare_task(2, "B", 6, b)
@@ -399,13 +403,13 @@ def test_live_timeout_defers_deadlock_after_a_stale_one_fell_due():
     k, _ = mk()
 
     def a(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 5)     # woken; was due at 6
-        res = yield from ctx.kernel.sleep(ctx.api, 10)   # live from 4 to 14
+        yield from ctx.kernel.sleep(5)     # woken; was due at 6
+        res = yield from ctx.kernel.sleep(10)   # live from 4 to 14
         out["a"] = (res.code, ctx.kernel.engine.now)
 
     def b(ctx):
-        yield from ctx.kernel.wakeup(ctx.api, 1)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.wakeup(1)
+        yield from ctx.kernel.sleep()
 
     k.declare_task(1, "A", 5, a)
     k.declare_task(2, "B", 6, b)
@@ -423,15 +427,15 @@ def test_timeout_that_fired_is_not_counted_stale():
     k.declare_semaphore(1, 0)
 
     def a(ctx):
-        yield from ctx.kernel.sem_wait(ctx.api, 1, timeout=2)   # fires
-        yield from ctx.kernel.sem_wait(ctx.api, 1)              # B signals
-        res = yield from ctx.kernel.sleep(ctx.api, 10)
+        yield from ctx.kernel.sem_wait(1, timeout=2)   # fires
+        yield from ctx.kernel.sem_wait(1)              # B signals
+        res = yield from ctx.kernel.sleep(10)
         out["a"] = (res.code, ctx.kernel.engine.now)
 
     def b(ctx):
         yield from compute(ctx, "gap", 6)
-        yield from ctx.kernel.sem_signal(ctx.api, 1)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.sem_signal(1)
+        yield from ctx.kernel.sleep()
 
     k.declare_task(1, "A", 5, a)
     k.declare_task(2, "B", 6, b)
@@ -454,14 +458,14 @@ def test_sem_wait_timeout_then_signal():
     k.declare_semaphore(1, 0)
 
     def t1(ctx):
-        res = yield from ctx.kernel.sem_wait(ctx.api, 1, timeout=3)
+        res = yield from ctx.kernel.sem_wait(1, timeout=3)
         out["first"] = res.code
-        res = yield from ctx.kernel.sem_wait(ctx.api, 1, timeout=10)
+        res = yield from ctx.kernel.sem_wait(1, timeout=10)
         out["second"] = res.code
 
     def t2(ctx):
         yield from compute(ctx, "w", 5)
-        yield from ctx.kernel.sem_signal(ctx.api, 1)
+        yield from ctx.kernel.sem_signal(1)
 
     k.declare_task(1, "T1", 5, t1)
     k.declare_task(2, "T2", 10, t2)
@@ -478,8 +482,8 @@ def test_sem_timeout_cancels_queue_entry():
     k.declare_semaphore(1, 0)
 
     def t1(ctx):
-        yield from ctx.kernel.sem_wait(ctx.api, 1, timeout=2)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.sem_wait(1, timeout=2)
+        yield from ctx.kernel.sleep()
 
     k.declare_task(1, "T1", 5, t1)
     k.boot()
@@ -491,7 +495,7 @@ def test_missing_object_id_raises():
     k, _ = mk()
 
     def body(ctx):
-        yield from ctx.kernel.sem_wait(ctx.api, 99)
+        yield from ctx.kernel.sem_wait(99)
 
     k.declare_task(1, "T", 5, body)
     k.boot()
@@ -504,7 +508,7 @@ def test_bad_timeout_rejected_at_the_call():
     k.declare_semaphore(1, 0)
 
     def body(ctx):
-        yield from ctx.kernel.sem_wait(ctx.api, 1, timeout=0)
+        yield from ctx.kernel.sem_wait(1, timeout=0)
 
     k.declare_task(1, "T", 5, body)
     k.boot()
@@ -520,19 +524,19 @@ def test_priority_inversion_is_bounded_by_inheritance():
     k.declare_mutex(1)
 
     def high(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 4)
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.sleep(4)
+        yield from ctx.kernel.mtx_lock(1)
         yield from compute(ctx, "h", 2)
-        yield from ctx.kernel.mtx_unlock(ctx.api, 1)
+        yield from ctx.kernel.mtx_unlock(1)
 
     def med(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 2)
+        yield from ctx.kernel.sleep(2)
         yield from compute(ctx, "m", 10)
 
     def low(ctx):
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.mtx_lock(1)
         yield from compute(ctx, "c", 6)
-        yield from ctx.kernel.mtx_unlock(ctx.api, 1)
+        yield from ctx.kernel.mtx_unlock(1)
 
     k.declare_task(1, "HIGH", 5, high)
     k.declare_task(2, "MED", 10, med)
@@ -560,16 +564,16 @@ def test_mutex_handoff_order_and_nonowner_unlock():
     k.declare_mutex(1)
 
     def owner(ctx):
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.mtx_lock(1)
         yield from compute(ctx, "crit", 5)
-        yield from ctx.kernel.mtx_unlock(ctx.api, 1)
+        yield from ctx.kernel.mtx_unlock(1)
 
     def contender(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 2)
-        res = yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.sleep(2)
+        res = yield from ctx.kernel.mtx_lock(1)
         out["locked"] = res.code
         out["owner_at_grant"] = ctx.kernel.mutexes[1].owner
-        yield from ctx.kernel.mtx_unlock(ctx.api, 1)
+        yield from ctx.kernel.mtx_unlock(1)
 
     k.declare_task(1, "OWN", 5, owner)
     k.declare_task(2, "CONTEND", 3, contender)
@@ -585,12 +589,12 @@ def test_unlock_by_nonowner_is_an_error():
     k.declare_mutex(1)
 
     def t1(ctx):
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.mtx_lock(1)
+        yield from ctx.kernel.sleep()
 
     def t2(ctx):
         yield from compute(ctx, "w", 3)
-        yield from ctx.kernel.mtx_unlock(ctx.api, 1)
+        yield from ctx.kernel.mtx_unlock(1)
 
     k.declare_task(1, "T1", 5, t1)
     k.declare_task(2, "T2", 10, t2)
@@ -617,21 +621,21 @@ def _chain(k, out, high_timeout=None):
     k.declare_mutex(2)   # B
 
     def high(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 6)
-        res = yield from ctx.kernel.mtx_lock(ctx.api, 2, timeout=high_timeout)
+        yield from ctx.kernel.sleep(6)
+        res = yield from ctx.kernel.mtx_lock(2, timeout=high_timeout)
         out["high"] = (res.code, ctx.kernel.engine.now)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.sleep()
 
     def mid(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 2)
-        yield from ctx.kernel.mtx_lock(ctx.api, 2)
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.sleep(2)
+        yield from ctx.kernel.mtx_lock(2)
+        yield from ctx.kernel.mtx_lock(1)
         yield from compute(ctx, "m", 40)
 
     def low(ctx):
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.mtx_lock(1)
         yield from compute(ctx, "l", 20)
-        yield from ctx.kernel.mtx_unlock(ctx.api, 1)
+        yield from ctx.kernel.mtx_unlock(1)
         yield from compute(ctx, "l", 40)
 
     k.declare_task(1, "HIGH", 5, high)
@@ -679,27 +683,27 @@ def test_unlock_hands_the_new_owner_the_remaining_waiters():
     k.declare_mutex(2)   # N
 
     def own(ctx):
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.mtx_lock(1)
         yield from compute(ctx, "o", 20)
-        yield from ctx.kernel.mtx_unlock(ctx.api, 1)
+        yield from ctx.kernel.mtx_unlock(1)
         yield from compute(ctx, "o", 60)
 
     def w1(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 2)
-        yield from ctx.kernel.mtx_lock(ctx.api, 2)
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.sleep(2)
+        yield from ctx.kernel.mtx_lock(2)
+        yield from ctx.kernel.mtx_lock(1)
         yield from compute(ctx, "w", 60)
 
     def x(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 8)
-        res = yield from ctx.kernel.mtx_lock(ctx.api, 2, timeout=40)
+        yield from ctx.kernel.sleep(8)
+        res = yield from ctx.kernel.mtx_lock(2, timeout=40)
         out["x"] = (res.code, ctx.kernel.engine.now)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.sleep()
 
     def w2(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 5)
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.sleep(5)
+        yield from ctx.kernel.mtx_lock(1)
+        yield from ctx.kernel.sleep()
 
     k.declare_task(1, "OWN", 20, own)
     k.declare_task(2, "W1", 10, w1)
@@ -728,19 +732,19 @@ def test_deadlock_cycle_priorities_equal_the_fixpoint():
     k.declare_mutex(2)
 
     def a(ctx):
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
-        yield from ctx.kernel.sleep(ctx.api, 3)
-        yield from ctx.kernel.mtx_lock(ctx.api, 2)
+        yield from ctx.kernel.mtx_lock(1)
+        yield from ctx.kernel.sleep(3)
+        yield from ctx.kernel.mtx_lock(2)
 
     def b(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 1)
-        yield from ctx.kernel.mtx_lock(ctx.api, 2)
-        yield from ctx.kernel.mtx_lock(ctx.api, 1)
+        yield from ctx.kernel.sleep(1)
+        yield from ctx.kernel.mtx_lock(2)
+        yield from ctx.kernel.mtx_lock(1)
 
     def c(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 12)
-        yield from ctx.kernel.mtx_lock(ctx.api, 1, timeout=5)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.sleep(12)
+        yield from ctx.kernel.mtx_lock(1, timeout=5)
+        yield from ctx.kernel.sleep()
 
     k.declare_task(1, "A", 10, a)
     k.declare_task(2, "B", 5, b)
@@ -768,18 +772,16 @@ def test_flag_and_wait_with_clear_returns_snapshot():
     k.declare_flag(1, 0)
 
     def waiter(ctx):
-        res = yield from ctx.kernel.flag_wait(
-            ctx.api, 1, 0b101, FLAG_MODE_AND, clear=True)
+        res = yield from ctx.kernel.flag_wait(1, 0b101, FLAG_MODE_AND, clear=True)
         out["snap"] = res.value
-        res = yield from ctx.kernel.flag_wait(
-            ctx.api, 1, 0b010, FLAG_MODE_OR, timeout=20)
+        res = yield from ctx.kernel.flag_wait(1, 0b010, FLAG_MODE_OR, timeout=20)
         out["second"] = (res.code, res.value)
 
     def setter(ctx):
-        yield from ctx.kernel.flag_set(ctx.api, 1, 0b100)
-        yield from ctx.kernel.flag_set(ctx.api, 1, 0b001)
+        yield from ctx.kernel.flag_set(1, 0b100)
+        yield from ctx.kernel.flag_set(1, 0b001)
         yield from compute(ctx, "gap", 2)
-        yield from ctx.kernel.flag_set(ctx.api, 1, 0b010)
+        yield from ctx.kernel.flag_set(1, 0b010)
 
     k.declare_task(1, "WAITER", 5, waiter)
     k.declare_task(2, "SETTER", 10, setter)
@@ -796,9 +798,8 @@ def test_flag_clear_service():
     k.declare_flag(1, 0b111)
 
     def body(ctx):
-        yield from ctx.kernel.flag_clear(ctx.api, 1, 0b001)
-        res = yield from ctx.kernel.flag_wait(
-            ctx.api, 1, 0b110, FLAG_MODE_AND, timeout=2)
+        yield from ctx.kernel.flag_clear(1, 0b001)
+        res = yield from ctx.kernel.flag_wait(1, 0b110, FLAG_MODE_AND, timeout=2)
         out["code"] = res.code
 
     k.declare_task(1, "T", 5, body)
@@ -817,17 +818,17 @@ def test_mailbox_delivers_by_message_priority_then_fifo():
     k.declare_mailbox(1)
 
     def sender(ctx):
-        yield from ctx.kernel.mbx_send(ctx.api, 1, "a", priority=5)
-        yield from ctx.kernel.mbx_send(ctx.api, 1, "b", priority=0)
-        yield from ctx.kernel.mbx_send(ctx.api, 1, "c", priority=5)
+        yield from ctx.kernel.mbx_send(1, "a", priority=5)
+        yield from ctx.kernel.mbx_send(1, "b", priority=0)
+        yield from ctx.kernel.mbx_send(1, "c", priority=5)
 
     def receiver(ctx):
         got = []
         for _ in range(3):
-            res = yield from ctx.kernel.mbx_recv(ctx.api, 1)
+            res = yield from ctx.kernel.mbx_recv(1)
             got.append(res.value)
         out["order"] = got
-        res = yield from ctx.kernel.mbx_recv(ctx.api, 1, timeout=3)
+        res = yield from ctx.kernel.mbx_recv(1, timeout=3)
         out["empty"] = res.code
 
     k.declare_task(1, "SEND", 5, sender)
@@ -844,12 +845,12 @@ def test_mailbox_direct_handoff_to_blocked_receiver():
     k.declare_mailbox(1)
 
     def receiver(ctx):
-        res = yield from ctx.kernel.mbx_recv(ctx.api, 1)
+        res = yield from ctx.kernel.mbx_recv(1)
         out["msg"] = res.value
 
     def sender(ctx):
         yield from compute(ctx, "gap", 2)
-        yield from ctx.kernel.mbx_send(ctx.api, 1, {"k": 1})
+        yield from ctx.kernel.mbx_send(1, {"k": 1})
 
     k.declare_task(1, "RECV", 5, receiver)
     k.declare_task(2, "SEND", 10, sender)
@@ -874,12 +875,12 @@ def test_blocked_receiver_gets_a_message_that_equals_none():
     k.declare_mailbox(1)
 
     def receiver(ctx):
-        res = yield from ctx.kernel.mbx_recv(ctx.api, 1)
+        res = yield from ctx.kernel.mbx_recv(1)
         out["msg"] = res.value
 
     def sender(ctx):
         yield from compute(ctx, "gap", 2)
-        yield from ctx.kernel.mbx_send(ctx.api, 1, msg)
+        yield from ctx.kernel.mbx_send(1, msg)
 
     k.declare_task(1, "RECV", 5, receiver)
     k.declare_task(2, "SEND", 10, sender)
@@ -894,15 +895,15 @@ def test_message_buffer_backpressure_roundtrip():
     k.declare_buffer(1, 4)
 
     def sender(ctx):
-        res = yield from ctx.kernel.mbf_send(ctx.api, 1, b"aa")
+        res = yield from ctx.kernel.mbf_send(1, b"aa")
         out["s1"] = res.code
-        res = yield from ctx.kernel.mbf_send(ctx.api, 1, b"bbb")
+        res = yield from ctx.kernel.mbf_send(1, b"bbb")
         out["s2"] = res.code                        # must wait for space
 
     def receiver(ctx):
-        res = yield from ctx.kernel.mbf_recv(ctx.api, 1)
+        res = yield from ctx.kernel.mbf_recv(1)
         out["r1"] = res.value
-        res = yield from ctx.kernel.mbf_recv(ctx.api, 1)
+        res = yield from ctx.kernel.mbf_recv(1)
         out["r2"] = res.value
 
     k.declare_task(1, "SEND", 5, sender)
@@ -924,16 +925,16 @@ def test_fixed_pool_block_handoff():
     k.declare_fixed_pool(1, 2, 16)
 
     def taker(ctx):
-        res = yield from ctx.kernel.pool_get(ctx.api, 1)
+        res = yield from ctx.kernel.pool_get(1)
         out["i0"] = res.value
-        res = yield from ctx.kernel.pool_get(ctx.api, 1)
+        res = yield from ctx.kernel.pool_get(1)
         out["i1"] = res.value
-        res = yield from ctx.kernel.pool_get(ctx.api, 1)   # pool exhausted
+        res = yield from ctx.kernel.pool_get(1)   # pool exhausted
         out["i2"] = res.value
 
     def releaser(ctx):
         yield from compute(ctx, "gap", 4)
-        yield from ctx.kernel.pool_release(ctx.api, 1, 0)
+        yield from ctx.kernel.pool_release(1, 0)
 
     k.declare_task(1, "TAKE", 5, taker)
     k.declare_task(2, "FREE", 10, releaser)
@@ -950,14 +951,14 @@ def test_variable_pool_grant_after_release():
     k.declare_variable_pool(1, 8)
 
     def taker(ctx):
-        res = yield from ctx.kernel.vpool_get(ctx.api, 1, 6)
+        res = yield from ctx.kernel.vpool_get(1, 6)
         out["off1"] = res.value
-        res = yield from ctx.kernel.vpool_get(ctx.api, 1, 4)
+        res = yield from ctx.kernel.vpool_get(1, 4)
         out["off2"] = res.value
 
     def releaser(ctx):
         yield from compute(ctx, "gap", 4)
-        yield from ctx.kernel.vpool_release(ctx.api, 1, 0)
+        yield from ctx.kernel.vpool_release(1, 0)
 
     k.declare_task(1, "TAKE", 5, taker)
     k.declare_task(2, "FREE", 10, releaser)
@@ -979,49 +980,49 @@ _TIMEOUT_CASES = {
     "flag_wait": (
         lambda k: k.declare_flag(1, 0),
         None,
-        lambda kn, api: kn.flag_wait(api, 1, 0b1, FLAG_MODE_AND,
+        lambda kn: kn.flag_wait(1, 0b1, FLAG_MODE_AND,
                                      clear=True, timeout=3),
-        lambda kn, api: kn.flag_set(api, 1, 0b1),
+        lambda kn: kn.flag_set(1, 0b1),
         lambda k: [k.flags[1].waiting_count],
         lambda k: k.flags[1].pattern == 0b1,        # no clear on release
     ),
     "mbx_recv": (
         lambda k: k.declare_mailbox(1),
         None,
-        lambda kn, api: kn.mbx_recv(api, 1, timeout=3),
-        lambda kn, api: kn.mbx_send(api, 1, "m"),
+        lambda kn: kn.mbx_recv(1, timeout=3),
+        lambda kn: kn.mbx_send(1, "m"),
         lambda k: [k.mailboxes[1].waiting_count],
         lambda k: k.mailboxes[1].message_count == 1,
     ),
     "mbf_send": (                                   # buffer full
         lambda k: k.declare_buffer(1, 4),
-        lambda kn, api: kn.mbf_send(api, 1, b"aaaa"),
-        lambda kn, api: kn.mbf_send(api, 1, b"bb", timeout=3),
-        lambda kn, api: kn.mbf_recv(api, 1),
+        lambda kn: kn.mbf_send(1, b"aaaa"),
+        lambda kn: kn.mbf_send(1, b"bb", timeout=3),
+        lambda kn: kn.mbf_recv(1),
         lambda k: [len(k.buffers[1].send_queue), len(k.buffers[1].recv_queue)],
         lambda k: (k.buffers[1].message_count, k.buffers[1].free_bytes) == (0, 4),
     ),
     "mbf_recv": (
         lambda k: k.declare_buffer(1, 4),
         None,
-        lambda kn, api: kn.mbf_recv(api, 1, timeout=3),
-        lambda kn, api: kn.mbf_send(api, 1, b"x"),
+        lambda kn: kn.mbf_recv(1, timeout=3),
+        lambda kn: kn.mbf_send(1, b"x"),
         lambda k: [len(k.buffers[1].send_queue), len(k.buffers[1].recv_queue)],
         lambda k: k.buffers[1].message_count == 1,
     ),
     "pool_get": (                                   # its one block held
         lambda k: k.declare_fixed_pool(1, 1, 16),
-        lambda kn, api: kn.pool_get(api, 1),
-        lambda kn, api: kn.pool_get(api, 1, timeout=3),
-        lambda kn, api: kn.pool_release(api, 1, 0),
+        lambda kn: kn.pool_get(1),
+        lambda kn: kn.pool_get(1, timeout=3),
+        lambda kn: kn.pool_release(1, 0),
         lambda k: [k.fixed_pools[1].waiting_count],
         lambda k: k.fixed_pools[1].free_count == 1,
     ),
     "vpool_get": (                                  # pool full
         lambda k: k.declare_variable_pool(1, 8),
-        lambda kn, api: kn.vpool_get(api, 1, 8),
-        lambda kn, api: kn.vpool_get(api, 1, 4, timeout=3),
-        lambda kn, api: kn.vpool_release(api, 1, 0),
+        lambda kn: kn.vpool_get(1, 8),
+        lambda kn: kn.vpool_get(1, 4, timeout=3),
+        lambda kn: kn.vpool_release(1, 0),
         lambda k: [k.variable_pools[1].waiting_count],
         lambda k: k.variable_pools[1].used_bytes == 0,
     ),
@@ -1037,15 +1038,15 @@ def test_blocking_service_timeout(service):
 
     def waiter(ctx):
         if setup is not None:
-            yield from setup(ctx.kernel, ctx.api)
+            yield from setup(ctx.kernel)
         start = ctx.kernel.engine.now
-        res = yield from timed(ctx.kernel, ctx.api)
+        res = yield from timed(ctx.kernel)
         out["timeout"] = (res.code, ctx.kernel.engine.now - start)
         out["waiting"] = waiting(k)
 
     def giver(ctx):
         yield from compute(ctx, "gap", 10)
-        yield from give(ctx.kernel, ctx.api)
+        yield from give(ctx.kernel)
 
     k.declare_task(1, "WAITER", 5, waiter)
     k.declare_task(2, "GIVER", 10, giver)
@@ -1066,23 +1067,23 @@ _STUCK_CASES = {
     "semaphore": (                                  # count 1
         lambda k: k.declare_semaphore(1, 1, max_count=4),
         None,
-        lambda kn, api: kn.sem_wait(api, 1, 2, timeout=3),
-        lambda kn, api: kn.sem_wait(api, 1, 1),
+        lambda kn: kn.sem_wait(1, 2, timeout=3),
+        lambda kn: kn.sem_wait(1, 1),
         lambda k: (k.semaphores[1].count, k.semaphores[1].waiting_count),
     ),
     "variable_pool": (                              # 2 of 8 bytes free
         lambda k: k.declare_variable_pool(1, 8),
-        lambda kn, api: kn.vpool_get(api, 1, 6),
-        lambda kn, api: kn.vpool_get(api, 1, 4, timeout=3),
-        lambda kn, api: kn.vpool_get(api, 1, 2),
+        lambda kn: kn.vpool_get(1, 6),
+        lambda kn: kn.vpool_get(1, 4, timeout=3),
+        lambda kn: kn.vpool_get(1, 2),
         lambda k: (k.variable_pools[1].size - k.variable_pools[1].used_bytes,
                    k.variable_pools[1].waiting_count),
     ),
     "message_buffer": (                             # 1 of 4 bytes free
         lambda k: k.declare_buffer(1, 4),
-        lambda kn, api: kn.mbf_send(api, 1, b"abc"),
-        lambda kn, api: kn.mbf_send(api, 1, b"def", timeout=3),
-        lambda kn, api: kn.mbf_send(api, 1, b"g"),
+        lambda kn: kn.mbf_send(1, b"abc"),
+        lambda kn: kn.mbf_send(1, b"def", timeout=3),
+        lambda kn: kn.mbf_send(1, b"g"),
         lambda k: (k.buffers[1].free_bytes, k.buffers[1].waiting_count),
     ),
 }
@@ -1100,7 +1101,7 @@ def test_a_head_that_times_out_lets_the_waiter_behind_it_in(kind):
 
     def task(name, call):
         def body(ctx):
-            res = yield from call(ctx.kernel, ctx.api)
+            res = yield from call(ctx.kernel)
             out[name] = (res.code, ctx.kernel.engine.now)
         return body
 
@@ -1129,8 +1130,8 @@ def test_start_task_restarts_a_dormant_task():
         yield from compute(ctx, "w", 2)
 
     def boss(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 5)
-        yield from ctx.kernel.start_task(ctx.api, 1)
+        yield from ctx.kernel.sleep(5)
+        yield from ctx.kernel.start_task(1)
 
     k.declare_task(1, "WORKER", 5, worker)
     k.declare_task(2, "BOSS", 10, boss)
@@ -1148,7 +1149,7 @@ def test_start_task_on_live_task_is_an_error():
         yield from compute(ctx, "w", 10)
 
     def boss(ctx):
-        yield from ctx.kernel.start_task(ctx.api, 1)
+        yield from ctx.kernel.start_task(1)
 
     k.declare_task(1, "WORKER", 5, worker)
     k.declare_task(2, "BOSS", 3, boss)
@@ -1175,7 +1176,7 @@ def test_failed_task_service_closes_its_critical_section(service, target, error)
 
     def body(ctx):
         try:
-            yield from getattr(ctx.kernel, service)(ctx.api, target)
+            yield from getattr(ctx.kernel, service)(target)
         except SimError as exc:
             out["error"] = type(exc)
         out["section"] = ctx.kernel.engine._section
@@ -1191,30 +1192,13 @@ def test_failed_task_service_closes_its_critical_section(service, target, error)
     assert th.state is ThreadState.DORMANT and th.token.cet == 3
 
 
-def test_a_service_called_through_a_thread_that_is_not_running_is_refused():
-    # the refusal comes at the call, before the section opens: no
-    # CRIT_ENTER row and no service tick
-    k, sink = mk()
-    k.declare_semaphore(1, 0)
-    out = {}
-
-    def body(ctx):
-        other = ctx.kernel.engine.thread(2).api
-        try:
-            yield from ctx.kernel.sem_signal(other, 1)
-        except ProtocolError as exc:
-            out["error"] = str(exc)
-        out["section"] = ctx.kernel.engine._section
-
-    k.declare_task(1, "T", 5, body)
-    k.declare_task(2, "U", 6, lambda ctx: compute(ctx, "u", 1))
-    k.boot()
-    k.run(3)
-    assert out == {"error": "critical section entered by a non-running thread",
-                   "section": None}
-    assert not any(r.label == "CRIT_ENTER" for r in rows(sink.records))
-    assert k.engine.thread(1).token.cet == 0
-    assert k.semaphores[1].count == 0
+def test_no_service_names_its_caller():
+    # as in uITRON, a service acts for the running thread: no parameter
+    # of any service the benchmark's tracer wraps names the caller
+    for name in perfbench("tracer").SERVICES:
+        params = inspect.signature(getattr(Kernel, name)).parameters
+        assert "api" not in params, name
+        assert list(params)[0] == "self", name
 
 
 def test_exit_task_service():
@@ -1222,7 +1206,7 @@ def test_exit_task_service():
 
     def body(ctx):
         yield from compute(ctx, "w", 2)
-        yield from ctx.kernel.exit_task(ctx.api)
+        yield from ctx.kernel.exit_task()
         yield from compute(ctx, "never", 5)   # unreachable
 
     k.declare_task(1, "T", 5, body)
@@ -1244,8 +1228,7 @@ def test_bfm_call_charges_ceiling_of_cycles():
     })
 
     def body(ctx):
-        res = yield from ctx.kernel.bfm_call(
-            ctx.api, "uart", "wr", {"value": 0x5A})
+        res = yield from ctx.kernel.bfm_call("uart", "wr", {"value": 0x5A})
         out["resp"] = res.value
 
     k.declare_task(1, "T", 5, body)
@@ -1269,10 +1252,10 @@ def test_serial_stimulus_feeds_the_read_path():
     k.add_stimulus(3, "serial_in", "uart", value=0x41)
 
     def body(ctx):
-        res = yield from ctx.kernel.bfm_call(ctx.api, "uart", "rd")
+        res = yield from ctx.kernel.bfm_call("uart", "rd")
         out["early"] = res.value
         yield from compute(ctx, "gap", 5)
-        res = yield from ctx.kernel.bfm_call(ctx.api, "uart", "rd")
+        res = yield from ctx.kernel.bfm_call("uart", "rd")
         out["late"] = res.value
 
     k.declare_task(1, "T", 5, body)
@@ -1291,7 +1274,7 @@ def test_pio_stimulus_sets_the_input_latch():
 
     def body(ctx):
         yield from compute(ctx, "gap", 4)
-        res = yield from ctx.kernel.bfm_call(ctx.api, "gpio", "in")
+        res = yield from ctx.kernel.bfm_call("gpio", "in")
         out["latch"] = res.value
 
     k.declare_task(1, "T", 5, body)
@@ -1502,14 +1485,14 @@ def test_extended_info_is_an_integer_at_least_0():
 
 
 @pytest.mark.parametrize("service", [
-    lambda kern, api: kern.delay(api, True),
-    lambda kern, api: kern.sleep(api, True),
-    lambda kern, api: kern.sem_wait(api, 1, timeout=True),
-    lambda kern, api: kern.sem_wait(api, 1, True),
-    lambda kern, api: kern.sem_signal(api, 1, True),
-    lambda kern, api: kern.flag_set(api, 1, True),
-    lambda kern, api: kern.mbx_send(api, 1, "m", True),
-    lambda kern, api: kern.vpool_get(api, 1, True),
+    lambda kern: kern.delay(True),
+    lambda kern: kern.sleep(True),
+    lambda kern: kern.sem_wait(1, timeout=True),
+    lambda kern: kern.sem_wait(1, True),
+    lambda kern: kern.sem_signal(1, True),
+    lambda kern: kern.flag_set(1, True),
+    lambda kern: kern.mbx_send(1, "m", True),
+    lambda kern: kern.vpool_get(1, True),
 ], ids=["delay", "sleep-timeout", "wait-timeout", "acquire", "signal",
         "flag-set", "mbx-priority", "vpool-get"])
 def test_a_service_refuses_a_bool_for_an_integer(service):
@@ -1520,7 +1503,7 @@ def test_a_service_refuses_a_bool_for_an_integer(service):
     k.declare_variable_pool(1, 8)
 
     def body(ctx):
-        yield from service(ctx.kernel, ctx.api)
+        yield from service(ctx.kernel)
 
     k.declare_task(1, "T", 5, body)
     k.boot()
@@ -1669,13 +1652,13 @@ def _deadlock_in_a_quiet_stretch(abort_on_deadlock):
     k, sink = mk(abort_on_deadlock=abort_on_deadlock)
 
     def a(ctx):
-        yield from ctx.kernel.wakeup(ctx.api, 2)
+        yield from ctx.kernel.wakeup(2)
         yield from compute(ctx, "quiet", 40)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.sleep()
 
     def b(ctx):
-        yield from ctx.kernel.sleep(ctx.api, 100)
-        yield from ctx.kernel.sleep(ctx.api)
+        yield from ctx.kernel.sleep(100)
+        yield from ctx.kernel.sleep()
 
     k.declare_task(1, "A", 6, a)
     k.declare_task(2, "B", 5, b)
@@ -1703,10 +1686,10 @@ def test_a_wait_that_ends_early_does_not_stop_a_coast_at_its_timeout():
         k, sink = mk()
 
         def a(ctx):
-            yield from ctx.kernel.wakeup(ctx.api, 2)
+            yield from ctx.kernel.wakeup(2)
 
         def b(ctx):
-            yield from ctx.kernel.sleep(ctx.api, 100)
+            yield from ctx.kernel.sleep(100)
             yield from compute(ctx, "quiet", 150)
 
         k.declare_task(1, "A", 6, a)
@@ -1745,12 +1728,12 @@ def test_a_coast_crosses_a_multi_tick_service_in_its_critical_section():
 
         def worker(ctx):
             for _ in range(3):
-                yield from ctx.kernel.sem_signal(ctx.api, 1)
+                yield from ctx.kernel.sem_signal(1)
                 yield from compute(ctx, "work", 9, 40)
 
         def sink_task(ctx):
             while True:
-                yield from ctx.kernel.sem_wait(ctx.api, 1, timeout=50)
+                yield from ctx.kernel.sem_wait(1, timeout=50)
 
         k.declare_task(1, "W", 5, worker)
         k.declare_task(2, "S", 3, sink_task)

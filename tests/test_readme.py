@@ -1,7 +1,8 @@
 """The README's Python examples run as written.
 
 The engine example leaves ``body`` and ``sink`` to its reader; the test
-supplies a three-tick task body and a ListSink.
+supplies a three-tick task body and a ListSink.  The kernel example
+declares its two tasks in Python.
 """
 
 import re
@@ -11,7 +12,7 @@ from rtksim.engine import Annotation
 from rtksim.trace import ListSink, rows
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-LIBRARY_USE, ENGINE = re.findall(
+LIBRARY_USE, ENGINE, KERNEL = re.findall(
     r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
     re.MULTILINE | re.DOTALL)
 
@@ -34,3 +35,13 @@ def test_the_engine_example_runs():
     assert [(r.tick_start, r.tick_end, r.label) for r in rows(sink.records)
             if not r.is_control] == [
         (0, 3, "work"), *((t, t + 1, "idle") for t in range(3, 10))]
+
+
+def test_the_kernel_example_runs(capsys):
+    names = {}
+    exec(KERNEL, names)
+    # each receipt: the consumer's wait ends as the producer's signal does
+    assert capsys.readouterr().out == "[4, 9, 14]\n"
+    k = names["k"]
+    assert k.semaphores[1].count == 0
+    assert [k.engine.thread(tid).token.cet for tid in (1, 2)] == [9, 6]

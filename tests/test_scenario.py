@@ -699,6 +699,11 @@ LOADERS = [
     pytest.param(scenario._Loader, id="libyaml", marks=LIBYAML),
 ]
 
+# two aliases the walk once let through: one as a key, read as
+# `run_ticks: 5`, and one naming a key, read as the task name `run_ticks`
+ALIAS_KEY = MINIMAL.replace("run_ticks: 5\n", "name: &x run_ticks\n*x : 5\n")
+ALIASED_KEY = "&x " + MINIMAL.replace("name: T", "name: *x")
+
 EDGE_TEXTS = [
     "base: &b {etm: 1}\nwork:\n  <<: *b\n  eem: 0\n",   # merge key
     "a: &x 1\nb: *x\n",                                 # alias
@@ -729,6 +734,15 @@ EDGE_TEXTS = [
     "name: =\n",                                        # a value
     "1: a\n01: b\ntrue: c\nyes: d\n",                   # one key, two texts
     "a: {x: 1}\nb: 2\na: {y: 2}\na: 3\n",               # a key three times
+    "a: &x 1\nb:\n  - 1\n  - *x\n",                     # a sequence's alias
+    ALIAS_KEY,                                          # an alias as a key
+    ALIASED_KEY,                                        # a key as an anchor
+    "a: &x [1]\n*x : 2\n",                              # a key naming a list
+    "a: &x !!int z\n*x : 1\n",                          # a key naming a bad int
+    "a: &y 1\nb: !!set {? *y }\nc: *y\n",               # under a refusal
+    "a: !!set {? &z !!int q}\nb: *z\n",                 # its anchor under one
+    "? &k [a]\n: 1\nb: *k\n",                           # naming a refused key
+    "&x a: [*x, *x]\n",                                 # two on a line
 ]
 
 
@@ -885,14 +899,12 @@ _SCENARIO_SHAPED = st.lists(
 # ----------------------------------------------------------------------
 # the one walk of the node tree against the loader it replaced
 
-def _index_node(loader, node, path, lines, problems, seen, refused, holder):
-    # each problem at the line of the node in hand: an alias at that of
-    # ``holder``, its key or its sequence
+def _index_node(loader, node, path, lines, problems, seen, refused):
+    # each problem at the line of the node in hand; an alias is none of
+    # them (see `_alias_problems`), and a node met again is one
     if len(path) > scenario._NODE_DEPTH_LIMIT:
         raise RecursionError
     if id(node) in seen:
-        problems.append((holder.start_mark.line + 1,
-                         "YAML aliases are not supported"))
         return
     seen.add(id(node))
     lines.setdefault(path, node.start_mark.line + 1)
@@ -903,6 +915,14 @@ def _index_node(loader, node, path, lines, problems, seen, refused, holder):
     elif isinstance(node, yaml.MappingNode):
         keys = set()
         for i, (k_node, v_node) in enumerate(node.value):
+            if id(k_node) in seen:
+                # an alias as a key: its value is read at the key's own path
+                at = path + (("key", i),)
+                lines[at] = k_node.start_mark.line + 1
+                refused.append((at, "an alias as a key"))
+                _index_node(loader, v_node, at, lines, problems, seen, refused)
+                continue
+            seen.add(id(k_node))
             if isinstance(k_node, yaml.ScalarNode):
                 why = ("merge keys are not supported"
                        if k_node.tag == "tag:yaml.org,2002:merge"
@@ -915,8 +935,7 @@ def _index_node(loader, node, path, lines, problems, seen, refused, holder):
                 lines[at] = k_node.start_mark.line + 1
                 refused.append((at, why))
                 problems.append((k_node.start_mark.line + 1, why))
-                _index_node(loader, v_node, at, lines, problems, seen, refused,
-                            k_node)
+                _index_node(loader, v_node, at, lines, problems, seen, refused)
                 continue
             key, value = k_node.value, _constructed_key(loader, k_node)
             if value in keys:
@@ -927,11 +946,23 @@ def _index_node(loader, node, path, lines, problems, seen, refused, holder):
             keys.add(value)
             lines.setdefault(path + (key,), k_node.start_mark.line + 1)
             _index_node(loader, v_node, path + (key,), lines, problems, seen,
-                        refused, k_node)
+                        refused)
     elif isinstance(node, yaml.SequenceNode):
         for i, item in enumerate(node.value):
             _index_node(loader, item, path + (i,), lines, problems, seen,
-                        refused, node)
+                        refused)
+
+
+def _alias_problems(text, loader_cls, problems):
+    """Put an alias problem in ``problems`` at the line of each alias
+    token the scanner reads, after the problems already there on that
+    line."""
+    aliases = [(token.start_mark.line + 1, "YAML aliases are not supported")
+               for token in yaml.scan(text, loader_cls)
+               if isinstance(token, yaml.AliasToken)]
+    if aliases:
+        problems += aliases
+        problems.sort(key=lambda problem: problem[0])
 
 
 # the tags of the subset, by kind of node
@@ -995,11 +1026,12 @@ _REFERENCE_LOADERS = {cls: _with_value_strings(cls)
 
 class _ReferenceSource(scenario._Source):
     """The naive loader the walk replaced, as the reference model: index
-    every node's line under its keys' source text, with the depth, alias
-    and duplicate-key checks (keys compared as PyYAML constructs them, a
-    repeated key located at its own line), then let PyYAML construct the
-    document.  A text with a node outside the scenario subset of YAML
-    is not constructed: it is refused with the index's problems, the
+    every node's line under its keys' source text, with the depth and
+    duplicate-key checks (keys compared as PyYAML constructs them, a
+    repeated key located at its own line) and each alias token the
+    scanner reads, then let PyYAML construct the document.  A text with
+    a node outside the scenario subset of YAML, or an alias as a key, is
+    not constructed: it is refused with the index's problems, the
     subset's refusals among them at each node's line.
     `key_texts` holds the source text of each key that is not a string."""
 
@@ -1017,7 +1049,8 @@ class _ReferenceSource(scenario._Source):
                 node = loader.get_single_node()
                 if node is not None:
                     _index_node(loader, node, (), self.lines, self.found,
-                                set(), refused, node)
+                                set(), refused)
+                    _alias_problems(text, loader_cls, self.found)
                     self.key_texts = _texts_of_keys_not_str(node)
                 self.data = (None if node is None or refused
                              else _construct(loader, node))
@@ -1154,6 +1187,43 @@ def test_edge_texts_read_as_the_reference_reads(loader, text):
         "bool"])
 def test_edge_texts_outside_the_subset_are_refused(loader, text, problems):
     # PyYAML builds each of these, or reports only its first fault
+    assert text in EDGE_TEXTS
+    assert _refused(loader, text) == problems
+
+
+_ALIAS = "YAML aliases are not supported"
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text, problems", [
+    (ALIAS_KEY, [("scn.yaml:2", _ALIAS)]),
+    (ALIASED_KEY, [("scn.yaml:6", _ALIAS)]),
+    ("a: &x 1\nb:\n  - 1\n  - *x\n",
+     [("scn.yaml:4", _ALIAS), ("scn.yaml:1", "unknown key 'a'"),
+      ("scn.yaml:2", "unknown key 'b'"), ("scn.yaml:1", "missing 'run_ticks'"),
+      ("scn.yaml:1", "missing 'tasks'")]),
+    ("a: &x [1]\n*x : 2\n", [("scn.yaml:2", _ALIAS)]),
+    ("a: &x !!int z\n*x : 1\n",
+     [("scn.yaml:1", "'z' is not a valid int"), ("scn.yaml:2", _ALIAS)]),
+    ("a: &y 1\nb: !!set {? *y }\nc: *y\n",
+     [("scn.yaml:2", "tag !!set is not supported"), ("scn.yaml:2", _ALIAS),
+      ("scn.yaml:3", _ALIAS)]),
+    ("a: !!set {? &z !!int q}\nb: *z\n",
+     [("scn.yaml:1", "tag !!set is not supported"),
+      ("scn.yaml:1", "'q' is not a valid int"), ("scn.yaml:2", _ALIAS)]),
+    ("? &k [a]\n: 1\nb: *k\n",
+     [("scn.yaml:1", "a key must be a scalar"), ("scn.yaml:3", _ALIAS)]),
+    ("&x a: [*x, *x]\n",
+     [("scn.yaml:1", _ALIAS), ("scn.yaml:1", _ALIAS),
+      ("scn.yaml:1", "unknown key 'a'"), ("scn.yaml:1", "missing 'run_ticks'"),
+      ("scn.yaml:1", "missing 'tasks'")]),
+], ids=["key", "naming-a-key", "sequence-item", "key-naming-a-collection",
+        "key-naming-a-refused-scalar", "under-a-refusal",
+        "naming-under-a-refusal", "naming-a-refused-key", "two-on-a-line"])
+def test_every_alias_is_refused_at_its_own_line(loader, text, problems):
+    # an alias's node is its anchor's, so its line is read from the text:
+    # each is a problem there, after the walk's own on that line.  An alias
+    # as a key is refused, so nothing of that text's data is checked.
     assert text in EDGE_TEXTS
     assert _refused(loader, text) == problems
 

@@ -5,15 +5,14 @@ SVC segment and its ``CRIT_EXIT`` row, as one record, and expands it to
 those three rows wherever the trace is read.  Each test here pins the
 CSV text of one edge of that record, the text the engine wrote when each
 row was a record of its own: a window that ends inside the segment, a
-run error inside it, a free service, a handler's service and a refused
-caller.
+run error inside it, a free service and a handler's service.
 """
 
 import pytest
 
 from helpers import compute, perfbench
 from rtksim.cli import EXIT_OK, main
-from rtksim.errors import ProtocolError, ValidationError
+from rtksim.errors import ValidationError
 from rtksim.kernel import Kernel
 from rtksim.scenario import build_kernel, demo_scenario_path, parse_scenario_text
 from rtksim.trace import (
@@ -50,7 +49,7 @@ def signal_after_work(k):
 
     def body(ctx):
         yield from compute(ctx, "work", 2, 5)
-        yield from ctx.kernel.sem_signal(ctx.api, 1)
+        yield from ctx.kernel.sem_signal(1)
         yield from compute(ctx, "tail", 1)
 
     k.declare_task(1, "T", 5, body)
@@ -175,7 +174,7 @@ def test_a_stimulus_error_inside_the_service_segment():
 
     def body(ctx):
         yield from compute(ctx, "work", 1)
-        yield from ctx.kernel.sem_signal(ctx.api, 1)
+        yield from ctx.kernel.sem_signal(1)
 
     k.declare_task(1, "T", 5, body)
     k.add_device("parallel_io", "pio", {})
@@ -222,9 +221,9 @@ def test_a_free_service():
 
     def body(ctx):
         yield from compute(ctx, "work", 1)
-        yield from ctx.kernel.sem_signal(ctx.api, 1)
-        yield from ctx.kernel.sem_wait(ctx.api, 1)
-        yield from ctx.kernel.sem_wait(ctx.api, 1, timeout=2)
+        yield from ctx.kernel.sem_signal(1)
+        yield from ctx.kernel.sem_wait(1)
+        yield from ctx.kernel.sem_wait(1, timeout=2)
         yield from compute(ctx, "tail", 1)
 
     k.declare_task(1, "T", 5, body)
@@ -262,7 +261,7 @@ def test_a_handler_service():
     k.declare_semaphore(1, 0)
 
     def handler(ctx):
-        yield from ctx.kernel.sem_signal(ctx.api, 1)
+        yield from ctx.kernel.sem_signal(1)
         yield from compute(ctx, "h", 1)
 
     k.declare_task(1, "T", 5, lambda ctx: compute(ctx, "long", 9))
@@ -271,49 +270,6 @@ def test_a_handler_service():
     k.run(8)
     k.finish()
     assert csv_of(sink.records) == HANDLER
-
-
-# T calls a service through U's api: refused at the call, with no row
-# and no tick
-REFUSED = """\
-tick_start,tick_end,thread_id,thread_name,context_kind,label,etm_ticks,eem_mJ,event_kind
-0,0,1,T,STARTUP,DISPATCH,0,0,STARTUP
-0,0,1,T,TASK,EXIT,0,0,
-0,0,2,U,STARTUP,DISPATCH,0,0,STARTUP
-0,1,2,U,TASK,u,1,0,STARTUP
-1,1,2,U,TASK,EXIT,0,0,
-1,1,3,IDLE,STARTUP,DISPATCH,0,0,STARTUP
-1,2,3,IDLE,IDLE,idle,1,0,STARTUP
-2,3,3,IDLE,IDLE,idle,1,0,CONTINUE_RUN
-"""
-
-
-@pytest.mark.parametrize("service, args", [
-    ("sem_signal", (1,)), ("sem_wait", (1,)), ("sleep", ()),
-    ("delay", (2,)), ("exit_task", ())])
-def test_a_caller_that_is_not_running_is_refused(service, args):
-    k, sink = mk()
-    k.declare_semaphore(1, 0)
-    out = {}
-
-    def body(ctx):
-        other = ctx.kernel.engine.thread(2).api
-        try:
-            yield from getattr(ctx.kernel, service)(other, *args)
-        except ProtocolError as exc:
-            out["error"] = str(exc)
-        out["section"] = ctx.kernel.engine._section
-
-    k.declare_task(1, "T", 5, body)
-    k.declare_task(2, "U", 6, lambda ctx: compute(ctx, "u", 1))
-    k.boot()
-    k.run(3)
-    k.finish()
-    assert out == {"error": "critical section entered by a non-running thread",
-                   "section": None}
-    assert not any(r.label == "CRIT_ENTER" for r in rows(sink.records))
-    assert k.engine.thread(1).token.cet == 0
-    assert csv_of(sink.records) == REFUSED
 
 
 class _Tee:

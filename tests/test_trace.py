@@ -14,10 +14,10 @@ from rtksim.trace import (
     TraceRecord,
     check_claims,
     format_mj,
-    parse_mj,
     records_to_csv,
     rows,
     running_vector,
+    to_uj,
 )
 
 
@@ -45,7 +45,7 @@ class TestEnergyFormatting:
 
     @pytest.mark.parametrize("uj", [0, 1, 7, 999, 1000, 123456789])
     def test_round_trip(self, uj):
-        assert parse_mj(format_mj(uj)) == uj
+        assert to_uj(format_mj(uj), 1000) == uj
 
 
 @pytest.mark.parametrize("value", [
@@ -53,7 +53,7 @@ class TestEnergyFormatting:
     "0.50000000000000000000000000001", "1.0000000000000000000000000000001"])
 def test_parse_mj_refuses_what_is_not_a_whole_micro_joule_count(value):
     with pytest.raises(ValueError, match="bad energy value"):
-        parse_mj(value)
+        to_uj(value, 1000)
 
 
 def test_csv_row_shape():
