@@ -5,10 +5,12 @@ constants, the thread roster with behavior programs, kernel objects,
 devices, scripted stimuli, run length, and the battery.  Validation
 reports every problem it can find in one pass, each tagged with the
 source line, so a broken file is fixed in one round.  The file is
-written in a strict subset of YAML, which `_walk` reads from the
-composed node tree: sequences, mappings with scalar keys, and strings,
-nulls, booleans, integers and floats.  A merge key, a collection as a
-key, a date, bytes, a set or any other tag is refused at its line.
+written in a strict subset of YAML, which `_walk` reads from the YAML
+parser's events in one pass, building the data as it checks it:
+sequences, mappings with scalar keys, and strings, nulls, booleans,
+integers and floats.  An alias, a merge key, a collection as a key, a
+date, bytes, a set or any other tag is refused at its line; an anchor
+names nothing.
 
 The file itself is one `schema._Kind`, `_SCENARIO`, with a row per
 top-level key, and so is each kind of section entry (a task, each
@@ -122,11 +124,10 @@ class Scenario(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# YAML loading: one walk of the node tree, lines looked up on failure
+# YAML loading: one walk of the parser's events, lines looked up on failure
 
-# Deeper node trees are refused.  The pure-Python composer recurses about
-# twice per level and gives up near 490, libyaml composes far deeper;
-# this one limit, below both, makes the two loaders agree at any depth.
+# Deeper nodes are refused, in a refused node too.  The walk recurses once
+# per level, so this keeps it far inside the interpreter's own limit.
 _NODE_DEPTH_LIMIT = 256
 
 
@@ -136,34 +137,20 @@ class _PureLoader(yaml.SafeLoader):
     Its scanner keeps one possible simple key per open '[' or '{' and
     walks them all at each token, so it is quadratic in flow nesting
     (0.8 s for 1000 levels, 1.4 s for 30000).  The k-th nested bracket
-    opens a node at depth k - 1 or deeper, unless it sits in a mapping
-    key, which the walk refuses; so a text that nests more than
-    ``_NODE_DEPTH_LIMIT + 1`` is refused anyway, and the scan stops at
-    the bracket that would open one more.
+    opens a node at depth k - 1 or deeper, so a text that nests more than
+    ``_NODE_DEPTH_LIMIT + 1`` is refused anyway, and the scan stops at the
+    bracket that would open one more.
     """
 
     def fetch_flow_collection_start(self, TokenClass):
         if self.flow_level > _NODE_DEPTH_LIMIT:
-            raise RecursionError  # reported like the composer's: nested too deeply
+            raise RecursionError  # reported as the walk's depth limit is
         super().fetch_flow_collection_start(TokenClass)
 
 
-# PyYAML's libyaml binding when it was built with one; both loaders build
-# the same node tree with the same line marks.
+# PyYAML's libyaml binding when it was built with one; both loaders give
+# the same events with the same line marks.
 _Loader = getattr(yaml, "CSafeLoader", _PureLoader)
-
-# libyaml composes nested collections by C recursion, which overflows an
-# 8 MiB stack at about 24k levels and kills the process.  A block level
-# starts one column further in, a flow mapping needs a '{' and a flow
-# sequence a '[' (two levels with an implicit pair in it), so a text
-# whose bound stays under this limit is safe there; the rest goes to the
-# pure-Python loader, whose recursion stops with a RecursionError.
-_C_DEPTH_LIMIT = 5000
-
-
-def _depth_bound(text: str) -> int:
-    widest = max(map(len, text.splitlines()), default=0)
-    return widest + 2 * text.count("[") + text.count("{")
 
 
 def _yaml_problem(text: str, exc) -> tuple:
@@ -194,110 +181,106 @@ _SCALARS[_TAG + "value"] = yaml.SafeLoader.construct_yaml_str
 _REFUSED = object()     # in the place of a refused node's data
 
 
-def _alias_lines(text, loader_cls):
-    """The line of each alias in `text`, read from its event, since its
-    composed node is its anchor's.  Only a text with a `*` is parsed."""
-    return [ev.start_mark.line + 1 for ev in yaml.parse(text, loader_cls)
-            if type(ev) is yaml.AliasEvent] if "*" in text else []
+def _walk(loader, problems, lines=None):
+    """The data of the one document of `loader`'s text, built in one walk
+    of the parser's events that makes the checks too, or None if the text
+    has no document or a node outside the subset of YAML that a scenario
+    is written in.
 
-
-def _walk(loader, root, problems, lines=None, aliases=()):
-    """The data of the node tree at `root`, built in one walk that makes
-    the checks too, or None if the tree has a node outside the subset of
-    YAML that a scenario is written in.
-
-    The subset is sequences, mappings whose keys are scalars, and
-    scalars that are strings (a plain `=` too), nulls, booleans, integers
-    and floats, each untagged or tagged with its own tag; `loader` lends
-    PyYAML's builder of each scalar tag its settings.  Each other node is
-    refused as a problem: a merge key `<<`, a collection
-    as a key, a collection tagged other than `!!seq` or `!!map` (`!!set`,
-    `!!omap`, a local tag), a scalar tagged `!!timestamp`, `!!binary` or
-    no scalar tag of the subset, and a scalar its tag's builder refuses
-    (`!!int five`).  A refused collection's items are not read; a refused
-    key's value is, at the key's path: its mapping's path and `("key",
-    i)`, for the mapping's i-th pair.  A node deeper than
-    `_NODE_DEPTH_LIMIT` raises RecursionError, and a key equal, as
-    constructed, to one before it in its mapping (`1` and `01`, `true`
-    and `yes`) is a problem.
+    The subset is sequences, mappings whose keys are scalars, and scalars
+    that are strings (a plain `=` too), nulls, booleans, integers and
+    floats, each untagged or tagged with its own tag; `loader` resolves
+    each untagged scalar's tag and lends PyYAML's builder of each scalar
+    tag its settings.  Each other node is refused as a problem: an alias,
+    a merge key `<<`, a collection as a key, a collection tagged other
+    than `!!seq` or `!!map` (`!!set`, `!!omap`, a local tag), a scalar
+    tagged `!!timestamp`, `!!binary` or no scalar tag of the subset, and a
+    scalar its tag's builder refuses (`!!int five`).  An anchor names
+    nothing.  A refused collection's contents are walked too.  A key is
+    walked at its mapping's path and `("key", i)`, for the mapping's i-th
+    pair, and so is a refused key's value.  A node deeper than
+    `_NODE_DEPTH_LIMIT` raises RecursionError, a second document a YAML
+    error, and a key equal, as constructed, to one before it in its
+    mapping (`1` and `01`, `true` and `yes`) is a problem.
 
     Each problem is a (line, message) pair in `problems`, located at the
-    node in hand: a refused node or a repeated key at its own line.  Each
-    of the `aliases` lines is one more, after the walk's on its line.
-    Only a text with an alias meets a node again: a value is read as its
-    anchor's data, and a key is refused, as a key outside the subset is.
-    A path, which holds each key as constructed, locates only the
-    problems found in the data: `lines` gets each path's line, a
-    repeated key's path that of its last repeat, whose value the data
-    holds."""
-    built, refused = {}, []
+    node in hand: a refused node or a repeated key at its own line.  A
+    path, which holds each key as constructed, locates only the problems
+    found in the data: `lines` gets each path's line, a repeated key's
+    path that of its last repeat, whose value the data holds."""
+    get_event, resolve, refused = loader.get_event, loader.resolve, []
 
-    def refuse(node, message):
-        refused.append(node)
-        problems.append((node.start_mark.line + 1, message))
+    def refuse(event, message):
+        refused.append(event)
+        problems.append((event.start_mark.line + 1, message))
         return _REFUSED
 
-    def scalar(node):
-        # the value of a node that is no `!!str` scalar, `!!seq` sequence
-        # or `!!map` mapping: a scalar of another tag of the subset
-        build = node.id == "scalar" and _SCALARS.get(node.tag)
-        if not build:
-            return refuse(node, f"tag {node.tag.replace(_TAG, '!!')} "
-                                "is not supported")
-        try:
-            return build(loader, node)
-        except (yaml.MarkedYAMLError, ValueError, LookupError, AttributeError):
-            return refuse(node, f"'{node.value}' is not a valid "
-                                f"{node.tag[len(_TAG):]}")
-
-    def walk(node, path):
+    def walk(event, path, key=False):
+        # the data of the node that `event` starts, or _REFUSED
         if len(path) > _NODE_DEPTH_LIMIT:
-            raise RecursionError  # reported like the loaders' own: nested too deeply
-        if aliases and node in built:
-            return built[node]
+            raise RecursionError  # reported as YAML nested too deeply
         if lines is not None:
-            lines.setdefault(path, node.start_mark.line + 1)
-        tag, value = node.tag, node.value
-        if tag == _STR and node.id == "scalar":
-            data = built[node] = value
-        elif tag == _SEQ and node.id == "sequence":
-            data = built[node] = []
-            for i, item in enumerate(value):
-                data.append(walk(item, path + (i,)))
-        elif tag == _MAP and node.id == "mapping":
-            data = built[node] = {}
-            for i, (key_node, item) in enumerate(value):
-                key = key_node.value
-                if aliases and key_node in built:
-                    refused.append(key_node)
-                    key = ("key", i)
-                elif key_node.tag != _STR or key_node.id != "scalar":
-                    if key_node.id != "scalar":
-                        key = refuse(key_node, "a key must be a scalar")
-                    elif key_node.tag == _TAG + "merge":
-                        key = refuse(key_node, "merge keys are not supported")
-                    else:
-                        key = scalar(key_node)
-                    if key is _REFUSED:
-                        key = ("key", i)  # unique in the mapping
-                if aliases:
-                    built.setdefault(key_node, key)  # an alias may name it
-                here = path + (key,)
-                if key in data:
-                    problems.append((key_node.start_mark.line + 1,
-                                     f"duplicate key '{key_node.value}'"))
-                if lines is not None:
-                    lines[here] = key_node.start_mark.line + 1
-                data[key] = walk(item, here)
+            lines.setdefault(path, event.start_mark.line + 1)
+        kind = type(event)
+        if kind is yaml.AliasEvent:
+            return refuse(event, "YAML aliases are not supported")
+        tag = event.tag
+        if kind is yaml.ScalarEvent:
+            if tag is None or tag == "!":
+                tag = resolve(yaml.ScalarNode, event.value, event.implicit)
+            if tag == _STR:
+                return event.value
+            build = _SCALARS.get(tag)
+            if build is None:
+                return refuse(event, "merge keys are not supported"
+                              if key and tag == _TAG + "merge" else
+                              f"tag {tag.replace(_TAG, '!!')} is not supported")
+            try:
+                return build(loader, yaml.ScalarNode(tag, event.value))
+            except (yaml.MarkedYAMLError, ValueError, LookupError,
+                    AttributeError):
+                return refuse(event, f"'{event.value}' is not a valid "
+                                     f"{tag[len(_TAG):]}")
+        seq = kind is yaml.SequenceStartEvent
+        why = ("a key must be a scalar" if key else
+               None if tag in (None, "!", _SEQ if seq else _MAP)
+               else f"tag {tag.replace(_TAG, '!!')} is not supported")
+        if why:
+            refuse(event, why)
+        if seq:
+            data = []
+            event = get_event()
+            while type(event) is not yaml.SequenceEndEvent:
+                data.append(walk(event, path + (len(data),)))
+                event = get_event()
         else:
-            data = built[node] = scalar(node)
-        return data
+            data, i = {}, 0
+            event = get_event()
+            while type(event) is not yaml.MappingEndEvent:
+                key = walk(event, path + (("key", i),), True)
+                if key is _REFUSED:
+                    key = ("key", i)  # unique in the mapping
+                elif key in data:
+                    problems.append((event.start_mark.line + 1,
+                                     f"duplicate key '{event.value}'"))
+                here = path + (key,)
+                if lines is not None:
+                    lines[here] = event.start_mark.line + 1
+                data[key] = walk(get_event(), here)
+                i += 1
+                event = get_event()
+        return _REFUSED if why else data
 
-    data = walk(root, ())
-    if aliases:
-        problems += [(line, "YAML aliases are not supported")
-                     for line in aliases]
-        problems.sort(key=lambda problem: problem[0])
+    get_event()                                 # the stream's start
+    data = None
+    if not loader.check_event(yaml.StreamEndEvent):
+        get_event()                             # the document's start
+        data = walk(get_event(), ())
+        get_event()                             # and its end
+    if not loader.check_event(yaml.StreamEndEvent):
+        raise yaml.MarkedYAMLError(
+            "expected a single document in the stream", None,
+            "but found another document", loader.peek_event().start_mark)
     return None if refused else data
 
 
@@ -308,7 +291,7 @@ class _Source:
     node outside the subset is refused with the walk's problems alone:
     its data lacks what was refused, so no field of it is checked.  A
     path's line is looked up only to report a problem: the first
-    `locate` composes and walks the text again."""
+    `locate` walks the text again."""
 
     def __init__(self, text: str, filename: str):
         self.text, self.filename = text, filename
@@ -320,14 +303,10 @@ class _Source:
             self.raise_if_failed()  # a node refused; an empty text has none
 
     def _load(self, problems, lines=None):
-        loader_cls = (_Loader if _depth_bound(self.text) < _C_DEPTH_LIMIT
-                      else _PureLoader)
         try:
-            loader = loader_cls(self.text)
+            loader = _Loader(self.text)
             try:
-                node = loader.get_single_node()
-                return node and _walk(loader, node, problems, lines,
-                                      _alias_lines(self.text, loader_cls))
+                return _walk(loader, problems, lines)
             finally:
                 loader.dispose()
         except (yaml.MarkedYAMLError, yaml.reader.ReaderError,

@@ -189,31 +189,29 @@ MUTANTS = (
     ("idle-resumed-every-tick", BENCH_CALLS, ENGINE,
      "th.seg_left = _ENDLESS if req is _IDLE_SEGMENT else req.etm",
      "th.seg_left = req.etm"),
-    # -- the scenario's data built in one walk of the YAML node tree
+    # -- the scenario's data built in one walk of the parser's events
     ("walk-reads-every-scalar-as-its-text", ACCEPTANCE, SCENARIO,
-     "            data = built[node] = scalar(node)\n",
-     "            data = built[node] = value\n"),
+     "            if tag == _STR:\n"
+     "                return event.value\n",
+     "            return event.value\n"),
     ("walk-without-duplicate-key-check", SCENARIO_T, SCENARIO,
-     "                if key in data:\n",
-     "                if False:\n"),
+     "                elif key in data:\n",
+     "                elif False:\n"),
     ("walk-lets-aliases-through", SCENARIO_T, SCENARIO,
-     "            if type(ev) is yaml.AliasEvent] if \"*\" in text else []\n",
-     "            if type(ev) is yaml.AliasEvent] if False else []\n"),
+     "            return refuse(event, \"YAML aliases are not supported\")\n",
+     "            problems.append((event.start_mark.line + 1,\n"
+     "                             \"YAML aliases are not supported\"))\n"
+     "            return None\n"),
     ("walk-paths-hold-key-text", SCENARIO_T, SCENARIO,
      "                here = path + (key,)\n",
-     "                here = path + (key_node.value,)\n"),
+     "                here = path + (getattr(event, \"value\", key),)\n"),
     # -- a scenario read as a strict YAML subset, each refusal at its node
     ("walk-accepts-a-merge-key", SCENARIO_T, SCENARIO,
-     "                elif key_node.tag != _STR or key_node.id != \"scalar\":\n",
-     "                elif key_node.tag not in (_STR, _TAG + \"merge\")"
-     " or key_node.id != \"scalar\":\n"),
-    ("refusal-at-the-roots-line", SCENARIO_T, SCENARIO,
-     "        problems.append((node.start_mark.line + 1, message))\n",
-     "        problems.append((root.start_mark.line + 1, message))\n"),
-    ("alias-at-its-anchors-line", SCENARIO_T, SCENARIO,
-     "            if type(ev) is yaml.AliasEvent] if",
-     "            if getattr(ev, \"anchor\", None)"
-     " and type(ev) is not yaml.AliasEvent] if"),
+     "            if tag == _STR:\n",
+     "            if tag == _STR or key and tag == _TAG + \"merge\":\n"),
+    ("refusal-at-line-one", SCENARIO_T, SCENARIO,
+     "        problems.append((event.start_mark.line + 1, message))\n",
+     "        problems.append((1, message))\n"),
     # -- each service's critical section run by the engine, one record
     ("gate-preempts-inside-a-section", ACCEPTANCE, ENGINE,
      "            if cur is None or self._section is None and (\n",
@@ -277,19 +275,6 @@ MUTANTS = (
     ("segment-defaults-to-task-context", ENGINE_T, ENGINE,
      "            context_kind = eng._table[eng.current_id].default_context\n",
      "            context_kind = ContextKind.TASK\n"),
-    # -- every alias refused at its own line
-    ("alias-key-read-as-its-anchors-node", SCENARIO_T, SCENARIO,
-     "                if aliases and key_node in built:\n"
-     "                    refused.append(key_node)\n"
-     "                    key = (\"key\", i)\n"
-     "                elif key_node.tag",
-     "                if key_node.tag"),
-    ("sequence-alias-at-the-sequences-line", SCENARIO_T, SCENARIO,
-     "                data.append(walk(item, path + (i,)))\n",
-     "                if aliases and item in built:\n"
-     "                    problems.append((node.start_mark.line + 1,\n"
-     "                                     \"YAML aliases are not supported\"))\n"
-     "                data.append(walk(item, path + (i,)))\n"),
     ("sink-formats-each-record-on-its-own", BENCH_CALLS, TRACE,
      "        held = self._held\n"
      "        self._batch[held] = rec\n"
@@ -297,6 +282,29 @@ MUTANTS = (
      "        if held == BATCH:\n"
      "            self._write()\n",
      "        self._fh.write(rec.csv_row() + \"\\n\")\n"),
+    # -- the scenario read from the parser's events, with no composed tree
+    ("second-document-accepted", SCENARIO_T, SCENARIO,
+     "    if not loader.check_event(yaml.StreamEndEvent):\n"
+     "        raise",
+     "    if False:\n"
+     "        raise"),
+    ("depth-limit-one-level-deeper", SCENARIO_T, SCENARIO,
+     "        if len(path) > _NODE_DEPTH_LIMIT:\n",
+     "        if len(path) > _NODE_DEPTH_LIMIT + 1:\n"),
+    ("refused-collections-contents-skipped", SCENARIO_T, SCENARIO,
+     "        if why:\n"
+     "            refuse(event, why)\n",
+     "        if why:\n"
+     "            refuse(event, why)\n"
+     "            depth = 1\n"
+     "            while depth:\n"
+     "                event = get_event()\n"
+     "                depth += (isinstance(event, yaml.CollectionStartEvent)\n"
+     "                          - isinstance(event, yaml.CollectionEndEvent))\n"
+     "            return _REFUSED\n"),
+    ("alias-read-as-null", SCENARIO_T, SCENARIO,
+     "            return refuse(event, \"YAML aliases are not supported\")\n",
+     "            return None\n"),
 )
 
 

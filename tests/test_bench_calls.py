@@ -44,8 +44,10 @@ more profiled calls than the rows' f-strings, which make none.
 Building the scenario's data in one walk of the composed YAML node
 tree, with no line map for a valid file and no PyYAML construct frame
 per node, brought the parse of ``wide`` from 28.4 calls per composed
-node to 15.6 (libyaml, Python 3.11); its limit of 17 trips if either
-per-node pass comes back.
+node to 15.6 (libyaml, Python 3.11).  Walking the parser's events, with
+no composed node tree and so no node frame and no resolver descend and
+ascend per node, brought it to 14.4; its limit of 14.5 trips if the
+composer comes back.
 Running each kernel service's critical section in the engine, which
 opens it as it takes the service's SVC request and writes the section
 as one record, with no ``_crit_enter`` or ``_crit_exit`` call and two
@@ -180,7 +182,7 @@ def _nodes(node):
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__,
-                    reason="the pure-Python composer makes calls per node")
+                    reason="the pure-Python parser makes calls per event")
 def test_parse_calls_per_node():
     """``parse_scenario_text`` on ``wide``, bounded per node of the YAML
     node tree that libyaml composes, keys included."""
@@ -193,4 +195,4 @@ def test_parse_calls_per_node():
     profile.disable()
     calls = sum(entry.callcount for entry in profile.getstats())
     per_node = calls / nodes
-    assert per_node <= 17, f"wide: {per_node:.1f} calls per YAML node"
+    assert per_node <= 14.5, f"wide: {per_node:.2f} calls per YAML node"

@@ -704,6 +704,13 @@ LOADERS = [
 ALIAS_KEY = MINIMAL.replace("run_ticks: 5\n", "name: &x run_ticks\n*x : 5\n")
 ALIASED_KEY = "&x " + MINIMAL.replace("name: T", "name: *x")
 
+# texts whose problems once depended on the loader: an undefined alias,
+# a repeated anchor, and nesting past the limit in a refused key and in a
+# refused collection (the composer's recursion limits once decided these)
+_DEEP = "[" * 300 + "]" * 300
+DIVERGED = ["a: *y\n", "a: &x 1\nb: &x 2\n", f"? {_DEEP}\n: 1\n",
+            f"a: !!set {{? {_DEEP}}}\n"]
+
 EDGE_TEXTS = [
     "base: &b {etm: 1}\nwork:\n  <<: *b\n  eem: 0\n",   # merge key
     "a: &x 1\nb: *x\n",                                 # alias
@@ -743,20 +750,36 @@ EDGE_TEXTS = [
     "a: !!set {? &z !!int q}\nb: *z\n",                 # its anchor under one
     "? &k [a]\n: 1\nb: *k\n",                           # naming a refused key
     "&x a: [*x, *x]\n",                                 # two on a line
+    "[*x, !!int q]\n",                                  # before a refusal
+    *DIVERGED,
 ]
 
 
+# the YAML errors worded here, not by the loader
+_OWN_WORDING = ("nested too deeply", "unacceptable character",
+                "expected a single document")
+
+
 def _outcome(text, loader):
-    """What `_Source` makes of ``text`` under ``loader``: the YAML error's
-    locations, or the data, every path's line and the problems."""
+    """What `_Source` makes of ``text`` under ``loader``: each problem of
+    the refused text, located, with its message (only "not valid YAML" of
+    a loader's own wording of a syntax error), or the data, every path's
+    line and the problems."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario, "_Loader", loader)
         try:
             src = scenario._Source(text, "scn.yaml")
             src.locate(())  # the line map is built on the first lookup
         except ScenarioError as exc:
-            return [loc for loc, _ in exc.problems]
+            return [(loc, _worded_here(message)) for loc, message in exc.problems]
     return src.data, src.lines, src.problems
+
+
+def _worded_here(message):
+    head, _, wording = message.partition(": ")
+    if head == "not valid YAML" and not wording.startswith(_OWN_WORDING):
+        return head
+    return message
 
 
 @LIBYAML
@@ -783,11 +806,12 @@ def test_libyaml_builds_what_the_pure_python_loader_builds():
 def test_flow_nesting_is_refused_at_the_first_bracket_past_the_limit(loader):
     deepest, deeper = ("[" * n + "]" * n + "\n" for n in (257, 258))
     assert isinstance(_outcome(deepest, loader), tuple)  # parsed
-    assert _outcome(deeper, loader) == ["scn.yaml:1"]
+    too_deep = [("scn.yaml:1", "not valid YAML: nested too deeply")]
+    assert _outcome(deeper, loader) == too_deep
     # the pure-Python scanner is quadratic in flow nesting until it gives
     # up near 1500 levels (~1.4 s); it now stops at the limit
     start = time.perf_counter()
-    assert _outcome("a: " + "[" * 100_000 + "]" * 100_000, loader) == ["scn.yaml:1"]
+    assert _outcome("a: " + "[" * 100_000 + "]" * 100_000, loader) == too_deep
     assert time.perf_counter() - start < 2
 
 
@@ -897,32 +921,29 @@ _SCENARIO_SHAPED = st.lists(
 
 
 # ----------------------------------------------------------------------
-# the one walk of the node tree against the loader it replaced
+# the one walk of the parser's events against the loader it replaced
 
-def _index_node(loader, node, path, lines, problems, seen, refused):
-    # each problem at the line of the node in hand; an alias is none of
-    # them (see `_alias_problems`), and a node met again is one
+# the tag of an alias's own node in the reference's node tree
+_ALIAS_NODE = "alias"
+
+
+def _index_node(loader, node, path, lines, problems, refused, why=None):
+    # each problem at the mark of the node in hand, a refused node's
+    # contents indexed too; an alias is refused, but is none of them (see
+    # `_alias_problems`).  `why` refuses the node if it is no alias.
     if len(path) > scenario._NODE_DEPTH_LIMIT:
         raise RecursionError
-    if id(node) in seen:
-        return
-    seen.add(id(node))
     lines.setdefault(path, node.start_mark.line + 1)
-    why = _outside_the_subset(loader, node)
+    if node.tag == _ALIAS_NODE:
+        refused.append((path, "an alias"))
+        return
+    why = why or _outside_the_subset(loader, node)
     if why is not None:
         refused.append((path, why))
-        problems.append((node.start_mark.line + 1, why))
-    elif isinstance(node, yaml.MappingNode):
+        problems.append((_position(node), why))
+    if isinstance(node, yaml.MappingNode):
         keys = set()
         for i, (k_node, v_node) in enumerate(node.value):
-            if id(k_node) in seen:
-                # an alias as a key: its value is read at the key's own path
-                at = path + (("key", i),)
-                lines[at] = k_node.start_mark.line + 1
-                refused.append((at, "an alias as a key"))
-                _index_node(loader, v_node, at, lines, problems, seen, refused)
-                continue
-            seen.add(id(k_node))
             if isinstance(k_node, yaml.ScalarNode):
                 why = ("merge keys are not supported"
                        if k_node.tag == "tag:yaml.org,2002:merge"
@@ -930,39 +951,36 @@ def _index_node(loader, node, path, lines, problems, seen, refused):
             else:
                 why = "a key must be a scalar"
             if why is not None:
-                # its value is read at the key's own path
+                # the key, and its value, at the key's own path
                 at = path + (("key", i),)
-                lines[at] = k_node.start_mark.line + 1
-                refused.append((at, why))
-                problems.append((k_node.start_mark.line + 1, why))
-                _index_node(loader, v_node, at, lines, problems, seen, refused)
+                _index_node(loader, k_node, at, lines, problems, refused, why)
+                _index_node(loader, v_node, at, lines, problems, refused)
                 continue
             key, value = k_node.value, _constructed_key(loader, k_node)
             if value in keys:
                 # the data holds the last repeat's value, at its line
-                problems.append((k_node.start_mark.line + 1,
-                                 f"duplicate key '{key}'"))
+                problems.append((_position(k_node), f"duplicate key '{key}'"))
                 lines[path + (key,)] = k_node.start_mark.line + 1
             keys.add(value)
             lines.setdefault(path + (key,), k_node.start_mark.line + 1)
-            _index_node(loader, v_node, path + (key,), lines, problems, seen,
+            _index_node(loader, v_node, path + (key,), lines, problems,
                         refused)
     elif isinstance(node, yaml.SequenceNode):
         for i, item in enumerate(node.value):
-            _index_node(loader, item, path + (i,), lines, problems, seen,
-                        refused)
+            _index_node(loader, item, path + (i,), lines, problems, refused)
+
+
+def _position(node_or_token):
+    return node_or_token.start_mark.line, node_or_token.start_mark.column
 
 
 def _alias_problems(text, loader_cls, problems):
-    """Put an alias problem in ``problems`` at the line of each alias
-    token the scanner reads, after the problems already there on that
-    line."""
-    aliases = [(token.start_mark.line + 1, "YAML aliases are not supported")
-               for token in yaml.scan(text, loader_cls)
-               if isinstance(token, yaml.AliasToken)]
-    if aliases:
-        problems += aliases
-        problems.sort(key=lambda problem: problem[0])
+    """Put an alias problem in ``problems`` at the position of each alias
+    token the scanner reads, and put them all in the order of the text."""
+    problems += [(_position(token), "YAML aliases are not supported")
+                 for token in yaml.scan(text, loader_cls)
+                 if isinstance(token, yaml.AliasToken)]
+    problems.sort(key=lambda problem: problem[0])
 
 
 # the tags of the subset, by kind of node
@@ -1011,46 +1029,62 @@ def _construct(loader, node):
             failed.start_mark) from None
 
 
-def _with_value_strings(loader_cls):
-    """A loader of its own on ``loader_cls`` that constructs a plain `=`
-    (YAML 1.1's value tag) as the string, as the walk reads it."""
-    ref = type("Reference" + loader_cls.__name__, (loader_cls,), {})
+def _reference_loader(loader_cls):
+    """A loader of its own on ``loader_cls`` that composes ``loader_cls``'s
+    events with PyYAML's pure-Python composer, an anchor naming nothing
+    and each alias a node of its own (tagged `_ALIAS_NODE`, at the
+    alias's mark), and constructs a plain `=` (YAML 1.1's value tag) as
+    the string, as the walk reads it.  The composer recurses a few frames
+    a level, so a text nested far deeper than the walk's limit stops it
+    with a RecursionError, as the walk is stopped."""
+    composer = yaml.composer.Composer
+
+    def compose_node(self, parent, index):
+        if self.check_event(yaml.AliasEvent):
+            event = self.get_event()
+            return yaml.ScalarNode(_ALIAS_NODE, event.anchor,
+                                   event.start_mark, event.end_mark)
+        self.anchors = {}
+        return composer.compose_node(self, parent, index)
+
+    bases = ((loader_cls,) if issubclass(loader_cls, composer)
+             else (composer, loader_cls))
+    ref = type("Reference" + loader_cls.__name__, bases,
+               {"__init__": loader_cls.__init__, "compose_node": compose_node})
     ref.add_constructor("tag:yaml.org,2002:value",
                         yaml.SafeLoader.construct_yaml_str)
     return ref
 
 
-_REFERENCE_LOADERS = {cls: _with_value_strings(cls)
+_REFERENCE_LOADERS = {cls: _reference_loader(cls)
                       for cls in {scenario._PureLoader, scenario._Loader}}
 
 
 class _ReferenceSource(scenario._Source):
-    """The naive loader the walk replaced, as the reference model: index
-    every node's line under its keys' source text, with the depth and
-    duplicate-key checks (keys compared as PyYAML constructs them, a
-    repeated key located at its own line) and each alias token the
-    scanner reads, then let PyYAML construct the document.  A text with
-    a node outside the scenario subset of YAML, or an alias as a key, is
-    not constructed: it is refused with the index's problems, the
-    subset's refusals among them at each node's line.
+    """The naive loader the walk replaced, as the reference model: compose
+    the text, index every node's line under its keys' source text, with
+    the depth and duplicate-key checks (keys compared as PyYAML constructs
+    them, a repeated key located at its own line), the subset's refusals
+    (a refused node's contents indexed too) and each alias token the
+    scanner reads, each at its node's or token's line and in the order of
+    the text; then let PyYAML construct the document.  A text with a node
+    outside the scenario subset of YAML, an alias among them, is not
+    constructed: it is refused with the index's problems.
     `key_texts` holds the source text of each key that is not a string."""
 
     def __init__(self, text, filename):
         self.filename, self.found, self.problems = filename, [], []
         self.lines = {}
-        self.key_texts, refused = set(), []
-        loader_cls = _REFERENCE_LOADERS[
-            scenario._Loader
-            if scenario._depth_bound(text) < scenario._C_DEPTH_LIMIT
-            else scenario._PureLoader]
+        self.key_texts, refused, found = set(), [], []
+        loader_cls = _REFERENCE_LOADERS[scenario._Loader]
         try:
             loader = loader_cls(text)
             try:
                 node = loader.get_single_node()
                 if node is not None:
-                    _index_node(loader, node, (), self.lines, self.found,
-                                set(), refused)
-                    _alias_problems(text, loader_cls, self.found)
+                    _index_node(loader, node, (), self.lines, found, refused)
+                    _alias_problems(text, loader_cls, found)
+                    self.found = [(line + 1, why) for (line, _), why in found]
                     self.key_texts = _texts_of_keys_not_str(node)
                 self.data = (None if node is None or refused
                              else _construct(loader, node))
@@ -1069,12 +1103,9 @@ class _ReferenceSource(scenario._Source):
 def _texts_of_keys_not_str(root):
     """The source text of each scalar key under ``root`` that is not a
     string, read before construction rewrites merge keys."""
-    texts, todo, seen = set(), [root], set()
+    texts, todo = set(), [root]
     while todo:
         node = todo.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
         if isinstance(node, yaml.MappingNode):
             for k_node, v_node in node.value:
                 if (isinstance(k_node, yaml.ScalarNode)
@@ -1198,10 +1229,7 @@ _ALIAS = "YAML aliases are not supported"
 @pytest.mark.parametrize("text, problems", [
     (ALIAS_KEY, [("scn.yaml:2", _ALIAS)]),
     (ALIASED_KEY, [("scn.yaml:6", _ALIAS)]),
-    ("a: &x 1\nb:\n  - 1\n  - *x\n",
-     [("scn.yaml:4", _ALIAS), ("scn.yaml:1", "unknown key 'a'"),
-      ("scn.yaml:2", "unknown key 'b'"), ("scn.yaml:1", "missing 'run_ticks'"),
-      ("scn.yaml:1", "missing 'tasks'")]),
+    ("a: &x 1\nb:\n  - 1\n  - *x\n", [("scn.yaml:4", _ALIAS)]),
     ("a: &x [1]\n*x : 2\n", [("scn.yaml:2", _ALIAS)]),
     ("a: &x !!int z\n*x : 1\n",
      [("scn.yaml:1", "'z' is not a valid int"), ("scn.yaml:2", _ALIAS)]),
@@ -1213,18 +1241,38 @@ _ALIAS = "YAML aliases are not supported"
       ("scn.yaml:1", "'q' is not a valid int"), ("scn.yaml:2", _ALIAS)]),
     ("? &k [a]\n: 1\nb: *k\n",
      [("scn.yaml:1", "a key must be a scalar"), ("scn.yaml:3", _ALIAS)]),
-    ("&x a: [*x, *x]\n",
-     [("scn.yaml:1", _ALIAS), ("scn.yaml:1", _ALIAS),
-      ("scn.yaml:1", "unknown key 'a'"), ("scn.yaml:1", "missing 'run_ticks'"),
-      ("scn.yaml:1", "missing 'tasks'")]),
+    ("&x a: [*x, *x]\n", [("scn.yaml:1", _ALIAS), ("scn.yaml:1", _ALIAS)]),
+    ("[*x, !!int q]\n",
+     [("scn.yaml:1", _ALIAS), ("scn.yaml:1", "'q' is not a valid int")]),
 ], ids=["key", "naming-a-key", "sequence-item", "key-naming-a-collection",
         "key-naming-a-refused-scalar", "under-a-refusal",
-        "naming-under-a-refusal", "naming-a-refused-key", "two-on-a-line"])
+        "naming-under-a-refusal", "naming-a-refused-key", "two-on-a-line",
+        "before-a-refusal"])
 def test_every_alias_is_refused_at_its_own_line(loader, text, problems):
-    # an alias's node is its anchor's, so its line is read from the text:
-    # each is a problem there, after the walk's own on that line.  An alias
-    # as a key is refused, so nothing of that text's data is checked.
+    # each alias is a problem at its own line, in the order of the text,
+    # and refuses the file as every node outside the subset does, so
+    # nothing of its data is checked
     assert text in EDGE_TEXTS
+    assert _refused(loader, text) == problems
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text, problems", [
+    ("a: *y\n", [("scn.yaml:1", _ALIAS)]),
+    ("a: &x 1\nb: &x 2\n",
+     [("scn.yaml:1", "unknown key 'a'"), ("scn.yaml:2", "unknown key 'b'"),
+      ("scn.yaml:1", "missing 'run_ticks'"), ("scn.yaml:1", "missing 'tasks'")]),
+    (f"? {_DEEP}\n: 1\n", [("scn.yaml:1", "not valid YAML: nested too deeply")]),
+    (f"a: !!set {{? {_DEEP}}}\n",
+     [("scn.yaml:1", "not valid YAML: nested too deeply")]),
+], ids=["undefined-alias", "repeated-anchor", "deep-in-a-refused-key",
+        "deep-in-a-refused-set"])
+def test_what_the_loaders_once_read_apart_is_one_problem_list(
+        loader, text, problems):
+    # an alias names nothing, so it is refused whether or not its anchor
+    # is defined; an anchor names nothing and may repeat (YAML 1.2.2,
+    # 3.2.2.2); and the depth limit holds inside a refused node
+    assert text in DIVERGED
     assert _refused(loader, text) == problems
 
 
@@ -1237,11 +1285,7 @@ def test_a_problem_in_a_value_a_repeat_overrides_is_at_its_own_line(loader):
         ("scn.yaml:2", "duplicate key 'run_ticks'")]
     assert _refused(loader, "b: &x 1\na: *x\na: 2\n") == [
         ("scn.yaml:2", "YAML aliases are not supported"),
-        ("scn.yaml:3", "duplicate key 'a'"),
-        ("scn.yaml:1", "unknown key 'b'"),
-        ("scn.yaml:3", "unknown key 'a'"),
-        ("scn.yaml:1", "missing 'run_ticks'"),
-        ("scn.yaml:1", "missing 'tasks'")]
+        ("scn.yaml:3", "duplicate key 'a'")]
 
 
 @pytest.mark.parametrize("loader", LOADERS)
