@@ -67,7 +67,9 @@ def _check_byte(device: str, value) -> int:
 
 
 class BfmDevice:
-    """Base: an access table plus kind-specific state."""
+    """Base: an access table plus kind-specific state.  A kind with
+    operations performs them in its ``perform(op, args)``; a kind with
+    none (``intc``, ``rtc``) can have no access to perform."""
 
     kind = None
 
@@ -84,9 +86,6 @@ class BfmDevice:
             raise NotFoundError(
                 f"device {self.name}: no access named {access_name!r}"
             ) from None
-
-    def perform(self, op: str, args: dict):
-        raise NotFoundError(f"device {self.name}: kind {self.kind} has no operations")
 
 
 class Memory(BfmDevice):

@@ -174,12 +174,14 @@ def _cmd_run(args) -> int:
             return _fail("--steps only applies to --mode step")
         if args.steps < 0:
             return _fail("--steps must be >= 0")
-    if args.tick_us is not None and args.tick_us < 1:
-        return _fail("--tick-us must be >= 1")
+    if args.tick_us is not None:
+        if args.tick_us < 1:
+            return _fail("--tick-us must be >= 1")
+        scn = scn._replace(tick_us=args.tick_us)
 
     sink = ListSink()
     try:
-        kernel = build_kernel(scn, tick_us=args.tick_us)
+        kernel = build_kernel(scn)
         kernel.attach_sinks(trace_sink=sink)
         kernel.boot()
     except SimError as exc:

@@ -112,8 +112,8 @@ def _hex_label(label: str) -> bool:
 # ----------------------------------------------------------------------
 # snapshot construction
 
-def _task_record(kernel, th) -> DsTask:
-    tcb = kernel.tcb[th.id]
+def _task_record(tcb) -> DsTask:
+    th = tcb.thread
     sys_run = th.svc_ticks
     return DsTask(
         task_id=th.id,
@@ -176,7 +176,7 @@ def ref_task(kernel, task_id: int) -> DsTask:
     """Copy one thread's control-block view; read-only."""
     if kernel.engine is None or task_id not in kernel.tcb:
         raise NotFoundError(f"no task with id {task_id}")
-    return _task_record(kernel, kernel.engine.thread(task_id))
+    return _task_record(kernel.tcb[task_id])
 
 
 def ref_object(kernel, kind: str, obj_id: int) -> DsObject:
@@ -193,10 +193,7 @@ def take_snapshot(kernel) -> DsSnapshot:
     eng = kernel.engine
     if eng is None:
         raise NotFoundError("kernel is not booted")
-    tasks = tuple(
-        _task_record(kernel, eng.thread(tid))
-        for tid in sorted(t.id for t in eng.threads())
-    )
+    tasks = tuple(_task_record(kernel.tcb[tid]) for tid in sorted(kernel.tcb))
     sections = []
     for _kind, title, plural, attr, rows in _SECTIONS:
         registry = getattr(kernel, attr)

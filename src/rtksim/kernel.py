@@ -1,16 +1,16 @@
 """The kernel: services, timers, handlers, boot protocol, deadlock watch.
 
-A declaration builds its part of the run at the call: a task or handler
-gets its ``SimThread`` and ``TaskControl``, an object is constructed and
-a device made, so a bad declaration is refused there.  ``boot`` then,
-before tick 0, in zero simulated time and by direct calls, with no init
-task.  Its first step closes the declarations, even if boot fails
-later.  It then checks the stimuli, picks the idle id, builds the
-engine from the whole thread table (the idle task, the tasks and the
-handlers) and the trace sink, arms the handlers and starts the tasks
-plus the idle task; ``engine`` is set once all of that is done.  No
-service can run during boot and boot writes no record, so the first
-recorded event is the first dispatch.
+A declaration builds its part of the run at the call: a task, handler
+or the idle task gets its ``TaskControl`` in ``tcb``, the one table of
+declared threads, holding its ``SimThread``; an object is constructed
+and a device made, so a bad declaration is refused there.  ``boot``
+then, before tick 0, in zero simulated time and by direct calls, with
+no init task.  It declares the default idle task if none was declared,
+then closes the declarations, even if boot fails later.  It then checks
+the stimuli, builds the engine from ``tcb`` and the trace sink, arms
+each handler and starts each task; ``engine`` is set once all of that
+is done.  No service can run during boot and boot writes no record, so
+the first recorded event is the first dispatch.
 
 As in μITRON, a service call names no caller: every service acts for
 the running thread, the engine's ``current_id``, which a service that
@@ -146,7 +146,8 @@ class CallContext:
 
 @dataclass
 class TaskControl:
-    """Kernel-side task bookkeeping beyond the engine's thread record.
+    """A declared thread's control block: its engine thread and the
+    kernel's bookkeeping beyond it.
 
     ``timeout`` is the agenda entry of the current wait's timeout, or
     None; a wait that ends some other way takes it off the agenda.
@@ -154,6 +155,7 @@ class TaskControl:
     owner graph that priority inheritance walks.
     """
 
+    thread: SimThread
     extended_info: int = 0
     wakeup_count: int = 0
     timeout: tuple | None = None
@@ -219,7 +221,6 @@ class Kernel:
     def __init__(self, *, tick_us: int = 1000,
                  cycles_per_tick: int = DEFAULT_CYCLES_PER_TICK,
                  svc_etm: int = 1, svc_eem_uj: int = 0,
-                 idle_id: int | None = None, idle_name: str = "IDLE",
                  abort_on_deadlock: bool = True):
         if not is_int(tick_us) or tick_us < 1:
             raise ValidationError("tick resolution must be >= 1 us")
@@ -229,8 +230,6 @@ class Kernel:
             raise ValidationError("service cost etm must be >= 0")
         if not is_int(svc_eem_uj) or svc_eem_uj < 0:
             raise ValidationError("service cost eem must be >= 0")
-        if idle_id is not None:
-            _check_id(idle_id, "idle")
         self.tick_us = tick_us
         self.cycles_per_tick = cycles_per_tick
         # the SVC segment every service charges in its critical section,
@@ -238,17 +237,14 @@ class Kernel:
         self._svc_req = _WaitRequest(Annotation("svc", svc_etm, svc_eem_uj),
                                      ContextKind.SVC, critical=True)
         self._bfm_reqs = {}  # (device, access) -> its BFM segment request
-        self._idle_id_cfg = idle_id
-        self._idle_name = _check_name(idle_name)
         self.abort_on_deadlock = abort_on_deadlock
 
         self.devices = DeviceRegistry()
         self.engine: Engine | None = None
-        self.tcb: dict[int, TaskControl] = {}  # declared threads, idle from boot
+        self.tcb: dict[int, TaskControl] = {}  # every declared thread
+        self.idle_id: int | None = None
         self.deadlock_report: tuple | None = None
 
-        self._tasks: list[SimThread] = []
-        self._handlers: dict[int, SimThread] = {}
         self._stimuli: list[Stimulus] = []
 
         self._agenda: list[tuple] = []  # heap of (due, rank, seq, action, arg)
@@ -263,8 +259,6 @@ class Kernel:
         self.buffers: dict[int, MessageBuffer] = {}
         self.fixed_pools: dict[int, FixedPool] = {}
         self.variable_pools: dict[int, VariablePool] = {}
-
-        self.idle_id: int | None = None
 
     # ------------------------------------------------------------------
     # declaration phase (pre-boot)
@@ -283,13 +277,9 @@ class Kernel:
     def _add_thread(self, thread_id, name, kind, priority, body,
                     extended_info):
         _check_extended_info(extended_info)
-        th = SimThread(thread_id, name, kind, priority, self._wrap(body))
-        self.tcb[thread_id] = TaskControl(extended_info=extended_info)
-        if kind is ThreadKind.TASK:
-            self._tasks.append(th)
-        else:
-            self._handlers[thread_id] = th
-        return th
+        self.tcb[thread_id] = TaskControl(
+            SimThread(thread_id, name, kind, priority, self._wrap(body)),
+            extended_info)
 
     def declare_task(self, task_id: int, name: str, priority: int, body,
                      *, extended_info: int = 0):
@@ -303,6 +293,17 @@ class Kernel:
             )
         self._add_thread(task_id, name, ThreadKind.TASK, priority, body,
                          extended_info)
+
+    def declare_idle(self, task_id: int, name: str = "IDLE"):
+        """Declare the idle task, which runs when no other thread can.
+        There is one; boot declares it, named IDLE, at the highest
+        declared id + 1 if none was."""
+        self._check_thread(task_id, name)
+        if self.idle_id is not None:
+            raise ConflictError(f"idle task already declared (id {self.idle_id})")
+        self.idle_id = task_id
+        self.tcb[task_id] = TaskControl(SimThread(
+            task_id, name, ThreadKind.TASK, IDLE_PRIORITY, idle_body))
 
     def declare_cyclic(self, thread_id: int, name: str, period: int, body,
                        *, phase: int = 0, extended_info: int = 0):
@@ -386,8 +387,8 @@ class Kernel:
         dev = self.devices.get(device_name)
         if dev.kind != KIND_INTC:
             raise ValidationError(f"device {device_name} is not an interrupt controller")
-        th = self._handlers.get(isr_id)
-        if th is None or th.kind is not ThreadKind.ISR:
+        tcb = self.tcb.get(isr_id)
+        if tcb is None or tcb.thread.kind is not ThreadKind.ISR:
             raise NotFoundError(f"no ISR declared with id {isr_id}")
         dev.attach(line, isr_id)
 
@@ -417,25 +418,18 @@ class Kernel:
     def boot(self):
         if self._closed:
             raise UsageError("boot runs once")
+        if self.idle_id is None:
+            self.declare_idle(max(self.tcb, default=0) + 1)
         self._closed = True
         self._validate_stimuli()
-        idle_id = self._idle_id_cfg
-        if idle_id is None:
-            idle_id = max(self.tcb, default=0) + 1
-        elif idle_id in self.tcb:
-            raise ConflictError(f"idle id {idle_id} collides with a declared thread")
-        self.idle_id = idle_id
-        idle = SimThread(idle_id, self._idle_name, ThreadKind.TASK,
-                         IDLE_PRIORITY, idle_body)
-        self.tcb[idle_id] = TaskControl()
-        eng = Engine((idle, *self._tasks, *self._handlers.values()),
-                     self._trace_sink)
+        threads = [tcb.thread for tcb in self.tcb.values()]
+        eng = Engine(threads, self._trace_sink)
         eng.on_tick = self._timer_tick
-        for handler_id in self._handlers:
-            eng.arm_handler(handler_id)
-        for th in self._tasks:
-            eng.start_thread(th.id)
-        eng.start_thread(idle_id)
+        for th in threads:
+            if th.kind is ThreadKind.TASK:
+                eng.start_thread(th.id)
+            else:
+                eng.arm_handler(th.id)
         for st in self._stimuli:
             self._schedule(st.tick, _RANK_STIMULUS, self._apply_stimulus, st)
         self.engine = eng
@@ -454,7 +448,7 @@ class Kernel:
                 )
 
     def _waiter_priority(self, tid):
-        return self.engine.thread(tid).current_priority
+        return self.tcb[tid].thread.current_priority
 
     def _wrap(self, factory):
         """The engine body of a declared factory: the engine calls it at a
@@ -588,7 +582,7 @@ class Kernel:
         default ``cancel_wait``, and releases the waiters it served.
         """
         tid = self.engine.current_id
-        if tid in self._handlers:
+        if self.tcb[tid].thread.kind is not ThreadKind.TASK:
             raise self._handler_wait_error(tid, f"{what} {obj_id}")
         timeout = self._validate_timeout(timeout)
         yield self._svc_req
@@ -626,11 +620,12 @@ class Kernel:
         """μITRON's E_CTX: a handler runs each activation to completion,
         so a service that can wait refuses a handler caller at the call,
         before its service segment."""
-        return ProtocolError(f"{self.engine.thread(thread_id).name}: "
+        return ProtocolError(f"{self.tcb[thread_id].thread.name}: "
                              f"a handler cannot wait ({reason})")
 
-    def _task_thread(self, task_id):
-        th = self.engine.thread(task_id)
+    @staticmethod
+    def _task_thread(tcb):
+        th = tcb.thread
         if th.kind is not ThreadKind.TASK:
             raise ObjectStateError(f"{th.name} is a handler, not a task")
         return th
@@ -668,7 +663,7 @@ class Kernel:
         """Sleep until wakeup or timeout.  A queued wakeup is consumed
         immediately without blocking."""
         tid = self.engine.current_id
-        if tid in self._handlers:
+        if self.tcb[tid].thread.kind is not ThreadKind.TASK:
             raise self._handler_wait_error(tid, "sleep")
         timeout = self._validate_timeout(timeout)
         yield self._svc_req
@@ -682,7 +677,7 @@ class Kernel:
 
     def wakeup(self, task_id):
         def wake(tcb):
-            th = self._task_thread(task_id)
+            th = self._task_thread(tcb)
             if th.state is ThreadState.DORMANT:
                 raise ObjectStateError(f"cannot wake dormant task {th.name}")
             if th.waiting_reason == _SLEEP:
@@ -694,7 +689,7 @@ class Kernel:
     def delay(self, ticks):
         """Unconditional delay: only expiry releases it; wakeups queue up."""
         tid = self.engine.current_id
-        if tid in self._handlers:
+        if self.tcb[tid].thread.kind is not ThreadKind.TASK:
             raise self._handler_wait_error(tid, "delay")
         if not isinstance(ticks, int) or type(ticks) is bool or ticks < 1:
             raise ValidationError("delay must be >= 1 ticks")
@@ -703,8 +698,8 @@ class Kernel:
         return _result((yield _BlockRequest("delay")))
 
     def start_task(self, task_id):
-        def start(_tcb):
-            self._task_thread(task_id)
+        def start(tcb):
+            self._task_thread(tcb)
             self.engine.start_thread(task_id)
 
         return self._give(self.tcb, task_id, "thread", start)
@@ -847,22 +842,21 @@ class Kernel:
         on.  The walk stops where a priority is unchanged, at the end of
         the chain, or on coming back round a cycle.
         """
-        eng = self.engine
-        priority_of = self._waiter_priority
+        table = self.tcb
         seen = set()
         while tid not in seen:
             seen.add(tid)
-            th = eng.thread(tid)
-            tcb = self.tcb[tid]
+            tcb = table[tid]
+            th = tcb.thread
             want = th.base_priority
             for mtx in tcb.held:
                 for waiter in mtx.queue.waiters():
-                    prio = priority_of(waiter)
+                    prio = table[waiter].thread.current_priority
                     if prio < want:
                         want = prio
             if want == th.current_priority:
                 break
-            eng.set_priority(tid, want)
+            self.engine.set_priority(tid, want)
             if tcb.blocked_on is None:
                 break
             tid = tcb.blocked_on.owner

@@ -131,6 +131,10 @@ class Scenario(NamedTuple):
 _NODE_DEPTH_LIMIT = 256
 
 
+def _too_deep(mark):
+    return yaml.MarkedYAMLError(problem="nested too deeply", problem_mark=mark)
+
+
 class _PureLoader(yaml.SafeLoader):
     """The pure-Python loader, refusing deep flow nesting as it scans.
 
@@ -144,7 +148,7 @@ class _PureLoader(yaml.SafeLoader):
 
     def fetch_flow_collection_start(self, TokenClass):
         if self.flow_level > _NODE_DEPTH_LIMIT:
-            raise RecursionError  # reported as the walk's depth limit is
+            raise _too_deep(self.get_mark())
         super().fetch_flow_collection_start(TokenClass)
 
 
@@ -155,8 +159,6 @@ _Loader = getattr(yaml, "CSafeLoader", _PureLoader)
 
 def _yaml_problem(text: str, exc) -> tuple:
     """(line, message) for a loader error, without the loader's location."""
-    if isinstance(exc, RecursionError):
-        return 1, "nested too deeply"
     if isinstance(exc, yaml.MarkedYAMLError):
         mark = exc.problem_mark or exc.context_mark
         message = ", ".join(p for p in (exc.context, exc.problem) if p)
@@ -199,8 +201,8 @@ def _walk(loader, problems, lines=None):
     nothing.  A refused collection's contents are walked too.  A key is
     walked at its mapping's path and `("key", i)`, for the mapping's i-th
     pair, and so is a refused key's value.  A node deeper than
-    `_NODE_DEPTH_LIMIT` raises RecursionError, a second document a YAML
-    error, and a key equal, as constructed, to one before it in its
+    `_NODE_DEPTH_LIMIT` and a second document each raise a YAML error at
+    their line, and a key equal, as constructed, to one before it in its
     mapping (`1` and `01`, `true` and `yes`) is a problem.
 
     Each problem is a (line, message) pair in `problems`, located at the
@@ -218,7 +220,7 @@ def _walk(loader, problems, lines=None):
     def walk(event, path, key=False):
         # the data of the node that `event` starts, or _REFUSED
         if len(path) > _NODE_DEPTH_LIMIT:
-            raise RecursionError  # reported as YAML nested too deeply
+            raise _too_deep(event.start_mark)
         if lines is not None:
             lines.setdefault(path, event.start_mark.line + 1)
         kind = type(event)
@@ -310,7 +312,7 @@ class _Source:
             finally:
                 loader.dispose()
         except (yaml.MarkedYAMLError, yaml.reader.ReaderError,
-                UnicodeEncodeError, RecursionError) as exc:
+                UnicodeEncodeError) as exc:
             line, message = _yaml_problem(self.text, exc)
             raise ScenarioError(
                 [(f"{self.filename}:{line}", f"not valid YAML: {message}")]
@@ -534,13 +536,12 @@ _TASK = _Kind("task", (
     _EXT_ROW,
 ), Kernel.declare_task)
 
-# an entry with `idle: true`; build_kernel hands it to Kernel itself
+# an entry with `idle: true`: only its id and name reach the kernel
 _IDLE = _Kind("idle", (
     *_TASK.rows[:3],                # id, name, idle
-    _Row("priority", _Implicit(0), 0),
-    _Row("behavior", _Implicit(()), ()),
-    _EXT_ROW,
-))
+    _Row("priority", _Implicit(0), 0, keyword=None),
+    _Row("behavior", _Implicit(()), (), keyword=None),
+), Kernel.declare_idle)
 
 
 def _declare_isr(kernel, *, device_name, line, **declare):
@@ -844,25 +845,22 @@ def save_scenario(scn: Scenario, path):
 # ----------------------------------------------------------------------
 # kernel wiring
 
-def build_kernel(scn: Scenario, *, tick_us=None) -> Kernel:
-    """Declare everything a validated scenario describes on a fresh kernel.
+def build_kernel(scn: Scenario) -> Kernel:
+    """Declare everything a validated scenario describes on a fresh kernel,
+    each entry through its kind's rows.
 
     The caller still boots and runs it, so sinks can be attached and the
     same scenario reused across runs.
     """
-    idle = scn.idle_task
     kernel = Kernel(
-        tick_us=scn.tick_us if tick_us is None else tick_us,
+        tick_us=scn.tick_us,
         cycles_per_tick=scn.cycles_per_tick,
         svc_etm=scn.svc_etm,
         svc_eem_uj=scn.svc_eem_uj,
-        idle_id=idle.task_id if idle else None,
-        idle_name=idle.name if idle else "IDLE",
         abort_on_deadlock=scn.abort_on_deadlock,
     )
     table = scn.annotation_table()
     for entry in (*scn.devices, *scn.tasks, *scn.handlers, *scn.objects,
                   *scn.stimuli):
-        if entry.schema.declare is not None:
-            _declare(entry, table, kernel)
+        _declare(entry, table, kernel)
     return kernel

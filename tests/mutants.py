@@ -269,7 +269,7 @@ MUTANTS = (
      "        if not self._fh.closed:\n"),
     # -- every service and body operation acting for the running thread
     ("take-lets-a-handler-wait", KERNEL_T, KERNEL,
-     "        if tid in self._handlers:\n"
+     "        if self.tcb[tid].thread.kind is not ThreadKind.TASK:\n"
      "            raise self._handler_wait_error(tid, f\"{what} {obj_id}\")\n",
      ""),
     ("segment-defaults-to-task-context", ENGINE_T, ENGINE,
@@ -305,6 +305,24 @@ MUTANTS = (
     ("alias-read-as-null", SCENARIO_T, SCENARIO,
      "            return refuse(event, \"YAML aliases are not supported\")\n",
      "            return None\n"),
+    # -- one thread table in the kernel, the idle task declared in it
+    ("second-idle-accepted", KERNEL_T, KERNEL,
+     "        if self.idle_id is not None:\n"
+     "            raise ConflictError(",
+     "        if False:\n"
+     "            raise ConflictError("),
+    ("boot-skips-the-default-idle", KERNEL_T, KERNEL,
+     "        if self.idle_id is None:\n"
+     "            self.declare_idle(max(self.tcb, default=0) + 1)\n",
+     ""),
+    ("sleep-refusal-reads-the-idles-kind", KERNEL_T, KERNEL,
+     "        if self.tcb[tid].thread.kind is not ThreadKind.TASK:\n"
+     "            raise self._handler_wait_error(tid, \"sleep\")\n",
+     "        if self.tcb[self.idle_id].thread.kind is not ThreadKind.TASK:\n"
+     "            raise self._handler_wait_error(tid, \"sleep\")\n"),
+    ("depth-refusal-without-its-mark", SCENARIO_T, SCENARIO,
+     "            raise _too_deep(event.start_mark)\n",
+     "            raise _too_deep(None)\n"),
 )
 
 

@@ -145,15 +145,22 @@ class TestInterruptController:
             c.attach(4, 11)
 
     def test_has_no_access_operations(self):
-        c = InterruptController("pic", {}, lines=4)
-        with pytest.raises(NotFoundError):
-            c.perform("read", {})
+        # no op is valid for the kind, so no access can reach its state
+        with pytest.raises(ValidationError, match="not valid for kind intc"):
+            InterruptController("pic", rw_table(), lines=4)
+        reg = DeviceRegistry()
+        reg.add(InterruptController("pic", {}, lines=4))
+        with pytest.raises(NotFoundError, match="no access named 'rd'"):
+            reg.perform(0, "pic", "rd", {})
 
 
 def test_rtc_is_inert():
-    r = Rtc("clock", {})
-    with pytest.raises(NotFoundError):
-        r.perform("read", {})
+    with pytest.raises(ValidationError, match="not valid for kind rtc"):
+        Rtc("clock", rw_table())
+    reg = DeviceRegistry()
+    reg.add(Rtc("clock", {}))
+    with pytest.raises(NotFoundError, match="no access named 'rd'"):
+        reg.perform(0, "clock", "rd", {})
 
 
 class TestMakeDevice:

@@ -172,7 +172,7 @@ def test_run_time_error_exits_four_but_flushes_artifacts(tmp_path, capsys):
 def test_a_handler_that_waits_exits_four(monkeypatch, tmp_path, capsys):
     # a scenario cannot declare a handler that waits, so declare one in
     # Python: its semaphore is empty
-    def waiting_kernel(scn, tick_us=None):
+    def waiting_kernel(scn):
         kernel = Kernel()
         kernel.declare_semaphore(1, 0)
 

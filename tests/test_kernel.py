@@ -1329,7 +1329,49 @@ def test_a_name_with_a_trailing_newline_is_refused():
 def test_the_idle_name_is_checked_like_any_thread_name():
     # "I,DLE" would have written an idle row with one column too many
     with pytest.raises(ValidationError, match="bad name 'I,DLE'"):
-        Kernel(idle_name="I,DLE")
+        Kernel().declare_idle(1, "I,DLE")
+
+
+def test_declare_idle_refuses_what_any_thread_declaration_refuses():
+    k = Kernel()
+    k.declare_task(1, "T", 5, _one_tick)
+    with pytest.raises(ConflictError, match="thread id 1 already declared"):
+        k.declare_idle(1)
+    with pytest.raises(ValidationError, match="thread id must be"):
+        k.declare_idle(True)
+    with pytest.raises(ValidationError, match="bad name"):
+        k.declare_idle(2, "I DLE")
+    assert k.idle_id is None and set(k.tcb) == {1}
+    k.declare_idle(2, "REST")
+    with pytest.raises(ConflictError, match="idle task already declared"):
+        k.declare_idle(3, "IDLE2")
+    with pytest.raises(ConflictError, match="thread id 2 already declared"):
+        k.declare_task(2, "U", 5, _one_tick)
+    assert (k.idle_id, set(k.tcb)) == (2, {1, 2})
+    k.boot()
+    assert k.tcb[2].thread.is_idle and k.tcb[2].thread.name == "REST"
+    assert set(k.engine._table) == {1, 2}     # no default idle beside it
+    with pytest.raises(UsageError):
+        k.declare_idle(4)
+
+
+def test_where_the_idle_is_declared_changes_no_trace_byte():
+    def run(idle_first):
+        k, sink = mk()
+        if idle_first:
+            k.declare_idle(9, "REST")
+        k.declare_task(1, "A", 5, lambda ctx: compute(ctx, "w", 3))
+        k.declare_cyclic(2, "C", 4, handler_burner(1))
+        k.declare_task(3, "B", 6, lambda ctx: compute(ctx, "w", 2))
+        if not idle_first:
+            k.declare_idle(9, "REST")
+        k.boot()
+        k.run(20)
+        k.finish()
+        return records_to_csv(sink.records)
+
+    first = run(True)
+    assert "REST" in first and first == run(False)
 
 
 def test_isr_attachment_validation():
@@ -1432,7 +1474,7 @@ def _booted(call):
     lambda: Kernel(cycles_per_tick=True),
     lambda: Kernel(svc_etm=True),
     lambda: Kernel(svc_eem_uj=False),
-    lambda: Kernel(idle_id=True),
+    lambda: Kernel().declare_idle(True),
     lambda: Kernel().declare_task(True, "A", 5, _one_tick),
     lambda: Kernel().declare_task(1, "A", True, _one_tick),
     lambda: Kernel().declare_cyclic(True, "C", 5, _one_tick),

@@ -242,6 +242,22 @@ def test_an_idle_entry_with_an_implicit_field_stays_declared():
         ("scn.yaml:11", "only one idle task entry is allowed")]
 
 
+def test_an_idle_entrys_extended_info_is_refused_at_its_line():
+    # the idle task has no control-block data of its own to set
+    text = MINIMAL + "  - id: 2\n    name: IDLE\n    idle: true\n    extended_info: 7\n"
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario_text(text, filename="scn.yaml")
+    assert problems_of(ei) == [("scn.yaml:13", "unknown key 'extended_info'")]
+
+
+def test_the_idle_entry_is_declared_as_written():
+    scn = parse_scenario_text(MINIMAL + "  - {id: 7, name: REST, idle: true}\n")
+    k = build_kernel(scn)
+    assert (k.idle_id, k.tcb[7].thread.name) == (7, "REST")
+    k.boot()
+    assert k.idle_id == 7 and sorted(k.tcb) == [1, 7]
+
+
 def test_on_deadlock_accepts_only_the_two_policies():
     scn = parse_scenario_text(MINIMAL + "on_deadlock: report\n")
     assert scn.abort_on_deadlock is False
@@ -579,7 +595,7 @@ def test_build_kernel_wires_the_demo():
 
 def test_build_kernel_overrides():
     scn = parse_scenario_text(MINIMAL + "on_deadlock: report\n")
-    k = build_kernel(scn, tick_us=77)
+    k = build_kernel(scn._replace(tick_us=77))
     assert k.tick_us == 77
     assert k.abort_on_deadlock is False   # the scenario's on_deadlock
 
@@ -708,6 +724,8 @@ ALIASED_KEY = "&x " + MINIMAL.replace("name: T", "name: *x")
 # a repeated anchor, and nesting past the limit in a refused key and in a
 # refused collection (the composer's recursion limits once decided these)
 _DEEP = "[" * 300 + "]" * 300
+# nesting past the limit on a later line: reported at that line
+DEEP_ON_LINE_5 = "run_ticks: 5\nname: x\n\n\nb: " + "[" * 300 + "\n"
 DIVERGED = ["a: *y\n", "a: &x 1\nb: &x 2\n", f"? {_DEEP}\n: 1\n",
             f"a: !!set {{? {_DEEP}}}\n"]
 
@@ -736,6 +754,7 @@ EDGE_TEXTS = [
     *("[" * n + "]" * n + "\n" for n in (257, 258)),   # the last flow level
     "a: " + "[" * 100_000 + "]" * 100_000 + "\n",
     "- " * 30000 + "1\n",
+    DEEP_ON_LINE_5,
     "",
     "# comment only\n",
     "name: =\n",                                        # a value
@@ -803,6 +822,18 @@ def test_libyaml_builds_what_the_pure_python_loader_builds():
 
 
 @pytest.mark.parametrize("loader", LOADERS)
+def test_nesting_too_deep_is_refused_at_its_line(loader):
+    assert DEEP_ON_LINE_5 in EDGE_TEXTS
+    assert _refused(loader, DEEP_ON_LINE_5) == [
+        ("scn.yaml:5", "not valid YAML: nested too deeply")]
+    block = "run_ticks: 5\nb:\n" + "".join(
+        "  " * i + "-\n" for i in range(300))
+    assert _refused(loader, block) == [
+        (f"scn.yaml:{scenario._NODE_DEPTH_LIMIT + 3}",
+         "not valid YAML: nested too deeply")]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
 def test_flow_nesting_is_refused_at_the_first_bracket_past_the_limit(loader):
     deepest, deeper = ("[" * n + "]" * n + "\n" for n in (257, 258))
     assert isinstance(_outcome(deepest, loader), tuple)  # parsed
@@ -816,11 +847,13 @@ def test_flow_nesting_is_refused_at_the_first_bracket_past_the_limit(loader):
 
 
 def test_the_pure_scanner_stops_at_the_first_bracket_past_the_limit():
-    loader = scenario._PureLoader("[" * 1000)
-    with pytest.raises(RecursionError):
+    loader = scenario._PureLoader("\n" + "[" * 1000)
+    with pytest.raises(yaml.MarkedYAMLError) as ei:
         while loader.check_token():
             loader.get_token()
     assert loader.flow_level == scenario._NODE_DEPTH_LIMIT + 1
+    mark = ei.value.problem_mark
+    assert (mark.line, mark.column) == (1, scenario._NODE_DEPTH_LIMIT + 1)
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -931,8 +964,6 @@ def _index_node(loader, node, path, lines, problems, refused, why=None):
     # each problem at the mark of the node in hand, a refused node's
     # contents indexed too; an alias is refused, but is none of them (see
     # `_alias_problems`).  `why` refuses the node if it is no alias.
-    if len(path) > scenario._NODE_DEPTH_LIMIT:
-        raise RecursionError
     lines.setdefault(path, node.start_mark.line + 1)
     if node.tag == _ALIAS_NODE:
         refused.append((path, "an alias"))
@@ -1034,23 +1065,31 @@ def _reference_loader(loader_cls):
     events with PyYAML's pure-Python composer, an anchor naming nothing
     and each alias a node of its own (tagged `_ALIAS_NODE`, at the
     alias's mark), and constructs a plain `=` (YAML 1.1's value tag) as
-    the string, as the walk reads it.  The composer recurses a few frames
-    a level, so a text nested far deeper than the walk's limit stops it
-    with a RecursionError, as the walk is stopped."""
+    the string, as the walk reads it.  A node deeper than the walk's
+    limit stops the composer with the walk's YAML error at its mark,
+    before the composer's few frames a level reach the interpreter's
+    recursion limit."""
     composer = yaml.composer.Composer
 
     def compose_node(self, parent, index):
+        if self.depth == scenario._NODE_DEPTH_LIMIT:
+            raise scenario._too_deep(self.peek_event().start_mark)
         if self.check_event(yaml.AliasEvent):
             event = self.get_event()
             return yaml.ScalarNode(_ALIAS_NODE, event.anchor,
                                    event.start_mark, event.end_mark)
         self.anchors = {}
-        return composer.compose_node(self, parent, index)
+        self.depth += 1
+        try:
+            return composer.compose_node(self, parent, index)
+        finally:
+            self.depth -= 1
 
     bases = ((loader_cls,) if issubclass(loader_cls, composer)
              else (composer, loader_cls))
     ref = type("Reference" + loader_cls.__name__, bases,
-               {"__init__": loader_cls.__init__, "compose_node": compose_node})
+               {"__init__": loader_cls.__init__, "compose_node": compose_node,
+                "depth": -1})
     ref.add_constructor("tag:yaml.org,2002:value",
                         yaml.SafeLoader.construct_yaml_str)
     return ref
@@ -1091,7 +1130,7 @@ class _ReferenceSource(scenario._Source):
             finally:
                 loader.dispose()
         except (yaml.MarkedYAMLError, yaml.reader.ReaderError,
-                UnicodeEncodeError, RecursionError) as exc:
+                UnicodeEncodeError) as exc:
             line, message = scenario._yaml_problem(text, exc)
             raise ScenarioError(
                 [(f"{filename}:{line}", f"not valid YAML: {message}")]
